@@ -9,6 +9,9 @@ hook additionally times the experiment's core operation.
 Scales are reduced from the paper's 6,500-video corpus to keep the whole
 suite re-runnable in minutes; every bench states its workload in the
 output header.
+
+These benches reproduce the paper; the serving stack's performance is
+measured by ``benchmarks/e2e`` alone (``BENCHMARK.json``).
 """
 
 from __future__ import annotations

@@ -24,39 +24,18 @@ accounting.  Exit code 0 means consistent, 1 means corruption.
 (vilint; see ``docs/static_analysis.md``) over ``src/repro`` or any
 given paths.
 
-``repro-video bench-serve`` builds an in-memory index over a simulated
-disk (``--read-latency`` seconds per physical page read) and sweeps the
-concurrent query engine across worker counts, printing a throughput
-table and writing the full metrics to ``--out`` (JSON).
-
-``repro-video bench-shard`` does the same for the sharded scatter-gather
-router, sweeping fleet sizes instead of worker counts; every fleet's
-rankings are asserted identical to the 1-shard reference.  ``check
---sharded`` verifies a durable fleet directory: each shard's page
+``check --sharded`` verifies a durable fleet directory: each shard's page
 checksums, B+-tree invariants and heap accounting, the fleet-level
 placement report, and the persisted ``health.json`` (unknown shards,
 invalid breaker states, shards that would be skipped at open time).
 
-``repro-video bench-faults`` runs the deterministic fault sweep
-(hard-down / transient / straggler / timeout scenarios against a sharded
-fleet) and reports availability plus tail latency; ``repro-video
-fleet-health`` opens a durable fleet and prints each shard's health
-counters and breaker state.
+``repro-video fleet-health`` opens a durable fleet and prints each
+shard's health counters and breaker state.
 
 ``repro-video serve`` stands a durable fleet directory up as a network
 service: one shard server per shard (in-process threads or spawned
 subprocesses), a read-only scatter router over remote proxies, and a
 TCP front door with bounded admission.  Ctrl-C drains gracefully.
-``repro-video bench-service`` runs the end-to-end burst benchmark
-against that stack (baseline pass, then every client offering
-``--overadmission`` times its admission quota) and reports availability,
-typed-shed counts and tail latency.
-
-``repro-video bench-replication`` measures read scaling for one shard
-group — a durable primary plus WAL-shipped read replicas — under a
-zipf-skewed closed-loop stream, sweeping replica counts and reporting
-throughput plus per-tier cache hit rates; every configuration's
-rankings are asserted bit-identical to primary-only serving.
 """
 
 from __future__ import annotations
@@ -168,233 +147,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.eval.serving import make_query_stream, run_serving_benchmark
-    from repro.storage.buffer_pool import BufferPool
-    from repro.storage.pager import Pager
-
-    if args.dataset:
-        dataset = VideoDataset.load(args.dataset)
-    else:
-        dataset = generate_dataset(seed=args.seed)
-    summaries = _summaries(dataset, args.epsilon)
-    index = VitriIndex.build(
-        summaries,
-        args.epsilon,
-        btree_pool=BufferPool(
-            Pager(read_latency=args.read_latency),
-            capacity=args.buffer_capacity,
-        ),
-    )
-    try:
-        worker_counts = tuple(
-            int(part) for part in args.workers.split(",") if part
-        )
-    except ValueError:
-        print(
-            f"error: --workers must be comma-separated ints, "
-            f"got {args.workers!r}",
-            file=sys.stderr,
-        )
-        return 1
-    stream = make_query_stream(
-        summaries,
-        args.queries,
-        seed=args.seed,
-        repeat_fraction=args.repeat_fraction,
-    )
-    results = run_serving_benchmark(
-        index,
-        stream,
-        args.k,
-        worker_counts=worker_counts,
-        buffer_capacity=args.buffer_capacity,
-        cache_size=args.cache_size,
-        cold=not args.warm,
-    )
-    rows = [
-        (
-            run["workers"],
-            f"{run['qps']:.1f}",
-            f"{run['speedup_vs_single']:.2f}x",
-            f"{run['latency_p50'] * 1e3:.1f}",
-            f"{run['latency_p95'] * 1e3:.1f}",
-            f"{run['cache_hit_rate']:.2f}",
-            run["total_physical_reads"],
-        )
-        for run in results["runs"]
-    ]
-    print(
-        format_table(
-            [
-                "workers",
-                "QPS",
-                "speedup",
-                "p50 ms",
-                "p95 ms",
-                "hit rate",
-                "reads",
-            ],
-            rows,
-            title=(
-                f"serving {results['queries']} queries, k={results['k']}, "
-                f"read latency {args.read_latency * 1e3:.1f} ms"
-            ),
-        )
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2)
-        print(f"\nwrote metrics to {args.out}")
-    return 0
-
-
-def _cmd_bench_shard(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.eval.serving import make_query_stream
-    from repro.eval.sharding import run_sharding_benchmark
-
-    if args.dataset:
-        dataset = VideoDataset.load(args.dataset)
-    else:
-        dataset = generate_dataset(seed=args.seed)
-    summaries = _summaries(dataset, args.epsilon)
-    try:
-        shard_counts = tuple(
-            int(part) for part in args.shards.split(",") if part
-        )
-    except ValueError:
-        print(
-            f"error: --shards must be comma-separated ints, "
-            f"got {args.shards!r}",
-            file=sys.stderr,
-        )
-        return 1
-    stream = make_query_stream(
-        summaries, args.queries, seed=args.seed, repeat_fraction=0.0
-    )
-    try:
-        results = run_sharding_benchmark(
-            summaries,
-            stream,
-            args.k,
-            epsilon=args.epsilon,
-            shard_counts=shard_counts,
-            partitioner=args.partitioner,
-            read_latency=args.read_latency,
-            buffer_capacity=args.buffer_capacity,
-            cache_size=0,
-            prune=not args.no_prune,
-            cold=True,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rows = [
-        (
-            run["shards"],
-            f"{run['qps']:.1f}",
-            f"{run['speedup_vs_single']:.2f}x",
-            f"{run['latency_p50'] * 1e3:.1f}",
-            f"{run['latency_p95'] * 1e3:.1f}",
-            f"{run['pruned_fraction']:.2f}",
-            run["total_physical_reads"],
-        )
-        for run in results["runs"]
-    ]
-    print(
-        format_table(
-            ["shards", "QPS", "speedup", "p50 ms", "p95 ms", "pruned", "reads"],
-            rows,
-            title=(
-                f"scatter-gather: {results['queries']} queries, "
-                f"k={results['k']}, {args.partitioner} placement, "
-                f"read latency {args.read_latency * 1e3:.1f} ms"
-            ),
-        )
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2)
-        print(f"\nwrote metrics to {args.out}")
-    return 0
-
-
-def _cmd_bench_faults(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.eval.faults import run_fault_benchmark
-    from repro.eval.serving import make_query_stream
-
-    if args.dataset:
-        dataset = VideoDataset.load(args.dataset)
-    else:
-        dataset = generate_dataset(seed=args.seed)
-    summaries = _summaries(dataset, args.epsilon)
-    stream = make_query_stream(
-        summaries, args.queries, seed=args.seed, repeat_fraction=0.0
-    )
-    try:
-        results = run_fault_benchmark(
-            summaries,
-            stream,
-            args.k,
-            epsilon=args.epsilon,
-            num_shards=args.shards,
-            seed=args.seed,
-            down_shard=args.down_shard,
-            buffer_capacity=args.buffer_capacity,
-        )
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rows = [
-        (
-            entry["scenario"],
-            f"{entry['availability']:.3f}",
-            entry["degraded_queries"],
-            entry["retries"],
-            entry["hedges"],
-            entry["timeouts"],
-            entry["breaker_trips"],
-            f"{entry['latency_p99'] * 1e3:.1f}",
-        )
-        for entry in results["scenarios"]
-    ]
-    print(
-        format_table(
-            [
-                "scenario",
-                "avail",
-                "degraded",
-                "retries",
-                "hedges",
-                "timeouts",
-                "trips",
-                "p99 ms",
-            ],
-            rows,
-            title=(
-                f"fault sweep: {results['queries']} queries, "
-                f"k={results['k']}, {results['num_shards']} shards, "
-                f"shard {results['down_shard']} faulted"
-            ),
-        )
-    )
-    print(
-        f"\navailability: {results['availability']:.4f} "
-        f"(p99 latency {results['p99_latency'] * 1e3:.1f} ms)"
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2)
-        print(f"wrote metrics to {args.out}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.frontdoor import FrontDoorServer, NetworkFleet
 
@@ -438,177 +190,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_service(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.eval.service import run_service_benchmark
-    from repro.eval.serving import make_query_stream
-
-    if args.dataset:
-        dataset = VideoDataset.load(args.dataset)
-    else:
-        dataset = generate_dataset(seed=args.seed)
-    summaries = _summaries(dataset, args.epsilon)
-    stream = make_query_stream(
-        summaries, args.queries, seed=args.seed, repeat_fraction=0.0
-    )
-    try:
-        results = run_service_benchmark(
-            summaries,
-            stream,
-            args.k,
-            epsilon=args.epsilon,
-            num_shards=args.shards,
-            workers=args.workers,
-            max_queue=args.max_queue,
-            clients=args.clients,
-            overadmission=args.overadmission,
-        )
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    baseline, burst = results["baseline"], results["burst"]
-    rows = [
-        (
-            "baseline",
-            baseline["latency"]["samples"],
-            baseline["latency"]["samples"],
-            0,
-            "1.000",
-            f"{baseline['latency']['p50_ms']:.1f}",
-            f"{baseline['latency']['p99_ms']:.1f}",
-        ),
-        (
-            "burst",
-            burst["offered"],
-            burst["admitted"],
-            burst["shed"],
-            f"{burst['availability']:.3f}",
-            f"{burst['latency']['p50_ms']:.1f}",
-            f"{burst['latency']['p99_ms']:.1f}",
-        ),
-    ]
-    print(
-        format_table(
-            [
-                "phase",
-                "offered",
-                "admitted",
-                "shed",
-                "avail",
-                "p50 ms",
-                "p99 ms",
-            ],
-            rows,
-            title=(
-                f"network service: {results['num_shards']} shards, "
-                f"{results['clients']} clients at "
-                f"{results['overadmission']:.1f}x quota, k={results['k']}"
-            ),
-        )
-    )
-    print(
-        f"\navailability: {burst['availability']:.4f} "
-        f"(p99 {burst['latency']['p99_ms']:.1f} ms, "
-        f"bound {results['p99_bound_ms']:.1f} ms)"
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2)
-        print(f"wrote metrics to {args.out}")
-    return 0
-
-
-def _cmd_bench_replication(args: argparse.Namespace) -> int:
-    import json
-    import tempfile
-
-    from repro.eval.replication import run_replication_benchmark
-    from repro.eval.serving import make_query_stream
-
-    if args.dataset:
-        dataset = VideoDataset.load(args.dataset)
-    else:
-        dataset = generate_dataset(
-            DatasetConfig(
-                dim=8, num_families=20, family_size=3, num_distractors=180
-            ),
-            seed=args.seed,
-        )
-    summaries = _summaries(dataset, args.epsilon)
-    stream = make_query_stream(
-        summaries,
-        args.queries,
-        seed=args.seed,
-        repeat_fraction=args.repeat_fraction,
-        skew=args.skew,
-    )
-    try:
-        with tempfile.TemporaryDirectory(prefix="bench-replication-") as tmp:
-            results = run_replication_benchmark(
-                tmp,
-                summaries,
-                stream,
-                epsilon=args.epsilon,
-                replica_counts=tuple(args.replicas),
-                clients=args.clients,
-                warmup=args.warmup,
-                seed=args.seed,
-                buffer_capacity=args.buffer_capacity,
-                read_latency=args.read_latency,
-                cache_size=args.cache_size,
-                range_cache_size=args.range_cache_size,
-            )
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rows = [
-        (
-            run["replicas"],
-            run["copies"],
-            f"{run['qps']:.1f}",
-            f"{run['latency_p50_ms']:.1f}",
-            f"{run['latency_p95_ms']:.1f}",
-            f"{run['result_cache_hit_rate']:.2f}",
-            f"{run['range_cache_hit_rate']:.2f}",
-            f"{run['combined_cache_hit_rate']:.2f}",
-            run["fallbacks_to_primary"],
-        )
-        for run in results["runs"]
-    ]
-    print(
-        format_table(
-            [
-                "replicas",
-                "copies",
-                "QPS",
-                "p50 ms",
-                "p95 ms",
-                "L1 hit",
-                "L2 hit",
-                "combined",
-                "fallbacks",
-            ],
-            rows,
-            title=(
-                f"replicated reads: {results['measured']} measured queries, "
-                f"zipf s={args.skew}, {results['clients']} clients, "
-                f"{args.read_latency * 1e3:.1f} ms/read simulated disk"
-            ),
-        )
-    )
-    print(
-        f"\nspeedup at {results['replica_counts'][-1]} replicas: "
-        f"{results['speedup_replicated']:.2f}x "
-        f"(combined cache hit rate "
-        f"{results['combined_cache_hit_rate']:.2f})"
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2)
-        print(f"wrote metrics to {args.out}")
-    return 0
-
 
 def _cmd_fleet_health(args: argparse.Namespace) -> int:
     from repro.shard.resilience import CircuitBreaker
@@ -622,7 +203,14 @@ def _cmd_fleet_health(args: argparse.Namespace) -> int:
     except (ChecksumError, ValueError, OSError) as exc:
         print(f"error: cannot open fleet: {exc}", file=sys.stderr)
         return 1
-    report = fleet.fleet_health()
+    try:
+        report = fleet.fleet_health()
+        title = (
+            f"fleet health: {len(fleet)} videos across "
+            f"{fleet.num_shards} shards"
+        )
+    finally:
+        fleet.close()
     rows = [
         (
             shard_id,
@@ -651,8 +239,7 @@ def _cmd_fleet_health(args: argparse.Namespace) -> int:
                 "p95 ms",
             ],
             rows,
-            title=f"fleet health: {len(fleet)} videos across "
-            f"{fleet.num_shards} shards",
+            title=title,
         )
     )
     skipped = [
@@ -665,7 +252,6 @@ def _cmd_fleet_health(args: argparse.Namespace) -> int:
             f"\nwarning: shard(s) {skipped} have non-closed breakers and "
             "would be skipped by degraded queries until a probe succeeds"
         )
-    fleet.close()
     return 0
 
 
@@ -838,9 +424,25 @@ def _check_sharded(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open_index(prefix: str) -> VitriIndex | None:
+    """Open the index ``build`` wrote under ``prefix``.
+
+    Prints the failure and returns ``None`` when it cannot be opened.
+    """
+    from repro.storage.serialization import ChecksumError
+
+    try:
+        return VitriIndex.open(
+            f"{prefix}.btree", f"{prefix}.heap", f"{prefix}.meta.json"
+        )
+    except (ChecksumError, ValueError, OSError) as exc:
+        # Opening already scans the heap, so corruption can surface here.
+        print(f"error: cannot open index: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.btree.checker import check_tree
-    from repro.storage.serialization import ChecksumError
 
     if getattr(args, "segments", None):
         failures = _check_segment_log(args.segments, args.segments)
@@ -856,15 +458,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 1
     if args.sharded:
         return _check_sharded(args)
-    try:
-        index = VitriIndex.open(
-            f"{args.index}.btree",
-            f"{args.index}.heap",
-            f"{args.index}.meta.json",
-        )
-    except (ChecksumError, ValueError, OSError) as exc:
-        # Opening already scans the heap, so corruption can surface here.
-        print(f"error: cannot open index: {exc}", file=sys.stderr)
+    index = _open_index(args.index)
+    if index is None:
         return 1
     failures: list[str] = []
     try:
@@ -892,11 +487,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    index = VitriIndex.open(
-        f"{args.index}.btree",
-        f"{args.index}.heap",
-        f"{args.index}.meta.json",
-    )
+    index = _open_index(args.index)
+    if index is None:
+        return 1
     dataset = VideoDataset.load(args.dataset)
     if args.video_id < 0 or args.video_id >= dataset.num_videos:
         print(
@@ -911,7 +504,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
         index.epsilon,
         seed=args.video_id,
     )
-    result = index.knn(query, args.k, method=args.method, cold=True)
+    try:
+        result = index.knn(query, args.k, method=args.method, cold=True)
+    except ValueError as exc:  # e.g. --k 0
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     rows = [
         (rank, video, f"{score:.4f}")
         for rank, (video, score) in enumerate(
@@ -1029,133 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.set_defaults(func=_cmd_check)
 
-    bench_serve = commands.add_parser(
-        "bench-serve",
-        help="benchmark the concurrent query engine",
-        description=(
-            "Sweep QueryEngine worker counts over a seeded query stream "
-            "against a simulated-latency disk; write metrics as JSON."
-        ),
-    )
-    bench_serve.add_argument(
-        "--dataset",
-        default=None,
-        help=".npz dataset (default: generate a small synthetic one)",
-    )
-    bench_serve.add_argument("--epsilon", type=float, default=0.3)
-    bench_serve.add_argument("--k", type=int, default=10)
-    bench_serve.add_argument(
-        "--queries", type=int, default=24, help="query-stream length"
-    )
-    bench_serve.add_argument(
-        "--workers", default="1,2,4", help="comma-separated worker counts"
-    )
-    bench_serve.add_argument(
-        "--read-latency",
-        type=float,
-        default=0.002,
-        help="simulated seconds per physical page read",
-    )
-    bench_serve.add_argument("--buffer-capacity", type=int, default=32)
-    bench_serve.add_argument("--cache-size", type=int, default=128)
-    bench_serve.add_argument(
-        "--repeat-fraction",
-        type=float,
-        default=0.5,
-        help="fraction of stream positions repeating an earlier query",
-    )
-    bench_serve.add_argument(
-        "--warm",
-        action="store_true",
-        help="keep worker pools warm between queries (default: cold)",
-    )
-    bench_serve.add_argument("--seed", type=int, default=0)
-    bench_serve.add_argument(
-        "--out", default=None, help="write full metrics JSON here"
-    )
-    bench_serve.set_defaults(func=_cmd_bench_serve)
-
-    bench_shard = commands.add_parser(
-        "bench-shard",
-        help="benchmark the sharded scatter-gather router",
-        description=(
-            "Sweep fleet sizes over a seeded query stream against "
-            "simulated-latency disks; every fleet's rankings are asserted "
-            "identical to the 1-shard reference. Write metrics as JSON."
-        ),
-    )
-    bench_shard.add_argument(
-        "--dataset",
-        default=None,
-        help=".npz dataset (default: generate a small synthetic one)",
-    )
-    bench_shard.add_argument("--epsilon", type=float, default=0.3)
-    bench_shard.add_argument("--k", type=int, default=10)
-    bench_shard.add_argument(
-        "--queries", type=int, default=16, help="query-stream length"
-    )
-    bench_shard.add_argument(
-        "--shards",
-        default="1,2,4",
-        help="comma-separated shard counts (must start with 1)",
-    )
-    bench_shard.add_argument(
-        "--partitioner", choices=("key_range", "hash"), default="key_range"
-    )
-    bench_shard.add_argument(
-        "--read-latency",
-        type=float,
-        default=0.002,
-        help="simulated seconds per physical page read",
-    )
-    bench_shard.add_argument("--buffer-capacity", type=int, default=32)
-    bench_shard.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="disable key-bounds shard pruning",
-    )
-    bench_shard.add_argument("--seed", type=int, default=0)
-    bench_shard.add_argument(
-        "--out", default=None, help="write full metrics JSON here"
-    )
-    bench_shard.set_defaults(func=_cmd_bench_shard)
-
-    bench_faults = commands.add_parser(
-        "bench-faults",
-        help="benchmark the fleet under injected faults",
-        description=(
-            "Run the deterministic fault sweep (hard-down, transient, "
-            "straggler and timeout scenarios) against a sharded fleet; "
-            "correctness is asserted inside the sweep, the report gives "
-            "availability and tail latency. Write metrics as JSON."
-        ),
-    )
-    bench_faults.add_argument(
-        "--dataset",
-        default=None,
-        help=".npz dataset (default: generate a small synthetic one)",
-    )
-    bench_faults.add_argument("--epsilon", type=float, default=0.3)
-    bench_faults.add_argument("--k", type=int, default=10)
-    bench_faults.add_argument(
-        "--queries", type=int, default=16, help="query-stream length"
-    )
-    bench_faults.add_argument(
-        "--shards", type=int, default=4, help="fleet size"
-    )
-    bench_faults.add_argument(
-        "--down-shard",
-        type=int,
-        default=1,
-        help="which shard the fault scenarios target",
-    )
-    bench_faults.add_argument("--buffer-capacity", type=int, default=32)
-    bench_faults.add_argument("--seed", type=int, default=0)
-    bench_faults.add_argument(
-        "--out", default=None, help="write full metrics JSON here"
-    )
-    bench_faults.set_defaults(func=_cmd_bench_faults)
-
     serve = commands.add_parser(
         "serve",
         help="serve a durable fleet over TCP behind a bounded front door",
@@ -1201,121 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds to wait for in-flight queries at shutdown",
     )
     serve.set_defaults(func=_cmd_serve)
-
-    bench_service = commands.add_parser(
-        "bench-service",
-        help="benchmark the network service under an over-admission burst",
-        description=(
-            "Stand a fleet up as a network service (thread-mode shard "
-            "servers, front door) and drive it through a serial baseline "
-            "and a closed-loop burst at --overadmission times each "
-            "client's admission quota; rankings are asserted bit-identical "
-            "to the in-process router inside the sweep. Write metrics as "
-            "JSON."
-        ),
-    )
-    bench_service.add_argument(
-        "--dataset",
-        default=None,
-        help=".npz dataset (default: generate a small synthetic one)",
-    )
-    bench_service.add_argument("--epsilon", type=float, default=0.3)
-    bench_service.add_argument("--k", type=int, default=10)
-    bench_service.add_argument(
-        "--queries", type=int, default=16, help="query-stream length"
-    )
-    bench_service.add_argument(
-        "--shards", type=int, default=3, help="fleet size"
-    )
-    bench_service.add_argument(
-        "--workers", type=int, default=2, help="front-door worker threads"
-    )
-    bench_service.add_argument(
-        "--max-queue", type=int, default=8, help="admission queue depth"
-    )
-    bench_service.add_argument(
-        "--clients", type=int, default=4, help="burst client threads"
-    )
-    bench_service.add_argument(
-        "--overadmission",
-        type=float,
-        default=2.0,
-        help="offered load as a multiple of each client's quota",
-    )
-    bench_service.add_argument("--seed", type=int, default=0)
-    bench_service.add_argument(
-        "--out", default=None, help="write full metrics JSON here"
-    )
-    bench_service.set_defaults(func=_cmd_bench_service)
-
-    bench_replication = commands.add_parser(
-        "bench-replication",
-        help="benchmark read replicas and the tiered cache hierarchy",
-        description=(
-            "Build one durable primary, attach WAL-shipped read replicas, "
-            "and drive a zipf-skewed query stream through the replica "
-            "group closed-loop at each replica count; rankings are "
-            "asserted bit-identical to primary-only serving inside the "
-            "sweep. Reports throughput and per-tier cache hit rates; "
-            "write metrics as JSON."
-        ),
-    )
-    bench_replication.add_argument(
-        "--dataset",
-        default=None,
-        help=".npz dataset (default: generate a small synthetic one)",
-    )
-    bench_replication.add_argument("--epsilon", type=float, default=0.3)
-    bench_replication.add_argument(
-        "--queries", type=int, default=300, help="query-stream length"
-    )
-    bench_replication.add_argument(
-        "--warmup",
-        type=int,
-        default=60,
-        help="stream prefix served on the bare primary before replicas attach",
-    )
-    bench_replication.add_argument(
-        "--replicas",
-        type=int,
-        nargs="+",
-        default=[0, 2],
-        help="replica counts to sweep (0 = primary-only baseline)",
-    )
-    bench_replication.add_argument(
-        "--clients", type=int, default=48, help="closed-loop client threads"
-    )
-    bench_replication.add_argument(
-        "--skew",
-        type=float,
-        default=1.2,
-        help="zipf exponent of the query stream (0 = uniform)",
-    )
-    bench_replication.add_argument(
-        "--repeat-fraction",
-        type=float,
-        default=0.35,
-        help="probability a stream position repeats an earlier one",
-    )
-    bench_replication.add_argument(
-        "--read-latency",
-        type=float,
-        default=0.015,
-        help="simulated seconds per physical page read",
-    )
-    bench_replication.add_argument("--buffer-capacity", type=int, default=4)
-    bench_replication.add_argument("--cache-size", type=int, default=128)
-    bench_replication.add_argument(
-        "--range-cache-size",
-        type=int,
-        default=256,
-        help="L2 range-block cache capacity per copy (0 disables the tier)",
-    )
-    bench_replication.add_argument("--seed", type=int, default=0)
-    bench_replication.add_argument(
-        "--out", default=None, help="write full metrics JSON here"
-    )
-    bench_replication.set_defaults(func=_cmd_bench_replication)
 
     fleet_health = commands.add_parser(
         "fleet-health",

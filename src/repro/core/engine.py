@@ -114,7 +114,7 @@ class ServingMetrics:
     total_physical_reads: int
 
     def to_dict(self) -> dict:
-        """JSON-serialisable form (what ``BENCH_serving.json`` records)."""
+        """JSON-serialisable form."""
         return {
             "queries": self.queries,
             "workers": self.workers,

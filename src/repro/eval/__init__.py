@@ -1,27 +1,17 @@
 """Evaluation harness: frame-level ground truth, the precision metric and
-cost aggregation used by every experiment in Section 6."""
+cost aggregation used by every experiment in Section 6.
+
+Serving-stack performance (fleets, wire, replicas, ingest) is measured
+by ``benchmarks/e2e`` (see ``BENCHMARK.json``), not from this package."""
 
 from __future__ import annotations
 
-from repro.eval.faults import run_fault_benchmark
 from repro.eval.ground_truth import GroundTruthCache, knn_ground_truth
 from repro.eval.harness import aggregate_stats, format_table
-from repro.eval.ingest import run_cutover_crash_sweep, run_ingest_benchmark
 from repro.eval.metrics import precision_at_k
 from repro.eval.refine import refine_ranking, refined_knn
-from repro.eval.replication import run_replication_benchmark
-from repro.eval.service import run_service_benchmark
-from repro.eval.serving import make_query_stream, run_serving_benchmark
-from repro.eval.sharding import build_fleet, run_sharding_benchmark
 
 __all__ = [
-    "build_fleet",
-    "run_cutover_crash_sweep",
-    "run_fault_benchmark",
-    "run_ingest_benchmark",
-    "run_replication_benchmark",
-    "run_service_benchmark",
-    "run_sharding_benchmark",
     "GroundTruthCache",
     "knn_ground_truth",
     "aggregate_stats",
@@ -29,6 +19,4 @@ __all__ = [
     "precision_at_k",
     "refine_ranking",
     "refined_knn",
-    "make_query_stream",
-    "run_serving_benchmark",
 ]

@@ -27,8 +27,7 @@ fleet's ``shards.json`` manifest, stands up one
 threads or real subprocesses), wires :class:`RemoteShard` proxies into a
 read-only router, and mounts a :class:`FrontDoor` on top.  Its
 :meth:`~NetworkFleet.restart_shard` drains one shard server under live
-traffic and reconnects its proxy to the replacement — the availability
-story ``BENCH_service.json`` measures.
+traffic and reconnects its proxy to the replacement.
 
 :class:`FrontDoorServer` exposes a front door over TCP with the same
 framing the shard servers speak (``repro-video serve`` runs one).

@@ -192,7 +192,7 @@ class ShardedServingMetrics:
     availability: float = 1.0
 
     def to_dict(self) -> dict:
-        """JSON-serialisable form (what ``BENCH_sharding.json`` records)."""
+        """JSON-serialisable form."""
         return {
             "queries": self.queries,
             "shards": self.shards,

@@ -153,8 +153,8 @@ class StageTimer:
     summing across blocks with the same stage name.  Because the time
     rides in the per-query :class:`CostCounters` bundle, per-stage
     breakdowns survive aggregation (``CostCounters.add``) exactly like
-    the event counters — this is what ``bench_latency.py`` plots as the
-    I/O / deserialize / geometry / merge split.
+    the event counters — this is what ``benchmarks/e2e`` reports as the
+    ``index.stage_{io,deserialize,geometry,merge}_ms`` layer metrics.
 
     A ``None`` bundle makes the timer a no-op, so instrumented code
     never needs to branch on whether it is being measured.

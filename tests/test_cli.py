@@ -117,6 +117,40 @@ class TestBuildAndQuery:
         ) == 1
         assert "out of range" in capsys.readouterr().err
 
+    def test_query_missing_or_corrupt_index(
+        self, dataset_path, tmp_path, capsys
+    ):
+        prefix = str(tmp_path / "idx")
+        query = ["query", "--dataset", dataset_path, "--video-id", "0"]
+        assert main(query + ["--index", str(tmp_path / "nowhere")]) == 1
+        assert "cannot open index" in capsys.readouterr().err
+
+        main(["build", "--dataset", dataset_path, "--out", prefix])
+        with open(f"{prefix}.heap", "r+b") as handle:
+            handle.seek(100)
+            byte = handle.read(1)
+            handle.seek(100)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+        capsys.readouterr()
+        assert main(query + ["--index", prefix]) == 1
+        err = capsys.readouterr().err
+        assert "cannot open index" in err and "checksum" in err
+
+    def test_query_rejects_nonpositive_k(self, dataset_path, tmp_path, capsys):
+        prefix = str(tmp_path / "idx")
+        main(["build", "--dataset", dataset_path, "--out", prefix])
+        capsys.readouterr()
+        assert main(
+            [
+                "query",
+                "--index", prefix,
+                "--dataset", dataset_path,
+                "--video-id", "0",
+                "--k", "0",
+            ]
+        ) == 1
+        assert "k must be a positive int" in capsys.readouterr().err
+
 
 class TestParser:
     def test_requires_command(self):
@@ -124,8 +158,14 @@ class TestParser:
             main([])
 
     def test_unknown_command(self):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+        # The retired legacy bench subcommands are unknown like any other.
+        retired = [
+            f"bench-{name}"
+            for name in ("serve", "shard", "faults", "service", "replication")
+        ]
+        for command in ["frobnicate", *retired]:
+            with pytest.raises(SystemExit):
+                main([command])
 
 
 class TestSummaryCache:
@@ -166,105 +206,6 @@ class TestSummaryCache:
                   "--epsilon", "0.5"])
 
 
-class TestBenchServe:
-    def test_sweeps_and_writes_json(self, dataset_path, tmp_path, capsys):
-        import json
-
-        out = str(tmp_path / "serving.json")
-        code = main(
-            [
-                "bench-serve",
-                "--dataset", dataset_path,
-                "--queries", "6",
-                "--k", "3",
-                "--workers", "1,2",
-                "--read-latency", "0.0005",
-                "--out", out,
-            ]
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "workers" in printed and "QPS" in printed
-        payload = json.loads(open(out, encoding="utf-8").read())
-        assert payload["worker_counts"] == [1, 2]
-        assert len(payload["runs"]) == 2
-        assert payload["runs"][0]["queries"] == 6
-
-    def test_bad_workers_list(self, dataset_path, capsys):
-        code = main(
-            [
-                "bench-serve",
-                "--dataset", dataset_path,
-                "--queries", "2",
-                "--workers", "1,two",
-                "--read-latency", "0",
-            ]
-        )
-        assert code == 1
-        assert "comma-separated" in capsys.readouterr().err
-
-
-class TestBenchShard:
-    def test_sweeps_and_writes_json(self, dataset_path, tmp_path, capsys):
-        out = str(tmp_path / "sharding.json")
-        code = main(
-            [
-                "bench-shard",
-                "--dataset", dataset_path,
-                "--queries", "4",
-                "--shards", "1,2",
-                "--read-latency", "0",
-                "--out", out,
-            ]
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "scatter-gather" in printed
-        assert "speedup" in printed
-
-        import json
-
-        with open(out, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert payload["shard_counts"] == [1, 2]
-        assert len(payload["runs"]) == 2
-        assert payload["runs"][1]["shards"] == 2
-
-    def test_hash_partitioner(self, dataset_path, capsys):
-        code = main(
-            [
-                "bench-shard",
-                "--dataset", dataset_path,
-                "--queries", "2",
-                "--shards", "1,2",
-                "--partitioner", "hash",
-                "--read-latency", "0",
-            ]
-        )
-        assert code == 0
-        assert "hash placement" in capsys.readouterr().out
-
-    def test_bad_shards_list(self, dataset_path, capsys):
-        code = main(
-            ["bench-shard", "--dataset", dataset_path, "--shards", "1,x"]
-        )
-        assert code == 1
-        assert "comma-separated" in capsys.readouterr().err
-
-    def test_shards_must_start_with_one(self, dataset_path, capsys):
-        code = main(
-            [
-                "bench-shard",
-                "--dataset", dataset_path,
-                "--queries", "2",
-                "--shards", "2,4",
-                "--read-latency", "0",
-            ]
-        )
-        assert code == 1
-        assert "must start with 1" in capsys.readouterr().err
-
-
 class TestCheckSharded:
     def _build_fleet(self, dataset_path, path):
         from repro.datasets.loader import VideoDataset
@@ -293,32 +234,6 @@ class TestCheckSharded:
         )
         assert code == 1
         assert "cannot open fleet" in capsys.readouterr().err
-
-
-class TestBenchFaults:
-    def test_sweeps_and_writes_json(self, dataset_path, tmp_path, capsys):
-        import json
-
-        out = str(tmp_path / "faults.json")
-        code = main(
-            [
-                "bench-faults",
-                "--dataset", dataset_path,
-                "--queries", "4",
-                "--k", "3",
-                "--out", out,
-            ]
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "fault sweep" in printed
-        assert "availability" in printed
-        with open(out, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert payload["availability"] >= 0.99
-        assert len(payload["scenarios"]) == 5
-        assert payload["total_retries"] > 0
-        assert payload["total_breaker_trips"] > 0
 
 
 class TestFleetHealth:

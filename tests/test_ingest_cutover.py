@@ -9,6 +9,7 @@ reference point the rebuild refits.
 """
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -16,14 +17,17 @@ import pytest
 from repro.core.database import read_epoch_pointer
 from repro.core.index import VitriIndex
 from repro.core.summarize import summarize_video
+from repro.core.vitri import VideoSummary
 from repro.datasets.synthetic import DatasetConfig, generate_dataset
-from repro.eval.ingest import run_cutover_crash_sweep
 from repro.ingest import commit_cutover, rebuild_online, side_build
 from repro.replication import ReplicaSet, ReplicaShard
+from repro.replication.shipper import database_token
 from repro.shard.shard import Shard
+from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.utils.clock import VirtualClock
 
 EPSILON = 0.3
+_SWEEP_MODES = ("drop", "torn", "duplicate")
 
 
 def make_summaries(count: int = 12, *, seed: int = 7, dim: int = 8):
@@ -172,6 +176,148 @@ class TestOnlineRebuild:
         status = group.replication_status()
         assert report.new_token in str(status)
         group.close()
+
+
+def run_cutover_crash_sweep(
+    path: str | os.PathLike,
+    summaries: list[VideoSummary],
+    *,
+    epsilon: float,
+    k: int = 5,
+    num_probes: int = 3,
+    reference: str | None = None,
+    buffer_capacity: int = 32,
+) -> dict:
+    """Crash an online rebuild at every disk operation; prove recovery.
+
+    Builds one golden durable shard over ``summaries``, records its
+    probe rankings, counts the disk operations of a full
+    :func:`~repro.ingest.cutover.rebuild_online` (open included — the
+    open-time WAL recovery and stale-generation sweep are part of the
+    workload), then replays the rebuild once per operation index with a
+    terminal fault scripted there, damage mode cycling
+    drop/torn/duplicate.  After each crash the directory is reopened
+    with a plain pager and the sweep asserts:
+
+    * the content token matches whichever side the ``epoch.json``
+      pointer names — *old* before the pointer replace landed, *new*
+      after; no third state;
+    * every video is present and every probe ranking is bit-identical
+      to the golden reference.
+
+    Returns ``{"crash_points", "recovered", "outcomes": {"old", "new"}}``;
+    the caller gates ``recovered == crash_points``.
+    """
+    if not summaries:
+        raise ValueError("summaries must be non-empty")
+    path = os.fspath(path)
+    probes = summaries[: max(1, min(num_probes, len(summaries)))]
+
+    def build_golden(directory: str) -> None:
+        shard = Shard(
+            0,
+            epsilon=epsilon,
+            path=directory,
+            buffer_capacity=buffer_capacity,
+        )
+        for summary in summaries:
+            shard.add_summary(summary)
+        shard.checkpoint()
+        shard.close()
+
+    golden = os.path.join(path, "golden")
+    build_golden(golden)
+    reopened = Shard(
+        0, epsilon=epsilon, path=golden, buffer_capacity=buffer_capacity
+    )
+    expected_rankings = rankings(reopened, probes, k)
+    reopened.close()
+
+    def run_rebuild(directory: str, injector: FaultInjector):
+        # The Shard open is *inside* the crash scope: operation 1 is the
+        # open-time WAL recovery truncate, and the sweep must cover it.
+        shard = None
+        try:
+            shard = Shard(
+                0,
+                epsilon=epsilon,
+                path=directory,
+                buffer_capacity=buffer_capacity,
+                fault_injector=injector,
+            )
+            report = rebuild_online(shard, reference=reference)
+            shard.close()
+            return report
+        except SimulatedCrash:
+            if shard is not None:
+                shard.crash()
+            return None
+
+    # Pass 1: count the workload's operations (no crash scripted).
+    count_dir = os.path.join(path, "count")
+    shutil.copytree(golden, count_dir)
+    counting = FaultInjector(crash_after=None)
+    report = run_rebuild(count_dir, counting)
+    if report is None:
+        raise RuntimeError("operation-counting pass crashed unexpectedly")
+    total_ops = counting.ops
+    if total_ops == 0:
+        raise RuntimeError("rebuild performed no injected disk operations")
+    old_token, new_token = report.old_token, report.new_token
+
+    recovered = 0
+    outcomes = {"old": 0, "new": 0}
+    failures: list[str] = []
+    for point in range(1, total_ops + 1):
+        sweep_dir = os.path.join(path, f"sweep-{point:04d}")
+        shutil.copytree(golden, sweep_dir)
+        injector = FaultInjector(
+            crash_after=point, mode=_SWEEP_MODES[point % len(_SWEEP_MODES)]
+        )
+        run_rebuild(sweep_dir, injector)
+
+        generation, _ = read_epoch_pointer(sweep_dir)
+        expected_token = old_token if generation is None else new_token
+        side = "old" if generation is None else "new"
+        shard = Shard(
+            0, epsilon=epsilon, path=sweep_dir, buffer_capacity=buffer_capacity
+        )
+        try:
+            token = database_token(shard.database)
+            if token != expected_token:
+                failures.append(
+                    f"point {point}: recovered token {token[:12]} does not "
+                    f"match the {side} side named by epoch.json"
+                )
+                continue
+            if len(shard) != len(summaries):
+                failures.append(
+                    f"point {point}: {len(shard)} videos after recovery, "
+                    f"expected {len(summaries)}"
+                )
+                continue
+            if rankings(shard, probes, k) != expected_rankings:
+                failures.append(
+                    f"point {point}: probe rankings diverged from the "
+                    f"golden reference on the {side} side"
+                )
+                continue
+        finally:
+            shard.close()
+            shutil.rmtree(sweep_dir)
+        outcomes[side] += 1
+        recovered += 1
+
+    if failures:
+        raise RuntimeError(
+            f"{len(failures)}/{total_ops} crash points failed recovery: "
+            + "; ".join(failures[:5])
+        )
+    return {
+        "crash_points": total_ops,
+        "recovered": recovered,
+        "outcomes": outcomes,
+    }
 
 
 class TestCrashSweep:

@@ -160,6 +160,68 @@ def test_frontdoor_server_speaks_the_shard_protocol():
                 assert server.wait_closed(10.0)
 
 
+def test_burst_accounting_over_a_real_fleet():
+    # Each client's bucket holds exactly `quota` tokens and refills one
+    # token per ~11.6 days, so precisely the over-quota excess is shed
+    # whatever the machine's speed; no wall-clock threshold anywhere.
+    clients, offered_per_client, quota = 3, 6, 2
+    summaries, _ = build_corpus(SEEDS[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        fleet_dir = build_fleet_dir(tmp, summaries)
+        with ShardedVideoDatabase(EPSILON, path=fleet_dir) as db:
+            local = {
+                summary.video_id: db.knn(summary, K) for summary in summaries
+            }
+        outcomes: list[list[tuple[int, object]]] = [[] for _ in range(clients)]
+
+        def run_client(index: int) -> None:
+            # Offset walks so concurrent clients hit different shards.
+            for position in range(offered_per_client):
+                query = summaries[(position + index) % len(summaries)]
+                try:
+                    result = fleet.query_sync(
+                        query, K, client=f"client-{index}", timeout=60.0
+                    )
+                except Exception as exc:  # noqa: BLE001 - typed below
+                    result = exc
+                outcomes[index].append((query.video_id, result))
+
+        with NetworkFleet(
+            fleet_dir,
+            mode="thread",
+            workers=2,
+            max_queue=8,
+            rate=1e-6,
+            burst=float(quota),
+        ) as fleet:
+            threads = [
+                threading.Thread(target=run_client, args=(index,))
+                for index in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+                assert not thread.is_alive()
+
+    flat = [entry for log in outcomes for entry in log]
+    shed = [result for _, result in flat if isinstance(result, Exception)]
+    completed = [
+        entry for entry in flat if not isinstance(entry[1], Exception)
+    ]
+    # completed + shed == offered: every request got exactly one outcome,
+    # and (below) every non-answer is a typed shed.
+    assert len(completed) + len(shed) == clients * offered_per_client
+    assert len(shed) == clients * (offered_per_client - quota)
+    for exc in shed:
+        assert isinstance(
+            exc, (RateLimited, ServiceOverloaded, ServiceDraining)
+        ), exc
+    for video_id, result in completed:
+        assert result.videos == local[video_id].videos
+        assert result.scores == local[video_id].scores  # bitwise over TCP
+
+
 class StubRouter:
     """A router whose queries block until released — admission tests
     control exactly how many workers are busy and how deep the queue is.
