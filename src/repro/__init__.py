@@ -62,9 +62,7 @@ from repro.shard import (
     Partitioner,
     ScatterStats,
     Shard,
-    ShardedBatchResult,
     ShardedKNNResult,
-    ShardedServingMetrics,
     ShardedVideoDatabase,
     make_partitioner,
 )
@@ -99,9 +97,7 @@ __all__ = [
     "Partitioner",
     "ScatterStats",
     "Shard",
-    "ShardedBatchResult",
     "ShardedKNNResult",
-    "ShardedServingMetrics",
     "ShardedVideoDatabase",
     "make_partitioner",
     "temporal_video_similarity",

@@ -58,6 +58,10 @@ import threading
 from repro.core.vitri import VideoSummary
 from repro.ingest.cutover import rebuild_online
 from repro.ingest.drift import DriftMonitor
+from repro.replication.group import ReplicaSet
+from repro.shard.faults import FaultInjectingShard
+from repro.shard.router import ShardedVideoDatabase
+from repro.shard.shard import Shard
 from repro.utils.clock import Clock, SystemClock
 from repro.utils.locks import make_lock
 
@@ -97,15 +101,15 @@ class IngestPipeline:
     Parameters
     ----------
     target:
-        Where summaries land, duck-typed by capability:
+        Where summaries land, decided once by type:
 
-        * a sharded fleet (``rebuild_shard`` + ``shards``) — inserts
+        * a :class:`~repro.shard.router.ShardedVideoDatabase` — inserts
           route through the partitioner, drift is tracked per shard and
           rebuilds go through the router's maintenance window;
-        * a replica set (``sync`` + ``primary``) — inserts hit the
-          primary under its ``write_gate``, each batch commit seals one
-          segment, then :meth:`sync` pumps the replicas;
-        * a bare shard (``database``) — the single-index case.
+        * a :class:`~repro.replication.group.ReplicaSet` — inserts hit
+          the primary under its ``write_gate``, each batch commit seals
+          one segment, then ``sync()`` pumps the replicas;
+        * a :class:`~repro.shard.shard.Shard` — the single-index case.
     batch_size:
         Summaries per commit (one WAL transaction / shipped segment).
     max_queue:
@@ -166,14 +170,20 @@ class IngestPipeline:
                 f"{max_pump_failures}"
             )
         self._target = target
-        self._is_fleet = hasattr(target, "rebuild_shard") and hasattr(
-            target, "shards"
-        )
-        self._is_replica_set = not self._is_fleet and hasattr(target, "sync")
-        if not self._is_fleet and not hasattr(target, "add_summary"):
+        # The one typed decision: which shard a batch writes to.
+        if isinstance(target, ShardedVideoDatabase):
+            self._shard = None  # the partitioner picks, per insert
+        elif isinstance(target, ReplicaSet):
+            self._shard = target.primary
+        elif isinstance(target, Shard):
+            self._shard = target
+        else:
             raise TypeError(
-                "target must expose add_summary (a fleet, replica set or shard)"
+                "target must expose add_summary as a ShardedVideoDatabase, "
+                "a ReplicaSet or a Shard"
             )
+        self._is_fleet = self._shard is None
+        self._is_replica_set = isinstance(target, ReplicaSet)
         self._batch_size = batch_size
         self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
         self._clock = clock if clock is not None else SystemClock()
@@ -280,9 +290,10 @@ class IngestPipeline:
 
     def _commit_batch(self, batch: list[VideoSummary]) -> int:
         try:
-            gate = getattr(self._target, "write_gate", None)
-            if gate is not None:
-                with gate:
+            if self._is_replica_set:
+                # No primary-routed read may interleave with the
+                # mutation; replicas keep serving throughout.
+                with self._target.write_gate:
                     applied, landed = self._apply(batch)
             else:
                 applied, landed = self._apply(batch)
@@ -328,11 +339,9 @@ class IngestPipeline:
         return applied, landed
 
     def _durable(self) -> bool:
-        if self._is_fleet:
-            return self._target.path is not None
-        if self._is_replica_set:
-            return True  # a replica set's primary is durable by contract
-        return self._target.database.path is not None
+        # ``Shard.path`` is its database's; a replica set's primary is
+        # durable by contract.
+        return (self._target if self._is_fleet else self._shard).path is not None
 
     def _shard_key(self, video_id):
         """Stable drift key for a fleet insert: the shard *object*.
@@ -350,7 +359,9 @@ class IngestPipeline:
     def _position_of(self, key):
         """Current fleet position of a drift key, or ``None`` if gone."""
         for position, shard in enumerate(self._target.shards):
-            if shard is key or getattr(shard, "inner", None) is key:
+            if isinstance(shard, FaultInjectingShard):
+                shard = shard.inner
+            if shard is key:
                 return position
         return None
 
@@ -366,11 +377,7 @@ class IngestPipeline:
                 self._rebuild(key)
 
     def _index_of(self, key):
-        if self._is_fleet:
-            return key.database.index
-        if self._is_replica_set:
-            return self._target.primary.database.index
-        return self._target.database.index
+        return (key if self._is_fleet else self._shard).database.index
 
     def _rebuild(self, key) -> None:
         if self._is_fleet:
@@ -386,12 +393,10 @@ class IngestPipeline:
             # primary's database and resets engine state, so in-flight
             # primary-routed reads must be excluded for its duration.
             with self._target.write_gate:
-                rebuild_online(
-                    self._target.primary, shipper=self._target.shipper
-                )
+                rebuild_online(self._shard, shipper=self._target.shipper)
                 self._target.sync()
         else:
-            rebuild_online(self._target)
+            rebuild_online(self._shard)
         self._drift.forget(key)
         self.rebuilds += 1
 
@@ -481,9 +486,9 @@ class IngestPipeline:
         The draining flag is raised under the admission lock, so every
         summary counted ``submitted`` is either already in the queue
         when the final pump runs or was refused with a typed shed —
-        nothing admitted is left volatile.  The front door drains
-        ingest *before* its query drain so the last admitted writes are
-        durable when the process exits.
+        nothing admitted is left volatile.  Drain ingest *before* the
+        front door's query drain so the last served queries see every
+        acknowledged write.
         """
         with self._admit_lock:
             self._draining = True

@@ -1,15 +1,16 @@
 """Replica-set serving: one shard's copies behind a single shard-like face.
 
 :class:`ReplicaSet` groups a durable primary :class:`Shard` with N
-:class:`ReplicaShard` copies and presents the whole group through the
-shard interface the routing layer already speaks (``knn``,
-``similarity_range``, ``may_contain``, ...), plus one extension the
-router discovers by duck typing: ``replica_aware = True`` and an
-``attempt=`` keyword on the query methods.  The attempt ordinal is the
-dispatch count :func:`repro.shard.resilience.run_attempts` hands its
-work callable — folding it into copy selection is what sends a hedged or
+:class:`ReplicaShard` copies and presents the whole group as one
+:class:`~repro.shard.contract.WritableShard`: reads route to a copy,
+writes and routing metadata go to the primary.  Two members of the
+contract carry the group's extra meaning.  ``attempt`` — the dispatch
+ordinal the attempt loop hands every sub-query (0 first, +1 per retry or
+hedge) — is folded into copy selection, which is what sends a hedged or
 retried attempt to a *different* copy instead of re-hitting the one that
-was slow.
+was slow.  ``status()["replication"]`` is :meth:`ReplicaSet.replication_status`
+(shipper position plus per-replica state), where a plain shard reports
+``None``.
 
 Routing rules, in order:
 
@@ -97,9 +98,6 @@ class ReplicaSet:
         Durable mirror file for the shipped segment stream (``None`` =
         in-memory only); what ``repro-video check`` chain-verifies.
     """
-
-    #: The routing layer checks this before passing ``attempt=``.
-    replica_aware = True
 
     def __init__(
         self,
@@ -281,9 +279,7 @@ class ReplicaSet:
         one copy that has fetched a video's composed ranges serves
         every ``k`` over them from memory.
         """
-        return self._serve(
-            attempt, getattr(query, "video_id", 0), "knn", (query, k), kwargs
-        )
+        return self._serve(attempt, query.video_id, "knn", (query, k), kwargs)
 
     def similarity_range(
         self, query, min_similarity, *, attempt: int = 0, **kwargs
@@ -291,7 +287,7 @@ class ReplicaSet:
         """Threshold query from the query's affine copy."""
         return self._serve(
             attempt,
-            getattr(query, "video_id", 0),
+            query.video_id,
             "similarity_range",
             (query, min_similarity),
             kwargs,
@@ -349,16 +345,14 @@ class ReplicaSet:
         """Checkpoint the primary (sealing the changes into a segment)."""
         self._primary.checkpoint()
 
-    def serving_engines(self) -> list:
-        """Every built engine across the copies (cache-tally seam)."""
-        engines = []
-        if self._primary._engine is not None:
-            engines.append(self._primary._engine)
+    def status(self) -> dict:
+        """The contract's status report: the primary's, plus the reads
+        every replica served and the group's replication telemetry."""
+        status = self._primary.status()
         for copy in self._replicas:
-            engine = copy.target.built_engine
-            if engine is not None:
-                engines.append(engine)
-        return engines
+            status["queries_served"] += copy.target.status()["queries_served"]
+        status["replication"] = self.replication_status()
+        return status
 
     def replication_status(self) -> dict:
         """Telemetry: shipper position plus per-replica status."""
@@ -371,7 +365,7 @@ class ReplicaSet:
             "primary_breaker": self._primary_copy.breaker.state,
             "replicas": [
                 dict(
-                    copy.target.status(),
+                    copy.target.status()["replication"],
                     breaker=copy.breaker.state,
                 )
                 for copy in self._replicas

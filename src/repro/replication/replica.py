@@ -63,7 +63,9 @@ class ReplicaUnavailable(ShardDown):
 
 
 class ReplicaShard:
-    """A read-only shard copy kept current by applying shipped segments.
+    """A read-only shard copy kept current by applying shipped segments
+    (a :class:`~repro.shard.contract.ShardLike`; writes reach it only as
+    segments).
 
     Parameters
     ----------
@@ -149,23 +151,24 @@ class ReplicaShard:
         """Content token of the last verified state."""
         return self._token
 
-    @property
-    def built_engine(self):
-        """The replica's query engine if one was built, else ``None``
-        (the routing layer's cache-tally seam; never builds)."""
-        return self._shard._engine if self._shard is not None else None
-
     def status(self) -> dict:
-        """Telemetry snapshot (state, position, apply/bootstrap tallies)."""
+        """The contract's status report; ``replication`` is this copy's
+        catch-up state (position, token, apply/bootstrap tallies).
+        Never raises: a demoted copy reports what it last held."""
+        shard = self._shard
         return {
             "shard_id": self._shard_id,
-            "state": self._state,
-            "applied_seq": self._seq,
-            "token": self._token,
-            "bootstraps": self.bootstraps,
-            "segments_applied": self.segments_applied,
-            "segments_refused": self.segments_refused,
-            "last_error": self.last_error,
+            "videos": len(shard) if shard is not None else 0,
+            "queries_served": shard.queries_served if shard is not None else 0,
+            "replication": {
+                "state": self._state,
+                "applied_seq": self._seq,
+                "token": self._token,
+                "bootstraps": self.bootstraps,
+                "segments_applied": self.segments_applied,
+                "segments_refused": self.segments_refused,
+                "last_error": self.last_error,
+            },
         }
 
     # ------------------------------------------------------------------

@@ -198,7 +198,6 @@ class FrontDoor:
             "shed_rate_limited": 0,
             "shed_draining": 0,
         }
-        self._ingest = None
         self._threads = [
             threading.Thread(
                 target=self._worker,
@@ -209,21 +208,6 @@ class FrontDoor:
         ]
         for thread in self._threads:
             thread.start()
-
-    def attach_ingest(self, pipeline) -> None:
-        """Tie an ingest pipeline's lifecycle to this front door's.
-
-        ``pipeline`` is duck-typed (``drain()``); in practice an
-        :class:`repro.ingest.pipeline.IngestPipeline` feeding the same
-        router this door serves.  On :meth:`drain` the ingest side
-        drains *first* — refusing new writes and committing everything
-        already admitted — so the final queries observe every write the
-        system acknowledged, and nothing admitted is left volatile when
-        the process exits.
-        """
-        if not hasattr(pipeline, "drain"):
-            raise TypeError("pipeline must expose drain()")
-        self._ingest = pipeline
 
     # ------------------------------------------------------------------
     # Admission
@@ -365,11 +349,6 @@ class FrontDoor:
             if self._draining:
                 return
             self._draining = True
-        if self._ingest is not None:
-            # Writes drain before reads stop: the attached ingest
-            # pipeline refuses new work and commits its queue, so the
-            # last served queries see every acknowledged write.
-            self._ingest.drain()
         for _ in self._threads:
             self._queue.put(None)
         for thread in self._threads:

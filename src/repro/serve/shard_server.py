@@ -1,7 +1,7 @@
 """One TCP server per shard: sub-queries over the wire, deadlines intact.
 
-:class:`ShardServer` wraps one :class:`~repro.shard.shard.Shard` (or a
-:class:`~repro.shard.faults.FaultInjectingShard` proxy) behind an
+:class:`ShardServer` wraps one :class:`~repro.shard.contract.ShardLike`
+(a shard, a fault-injecting proxy or a replica group) behind an
 asyncio TCP listener speaking :mod:`repro.serve.protocol`.  Three
 properties carry over from the in-process path:
 
@@ -63,6 +63,7 @@ from repro.serve.protocol import (
     encode_response,
     stats_to_wire,
 )
+from repro.shard.contract import ShardLike
 from repro.shard.shard import Shard
 from repro.utils.clock import Clock, Deadline, SystemClock, VirtualClock
 from repro.utils.counters import CostCounters
@@ -90,7 +91,7 @@ class ShardServer:
 
     def __init__(
         self,
-        shard: Shard,
+        shard: ShardLike,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -118,11 +119,6 @@ class ShardServer:
         self._address: tuple[str, int] | None = None
         self.requests_served = 0
         self.protocol_errors = 0
-
-    @property
-    def shard(self) -> Shard:
-        """The served shard (exposed for tests)."""
-        return self._shard
 
     @property
     def address(self) -> tuple[str, int]:
@@ -274,16 +270,7 @@ class ShardServer:
         if op == "ping":
             return {"pong": True, "shard_id": shard.shard_id}
         if op == "status":
-            body = {
-                "shard_id": shard.shard_id,
-                "videos": len(shard),
-                "queries_served": getattr(shard, "queries_served", 0),
-                "draining": self._draining,
-            }
-            replication = getattr(shard, "replication_status", None)
-            if replication is not None:
-                body["replication"] = replication()
-            return body
+            return dict(shard.status(), draining=self._draining)
         if op == "video_ids":
             return {"video_ids": sorted(shard.video_ids())}
         if op == "may_contain":
@@ -303,23 +290,18 @@ class ShardServer:
                 else None
             )
             bundle = CostCounters()
+            seams = {
+                "method": str(params.get("method", "composed")),
+                "cold": bool(params.get("cold", False)),
+                "out_counters": bundle,
+                "deadline": deadline,
+                "attempt": int(params.get("attempt", 0)),
+            }
             if op == "knn":
-                result = shard.knn(
-                    summary,
-                    int(params["k"]),
-                    method=str(params.get("method", "composed")),
-                    cold=bool(params.get("cold", False)),
-                    out_counters=bundle,
-                    deadline=deadline,
-                )
+                result = shard.knn(summary, int(params["k"]), **seams)
             else:
                 result = shard.similarity_range(
-                    summary,
-                    float(params["min_similarity"]),
-                    method=str(params.get("method", "composed")),
-                    cold=bool(params.get("cold", False)),
-                    out_counters=bundle,
-                    deadline=deadline,
+                    summary, float(params["min_similarity"]), **seams
                 )
             return {
                 "videos": list(result.videos),
@@ -543,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     clock: Clock = VirtualClock() if args.clock == "virtual" else SystemClock()
-    shard: Shard = Shard(
+    shard: ShardLike = Shard(
         args.shard_id,
         epsilon=args.epsilon,
         path=args.shard_dir,

@@ -1,10 +1,8 @@
 """Network-backed shards: the scatter path's client side.
 
-:class:`RemoteShard` presents the slice of the
-:class:`~repro.shard.shard.Shard` surface the router's read path uses —
-``shard_id``, ``len()``, ``video_ids``, ``may_contain``, ``knn``,
-``similarity_range`` — but executes every call over TCP against a
-:class:`~repro.serve.shard_server.ShardServer`.  Plugged into
+:class:`RemoteShard` implements :class:`~repro.shard.contract.ShardLike`,
+the read half of the shard contract, but executes every call over TCP
+against a :class:`~repro.serve.shard_server.ShardServer`.  Plugged into
 :meth:`~repro.shard.router.ShardedVideoDatabase.from_shards`, the
 unchanged scatter/merge machinery (pruning, per-shard counter bundles,
 resilient attempts, exact ``_rank`` merge) runs over the network:
@@ -179,9 +177,6 @@ class RemoteShard:
     ) -> None:
         self._shard_id = int(shard_id)
         self._timeout = timeout
-        # The router's cache-tally introspection reads `shard._engine`;
-        # a remote shard's engine lives in the server process.
-        self._engine = None
         self._client = RemoteShardClient(host, port, timeout=timeout)
         self._count = int(self._client.request("status")["videos"])
 
@@ -194,7 +189,8 @@ class RemoteShard:
         return self._count
 
     def status(self) -> dict:
-        """The server's live status report."""
+        """The served shard's contract status report, plus the server's
+        own ``draining`` flag."""
         return self._client.request("status")
 
     def video_ids(self) -> set[int]:
@@ -230,8 +226,13 @@ class RemoteShard:
         cold: bool = False,
         out_counters: CostCounters | None = None,
         deadline: Deadline | None = None,
+        attempt: int = 0,
     ) -> KNNResult:
-        """The remote shard's local top-``k`` (bit-identical scores)."""
+        """The remote shard's local top-``k`` (bit-identical scores).
+
+        ``attempt`` rides in the request so a replica group behind the
+        server can send each retry or hedge to a different copy.
+        """
         body = self._client.request(
             "knn",
             {
@@ -239,6 +240,7 @@ class RemoteShard:
                 "method": method,
                 "cold": cold,
                 "budget": _budget_of(deadline),
+                "attempt": attempt,
             },
             summary=query,
         )
@@ -253,6 +255,7 @@ class RemoteShard:
         cold: bool = False,
         out_counters: CostCounters | None = None,
         deadline: Deadline | None = None,
+        attempt: int = 0,
     ) -> KNNResult:
         """The remote shard's videos scoring at least ``min_similarity``."""
         body = self._client.request(
@@ -262,6 +265,7 @@ class RemoteShard:
                 "method": method,
                 "cold": cold,
                 "budget": _budget_of(deadline),
+                "attempt": attempt,
             },
             summary=query,
         )

@@ -3,6 +3,7 @@ and the fault-tolerance layer (policies, breakers, fault injection)."""
 
 from __future__ import annotations
 
+from repro.shard.contract import ShardLike, WritableShard
 from repro.shard.faults import (
     FaultInjectingShard,
     ShardFault,
@@ -31,9 +32,7 @@ from repro.shard.resilience import (
 )
 from repro.shard.router import (
     ScatterStats,
-    ShardedBatchResult,
     ShardedKNNResult,
-    ShardedServingMetrics,
     ShardedVideoDatabase,
 )
 from repro.shard.shard import Shard
@@ -58,11 +57,11 @@ __all__ = [
     "ShardDown",
     "ShardFault",
     "ShardFaultInjector",
+    "ShardLike",
     "ShardTimeout",
-    "ShardedBatchResult",
     "ShardedKNNResult",
-    "ShardedServingMetrics",
     "ShardedVideoDatabase",
+    "WritableShard",
     "make_partitioner",
     "partitioner_from_dict",
 ]

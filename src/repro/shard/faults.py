@@ -265,10 +265,11 @@ class ShardFaultInjector:
 class FaultInjectingShard:
     """A :class:`Shard` proxy that runs the fault schedule before serving.
 
-    Only ``knn`` and ``similarity_range`` are intercepted; everything
-    else (routing metadata, mutation, durability) delegates untouched via
-    ``__getattr__``.  The proxy is transparent enough that the router
-    never needs to know whether a fleet is faulted.
+    Only ``knn`` and ``similarity_range`` are intercepted; the rest of
+    the :class:`~repro.shard.contract.WritableShard` contract (routing
+    metadata, status, mutation, durability) delegates untouched via
+    ``__getattr__``, so the router never needs to know whether a fleet
+    is faulted.
     """
 
     def __init__(

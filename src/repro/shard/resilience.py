@@ -45,7 +45,7 @@ comes from the injected clock, jitter from the seeded hash.
 from __future__ import annotations
 
 import hashlib
-import inspect
+import itertools
 import math
 import struct
 from collections import deque
@@ -640,36 +640,13 @@ class AttemptOutcome:
     error: BaseException | None = None
 
 
-def _accepts_dispatch(work) -> bool:
-    """Whether ``work`` takes a third (dispatch-ordinal) argument.
-
-    Replica-aware work callables declare ``(bundle, deadline, attempt)``
-    and use the ordinal to steer retries/hedges to a different copy;
-    legacy two-argument callables are called exactly as before.
-    """
-    try:
-        signature = inspect.signature(work)
-    except (TypeError, ValueError):  # builtins, odd callables
-        return False
-    positional = 0
-    for parameter in signature.parameters.values():
-        if parameter.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            positional += 1
-        elif parameter.kind == inspect.Parameter.VAR_POSITIONAL:
-            return True
-    return positional >= 3
-
-
 def _one_attempt(
     work,
     shard_id: int,
     policy: FaultPolicy,
     clock: Clock,
     deadline: Deadline,
-    dispatch: int | None = None,
+    dispatch: int,
 ):
     """Run a single attempt; returns ``(result, bundle, latency, error)``.
 
@@ -683,18 +660,15 @@ def _one_attempt(
     it completed, exactly what a caller that stopped waiting would have
     seen.
 
-    ``dispatch`` (``None`` for legacy two-argument callables) is this
-    attempt's dispatch ordinal within the sub-query — 0 for the first
-    attempt, incrementing across retries *and* hedges — passed through
-    so replica-aware work can route each dispatch to a different copy.
+    ``dispatch`` is this attempt's ordinal within the sub-query — 0 for
+    the first attempt, incrementing across retries *and* hedges — passed
+    through so a replica group can route each dispatch to a different
+    copy.
     """
     bundle = CostCounters()
     start = clock.now()
     try:
-        if dispatch is None:
-            result = work(bundle, deadline)
-        else:
-            result = work(bundle, deadline, dispatch)
+        result = work(bundle, deadline, dispatch)
     except policy.retryable as exc:
         return None, bundle, clock.now() - start, exc
     latency = clock.now() - start
@@ -716,16 +690,13 @@ def run_attempts(
 ) -> AttemptOutcome:
     """Run one shard's sub-query to resolution under ``policy``.
 
-    ``work(bundle, deadline)`` performs one attempt against the shard,
-    folding its cost events into the fresh bundle it is handed and
-    honouring (or ignoring — the loop copes either way) the sub-query's
-    shared :class:`Deadline`.  A work callable that accepts a third
-    positional argument is *replica-aware*: it is called as
-    ``work(bundle, deadline, dispatch)`` where ``dispatch`` is the
-    attempt's ordinal within this resolution (0, then +1 per retry and
-    per hedge), which a replica set folds into copy selection so a
-    hedge lands on a different copy than the slow first attempt.  The
-    loop:
+    ``work(bundle, deadline, dispatch)`` performs one attempt against
+    the shard, folding its cost events into the fresh bundle it is
+    handed and honouring (or ignoring — the loop copes either way) the
+    sub-query's shared :class:`Deadline`.  ``dispatch`` is the attempt's
+    ordinal within this resolution (0, then +1 per retry and per
+    hedge), which a replica set folds into copy selection so a hedge
+    lands on a different copy than the slow first attempt.  The loop:
 
     1. Ask the shard's breaker for admission; an open breaker resolves
        ``tripped`` immediately (no attempt, no cost).
@@ -767,18 +738,7 @@ def run_attempts(
     # One budget for the whole resolution; created here, on the thread
     # that will sleep the backoffs (see the Deadline thread contract).
     deadline = Deadline(clock, policy.deadline)
-    # Replica-aware work gets each attempt's dispatch ordinal (0, then
-    # +1 per retry or hedge) so it can route every dispatch to a
-    # different copy of the shard.
-    pass_dispatch = _accepts_dispatch(work)
-    dispatched = 0
-
-    def next_dispatch() -> int | None:
-        nonlocal dispatched
-        ordinal = dispatched
-        dispatched += 1
-        return ordinal if pass_dispatch else None
-
+    dispatches = itertools.count()
     last_error: BaseException | None = None
     timed_out = False
     for attempt in range(1, policy.retry.max_attempts + 1):
@@ -798,7 +758,7 @@ def run_attempts(
             health.record_retry(shard_id)
             clock.sleep(backoff)
         result, bundle, latency, error = _one_attempt(
-            work, shard_id, policy, clock, deadline, next_dispatch()
+            work, shard_id, policy, clock, deadline, next(dispatches)
         )
         if error is not None:
             last_error = error
@@ -810,7 +770,7 @@ def run_attempts(
         accepted = (result, bundle, latency)
         if latency >= hedge_threshold:
             b_result, b_bundle, b_latency, b_error = _one_attempt(
-                work, shard_id, policy, clock, deadline, next_dispatch()
+                work, shard_id, policy, clock, deadline, next(dispatches)
             )
             won = b_error is None and b_latency < latency
             health.record_hedge(shard_id, won=won)

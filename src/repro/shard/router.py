@@ -81,11 +81,13 @@ import os
 import shutil
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.core.index import QueryStats, _rank
 from repro.core.summarize import summarize_video
 from repro.core.vitri import VideoSummary
+from repro.shard.contract import ShardLike
 from repro.shard.faults import FaultInjectingShard, ShardFaultInjector
 from repro.shard.partitioner import (
     KeyRangePartitioner,
@@ -95,6 +97,7 @@ from repro.shard.partitioner import (
 )
 from repro.shard.resilience import (
     ANSWERED,
+    FAILED,
     TIMED_OUT,
     TRIPPED,
     AttemptOutcome,
@@ -111,16 +114,9 @@ from repro.shard.shard import Shard
 from repro.utils.clock import Clock, Deadline, SystemClock
 from repro.utils.counters import CostCounters, Timer
 from repro.utils.locks import make_lock
-from repro.utils.stats import percentile
 from repro.utils.validation import check_matrix, check_positive, check_positive_int
 
-__all__ = [
-    "ScatterStats",
-    "ShardedBatchResult",
-    "ShardedKNNResult",
-    "ShardedServingMetrics",
-    "ShardedVideoDatabase",
-]
+__all__ = ["ScatterStats", "ShardedKNNResult", "ShardedVideoDatabase"]
 
 _MANIFEST_FILE = "shards.json"
 _MANIFEST_FORMAT = 1
@@ -164,67 +160,6 @@ class ShardedKNNResult:
 
     def __len__(self) -> int:
         return len(self.videos)
-
-
-@dataclass(frozen=True)
-class ShardedServingMetrics:
-    """Aggregate outcome of one :meth:`ShardedVideoDatabase.serve_many`
-    batch, built from per-shard counter bundles."""
-
-    queries: int
-    shards: int
-    wall_time: float
-    qps: float
-    latency_p50: float
-    latency_p95: float
-    latency_p99: float
-    cache_hits: int
-    cache_misses: int
-    shard_page_requests: tuple[int, ...]
-    shard_physical_reads: tuple[int, ...]
-    total_page_requests: int
-    total_physical_reads: int
-    retries: int = 0
-    hedges: int = 0
-    timeouts: int = 0
-    breaker_trips: int = 0
-    degraded_queries: int = 0
-    availability: float = 1.0
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form."""
-        return {
-            "queries": self.queries,
-            "shards": self.shards,
-            "wall_time": self.wall_time,
-            "qps": self.qps,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "latency_p99": self.latency_p99,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "shard_page_requests": list(self.shard_page_requests),
-            "shard_physical_reads": list(self.shard_physical_reads),
-            "total_page_requests": self.total_page_requests,
-            "total_physical_reads": self.total_physical_reads,
-            "retries": self.retries,
-            "hedges": self.hedges,
-            "timeouts": self.timeouts,
-            "breaker_trips": self.breaker_trips,
-            "degraded_queries": self.degraded_queries,
-            "availability": self.availability,
-        }
-
-
-@dataclass(frozen=True)
-class ShardedBatchResult:
-    """Results of a served batch, in query order, plus its metrics."""
-
-    results: tuple[ShardedKNNResult, ...]
-    metrics: ShardedServingMetrics
-
-    def __len__(self) -> int:
-        return len(self.results)
 
 
 class ShardedVideoDatabase:
@@ -342,16 +277,16 @@ class ShardedVideoDatabase:
     @classmethod
     def from_shards(
         cls,
-        shards: list,
+        shards: list[ShardLike],
         *,
         epsilon: float,
         clock: Clock | None = None,
     ) -> "ShardedVideoDatabase":
         """A read-only router over pre-built shards (typically remote).
 
-        The service layer's seam: hand this the fleet's
-        :class:`~repro.serve.transport.RemoteShard` proxies (or plain
-        :class:`Shard` objects) and the unchanged scatter machinery —
+        The service layer's seam: hand this any
+        :class:`~repro.shard.contract.ShardLike` implementers (remote
+        proxies, replica groups, plain shards) and the scatter machinery —
         pruning, per-shard counter bundles, resilient attempts, exact
         merge — runs over them.  Membership is discovered from each
         shard's own content; every mutating or durability operation
@@ -512,7 +447,7 @@ class ShardedVideoDatabase:
             return self._partitioner
 
     @property
-    def shards(self) -> tuple[Shard, ...]:
+    def shards(self) -> tuple[ShardLike, ...]:
         """The fleet (exposed for tests, benchmarks and tooling)."""
         with self._lock:
             return tuple(self._shards)
@@ -746,46 +681,21 @@ class ShardedVideoDatabase:
         """
         with self._lock:
             self._check_query_args(query, k, method)
-            total_counters = CostCounters()
-            with Timer() as timer:
-                queried, pruned = self._select_shards(
-                    query, prune, total_counters
-                )
-                per_shard, coverage = self._dispatch(
-                    queried,
-                    pruned,
-                    lambda shard, bundle, deadline=None, attempt=0: shard.knn(
-                        query,
-                        k,
-                        method=method,
-                        cold=cold,
-                        out_counters=bundle,
-                        deadline=deadline,
-                        **(
-                            {"attempt": attempt}
-                            if getattr(shard, "replica_aware", False)
-                            else {}
-                        ),
-                    ),
-                    total_counters,
-                    fault_policy,
-                    fail_fast,
-                )
-                merged: dict[int, float] = {}
-                for result in per_shard:
-                    for video, score in zip(result.videos, result.scores):
-                        merged[video] = score
-                videos, scores = _rank(merged, k)
-            return ShardedKNNResult(
-                videos=videos,
-                scores=scores,
-                stats=self._global_stats(total_counters, timer.elapsed),
-                scatter=ScatterStats(
-                    shards_total=len(self._shards),
-                    shards_queried=tuple(s.shard_id for s in queried),
-                    shards_pruned=tuple(pruned),
+            return self._scatter_gather(
+                query,
+                lambda shard, bundle, deadline, attempt: shard.knn(
+                    query,
+                    k,
+                    method=method,
+                    cold=cold,
+                    out_counters=bundle,
+                    deadline=deadline,
+                    attempt=attempt,
                 ),
-                coverage=coverage,
+                k,
+                prune,
+                fault_policy,
+                fail_fast,
             )
 
     def similarity_range(
@@ -807,149 +717,22 @@ class ShardedVideoDatabase:
         """
         with self._lock:
             self._check_query_args(query, 1, method)
-            total_counters = CostCounters()
-            with Timer() as timer:
-                queried, pruned = self._select_shards(
-                    query, prune, total_counters
-                )
-                per_shard, coverage = self._dispatch(
-                    queried,
-                    pruned,
-                    lambda shard, bundle, deadline=None, attempt=0: (
-                        shard.similarity_range(
-                            query,
-                            min_similarity,
-                            method=method,
-                            cold=cold,
-                            out_counters=bundle,
-                            deadline=deadline,
-                            **(
-                                {"attempt": attempt}
-                                if getattr(shard, "replica_aware", False)
-                                else {}
-                            ),
-                        )
-                    ),
-                    total_counters,
-                    fault_policy,
-                    fail_fast,
-                )
-                merged: dict[int, float] = {}
-                for result in per_shard:
-                    for video, score in zip(result.videos, result.scores):
-                        merged[video] = score
-                videos, scores = _rank(merged, len(merged))
-            return ShardedKNNResult(
-                videos=videos,
-                scores=scores,
-                stats=self._global_stats(total_counters, timer.elapsed),
-                scatter=ScatterStats(
-                    shards_total=len(self._shards),
-                    shards_queried=tuple(s.shard_id for s in queried),
-                    shards_pruned=tuple(pruned),
+            return self._scatter_gather(
+                query,
+                lambda shard, bundle, deadline, attempt: shard.similarity_range(
+                    query,
+                    min_similarity,
+                    method=method,
+                    cold=cold,
+                    out_counters=bundle,
+                    deadline=deadline,
+                    attempt=attempt,
                 ),
-                coverage=coverage,
+                None,
+                prune,
+                fault_policy,
+                fail_fast,
             )
-
-    def serve_many(
-        self,
-        queries: list[VideoSummary],
-        k: int,
-        *,
-        method: str = "composed",
-        prune: bool = True,
-        cold: bool = False,
-        fault_policy: FaultPolicy | None = None,
-        fail_fast: bool = True,
-    ) -> ShardedBatchResult:
-        """Serve a stream of queries, each scattered across the fleet.
-
-        Queries run one at a time (each one already fans out across all
-        relevant shards); metrics aggregate the per-query bundles, the
-        shard engines' cache tallies, and — on the resilient path — the
-        fleet-health deltas (retries, hedges, timeouts, breaker trips)
-        over the batch.  ``availability`` is the fraction of queries
-        that produced a usable answer: every shard that should have
-        answered did, or at least one did (a degraded-but-nonempty
-        answer counts as available; a query that lost *every* relevant
-        shard does not).
-        """
-        with self._lock:
-            self._check_open()
-            queries = list(queries)
-            hits_before, misses_before = self._cache_tallies()
-            health_before = self._health_tallies()
-            # Per-shard load = delta of the shard engines' worker counters,
-            # which are themselves per-query bundle sums folded per view.
-            load_before = {
-                shard.shard_id: self._shard_load(shard) for shard in self._shards
-            }
-            results: list[ShardedKNNResult] = []
-            with Timer() as batch_timer:
-                for query in queries:
-                    results.append(
-                        self.knn(
-                            query,
-                            k,
-                            method=method,
-                            prune=prune,
-                            cold=cold,
-                            fault_policy=fault_policy,
-                            fail_fast=fail_fast,
-                        )
-                    )
-            shard_requests: dict[int, int] = {}
-            shard_reads: dict[int, int] = {}
-            for shard in self._shards:
-                bundle = self._shard_load(shard)
-                before = load_before.get(shard.shard_id, CostCounters())
-                shard_requests[shard.shard_id] = (
-                    bundle.page_requests - before.page_requests
-                )
-                shard_reads[shard.shard_id] = bundle.page_reads - before.page_reads
-            hits_after, misses_after = self._cache_tallies()
-            health_after = self._health_tallies()
-            degraded = 0
-            unavailable = 0
-            for result in results:
-                coverage = result.coverage
-                if coverage is None or coverage.complete:
-                    continue
-                degraded += 1
-                if not coverage.shards_answered:
-                    unavailable += 1
-            latencies = sorted(result.stats.wall_time for result in results)
-            wall = batch_timer.elapsed
-            metrics = ShardedServingMetrics(
-                queries=len(queries),
-                shards=len(self._shards),
-                wall_time=wall,
-                qps=len(queries) / wall if wall > 0.0 else 0.0,
-                latency_p50=percentile(latencies, 0.50, default=0.0),
-                latency_p95=percentile(latencies, 0.95, default=0.0),
-                latency_p99=percentile(latencies, 0.99, default=0.0),
-                cache_hits=hits_after - hits_before,
-                cache_misses=misses_after - misses_before,
-                shard_page_requests=tuple(
-                    shard_requests[shard.shard_id] for shard in self._shards
-                ),
-                shard_physical_reads=tuple(
-                    shard_reads[shard.shard_id] for shard in self._shards
-                ),
-                total_page_requests=sum(shard_requests.values()),
-                total_physical_reads=sum(shard_reads.values()),
-                retries=health_after["retries"] - health_before["retries"],
-                hedges=health_after["hedges"] - health_before["hedges"],
-                timeouts=health_after["timeouts"] - health_before["timeouts"],
-                breaker_trips=health_after["trips"] - health_before["trips"],
-                degraded_queries=degraded,
-                availability=(
-                    (len(queries) - unavailable) / len(queries)
-                    if queries
-                    else 1.0
-                ),
-            )
-            return ShardedBatchResult(results=tuple(results), metrics=metrics)
 
     # ------------------------------------------------------------------
     # Query internals
@@ -968,11 +751,51 @@ class ShardedVideoDatabase:
         if not self._membership:
             raise ValueError("cannot query an empty database")
 
+    def _scatter_gather(
+        self,
+        query: VideoSummary,
+        # Spelled with the in-process implementer, not ShardLike, so the
+        # static lock-order model (VIL008-VIL010) can follow a sub-query
+        # from the router lock into the shard's engine.
+        sub_query: Callable[[Shard, CostCounters, Deadline | None, int], object],
+        limit: int | None,
+        prune: bool,
+        fault_policy: FaultPolicy | None,
+        fail_fast: bool,
+    ) -> ShardedKNNResult:
+        """Select, scatter ``sub_query``, merge exactly (caller holds
+        the lock).  ``limit`` is the global top-``k``; ``None`` keeps
+        every video a shard returned (a threshold query)."""
+        total_counters = CostCounters()
+        with Timer() as timer:
+            queried, pruned = self._select_shards(query, prune, total_counters)
+            per_shard, coverage = self._dispatch(
+                queried, pruned, sub_query, total_counters, fault_policy, fail_fast
+            )
+            merged: dict[int, float] = {}
+            for result in per_shard:
+                for video, score in zip(result.videos, result.scores):
+                    merged[video] = score
+            videos, scores = _rank(
+                merged, limit if limit is not None else len(merged)
+            )
+        return ShardedKNNResult(
+            videos=videos,
+            scores=scores,
+            stats=self._global_stats(total_counters, timer.elapsed),
+            scatter=ScatterStats(
+                shards_total=len(self._shards),
+                shards_queried=tuple(s.shard_id for s in queried),
+                shards_pruned=tuple(pruned),
+            ),
+            coverage=coverage,
+        )
+
     def _select_shards(
         self, query: VideoSummary, prune: bool, counters: CostCounters
-    ) -> tuple[list[Shard], list[int]]:
+    ) -> tuple[list[ShardLike], list[int]]:
         """Populated shards to scatter to, and the ids pruned away."""
-        queried: list[Shard] = []
+        queried: list[ShardLike] = []
         pruned: list[int] = []
         for shard in self._shards:
             if len(shard) == 0:
@@ -985,96 +808,89 @@ class ShardedVideoDatabase:
 
     def _dispatch(
         self,
-        queried: list[Shard],
+        queried: list[ShardLike],
         pruned: list[int],
-        work: Callable[[Shard, CostCounters, Deadline | None], object],
+        work: Callable[[Shard, CostCounters, Deadline | None, int], object],
         total_counters: CostCounters,
         fault_policy: FaultPolicy | None,
         fail_fast: bool,
     ) -> tuple[list, Coverage]:
         """Scatter under the requested failure semantics.
 
-        ``work(shard, bundle, deadline=None, attempt=0)`` runs one
-        sub-query; on the resilient path the attempt loop supplies the
-        sub-query's shared :class:`~repro.utils.clock.Deadline` and the
-        dispatch ordinal (0 for the first attempt, +1 per retry or
-        hedge), on the strict path there is neither.  ``work`` forwards
-        the ordinal only to shard-likes that declare
-        ``replica_aware = True`` (a :class:`ReplicaSet` uses it to send
-        each attempt of one query to a *different* copy).
-
-        No policy + ``fail_fast`` is the strict legacy path: one attempt
-        per shard, any failure raises (now as an aggregated
-        :class:`ScatterError`).  Otherwise every shard's sub-query runs
-        under the policy (an explicit one, or the default
-        :class:`FaultPolicy` when only ``fail_fast=False`` was asked
-        for), and what could not be recovered either raises
-        (``fail_fast``) or is reported in the returned coverage.
+        ``work(shard, bundle, deadline, attempt)`` runs one sub-query.
+        No policy + ``fail_fast`` is the strict path: one dispatch per
+        shard with no deadline, nothing recorded in the health registry.
+        Otherwise each sub-query resolves under the policy (an explicit
+        one, or the default :class:`FaultPolicy` when only
+        ``fail_fast=False`` was asked for) in
+        :func:`~repro.shard.resilience.run_attempts`, which supplies the
+        shared :class:`~repro.utils.clock.Deadline` and the dispatch
+        ordinal, and what it could not recover either raises
+        (``fail_fast``) or is reported in the returned coverage.  An
+        exception no policy retries (a bug, not a fault) aborts the
+        query on either path.
         """
         if fault_policy is None and fail_fast:
-            results = self._scatter(queried, work, total_counters)
-            coverage = Coverage(
-                shards_total=len(self._shards),
-                shards_answered=tuple(s.shard_id for s in queried),
-                shards_pruned=tuple(pruned),
-            )
-            return results, coverage
-        policy = fault_policy if fault_policy is not None else FaultPolicy()
-        outcomes = self._scatter_resilient(queried, work, policy)
+
+            def resolve(shard: ShardLike) -> AttemptOutcome:
+                # Bundles are not thread-safe: one per sub-query, folded
+                # into the total only after the join.
+                bundle = CostCounters()
+                return AttemptOutcome(
+                    ANSWERED, work(shard, bundle, None, 0), bundle
+                )
+
+        else:
+            policy = fault_policy if fault_policy is not None else FaultPolicy()
+
+            def resolve(shard: ShardLike) -> AttemptOutcome:
+                return run_attempts(
+                    partial(work, shard),
+                    shard.shard_id,
+                    policy,
+                    self._health,
+                    self._clock,
+                )
+
+        outcomes = self._fan_out(queried, resolve)
         results: list = []
-        answered: list[int] = []
-        failed: list[int] = []
-        timed_out: list[int] = []
-        tripped: list[int] = []
         failures: dict[int, BaseException] = {}
+        by_disposition: dict[str, list[int]] = {
+            ANSWERED: [], FAILED: [], TIMED_OUT: [], TRIPPED: []
+        }
         for shard, outcome in zip(queried, outcomes):
+            by_disposition[outcome.disposition].append(shard.shard_id)
             if outcome.disposition == ANSWERED:
-                answered.append(shard.shard_id)
                 results.append(outcome.result)
                 total_counters.add(outcome.bundle)
-                continue
-            failures[shard.shard_id] = outcome.error
-            if outcome.disposition == TIMED_OUT:
-                timed_out.append(shard.shard_id)
-            elif outcome.disposition == TRIPPED:
-                tripped.append(shard.shard_id)
             else:
-                failed.append(shard.shard_id)
+                failures[shard.shard_id] = outcome.error
         if fail_fast and failures:
             raise ScatterError(failures)
         coverage = Coverage(
             shards_total=len(self._shards),
-            shards_answered=tuple(answered),
+            shards_answered=tuple(by_disposition[ANSWERED]),
             shards_pruned=tuple(pruned),
-            shards_failed=tuple(failed),
-            shards_timed_out=tuple(timed_out),
-            shards_tripped=tuple(tripped),
+            shards_failed=tuple(by_disposition[FAILED]),
+            shards_timed_out=tuple(by_disposition[TIMED_OUT]),
+            shards_tripped=tuple(by_disposition[TRIPPED]),
         )
         return results, coverage
 
-    def _scatter(
-        self,
-        shards: list[Shard],
-        work: Callable[[Shard, CostCounters, Deadline | None], object],
-        total_counters: CostCounters,
+    @staticmethod
+    def _fan_out(
+        shards: list[ShardLike], run_one: Callable[[ShardLike], object]
     ) -> list:
-        """Run ``work(shard, bundle)`` on every shard, thread-parallel.
-
-        Each sub-query gets a private counter bundle (bundles are not
-        thread-safe); the bundles fold into ``total_counters`` after the
-        join, so the global stats see every shard's events exactly once.
-        Worker failures abort the query with a :class:`ScatterError`
-        carrying *every* shard's error, attributed per shard.
-        """
-        if not shards:
-            return []
-        bundles = [CostCounters() for _ in shards]
+        """``run_one(shard)`` on every shard, thread-parallel; results
+        in shard order.  Whatever it raises aborts the query with a
+        :class:`ScatterError` carrying *every* shard's error,
+        attributed per shard."""
         results: list = [None] * len(shards)
         errors: dict[int, BaseException] = {}
 
         def run(position: int) -> None:
             try:
-                results[position] = work(shards[position], bundles[position])
+                results[position] = run_one(shards[position])
             except BaseException as exc:  # propagate to the caller
                 errors[shards[position].shard_id] = exc
 
@@ -1095,75 +911,7 @@ class ShardedVideoDatabase:
                 thread.join()
         if errors:
             raise ScatterError(errors)
-        for bundle in bundles:
-            total_counters.add(bundle)
         return results
-
-    def _scatter_resilient(
-        self,
-        shards: list[Shard],
-        work: Callable[[Shard, CostCounters, Deadline | None], object],
-        policy: FaultPolicy,
-    ) -> list[AttemptOutcome]:
-        """Run every shard's sub-query under ``policy``, thread-parallel.
-
-        Per-shard retry/hedge/breaker logic lives in
-        :func:`~repro.shard.resilience.run_attempts`; this only fans it
-        out.  Non-retryable exceptions (programming errors, not faults)
-        still abort the whole query, degraded mode or not.
-        """
-        if not shards:
-            return []
-        outcomes: list[AttemptOutcome | None] = [None] * len(shards)
-        bugs: dict[int, BaseException] = {}
-
-        def run(position: int) -> None:
-            shard = shards[position]
-            try:
-                outcomes[position] = run_attempts(
-                    # Three positional parameters: run_attempts detects
-                    # the third and feeds each dispatch its ordinal, so
-                    # replica-aware shards can route hedges/retries to a
-                    # different copy.
-                    lambda bundle, deadline, attempt=0: work(
-                        shard, bundle, deadline, attempt
-                    ),
-                    shard.shard_id,
-                    policy,
-                    self._health,
-                    self._clock,
-                )
-            except BaseException as exc:  # non-retryable: a bug, not a fault
-                bugs[shard.shard_id] = exc
-
-        if len(shards) == 1:
-            run(0)
-        else:
-            threads = [
-                threading.Thread(
-                    target=run,
-                    args=(position,),
-                    name=f"shard-query-{shards[position].shard_id}",
-                )
-                for position in range(len(shards))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        if bugs:
-            raise ScatterError(bugs)
-        return outcomes
-
-    def _health_tallies(self) -> dict[str, int]:
-        """Fleet-wide health counter sums (for batch metric deltas)."""
-        tallies = {"retries": 0, "hedges": 0, "timeouts": 0, "trips": 0}
-        for entry in self._health.snapshot().values():
-            tallies["retries"] += entry["retries"]
-            tallies["hedges"] += entry["hedges_fired"]
-            tallies["timeouts"] += entry["timeouts"]
-            tallies["trips"] += entry["trips"]
-        return tallies
 
     def _global_stats(
         self, total_counters: CostCounters, elapsed: float
@@ -1179,52 +927,20 @@ class ShardedVideoDatabase:
             wall_time=elapsed,
         )
 
-    @staticmethod
-    def _shard_engines(shard) -> list:
-        """Every built engine behind one routed shard-like.
-
-        A plain :class:`Shard` has at most its own engine; a replica
-        group exposes ``serving_engines()`` so the tallies count every
-        copy that actually served traffic.
-        """
-        serving = getattr(shard, "serving_engines", None)
-        if serving is not None:
-            return serving()
-        engine = shard._engine
-        return [engine] if engine is not None else []
-
-    def _cache_tallies(self) -> tuple[int, int]:
-        """Summed (hits, misses) of every shard engine built so far."""
-        hits = 0
-        misses = 0
-        for shard in self._shards:
-            for engine in self._shard_engines(shard):
-                hits += engine.cache_hits
-                misses += engine.cache_misses
-        return hits, misses
-
-    def _shard_load(self, shard) -> CostCounters:
-        """One shard's cumulative serving I/O (folded worker bundles),
-        summed across every copy for a replica group."""
-        load = CostCounters()
-        for engine in self._shard_engines(shard):
-            load.add(engine._serial_view.counters)
-        return load
-
     def replication_status(self) -> list[dict]:
         """Per-shard replication telemetry, for shards that have any.
 
-        Replica-aware shard-likes (:class:`ReplicaSet`) report their
-        shipper position and per-replica state; plain shards contribute
-        nothing.  An empty list therefore means an unreplicated fleet.
+        Read from each shard's contract ``status()`` (across the wire
+        too, for a remote proxy); unreplicated shards report ``None``
+        there, so an empty list means an unreplicated fleet.
         """
         with self._lock:
             self._check_open()
             statuses = []
             for shard in self._shards:
-                status = getattr(shard, "replication_status", None)
-                if status is not None:
-                    statuses.append(status())
+                replication = shard.status()["replication"]
+                if replication is not None:
+                    statuses.append(replication)
             return statuses
 
     # ------------------------------------------------------------------

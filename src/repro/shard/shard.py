@@ -39,7 +39,8 @@ __all__ = ["Shard"]
 
 
 class Shard:
-    """A :class:`VideoDatabase` plus its serving engine, as one fleet member.
+    """A :class:`VideoDatabase` plus its serving engine, as one fleet member
+    (the reference :class:`~repro.shard.contract.WritableShard`).
 
     Parameters
     ----------
@@ -131,6 +132,15 @@ class Shard:
         """Summaries of the videos this shard owns (heap scan)."""
         return self._db.summaries()
 
+    def status(self) -> dict:
+        """The contract's status report; a plain shard has no replicas."""
+        return {
+            "shard_id": self._shard_id,
+            "videos": len(self._db),
+            "queries_served": self.queries_served,
+            "replication": None,
+        }
+
     # ------------------------------------------------------------------
     # Mutation (delegated; the router decides placement)
     # ------------------------------------------------------------------
@@ -209,8 +219,11 @@ class Shard:
         cold: bool = False,
         out_counters: CostCounters | None = None,
         deadline: Deadline | None = None,
+        attempt: int = 0,
     ) -> KNNResult:
-        """This shard's local top-``k`` for the query (engine-served)."""
+        """This shard's local top-``k`` for the query (engine-served);
+        a single copy has nowhere else to send a retry, so the
+        contract's ``attempt`` is accepted and unused."""
         self._check_deadline(deadline)
         result = self.engine().knn(
             query, k, method=method, cold=cold, out_counters=out_counters
@@ -227,6 +240,7 @@ class Shard:
         cold: bool = False,
         out_counters: CostCounters | None = None,
         deadline: Deadline | None = None,
+        attempt: int = 0,
     ) -> KNNResult:
         """This shard's videos scoring at least ``min_similarity``."""
         self._check_deadline(deadline)

@@ -22,8 +22,7 @@ def percentile(
     """Linear-interpolated percentile of an ascending-sorted sequence.
 
     The single definition shared by the serving metrics (p50/p95/p99
-    latencies), the scatter-gather router and the resilience layer's
-    hedge thresholds.
+    latencies) and the resilience layer's hedge thresholds.
 
     ``fraction`` must be a finite number in ``[0, 1]``.  An empty
     sequence has no percentiles: it raises :class:`ValueError` unless

@@ -22,7 +22,7 @@ def lines_for(source, rule):
     return [d.line for d in findings(source, rule)]
 
 
-def test_registry_has_all_ten_rules():
+def test_registry_lists_every_rule_in_code_order():
     assert rule_names() == [
         "future-annotations",
         "seeded-rng",
@@ -34,6 +34,7 @@ def test_registry_has_all_ten_rules():
         "guard-discipline",
         "lock-order-inversion",
         "blocking-while-locked",
+        "duck-sniffing",
     ]
 
 
@@ -666,3 +667,69 @@ class TestInjectedClock:
             ("injected-clock", 4)
         ]
         assert diagnostics[0].code == "VIL007"
+
+
+# ---------------------------------------------------------------------------
+# duck-sniffing
+# ---------------------------------------------------------------------------
+class TestDuckSniffing:
+    ROUTER = "src/repro/shard/router.py"
+
+    def test_literal_probes_flagged(self):
+        source = textwrap.dedent(
+            """            def dispatch(shard, target):
+                if hasattr(target, "rebuild_shard"):
+                    pass
+                extra = getattr(shard, "replica_aware", False)
+                return getattr(shard, "serving_engines", None)
+            """
+        )
+        diagnostics = lint_source(
+            source, path=self.ROUTER, select=["duck-sniffing"]
+        )
+        assert [(d.rule, d.line) for d in diagnostics] == [
+            ("duck-sniffing", 2),
+            ("duck-sniffing", 4),
+            ("duck-sniffing", 5),
+        ]
+        assert diagnostics[0].code == "VIL011"
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "src/repro/serve/shard_server.py",
+            "src/repro/replication/group.py",
+            "src/repro/ingest/pipeline.py",
+        ],
+    )
+    def test_every_serving_layer_is_in_scope(self, path):
+        source = "def f(x):\n    return hasattr(x, 'sync')\n"
+        assert [
+            d.line for d in lint_source(source, path=path, select=["duck-sniffing"])
+        ] == [2]
+
+    def test_dynamic_name_delegation_clean(self):
+        source = textwrap.dedent(
+            """            class Proxy:
+                def __getattr__(self, name):
+                    return getattr(self._shard, name)
+
+                def _serve(self, copy, method_name, args):
+                    return getattr(copy.target, method_name)(*args)
+
+                def strict(self, shard):
+                    return getattr(shard, "knn")
+            """
+        )
+        assert not lint_source(
+            source, path=self.ROUTER, select=["duck-sniffing"]
+        )
+
+    def test_out_of_scope_path_clean(self):
+        source = "def f(x):\n    return getattr(x, 'lineno', 1)\n"
+        assert not findings(source, "duck-sniffing")
+        assert not lint_source(
+            source,
+            path="src/repro/analysis/registry.py",
+            select=["duck-sniffing"],
+        )

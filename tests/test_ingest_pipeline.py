@@ -24,6 +24,7 @@ from repro.ingest import (
 )
 from repro.replication import ReplicaSet, ReplicaShard
 from repro.replication.segments import verify_segment_chain
+from repro.shard.router import ShardedVideoDatabase
 from repro.shard.shard import Shard
 from repro.utils.clock import VirtualClock
 
@@ -252,28 +253,24 @@ class TestWorker:
         assert pipeline.stats()["draining"] is True
 
 
-class FlakyShard:
-    """A bare-shard target whose first ``fail`` inserts raise transiently."""
+class FlakyShard(Shard):
+    """A shard whose first ``fail`` inserts raise transiently."""
 
-    def __init__(self, shard, fail: int) -> None:
-        self._shard = shard
+    def __init__(self, fail: int) -> None:
+        super().__init__(0, epsilon=EPSILON)
         self.remaining = fail
 
     def add_summary(self, summary):
         if self.remaining > 0:
             self.remaining -= 1
             raise RuntimeError("transient insert fault")
-        return self._shard.add_summary(summary)
-
-    @property
-    def database(self):
-        return self._shard.database
+        return super().add_summary(summary)
 
 
 class TestPumpFailure:
     def test_failed_commit_keeps_unapplied_batch(self):
-        shard = Shard(0, epsilon=EPSILON)
-        pipeline = IngestPipeline(FlakyShard(shard, fail=1), batch_size=4)
+        shard = FlakyShard(fail=1)
+        pipeline = IngestPipeline(shard, batch_size=4)
         for summary in make_summaries(4):
             pipeline.submit(summary)
         with pytest.raises(RuntimeError, match="transient"):
@@ -286,9 +283,9 @@ class TestPumpFailure:
     def test_worker_survives_transient_failures(self):
         import time
 
-        shard = Shard(0, epsilon=EPSILON)
+        shard = FlakyShard(fail=2)
         pipeline = IngestPipeline(
-            FlakyShard(shard, fail=2),
+            shard,
             batch_size=2,
             min_backoff=0.001,
             max_pump_failures=10,
@@ -312,9 +309,8 @@ class TestPumpFailure:
     def test_worker_fails_terminally_and_submit_reports_it(self):
         import time
 
-        shard = Shard(0, epsilon=EPSILON)
         pipeline = IngestPipeline(
-            FlakyShard(shard, fail=10_000),
+            FlakyShard(fail=10_000),
             batch_size=2,
             min_backoff=0.001,
             max_pump_failures=3,
@@ -470,7 +466,9 @@ class TestDrift:
             home.add_summary(summary)
         home.database.build()
 
-        class FakeFleet:
+        class FakeFleet(ShardedVideoDatabase):
+            """Only the surface the pipeline drives; no real fleet."""
+
             path = None
 
             def __init__(self, home):

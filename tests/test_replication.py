@@ -36,6 +36,7 @@ from repro.replication.shipper import database_token
 from repro.shard.resilience import BreakerPolicy
 from repro.shard.shard import Shard
 from repro.utils.clock import VirtualClock
+from repro.utils.counters import CostCounters
 
 EPSILON = 0.3
 
@@ -409,23 +410,25 @@ class TestReplicaSet:
             range_cache_size=64,
         )
         group.attach_replica(replica)
-        warmed = replica.built_engine
-        assert warmed is not None
-        assert warmed.range_cache_len > 0, "attach must warm the L2 tier"
-        # A warmed copy serves a hot query without new range misses.
-        misses_before = warmed.range_cache_misses
-        got = replica.knn(summaries[0], 3)
+        # A warmed copy serves a hot query from the L2 tier: range hits,
+        # no range misses, on its very first query.
+        counters = CostCounters()
+        got = replica.knn(summaries[0], 3, out_counters=counters)
         want = primary.knn(summaries[0], 3)
         assert got.videos == want.videos
-        assert warmed.range_cache_misses == misses_before
+        assert counters.extra.get("range_cache_hits", 0) > 0
+        assert counters.extra.get("range_cache_misses", 0) == 0
         group.close()
 
-    def test_serving_engines_covers_every_built_copy(self, tmp_path):
+    def test_every_copy_serves_and_the_group_status_sums_them(self, tmp_path):
         summaries = make_summaries()
         group, _ = self.make_group(tmp_path, summaries)
         for attempt in range(3):
             group.knn(summaries[0], 3, attempt=attempt)
-        assert len(group.serving_engines()) == 3
+        assert group.primary.queries_served == 1
+        for replica in group.replicas:
+            assert replica.status()["queries_served"] == 1
+        assert group.status()["queries_served"] == 3
         group.close()
 
 
@@ -475,23 +478,26 @@ class TestRouterOverReplicaSet:
         router, group, summaries = routed
         for attempt in range(3):
             group.knn(summaries[0], 3, attempt=attempt)
-        hits, misses = router._cache_tallies()
-        assert misses > 0
-        load = router._shard_load(group)
-        assert load.page_requests > 0
+        assert group.status()["queries_served"] == 3
         status = router.replication_status()
-        assert len(status) == 1
+        assert status == [group.status()["replication"]]
         assert len(status[0]["replicas"]) == 2
         assert all(
             replica["state"] == SYNCED for replica in status[0]["replicas"]
         )
 
-    def test_serve_many_over_a_replica_group(self, routed):
-        router, _, summaries = routed
+    def test_query_stream_over_a_replica_group(self, routed):
+        router, group, summaries = routed
         queries = summaries[:3]
-        want = [router.knn(query, 4) for query in queries]
-        batch = router.serve_many(queries, 4)
-        assert batch.metrics.queries == len(queries)
-        for expected, result in zip(want, batch.results):
-            assert result.videos == expected.videos
-            assert result.scores == expected.scores
+        first = [router.knn(query, 4) for query in queries]
+        for query, result in zip(queries, first):
+            want = group.primary.knn(query, 4)
+            assert result.videos == want.videos
+            assert result.scores == want.scores
+            assert result.coverage.complete
+            assert result.stats.page_requests > 0
+        # Affinity sends a repeat to the copy whose result cache holds it.
+        for query, before in zip(queries, first):
+            again = router.knn(query, 4)
+            assert again.videos == before.videos
+            assert again.stats.page_requests == 0

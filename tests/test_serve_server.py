@@ -118,10 +118,8 @@ class TestCorrectness:
         assert remote.shard_id == 0
         assert len(remote) == len(local)
         assert remote.video_ids() == local.video_ids()
-        assert remote._engine is None  # router's cache-tally seam
         status = remote.status()
-        assert status["videos"] == len(local)
-        assert status["draining"] is False
+        assert status == dict(local.status(), draining=False)
         remote.knn(local.summaries()[0], K)
         assert remote.status()["queries_served"] >= status["queries_served"]
         assert server.requests_served > 0

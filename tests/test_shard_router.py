@@ -117,6 +117,14 @@ class TestScatterStats:
         assert second.stats.page_requests == 0
         assert second.stats.similarity_computations == 0
 
+    def test_repeats_in_a_stream_hit_the_result_cache(self, small_summaries):
+        fleet = make_fleet(small_summaries, "hash", 2, cache_size=16)
+        stream = [small_summaries[0]] * 3 + [small_summaries[1]]
+        requests = [fleet.knn(query, 5).stats.page_requests for query in stream]
+        # First sight of each query reads pages; the repeats are hits.
+        assert requests[0] > 0 and requests[3] > 0
+        assert requests[1] == requests[2] == 0
+
 
 class TestMutation:
     def test_membership_tracks_routing(self, small_summaries):
@@ -204,41 +212,6 @@ class TestValidation:
         with pytest.raises(RuntimeError, match="closed"):
             fleet.knn(small_summaries[0], 5)
         fleet.close()  # idempotent
-
-
-class TestServeMany:
-    def test_results_match_individual_queries(self, small_summaries):
-        stream = list(small_summaries[:5])
-        fleet = make_fleet(small_summaries, "key_range", 4, cache_size=0)
-        expected = [fleet.knn(q, 5) for q in stream]
-        batch = fleet.serve_many(stream, 5)
-        assert len(batch) == 5
-        for got, want in zip(batch.results, expected):
-            assert got.videos == want.videos
-
-    def test_metrics_shape(self, small_summaries):
-        fleet = make_fleet(small_summaries, "hash", 3, cache_size=0)
-        batch = fleet.serve_many(list(small_summaries[:4]), 5)
-        metrics = batch.metrics
-        assert metrics.queries == 4
-        assert metrics.shards == 3
-        assert metrics.qps > 0.0
-        assert metrics.latency_p50 <= metrics.latency_p95 <= metrics.latency_p99
-        assert len(metrics.shard_page_requests) == 3
-        assert metrics.total_page_requests == sum(metrics.shard_page_requests)
-        assert metrics.total_page_requests > 0
-        payload = metrics.to_dict()
-        assert payload["queries"] == 4
-        assert payload["shard_page_requests"] == list(
-            metrics.shard_page_requests
-        )
-
-    def test_repeats_hit_the_result_cache(self, small_summaries):
-        fleet = make_fleet(small_summaries, "hash", 2, cache_size=16)
-        stream = [small_summaries[0]] * 3 + [small_summaries[1]]
-        metrics = fleet.serve_many(stream, 5).metrics
-        assert metrics.cache_hits > 0
-        assert metrics.cache_misses > 0
 
 
 class TestDurability:
