@@ -37,8 +37,7 @@ __all__ = [
     "NO_LEAF",
     "internal_capacity",
     "leaf_capacity",
-    "leaf_entries_view",
-    "leaf_header",
+    "leaf_run_dtype",
     "node_type_of",
 ]
 
@@ -79,24 +78,23 @@ def node_type_of(page: Page) -> int:
     return page.data[0]
 
 
-def leaf_header(page: Page) -> tuple[int, int, int]:
-    """Unpack a leaf page's header: ``(node_type, count, next_leaf)``."""
-    return _LEAF_HEADER.unpack_from(page.data, 0)
+def leaf_run_dtype(entry_dtype: np.dtype) -> np.dtype:
+    """Structured dtype of one whole leaf page with ``entry_dtype`` entries.
 
-
-def leaf_entries_view(
-    page: Page, entry_dtype: np.dtype, count: int
-) -> np.ndarray:
-    """Structured array view of a leaf page's ``(key, payload)`` entries.
-
-    One ``np.frombuffer`` over the whole entries region — the bulk read
+    Viewing an ``(n, PAGE_CONTENT_SIZE)`` byte array of leaf pages with
+    it yields the ``type`` / ``count`` / ``next_leaf`` header columns and
+    an ``entries`` column of shape ``(n, capacity)`` — the bulk read
     path's replacement for :meth:`LeafNode.load`'s per-entry unpacking.
-    The view aliases the page buffer; callers that keep results past the
-    current page access must copy (slicing into ``np.concatenate``, as
-    ``range_search_many`` does, already copies).
+    Slots at or past a page's ``count`` hold stale bytes.
     """
-    return np.frombuffer(
-        page.data, dtype=entry_dtype, count=count, offset=_LEAF_HEADER.size
+    capacity = (PAGE_CONTENT_SIZE - _LEAF_HEADER.size) // entry_dtype.itemsize
+    return np.dtype(
+        {
+            "names": ["type", "count", "next_leaf", "entries"],
+            "formats": ["u1", "<u2", "<u8", (entry_dtype, (capacity,))],
+            "offsets": [0, 1, 3, _LEAF_HEADER.size],
+            "itemsize": PAGE_CONTENT_SIZE,
+        }
     )
 
 

@@ -33,8 +33,7 @@ from repro.btree.node import (
     LeafNode,
     internal_capacity,
     leaf_capacity,
-    leaf_entries_view,
-    leaf_header,
+    leaf_run_dtype,
 )
 from repro.storage.buffer_pool import BufferPool
 from repro.utils.counters import CostCounters
@@ -170,20 +169,21 @@ class BPlusTree:
             counters.btree_node_visits += 1
         return InternalNode.load(self._pool.fetch(page_id, counters))
 
-    def _descend_to_leaf(
+    def _descend(
         self,
         key: float,
         *,
         leftmost: bool,
         counters: CostCounters | None = None,
-    ) -> tuple[LeafNode, list[tuple[InternalNode, int]]]:
-        """Walk root-to-leaf; returns the leaf and the internal path.
+    ) -> tuple[int, list[list]]:
+        """Walk root-to-level-1; returns the leaf's page id and the
+        internal path ``[[node, child index], ...]``.
 
         ``leftmost=True`` uses ``bisect_left`` on separators so the search
         lands on the leftmost leaf that can contain *key* (needed for range
         scans over duplicate keys); inserts use ``bisect_right``.
         """
-        path: list[tuple[InternalNode, int]] = []
+        path: list[list] = []
         page_id = self._root
         for _ in range(self._height - 1):
             node = self._load_internal(page_id, counters)
@@ -191,8 +191,19 @@ class BPlusTree:
                 index = bisect_left(node.keys, key)
             else:
                 index = bisect_right(node.keys, key)
-            path.append((node, index))
+            path.append([node, index])
             page_id = node.children[index]
+        return page_id, path
+
+    def _descend_to_leaf(
+        self,
+        key: float,
+        *,
+        leftmost: bool,
+        counters: CostCounters | None = None,
+    ) -> tuple[LeafNode, list[list]]:
+        """:meth:`_descend`, then load the leaf it lands on."""
+        page_id, path = self._descend(key, leftmost=leftmost, counters=counters)
         return self._load_leaf(page_id, counters), path
 
     # ------------------------------------------------------------------
@@ -252,7 +263,7 @@ class BPlusTree:
 
     def _propagate_split(
         self,
-        path: list[tuple[InternalNode, int]],
+        path: list[list],
         separator: float,
         right_page_id: int,
     ) -> None:
@@ -384,39 +395,6 @@ class BPlusTree:
                 return results
             leaf = self._load_leaf(leaf.next_leaf, counters)
 
-    def _leaf_page_for(
-        self, key: float, counters: CostCounters | None = None
-    ) -> int:
-        """Page id of the leftmost leaf that can contain *key* (array path:
-        descends without materialising a :class:`LeafNode`)."""
-        page_id = self._root
-        for _ in range(self._height - 1):
-            node = self._load_internal(page_id, counters)
-            page_id = node.children[bisect_left(node.keys, key)]
-        return page_id
-
-    def _load_leaf_arrays(
-        self,
-        page_id: int,
-        entry_dtype: np.dtype,
-        counters: CostCounters | None,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Load a leaf as ``(keys, payloads, next_leaf)`` array views.
-
-        Counted exactly like :meth:`_load_leaf` (a node visit plus a
-        buffer-pool page access), but the entries are exposed as one
-        structured-array view instead of per-entry Python objects.
-        """
-        self.node_visits += 1
-        if counters is not None:
-            counters.btree_node_visits += 1
-        page = self._pool.fetch(page_id, counters)
-        node_type, count, next_leaf = leaf_header(page)
-        if node_type != NODE_LEAF:
-            raise ValueError(f"page {page_id} is not a leaf node")
-        entries = leaf_entries_view(page, entry_dtype, count)
-        return entries["key"], entries["payload"], next_leaf
-
     def _entry_dtype(self, payload_dtype: "np.dtype | None") -> np.dtype:
         """Structured dtype of one on-leaf entry (key + payload)."""
         if self._payload_size == 0:
@@ -444,24 +422,35 @@ class BPlusTree:
         """Bulk range search: one ``(keys, payloads)`` array pair per range.
 
         The vectorized counterpart of calling :meth:`range_search` once
-        per range, with two structural savings:
+        per range, reading the leaf level a *run* at a time:
 
-        * each visited leaf is decoded with a single structured-array
-          view (no per-entry unpacking, no :class:`LeafNode` objects);
-        * consecutive ranges walk leaf-to-leaf over the sibling links —
-          the root-to-leaf descent is skipped whenever the next range
-          provably starts inside the leaf the previous range ended on
-          (its first key is strictly below ``low``, so no earlier leaf
-          can hold an in-range entry even with duplicate keys, and
-          ``low`` is at most its last key).
+        * the level-1 internal node the descent visits names the leaves
+          a range needs — children ``bisect_left(low)`` to
+          ``bisect_right(high)``, each of which the scalar chain walk
+          reads too (a child left of a separator ``<= high`` holds no
+          key above ``high``, so the walk cannot stop on it) — and the
+          id list goes to the pool in one
+          :meth:`~repro.storage.buffer_pool.BufferPool.fetch_run`;
+        * the run is viewed as one ``(pages, capacity)`` structured
+          array: types, counts and sibling links are decoded for all
+          pages at once, the links checked against the parent's order;
+        * what the separators cannot prove is found by following the
+          chain: the leaf after the proven ones (read only if no key
+          above ``high`` has shown up), the move into the next level-1
+          node, a root that is a leaf;
+        * the next range skips the descent when it provably starts
+          inside the run the previous one ended on (the run's first key
+          is strictly below ``low``, so no earlier leaf holds an
+          in-range entry even with duplicates, and ``low`` is at most
+          its last key).
 
         Results are bit-identical to the per-range scalar path, in the
-        same order; within each range the visited leaves are exactly the
-        leaves :meth:`range_search` reads, so logical page accesses are
-        never more than the scalar path's (and are fewer whenever a
-        descent is skipped).  ``records_scanned`` is charged per logical
-        record returned; node visits and page accesses are charged per
-        leaf/descent as usual.
+        same order, and no leaf is read that :meth:`range_search` would
+        not read; the one extra access is the internal node entered when
+        a range runs off the end of a level-1 node (the chain walk needs
+        no parent there; a run does).  ``records_scanned`` is charged
+        per logical record returned, node visits and page accesses per
+        node as usual.
 
         Parameters
         ----------
@@ -479,60 +468,113 @@ class BPlusTree:
         Returns
         -------
         list of (numpy.ndarray, numpy.ndarray)
-            Per range: float64 keys and payload records (owned copies,
-            never views into pooled pages), in non-decreasing key order.
+            Per range: float64 keys and payload records (private
+            copies, never views into pooled pages), in non-decreasing
+            key order.
         """
         entry_dtype = self._entry_dtype(payload_dtype)
-        payload_out = entry_dtype["payload"]
+        run_dtype = leaf_run_dtype(entry_dtype)
+        empty = (np.empty(0, np.float64), np.empty(0, entry_dtype["payload"]))
         results: "list[tuple[np.ndarray, np.ndarray]]" = []
-        leaf: "tuple[np.ndarray, np.ndarray, int] | None" = None
+        # Where the previous range stopped: the internal path down to the
+        # level-1 node (its index is the last leaf read), the entries of
+        # the last run read, and that run's outgoing sibling link.
+        path: "list[list]" = []
+        entries = np.empty(0, entry_dtype)
+        next_leaf = NO_LEAF
         for low, high in ranges:
             low = float(low)
             high = float(high)
             if math.isnan(low) or math.isnan(high):
                 raise ValueError("range bounds must not be NaN")
             if high < low or self._num_entries == 0:
-                results.append(
-                    (np.empty(0, np.float64), np.empty(0, payload_out))
-                )
+                results.append(empty)
                 continue
-            reusable = (
-                leaf is not None
-                and leaf[0].size > 0
-                and float(leaf[0][0]) < low
-                and low <= float(leaf[0][-1])
-            )
-            if not reusable:
-                leaf = self._load_leaf_arrays(
-                    self._leaf_page_for(low, counters), entry_dtype, counters
+            keys = entries["key"]
+            if not (keys.size and float(keys[0]) < low <= float(keys[-1])):
+                _, path = self._descend(low, leftmost=True, counters=counters)
+                if path:
+                    path[-1][1] -= 1  # just before the leaf the descent chose
+                entries, next_leaf = self._read_leaf_run(
+                    path, high, None, run_dtype, counters
                 )
-            key_runs: "list[np.ndarray]" = []
-            payload_runs: "list[np.ndarray]" = []
-            returned = 0
+            parts: "list[np.ndarray]" = []
             while True:
-                keys = leaf[0]
+                keys = entries["key"]
                 start = int(np.searchsorted(keys, low, side="left"))
                 stop = int(np.searchsorted(keys, high, side="right"))
                 if stop > start:
-                    key_runs.append(keys[start:stop])
-                    payload_runs.append(leaf[1][start:stop])
-                    returned += stop - start
-                if stop < keys.size or leaf[2] == NO_LEAF:
+                    parts.append(entries[start:stop])
+                if stop < keys.size or next_leaf == NO_LEAF:
                     break
-                leaf = self._load_leaf_arrays(leaf[2], entry_dtype, counters)
+                entries, next_leaf = self._read_leaf_run(
+                    path, high, next_leaf, run_dtype, counters
+                )
+            if not parts:
+                results.append(empty)
+                continue
+            found = parts[0] if len(parts) == 1 else np.concatenate(parts)
             if counters is not None:
-                counters.records_scanned += returned
-            if key_runs:
-                # np.concatenate copies, so results own their memory and
-                # never alias (possibly evicted) buffer-pool pages.
-                results.append(
-                    (np.concatenate(key_runs), np.concatenate(payload_runs))
-                )
-            else:
-                results.append(
-                    (np.empty(0, np.float64), np.empty(0, payload_out))
-                )
+                counters.records_scanned += int(found.size)
+            results.append((found["key"], found["payload"]))
         return results
+
+    def _read_leaf_run(
+        self,
+        path: "list[list]",
+        high: float,
+        expected: "int | None",
+        run_dtype: np.dtype,
+        counters: CostCounters | None,
+    ) -> "tuple[np.ndarray, int]":
+        """Read the next leaves of a scan towards *high* as one run and
+        advance *path* past them.  Returns the run's live entries in key
+        order (a private copy) and its last leaf's sibling link;
+        *expected* is the link the scan arrived by, if any."""
+        if not path:
+            page_ids = [self._root]
+        else:
+            if path[-1][1] == path[-1][0].count:
+                self._step_to_next_level_one(path, counters)
+            node, index = path[-1]
+            last = max(index + 1, bisect_right(node.keys, high))
+            page_ids = node.children[index + 1 : last + 1]
+            path[-1][1] = last
+        self.node_visits += len(page_ids)
+        if counters is not None:
+            counters.btree_node_visits += len(page_ids)
+        leaves = self._pool.fetch_run(page_ids, counters).view(run_dtype)[:, 0]
+        stray = np.flatnonzero(leaves["type"] != NODE_LEAF)
+        if stray.size:
+            raise ValueError(f"page {page_ids[int(stray[0])]} is not a leaf node")
+        links = leaves["next_leaf"]
+        chain = np.asarray(page_ids, dtype=np.uint64)
+        if (expected is not None and expected != page_ids[0]) or not np.array_equal(
+            links[:-1], chain[1:]
+        ):
+            raise ValueError(
+                f"leaf chain through pages {page_ids[0]}..{page_ids[-1]} "
+                "disagrees with the parent's child order"
+            )
+        slots = leaves["entries"]
+        live = np.arange(slots.shape[1]) < leaves["count"][:, None]
+        return slots[live], int(links[-1])
+
+    def _step_to_next_level_one(
+        self, path: "list[list]", counters: CostCounters | None
+    ) -> None:
+        """Move an exhausted *path* to the level-1 node on its right,
+        positioned before that node's first leaf."""
+        depth = len(path)
+        while path and path[-1][1] == path[-1][0].count:
+            path.pop()
+        if not path:
+            raise ValueError("leaf chain runs past the rightmost leaf")
+        path[-1][1] += 1
+        while len(path) < depth:
+            node, index = path[-1]
+            path.append([self._load_internal(node.children[index], counters), 0])
+        path[-1][1] = -1
 
     def key_bounds(
         self, *, counters: CostCounters | None = None

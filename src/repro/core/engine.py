@@ -58,7 +58,7 @@ from repro.core.index import (
     _check_impl,
     _check_query_args,
     _execute_query,
-    _rank,
+    _top_k,
 )
 from repro.core.range_cache import RangeCache
 from repro.core.vitri import VideoSummary
@@ -503,7 +503,7 @@ class QueryEngine:
         range_cache = None if cold else self._range_cache
         counters = CostCounters()
         with Timer() as timer:
-            scores, candidates, ranges = _execute_query(
+            video_ids, scores, candidates, ranges = _execute_query(
                 query,
                 method,
                 btree=view.tree,
@@ -516,7 +516,7 @@ class QueryEngine:
                 range_cache=range_cache,
                 cache_token=self._snapshot_token,
             )
-            videos, kept_scores = _rank(scores, k)
+            videos, kept_scores = _top_k(video_ids, scores, k)
         stats = QueryStats(
             page_requests=counters.page_requests,
             physical_reads=counters.page_reads,

@@ -92,8 +92,9 @@ class QueryStats:
     Attributes
     ----------
     page_requests:
-        Logical page accesses (B+-tree nodes + heap pages); the paper's
-        I/O-cost unit.
+        Logical page accesses — B+-tree nodes only: the leaves hold the
+        full ViTri records, so a query never touches the heap file; the
+        paper's I/O-cost unit.
     physical_reads:
         Buffer-pool misses that reached the pager.
     node_visits:
@@ -161,6 +162,15 @@ def _rank(
     )
 
 
+def _top_k(
+    video_ids: np.ndarray, scores: np.ndarray, k: int
+) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """:func:`_rank` over score arrays: *video_ids* must be ascending, so
+    a stable sort on the negated scores breaks ties by video id."""
+    order = np.argsort(-scores, kind="stable")[:k]
+    return tuple(video_ids[order].tolist()), tuple(scores[order].tolist())
+
+
 def _execute_query(
     query: VideoSummary,
     method: str,
@@ -174,8 +184,10 @@ def _execute_query(
     impl: str = "vectorized",
     range_cache=None,
     cache_token: str | None = None,
-) -> tuple[dict[int, float], int, int]:
-    """Run one KNN candidate pass and return ``(scores, candidates, ranges)``.
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Run one KNN candidate pass and return ``(video_ids, scores,
+    candidates, ranges)`` — the scored videos as id-ascending arrays,
+    ready for :func:`_top_k`.
 
     This is the execution core shared by :meth:`VitriIndex.knn` and the
     concurrent :class:`~repro.core.engine.QueryEngine` workers: every
@@ -185,19 +197,20 @@ def _execute_query(
 
     ``impl`` selects the inner-loop implementation:
 
-    * ``"vectorized"`` (default) — bulk leaf-to-leaf range search with
-      structured-array page views, one-view columnar record decode, and
-      batched sphere-intersection geometry;
+    * ``"vectorized"`` (default) — run-at-a-time leaf reads viewed as
+      structured arrays, one-view columnar record decode, batched
+      sphere-intersection geometry and an array-native score fold;
     * ``"scalar"`` — the per-record oracle: one ``range_search`` per
       composed range, per-record ``codec.decode``, per-pair
-      ``accumulator.evaluate``.
+      ``accumulator.evaluate``, per-video Python fold.
 
     Both produce bit-identical scores and identical logical cost
     signatures (``similarity_computations``, ``records_scanned``,
     ``records_decoded``, ``candidates``, ``ranges``); the vectorized
-    path may report *fewer* ``page_requests``/``node_visits`` because it
-    skips redundant root-to-leaf descents.  The equivalence suite
-    asserts both properties.
+    path reads the same leaves but may report *fewer*
+    ``page_requests``/``node_visits`` where it skips a redundant
+    root-to-leaf descent, or one more per level-1 node a range runs on
+    into.  The equivalence suite asserts both properties.
 
     Per-stage wall time (I/O / deserialize / geometry / merge) is
     accumulated into ``counters.extra["stage_*_s"]`` for the latency
@@ -229,58 +242,38 @@ def _execute_query(
     if impl == "vectorized":
         # The leaves hold the full ViTri records (the paper's layout),
         # so the bulk range search is the only I/O a query performs.
+        def search(ranges):
+            return btree.range_search_many(
+                ranges, payload_dtype=codec.record_dtype, counters=counters
+            )
+
         with StageTimer(counters, "io"):
             if range_cache is not None and cache_token is not None:
                 blocks = range_cache.fetch(
-                    cache_token,
-                    search_ranges,
-                    lambda missing: btree.range_search_many(
-                        missing,
-                        payload_dtype=codec.record_dtype,
-                        counters=counters,
-                    ),
-                    counters,
+                    cache_token, search_ranges, search, counters
                 )
             else:
-                blocks = btree.range_search_many(
-                    search_ranges,
-                    payload_dtype=codec.record_dtype,
-                    counters=counters,
-                )
-        if method == "naive":
-            with StageTimer(counters, "deserialize"):
-                parts = [
-                    (keys, codec.columns_from_struct(records, counters=counters))
-                    for keys, records in blocks
-                ]
-            candidates = sum(keys.size for keys, _ in parts)
-            with StageTimer(counters, "geometry"):
-                for range_index, (keys, columns) in enumerate(parts):
-                    vlow, vhigh = per_vitri_ranges[range_index]
-                    mask = (keys >= vlow) & (keys <= vhigh)
-                    if not np.any(mask):
-                        continue
-                    selected = columns.take(mask)
-                    counters.similarity_computations += (
-                        accumulator.evaluate_arrays(
-                            range_index,
-                            selected.video_ids,
-                            selected.vitri_ids,
-                            selected.counts,
-                            selected.radii,
-                            selected.positions,
-                        )
+                blocks = search(search_ranges)
+        with StageTimer(counters, "deserialize"):
+            if method == "composed":
+                # One block: every query ViTri filters the same candidates.
+                blocks = [
+                    (
+                        np.concatenate([keys for keys, _ in blocks]),
+                        np.concatenate([records for _, records in blocks]),
                     )
-        else:
-            with StageTimer(counters, "deserialize"):
-                keys = np.concatenate([keys for keys, _ in blocks])
-                columns = codec.columns_from_struct(
-                    np.concatenate([records for _, records in blocks]),
-                    counters=counters,
-                )
-            candidates = int(keys.size)
-            with StageTimer(counters, "geometry"):
-                for i, (vlow, vhigh) in enumerate(per_vitri_ranges):
+                ]
+            parts = [
+                (keys, codec.columns_from_struct(records, counters=counters))
+                for keys, records in blocks
+            ]
+        candidates = sum(int(keys.size) for keys, _ in parts)
+        with StageTimer(counters, "geometry"):
+            every_vitri = range(len(per_vitri_ranges))
+            for block_index, (keys, columns) in enumerate(parts):
+                # A naive block holds one query ViTri's own range.
+                for i in [block_index] if method == "naive" else every_vitri:
+                    vlow, vhigh = per_vitri_ranges[i]
                     mask = (keys >= vlow) & (keys <= vhigh)
                     if not np.any(mask):
                         continue
@@ -325,14 +318,14 @@ def _execute_query(
                         )
 
     with StageTimer(counters, "merge"):
-        scores = accumulator.scores()
+        video_ids, scores = accumulator.score_arrays()
     # Range-search count rides in the bundle's extra dict so aggregators
     # (the shard router) can rebuild every QueryStats field from bundles
     # alone, never from other QueryStats objects.
     counters.extra["range_searches"] = (
         counters.extra.get("range_searches", 0) + len(search_ranges)
     )
-    return scores, candidates, len(search_ranges)
+    return video_ids, scores, candidates, len(search_ranges)
 
 
 class VitriIndex:
@@ -356,6 +349,11 @@ class VitriIndex:
         self._built_component: np.ndarray | None = None
         self._moments: IncrementalMoments | None = None
         self._summaries_seen = 0
+        # Memoised content_token().  insert_video / remove_video, the only
+        # mutators of the state it hashes, reset it before their first
+        # change and again after their last, so a token computed by a
+        # concurrent reader halfway through cannot outlive the mutation.
+        self._content_token: str | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -533,8 +531,11 @@ class VitriIndex:
         Changes whenever a video is inserted or removed (and across
         distinct indexes/shards), so result caches keyed on it can never
         serve a ranking computed over different content.  Cheap: hashes
-        only in-memory metadata, no page I/O.
+        only in-memory metadata (no page I/O), once per content state —
+        a shard asks for it several times per query.
         """
+        if self._content_token is not None:
+            return self._content_token
         digest = hashlib.blake2b(digest_size=16)
         digest.update(
             struct.pack(
@@ -550,7 +551,8 @@ class VitriIndex:
             digest.update(
                 struct.pack("<QQ", video_id, self._video_frames[video_id])
             )
-        return digest.hexdigest()
+        self._content_token = digest.hexdigest()
+        return self._content_token
 
     def clear_caches(self) -> None:
         """Flush and drop both buffer pools (cold-start a measurement)."""
@@ -600,6 +602,7 @@ class VitriIndex:
                 f"video ids must be below {TOMBSTONE_VIDEO_ID} (reserved)"
             )
         _check_radii(summary, self._epsilon)
+        self._content_token = None
         for vitri in summary.vitris:
             record = ViTriRecord(
                 video_id=summary.video_id,
@@ -616,6 +619,7 @@ class VitriIndex:
         self._moments.update(summary.positions())
         self._video_frames[summary.video_id] = summary.num_frames
         self._summaries_seen += 1
+        self._content_token = None
 
     def insert_many(self, summaries) -> int:
         """Insert a batch of videos; returns how many were inserted.
@@ -658,6 +662,7 @@ class VitriIndex:
         """
         if video_id not in self._video_frames:
             raise ValueError(f"video id {video_id} is not indexed")
+        self._content_token = None
         removed = 0
         for record_id, payload in list(self._heap.scan()):
             record = self._codec.decode(payload)
@@ -681,6 +686,7 @@ class VitriIndex:
             self._heap.overwrite(record_id, self._codec.encode(tombstone))
             self._moments.downdate(record.position[None, :])
         del self._video_frames[video_id]
+        self._content_token = None
         return removed
 
     def drift_angle(self) -> float:
@@ -804,7 +810,7 @@ class VitriIndex:
         # interleaved queries cannot misattribute each other's costs.
         counters = CostCounters()
         with Timer() as timer:
-            scores, candidates, ranges = _execute_query(
+            video_ids, scores, candidates, ranges = _execute_query(
                 query,
                 method,
                 btree=self._btree,
@@ -815,7 +821,7 @@ class VitriIndex:
                 counters=counters,
                 impl=impl,
             )
-            videos, kept_scores = _rank(scores, k)
+            videos, kept_scores = _top_k(video_ids, scores, k)
 
         stats = QueryStats(
             page_requests=counters.page_requests,
@@ -865,7 +871,7 @@ class VitriIndex:
 
         counters = CostCounters()
         with Timer() as timer:
-            scores, candidates, ranges = _execute_query(
+            video_ids, scores, candidates, ranges = _execute_query(
                 query,
                 method,
                 btree=self._btree,
@@ -876,12 +882,8 @@ class VitriIndex:
                 counters=counters,
                 impl=impl,
             )
-            kept = {
-                video: score
-                for video, score in scores.items()
-                if score >= min_similarity
-            }
-            videos, kept_scores = _rank(kept, len(kept))
+            kept = scores >= min_similarity
+            videos, kept_scores = _top_k(video_ids[kept], scores[kept], kept.size)
 
         stats = QueryStats(
             page_requests=counters.page_requests,

@@ -19,23 +19,32 @@ I/O cost.
 
 Bit-exactness contract
 ----------------------
-:meth:`ScoreAccumulator.evaluate` (per record, Python control flow) is the
-*scalar oracle*; :meth:`ScoreAccumulator.evaluate_arrays` is the
-vectorized path.  Driven over the same candidate stream in the same
-order, the two produce bit-identical scores, not merely close ones:
+:meth:`ScoreAccumulator.evaluate` (per record, Python control flow) plus
+the per-video Python fold in :meth:`ScoreAccumulator.scores` is the
+*scalar oracle*; :meth:`ScoreAccumulator.evaluate_arrays` plus the array
+fold in :meth:`ScoreAccumulator.score_arrays` is the vectorized path.
+Driven over the same candidate stream in the same order, the two produce
+bit-identical scores, not merely close ones:
 
 * the per-pair estimate comes from ``_estimate_from_scalars`` /
   ``_estimate_batch``, which share their elementwise primitives and are
   bit-identical lane by lane;
 * per-cell accumulation order is preserved — the vectorized path defers
-  all summation to ``scores()`` and folds the concatenated candidate
-  stream with one ``np.bincount`` per cell kind, whose sequential
-  left-to-right accumulation reproduces the oracle's ``+=`` chains
-  exactly (summing per *batch* and adding partial sums would not: float
-  addition is not associative);
-* ``scores()`` folds each video's database-side totals in a canonical
-  (vitri-id-sorted) order, since dict insertion order is the one thing
-  the two traversals do not share.
+  all summation to ``score_arrays()`` and folds the concatenated
+  candidate stream with one ``np.bincount`` per cell kind, whose
+  sequential left-to-right accumulation reproduces the oracle's ``+=``
+  chains exactly (summing per *batch* and adding partial sums would not:
+  float addition is not associative);
+* the query side of a video is the sum of its ``m`` capped cells: the
+  oracle calls ``.sum()`` on the video's length-``m`` array, the array
+  fold row-sums a C-contiguous ``(videos, m)`` matrix — numpy runs the
+  same pairwise summation over each contiguous row either way;
+* the database side folds each video's capped totals in a canonical
+  (vitri-id ascending) order with a plain left-to-right add — an
+  explicit ``+=`` chain in the oracle (*not* the builtin ``sum()``,
+  which from Python 3.12 on is Neumaier-compensated and would round
+  differently from one interpreter to the next), a ``np.bincount`` over
+  the id-sorted totals in the array fold.
 
 ``tests/test_vectorized_equivalence.py`` asserts all of this.
 """
@@ -81,7 +90,7 @@ class ScoreAccumulator:
         self._per_video_query: dict[int, np.ndarray] = {}
         self._per_video_db: dict[int, dict[int, float]] = defaultdict(dict)
         self._db_counts: dict[int, int] = {}
-        # Deferred vectorized contributions, folded on first scores() use:
+        # Deferred vectorized contributions, folded by score_arrays():
         # (query_index, video_ids, vitri_ids, counts, estimates) per call.
         self._segments: list[
             tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -142,8 +151,8 @@ class ScoreAccumulator:
         ``[query_index]`` (see the module docstring's contract), but the
         distance and intersection math runs as one numpy batch and the
         positive estimates are only *recorded* here — the accumulation is
-        deferred to :meth:`scores` so every per-cell sum happens in one
-        left-to-right pass regardless of how candidates were batched.
+        deferred to :meth:`score_arrays` so every per-cell sum happens in
+        one left-to-right pass regardless of how candidates were batched.
         Returns the number of similarity evaluations.
         """
         from repro.core.similarity import _estimate_batch
@@ -173,67 +182,82 @@ class ScoreAccumulator:
             )
         return performed
 
-    def _fold_segments(self) -> None:
-        """Fold deferred vectorized contributions into the score state.
+    def score_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Final scores as ``(video_ids, scores)`` arrays, ids ascending.
 
-        One ``np.bincount`` per cell kind over the *global* concatenation
-        of every recorded segment: bincount accumulates its weights
-        sequentially in input order, so each (video, query-ViTri) cell
-        and each database-ViTri cell receives exactly the scalar oracle's
-        ``+=`` chain.  Folding per batch and summing partial sums instead
-        would silently break bit-identity.
+        With only deferred :meth:`evaluate_arrays` contributions this is
+        the array-native fold — no per-video Python work; scalar
+        contributions go through :meth:`scores`.
         """
         if not self._segments:
-            return
+            scores = self.scores()
+            video_ids = np.array(sorted(scores), dtype=np.int64)
+            return video_ids, np.array(
+                [scores[video] for video in video_ids.tolist()], dtype=np.float64
+            )
+        if self._per_video_query:
+            raise RuntimeError(
+                "evaluate() and evaluate_arrays() contributions cannot be "
+                "mixed in one accumulator"
+            )
+        # Every cell sum below is one np.bincount over the *global*
+        # concatenation of the recorded segments: bincount adds its
+        # weights sequentially in input order, so each cell receives
+        # exactly the scalar oracle's += chain.  Folding per batch and
+        # adding partial sums instead would silently break bit-identity.
         m = self._m
-        query_indices = np.concatenate(
-            [np.full(seg[4].size, seg[0], dtype=np.int64) for seg in self._segments]
-        )
+        sizes = [seg[4].size for seg in self._segments]
+        query_indices = np.repeat([seg[0] for seg in self._segments], sizes)
         videos = np.concatenate([seg[1] for seg in self._segments])
         vitris = np.concatenate([seg[2] for seg in self._segments])
         counts = np.concatenate([seg[3] for seg in self._segments])
         estimates = np.concatenate([seg[4] for seg in self._segments])
-        self._segments.clear()
 
-        unique_videos, video_codes = np.unique(videos, return_inverse=True)
-        cells = video_codes * m + query_indices
-        query_sums = np.bincount(
-            cells, weights=estimates, minlength=unique_videos.size * m
-        )
-        for code, video in enumerate(unique_videos):
-            video = int(video)
-            if video not in self._per_video_query:
-                self._per_video_query[video] = np.zeros(m)
-            self._per_video_query[video] += query_sums[code * m : (code + 1) * m]
-
-        unique_vitris, first_seen, vitri_codes = np.unique(
+        video_ids, video_codes = np.unique(videos, return_inverse=True)
+        query_totals = np.bincount(
+            video_codes * m + query_indices,
+            weights=estimates,
+            minlength=video_ids.size * m,
+        ).reshape(video_ids.size, m)
+        query_side = np.minimum(
+            self._query.counts().astype(np.float64), query_totals
+        ).sum(axis=1)
+        # np.unique orders the database ViTris by id, so the per-video
+        # bincount folds each video's capped totals vitri-id ascending.
+        _, first_seen, vitri_codes = np.unique(
             vitris, return_index=True, return_inverse=True
         )
-        db_sums = np.bincount(
-            vitri_codes, weights=estimates, minlength=unique_vitris.size
+        db_totals = np.bincount(vitri_codes, weights=estimates)
+        db_side = np.bincount(
+            video_codes[first_seen],
+            weights=np.minimum(counts[first_seen].astype(np.float64), db_totals),
+            minlength=video_ids.size,
         )
-        owner_videos = videos[first_seen]
-        owner_counts = counts[first_seen]
-        for code, vitri_id in enumerate(unique_vitris):
-            vitri_id = int(vitri_id)
-            per_db = self._per_video_db[int(owner_videos[code])]
-            per_db[vitri_id] = per_db.get(vitri_id, 0.0) + float(db_sums[code])
-            self._db_counts[vitri_id] = int(owner_counts[code])
+        frames = np.fromiter(
+            map(self._video_frames.__getitem__, video_ids.tolist()),
+            dtype=np.float64,
+            count=video_ids.size,
+        )
+        denominators = self._query.num_frames + frames
+        return video_ids, np.minimum((query_side + db_side) / denominators, 1.0)
 
     def scores(self) -> dict[int, float]:
         """Final per-video similarity scores in ``[0, 1]``."""
-        self._fold_segments()
+        if self._segments:
+            video_ids, scores = self.score_arrays()
+            return dict(zip(video_ids.tolist(), scores.tolist()))
         scores: dict[int, float] = {}
         query_counts = self._query.counts().astype(np.float64)
         for video, per_query in self._per_video_query.items():
             count_query_side = float(np.minimum(query_counts, per_query).sum())
             # Canonical (vitri-id-sorted) fold: the scalar and vectorized
-            # paths insert db-side totals in different dict orders, and
-            # float summation order must not depend on that.
-            count_db_side = sum(
-                min(float(self._db_counts[vid]), total)
-                for vid, total in sorted(self._per_video_db[video].items())
-            )
+            # paths meet db-side totals in different orders, and float
+            # summation order must not depend on that.  An explicit +=
+            # chain, not sum(): from Python 3.12 on sum() compensates
+            # float addition (Neumaier), which np.bincount does not.
+            count_db_side = 0.0
+            for vid, total in sorted(self._per_video_db[video].items()):
+                count_db_side += min(float(self._db_counts[vid]), total)
             denominator = self._query.num_frames + self._video_frames[video]
             scores[video] = min(
                 (count_query_side + count_db_side) / denominator, 1.0

@@ -11,7 +11,8 @@ Accounting happens at two scopes: the pool's cumulative ``requests`` /
 ``hits`` / ``misses`` attributes (a lifetime aggregate, useful for
 benchmark sweeps), and an optional per-query
 :class:`~repro.utils.counters.CostCounters` bundle passed to
-:meth:`BufferPool.fetch` — the per-query bundle is what
+:meth:`BufferPool.fetch` / :meth:`BufferPool.fetch_run` — the per-query
+bundle is what
 :class:`~repro.core.index.QueryStats` is built from, so interleaved
 queries can never misattribute each other's page accesses.
 
@@ -29,13 +30,19 @@ reads).
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Sequence
 
-from repro.storage.page import Page
+import numpy as np
+
+from repro.storage.page import PAGE_CONTENT_SIZE, Page
 from repro.storage.pager import Pager
 from repro.utils.counters import CostCounters
 from repro.utils.locks import make_lock
 
 __all__ = ["BufferPool"]
+
+_PENDING = object()
+"""Placeholder for a page being read; never visible outside the pool lock."""
 
 
 class BufferPool:
@@ -87,7 +94,9 @@ class BufferPool:
 
         The returned :class:`Page` object is shared: mutate ``page.data``
         in place and call ``page.mark_dirty()`` so eviction/flush writes it
-        back.
+        back.  This is the one-element case of :meth:`fetch_run` (same
+        accounting, same miss discipline) that hands out the cached
+        object instead of an image of it.
 
         Parameters
         ----------
@@ -99,37 +108,116 @@ class BufferPool:
             ``page_reads``.  This is the only sanctioned source for
             query-cost reporting (the pool's own attributes are lifetime
             aggregates shared by every caller).
-
-        The physical read on a miss happens *outside* the pool lock:
-        the pager models per-read service time, and holding the pool
-        lock across it would serialise concurrent misses that real
-        storage hardware overlaps.  Each miss performs and accounts
-        exactly one physical read even when two threads miss the same
-        page at once — the loser of the re-admission race returns the
-        winner's cached page but has already paid (and counted) its own
-        read, keeping ``sum(page_reads) == misses`` exact.
         """
+        (source,), images = self._access((page_id,), counters)
+        if isinstance(source, Page):
+            return source
         with self._lock:
-            self.requests += 1
-            if counters is not None:
-                counters.page_requests += 1
-            page = self._pages.get(page_id)
-            if page is not None:
-                self.hits += 1
-                self._pages.move_to_end(page_id)
-                return page
-            self.misses += 1
-            if counters is not None:
-                counters.page_reads += 1
-        page = self._pager.read_page(page_id)
+            page = self._pages.get(page_id)  # admitted by _access
+        if page is None:
+            # Nothing stays cached (capacity 0): hand out an already
+            # "evicted" page, whose mark_dirty() writes through.
+            page = Page(page_id, images[source])
+            page.owner = self
+            page.evicted = True
+        return page
+
+    def fetch_run(
+        self, page_ids: Sequence[int], counters: CostCounters | None = None
+    ) -> np.ndarray:
+        """Fetch many pages for reading: ``(len(page_ids),
+        PAGE_CONTENT_SIZE)`` uint8, row ``i`` a private image of page
+        ``page_ids[i]`` (not the pool's shared :class:`Page` objects).
+
+        Requests, hits, misses, the per-query ``counters`` and the final
+        LRU order are exactly those of :meth:`fetch` per id in order,
+        but the misses reach the pager as one
+        :meth:`~repro.storage.pager.Pager.read_run` — one file read per
+        run of consecutive ids — and only the missed pages still cached
+        when the run ends are materialised as :class:`Page` objects.
+        """
+        sources, images = self._access(page_ids, counters)
+        if images is not None and len(images) == len(sources):
+            return images  # every request missed: the rows are in order
+        out = np.empty((len(sources), PAGE_CONTENT_SIZE), dtype=np.uint8)
+        for position, source in enumerate(sources):
+            out[position] = (
+                np.frombuffer(source.data, dtype=np.uint8)
+                if isinstance(source, Page)
+                else images[source]
+            )
+        return out
+
+    def _access(
+        self, page_ids: Sequence[int], counters: CostCounters | None
+    ) -> "tuple[list[Page | int], np.ndarray | None]":
+        """The pool's one accounting path: ``(sources, images)`` — per
+        requested id the cached :class:`Page` on a hit, else the row of
+        ``images`` holding its freshly read content.
+
+        The physical reads happen *outside* the pool lock: the pager
+        models per-read service time, and holding the pool lock across
+        it would serialise concurrent misses that real storage hardware
+        overlaps.  So the ids are first replayed against the LRU with
+        placeholders for the missed pages (evicting, and writing dirty
+        pages back, exactly when a per-id loop would); the surviving
+        placeholders are taken out before the lock is released, and
+        after the read their pages are admitted at the replayed LRU
+        positions.  Each miss performs and accounts exactly one physical
+        read even when two threads miss the same page at once — the
+        loser of the re-admission race keeps the winner's cached page
+        but has already paid (and counted) its own read, keeping
+        ``sum(page_reads) == misses`` exact.
+        """
+        pages = self._pages
+        sources: "list[Page | int]" = []
+        missed: list[int] = []
+        pending: dict[int, int] = {}  # placeholder id -> its images row
+        tail: list[int] = []
         with self._lock:
-            cached = self._pages.get(page_id)
-            if cached is not None:
-                # Raced with another miss: keep the admitted copy so every
-                # caller shares one Page object per page_id.
-                return cached
-            self._admit(page)  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update
-            return page
+            for page_id in page_ids:
+                page = pages.get(page_id)
+                if page is not None:
+                    pages.move_to_end(page_id)
+                    sources.append(pending[page_id] if page is _PENDING else page)
+                    continue
+                sources.append(len(missed))
+                missed.append(page_id)
+                if self._capacity > 0:
+                    pending[page_id] = sources[-1]
+                    pages[page_id] = _PENDING
+                    if len(pages) > self._capacity:
+                        self._evict_overflow(pending)  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update
+            self.requests += len(sources)
+            self.hits += len(sources) - len(missed)
+            self.misses += len(missed)
+            if counters is not None:
+                counters.page_requests += len(sources)
+                counters.page_reads += len(missed)
+            if pending:
+                # The LRU suffix from the oldest surviving placeholder on:
+                # replaying it after the read restores the exact order.
+                waiting = len(pending)
+                for page_id in reversed(pages):
+                    tail.append(page_id)
+                    if page_id in pending:
+                        waiting -= 1
+                        if waiting == 0:
+                            break
+                for page_id in pending:
+                    del pages[page_id]
+        if not missed:
+            return sources, None
+        images = self._pager.read_run(missed)
+        with self._lock:
+            for page_id in reversed(tail):
+                if page_id in pages:
+                    # Cached all along, or admitted by a racing miss: keep
+                    # that copy so every caller shares one Page per id.
+                    pages.move_to_end(page_id)
+                elif page_id in pending:
+                    self._admit(Page(page_id, images[pending[page_id]]))  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update
+        return sources, images
 
     def allocate(self) -> Page:
         """Allocate a fresh page and cache it."""
@@ -140,7 +228,7 @@ class BufferPool:
             return page
 
     def _admit(self, page: Page) -> None:
-        # Callers hold self._lock (fetch/allocate); the RLock makes the
+        # Callers hold self._lock (_access/allocate); the RLock makes the
         # invariant cheap to keep even if _admit gains other callers.
         page.owner = self
         if self._capacity == 0:
@@ -153,8 +241,16 @@ class BufferPool:
         page.evicted = False
         self._pages[page.page_id] = page
         self._pages.move_to_end(page.page_id)
+        self._evict_overflow()  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update
+
+    def _evict_overflow(self, pending: "dict[int, int] | None" = None) -> None:
+        """Evict down to capacity (lock held).  An evicted placeholder of
+        :meth:`_access` has no page to write back: it leaves *pending*."""
         while len(self._pages) > self._capacity:
-            _, evicted = self._pages.popitem(last=False)
+            page_id, evicted = self._pages.popitem(last=False)
+            if evicted is _PENDING:
+                del pending[page_id]
+                continue
             if evicted.dirty:
                 self._pager.write_page(evicted)  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update
             evicted.evicted = True

@@ -43,9 +43,16 @@ from __future__ import annotations
 
 import os
 import time
+from typing import Sequence
+
+import numpy as np
 
 from repro.storage.page import PAGE_SIZE, PAGE_CONTENT_SIZE, Page
-from repro.storage.serialization import pack_page_frame, unpack_page_frame
+from repro.storage.serialization import (
+    pack_page_frame,
+    page_checksum,
+    unpack_page_frame,
+)
 from repro.storage.wal import WriteAheadLog
 from repro.utils.locks import make_lock
 
@@ -229,6 +236,68 @@ class Pager:
                     data = self._read_frame(page_id)
             self.physical_reads += 1
             return Page(page_id, data)
+
+    def read_run(self, page_ids: Sequence[int]) -> np.ndarray:
+        """Read many pages; one file read per maximal run of consecutive ids.
+
+        Returns the verified contents as a ``(len(page_ids),
+        PAGE_CONTENT_SIZE)`` uint8 array, row ``i`` holding page
+        ``page_ids[i]``.  Accounting is per page, exactly as for
+        :meth:`read_page`: one physical read and one ``read_latency``
+        wait each, every frame's CRC32 verified, the fault injector
+        consulted.  A lone page — and every page while the write-ahead
+        log holds uncommitted images, which live outside the file — is
+        served by :meth:`read_page` itself.
+        """
+        total = len(page_ids)
+        frames = np.empty((total, PAGE_SIZE), dtype=np.uint8)
+        contents = frames[:, :PAGE_CONTENT_SIZE]
+        start = 0
+        while start < total:
+            first = page_ids[start]
+            stop = start + 1
+            while stop < total and page_ids[stop] == first + (stop - start):
+                stop += 1
+            if stop - start > 1 and self._read_frames(first, frames[start:stop]):
+                if self._read_latency > 0.0:
+                    time.sleep(self._read_latency * (stop - start))
+            else:
+                for row in range(start, stop):
+                    contents[row] = np.frombuffer(
+                        self.read_page(page_ids[row]).data, dtype=np.uint8
+                    )
+            start = stop
+        return contents
+
+    def _read_frames(self, first: int, frames: np.ndarray) -> bool:
+        """Fill *frames* with pages ``first, first + 1, ...`` from one read
+        and verify each; ``False`` (nothing read) while WAL images pend."""
+        count = frames.shape[0]
+        with self._lock:
+            self._require_open()
+            self._check_page_id(first)
+            self._check_page_id(first + count - 1)
+            if self._wal is not None and self._wal.has_pending:
+                return False
+            buffer = memoryview(frames).cast("B")
+            if self._memory is not None:
+                stored = b"".join(self._memory[first : first + count])
+                buffer[: len(stored)] = stored
+                received = len(stored)
+            else:
+                self._file.seek(first * PAGE_SIZE)
+                received = self._file.readinto(buffer)
+            whole = received // PAGE_SIZE
+            trailers = frames[:whole, PAGE_CONTENT_SIZE:].view("<u4")[:, 0]
+            for row, trailer in enumerate(trailers.tolist()):
+                at = row * PAGE_SIZE
+                if trailer != page_checksum(buffer[at : at + PAGE_CONTENT_SIZE]):
+                    # Raises unless this is the valid all-zero frame.
+                    unpack_page_frame(buffer[at : at + PAGE_SIZE], first + row)
+            if whole != count:  # the file ends inside the run: torn frame
+                unpack_page_frame(buffer[whole * PAGE_SIZE : received], first + whole)
+            self.physical_reads += count
+            return True
 
     def write_page(self, page: Page) -> None:
         """Write one page back (counts one physical write).

@@ -195,6 +195,62 @@ class TestDynamicInsertion:
             assert np.allclose(a.scores, b.scores)
 
 
+class TestContentToken:
+    @staticmethod
+    def hashed_from_scratch(index):
+        """The token's definition, recomputed without the memo."""
+        import hashlib
+        import struct
+
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(
+            struct.pack(
+                "<IdQQ",
+                index.dim,
+                index.epsilon,
+                index.meta_dict()["next_vitri_id"],
+                index.num_vitris,
+            )
+        )
+        digest.update(index.transform.reference_point_.tobytes())
+        for video_id, frames in sorted(index.video_frames.items()):
+            digest.update(struct.pack("<QQ", video_id, frames))
+        return digest.hexdigest()
+
+    def test_memoised_until_the_content_changes(self, small_summaries, monkeypatch):
+        import hashlib
+
+        index = VitriIndex.build(small_summaries[:10], EPSILON)
+        token = index.content_token()
+        assert token == self.hashed_from_scratch(index)
+
+        hashed = []
+        real = hashlib.blake2b
+        monkeypatch.setattr(
+            "repro.core.index.hashlib.blake2b",
+            lambda *a, **kw: hashed.append(1) or real(*a, **kw),
+        )
+        assert index.content_token() == token
+        assert hashed == []  # a shard asks twice per query: no rehash
+
+        index.insert_video(small_summaries[10])
+        inserted = index.content_token()
+        assert inserted != token
+        assert inserted == self.hashed_from_scratch(index)
+        index.remove_video(small_summaries[3].video_id)
+        removed = index.content_token()
+        assert removed not in (token, inserted)
+        assert removed == self.hashed_from_scratch(index)
+        assert len(hashed) == 4  # one per change, plus the test's own two
+
+    def test_a_refused_insert_keeps_the_token(self, small_summaries):
+        index = VitriIndex.build(small_summaries[:10], EPSILON)
+        token = index.content_token()
+        with pytest.raises(ValueError, match="already indexed"):
+            index.insert_video(small_summaries[0])
+        assert index.content_token() == token == self.hashed_from_scratch(index)
+
+
 class TestPersistence:
     def test_file_backed_round_trip(self, small_summaries, tmp_path):
         btree_path = str(tmp_path / "index.btree")

@@ -111,3 +111,53 @@ class TestScoreAccumulator:
         for i in range(1, 6):
             accumulator.evaluate(record(i, i, 0.0), [0])
         assert len(accumulator.ranked(2)) == 2
+
+    def test_db_side_fold_is_a_plain_left_to_right_add(self):
+        """From Python 3.12 on the builtin sum() compensates float
+        addition; the oracle must fold like np.bincount on every
+        interpreter, so 0.1 + 0.2 + 0.3 keeps its rounding error."""
+        query = summary(0, [0.0])
+        accumulator = ScoreAccumulator(query, {1: 90})
+        accumulator._per_video_query[1] = np.zeros(1)
+        accumulator._per_video_db[1] = {7: 0.3, 5: 0.1, 6: 0.2}
+        accumulator._db_counts.update({5: 9, 6: 9, 7: 9})
+        assert accumulator.scores()[1] == ((0.1 + 0.2) + 0.3) / 100
+        assert (0.1 + 0.2) + 0.3 != 0.6
+
+    def test_score_arrays_match_scores(self):
+        query = summary(0, [0.0, 2.0])
+        frames = {i: 10 for i in range(1, 6)}
+        scalar = ScoreAccumulator(query, frames)
+        arrays = ScoreAccumulator(query, frames)
+        records = [record(6 - i, i, 0.1 * i) for i in range(1, 6)]
+        for rec in records:
+            scalar.evaluate(rec, [0, 1])
+        for index in (0, 1):
+            arrays.evaluate_arrays(
+                index,
+                np.array([r.video_id for r in records]),
+                np.array([r.vitri_id for r in records]),
+                np.array([r.count for r in records]),
+                np.array([r.radius for r in records]),
+                np.stack([r.position for r in records]),
+            )
+        for accumulator in (scalar, arrays):
+            video_ids, scores = accumulator.score_arrays()
+            assert video_ids.tolist() == sorted(accumulator.scores())
+            assert dict(zip(video_ids.tolist(), scores.tolist())) == scalar.scores()
+
+    def test_mixing_scalar_and_array_contributions_is_refused(self):
+        query = summary(0, [0.0])
+        accumulator = ScoreAccumulator(query, {1: 10})
+        rec = record(1, 0, 0.0)
+        accumulator.evaluate(rec, [0])
+        accumulator.evaluate_arrays(
+            0,
+            np.array([1]),
+            np.array([1]),
+            np.array([rec.count]),
+            np.array([rec.radius]),
+            rec.position[None, :],
+        )
+        with pytest.raises(RuntimeError, match="mixed"):
+            accumulator.scores()

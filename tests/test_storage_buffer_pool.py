@@ -1,9 +1,12 @@
 """Tests for repro.storage.buffer_pool."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.storage.buffer_pool import BufferPool
+from repro.storage.page import PAGE_CONTENT_SIZE, Page
 from repro.storage.pager import Pager
+from repro.utils.counters import CostCounters
 
 
 def make_pool(capacity=4):
@@ -233,3 +236,121 @@ class TestThreadSafety:
         assert sum(b.page_reads for b in bundles) == pool.misses
         for bundle in bundles:
             assert bundle.page_requests == per_thread
+
+    def test_concurrent_runs_and_fetches_share_one_pool(self):
+        """Runs and single fetches racing on one small pool lose no
+        counts, leave no placeholder behind and read the right bytes."""
+        import sys
+        import threading
+
+        from repro.utils.counters import CostCounters
+
+        pager = Pager()
+        for page_id in range(24):
+            page = Page(pager.allocate_page())
+            page.data[0] = page_id
+            pager.write_page(page)
+        pool = BufferPool(pager, capacity=5)
+        num_threads, rounds = 6, 120
+        bundles = [CostCounters() for _ in range(num_threads)]
+        wrong: list = []
+        barrier = threading.Barrier(num_threads)
+
+        def run(slot: int) -> None:
+            barrier.wait()
+            for i in range(rounds):
+                first = (slot * 3 + i) % 18
+                ids = list(range(first, first + 6))
+                if i % 2:
+                    rows = pool.fetch_run(ids, bundles[slot])[:, 0].tolist()
+                else:
+                    rows = [pool.fetch(j, bundles[slot]).data[0] for j in ids]
+                if rows != ids:
+                    wrong.append((ids, rows))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(slot,))
+                for slot in range(num_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(switch)
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        total = num_threads * rounds * 6
+        assert pool.requests == total
+        assert pool.hits + pool.misses == total
+        assert sum(b.page_requests for b in bundles) == total
+        assert sum(b.page_reads for b in bundles) == pool.misses
+        assert len(pool._pages) <= 5
+        assert all(isinstance(page, Page) for page in pool._pages.values())
+
+
+class TestFetchRun:
+    """``fetch_run`` is ``fetch`` per id: same counts, same LRU, same bytes."""
+
+    @staticmethod
+    def twin(capacity):
+        pager = Pager()
+        for page_id in range(12):
+            page = Page(pager.allocate_page())
+            page.data[0] = page_id
+            pager.write_page(page)
+        pager.physical_reads = pager.physical_writes = 0
+        return pager, BufferPool(pager, capacity=capacity)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(0, 6),
+        dirtied=st.lists(st.integers(0, 11), max_size=6),
+        runs=st.lists(st.lists(st.integers(0, 11), max_size=30), max_size=4),
+    )
+    def test_accounts_like_per_id_fetch(self, capacity, dirtied, runs):
+        run_pager, run_pool = self.twin(capacity)
+        one_pager, one_pool = self.twin(capacity)
+        for page_id in dirtied:  # warm both pools, leave dirty pages behind
+            for pool in (run_pool, one_pool):
+                page = pool.fetch(page_id)
+                page.data[1] += 1
+                page.mark_dirty()
+        for ids in runs:
+            run_bundle, one_bundle = CostCounters(), CostCounters()
+            images = run_pool.fetch_run(ids, run_bundle)
+            pages = [one_pool.fetch(page_id, one_bundle) for page_id in ids]
+            assert images.shape == (len(ids), PAGE_CONTENT_SIZE)
+            assert [row.tobytes() for row in images] == [
+                bytes(page.data) for page in pages
+            ]
+            assert run_bundle.page_requests == one_bundle.page_requests
+            assert run_bundle.page_reads == one_bundle.page_reads
+            for name in ("requests", "hits", "misses"):
+                assert getattr(run_pool, name) == getattr(one_pool, name)
+            assert list(run_pool._pages) == list(one_pool._pages)
+            assert run_pager.physical_reads == one_pager.physical_reads
+            assert run_pager.physical_writes == one_pager.physical_writes
+        for pool in (run_pool, one_pool):
+            pool.flush()
+        assert run_pager.read_run(range(12)).tobytes() == (
+            one_pager.read_run(range(12)).tobytes()
+        )
+
+    def test_images_are_private(self):
+        _, pool = self.twin(4)
+        images = pool.fetch_run([2, 3])
+        images[0, 0] = 99
+        assert pool.fetch(2).data[0] == 2
+
+    def test_survivors_are_shared_pages(self):
+        """A page admitted by a run is the object later fetches share."""
+        _, pool = self.twin(2)
+        pool.fetch_run([5, 6, 7])
+        assert list(pool._pages) == [6, 7]
+        assert pool.fetch(7) is pool.fetch(7)
+        assert pool.hits == 2

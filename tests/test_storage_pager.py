@@ -301,3 +301,145 @@ class TestReadLatency:
             for thread in threads:
                 thread.join()
         assert timer.elapsed < 0.035  # serial waits would need >= 0.04
+
+
+def _fill(pager, count):
+    """``count`` pages whose content names their own id."""
+    for _ in range(count):
+        page = Page(pager.allocate_page())
+        page.data[:] = bytes([page.page_id + 1]) * PAGE_CONTENT_SIZE
+        pager.write_page(page)
+
+
+class TestReadRun:
+    """``read_run`` is ``read_page`` per id, with fewer file reads."""
+
+    IDS = [3, 4, 5, 6, 9, 1, 2, 2, 7, 8, 0]  # runs, a gap, a repeat
+
+    def _check(self, pager):
+        reads = pager.physical_reads
+        images = pager.read_run(self.IDS)
+        assert images.shape == (len(self.IDS), PAGE_CONTENT_SIZE)
+        assert pager.physical_reads == reads + len(self.IDS)
+        for row, page_id in zip(images, self.IDS):
+            assert row.tobytes() == bytes(pager.read_page(page_id).data)
+            assert row[0] == page_id + 1
+
+    def test_memory(self):
+        pager = Pager()
+        _fill(pager, 10)
+        self._check(pager)
+
+    def test_file_committed(self, tmp_path):
+        with Pager(tmp_path / "data.pages") as pager:
+            _fill(pager, 10)
+            pager.sync()
+            self._check(pager)
+
+    def test_file_without_wal(self, tmp_path):
+        with Pager(tmp_path / "data.pages", wal=False) as pager:
+            _fill(pager, 10)
+            self._check(pager)
+
+    def test_uncommitted_wal_images_win(self, tmp_path):
+        """Pages 0-5 are on disk, 6-9 exist only in the log, and page 4's
+        newest image is in the log too."""
+        with Pager(tmp_path / "data.pages") as pager:
+            _fill(pager, 6)
+            pager.sync()
+            _fill(pager, 4)
+            page = pager.read_page(4)
+            page.data[1] = 0xEE
+            pager.write_page(page)
+            self._check(pager)
+            assert pager.read_run([3, 4, 5])[1, 1] == 0xEE
+
+    def test_empty(self):
+        assert Pager().read_run([]).shape == (0, PAGE_CONTENT_SIZE)
+
+    def test_out_of_range(self):
+        pager = Pager()
+        _fill(pager, 4)
+        with pytest.raises(ValueError):
+            pager.read_run([2, 3, 4])
+
+    def test_flipped_byte_inside_a_run_names_its_page(self, tmp_path):
+        path = tmp_path / "data.pages"
+        with Pager(path) as pager:
+            _fill(pager, 10)
+            pager.sync()
+            with open(path, "r+b") as handle:
+                handle.seek(6 * PAGE_SIZE + 100)
+                handle.write(b"\x00")
+            with pytest.raises(ChecksumError, match="page 6: checksum mismatch"):
+                pager.read_run([3, 4, 5, 6, 7, 8])
+            assert pager.read_run([3, 4, 5])[2, 0] == 6  # the rest still reads
+
+    def test_torn_frame_inside_a_run_names_its_page(self, tmp_path):
+        path = tmp_path / "data.pages"
+        pager = Pager(path)
+        _fill(pager, 10)
+        pager.sync()
+        os.truncate(path, 7 * PAGE_SIZE + 100)
+        with pytest.raises(ChecksumError, match="page 7: torn frame"):
+            pager.read_run([5, 6, 7, 8])
+        pager.crash()
+
+    def test_all_zero_frame_inside_a_run_is_valid(self, tmp_path):
+        path = tmp_path / "data.pages"
+        with Pager(path) as pager:
+            _fill(pager, 4)
+            pager.sync()
+            with open(path, "r+b") as handle:
+                handle.seek(2 * PAGE_SIZE)
+                handle.write(bytes(PAGE_SIZE))
+            images = pager.read_run([1, 2, 3])
+            assert not images[1].any()
+            assert images[2, 0] == 4
+
+    def test_one_file_read_per_run(self, tmp_path):
+        with Pager(tmp_path / "data.pages") as pager:
+            _fill(pager, 40)
+            pager.sync()
+            pager._file = counting = CountingFile(pager._file)
+            pager.read_run(list(range(2, 30)) + list(range(31, 40)))
+            assert counting.reads == 2
+            pager._file = counting.raw
+
+    def test_latency_charged_per_page(self, monkeypatch):
+        pager = Pager(read_latency=0.25)
+        _fill(pager, 8)
+        waits = []
+        monkeypatch.setattr("repro.storage.pager.time.sleep", waits.append)
+        pager.read_run([0, 1, 2, 3, 6])
+        assert sum(waits) == 0.25 * 5
+
+    def test_fault_injector_consulted(self, tmp_path):
+        from repro.storage.faults import FaultInjectingPager, SimulatedCrash
+
+        pager = FaultInjectingPager(tmp_path / "data.pages", wal=False)
+        _fill(pager, 4)
+        assert pager.read_run([0, 1, 2])[2, 0] == 3
+        pager.faults.crashed = True
+        with pytest.raises(SimulatedCrash):
+            pager.read_run([0, 1, 2])
+        pager.crash()
+
+
+class CountingFile:
+    """A raw file that counts the read calls made on it."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.reads = 0
+
+    def read(self, size):
+        self.reads += 1
+        return self.raw.read(size)
+
+    def readinto(self, buffer):
+        self.reads += 1
+        return self.raw.readinto(buffer)
+
+    def __getattr__(self, name):
+        return getattr(self.raw, name)

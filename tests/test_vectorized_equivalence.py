@@ -20,6 +20,8 @@ Three layers are pinned, mirroring the three layers of the rewrite:
    side never touching *more* pages than the scalar one.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -248,7 +250,48 @@ class TestColumnarDecodeEquivalence:
 # ---------------------------------------------------------------------------
 
 
+def scalar_leaf_walk(tree, low, high):
+    """Page ids of the leaves ``range_search(low, high)`` reads, in order."""
+    from repro.btree.node import NO_LEAF, LeafNode
+
+    if high < low or tree.num_entries == 0:
+        return []
+    leaf, _ = tree._descend_to_leaf(low, leftmost=True)
+    walked = [leaf.page.page_id]
+    while not (leaf.keys and leaf.keys[-1] > high) and leaf.next_leaf != NO_LEAF:
+        leaf = LeafNode.load(
+            tree.buffer_pool.fetch(leaf.next_leaf), tree.payload_size
+        )
+        walked.append(leaf.page.page_id)
+    return walked
+
+
+def internal_ancestors(tree):
+    """Leaf page id -> page ids of the internal nodes above it, root first."""
+    from repro.btree.node import InternalNode
+
+    above = {tree._root: ()}
+    for _ in range(tree.height - 1):
+        above = {
+            child: path + (page_id,)
+            for page_id, path in above.items()
+            for child in InternalNode.load(tree.buffer_pool.fetch(page_id)).children
+        }
+    return above
+
+
 def assert_bulk_matches_scalar(tree, ranges, payload_dtype=None):
+    """``range_search_many`` equals ``range_search`` per range: same
+    payloads in the same order, same ``records_scanned``, and never a
+    page or node the scalar walk does not touch — save the internal
+    nodes a range running off the end of a level-1 node has to enter
+    (the chain walk needs no parent there; a run does)."""
+    above = internal_ancestors(tree)
+    entered = 0
+    for low, high in ranges:
+        paths = [above[leaf] for leaf in scalar_leaf_walk(tree, low, high)]
+        entered += len({node for path in paths for node in path})
+        entered -= len(paths[0]) if paths else 0  # the descent's own
     scalar_counters = CostCounters()
     bulk_counters = CostCounters()
     bulk = tree.range_search_many(
@@ -258,15 +301,15 @@ def assert_bulk_matches_scalar(tree, ranges, payload_dtype=None):
     total = 0
     for (low, high), (keys, payloads) in zip(ranges, bulk):
         entries = tree.range_search(low, high, counters=scalar_counters)
-        assert keys.shape[0] == len(entries)
-        assert payloads.shape[0] == len(entries)
-        for i, (key, payload) in enumerate(entries):
-            assert float(keys[i]) == key
-            assert payloads[i].tobytes() == payload
+        assert keys.tolist() == [key for key, _ in entries]
+        assert [row.tobytes() for row in payloads] == [p for _, p in entries]
         total += len(entries)
     assert bulk_counters.records_scanned == total
-    assert bulk_counters.page_requests <= scalar_counters.page_requests
-    assert bulk_counters.btree_node_visits <= scalar_counters.btree_node_visits
+    assert bulk_counters.page_requests <= scalar_counters.page_requests + entered
+    assert (
+        bulk_counters.btree_node_visits
+        <= scalar_counters.btree_node_visits + entered
+    )
     return total
 
 
@@ -332,6 +375,194 @@ class TestBulkRangeSearchEquivalence:
         tree.insert(1.0, self.payload(1))
         with pytest.raises(ValueError, match="itemsize"):
             tree.range_search_many([(0.0, 2.0)], payload_dtype=np.dtype("<f8"))
+
+
+TREE_SHAPES = ("bulk", "grown", "sparse", "duplicates", "height1")
+STORES = ("memory", "file", "wal-pending", "fault-injecting")
+
+
+def wide_payload(i):
+    """1300 bytes: three entries per leaf, so modest trees get deep."""
+    return i.to_bytes(4, "little") * 325
+
+
+def grow_tree(tree, shape, seed):
+    """Fill *tree* into the named shape; returns the key span."""
+    rng = ensure_rng(seed)
+    if shape == "height1":
+        for i in range(2):  # room for the wal-pending store's extra insert
+            tree.insert(float(i), wide_payload(i))
+        return 0.0, 1.0
+    if shape == "bulk":
+        # Sparse fill: 26-way internal nodes, so 1 500 leaves sit under
+        # 58 level-1 nodes (height 4) and one range crosses many of them.
+        tree.bulk_load(
+            [(float(i), wide_payload(i)) for i in range(3000)], fill_factor=0.1
+        )
+        return 0.0, 2999.0
+    if shape == "duplicates":
+        # Every key fills ~30 leaves: duplicates straddle leaf (and
+        # level-1) boundaries wherever a range starts or stops.
+        for i in range(900):
+            tree.insert(float(rng.integers(0, 10)), wide_payload(i))
+        return 0.0, 9.0
+    # Random inserts split leaves out of page order: no two neighbours
+    # in the chain are neighbours in the file.
+    keys = rng.permutation(900).astype(float)
+    for i, key in enumerate(keys):
+        tree.insert(float(key), wide_payload(i))
+    if shape == "sparse":
+        for key in range(0, 900, 2):
+            tree.delete(float(key))
+        for key in range(300, 420):  # whole stretches of empty leaves
+            tree.delete(float(key))
+    return 0.0, 899.0
+
+
+def probe_ranges(low, high, seed):
+    rng = ensure_rng(seed)
+    span = high - low
+    ranges = [(low - 1.0, high + 1.0), (low, low), (high, high)]
+    for _ in range(6):
+        a, b = sorted(rng.uniform(low - 0.1 * span, high + 0.1 * span, size=2))
+        ranges.append((float(a), float(b)))
+    # Ascending overlapping ranges (reuse of the last run), one behind
+    # the cursor, an inverted one and an empty one.
+    ranges += [
+        (low + 0.2 * span, low + 0.5 * span),
+        (low + 0.45 * span, low + 0.7 * span),
+        (low + 0.1 * span, low + 0.15 * span),
+        (high, low),
+        (high + 5.0, high + 9.0),
+    ]
+    return ranges
+
+
+@pytest.fixture(params=STORES)
+def store(request, tmp_path):
+    """``(pager, settle)``: *settle* is called once the tree is built and
+    leaves the pages where the store kind reads them from."""
+    from repro.storage.faults import FaultInjectingPager
+    from repro.storage.pager import Pager
+
+    kind = request.param
+    if kind == "memory":
+        pager = Pager()
+    elif kind == "fault-injecting":
+        pager = FaultInjectingPager(str(tmp_path / "tree.pages"))
+    else:
+        pager = Pager(tmp_path / "tree.pages")
+
+    def settle(tree):
+        tree.flush()
+        if kind != "wal-pending":
+            pager.sync()
+            return
+        # Commit, then touch the tree again: new and rewritten pages now
+        # exist only as uncommitted images in the write-ahead log.
+        pager.sync()
+        tree.insert(0.5, wide_payload(7))
+        tree.flush()
+        assert pager.wal.has_pending
+
+    yield pager, settle
+    pager.crash()
+
+
+class TestRunAtATimeRangeSearch:
+    @pytest.mark.parametrize("shape", TREE_SHAPES)
+    def test_every_shape_store_and_pool_size(self, store, shape):
+        from repro.btree.checker import check_tree
+        from repro.btree.tree import BPlusTree
+        from repro.storage.buffer_pool import BufferPool
+
+        pager, settle = store
+        writer = BPlusTree.create(BufferPool(pager, capacity=64), 1300)
+        low, high = grow_tree(writer, shape, seed=17)
+        settle(writer)
+        check_tree(writer)
+        assert writer.height == {"height1": 1, "bulk": 4}.get(shape, 3)
+        for capacity in (0, 1, 3, 64):
+            reader = BPlusTree.open(BufferPool(pager, capacity=capacity))
+            found = assert_bulk_matches_scalar(
+                reader, probe_ranges(low, high, seed=capacity)
+            )
+            assert found > 0
+
+    def test_structured_payload_dtype(self):
+        from repro.btree.tree import BPlusTree
+        from repro.storage.buffer_pool import BufferPool
+        from repro.storage.pager import Pager
+
+        codec = ViTriRecordCodec(60)
+        tree = BPlusTree.create(BufferPool(Pager(), 8), codec.record_size)
+        rng = ensure_rng(4)
+        records = random_records(rng, 60, 400)
+        keys = np.sort(rng.uniform(0.0, 1.0, size=400))
+        tree.bulk_load(
+            [(float(k), codec.encode(r)) for k, r in zip(keys, records)]
+        )
+        assert_bulk_matches_scalar(
+            tree, [(0.1, 0.8), (0.75, 0.95)], payload_dtype=codec.record_dtype
+        )
+
+    def test_corruption_inside_a_run_names_the_page(self, tmp_path):
+        """A flipped byte in the middle of a leaf run surfaces as that
+        page's ChecksumError, not as silently wrong entries."""
+        from repro.btree.tree import BPlusTree
+        from repro.storage.buffer_pool import BufferPool
+        from repro.storage.page import PAGE_SIZE
+        from repro.storage.pager import Pager
+        from repro.storage.serialization import ChecksumError
+
+        path = tmp_path / "tree.pages"
+        pager = Pager(path)
+        tree = BPlusTree.create(BufferPool(pager, capacity=8), 1300)
+        tree.bulk_load([(float(i), wide_payload(i)) for i in range(300)])
+        tree.flush()
+        pager.sync()
+        victim = scalar_leaf_walk(tree, 30.0, 200.0)[20]
+        with open(path, "r+b") as handle:
+            handle.seek(victim * PAGE_SIZE + 2000)
+            handle.write(b"\xff")
+        reader = BPlusTree.open(BufferPool(pager, capacity=128))
+        with pytest.raises(ChecksumError, match=f"page {victim}: checksum"):
+            reader.range_search_many([(30.0, 200.0)])
+        # The root stays cached in the reader's pool; the file now ends
+        # inside the victim leaf.
+        os.truncate(path, victim * PAGE_SIZE + 512)
+        with pytest.raises(ChecksumError, match=f"page {victim}: torn frame"):
+            reader.range_search_many([(30.0, 200.0)])
+        pager.crash()
+
+    def test_file_reads_scale_with_runs_not_pages(self, tmp_path):
+        """The deterministic perf guard: a 500-leaf range over a
+        bulk-loaded (page-contiguous) file-backed tree costs a handful of
+        file reads — one per run plus the internal nodes — not 500."""
+        from repro.btree.tree import BPlusTree
+        from repro.storage.buffer_pool import BufferPool
+        from repro.storage.pager import Pager
+        from tests.test_storage_pager import CountingFile
+
+        pager = Pager(tmp_path / "tree.pages")
+        tree = BPlusTree.create(BufferPool(pager, capacity=16), 1300)
+        tree.bulk_load([(float(i), wide_payload(i)) for i in range(1800)])
+        tree.flush()
+        pager.sync()
+        reader = BPlusTree.open(BufferPool(pager, capacity=16))
+        pager._file = counting = CountingFile(pager._file)
+        counters = CostCounters()
+        ((keys, _),) = reader.range_search_many(
+            [(100.5, 1600.5)], counters=counters
+        )
+        pager._file = counting.raw
+        assert keys.size == 1500
+        assert counters.page_reads >= 500
+        # 3 entries a leaf, 256 leaves a level-1 node: 500 leaves lie
+        # under at most 3 level-1 nodes, each one run (+ a trailing leaf),
+        # plus the 2-node descent and 2 moves to the next level-1 node.
+        assert counting.reads <= 10
+        pager.crash()
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +675,40 @@ class TestEndToEndEquivalence:
         for query in summaries:
             for method in ("composed", "naive"):
                 assert_query_equivalent(index, query, 4, method)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_full_length_rankings_for_1_to_12_query_vitris(self, m):
+        """k = N, every video scored against all m query ViTris: the
+        array fold's row sums cross numpy's 8-element pairwise-summation
+        threshold and must still equal the oracle's per-video ``.sum()``
+        bit for bit."""
+        rng = ensure_rng(100 + m)
+        dim, epsilon = 6, 0.5
+        anchor = rng.normal(size=dim)
+
+        def crowded_summary(video_id, num_vitris):
+            return VideoSummary(
+                video_id=video_id,
+                vitris=tuple(
+                    ViTri(
+                        position=anchor + 0.04 * rng.normal(size=dim),
+                        radius=float(rng.uniform(0.15, epsilon / 2.0)),
+                        count=int(rng.integers(5, 60)),
+                    )
+                    for _ in range(num_vitris)
+                ),
+            )
+
+        summaries = [
+            crowded_summary(video_id, int(rng.integers(1, 6)))
+            for video_id in range(40)
+        ]
+        index = VitriIndex.build(summaries, epsilon)
+        query = crowded_summary(999, m)
+        for method in ("composed", "naive"):
+            result = assert_query_equivalent(index, query, len(summaries), method)
+            assert len(result.videos) == len(summaries)
+            assert result.stats.similarity_computations >= m * len(summaries)
 
     def test_single_video_single_vitri(self):
         """Smallest possible database: one video, one point-mass ViTri."""
