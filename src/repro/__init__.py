@@ -32,15 +32,11 @@ Quickstart::
 from __future__ import annotations
 
 from repro.core import (
-    BatchResult,
     KNNResult,
     QueryEngine,
-    ServingMetrics,
     VideoDatabase,
-    ManagedVitriIndex,
     OneDimensionalTransform,
     QueryStats,
-    RebuildPolicy,
     VideoSummary,
     ViTri,
     VitriIndex,
@@ -71,15 +67,11 @@ from repro.temporal import temporal_video_similarity
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchResult",
     "KNNResult",
     "QueryEngine",
-    "ServingMetrics",
     "VideoDatabase",
-    "ManagedVitriIndex",
     "OneDimensionalTransform",
     "QueryStats",
-    "RebuildPolicy",
     "VideoSummary",
     "ViTri",
     "VitriIndex",

@@ -1,7 +1,7 @@
 """VIL007 ``injected-clock``: resilience code must not touch real time or RNGs.
 
 The fault-tolerance layer's whole value is that its behaviour —
-latencies, backoff schedules, hedge decisions, breaker transitions — is
+latencies, backoff schedules, breaker transitions — is
 *reproducible*: a failing fault sweep must replay bit-for-bit.  That
 only holds if the resilience modules never read the machine clock or an
 unseeded RNG.  Time comes from the injected
@@ -54,7 +54,7 @@ class InjectedClockRule(Rule):
         "jitter, never the time/random modules"
     )
     rationale = (
-        "retry backoffs, hedge decisions and breaker transitions must "
+        "retry backoffs and breaker transitions must "
         "replay bit-for-bit; a raw time or random call makes a fault "
         "sweep unreproducible"
     )

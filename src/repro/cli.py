@@ -218,7 +218,6 @@ def _cmd_fleet_health(args: argparse.Namespace) -> int:
             entry["successes"],
             entry["failures"],
             entry["retries"],
-            entry["hedges_fired"],
             entry["timeouts"],
             entry["trips"],
             f"{entry['p95_latency'] * 1e3:.1f}",
@@ -233,7 +232,6 @@ def _cmd_fleet_health(args: argparse.Namespace) -> int:
                 "ok",
                 "fail",
                 "retries",
-                "hedges",
                 "timeouts",
                 "trips",
                 "p95 ms",

@@ -15,15 +15,9 @@ from __future__ import annotations
 
 from repro.core.composition import compose_ranges
 from repro.core.database import VideoDatabase
-from repro.core.engine import (
-    BatchResult,
-    QueryEngine,
-    ServingMetrics,
-    query_fingerprint,
-)
+from repro.core.engine import QueryEngine, query_fingerprint
 from repro.core.frames import frame_similarity, frames_with_match
 from repro.core.index import KNNResult, QueryStats, VitriIndex
-from repro.core.maintenance import ManagedVitriIndex, RebuildPolicy
 from repro.core.reference import (
     DataCenter,
     OptimalReference,
@@ -45,17 +39,13 @@ from repro.core.vitri import VideoSummary, ViTri
 __all__ = [
     "compose_ranges",
     "VideoDatabase",
-    "BatchResult",
     "QueryEngine",
-    "ServingMetrics",
     "query_fingerprint",
     "frame_similarity",
     "frames_with_match",
     "KNNResult",
     "QueryStats",
     "VitriIndex",
-    "ManagedVitriIndex",
-    "RebuildPolicy",
     "DataCenter",
     "OptimalReference",
     "ReferenceStrategy",

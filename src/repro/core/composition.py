@@ -11,7 +11,37 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["compose_ranges"]
+from repro.core.transform import OneDimensionalTransform
+from repro.core.vitri import VideoSummary
+
+__all__ = ["compose_ranges", "query_key_ranges"]
+
+
+def query_key_ranges(
+    query: VideoSummary,
+    transform: OneDimensionalTransform,
+    epsilon: float,
+    method: str = "composed",
+) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+    """A query's key ranges under *transform*: ``(per_vitri, search)``.
+
+    A query ViTri ``(O^Q, R^Q)`` can only share frames with database
+    ViTris within centre distance ``gamma = R^Q + eps/2`` (indexed radii
+    are at most ``eps/2``), so by the triangle inequality its candidates
+    lie in ``[key(O^Q) - gamma, key(O^Q) + gamma]``, clamped at zero
+    (keys are distances).  ``per_vitri`` holds that lossless interval
+    for every query ViTri, in order; ``search`` is what the B+-tree is
+    asked for — the same list for ``method="naive"``, the composed
+    (merged) ranges for ``"composed"``.
+    """
+    per_vitri = []
+    for vitri in query.vitris:
+        gamma = vitri.radius + epsilon / 2.0
+        key = transform.key(vitri.position)
+        per_vitri.append((max(key - gamma, 0.0), key + gamma))
+    if method == "naive":
+        return per_vitri, per_vitri
+    return per_vitri, compose_ranges(per_vitri)
 
 
 def compose_ranges(

@@ -2,8 +2,7 @@
 
 :class:`VideoDatabase` is the surface a downstream application uses: add
 videos as raw frame matrices, query with raw frame matrices, and let the
-database handle summarisation, index construction, dynamic insertion and
-drift-triggered rebuilds.
+database handle summarisation, index construction and dynamic insertion.
 
     db = VideoDatabase(epsilon=0.3)
     for frames in videos:
@@ -12,8 +11,10 @@ drift-triggered rebuilds.
 
 The index is built lazily: videos added before the first query are
 batched into one bulk build (packed pages, freshly fitted reference
-point); videos added afterwards use dynamic B+-tree insertion, with the
-Section 6.3.3 drift policy deciding when to rebuild.
+point); videos added afterwards use dynamic B+-tree insertion.
+:meth:`VideoDatabase.drift_angle` reports the Section 6.3.3 rebuild
+signal; the rebuild itself is the online cutover
+(:mod:`repro.ingest.cutover`).
 
 Durable databases
 -----------------
@@ -55,7 +56,6 @@ import os
 import shutil
 
 from repro.core.index import KNNResult, VitriIndex
-from repro.core.maintenance import RebuildPolicy
 from repro.core.summarize import summarize_video
 from repro.core.vitri import VideoSummary
 from repro.storage.buffer_pool import BufferPool
@@ -161,11 +161,6 @@ class VideoDatabase:
         Frame similarity threshold used for every summary.
     reference:
         Reference-point strategy for the 1-D transform.
-    rebuild_policy:
-        Drift policy applied after dynamic insertions; ``None`` disables
-        automatic rebuilds.  Not supported for durable databases (a
-        rebuild re-creates the index over fresh in-memory storage, which
-        would silently detach it from the directory).
     summarize_seed:
         Base seed for the summarisation k-means (summaries are
         deterministic given the same frames and seed).
@@ -176,10 +171,6 @@ class VideoDatabase:
         arguments and the index reopens at its last checkpoint.
     buffer_capacity:
         LRU buffer-pool capacity (pages) for each durable page store.
-    read_latency:
-        Simulated seconds slept per physical page read (benchmarking
-        seam; reads sleep outside the pager lock so concurrent readers
-        overlap their waits).
     fault_injector:
         Optional :class:`~repro.storage.faults.FaultInjector` routed to
         every disk operation of a durable database; testing only.
@@ -190,23 +181,20 @@ class VideoDatabase:
         epsilon: float = 0.3,
         *,
         reference: str = "optimal",
-        rebuild_policy: RebuildPolicy | None = None,
         summarize_seed: int = 0,
         path: str | os.PathLike | None = None,
         buffer_capacity: int = 256,
-        read_latency: float = 0.0,
         fault_injector=None,
     ) -> None:
         self._epsilon = check_positive(epsilon, "epsilon")
         self._reference = reference
-        self._policy = rebuild_policy
         self._seed = summarize_seed
-        self._pending: list[VideoSummary] = []
+        # Insertion-ordered, keyed by video id: the id-free probe of
+        # every insert must not scan the batch still waiting for a build.
+        self._pending: dict[int, VideoSummary] = {}
         self._index: VitriIndex | None = None
         self._next_video_id = 0
         self._buffer_capacity = buffer_capacity
-        self._read_latency = read_latency
-        self.rebuilds = 0
 
         self._path = os.fspath(path) if path is not None else None
         self._data_dir: str | None = self._path
@@ -223,10 +211,6 @@ class VideoDatabase:
                     "fault_injector requires a durable database (path=...)"
                 )
             return
-        if rebuild_policy is not None:
-            raise ValueError(
-                "rebuild_policy is not supported for durable databases"
-            )
         if not isinstance(reference, str):
             raise ValueError(
                 "durable databases need a named reference strategy "
@@ -261,7 +245,6 @@ class VideoDatabase:
                 wal=self._wal,
                 wal_file_id=_BTREE_FILE_ID,
                 fault_injector=self._faults,
-                read_latency=self._read_latency,
             ),
             capacity=buffer_capacity,
         )
@@ -271,7 +254,6 @@ class VideoDatabase:
                 wal=self._wal,
                 wal_file_id=_HEAP_FILE_ID,
                 fault_injector=self._faults,
-                read_latency=self._read_latency,
             ),
             capacity=buffer_capacity,
         )
@@ -392,11 +374,6 @@ class VideoDatabase:
         return self._buffer_capacity
 
     @property
-    def read_latency(self) -> float:
-        """Simulated seconds slept per physical page read."""
-        return self._read_latency
-
-    @property
     def fault_injector(self):
         """The injector routed to disk operations (``None`` if absent)."""
         return self._faults
@@ -499,10 +476,9 @@ class VideoDatabase:
         self._check_id_free(summary.video_id)
         self._next_video_id = max(self._next_video_id, summary.video_id + 1)
         if self._index is None:
-            self._pending.append(summary)
+            self._pending[summary.video_id] = summary
         else:
             self._index.insert_video(summary)
-            self._maybe_rebuild()
         return summary.video_id
 
     def add_summaries(self, summaries) -> list[int]:
@@ -540,13 +516,21 @@ class VideoDatabase:
             raise TypeError("next_id must be an int")
         self._next_video_id = max(self._next_video_id, next_id)
 
+    def _has_video(self, video_id: int) -> bool:
+        """Constant-time membership (pending ids + the index's frame
+        table): every insert probes it, so it must not materialise
+        :meth:`video_ids`."""
+        return video_id in self._pending or (
+            self._index is not None and self._index.has_video(video_id)
+        )
+
     def _check_id_free(self, video_id: int) -> None:
-        if video_id in self.video_ids():
+        if self._has_video(video_id):
             raise ValueError(f"video id {video_id} already present")
 
     def video_ids(self) -> set[int]:
         """Ids of every stored video (pending and indexed)."""
-        known = {s.video_id for s in self._pending}
+        known = set(self._pending)
         if self._index is not None:
             known |= set(self._index.video_frames)
         return known
@@ -558,7 +542,7 @@ class VideoDatabase:
         meant for shard rebalancing and migration, not the query path.
         """
         self._check_open()
-        stored = list(self._pending)
+        stored = list(self._pending.values())
         if self._index is not None:
             stored.extend(self._index.summaries())
         return stored
@@ -570,11 +554,9 @@ class VideoDatabase:
     def remove(self, video_id: int) -> None:
         """Remove a video (pending or indexed)."""
         self._check_open()
-        for position, summary in enumerate(self._pending):
-            if summary.video_id == video_id:
-                del self._pending[position]
-                return
-        if self._index is None or video_id not in self._index.video_frames:
+        if self._pending.pop(video_id, None) is not None:
+            return
+        if self._index is None or not self._index.has_video(video_id):
             raise ValueError(f"video id {video_id} is not in the database")
         self._index.remove_video(video_id)
 
@@ -584,45 +566,19 @@ class VideoDatabase:
         if self._index is None:
             if not self._pending:
                 raise ValueError("cannot build an empty database")
-            if self._path is not None:
-                self._index = VitriIndex.build(
-                    self._pending,
-                    self._epsilon,
-                    reference=self._reference,
-                    btree_pool=self._btree_pool,
-                    heap_pool=self._heap_pool,
-                )
-            elif self._read_latency > 0.0:
-                # In-memory pagers with a simulated disk: reads sleep
-                # outside the pager lock, the serving benchmarks' model.
-                self._index = VitriIndex.build(
-                    self._pending,
-                    self._epsilon,
-                    reference=self._reference,
-                    btree_pool=BufferPool(
-                        Pager(read_latency=self._read_latency),
-                        capacity=self._buffer_capacity,
-                    ),
-                    heap_pool=BufferPool(
-                        Pager(read_latency=self._read_latency),
-                        capacity=self._buffer_capacity,
-                    ),
-                )
-            else:
-                self._index = VitriIndex.build(
-                    self._pending, self._epsilon, reference=self._reference
-                )
-            self._pending = []
+            # A durable database's pools route both stores through the
+            # directory's shared WAL; None means fresh in-memory pagers.
+            self._index = VitriIndex.build(
+                list(self._pending.values()),
+                self._epsilon,
+                reference=self._reference,
+                btree_pool=self._btree_pool,
+                heap_pool=self._heap_pool,
+            )
+            self._pending = {}
             return
         if self._pending:  # pragma: no cover - pending only pre-index
             raise AssertionError("pending summaries with a live index")
-
-    def _maybe_rebuild(self) -> None:
-        if self._policy is None:
-            return
-        if self._policy.should_rebuild(self._index):
-            self._index = self._index.rebuild(reference=self._reference)
-            self.rebuilds += 1
 
     # ------------------------------------------------------------------
     # Durability

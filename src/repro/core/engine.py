@@ -1,73 +1,65 @@
-"""Concurrent batched KNN serving over a read-only index snapshot.
+"""KNN serving over a read-only index snapshot, with two cache tiers.
 
-The paper measures one query at a time; a production deployment serves a
-*stream* of queries.  :class:`QueryEngine` is that serving layer:
+The paper measures one query at a time; a deployment serves a *stream*
+of queries.  :class:`QueryEngine` is that serving layer:
 
 * **Snapshot semantics.**  The engine flushes the index's dirty pages at
-  construction and from then on reads the B+-tree pager directly.  Index
-  mutations made after the engine is built are not visible to it — build a
-  fresh engine after inserting or removing videos.
-* **Per-worker buffer pools.**  Every worker thread opens its own
-  :class:`~repro.storage.buffer_pool.BufferPool` view over the shared
-  (thread-safe) pager, so concurrent queries never evict each other's hot
-  pages and per-worker hit rates are meaningful.
-* **Per-query cost bundles.**  Each query threads its own
-  :class:`~repro.utils.counters.CostCounters` through the tree traversal,
-  exactly as :meth:`~repro.core.index.VitriIndex.knn` does, so the
-  :class:`~repro.core.index.QueryStats` attached to every result is exact
-  even under arbitrary interleaving.  Worker totals are aggregated with
-  :meth:`CostCounters.add`, never read from global pool counters.
+  construction and from then on reads the B+-tree pager through its own
+  :class:`~repro.storage.buffer_pool.BufferPool` view.  Index mutations
+  made after the engine is built are not visible to it until
+  :meth:`QueryEngine.refresh`.
+* **One executor.**  Both query forms — top-``k`` and score threshold —
+  go through :func:`repro.core.index._run_query`, the function
+  :class:`~repro.core.index.VitriIndex` itself answers with, so each
+  query threads its own :class:`~repro.utils.counters.CostCounters`
+  bundle and its :class:`~repro.core.index.QueryStats` are exact under
+  arbitrary interleaving.  Any number of threads may call the engine:
+  the tree's read path keeps no per-call state and the pool is
+  lock-guarded.
 * **Result cache.**  A size-bounded LRU keyed on
-  ``(snapshot token, query fingerprint, k, method)`` memoises whole
-  results.  The fingerprint hashes the query's *content* (dimension,
-  frame count and every ViTri's position/radius/count), so equal queries
-  hit regardless of object identity; the snapshot token is the index's
+  ``(snapshot token, query fingerprint, selection, method)`` memoises
+  whole results.  The fingerprint hashes the query's *content*
+  (dimension, frame count and every ViTri's position/radius/count), so
+  equal queries hit regardless of object identity; the selection is the
+  tagged ``k`` or ``min_similarity``, so the two forms never share an
+  entry; the snapshot token is the index's
   :meth:`~repro.core.index.VitriIndex.content_token`, so a cache carried
-  across :meth:`QueryEngine.refresh` (or shared between shards) can never
-  return a ranking computed over different content.  A cache hit returns
-  the memoised result, including its original stats.
+  across :meth:`QueryEngine.refresh` can never return a ranking computed
+  over different content.  A cache hit returns the memoised result,
+  including its original stats.
 * **Range-block tier.**  ``range_cache_size > 0`` adds a second tier
   below the result cache: a :class:`~repro.core.range_cache.RangeCache`
-  of raw composed-range B+-tree blocks, shared by every worker view and
-  scoped on the same content token.  Queries that miss the result cache
-  (different ``k``, aged-out entry) still skip the tree for any range
-  another query already pulled; the blocks are pre-decode, so logical
-  cost signatures are unchanged.  :meth:`QueryEngine.hot_ranges` exports
-  the tier's working set and :meth:`QueryEngine.warm` replays one — the
+  of raw composed-range B+-tree blocks, scoped on the same content
+  token.  Queries that miss the result cache (different selection,
+  aged-out entry) still skip the tree for any range another query
+  already pulled; the blocks are pre-decode, so logical cost signatures
+  are unchanged.  :meth:`QueryEngine.hot_ranges` exports the tier's
+  working set and :meth:`QueryEngine.warm` replays one — the
   replica-attach warming path.
-
-Throughput scaling comes from overlapping simulated disk waits: build the
-index over a ``Pager(read_latency=...)`` and each physical read sleeps
-*outside* the pager lock, so N workers overlap N reads — the paper's
-disk-bound cost model, served concurrently.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from repro.btree.tree import BPlusTree
 from repro.core.index import (
     KNNResult,
-    QueryStats,
     VitriIndex,
-    _check_impl,
     _check_query_args,
-    _execute_query,
-    _top_k,
+    _run_query,
+    _select_at_least,
+    _select_top,
 )
 from repro.core.range_cache import RangeCache
 from repro.core.vitri import VideoSummary
 from repro.storage.buffer_pool import BufferPool
-from repro.utils.counters import CostCounters, Timer
+from repro.utils.counters import CostCounters
 from repro.utils.locks import make_lock
-from repro.utils.stats import percentile
 
-__all__ = ["BatchResult", "QueryEngine", "ServingMetrics", "query_fingerprint"]
+__all__ = ["QueryEngine", "query_fingerprint"]
 
 _FP_HEADER = struct.Struct("<IQI")
 _FP_VITRI = struct.Struct("<dI")
@@ -89,73 +81,8 @@ def query_fingerprint(query: VideoSummary) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class ServingMetrics:
-    """Aggregate outcome of one :meth:`QueryEngine.knn_many` batch.
-
-    Latency percentiles are computed over per-query wall times (cache
-    hits included); I/O tuples hold one entry per worker, aggregated from
-    that worker's per-query counter bundles.
-    """
-
-    queries: int
-    workers: int
-    wall_time: float
-    qps: float
-    latency_p50: float
-    latency_p95: float
-    latency_p99: float
-    cache_hits: int
-    cache_misses: int
-    cache_hit_rate: float
-    worker_page_requests: tuple[int, ...]
-    worker_physical_reads: tuple[int, ...]
-    total_page_requests: int
-    total_physical_reads: int
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form."""
-        return {
-            "queries": self.queries,
-            "workers": self.workers,
-            "wall_time": self.wall_time,
-            "qps": self.qps,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "latency_p99": self.latency_p99,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "worker_page_requests": list(self.worker_page_requests),
-            "worker_physical_reads": list(self.worker_physical_reads),
-            "total_page_requests": self.total_page_requests,
-            "total_physical_reads": self.total_physical_reads,
-        }
-
-
-@dataclass(frozen=True)
-class BatchResult:
-    """Results of a batch, in query order, plus the batch's metrics."""
-
-    results: tuple[KNNResult, ...]
-    metrics: ServingMetrics
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-
-class _WorkerView:
-    """One worker's private read path: own pool, own tree handle."""
-
-    def __init__(self, engine: "QueryEngine") -> None:
-        self.pool = BufferPool(engine._pager, capacity=engine._buffer_capacity)
-        self.tree = BPlusTree.open(self.pool)
-        self.counters = CostCounters()
-        self.queries_served = 0
-
-
 class QueryEngine:
-    """Batched, thread-parallel KNN serving over a :class:`VitriIndex`.
+    """Cached KNN / threshold serving over a :class:`VitriIndex` snapshot.
 
     Parameters
     ----------
@@ -163,13 +90,12 @@ class QueryEngine:
         A built index.  Its dirty pages are flushed at construction; the
         engine then treats the B+-tree pager as a read-only snapshot.
     buffer_capacity:
-        LRU capacity of each worker's private buffer pool.
+        LRU capacity of the engine's private buffer pool.
     cache_size:
         Maximum number of memoised results; ``0`` disables the cache.
     range_cache_size:
         Maximum number of composed-range blocks in the second cache
-        tier; ``0`` (default) disables the tier.  Only the vectorized
-        implementation consults it.
+        tier; ``0`` (default) disables the tier.
     """
 
     def __init__(
@@ -179,11 +105,9 @@ class QueryEngine:
         buffer_capacity: int = 256,
         cache_size: int = 128,
         range_cache_size: int = 0,
-        impl: str = "vectorized",
     ) -> None:
         if not isinstance(index, VitriIndex):
             raise TypeError("index must be a VitriIndex")
-        _check_impl(impl)
         if not isinstance(buffer_capacity, int) or isinstance(buffer_capacity, bool):
             raise TypeError("buffer_capacity must be an int")
         if buffer_capacity < 1:
@@ -206,12 +130,8 @@ class QueryEngine:
         self._index = index
         self._buffer_capacity = buffer_capacity
         self._cache_size = cache_size
-        # Inner-loop implementation for every served query.  Rankings
-        # are bit-identical across impls (the equivalence suite asserts
-        # it), so impl is deliberately NOT part of the cache key.
-        self._impl = impl
         self._cache: OrderedDict[
-            tuple[str, str, int, str], KNNResult
+            tuple[str, str, tuple[str, float], str], KNNResult
         ] = OrderedDict()
         self._cache_lock = make_lock("QueryEngine._cache_lock")
         self.cache_hits = 0
@@ -223,21 +143,22 @@ class QueryEngine:
 
     def _take_snapshot(self) -> None:
         """(Re-)snapshot the served index: push the index's dirty pages
-        down so fresh pools see the committed tree (the pager itself is
-        thread-safe), and stamp the snapshot's content token into the
+        down so a fresh pool sees the committed tree (the pager itself
+        is thread-safe), and stamp the snapshot's content token into the
         cache key space."""
         index = self._index
         index.flush_pages()
-        self._pager = index.btree.buffer_pool.pager
         self._codec = index.codec
         self._transform = index.transform
         self._epsilon = index.epsilon
         self._dim = index.dim
         self._video_frames = index.video_frames
         self._snapshot_token = index.content_token()
-        # Dedicated view for the single-query path (fresh pool: a stale
-        # pool could hold pre-refresh page images).
-        self._serial_view = _WorkerView(self)
+        # Fresh pool: a stale one could hold pre-refresh page images.
+        self._pool = BufferPool(
+            index.btree.buffer_pool.pager, capacity=self._buffer_capacity
+        )
+        self._tree = BPlusTree.open(self._pool)
 
     def refresh(self) -> None:
         """Re-snapshot after the underlying index was mutated.
@@ -314,25 +235,22 @@ class QueryEngine:
     def warm(self, ranges: list[tuple[float, float]]) -> int:
         """Pre-load composed ranges into the range tier; returns the count.
 
-        The fetch runs on the serial view (its counters absorb the I/O),
-        under the current snapshot token.  A no-op when the tier is
-        disabled.
+        The fetch runs under the current snapshot token; its I/O is
+        charged to no query.  A no-op when the tier is disabled.
         """
         if self._range_cache is None or not ranges:
             return 0
-        view = self._serial_view
         counters = CostCounters()
         self._range_cache.fetch(
             self._snapshot_token,
             [(float(low), float(high)) for low, high in ranges],
-            lambda missing: view.tree.range_search_many(
+            lambda missing: self._tree.range_search_many(
                 missing,
                 payload_dtype=self._codec.record_dtype,
                 counters=counters,
             ),
             counters,
         )
-        view.counters.add(counters)
         return len(ranges)
 
     # ------------------------------------------------------------------
@@ -347,190 +265,66 @@ class QueryEngine:
         cold: bool = False,
         out_counters: CostCounters | None = None,
     ) -> KNNResult:
-        """Serve one KNN query on the engine's serial view.
+        """Serve one KNN query.
 
         Identical semantics to :meth:`VitriIndex.knn`, but over the
         engine's snapshot, with its result cache, and with ``cold``
-        clearing only this view's private pool.  ``out_counters``
+        clearing only the engine's private pool.  ``out_counters``
         receives the query's event bundle (a cache hit contributes
         nothing: no work was done) — the shard router's aggregation seam.
         """
-        _check_query_args(query, k, method, self._dim)
-        result, _ = self._serve(
-            self._serial_view, query, k, method, cold, out_counters
-        )
-        return result
+        return self._serve(query, _select_top(k), method, cold, out_counters)
 
-    def knn_many(
+    def similarity_range(
         self,
-        queries: list[VideoSummary],
-        k: int,
+        query: VideoSummary,
+        min_similarity: float,
         *,
         method: str = "composed",
-        workers: int | None = None,
         cold: bool = False,
-    ) -> BatchResult:
-        """Serve a batch of queries across ``workers`` threads.
+        out_counters: CostCounters | None = None,
+    ) -> KNNResult:
+        """Serve one threshold query: :meth:`knn`'s snapshot, caches and
+        accounting, :meth:`VitriIndex.similarity_range`'s answer."""
+        selection = _select_at_least(min_similarity)
+        return self._serve(query, selection, method, cold, out_counters)
 
-        Parameters
-        ----------
-        queries:
-            The query summaries; results come back in the same order.
-        k:
-            Number of results per query.
-        method:
-            ``"composed"`` or ``"naive"`` (see :meth:`VitriIndex.knn`).
-        workers:
-            Worker-thread count (default 1).  Each worker owns a private
-            buffer pool; queries are pulled from a shared cursor.
-        cold:
-            Clear the serving worker's pool before *each* query, making
-            every query's ``physical_reads`` equal to its solo cold run —
-            the mode the exactness tests and acceptance criteria use.
-        """
-        if workers is None:
-            workers = 1
-        if not isinstance(workers, int) or isinstance(workers, bool):
-            raise TypeError("workers must be an int")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        queries = list(queries)
-        for query in queries:
-            _check_query_args(query, k, method, self._dim)
-
-        views = [_WorkerView(self) for _ in range(workers)]
-        results: list[KNNResult | None] = [None] * len(queries)
-        latencies: list[float] = [0.0] * len(queries)
-        cache_hits = [0] * workers
-        cursor_lock = threading.Lock()
-        cursor = [0]
-        errors: list[BaseException] = []
-
-        def run(worker_index: int) -> None:
-            view = views[worker_index]
-            try:
-                while True:
-                    with cursor_lock:
-                        position = cursor[0]
-                        if position >= len(queries):
-                            return
-                        cursor[0] += 1
-                    result, hit = self._serve(
-                        view, queries[position], k, method, cold
-                    )
-                    results[position] = result
-                    latencies[position] = result.stats.wall_time
-                    if hit:
-                        cache_hits[worker_index] += 1
-            except BaseException as exc:  # propagate to the caller
-                errors.append(exc)
-
-        with Timer() as batch_timer:
-            if workers == 1:
-                run(0)
-            else:
-                threads = [
-                    threading.Thread(
-                        target=run, args=(i,), name=f"knn-worker-{i}"
-                    )
-                    for i in range(workers)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-        if errors:
-            raise errors[0]
-
-        hits = sum(cache_hits)
-        misses = len(queries) - hits
-        ordered = sorted(latencies)
-        wall = batch_timer.elapsed
-        metrics = ServingMetrics(
-            queries=len(queries),
-            workers=workers,
-            wall_time=wall,
-            qps=len(queries) / wall if wall > 0.0 else 0.0,
-            latency_p50=percentile(ordered, 0.50, default=0.0),
-            latency_p95=percentile(ordered, 0.95, default=0.0),
-            latency_p99=percentile(ordered, 0.99, default=0.0),
-            cache_hits=hits,
-            cache_misses=misses,
-            cache_hit_rate=hits / len(queries) if queries else 0.0,
-            worker_page_requests=tuple(
-                view.counters.page_requests for view in views
-            ),
-            worker_physical_reads=tuple(
-                view.counters.page_reads for view in views
-            ),
-            total_page_requests=sum(
-                view.counters.page_requests for view in views
-            ),
-            total_physical_reads=sum(
-                view.counters.page_reads for view in views
-            ),
-        )
-        return BatchResult(results=tuple(results), metrics=metrics)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
     def _serve(
         self,
-        view: _WorkerView,
         query: VideoSummary,
-        k: int,
+        selection: tuple[str, float],
         method: str,
         cold: bool,
-        out_counters: CostCounters | None = None,
-    ) -> tuple[KNNResult, bool]:
-        """Serve one query on a worker view; returns (result, cache_hit)."""
-        key = (self._snapshot_token, query_fingerprint(query), k, method)
+        out_counters: CostCounters | None,
+    ) -> KNNResult:
+        _check_query_args(query, method, self._dim)
+        key = (self._snapshot_token, query_fingerprint(query), selection, method)
         if self._cache_size > 0:
             with self._cache_lock:
                 cached = self._cache.get(key)
                 if cached is not None:
                     self._cache.move_to_end(key)
                     self.cache_hits += 1
-                    view.queries_served += 1
-                    return cached, True
+                    return cached
                 self.cache_misses += 1
 
         if cold:
-            view.pool.clear()
-        # Cold mode promises physical reads equal to a solo cold run, so
-        # it bypasses the range tier along with the pool.
-        range_cache = None if cold else self._range_cache
-        counters = CostCounters()
-        with Timer() as timer:
-            video_ids, scores, candidates, ranges = _execute_query(
-                query,
-                method,
-                btree=view.tree,
-                codec=self._codec,
-                transform=self._transform,
-                epsilon=self._epsilon,
-                video_frames=self._video_frames,
-                counters=counters,
-                impl=self._impl,
-                range_cache=range_cache,
-                cache_token=self._snapshot_token,
-            )
-            videos, kept_scores = _top_k(video_ids, scores, k)
-        stats = QueryStats(
-            page_requests=counters.page_requests,
-            physical_reads=counters.page_reads,
-            node_visits=counters.btree_node_visits,
-            similarity_computations=counters.similarity_computations,
-            candidates=candidates,
-            ranges=ranges,
-            wall_time=timer.elapsed,
+            self._pool.clear()
+        result = _run_query(
+            query,
+            method,
+            selection,
+            out_counters=out_counters,
+            btree=self._tree,
+            codec=self._codec,
+            transform=self._transform,
+            epsilon=self._epsilon,
+            video_frames=self._video_frames,
+            # Cold mode promises physical reads equal to a solo cold
+            # run, so it bypasses the range tier along with the pool.
+            range_cache=None if cold else self._range_cache,
+            cache_token=self._snapshot_token,
         )
-        result = KNNResult(videos=videos, scores=kept_scores, stats=stats)
-        view.counters.add(counters)
-        if out_counters is not None:
-            out_counters.add(counters)
-        view.queries_served += 1
 
         if self._cache_size > 0:
             with self._cache_lock:
@@ -538,7 +332,7 @@ class QueryEngine:
                 self._cache.move_to_end(key)
                 while len(self._cache) > self._cache_size:
                     self._cache.popitem(last=False)
-        return result, False
+        return result
 
     def __repr__(self) -> str:
         return (

@@ -51,7 +51,7 @@ from repro.core.reference import ReferenceStrategy
 from repro.core.scoring import ScoreAccumulator
 from repro.core.transform import OneDimensionalTransform
 from repro.core.vitri import VideoSummary, ViTri
-from repro.core.composition import compose_ranges
+from repro.core.composition import query_key_ranges
 from repro.pca.incremental import IncrementalMoments
 from repro.pca.pca import PCA, principal_angle
 from repro.storage.buffer_pool import BufferPool
@@ -131,17 +131,37 @@ class KNNResult:
         return len(self.videos)
 
 
-def _check_query_args(query: VideoSummary, k: int, method: str, dim: int) -> None:
-    """Shared argument validation for KNN entry points (index and engine)."""
+def _check_query_args(query: VideoSummary, method: str, dim: int) -> None:
+    """Shared argument validation for query entry points (index and engine)."""
     if not isinstance(query, VideoSummary):
         raise TypeError("query must be a VideoSummary")
     if query.dim != dim:
         raise ValueError(
             f"query dimension {query.dim} != index dimension {dim}"
         )
-    check_positive_int(k, "k")
     if method not in ("composed", "naive"):
         raise ValueError(f"method must be 'composed' or 'naive', got {method!r}")
+
+
+# A *selection* says which scored videos a query returns.  It is a tagged
+# pair so that it can sit in a result-cache key: ``k=1`` and
+# ``min_similarity=1.0`` compare (and hash) equal as bare numbers.
+def _select_top(k: int) -> tuple[str, int]:
+    """Selection of the ``k`` best-scoring videos (validates ``k``)."""
+    return ("k", check_positive_int(k, "k"))
+
+
+def _select_at_least(min_similarity: float) -> tuple[str, float]:
+    """Selection of every video scoring at least the threshold."""
+    if not isinstance(min_similarity, (int, float)) or isinstance(
+        min_similarity, bool
+    ):
+        raise TypeError("min_similarity must be a number")
+    if not 0.0 < min_similarity <= 1.0:
+        raise ValueError(
+            f"min_similarity must be in (0, 1], got {min_similarity}"
+        )
+    return ("min_similarity", float(min_similarity))
 
 
 def _check_impl(impl: str) -> None:
@@ -163,10 +183,11 @@ def _rank(
 
 
 def _top_k(
-    video_ids: np.ndarray, scores: np.ndarray, k: int
+    video_ids: np.ndarray, scores: np.ndarray, k: int | None
 ) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """:func:`_rank` over score arrays: *video_ids* must be ascending, so
-    a stable sort on the negated scores breaks ties by video id."""
+    """:func:`_rank` over score arrays (``k=None`` ranks them all):
+    *video_ids* must be ascending, so a stable sort on the negated
+    scores breaks ties by video id."""
     order = np.argsort(-scores, kind="stable")[:k]
     return tuple(video_ids[order].tolist()), tuple(scores[order].tolist())
 
@@ -189,11 +210,10 @@ def _execute_query(
     candidates, ranges)`` — the scored videos as id-ascending arrays,
     ready for :func:`_top_k`.
 
-    This is the execution core shared by :meth:`VitriIndex.knn` and the
-    concurrent :class:`~repro.core.engine.QueryEngine` workers: every
-    page access, node visit and similarity evaluation it performs is
-    recorded in the caller's per-query ``counters`` bundle, so costs are
-    exact even when many queries run interleaved over shared storage.
+    This is the candidate pass under :func:`_run_query`: every page
+    access, node visit and similarity evaluation it performs is recorded
+    in the caller's per-query ``counters`` bundle, so costs are exact
+    even when many queries run interleaved over shared storage.
 
     ``impl`` selects the inner-loop implementation:
 
@@ -225,19 +245,11 @@ def _execute_query(
     logical cost signature stays identical either way.  The scalar
     oracle path never consults the cache.
     """
-    gamma = [vitri.radius + epsilon / 2.0 for vitri in query.vitris]
-    query_keys = [transform.key(vitri.position) for vitri in query.vitris]
-    per_vitri_ranges = [
-        (max(key - g, 0.0), key + g) for key, g in zip(query_keys, gamma)
-    ]
-
+    per_vitri_ranges, search_ranges = query_key_ranges(
+        query, transform, epsilon, method
+    )
     accumulator = ScoreAccumulator(query, video_frames)
     candidates = 0
-
-    if method == "naive":
-        search_ranges = per_vitri_ranges
-    else:
-        search_ranges = compose_ranges(per_vitri_ranges)
 
     if impl == "vectorized":
         # The leaves hold the full ViTri records (the paper's layout),
@@ -326,6 +338,56 @@ def _execute_query(
         counters.extra.get("range_searches", 0) + len(search_ranges)
     )
     return video_ids, scores, candidates, len(search_ranges)
+
+
+def _run_query(
+    query: VideoSummary,
+    method: str,
+    selection: tuple[str, float],
+    *,
+    out_counters: CostCounters | None = None,
+    **read_path,
+) -> KNNResult:
+    """The one query executor: candidate pass, selection, stats.
+
+    Everything that answers a query — :meth:`VitriIndex.knn`,
+    :meth:`VitriIndex.similarity_range` and the serving
+    :class:`~repro.core.engine.QueryEngine` — ends here.  ``selection``
+    comes from :func:`_select_top` or :func:`_select_at_least`;
+    ``read_path`` is :func:`_execute_query`'s keyword set (which tree,
+    codec, transform, ... to read through).
+
+    Cost accounting is strictly per query: the pass runs against a fresh
+    :class:`CostCounters` bundle, the returned :class:`QueryStats` is
+    built from that bundle and a wall timer covering the pass *and* the
+    selection, and the bundle is folded into ``out_counters`` (the shard
+    router's aggregation seam) when one is given.
+    """
+    kind, bound = selection
+    counters = CostCounters()
+    with Timer() as timer:
+        video_ids, scores, candidates, ranges = _execute_query(
+            query, method, counters=counters, **read_path
+        )
+        if kind == "k":
+            videos, kept_scores = _top_k(video_ids, scores, bound)
+        else:
+            # The key filter already pruned every zero-similarity pair,
+            # so thresholding happens on the final scores.
+            kept = scores >= bound
+            videos, kept_scores = _top_k(video_ids[kept], scores[kept], None)
+    stats = QueryStats(
+        page_requests=counters.page_requests,
+        physical_reads=counters.page_reads,
+        node_visits=counters.btree_node_visits,
+        similarity_computations=counters.similarity_computations,
+        candidates=candidates,
+        ranges=ranges,
+        wall_time=timer.elapsed,
+    )
+    if out_counters is not None:
+        out_counters.add(counters)
+    return KNNResult(videos=videos, scores=kept_scores, stats=stats)
 
 
 class VitriIndex:
@@ -524,6 +586,10 @@ class VitriIndex:
     def video_frames(self) -> dict[int, int]:
         """Frame count per indexed video id (copy)."""
         return dict(self._video_frames)
+
+    def has_video(self, video_id: int) -> bool:
+        """Whether *video_id* is indexed (constant time, no copy)."""
+        return video_id in self._video_frames
 
     def content_token(self) -> str:
         """Hash identifying this index's *content snapshot*.
@@ -800,41 +866,7 @@ class VitriIndex:
             into (in addition to the returned stats) — the seam the
             shard router uses to aggregate per-shard costs.
         """
-        _check_query_args(query, k, method, self._dim)
-        _check_impl(impl)
-        if cold:
-            self.clear_caches()
-
-        # Per-query bundle: every page access / node visit / similarity
-        # evaluation of *this* query lands here and nowhere else, so
-        # interleaved queries cannot misattribute each other's costs.
-        counters = CostCounters()
-        with Timer() as timer:
-            video_ids, scores, candidates, ranges = _execute_query(
-                query,
-                method,
-                btree=self._btree,
-                codec=self._codec,
-                transform=self._transform,
-                epsilon=self._epsilon,
-                video_frames=self._video_frames,
-                counters=counters,
-                impl=impl,
-            )
-            videos, kept_scores = _top_k(video_ids, scores, k)
-
-        stats = QueryStats(
-            page_requests=counters.page_requests,
-            physical_reads=counters.page_reads,
-            node_visits=counters.btree_node_visits,
-            similarity_computations=counters.similarity_computations,
-            candidates=candidates,
-            ranges=ranges,
-            wall_time=timer.elapsed,
-        )
-        if out_counters is not None:
-            out_counters.add(counters)
-        return KNNResult(videos=videos, scores=kept_scores, stats=stats)
+        return self._query(query, _select_top(k), method, impl, cold, out_counters)
 
     def similarity_range(
         self,
@@ -849,54 +881,38 @@ class VitriIndex:
         """All videos whose similarity to the query is at least the
         threshold, ranked (an epsilon-range query at video level).
 
-        Costs exactly one KNN-style candidate pass: the key filter already
-        prunes every zero-similarity ViTri pair, so thresholding happens
-        on the final scores.  The returned stats are this call's own —
-        measured from a per-query counter bundle and a wall timer that
-        cover the whole operation including the threshold filtering (not
-        a reused full-``k`` :meth:`knn` stats object).
+        :meth:`knn` with a score threshold in place of ``k``: one
+        candidate pass, and stats that cover the whole operation
+        including the threshold filtering.
         """
-        if not isinstance(min_similarity, (int, float)) or isinstance(
-            min_similarity, bool
-        ):
-            raise TypeError("min_similarity must be a number")
-        if not 0.0 < min_similarity <= 1.0:
-            raise ValueError(
-                f"min_similarity must be in (0, 1], got {min_similarity}"
-            )
-        _check_query_args(query, 1, method, self._dim)
+        selection = _select_at_least(min_similarity)
+        return self._query(query, selection, method, impl, cold, out_counters)
+
+    def _query(
+        self,
+        query: VideoSummary,
+        selection: tuple[str, float],
+        method: str,
+        impl: str,
+        cold: bool,
+        out_counters: CostCounters | None,
+    ) -> KNNResult:
+        _check_query_args(query, method, self._dim)
         _check_impl(impl)
         if cold:
             self.clear_caches()
-
-        counters = CostCounters()
-        with Timer() as timer:
-            video_ids, scores, candidates, ranges = _execute_query(
-                query,
-                method,
-                btree=self._btree,
-                codec=self._codec,
-                transform=self._transform,
-                epsilon=self._epsilon,
-                video_frames=self._video_frames,
-                counters=counters,
-                impl=impl,
-            )
-            kept = scores >= min_similarity
-            videos, kept_scores = _top_k(video_ids[kept], scores[kept], kept.size)
-
-        stats = QueryStats(
-            page_requests=counters.page_requests,
-            physical_reads=counters.page_reads,
-            node_visits=counters.btree_node_visits,
-            similarity_computations=counters.similarity_computations,
-            candidates=candidates,
-            ranges=ranges,
-            wall_time=timer.elapsed,
+        return _run_query(
+            query,
+            method,
+            selection,
+            out_counters=out_counters,
+            btree=self._btree,
+            codec=self._codec,
+            transform=self._transform,
+            epsilon=self._epsilon,
+            video_frames=self._video_frames,
+            impl=impl,
         )
-        if out_counters is not None:
-            out_counters.add(counters)
-        return KNNResult(videos=videos, scores=kept_scores, stats=stats)
 
     # ------------------------------------------------------------------
     # Metadata persistence

@@ -122,7 +122,6 @@ def side_build(db: VideoDatabase, *, reference: str | None = None) -> SideBuildR
         summarize_seed=db.summarize_seed,
         path=side_path,
         buffer_capacity=db.buffer_capacity,
-        read_latency=db.read_latency,
         fault_injector=db.fault_injector,
     )
     side.reserve_video_ids(db.next_video_id)
@@ -173,7 +172,6 @@ def commit_cutover(shard, result: SideBuildResult, *, shipper=None) -> CutoverRe
     new_db = VideoDatabase(
         path=db.path,
         buffer_capacity=db.buffer_capacity,
-        read_latency=db.read_latency,
         fault_injector=db.fault_injector,
     )
     shard.adopt_database(new_db)

@@ -1,18 +1,20 @@
 """Streaming drift monitoring (paper Section 6.3.3, online form).
 
-:class:`~repro.core.maintenance.RebuildPolicy` answers "has the first
-principal component drifted past the threshold?" on an every-N-inserts
-cadence.  Under continuous ingestion that cadence needs two more
-properties:
+The paper's rebuild trigger is "has the first principal component
+drifted past the allowed angle?"
+(:meth:`~repro.core.index.VitriIndex.drift_angle`), asked on an
+every-N-inserts cadence.  Under continuous ingestion that cadence needs
+two more properties:
 
 * **per-shard state** — a fleet drifts unevenly; the monitor keys its
   insert counters by an opaque shard key so one hot shard's rebuild is
   not charged to the others;
-* **a wall-clock floor** — the drift measurement scans every indexed
-  position, and an online rebuild costs a full side build; a burst of
-  inserts must not trigger back-to-back measurements or rebuilds.  The
-  floor reads the *injected* :class:`~repro.utils.clock.Clock` (VIL007:
-  a virtual-clock test replays the whole trigger schedule exactly).
+* **a wall-clock floor** — the measurement itself is cheap (it reads the
+  index's streaming moments, no page I/O), but a positive verdict costs
+  a full online side build; a burst of inserts must not trigger
+  back-to-back rebuilds.  The floor reads the *injected*
+  :class:`~repro.utils.clock.Clock` (VIL007: a virtual-clock test
+  replays the whole trigger schedule exactly).
 
 The monitor only ever *measures and recommends*; actually rebuilding is
 the pipeline's (or the router's) call.  Every measurement is returned
@@ -21,10 +23,11 @@ as a :class:`DriftCheck` so eval harnesses can plot angle-vs-time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from repro.core.maintenance import RebuildPolicy
 from repro.utils.clock import Clock, SystemClock
+from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["DriftCheck", "DriftMonitor"]
 
@@ -48,8 +51,7 @@ class DriftMonitor:
     max_angle_degrees:
         Principal-angle threshold (paper's allowed drift).
     check_every:
-        Inserts per key between measurements (the measurement is a full
-        position scan; see :class:`RebuildPolicy`).
+        Inserts per key between measurements.
     min_interval:
         Minimum injected-clock seconds between measurements per key
         (``0`` disables the floor).
@@ -65,16 +67,14 @@ class DriftMonitor:
         min_interval: float = 0.0,
         clock: Clock | None = None,
     ) -> None:
-        # One policy instance validates the knobs; per-key cadence is
-        # tracked here (the policy's own counter assumes a single index).
-        self._policy = RebuildPolicy(
-            max_angle_degrees=max_angle_degrees, check_every=check_every
+        self._max_angle = math.radians(
+            check_positive(max_angle_degrees, "max_angle_degrees")
         )
+        self._check_every = check_positive_int(check_every, "check_every")
         if min_interval < 0:
             raise ValueError(
                 f"min_interval must be >= 0, got {min_interval}"
             )
-        self._check_every = check_every
         self._min_interval = float(min_interval)
         self._clock = clock if clock is not None else SystemClock()
         if not isinstance(self._clock, Clock):
@@ -88,7 +88,7 @@ class DriftMonitor:
     @property
     def threshold_radians(self) -> float:
         """The rebuild threshold in radians."""
-        return self._policy.max_angle_radians
+        return self._max_angle
 
     def observe(self, key, index, inserted: int = 1) -> DriftCheck | None:
         """Record ``inserted`` insertions into ``key``'s index; maybe measure.
@@ -115,15 +115,15 @@ class DriftMonitor:
             return None
         self._since_check[key] = 0
         self._last_check_at[key] = now
-        angle, exceeded = self._policy.drift_exceeded(index)
+        angle = index.drift_angle()
         self.checks += 1
         self.last_angle = angle
         self.max_angle_seen = max(self.max_angle_seen, angle)
         return DriftCheck(
             key=key,
             angle=angle,
-            threshold=self._policy.max_angle_radians,
-            rebuild=exceeded,
+            threshold=self._max_angle,
+            rebuild=angle > self._max_angle,
             at=now,
         )
 

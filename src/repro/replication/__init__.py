@@ -19,7 +19,7 @@ into a replication stream:
   rather than ever serving a state the primary never had.
 * :mod:`repro.replication.group` — the serving side: a
   :class:`~repro.replication.group.ReplicaSet` that load-balances reads
-  across the synced copies, sends hedged attempts to *different* copies,
+  across the synced copies, sends retried attempts to *different* copies,
   trips per-copy breakers, and falls back to the primary.
 """
 

@@ -5,10 +5,9 @@
 :class:`~repro.shard.contract.WritableShard`: reads route to a copy,
 writes and routing metadata go to the primary.  Two members of the
 contract carry the group's extra meaning.  ``attempt`` — the dispatch
-ordinal the attempt loop hands every sub-query (0 first, +1 per retry or
-hedge) — is folded into copy selection, which is what sends a hedged or
-retried attempt to a *different* copy instead of re-hitting the one that
-was slow.  ``status()["replication"]`` is :meth:`ReplicaSet.replication_status`
+ordinal the attempt loop hands every sub-query (0 first, +1 per retry)
+— is folded into copy selection, which is what sends a retried attempt
+to a *different* copy instead of re-hitting the one that failed.  ``status()["replication"]`` is :meth:`ReplicaSet.replication_status`
 (shipper position plus per-replica state), where a plain shard reports
 ``None``.
 
@@ -20,8 +19,8 @@ Routing rules, in order:
    pay under replication — a hot key's repeats keep landing on the
    copy whose caches already hold it, so N copies partition the
    working set instead of each paying the full warmup.  The attempt
-   ordinal offsets from the home copy, sending a hedge or retry to a
-   *different* copy than the one being slow.
+   ordinal offsets from the home copy, sending a retry to a *different*
+   copy than the one that failed.
 2. A copy whose breaker is open is skipped at admission; when every
    replica is tripped or unsynced, the primary serves (it is always
    admitted as the last resort).
@@ -241,8 +240,8 @@ class ReplicaSet:
         """Pick the copy for this dispatch: affinity + attempt offset.
 
         ``key`` hashes to the query's home among the admitted copies,
-        and the attempt ordinal walks away from it, so a hedge or
-        retry reaches a *different* copy than the one being slow (as
+        and the attempt ordinal walks away from it, so a retry
+        reaches a *different* copy than the one that failed (as
         long as the admitted pool holds still between attempts —
         breaker flips in the gap make distinctness best-effort).
         """

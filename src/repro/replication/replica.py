@@ -79,7 +79,7 @@ class ReplicaShard:
         restored ``db.json`` re-asserts it on open).
     clock:
         Injected clock; stamps apply/bootstrap times for lag telemetry.
-    buffer_capacity, read_latency, cache_size, range_cache_size:
+    buffer_capacity, cache_size, range_cache_size:
         Serving knobs of the replica's own :class:`Shard`/engine.  For
         bit-identical counters across copies, give every copy the same
         values the primary uses.
@@ -93,7 +93,6 @@ class ReplicaShard:
         epsilon: float,
         clock: Clock,
         buffer_capacity: int = 256,
-        read_latency: float = 0.0,
         cache_size: int = 128,
         range_cache_size: int = 0,
     ) -> None:
@@ -104,7 +103,6 @@ class ReplicaShard:
         self._epsilon = epsilon
         self._clock = clock
         self._buffer_capacity = buffer_capacity
-        self._read_latency = read_latency
         self._cache_size = cache_size
         self._range_cache_size = range_cache_size
         self._shard: Shard | None = None
@@ -212,7 +210,6 @@ class ReplicaShard:
             epsilon=self._epsilon,
             path=self._path,
             buffer_capacity=self._buffer_capacity,
-            read_latency=self._read_latency,
             cache_size=self._cache_size,
             range_cache_size=self._range_cache_size,
         )

@@ -398,10 +398,8 @@ class NetworkFleet:
         ``python -m repro.serve.shard_server`` child process.
     clock:
         Shared by the router, the front door's buckets and (thread
-        mode) every shard server.  Subprocess servers build their own
-        clock — see ``subprocess_clock`` and :mod:`repro.utils.clock`.
-    subprocess_clock:
-        ``"system"`` or ``"virtual"``, forwarded to spawned servers.
+        mode) every shard server.  Subprocess servers run on their own
+        system clock — see :mod:`repro.utils.clock`.
     replicas_per_shard:
         Read replicas behind each shard endpoint (thread mode only).
         Each shard server then fronts a
@@ -435,7 +433,6 @@ class NetworkFleet:
         bucket_ttl: float | None = 300.0,
         fault_policy=None,
         drain_timeout: float = 5.0,
-        subprocess_clock: str = "system",
     ) -> None:
         if mode not in ("thread", "subprocess"):
             raise ValueError(
@@ -462,30 +459,38 @@ class NetworkFleet:
         self._replicas_per_shard = replicas_per_shard
         self._range_cache_size = range_cache_size
         self._drain_timeout = drain_timeout
-        self._subprocess_clock = subprocess_clock
         self._closed = False
         self._shard_dirs = [
             os.path.join(self._path, name) for name in manifest["shards"]
         ]
         self._servers: dict[int, object] = {}
         self._remotes: list[RemoteShard] = []
-        for position, shard_dir in enumerate(self._shard_dirs):
-            host, port = self._start_server(position, shard_dir)
-            self._remotes.append(RemoteShard(position, host, port))
-        self._router = ShardedVideoDatabase.from_shards(
-            list(self._remotes), epsilon=self._epsilon, clock=self._clock
-        )
-        self._frontdoor = FrontDoor(
-            self._router,
-            max_queue=max_queue,
-            workers=workers,
-            rate=rate,
-            burst=burst,
-            bucket_ttl=bucket_ttl,
-            fault_policy=fault_policy,
-            clock=self._clock,
-            drain_timeout=drain_timeout,
-        )
+        try:
+            for position, shard_dir in enumerate(self._shard_dirs):
+                host, port = self._start_server(position, shard_dir)
+                self._remotes.append(RemoteShard(position, host, port))
+            self._router = ShardedVideoDatabase.from_shards(
+                list(self._remotes), epsilon=self._epsilon, clock=self._clock
+            )
+            self._frontdoor = FrontDoor(
+                self._router,
+                max_queue=max_queue,
+                workers=workers,
+                rate=rate,
+                burst=burst,
+                bucket_ttl=bucket_ttl,
+                fault_policy=fault_policy,
+                clock=self._clock,
+                drain_timeout=drain_timeout,
+            )
+        except BaseException:
+            # A later shard (or the front door) failed to come up: the
+            # servers already listening hold shard directories open.
+            self._closed = True
+            self._stop_servers()
+            for remote in self._remotes:
+                remote.close()
+            raise
 
     def _start_server(self, position: int, shard_dir: str) -> tuple[str, int]:
         """Stand up one shard server and record its handle."""
@@ -516,7 +521,6 @@ class NetworkFleet:
             cache_size=self._cache_size,
             buffer_capacity=self._buffer_capacity,
             range_cache_size=self._range_cache_size,
-            clock=self._subprocess_clock,
         )
         self._servers[position] = handle
         return handle.host, handle.port
@@ -624,6 +628,12 @@ class NetworkFleet:
             return
         self._closed = True
         self._frontdoor.drain()
+        self._stop_servers()
+        self._router.close()
+
+    def _stop_servers(self) -> None:
+        """Drain every shard server started so far (each drain
+        checkpoints and closes the shard it serves)."""
         for server in self._servers.values():
             if self._mode == "thread":
                 server.drain()
@@ -637,7 +647,6 @@ class NetworkFleet:
                     server.wait(self._drain_timeout)
                 except subprocess.TimeoutExpired:
                     server.kill()
-        self._router.close()
 
     def __enter__(self) -> "NetworkFleet":
         return self

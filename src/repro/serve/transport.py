@@ -18,7 +18,7 @@ resilient attempts, exact ``_rank`` merge) runs over the network:
   raises (:class:`~repro.shard.resilience.ShardTimeout` and friends,
   rebuilt from the wire) or as ``OSError`` for transport faults — all
   of which the default :class:`~repro.shard.resilience.FaultPolicy`
-  already treats as retryable, so retries, hedges and breakers work on
+  already treats as retryable, so retries and breakers work on
   remote shards without modification.
 
 :class:`RemoteShardClient` underneath keeps a small connection pool;
@@ -231,7 +231,7 @@ class RemoteShard:
         """The remote shard's local top-``k`` (bit-identical scores).
 
         ``attempt`` rides in the request so a replica group behind the
-        server can send each retry or hedge to a different copy.
+        server can send each retry to a different copy.
         """
         body = self._client.request(
             "knn",

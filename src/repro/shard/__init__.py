@@ -23,7 +23,6 @@ from repro.shard.resilience import (
     FaultPolicy,
     FleetHealth,
     HealthStats,
-    HedgePolicy,
     InjectedShardError,
     RetryPolicy,
     ScatterError,
@@ -46,7 +45,6 @@ __all__ = [
     "FleetHealth",
     "HashPartitioner",
     "HealthStats",
-    "HedgePolicy",
     "InjectedShardError",
     "KeyRangePartitioner",
     "Partitioner",

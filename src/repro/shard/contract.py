@@ -67,7 +67,7 @@ class ShardLike(Protocol):
         An expired ``deadline`` (the sub-query's shared budget) raises
         :class:`~repro.shard.resilience.ShardTimeout` before any page is
         read.  ``attempt`` is the dispatch ordinal within one sub-query
-        (0, then +1 per retry or hedge): a replica group folds it into
+        (0, then +1 per retry): a replica group folds it into
         copy selection so each dispatch reaches a different copy.
         """
 

@@ -24,7 +24,7 @@ interleaving.
 
 Delays are injected through the router's :class:`~repro.utils.clock.Clock`
 (``clock.sleep``), so under a ``VirtualClock`` a "slow" shard costs zero
-real time but still trips deadlines, hedges, and breakers exactly as it
+real time but still trips deadlines and breakers exactly as it
 would in production.  A slow fault is also *budget-aware*: after
 sleeping its injected delay it re-checks the attempt's
 :class:`~repro.utils.clock.Deadline` and raises
@@ -168,7 +168,7 @@ class ShardFaultInjector:
     """A deterministic per-fleet fault schedule, keyed by shard id.
 
     Each shard's *serving* operations (knn / similarity_range attempts,
-    including retries and hedges — every attempt is one op) tick a
+    including retries — every attempt is one op) tick a
     thread-safe counter; the first scheduled fault window covering the
     current count fires.  Shards without an entry serve normally.
     """

@@ -10,8 +10,8 @@ survive partial failure instead:
   not a wall-clock RNG, so the same seed always produces the same backoff
   schedule (the property ``tests/test_shard_resilience.py`` asserts).
 * Per-shard **deadlines** — ``FaultPolicy.deadline`` is the *total*
-  clock-time budget for resolving one shard's sub-query: attempts,
-  backoff sleeps and hedges all draw from one
+  clock-time budget for resolving one shard's sub-query: attempts and
+  backoff sleeps all draw from one
   :class:`~repro.utils.clock.Deadline`.  The budget is enforced
   *before* work happens: budget-aware work (``Shard.knn``'s
   ``deadline=`` seam, the fault injector's post-sleep check, a remote
@@ -21,10 +21,6 @@ survive partial failure instead:
   discarding the result.  A discarded attempt's cost bundle is *not*
   folded into the query's stats, so retries can never double-count
   :class:`~repro.utils.counters.CostCounters`.
-* :class:`HedgePolicy` — when an attempt's latency crosses the shard's
-  recent latency percentile, a backup attempt is launched and the faster
-  of the two wins; the loser's bundle is discarded into the shard's
-  ``wasted`` tally.
 * :class:`CircuitBreaker` — per-shard closed/open/half-open state machine
   with a failure-rate window, a cooldown, and a probe budget.  An open
   breaker fails the shard fast (disposition ``tripped``) instead of
@@ -45,7 +41,6 @@ comes from the injected clock, jitter from the seeded hash.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import struct
 from collections import deque
@@ -69,7 +64,6 @@ __all__ = [
     "FaultPolicy",
     "FleetHealth",
     "HealthStats",
-    "HedgePolicy",
     "InjectedShardError",
     "RetryPolicy",
     "ScatterError",
@@ -201,37 +195,6 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True)
-class HedgePolicy:
-    """When to launch a backup attempt against a slow shard.
-
-    A hedge fires when an attempt's latency reaches the shard's recent
-    latency ``percentile`` (needs ``min_samples`` observations to arm) or
-    the absolute ``after`` threshold when one is given.  The faster of
-    the primary and the backup wins; the loser's cost is discarded into
-    the shard's ``wasted`` tally.
-    """
-
-    after: float | None = None
-    percentile: float = 0.95
-    min_samples: int = 8
-
-    def __post_init__(self) -> None:
-        if self.after is not None:
-            _check_positive_number(self.after, "after")
-        _check_fraction(self.percentile, "percentile")
-        _check_count(self.min_samples, "min_samples")
-
-    def threshold(self, latencies) -> float:
-        """Latency at which a hedge fires; ``inf`` while unarmed."""
-        if self.after is not None:
-            return self.after
-        history = sorted(latencies)
-        if len(history) < self.min_samples:
-            return math.inf
-        return percentile(history, self.percentile)
-
-
-@dataclass(frozen=True)
 class BreakerPolicy:
     """Circuit-breaker tuning.
 
@@ -268,9 +231,9 @@ class FaultPolicy:
     """Everything the resilient scatter path needs, in one bundle.
 
     ``deadline`` is the shard sub-query's **total** clock-time budget in
-    seconds (``None`` = unbounded): every attempt, backoff sleep and
-    hedge for that shard draws from the same budget, and an attempt
-    whose budget is already spent is skipped, not run.  ``retryable``
+    seconds (``None`` = unbounded): every attempt and backoff sleep for
+    that shard draws from the same budget, and an attempt whose budget
+    is already spent is skipped, not run.  ``retryable``
     lists the exception types a retry may fix; anything else (a
     ``TypeError`` from a malformed query, say) propagates immediately —
     retrying a bug is not resilience.
@@ -278,7 +241,6 @@ class FaultPolicy:
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    hedge: HedgePolicy | None = None
     deadline: float | None = None
     retryable: tuple = (
         ShardTimeout,
@@ -293,8 +255,6 @@ class FaultPolicy:
             raise TypeError("retry must be a RetryPolicy")
         if not isinstance(self.breaker, BreakerPolicy):
             raise TypeError("breaker must be a BreakerPolicy")
-        if self.hedge is not None and not isinstance(self.hedge, HedgePolicy):
-            raise TypeError("hedge must be a HedgePolicy or None")
         if self.deadline is not None:
             _check_positive_number(self.deadline, "deadline")
 
@@ -409,8 +369,6 @@ class HealthStats:
         self.failures = 0
         self.consecutive_failures = 0
         self.retries = 0
-        self.hedges_fired = 0
-        self.hedge_wins = 0
         self.timeouts = 0
         self.trips = 0
         self.wasted_page_reads = 0
@@ -431,8 +389,6 @@ class HealthStats:
             "failures": self.failures,
             "consecutive_failures": self.consecutive_failures,
             "retries": self.retries,
-            "hedges_fired": self.hedges_fired,
-            "hedge_wins": self.hedge_wins,
             "timeouts": self.timeouts,
             "trips": self.trips,
             "wasted_page_reads": self.wasted_page_reads,
@@ -492,23 +448,10 @@ class FleetHealth:
         with self._lock:
             stats.trips += 1
 
-    def record_hedge(self, shard_id: int, *, won: bool) -> None:
-        stats = self.stats(shard_id)
-        with self._lock:
-            stats.hedges_fired += 1
-            if won:
-                stats.hedge_wins += 1
-
     def record_waste(self, shard_id: int, page_reads: int) -> None:
         stats = self.stats(shard_id)
         with self._lock:
             stats.wasted_page_reads += page_reads
-
-    def latency_snapshot(self, shard_id: int) -> tuple[float, ...]:
-        """A consistent copy of the shard's recent latency window."""
-        stats = self.stats(shard_id)
-        with self._lock:
-            return tuple(stats.latencies)
 
     def snapshot(self) -> dict[int, dict]:
         """Per-shard health, breaker state included (JSON-friendly)."""
@@ -542,8 +485,6 @@ class FleetHealth:
                     "failures",
                     "consecutive_failures",
                     "retries",
-                    "hedges_fired",
-                    "hedge_wins",
                     "timeouts",
                     "trips",
                     "wasted_page_reads",
@@ -661,9 +602,8 @@ def _one_attempt(
     seen.
 
     ``dispatch`` is this attempt's ordinal within the sub-query — 0 for
-    the first attempt, incrementing across retries *and* hedges — passed
-    through so a replica group can route each dispatch to a different
-    copy.
+    the first attempt, +1 per retry — passed through so a replica group
+    can route each dispatch to a different copy.
     """
     bundle = CostCounters()
     start = clock.now()
@@ -694,9 +634,9 @@ def run_attempts(
     the shard, folding its cost events into the fresh bundle it is
     handed and honouring (or ignoring — the loop copes either way) the
     sub-query's shared :class:`Deadline`.  ``dispatch`` is the attempt's
-    ordinal within this resolution (0, then +1 per retry and per
-    hedge), which a replica set folds into copy selection so a hedge
-    lands on a different copy than the slow first attempt.  The loop:
+    ordinal within this resolution (0, then +1 per retry), which a
+    replica set folds into copy selection so a retry lands on a
+    different copy than the failed attempt.  The loop:
 
     1. Ask the shard's breaker for admission; an open breaker resolves
        ``tripped`` immediately (no attempt, no cost).
@@ -709,19 +649,14 @@ def run_attempts(
        sub-query resolves ``timed_out`` on the spot, recording one
        timeout but no breaker outcome (no attempt was dispatched) and no
        retry.
-    3. On a success whose latency reaches the hedge threshold (the
-       shard's recent latency percentile, captured *before* this query
-       records anything), run one backup attempt and keep the faster.
 
     Cost discipline: exactly one attempt's bundle is accepted and
-    returned; every other attempt (failed, timed out, or hedge loser)
-    has its page reads recorded as the shard's ``wasted`` tally and its
-    bundle dropped.  A query total built from accepted bundles therefore
+    returned; every other attempt (failed or timed out) has its page
+    reads recorded as the shard's ``wasted`` tally and its bundle
+    dropped.  A query total built from accepted bundles therefore
     can never double-count a retry, and a budget-aborted attempt shows
     up as zero waste because it never touched a page.  The breaker
-    records one outcome per dispatched attempt: failed attempts record a
-    failure, a served iteration records a success (even when the hedge
-    loser erred — the query was answered).
+    records one outcome per dispatched attempt.
     """
     breaker = health.breaker(shard_id, policy.breaker)
     if not breaker.allow(clock.now()):
@@ -730,15 +665,9 @@ def run_attempts(
             TRIPPED,
             error=ShardDown(f"circuit breaker open for shard {shard_id}"),
         )
-    hedge_threshold = (
-        policy.hedge.threshold(health.latency_snapshot(shard_id))
-        if policy.hedge is not None
-        else math.inf
-    )
     # One budget for the whole resolution; created here, on the thread
     # that will sleep the backoffs (see the Deadline thread contract).
     deadline = Deadline(clock, policy.deadline)
-    dispatches = itertools.count()
     last_error: BaseException | None = None
     timed_out = False
     for attempt in range(1, policy.retry.max_attempts + 1):
@@ -758,7 +687,7 @@ def run_attempts(
             health.record_retry(shard_id)
             clock.sleep(backoff)
         result, bundle, latency, error = _one_attempt(
-            work, shard_id, policy, clock, deadline, next(dispatches)
+            work, shard_id, policy, clock, deadline, attempt - 1
         )
         if error is not None:
             last_error = error
@@ -767,21 +696,9 @@ def run_attempts(
             health.record_failure(shard_id, timeout=timed_out)
             health.record_waste(shard_id, bundle.page_reads)
             continue
-        accepted = (result, bundle, latency)
-        if latency >= hedge_threshold:
-            b_result, b_bundle, b_latency, b_error = _one_attempt(
-                work, shard_id, policy, clock, deadline, next(dispatches)
-            )
-            won = b_error is None and b_latency < latency
-            health.record_hedge(shard_id, won=won)
-            if won:
-                health.record_waste(shard_id, bundle.page_reads)
-                accepted = (b_result, b_bundle, b_latency)
-            else:
-                health.record_waste(shard_id, b_bundle.page_reads)
         breaker.record(True, clock.now())
-        health.record_success(shard_id, accepted[2])
-        return AttemptOutcome(ANSWERED, result=accepted[0], bundle=accepted[1])
+        health.record_success(shard_id, latency)
+        return AttemptOutcome(ANSWERED, result=result, bundle=bundle)
     return AttemptOutcome(
         TIMED_OUT if timed_out else FAILED, error=last_error
     )

@@ -44,7 +44,7 @@ with a :class:`~repro.shard.resilience.ScatterError` aggregating *every*
 shard's error.  Passing ``fault_policy=``/``fail_fast=False`` to the
 query methods switches to the resilient path: each shard's sub-query
 runs under :func:`~repro.shard.resilience.run_attempts` (deadline,
-deterministic retries, optional hedging, per-shard circuit breaker) and
+deterministic retries, per-shard circuit breaker) and
 a degraded query returns whatever the surviving shards answered plus a
 :class:`~repro.shard.resilience.Coverage` report saying exactly which
 shards are missing and whether the merged top-k is provably complete.
@@ -183,7 +183,7 @@ class ShardedVideoDatabase:
         stored configuration wins over the constructor arguments and
         every shard reopens at its last checkpoint.  ``None`` for an
         in-memory fleet.
-    reference, summarize_seed, buffer_capacity, read_latency, cache_size:
+    reference, summarize_seed, buffer_capacity, cache_size:
         Forwarded to every shard (identical fleet-wide, so summaries are
         interchangeable and a sharded database stores bit-identical
         summaries to an unsharded one).
@@ -209,7 +209,6 @@ class ShardedVideoDatabase:
         reference: str = "optimal",
         summarize_seed: int = 0,
         buffer_capacity: int = 256,
-        read_latency: float = 0.0,
         cache_size: int = 128,
         fault_injector=None,
         clock: Clock | None = None,
@@ -224,7 +223,6 @@ class ShardedVideoDatabase:
         self._reference = reference
         self._seed = summarize_seed
         self._buffer_capacity = buffer_capacity
-        self._read_latency = read_latency
         self._cache_size = cache_size
         self._faults = fault_injector
         self._clock = clock if clock is not None else SystemClock()
@@ -304,7 +302,6 @@ class ShardedVideoDatabase:
         self._reference = "optimal"
         self._seed = 0
         self._buffer_capacity = 0
-        self._read_latency = 0.0
         self._cache_size = 0
         self._faults = None
         self._clock = clock if clock is not None else SystemClock()
@@ -345,7 +342,6 @@ class ShardedVideoDatabase:
             summarize_seed=self._seed,
             path=shard_dir,
             buffer_capacity=self._buffer_capacity,
-            read_latency=self._read_latency,
             cache_size=self._cache_size,
             fault_injector=self._faults,
         )
@@ -384,7 +380,6 @@ class ShardedVideoDatabase:
                     summarize_seed=self._seed,
                     path=os.path.join(self._path, name),
                     buffer_capacity=self._buffer_capacity,
-                    read_latency=self._read_latency,
                     cache_size=self._cache_size,
                     fault_injector=self._faults,
                 )
@@ -503,9 +498,9 @@ class ShardedVideoDatabase:
         """Wrap every current shard in a :class:`FaultInjectingShard`.
 
         Testing seam: the injector's schedule fires on serving operations
-        (every knn / similarity_range attempt, retries and hedges
-        included); routing metadata stays fault-free.  Shards created
-        later (rebalance splits) are not wrapped.
+        (every knn / similarity_range attempt, retries included);
+        routing metadata stays fault-free.  Shards created later
+        (rebalance splits) are not wrapped.
         """
         with self._lock:
             self._shards = [
@@ -668,7 +663,7 @@ class ShardedVideoDatabase:
         cold:
             Clear each queried shard's serving pool first.
         fault_policy:
-            Retry/deadline/hedge/breaker configuration for each shard's
+            Retry/deadline/breaker configuration for each shard's
             sub-query (see :class:`~repro.shard.resilience.FaultPolicy`).
             ``None`` with ``fail_fast=True`` (the default) is today's
             strict single-attempt scatter.

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 
-from repro.core.composition import compose_ranges
+from repro.core.composition import query_key_ranges
 from repro.core.database import VideoDatabase
 from repro.core.engine import QueryEngine
 from repro.core.index import KNNResult, VitriIndex
@@ -47,8 +47,7 @@ class Shard:
     shard_id:
         This shard's index in the fleet's shard list (its position in the
         partitioner's output space).
-    epsilon, reference, summarize_seed, buffer_capacity, read_latency,
-    fault_injector:
+    epsilon, reference, summarize_seed, buffer_capacity, fault_injector:
         Forwarded to :class:`VideoDatabase`; the router passes the same
         values to every shard so summaries are interchangeable.
     path:
@@ -69,7 +68,6 @@ class Shard:
         summarize_seed: int = 0,
         path: str | os.PathLike | None = None,
         buffer_capacity: int = 256,
-        read_latency: float = 0.0,
         cache_size: int = 128,
         range_cache_size: int = 0,
         fault_injector=None,
@@ -81,7 +79,6 @@ class Shard:
             summarize_seed=summarize_seed,
             path=path,
             buffer_capacity=buffer_capacity,
-            read_latency=read_latency,
             fault_injector=fault_injector,
         )
         self._buffer_capacity = buffer_capacity
@@ -242,11 +239,10 @@ class Shard:
         deadline: Deadline | None = None,
         attempt: int = 0,
     ) -> KNNResult:
-        """This shard's videos scoring at least ``min_similarity``."""
+        """This shard's videos scoring at least ``min_similarity``
+        (engine-served, like :meth:`knn`)."""
         self._check_deadline(deadline)
-        if self._db.index is None:
-            self._db.build()
-        result = self._db.index.similarity_range(
+        result = self.engine().similarity_range(
             query,
             min_similarity,
             method=method,
@@ -283,22 +279,15 @@ class Shard:
     def composed_ranges(
         self, query: VideoSummary
     ) -> list[tuple[float, float]]:
-        """The query's composed search ranges in *this shard's* key space.
-
-        Mirrors the index's own range derivation: per query ViTri the
-        lossless interval ``[key - gamma, key + gamma]`` with
-        ``gamma = R^Q + eps/2``, clamped at zero, then composed.
-        """
+        """The query's composed search ranges in *this shard's* key space
+        (:func:`~repro.core.composition.query_key_ranges`, the derivation
+        the index itself searches with)."""
         if self._db.index is None:
             self._db.build()
-        transform = self._db.index.transform
-        epsilon = self._db.epsilon
-        per_vitri = []
-        for vitri in query.vitris:
-            gamma = vitri.radius + epsilon / 2.0
-            key = transform.key(vitri.position)
-            per_vitri.append((max(key - gamma, 0.0), key + gamma))
-        return compose_ranges(per_vitri)
+        _, composed = query_key_ranges(
+            query, self._db.index.transform, self._db.epsilon
+        )
+        return composed
 
     def may_contain(
         self, query: VideoSummary, *, counters: CostCounters | None = None

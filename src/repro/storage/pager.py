@@ -28,21 +28,16 @@ through it so tests can crash the pager at a scripted operation.
 Thread safety: all page operations and the physical I/O counters are
 guarded by an internal re-entrant lock, so several
 :class:`~repro.storage.buffer_pool.BufferPool` instances (one per query
-worker) can safely share one pager.  The optional ``read_latency``
-models a disk's per-read service time — it sleeps *outside* the lock,
-so concurrent readers overlap their simulated seeks exactly as
-concurrent requests overlap on real storage hardware.
+worker) can safely share one pager.
 """
 
 from __future__ import annotations
 
 # vilint: disable-file=blocking-while-locked -- the pager is the disk
 # boundary: frame reads/writes and commit fsyncs under Pager._lock are
-# the class's whole job, and the one unbounded wait (the simulated
-# per-read service time) deliberately sleeps before the lock is taken.
+# the class's whole job.
 
 import os
-import time
 from typing import Sequence
 
 import numpy as np
@@ -78,12 +73,6 @@ class Pager:
     fault_injector:
         Optional :class:`~repro.storage.faults.FaultInjector` used by the
         crash-recovery tests; ``None`` (the default) costs nothing.
-    read_latency:
-        Simulated per-read service time in seconds (default ``0.0``: no
-        simulation).  Applied on every :meth:`read_page` *before* the
-        internal lock is taken, so concurrent readers overlap their
-        waits — the serving benchmarks use this to model the paper's
-        disk-bound regime on hardware-independent terms.
 
     Attributes
     ----------
@@ -100,16 +89,7 @@ class Pager:
         wal: bool | WriteAheadLog = True,
         wal_file_id: int = 0,
         fault_injector=None,
-        read_latency: float = 0.0,
     ) -> None:
-        if not isinstance(read_latency, (int, float)) or isinstance(
-            read_latency, bool
-        ):
-            raise TypeError("read_latency must be a number")
-        if read_latency < 0.0:
-            raise ValueError(
-                f"read_latency must be >= 0, got {read_latency}"
-            )
         self._path = os.fspath(path) if path is not None else None
         self._file = None
         self._memory: list[bytes] | None = None
@@ -117,7 +97,6 @@ class Pager:
         self.physical_reads = 0
         self.physical_writes = 0
         self._closed = False
-        self._read_latency = float(read_latency)
         # Re-entrant: sync() holds the lock while the WAL commit calls
         # back into wal_apply_page/_write_frame on this same pager.
         self._lock = make_lock("Pager._lock")
@@ -171,11 +150,6 @@ class Pager:
         """The attached write-ahead log, if any."""
         return self._wal
 
-    @property
-    def read_latency(self) -> float:
-        """Simulated per-read service time in seconds (0 = disabled)."""
-        return self._read_latency
-
     def _require_open(self) -> None:
         if self._closed:
             raise RuntimeError("pager is closed")
@@ -215,10 +189,6 @@ class Pager:
         Raises :class:`~repro.storage.serialization.ChecksumError` if the
         stored frame fails checksum verification.
         """
-        if self._read_latency > 0.0:
-            # Simulated disk service time, deliberately outside the lock
-            # so concurrent readers overlap their waits.
-            time.sleep(self._read_latency)
         with self._lock:
             self._require_open()
             self._check_page_id(page_id)
@@ -243,9 +213,8 @@ class Pager:
         Returns the verified contents as a ``(len(page_ids),
         PAGE_CONTENT_SIZE)`` uint8 array, row ``i`` holding page
         ``page_ids[i]``.  Accounting is per page, exactly as for
-        :meth:`read_page`: one physical read and one ``read_latency``
-        wait each, every frame's CRC32 verified, the fault injector
-        consulted.  A lone page — and every page while the write-ahead
+        :meth:`read_page`: one physical read each, every frame's CRC32
+        verified, the fault injector consulted.  A lone page — and every page while the write-ahead
         log holds uncommitted images, which live outside the file — is
         served by :meth:`read_page` itself.
         """
@@ -258,10 +227,9 @@ class Pager:
             stop = start + 1
             while stop < total and page_ids[stop] == first + (stop - start):
                 stop += 1
-            if stop - start > 1 and self._read_frames(first, frames[start:stop]):
-                if self._read_latency > 0.0:
-                    time.sleep(self._read_latency * (stop - start))
-            else:
+            if stop - start == 1 or not self._read_frames(
+                first, frames[start:stop]
+            ):
                 for row in range(start, stop):
                     contents[row] = np.frombuffer(
                         self.read_page(page_ids[row]).data, dtype=np.uint8

@@ -4,7 +4,7 @@ The fault-tolerance layer (``repro.shard.resilience``) needs a notion of
 time for three things — attempt latencies, retry backoff sleeps and
 circuit-breaker cooldowns — and all three must be *deterministic* under
 test.  Hard-wiring ``time.monotonic`` / ``time.sleep`` would make every
-breaker transition and hedge decision depend on scheduler noise, so the
+breaker transition depend on scheduler noise, so the
 resilience code never touches the ``time`` module (enforced by the
 ``injected-clock`` vilint rule): it receives a :class:`Clock` and calls
 :meth:`Clock.now` / :meth:`Clock.sleep`.
@@ -25,7 +25,7 @@ Two implementations:
 
 :class:`Deadline` sits on top of either clock: a fixed clock-time budget
 captured at construction, shared by everything resolving one request
-(attempts, backoff sleeps, hedges, and — through the wire protocol —
+(attempts, backoff sleeps, and — through the wire protocol —
 remote shard servers).
 
 Process and thread boundaries

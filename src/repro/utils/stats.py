@@ -21,8 +21,8 @@ def percentile(
 ) -> float:
     """Linear-interpolated percentile of an ascending-sorted sequence.
 
-    The single definition shared by the serving metrics (p50/p95/p99
-    latencies) and the resilience layer's hedge thresholds.
+    The definition behind the fleet's reported latency percentiles
+    (``HealthStats.p95_latency``).
 
     ``fraction`` must be a finite number in ``[0, 1]``.  An empty
     sequence has no percentiles: it raises :class:`ValueError` unless

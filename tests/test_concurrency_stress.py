@@ -16,6 +16,7 @@ enabled and assert the two views agree:
 fixtures set it (via monkeypatch) before building any objects.
 """
 
+import sys
 import threading
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from repro.core.summarize import summarize_video
 from repro.datasets.synthetic import DatasetConfig, generate_dataset
 from repro.shard import KeyRangePartitioner, ShardedVideoDatabase
 from repro.utils.locks import LOCK_ORDER_GRAPH, TrackedRLock, make_lock
+from tests.test_core_engine import serve_concurrently
 
 EPSILON = 0.3
 SEEDS = [11, 23, 47]
@@ -134,12 +136,32 @@ def test_fleet_stress_runtime_graph_within_static(
 
 
 def test_engine_stress_runtime_graph_within_static(tracked, static_edges):
-    """knn_many with worker threads against a standalone engine."""
+    """Eight threads calling ``engine.knn`` at once over the engine's one
+    shared view get the serial rankings, scores and logical per-query
+    counters, and take no lock order the static model lacks."""
     summaries = _summaries(7)
     index = VitriIndex.build(summaries, EPSILON, reference="optimal")
+    queries = summaries * 2
+    serial = [index.knn(query, 3) for query in queries]
     engine = QueryEngine(index, cache_size=8)
-    batch = engine.knn_many(summaries * 2, 3, workers=4)
-    assert len(batch.results) == 2 * len(summaries)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results, _ = serve_concurrently(engine, queries, 3, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    for expected, got in zip(serial, results):
+        assert got.videos == expected.videos
+        assert got.scores == expected.scores
+        # Physical reads depend on who finds a page in the shared pool.
+        for field in (
+            "page_requests",
+            "node_visits",
+            "similarity_computations",
+            "candidates",
+            "ranges",
+        ):
+            assert getattr(got.stats, field) == getattr(expected.stats, field)
 
     observed = LOCK_ORDER_GRAPH.edges()
     unexplained = observed - static_edges

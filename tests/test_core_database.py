@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.database import VideoDatabase
-from repro.core.maintenance import RebuildPolicy
 
 
 def video(rng, anchor_scale=1.0, frames=25, dim=12):
@@ -122,10 +121,9 @@ class TestLifecycle:
         assert 0.0 <= db.drift_angle() <= np.pi / 2
 
     def test_auto_rebuild_policy(self, rng):
-        db = VideoDatabase(
-            epsilon=0.3,
-            rebuild_policy=RebuildPolicy(max_angle_degrees=5.0, check_every=1),
-        )
+        """The database reports drift and never rebuilds behind the
+        caller's back; ``VitriIndex.rebuild()`` is the remedy."""
+        db = VideoDatabase(epsilon=0.3)
         dim = 12
         # Founding content varies along axis 0, later content along axis 5.
         for i in range(6):
@@ -133,11 +131,14 @@ class TestLifecycle:
             frames[:, 0] += 0.05 * i
             db.add(frames / frames.sum(axis=1, keepdims=True))
         db.build()
+        built = db.index
         for i in range(20):
             frames = np.full((10, dim), 1.0 / dim)
             frames[:, 5] += 0.05 * (i + 1)
             db.add(frames / frames.sum(axis=1, keepdims=True))
-        assert db.rebuilds >= 1
+        assert db.index is built
+        assert db.drift_angle() > np.radians(5.0)
+        assert built.rebuild().drift_angle() < np.radians(5.0)
 
     def test_repr(self, library):
         db = VideoDatabase()
@@ -201,8 +202,39 @@ class TestDurable:
             VideoDatabase(fault_injector=FaultInjector())
 
     def test_durable_rejects_policy_and_object_reference(self, tmp_path):
-        with pytest.raises(ValueError, match="rebuild_policy"):
-            VideoDatabase(
-                path=tmp_path / "db",
-                rebuild_policy=RebuildPolicy(max_angle_degrees=5.0),
-            )
+        from repro.core.reference import OptimalReference
+
+        with pytest.raises(ValueError, match="named reference"):
+            VideoDatabase(path=tmp_path / "db", reference=OptimalReference())
+
+
+class TestInsertProbe:
+    """Regression: every insert used to materialise ``video_ids()`` — a
+    fresh set over a full copy of the index's frame table — so bulk load
+    was quadratic in the shard size."""
+
+    def test_inserts_never_materialise_the_id_set(self, library, monkeypatch):
+        from repro.core.index import VitriIndex
+        from repro.core.summarize import summarize_video
+
+        summaries = [
+            summarize_video(i, frames, 0.3, seed=i)
+            for i, frames in enumerate(library)
+        ]
+        db = VideoDatabase(epsilon=0.3)
+        db.add_summaries(summaries[:3])
+        db.build()
+
+        def forbidden(*args):
+            raise AssertionError("an insert materialised every video id")
+
+        monkeypatch.setattr(VideoDatabase, "video_ids", forbidden)
+        monkeypatch.setattr(VitriIndex, "video_frames", property(forbidden))
+        db.add_summaries(summaries[3:5])
+        db.add_summary(summaries[5])
+        db.remove(summaries[5].video_id)
+        with pytest.raises(ValueError, match="already present"):
+            db.add_summary(summaries[0])
+        with pytest.raises(ValueError, match="already present"):
+            db.add_summaries([summaries[6], summaries[4]])
+        assert len(db) == 5

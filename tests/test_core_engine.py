@@ -1,14 +1,13 @@
-"""Tests for the concurrent batched KNN engine (repro.core.engine)."""
+"""Tests for the serving engine (repro.core.engine)."""
+
+import threading
 
 import pytest
 
-from repro.core.engine import (
-    BatchResult,
-    QueryEngine,
-    ServingMetrics,
-    query_fingerprint,
-)
+from repro.core.engine import QueryEngine, query_fingerprint
 from repro.core.index import VitriIndex
+from repro.utils.counters import CostCounters
+from tests.test_golden_rankings import SEEDS, build_corpus
 
 EPSILON = 0.3
 
@@ -23,6 +22,39 @@ def logical_fields(stats):
         stats.candidates,
         stats.ranges,
     )
+
+
+def serve_concurrently(engine, queries, k, workers, **kwargs):
+    """``workers`` threads pull *queries* from a shared cursor and call
+    ``engine.knn``; returns ``(results in query order, per-worker
+    out_counters bundles)``."""
+    results = [None] * len(queries)
+    bundles = [CostCounters() for _ in range(workers)]
+    cursor = iter(range(len(queries)))
+    cursor_lock = threading.Lock()
+    errors = []
+
+    def run(worker):
+        try:
+            while True:
+                with cursor_lock:
+                    position = next(cursor, None)
+                if position is None:
+                    return
+                results[position] = engine.knn(
+                    queries[position], k, out_counters=bundles[worker], **kwargs
+                )
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert not errors, errors
+    return results, bundles
 
 
 class TestConstruction:
@@ -70,94 +102,94 @@ class TestSingleQuery:
 
 
 class TestKnnMany:
+    """Many threads calling ``engine.knn`` at once over the engine's one
+    shared view — the gates the deleted ``knn_many`` batch entry point
+    carried (ids kept; see EXPERIMENTS.md gate ledger, PR 24)."""
+
     def test_workers4_rankings_identical_to_serial(
         self, small_index, small_summaries
     ):
         queries = list(small_summaries) + list(small_summaries[:4])
         serial = [small_index.knn(query, 5) for query in queries]
         engine = QueryEngine(small_index, cache_size=0)
-        batch = engine.knn_many(queries, 5, workers=4)
-        assert isinstance(batch, BatchResult)
-        assert len(batch) == len(queries)
-        for expected, got in zip(serial, batch.results):
+        results, _ = serve_concurrently(engine, queries, 5, workers=4)
+        for expected, got in zip(serial, results):
             assert got.videos == expected.videos
             assert got.scores == expected.scores
 
     def test_per_query_stats_equal_solo_runs(
         self, small_index, small_summaries
     ):
-        """Acceptance: under workers=4, every query's stats — physical
-        reads included — equal its solo cold run."""
+        """Under 4 threads every query's logical stats equal its solo
+        run.  (Physical reads are excluded: the threads share one pool,
+        so who finds a page cached depends on the interleaving.)"""
         queries = list(small_summaries[:10])
-        batch_engine = QueryEngine(
-            small_index, buffer_capacity=64, cache_size=0
-        )
-        batch = batch_engine.knn_many(queries, 5, workers=4, cold=True)
+        engine = QueryEngine(small_index, buffer_capacity=64, cache_size=0)
+        results, _ = serve_concurrently(engine, queries, 5, workers=4)
         solo_engine = QueryEngine(
             small_index, buffer_capacity=64, cache_size=0
         )
-        for query, got in zip(queries, batch.results):
-            expected = solo_engine.knn(query, 5, cold=True)
-            assert logical_fields(got.stats) == logical_fields(expected.stats)
+        for query, got in zip(queries, results):
+            expected = solo_engine.knn(query, 5)
+            want = logical_fields(expected.stats)
+            have = logical_fields(got.stats)
+            assert have[0] == want[0] and have[2:] == want[2:]
 
     def test_stress_counters_lose_no_updates(
         self, small_index, small_summaries
     ):
-        """N threads x M queries: per-worker aggregates must equal the sum
-        of per-query bundles exactly (no lost counter updates), and the
-        rankings must equal the serial ones."""
+        """N threads x M queries: the callers' ``out_counters`` bundles
+        must sum to the per-query stats exactly, the L1 tallies must
+        account for every call (no lost updates), and the rankings must
+        equal the serial ones."""
         queries = list(small_summaries) * 4  # 80 queries
-        engine = QueryEngine(small_index, buffer_capacity=32, cache_size=0)
-        batch = engine.knn_many(queries, 5, workers=8)
-        metrics = batch.metrics
-        assert metrics.queries == len(queries)
-        assert metrics.workers == 8
-        assert metrics.total_page_requests == sum(
-            result.stats.page_requests for result in batch.results
+        engine = QueryEngine(small_index, buffer_capacity=32, cache_size=4)
+        results, bundles = serve_concurrently(engine, queries, 5, workers=8)
+        assert engine.cache_hits + engine.cache_misses == len(queries)
+        # A hit folds nothing into out_counters, so only the executed
+        # results' (distinct objects) costs are in the bundles.
+        executed = {id(result): result for result in results}.values()
+        assert len(executed) == engine.cache_misses
+        assert sum(b.page_requests for b in bundles) == sum(
+            result.stats.page_requests for result in executed
         )
-        assert metrics.total_physical_reads == sum(
-            result.stats.physical_reads for result in batch.results
-        )
-        assert metrics.total_page_requests == sum(
-            metrics.worker_page_requests
-        )
-        assert metrics.total_physical_reads == sum(
-            metrics.worker_physical_reads
+        assert sum(b.page_reads for b in bundles) == sum(
+            result.stats.physical_reads for result in executed
         )
         serial = [small_index.knn(query, 5) for query in queries]
-        for expected, got in zip(serial, batch.results):
+        for expected, got in zip(serial, results):
             assert got.videos == expected.videos
 
     def test_results_in_query_order(self, small_index, small_summaries):
+        """No cross-talk: each concurrent caller gets *its* query's
+        answer (a self-query always ranks itself first)."""
         engine = QueryEngine(small_index, cache_size=0)
-        batch = engine.knn_many(list(small_summaries), 3, workers=4)
-        for query, result in zip(small_summaries, batch.results):
-            # Self-query always ranks itself first.
+        results, _ = serve_concurrently(
+            engine, list(small_summaries), 3, workers=4
+        )
+        for query, result in zip(small_summaries, results):
             assert result.videos[0] == query.video_id
 
     def test_empty_batch(self, small_index):
-        engine = QueryEngine(small_index)
-        batch = engine.knn_many([], 5, workers=2)
-        assert batch.results == ()
-        assert batch.metrics.queries == 0
-        assert batch.metrics.cache_hit_rate == 0.0
+        """An engine that has served nothing reports nothing."""
+        engine = QueryEngine(small_index, range_cache_size=4)
+        results, bundles = serve_concurrently(engine, [], 5, workers=2)
+        assert results == []
+        assert all(bundle.page_requests == 0 for bundle in bundles)
+        assert engine.cache_hits == engine.cache_misses == 0
+        assert engine.cache_len == 0
+        assert engine.hot_ranges() == []
 
     def test_validates_workers(self, small_index, small_summaries):
-        engine = QueryEngine(small_index)
-        with pytest.raises(ValueError):
-            engine.knn_many(list(small_summaries[:2]), 5, workers=0)
-        with pytest.raises(TypeError):
-            engine.knn_many(list(small_summaries[:2]), 5, workers=2.5)
-
-    def test_metrics_serialisable(self, small_index, small_summaries):
-        import json
-
-        engine = QueryEngine(small_index)
-        batch = engine.knn_many(list(small_summaries[:4]), 3, workers=2)
-        assert isinstance(batch.metrics, ServingMetrics)
-        payload = json.dumps(batch.metrics.to_dict())
-        assert "worker_page_requests" in payload
-
+        """Every worker count returns the serial rankings and scores."""
+        queries = list(small_summaries[:8])
+        serial = [small_index.knn(query, 5) for query in queries]
+        for workers in (1, 2, 8):
+            engine = QueryEngine(small_index, cache_size=0)
+            results, _ = serve_concurrently(engine, queries, 5, workers)
+            assert [(r.videos, r.scores) for r in results] == [
+                (r.videos, r.scores) for r in serial
+            ]
 
 class TestResultCache:
     def test_hit_returns_memoised_result(self, small_index, small_summaries):
@@ -211,12 +243,17 @@ class TestResultCache:
         assert engine.cache_hits == 0
 
     def test_batch_reports_hits(self, small_index, small_summaries):
+        """Four repeats: one miss pays for the query, three hits fold
+        nothing into the caller's bundle."""
         engine = QueryEngine(small_index, cache_size=8)
-        queries = [small_summaries[0]] * 4
-        batch = engine.knn_many(queries, 5, workers=1)
-        assert batch.metrics.cache_hits == 3
-        assert batch.metrics.cache_misses == 1
-        assert batch.metrics.cache_hit_rate == pytest.approx(0.75)
+        counters = CostCounters()
+        results = [
+            engine.knn(small_summaries[0], 5, out_counters=counters)
+            for _ in range(4)
+        ]
+        assert engine.cache_hits == 3
+        assert engine.cache_misses == 1
+        assert counters.page_requests == results[0].stats.page_requests
 
 
 class TestFingerprint:
@@ -244,8 +281,7 @@ class TestDegenerate:
         engine = QueryEngine(index)
         result = engine.knn(small_summaries[0], 5)
         assert result.videos == ()
-        batch = engine.knn_many(list(small_summaries[:3]), 5, workers=2)
-        assert all(r.videos == () for r in batch.results)
+        assert engine.similarity_range(small_summaries[0], 0.5).videos == ()
 
     def test_snapshot_reflects_build_time_state(self, small_summaries):
         """The engine serves the index as of construction (snapshot)."""
@@ -313,3 +349,68 @@ class TestCacheEpoch:
         served_left = QueryEngine(left, cache_size=8).knn(query, 20)
         served_right = QueryEngine(right, cache_size=8).knn(query, 20)
         assert set(served_left.videos).isdisjoint(served_right.videos)
+
+
+class TestSimilarityRange:
+    """The threshold form goes through the same executor, snapshot and
+    caches as ``knn``."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("method", ["composed", "naive"])
+    def test_bit_identical_to_the_index_on_the_golden_corpora(
+        self, seed, method
+    ):
+        summaries, index = build_corpus(seed)
+        engine = QueryEngine(index, buffer_capacity=64, cache_size=0)
+        for query in summaries:
+            for threshold in (0.05, 0.5):
+                served = engine.similarity_range(
+                    query, threshold, method=method, cold=True
+                )
+                direct = index.similarity_range(
+                    query, threshold, method=method, cold=True
+                )
+                assert served.videos == direct.videos
+                assert served.scores == direct.scores
+                assert logical_fields(served.stats) == logical_fields(
+                    direct.stats
+                )
+
+    def test_repeats_are_l1_hits_that_read_nothing(
+        self, small_index, small_summaries
+    ):
+        engine = QueryEngine(small_index, cache_size=8)
+        first = engine.similarity_range(small_summaries[0], 0.2)
+        counters = CostCounters()
+        again = engine.similarity_range(
+            small_summaries[0], 0.2, out_counters=counters
+        )
+        assert again is first
+        assert (engine.cache_hits, engine.cache_misses) == (1, 1)
+        assert counters.page_requests == 0
+
+    def test_k_and_threshold_never_share_an_entry(
+        self, small_index, small_summaries
+    ):
+        """``k=1`` and ``min_similarity=1.0`` are equal *numbers*; the
+        selection in the key is tagged, so they are different entries."""
+        engine = QueryEngine(small_index, cache_size=8)
+        query = small_summaries[0]
+        top = engine.knn(query, 1)
+        ranged = engine.similarity_range(query, 1.0)
+        assert engine.cache_hits == 0
+        assert engine.cache_len == 2
+        assert ranged is not top
+        assert engine.similarity_range(query, 1) is ranged
+        assert engine.knn(query, 1) is top
+
+    def test_validates_arguments(self, small_index, small_summaries):
+        engine = QueryEngine(small_index)
+        with pytest.raises(TypeError):
+            engine.similarity_range(small_summaries[0], "high")
+        with pytest.raises(ValueError):
+            engine.similarity_range(small_summaries[0], 0.0)
+        with pytest.raises(ValueError):
+            engine.similarity_range(small_summaries[0], 0.5, method="magic")
+        with pytest.raises(TypeError):
+            engine.similarity_range("nope", 0.5)

@@ -1,0 +1,242 @@
+"""Option census: every optional parameter names who needs it.
+
+ROADMAP aim 2: "every knob, tier and code path must show a number that
+justifies it, or go."  For the classes on the read, write and serving
+paths this table lists every *option* — a parameter with a default, so a
+value a caller may or may not set — next to the non-test caller that
+sets it.  Adding an option fails this test until the table says who
+needs it; deleting one fails it until the row goes too.
+
+Three kinds of entry:
+
+* a path — the ``src/``, ``benchmarks/`` or ``examples/`` call site that
+  passes the option;
+* ``SEAM`` — a testing seam (injected clock, fault injector, the scalar
+  oracle): no production caller sets it, tests must be able to;
+* ``UNPROVEN`` — nothing outside ``tests/`` sets it today.  These are the
+  remaining audit candidates of ROADMAP item 8: the next prove-or-prune
+  PR either finds the workload that needs the option or deletes it.
+"""
+
+import inspect
+
+import pytest
+
+from repro.core.database import VideoDatabase
+from repro.core.engine import QueryEngine
+from repro.core.index import VitriIndex
+from repro.ingest import DriftMonitor, IngestPipeline
+from repro.replication import ReplicaSet, ReplicaShard
+from repro.serve.frontdoor import FrontDoor, NetworkFleet
+from repro.shard.resilience import FaultPolicy
+from repro.shard.router import ShardedVideoDatabase
+from repro.shard.shard import Shard
+from repro.storage.buffer_pool import BufferPool
+from repro.storage.pager import Pager
+
+SEAM = "testing seam"
+UNPROVEN = "no caller outside tests/ (ROADMAP item 8 audit candidate)"
+
+WORKLOADS = "benchmarks/e2e/workloads.py"
+DATABASE = "src/repro/core/database.py"
+SHARD = "src/repro/shard/shard.py"
+ROUTER = "src/repro/shard/router.py"
+FRONTDOOR = "src/repro/serve/frontdoor.py"
+CLI = "src/repro/cli.py"
+
+CENSUS = {
+    "Pager": (
+        Pager,
+        {
+            "path": f"{DATABASE} (index.btree, index.heap)",
+            "wal": f"{DATABASE} (the directory's shared log)",
+            "wal_file_id": DATABASE,
+            "fault_injector": SEAM,
+        },
+    ),
+    "BufferPool": (BufferPool, {"capacity": f"{DATABASE}, src/repro/core/engine.py"}),
+    "VitriIndex.build": (
+        VitriIndex.build,
+        {
+            "reference": f"{DATABASE}, benchmarks/_common.py",
+            "btree_path": f"{CLI} build, {WORKLOADS}",
+            "heap_path": f"{CLI} build, {WORKLOADS}",
+            "buffer_capacity": WORKLOADS,
+            "fill_factor": UNPROVEN,
+            "btree_pool": DATABASE,
+            "heap_pool": DATABASE,
+        },
+    ),
+    "VitriIndex.knn": (
+        VitriIndex.knn,
+        {
+            "method": f"{DATABASE} query, benchmarks/bench_fig16_query_composition.py",
+            "impl": f"{SEAM} (the scalar oracle)",
+            "cold": "benchmarks/bench_ablation_buffer.py",
+            "out_counters": UNPROVEN,
+        },
+    ),
+    "QueryEngine": (
+        QueryEngine,
+        {
+            "buffer_capacity": f"{SHARD}, {WORKLOADS}",
+            "cache_size": f"{SHARD}, {WORKLOADS}",
+            "range_cache_size": f"{SHARD}, {WORKLOADS}",
+        },
+    ),
+    "VideoDatabase": (
+        VideoDatabase,
+        {
+            "epsilon": SHARD,
+            "reference": SHARD,
+            "summarize_seed": SHARD,
+            "path": f"{SHARD}, src/repro/ingest/cutover.py",
+            "buffer_capacity": f"{SHARD}, src/repro/ingest/cutover.py",
+            "fault_injector": SEAM,
+        },
+    ),
+    "Shard": (
+        Shard,
+        {
+            "reference": ROUTER,
+            "summarize_seed": ROUTER,
+            "path": ROUTER,
+            "buffer_capacity": ROUTER,
+            "cache_size": ROUTER,
+            "range_cache_size": f"{FRONTDOOR}, src/repro/serve/shard_server.py",
+            "fault_injector": SEAM,
+        },
+    ),
+    "ShardedVideoDatabase": (
+        ShardedVideoDatabase,
+        {
+            "epsilon": WORKLOADS,
+            "partitioner": WORKLOADS,
+            "num_shards": WORKLOADS,
+            "path": f"{WORKLOADS}, {CLI} fleet-health",
+            "reference": UNPROVEN,
+            "summarize_seed": UNPROVEN,
+            "buffer_capacity": WORKLOADS,
+            "cache_size": WORKLOADS,
+            "fault_injector": SEAM,
+            "clock": SEAM,
+        },
+    ),
+    "ShardedVideoDatabase.knn": (
+        ShardedVideoDatabase.knn,
+        {
+            "method": f"{FRONTDOOR} (the wire's knn op)",
+            "prune": f"{FRONTDOOR} (the wire's knn op)",
+            "cold": FRONTDOOR,
+            "fault_policy": FRONTDOOR,
+            "fail_fast": FRONTDOOR,
+        },
+    ),
+    "ReplicaShard": (
+        ReplicaShard,
+        {
+            "buffer_capacity": FRONTDOOR,
+            "cache_size": FRONTDOOR,
+            "range_cache_size": FRONTDOOR,
+        },
+    ),
+    "ReplicaSet": (
+        ReplicaSet,
+        {
+            "breaker_policy": UNPROVEN,
+            "warm_on_attach": UNPROVEN,
+            "retain": UNPROVEN,
+            "segment_log_path": UNPROVEN,
+        },
+    ),
+    "FaultPolicy": (
+        FaultPolicy,
+        {
+            "retry": UNPROVEN,
+            "breaker": UNPROVEN,
+            "deadline": UNPROVEN,
+            "retryable": UNPROVEN,
+        },
+    ),
+    "FrontDoor": (
+        FrontDoor,
+        {
+            "max_queue": f"{FRONTDOOR} NetworkFleet <- {CLI} serve",
+            "workers": f"{FRONTDOOR} NetworkFleet <- {CLI} serve",
+            "rate": f"{FRONTDOOR} NetworkFleet <- {CLI} serve",
+            "burst": f"{FRONTDOOR} NetworkFleet <- {CLI} serve",
+            "bucket_ttl": UNPROVEN,
+            "fault_policy": UNPROVEN,
+            "clock": SEAM,
+            "drain_timeout": f"{FRONTDOOR} NetworkFleet <- {CLI} serve",
+        },
+    ),
+    "NetworkFleet": (
+        NetworkFleet,
+        {
+            "mode": f"{WORKLOADS}, {CLI} serve",
+            "clock": SEAM,
+            "cache_size": WORKLOADS,
+            "buffer_capacity": WORKLOADS,
+            "replicas_per_shard": WORKLOADS,
+            "range_cache_size": WORKLOADS,
+            "max_queue": f"{CLI} serve",
+            "workers": f"{CLI} serve",
+            "rate": f"{CLI} serve",
+            "burst": f"{CLI} serve",
+            "bucket_ttl": UNPROVEN,
+            "fault_policy": UNPROVEN,
+            "drain_timeout": f"{CLI} serve",
+        },
+    ),
+    "IngestPipeline": (
+        IngestPipeline,
+        {
+            "batch_size": WORKLOADS,
+            "max_queue": WORKLOADS,
+            "clock": SEAM,
+            "drift": WORKLOADS,
+            "linger": UNPROVEN,
+            "min_backoff": UNPROVEN,
+            "max_backoff": UNPROVEN,
+            "max_pump_failures": UNPROVEN,
+        },
+    ),
+    "DriftMonitor": (
+        DriftMonitor,
+        {
+            "max_angle_degrees": WORKLOADS,
+            "check_every": WORKLOADS,
+            "min_interval": UNPROVEN,
+            "clock": SEAM,
+        },
+    ),
+}
+
+#: Rows above after PR 24; the same sixteen signatures held 100 before it.
+EXPECTED_TOTAL = 91
+
+
+def options(callable_) -> list[str]:
+    """Names of the parameters a caller may leave out."""
+    return [
+        name
+        for name, parameter in inspect.signature(callable_).parameters.items()
+        if parameter.default is not inspect.Parameter.empty
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_every_option_names_who_sets_it(name):
+    target, table = CENSUS[name]
+    assert options(target) == list(table), (
+        f"{name}: the signature's options and the census disagree — a new "
+        "option needs a row naming the non-test caller that sets it, a "
+        "deleted one loses its row"
+    )
+    assert all(isinstance(who, str) and who for who in table.values())
+
+
+def test_options_only_go_down():
+    total = sum(len(table) for _, table in CENSUS.values())
+    assert total == EXPECTED_TOTAL

@@ -4,7 +4,7 @@ The protocol tests pin the sealed-segment stream: every commit seals
 exactly one segment, tokens form a hash chain over index states, and a
 snapshot lands a replica at an exact verified ``(seq, token)``.  The
 serving tests pin the routing contract the router relies on: affinity
-keeps a video's queries on one home copy, attempt ordinals walk hedges
+keeps a video's queries on one home copy, attempt ordinals walk retries
 to *different* copies, breaker-tripped replicas fall back to the
 primary, and — the one invariant everything else leans on — every copy
 answers every query bit-identically to the primary.
@@ -360,7 +360,7 @@ class TestReplicaSet:
         targets = {
             id(group._admitted(attempt, key).target) for attempt in range(3)
         }
-        assert len(targets) == 3, "hedges must reach different copies"
+        assert len(targets) == 3, "retries must reach different copies"
         group.close()
 
     def test_all_replicas_tripped_falls_back_to_primary(self, tmp_path):

@@ -13,6 +13,8 @@ timing assumptions.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import tempfile
 import threading
 
@@ -31,6 +33,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.transport import RemoteShardClient
 from repro.shard.router import ShardedVideoDatabase
+from repro.shard.shard import Shard
 from repro.utils.clock import VirtualClock
 from tests.test_golden_rankings import EPSILON, K, SEEDS, build_corpus
 
@@ -74,6 +77,37 @@ def test_read_only_router_refuses_mutation():
             assert fleet.router.video_ids() == {
                 summary.video_id for summary in summaries
             }
+
+
+def test_failed_startup_tears_down_what_it_started():
+    """Regression: when a later shard fails to come up, the servers
+    already listening (daemon threads holding shard directories and WAL
+    handles open) used to be leaked by ``NetworkFleet.__init__``."""
+    summaries, _ = build_corpus(SEEDS[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        fleet_dir = build_fleet_dir(tmp, summaries)
+        with open(f"{fleet_dir}/shards.json", encoding="utf-8") as handle:
+            shard_dirs = json.load(handle)["shards"]
+        meta_path = f"{fleet_dir}/{shard_dirs[-1]}/db.json"
+        with open(meta_path, encoding="utf-8") as handle:
+            meta = json.load(handle)
+        meta["format"] = "from-the-future"
+        with open(meta_path, "w", encoding="utf-8") as handle:
+            json.dump(meta, handle)
+
+        with pytest.raises(ValueError, match="unsupported format"):
+            NetworkFleet(fleet_dir, mode="thread")
+        leaked = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("shard-server-")
+        ]
+        assert leaked == []
+        # The first shard's directory was released cleanly: it reopens
+        # writable and checkpoints.
+        first = Shard(0, epsilon=EPSILON, path=f"{fleet_dir}/{shard_dirs[0]}")
+        first.add_summary(dataclasses.replace(summaries[0], video_id=10_000))
+        first.close()
 
 
 def test_restart_shard_under_live_traffic():

@@ -178,9 +178,35 @@ class TestConformance:
         assert shard_like.status()["queries_served"] == before["queries_served"] + 1
 
 
+class TestThresholdServedByTheEngine:
+    """``Shard.similarity_range`` mirrors ``Shard.knn``: same engine
+    snapshot, same L1, same refresh on the next content token."""
+
+    def test_repeats_hit_and_inserts_are_seen(self, tmp_path, summaries):
+        shard = make_primary(tmp_path / "shard", summaries[:-1])
+        newcomer = summaries[-1]
+        try:
+            before = shard.similarity_range(newcomer, 0.05)
+            assert newcomer.video_id not in before.videos
+            bundle = CostCounters()
+            again = shard.similarity_range(newcomer, 0.05, out_counters=bundle)
+            assert again is before
+            assert shard.engine().cache_hits == 1
+            assert bundle.page_requests == 0
+
+            token = shard.engine().snapshot_token
+            shard.add_summary(newcomer)
+            after = shard.similarity_range(newcomer, 0.05)
+            assert shard.engine().snapshot_token != token
+            assert after.videos[0] == newcomer.video_id
+            assert after.scores[0] == 1.0
+        finally:
+            shard.close()
+
+
 class TestAttemptOverTheWire:
     """The dispatch ordinal must survive the TCP hop: behind a shard
-    server, retries and hedges of one query reach *different* copies."""
+    server, retries of one query reach *different* copies."""
 
     @pytest.fixture
     def served_group(self, tmp_path, summaries):

@@ -2,8 +2,8 @@
 
 Three load-bearing properties:
 
-* **Determinism** — same seed means identical backoff schedules, hedge
-  decisions, rankings and health counters across independent runs; all
+* **Determinism** — same seed means identical backoff schedules,
+  rankings and health counters across independent runs; all
   time comes from a :class:`VirtualClock`, all jitter from a seeded hash.
 * **Degraded exactness** — with a shard hard-down, ``fail_fast=False``
   returns exactly the surviving-shards oracle ranking and the coverage
@@ -23,7 +23,7 @@ from repro.shard import (
     Coverage,
     FaultInjectingShard,
     FaultPolicy,
-    HedgePolicy,
+    FleetHealth,
     KeyRangePartitioner,
     RetryPolicy,
     ScatterError,
@@ -127,26 +127,21 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# HedgePolicy
+# Hedging (removed: the backup attempt ran after the answer had arrived)
 # ---------------------------------------------------------------------------
 class TestHedgePolicy:
-    def test_absolute_threshold_wins(self):
-        policy = HedgePolicy(after=0.02)
-        assert policy.threshold([0.5] * 100) == 0.02
-
-    def test_unarmed_until_min_samples(self):
-        policy = HedgePolicy(percentile=0.9, min_samples=4)
-        assert policy.threshold([0.1, 0.2, 0.3]) == float("inf")
-
-    def test_percentile_once_armed(self):
-        policy = HedgePolicy(percentile=0.5, min_samples=3)
-        assert policy.threshold([0.3, 0.1, 0.2]) == pytest.approx(0.2)
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            HedgePolicy(after=0.0)
-        with pytest.raises(ValueError):
-            HedgePolicy(percentile=1.5)
+        """The option is gone, and health files written while it existed
+        (extra ``hedges_fired`` / ``hedge_wins`` keys) still load."""
+        with pytest.raises(TypeError):
+            FaultPolicy(hedge=object())
+        health = FleetHealth(VirtualClock())
+        health.restore(
+            {3: {"successes": 7, "hedges_fired": 2, "hedge_wins": 1}},
+            BreakerPolicy(),
+        )
+        assert health.snapshot()[3]["successes"] == 7
+        assert "hedges_fired" not in health.snapshot()[3]
 
 
 # ---------------------------------------------------------------------------
@@ -584,28 +579,6 @@ class TestBreakerIntegration:
 class TestHedgingAndDeadlines:
     DELAY = 0.05
 
-    def test_hedge_fires_on_straggler_and_keeps_rankings(
-        self, small_summaries
-    ):
-        reference = make_fleet(small_summaries)
-        fleet = make_fleet(small_summaries)
-        fleet.inject_shard_faults(
-            ShardFaultInjector(
-                {DOWN_SHARD: [ShardFault.slow(self.DELAY)]}
-            )
-        )
-        policy = FaultPolicy(hedge=HedgePolicy(after=self.DELAY / 2))
-        for query in small_summaries[:4]:
-            want = reference.knn(query, 5, prune=False)
-            got = fleet.knn(
-                query, 5, prune=False, fault_policy=policy, fail_fast=False
-            )
-            assert got.videos == want.videos
-            assert got.coverage.complete
-        health = fleet.fleet_health()
-        assert health[DOWN_SHARD]["hedges_fired"] == 4
-        assert health[0]["hedges_fired"] == 0
-
     def test_deadline_times_the_straggler_out(self, small_summaries):
         fleet = make_fleet(small_summaries)
         oracle = survivors_oracle(fleet, small_summaries, DOWN_SHARD)
@@ -684,10 +657,7 @@ class TestDeterminism:
                 }
             )
         )
-        policy = FaultPolicy(
-            retry=RetryPolicy(max_attempts=4, seed=9),
-            hedge=HedgePolicy(after=0.02),
-        )
+        policy = FaultPolicy(retry=RetryPolicy(max_attempts=4, seed=9))
         rankings = []
         for query in summaries[:6]:
             got = fleet.knn(
@@ -697,15 +667,14 @@ class TestDeterminism:
         return rankings, fleet.fleet_health()
 
     def test_two_runs_are_bit_identical(self, small_summaries):
-        """Same seed -> identical rankings, hedge decisions, retries and
-        latency percentiles across two independent fleets."""
+        """Same seed -> identical rankings, retries and latency
+        percentiles across two independent fleets."""
         first_rankings, first_health = self.run_once(small_summaries)
         second_rankings, second_health = self.run_once(small_summaries)
         assert first_rankings == second_rankings
         assert first_health == second_health
         # The machinery actually engaged in this scenario.
         assert first_health[DOWN_SHARD]["retries"] > 0
-        assert first_health[2]["hedges_fired"] > 0
 
 
 # ---------------------------------------------------------------------------

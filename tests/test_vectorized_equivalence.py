@@ -719,13 +719,18 @@ class TestEndToEndEquivalence:
         assert_query_equivalent(index, summary, 1, "naive")
 
     def test_engine_impl_selection(self):
-        """The serving engine's impl knob produces identical answers."""
+        """The serving engine has no impl knob: it serves the vectorized
+        path, whose answers equal the scalar oracle's (reachable from
+        ``VitriIndex`` only) for both query forms."""
         summaries, index = build_corpus(31)
-        scalar_engine = repro.QueryEngine(index, impl="scalar")
-        vector_engine = repro.QueryEngine(index, impl="vectorized")
+        engine = repro.QueryEngine(index)
         for query in summaries[:3]:
-            a = scalar_engine.knn(query, 4)
-            b = vector_engine.knn(query, 4)
+            a = index.knn(query, 4, impl="scalar")
+            b = engine.knn(query, 4)
+            assert a.videos == b.videos
+            assert a.scores == b.scores
+            a = index.similarity_range(query, 0.2, impl="scalar")
+            b = engine.similarity_range(query, 0.2)
             assert a.videos == b.videos
             assert a.scores == b.scores
 
