@@ -37,6 +37,7 @@ from repro.btree.node import (
 )
 from repro.storage.buffer_pool import BufferPool
 from repro.utils.counters import CostCounters
+from repro.utils.locks import make_lock
 
 __all__ = ["BPlusTree"]
 
@@ -66,6 +67,9 @@ class BPlusTree:
         self._root = 0
         self._height = 1
         self._num_entries = 0
+        # Readers share one tree (QueryEngine serves every thread from
+        # it), so the lifetime tally is bumped under a lock.
+        self._visits_lock = make_lock("BPlusTree._visits_lock")
         self.node_visits = 0
 
     # ------------------------------------------------------------------
@@ -151,12 +155,16 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Node access
     # ------------------------------------------------------------------
+    def _count_visits(self, visits: int, counters: CostCounters | None) -> None:
+        with self._visits_lock:
+            self.node_visits += visits
+        if counters is not None:
+            counters.btree_node_visits += visits
+
     def _load_leaf(
         self, page_id: int, counters: CostCounters | None = None
     ) -> LeafNode:
-        self.node_visits += 1
-        if counters is not None:
-            counters.btree_node_visits += 1
+        self._count_visits(1, counters)
         return LeafNode.load(
             self._pool.fetch(page_id, counters), self._payload_size
         )
@@ -164,9 +172,7 @@ class BPlusTree:
     def _load_internal(
         self, page_id: int, counters: CostCounters | None = None
     ) -> InternalNode:
-        self.node_visits += 1
-        if counters is not None:
-            counters.btree_node_visits += 1
+        self._count_visits(1, counters)
         return InternalNode.load(self._pool.fetch(page_id, counters))
 
     def _descend(
@@ -540,9 +546,7 @@ class BPlusTree:
             last = max(index + 1, bisect_right(node.keys, high))
             page_ids = node.children[index + 1 : last + 1]
             path[-1][1] = last
-        self.node_visits += len(page_ids)
-        if counters is not None:
-            counters.btree_node_visits += len(page_ids)
+        self._count_visits(len(page_ids), counters)
         leaves = self._pool.fetch_run(page_ids, counters).view(run_dtype)[:, 0]
         stray = np.flatnonzero(leaves["type"] != NODE_LEAF)
         if stray.size:

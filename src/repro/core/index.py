@@ -219,7 +219,8 @@ def _execute_query(
 
     * ``"vectorized"`` (default) — run-at-a-time leaf reads viewed as
       structured arrays, one-view columnar record decode, batched
-      sphere-intersection geometry and an array-native score fold;
+      sphere-intersection geometry over each query ViTri's contiguous
+      slice of the key-sorted candidates, and an array-native score fold;
     * ``"scalar"`` — the per-record oracle: one ``range_search`` per
       composed range, per-record ``codec.decode``, per-pair
       ``accumulator.evaluate``, per-video Python fold.
@@ -267,8 +268,12 @@ def _execute_query(
             else:
                 blocks = search(search_ranges)
         with StageTimer(counters, "deserialize"):
-            if method == "composed":
-                # One block: every query ViTri filters the same candidates.
+            if method == "composed" and len(blocks) > 1:
+                # One block: every query ViTri slices the same candidates.
+                # The composed ranges are disjoint and ascending, so the
+                # concatenation stays key-sorted.  A lone block (the
+                # common case) is decoded as is: columns_from_struct
+                # already makes the one copy.
                 blocks = [
                     (
                         np.concatenate([keys for keys, _ in blocks]),
@@ -285,11 +290,14 @@ def _execute_query(
             for block_index, (keys, columns) in enumerate(parts):
                 # A naive block holds one query ViTri's own range.
                 for i in [block_index] if method == "naive" else every_vitri:
+                    # Keys are non-decreasing, so the inclusive interval
+                    # is one contiguous run: its columns are views.
                     vlow, vhigh = per_vitri_ranges[i]
-                    mask = (keys >= vlow) & (keys <= vhigh)
-                    if not np.any(mask):
+                    start = int(np.searchsorted(keys, vlow, side="left"))
+                    stop = int(np.searchsorted(keys, vhigh, side="right"))
+                    if stop <= start:
                         continue
-                    selected = columns.take(mask)
+                    selected = columns.take(slice(start, stop))
                     counters.similarity_computations += (
                         accumulator.evaluate_arrays(
                             i,

@@ -56,7 +56,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.similarity import _estimate_from_scalars
+from repro.core.similarity import _estimate_batch, _estimate_from_scalars
 from repro.core.vitri import VideoSummary
 from repro.storage.serialization import ViTriRecord
 
@@ -155,10 +155,13 @@ class ScoreAccumulator:
         one left-to-right pass regardless of how candidates were batched.
         Returns the number of similarity evaluations.
         """
-        from repro.core.similarity import _estimate_batch
-
         query_vitri = self._query.vitris[query_index]
-        distances = np.linalg.norm(positions - query_vitri.position, axis=1)
+        # np.linalg.norm(..., axis=1)'s own operations for real input
+        # (square, then one add.reduce per row), minus its conj/product
+        # temporaries: the distances are the same bits.
+        diff = positions - query_vitri.position
+        np.multiply(diff, diff, out=diff)
+        distances = np.sqrt(np.add.reduce(diff, axis=1))
         estimates = _estimate_batch(
             self._dim,
             query_vitri.radius,
@@ -174,9 +177,9 @@ class ScoreAccumulator:
             self._segments.append(
                 (
                     int(query_index),
-                    np.asarray(video_ids)[live].astype(np.int64),
-                    np.asarray(vitri_ids)[live].astype(np.int64),
-                    np.asarray(counts)[live].astype(np.int64),
+                    np.asarray(video_ids)[live].astype(np.int64, copy=False),
+                    np.asarray(vitri_ids)[live].astype(np.int64, copy=False),
+                    np.asarray(counts)[live].astype(np.int64, copy=False),
                     estimates[live],
                 )
             )

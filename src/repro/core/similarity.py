@@ -40,6 +40,7 @@ more than once), symmetrically for ``Y``, and
 from __future__ import annotations
 
 import numpy as np
+from scipy import special
 
 from repro.core.vitri import ViTri, VideoSummary
 from repro.utils.counters import CostCounters
@@ -150,8 +151,6 @@ def _log_cap_fraction_batch(n: int, cos_angle: np.ndarray) -> np.ndarray:
     underflows come back as ``-inf`` (their contribution is genuinely
     negligible at that point).
     """
-    from scipy import special
-
     sin2 = np.clip(1.0 - cos_angle * cos_angle, 0.0, 1.0)
     half_i = 0.5 * special.betainc((n + 1) / 2.0, 0.5, sin2)
     with np.errstate(divide="ignore"):
@@ -171,40 +170,42 @@ def _estimate_batch(
 ) -> np.ndarray:
     """Vectorised core of :func:`estimated_shared_frames`.
 
-    Same case analysis and log-space ratio arithmetic as
-    :func:`_estimate_from_scalars`, over arrays of candidates.
+    Same case analysis, in the same order, and the same elementwise
+    arithmetic as :func:`_estimate_from_scalars`, over arrays of
+    candidates.  Point masses and disjoint pairs (estimate exactly 0) are
+    decided on the full arrays; every later step — the count selects, the
+    containment/lens split, the cap fractions and the density ratio —
+    runs only on the ``near`` pairs that can share frames, which on a
+    key-range candidate set is a minority.
     """
     big = np.maximum(radii, radius_q)
     small = np.minimum(radii, radius_q)
-    c_big = np.where(radii >= radius_q, counts, float(count_q))
-    c_small = np.where(radii >= radius_q, float(count_q), counts)
-    ceiling = np.minimum(counts, float(count_q))
-
     out = np.zeros(distances.shape[0], dtype=np.float64)
 
     # Point-mass candidates (or query): covered iff the centre is inside.
     point_mass = small <= 0.0
-    out[point_mass] = np.where(
-        distances[point_mass] <= big[point_mass], ceiling[point_mass], 0.0
-    )
-
-    live = ~point_mass
-    if not np.any(live):
+    if np.any(point_mass):
+        pm = np.flatnonzero(point_mass)
+        out[pm] = np.where(
+            distances[pm] <= big[pm],
+            np.minimum(counts[pm], float(count_q)),
+            0.0,
+        )
+    near = np.flatnonzero(~(point_mass | (distances >= big + small)))
+    if not near.size:
         return out
-    d = distances[live]
-    b = big[live]
-    s = small[live]
-    cb = c_big[live]
-    cs = c_small[live]
-    cap = ceiling[live]
+    d = distances[near]
+    b = big[near]
+    s = small[near]
+    c = counts[near]
+    candidate_big = radii[near] >= radius_q
+    cb = np.where(candidate_big, c, float(count_q))
+    cs = np.where(candidate_big, float(count_q), c)
 
-    disjoint = d >= b + s
-    contained = (d <= b - s) | (d <= 0.0)
-    lens = ~(disjoint | contained)
-
-    # Intersection fraction of the smaller sphere, in log space.
-    log_fraction = np.full(d.shape[0], -np.inf)
-    log_fraction[contained] = 0.0
+    # Intersection fraction of the smaller sphere, in log space:
+    # 0 (contained) or the lens value.
+    log_fraction = np.zeros(near.size)
+    lens = ~((d <= b - s) | (d <= 0.0))
     if np.any(lens):
         dl, bl, sl = d[lens], b[lens], s[lens]
         x1 = (dl * dl + bl * bl - sl * sl) / (2.0 * dl)
@@ -223,7 +224,7 @@ def _estimate_batch(
     # because s <= b.
     big_limit = cb * np.exp(dim * (np.log(s) - np.log(b)))
     estimate = fraction * np.minimum(cs, big_limit)
-    out[live] = np.minimum(estimate, cap)
+    out[near] = np.minimum(estimate, np.minimum(c, float(count_q)))
     return out
 
 

@@ -155,8 +155,10 @@ class ViTriColumns:
             position=self.positions[index].copy(),
         )
 
-    def take(self, selection: np.ndarray) -> "ViTriColumns":
-        """Rows selected by a boolean mask or integer index array."""
+    def take(self, selection: "np.ndarray | slice") -> "ViTriColumns":
+        """Rows selected by a boolean mask, an integer index array or a
+        slice.  A mask or index array copies the rows; a slice returns
+        views that share the source columns' memory."""
         return ViTriColumns(
             video_ids=self.video_ids[selection],
             vitri_ids=self.vitri_ids[selection],

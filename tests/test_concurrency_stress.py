@@ -204,3 +204,25 @@ def test_tracking_disabled_by_default(monkeypatch):
     monkeypatch.delenv("REPRO_TRACK_LOCKS", raising=False)
     lock = make_lock("Fixture._lock")
     assert not isinstance(lock, TrackedRLock)
+
+
+def test_tree_node_visits_exact_under_concurrent_readers():
+    """The tree's lifetime ``node_visits`` loses no update when eight
+    threads read through one shared tree: its delta equals the sum of the
+    per-query ``btree_node_visits`` bundles."""
+    summaries = _summaries(11)
+    index = VitriIndex.build(summaries, EPSILON, reference="optimal")
+    # No result or range cache: every query walks the shared tree.
+    engine = QueryEngine(index, cache_size=0)
+    tree = engine._tree
+    queries = summaries * 40
+    before = tree.node_visits
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results, _ = serve_concurrently(engine, queries, 3, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert tree.node_visits - before == sum(
+        result.stats.node_visits for result in results
+    )
