@@ -121,11 +121,17 @@ class QueryStats:
 
 @dataclass(frozen=True)
 class KNNResult:
-    """Outcome of a KNN query: ranked videos plus the query's cost."""
+    """Outcome of a KNN query: ranked videos plus the query's cost.
+
+    ``pruned`` is set only by a shard whose key bounds the query's
+    composed ranges cannot reach: the empty answer is then a proof of
+    zero similarity, not a search that found nothing.
+    """
 
     videos: tuple[int, ...]
     scores: tuple[float, ...]
     stats: QueryStats
+    pruned: bool = False
 
     def __len__(self) -> int:
         return len(self.videos)

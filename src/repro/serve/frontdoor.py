@@ -219,7 +219,6 @@ class FrontDoor:
         *,
         client: str = "default",
         method: str = "composed",
-        prune: bool = True,
         cold: bool = False,
     ) -> Future:
         """Admit one query (or shed it, typed) and return its future.
@@ -255,7 +254,7 @@ class FrontDoor:
             )
         future: Future = Future()
         try:
-            self._queue.put_nowait((future, query, k, method, prune, cold))
+            self._queue.put_nowait((future, query, k, method, cold))
         except queue.Full:
             with self._lock:
                 self._stats["shed_overload"] += 1
@@ -280,7 +279,7 @@ class FrontDoor:
             item = self._queue.get()
             if item is None:
                 return
-            future, query, k, method, prune, cold = item
+            future, query, k, method, cold = item
             if not future.set_running_or_notify_cancel():
                 continue
             try:
@@ -288,7 +287,6 @@ class FrontDoor:
                     query,
                     k,
                     method=method,
-                    prune=prune,
                     cold=cold,
                     fault_policy=self._policy,
                     fail_fast=False,
@@ -699,7 +697,7 @@ class FrontDoorServer:
     """The front door over TCP, speaking the shard-server framing.
 
     Ops: ``ping``, ``status`` (front-door stats) and ``knn`` (params
-    ``k``, ``method``, ``prune``, ``client``; the query summary rides
+    ``k``, ``method``, ``client``; the query summary rides
     as the request's binary blob).  Admission errors come back as the
     same typed error frames a shard server sends, so one client codec
     serves both layers.
@@ -822,7 +820,6 @@ class FrontDoorServer:
                 int(params["k"]),
                 client=str(params.get("client", "default")),
                 method=str(params.get("method", "composed")),
-                prune=bool(params.get("prune", True)),
             )
             result = await asyncio.wrap_future(future)
             return _result_to_wire(result)

@@ -11,8 +11,8 @@ properties carry over from the in-process path:
   The same thread is where each request's
   :class:`~repro.utils.clock.Deadline` is constructed: under a
   :class:`~repro.utils.clock.VirtualClock` the clock's offsets are
-  thread-local, so building the deadline anywhere else would race the
-  sleeps the worker performs (this is the seam
+  per thread (context-local), so building the deadline anywhere else
+  would race the sleeps the worker performs (this is the seam
   :mod:`repro.utils.clock` documents).
 * **Budget awareness** — a request carries its remaining budget in
   seconds; the worker rebuilds the deadline against the *server's*
@@ -308,6 +308,7 @@ class ShardServer:
                 "scores": list(result.scores),
                 "stats": stats_to_wire(result.stats),
                 "counters": counters_to_wire(bundle),
+                "pruned": result.pruned,
             }
         raise ValueError(f"unknown op {op!r}")
 
@@ -357,8 +358,15 @@ class ShardServer:
             pass  # loop already closed: drained
 
     def wait_closed(self, timeout: float | None = None) -> bool:
-        """Block until the serve loop has fully shut down."""
-        return self._done.wait(timeout)
+        """Block until the serve loop has fully shut down and, for a
+        server started by :meth:`run_in_thread`, its thread has exited
+        (the loop's own teardown runs after the shard is closed)."""
+        if not self._done.wait(timeout):
+            return False
+        if self._thread is not None:
+            self._thread.join(timeout)
+            return not self._thread.is_alive()
+        return True
 
 
 class ShardServerHandle:

@@ -4,8 +4,9 @@
 the read half of the shard contract, but executes every call over TCP
 against a :class:`~repro.serve.shard_server.ShardServer`.  Plugged into
 :meth:`~repro.shard.router.ShardedVideoDatabase.from_shards`, the
-unchanged scatter/merge machinery (pruning, per-shard counter bundles,
-resilient attempts, exact ``_rank`` merge) runs over the network:
+unchanged scatter/merge machinery (in-shard pruning, per-shard counter
+bundles, resilient attempts, exact ``_rank`` merge) runs over the
+network:
 
 * Scores come back as JSON floats (exact round-trip), counters come
   back as a wire bundle folded into the caller's ``out_counters``, so
@@ -203,11 +204,12 @@ class RemoteShard:
         """Server-side key-bounds check; pruning I/O folds into
         ``counters`` exactly as a local shard's would.
 
-        An unreachable server (mid-restart, draining) answers ``True``:
-        pruning may only skip a shard it can *prove* empty of matches,
-        and the router's pruning step runs outside the resilient
-        attempt loop — claiming possible membership hands the failure
-        to the scatter path, which knows how to retry or degrade.
+        The router never calls this: the served shard runs the same
+        proof inside every ``knn`` / ``similarity_range`` request and
+        says ``pruned`` in the response.  An unreachable server
+        (mid-restart, draining) answers ``True``, because only a shard
+        that *answered* can prove itself empty of matches; the failure
+        belongs to the query itself, which retries or degrades.
         """
         try:
             body = self._client.request("may_contain", summary=query)
@@ -279,6 +281,7 @@ class RemoteShard:
             videos=tuple(int(v) for v in body["videos"]),
             scores=tuple(float(s) for s in body["scores"]),
             stats=stats_from_wire(body["stats"]),
+            pruned=bool(body["pruned"]),
         )
 
     def reconnect(self, host: str | None = None, port: int | None = None) -> None:

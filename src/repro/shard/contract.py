@@ -64,7 +64,10 @@ class ShardLike(Protocol):
     ) -> KNNResult:
         """The shard's local top-``k``.
 
-        An expired ``deadline`` (the sub-query's shared budget) raises
+        A query the shard's key bounds rule out (:meth:`may_contain` is
+        ``False``) is answered by that proof alone: an empty result with
+        ``pruned=True``, no search run.  An expired ``deadline`` (the
+        sub-query's shared budget) raises
         :class:`~repro.shard.resilience.ShardTimeout` before any page is
         read.  ``attempt`` is the dispatch ordinal within one sub-query
         (0, then +1 per retry): a replica group folds it into

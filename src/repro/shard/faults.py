@@ -17,8 +17,10 @@ interleaving.
 * :class:`ShardFaultInjector` — the per-fleet schedule: a map from shard
   id to a list of fault windows, with a thread-safe per-shard operation
   counter.  Only *serving* operations (``knn`` / ``similarity_range``)
-  tick the counter; routing metadata (``key_bounds``, ``may_contain``)
-  stays fault-free so pruning decisions don't drift with the schedule.
+  tick the counter; routing metadata called on its own (``key_bounds``,
+  ``may_contain``) stays fault-free.  The key-bounds proof a sub-query
+  runs comes after the fault, so a faulted attempt never proves a shard
+  pruned: it fails like any other attempt.
 * :class:`FaultInjectingShard` — a transparent :class:`Shard` proxy that
   consults the injector before delegating each query.
 

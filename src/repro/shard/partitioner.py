@@ -14,7 +14,7 @@ pluggable behind one interface, exactly like
   mean distance of a video's ViTri positions to a fixed routing
   reference point).  Videos that are close in feature space land on the
   same shard, so a query's key ranges usually touch few shards and the
-  router can prune the rest before scattering — the same role the
+  rest prove themselves empty without searching — the same role the
   per-reference-point partitions play in iDistance.
 
 Partitioners serialise to plain dicts (:meth:`Partitioner.to_dict` /

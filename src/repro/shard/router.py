@@ -18,19 +18,35 @@ database return *identical* rankings for the same content.
 
 Pruning
 -------
-Before scattering, the router asks each shard whether the query's
-composed key ranges (in that shard's own key space) overlap the shard's
-B+-tree key bounds.  The key filter is lossless, so a miss proves the
-shard contributes zero-similarity videos only and it is skipped without
-affecting the ranking.  Under a :class:`~repro.shard.partitioner.KeyRangePartitioner`
-nearby videos share shards, so selective queries typically touch one or
-two shards.
+The router sends exactly one sub-query to every populated shard, and
+each shard proves inside that sub-query whether the query's composed key
+ranges (in its own key space) overlap its B+-tree key bounds
+(:meth:`~repro.shard.shard.Shard.knn`).  The key filter is lossless, so
+a miss proves the shard contributes zero-similarity videos only: it
+answers an empty result marked ``pruned``, which the router counts as
+pruned rather than queried.  The proof travels in the query's own
+request, so over the wire pruning costs no extra round-trip.  A shard
+that cannot be reached never proved anything, so it counts as failed,
+never as pruned.  Under a
+:class:`~repro.shard.partitioner.KeyRangePartitioner` nearby videos
+share shards, so selective queries typically search one or two shards.
+
+Scatter
+-------
+The legs of one query run in parallel: the calling thread runs the first
+leg itself and hands the rest to a thread pool the router owns for its
+whole life.  The pool never has fewer workers than shards - 1, so no leg
+waits for another; :meth:`ShardedVideoDatabase.rebalance`, the one
+operation that adds a shard, swaps in a larger pool.  Each leg runs in
+its own copy of the caller's :mod:`contextvars` context, so per-leg
+state (a :class:`~repro.utils.clock.VirtualClock`'s sleeps) starts from
+the caller's and never leaks into a later leg that reuses the worker.
 
 Cost accounting
 ---------------
-Each scattered sub-query folds its events into a per-shard
-:class:`~repro.utils.counters.CostCounters` bundle (the ``out_counters``
-seam); the router sums the bundles — plus its own pruning I/O — into one
+Each scattered sub-query folds its events — a pruned shard's proof I/O
+included — into a per-shard :class:`~repro.utils.counters.CostCounters`
+bundle (the ``out_counters`` seam); the router sums the bundles into one
 bundle and builds the global :class:`~repro.core.index.QueryStats` from
 that bundle alone, never by re-aggregating per-shard ``QueryStats``
 objects (enforced by the ``counter-discipline`` lint rule).  Wall time
@@ -73,13 +89,15 @@ from __future__ import annotations
 # deliberately coarse: it serialises fleet-topology mutations
 # (rebalance, checkpoint, close) against whole queries, so scatters,
 # shard sub-queries and manifest writes all run under it by design.
-# Per-shard parallelism is preserved: scatter worker threads never take
-# this lock.
+# Per-shard parallelism is preserved: no scatter leg takes this lock (the
+# legs on pool workers never hold it; the one on the calling thread runs
+# under the caller's hold).
 
+import contextvars
 import json
 import os
 import shutil
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -123,6 +141,15 @@ _MANIFEST_FORMAT = 1
 _HEALTH_FILE = "health.json"
 
 
+def _scatter_pool(num_shards: int) -> ThreadPoolExecutor:
+    """A scatter pool for a fleet of ``num_shards``: the calling thread
+    runs one leg, so ``num_shards - 1`` workers start every other leg at
+    once.  Workers spawn on first use, so an idle router costs none."""
+    return ThreadPoolExecutor(
+        max_workers=max(1, num_shards - 1), thread_name_prefix="shard-query"
+    )
+
+
 @dataclass(frozen=True)
 class ScatterStats:
     """How one query's fan-out went.
@@ -132,9 +159,11 @@ class ScatterStats:
     shards_total:
         Fleet size at query time.
     shards_queried:
-        Ids of the shards actually scattered to.
+        Ids of the populated shards whose sub-query searched (or failed
+        to answer).
     shards_pruned:
-        Ids of the populated shards skipped by the key-bounds check.
+        Ids of the populated shards whose sub-query answered with a
+        key-bounds proof of zero similarity.
     """
 
     shards_total: int
@@ -214,10 +243,11 @@ class ShardedVideoDatabase:
         clock: Clock | None = None,
     ) -> None:
         # Guards every mutable routing structure (_shards, _membership,
-        # _partitioner, _next_video_id, _created_shards, _closed).  Held
-        # for the full duration of every public operation: queries and
-        # topology changes are mutually exclusive, which is what makes
-        # rebalance()/checkpoint() safe to call under live traffic.
+        # _partitioner, _next_video_id, _created_shards, _closed,
+        # _pool).  Held for the full duration of every public operation:
+        # queries and topology changes are mutually exclusive, which is
+        # what makes rebalance()/checkpoint() safe to call under live
+        # traffic.
         self._lock = make_lock("ShardedVideoDatabase._lock")
         self._epsilon = check_positive(epsilon, "epsilon")
         self._reference = reference
@@ -249,6 +279,7 @@ class ShardedVideoDatabase:
         )
         if manifest_path is not None and os.path.exists(manifest_path):
             self._reopen(manifest_path)
+            self._pool = _scatter_pool(len(self._shards))
             return
 
         if isinstance(partitioner, str):
@@ -271,6 +302,7 @@ class ShardedVideoDatabase:
             os.makedirs(self._path, exist_ok=True)
         for _ in range(self._partitioner.num_shards):
             self._shards.append(self._new_shard())
+        self._pool = _scatter_pool(len(self._shards))
 
     @classmethod
     def from_shards(
@@ -326,6 +358,7 @@ class ShardedVideoDatabase:
             # Placement is owned by whoever built the shards; this
             # partitioner exists only so introspection keeps working.
             self._partitioner = make_partitioner("hash", len(shards))
+            self._pool = _scatter_pool(len(shards))
         return self
 
     def _new_shard(self) -> Shard:
@@ -616,7 +649,6 @@ class ShardedVideoDatabase:
         k: int = 10,
         *,
         method: str = "composed",
-        prune: bool = True,
         cold: bool = False,
         fault_policy: FaultPolicy | None = None,
         fail_fast: bool = True,
@@ -630,7 +662,6 @@ class ShardedVideoDatabase:
             summary,
             k,
             method=method,
-            prune=prune,
             cold=cold,
             fault_policy=fault_policy,
             fail_fast=fail_fast,
@@ -642,7 +673,6 @@ class ShardedVideoDatabase:
         k: int,
         *,
         method: str = "composed",
-        prune: bool = True,
         cold: bool = False,
         fault_policy: FaultPolicy | None = None,
         fail_fast: bool = True,
@@ -657,9 +687,6 @@ class ShardedVideoDatabase:
             Number of results.
         method:
             ``"composed"`` or ``"naive"`` (per-shard execution strategy).
-        prune:
-            Skip shards whose key bounds the query's composed ranges
-            cannot reach (lossless; never changes the ranking).
         cold:
             Clear each queried shard's serving pool first.
         fault_policy:
@@ -677,7 +704,6 @@ class ShardedVideoDatabase:
         with self._lock:
             self._check_query_args(query, k, method)
             return self._scatter_gather(
-                query,
                 lambda shard, bundle, deadline, attempt: shard.knn(
                     query,
                     k,
@@ -688,7 +714,6 @@ class ShardedVideoDatabase:
                     attempt=attempt,
                 ),
                 k,
-                prune,
                 fault_policy,
                 fail_fast,
             )
@@ -699,7 +724,6 @@ class ShardedVideoDatabase:
         min_similarity: float,
         *,
         method: str = "composed",
-        prune: bool = True,
         cold: bool = False,
         fault_policy: FaultPolicy | None = None,
         fail_fast: bool = True,
@@ -713,7 +737,6 @@ class ShardedVideoDatabase:
         with self._lock:
             self._check_query_args(query, 1, method)
             return self._scatter_gather(
-                query,
                 lambda shard, bundle, deadline, attempt: shard.similarity_range(
                     query,
                     min_similarity,
@@ -724,7 +747,6 @@ class ShardedVideoDatabase:
                     attempt=attempt,
                 ),
                 None,
-                prune,
                 fault_policy,
                 fail_fast,
             )
@@ -748,24 +770,23 @@ class ShardedVideoDatabase:
 
     def _scatter_gather(
         self,
-        query: VideoSummary,
         # Spelled with the in-process implementer, not ShardLike, so the
         # static lock-order model (VIL008-VIL010) can follow a sub-query
         # from the router lock into the shard's engine.
         sub_query: Callable[[Shard, CostCounters, Deadline | None, int], object],
         limit: int | None,
-        prune: bool,
         fault_policy: FaultPolicy | None,
         fail_fast: bool,
     ) -> ShardedKNNResult:
-        """Select, scatter ``sub_query``, merge exactly (caller holds
-        the lock).  ``limit`` is the global top-``k``; ``None`` keeps
-        every video a shard returned (a threshold query)."""
+        """Scatter ``sub_query`` to every populated shard and merge
+        exactly (caller holds the lock).  ``limit`` is the global
+        top-``k``; ``None`` keeps every video a shard returned (a
+        threshold query)."""
         total_counters = CostCounters()
         with Timer() as timer:
-            queried, pruned = self._select_shards(query, prune, total_counters)
+            populated = [shard for shard in self._shards if len(shard) > 0]
             per_shard, coverage = self._dispatch(
-                queried, pruned, sub_query, total_counters, fault_policy, fail_fast
+                populated, sub_query, total_counters, fault_policy, fail_fast
             )
             merged: dict[int, float] = {}
             for result in per_shard:
@@ -780,31 +801,19 @@ class ShardedVideoDatabase:
             stats=self._global_stats(total_counters, timer.elapsed),
             scatter=ScatterStats(
                 shards_total=len(self._shards),
-                shards_queried=tuple(s.shard_id for s in queried),
-                shards_pruned=tuple(pruned),
+                shards_queried=tuple(
+                    shard.shard_id
+                    for shard in populated
+                    if shard.shard_id not in coverage.shards_pruned
+                ),
+                shards_pruned=coverage.shards_pruned,
             ),
             coverage=coverage,
         )
 
-    def _select_shards(
-        self, query: VideoSummary, prune: bool, counters: CostCounters
-    ) -> tuple[list[ShardLike], list[int]]:
-        """Populated shards to scatter to, and the ids pruned away."""
-        queried: list[ShardLike] = []
-        pruned: list[int] = []
-        for shard in self._shards:
-            if len(shard) == 0:
-                continue
-            if prune and not shard.may_contain(query, counters=counters):
-                pruned.append(shard.shard_id)
-            else:
-                queried.append(shard)
-        return queried, pruned
-
     def _dispatch(
         self,
-        queried: list[ShardLike],
-        pruned: list[int],
+        shards: list[ShardLike],
         work: Callable[[Shard, CostCounters, Deadline | None, int], object],
         total_counters: CostCounters,
         fault_policy: FaultPolicy | None,
@@ -823,7 +832,9 @@ class ShardedVideoDatabase:
         ordinal, and what it could not recover either raises
         (``fail_fast``) or is reported in the returned coverage.  An
         exception no policy retries (a bug, not a fault) aborts the
-        query on either path.
+        query on either path.  A shard that answers ``pruned`` is
+        reported pruned, not answered; its bundle (the proof's I/O)
+        still folds into the total.
         """
         if fault_policy is None and fail_fast:
 
@@ -847,19 +858,23 @@ class ShardedVideoDatabase:
                     self._clock,
                 )
 
-        outcomes = self._fan_out(queried, resolve)
+        outcomes = self._fan_out(shards, resolve)
         results: list = []
         failures: dict[int, BaseException] = {}
+        pruned: list[int] = []
         by_disposition: dict[str, list[int]] = {
             ANSWERED: [], FAILED: [], TIMED_OUT: [], TRIPPED: []
         }
-        for shard, outcome in zip(queried, outcomes):
-            by_disposition[outcome.disposition].append(shard.shard_id)
+        for shard, outcome in zip(shards, outcomes):
             if outcome.disposition == ANSWERED:
-                results.append(outcome.result)
                 total_counters.add(outcome.bundle)
+                if outcome.result.pruned:
+                    pruned.append(shard.shard_id)
+                    continue
+                results.append(outcome.result)
             else:
                 failures[shard.shard_id] = outcome.error
+            by_disposition[outcome.disposition].append(shard.shard_id)
         if fail_fast and failures:
             raise ScatterError(failures)
         coverage = Coverage(
@@ -872,14 +887,15 @@ class ShardedVideoDatabase:
         )
         return results, coverage
 
-    @staticmethod
     def _fan_out(
-        shards: list[ShardLike], run_one: Callable[[ShardLike], object]
+        self, shards: list[ShardLike], run_one: Callable[[ShardLike], object]
     ) -> list:
-        """``run_one(shard)`` on every shard, thread-parallel; results
-        in shard order.  Whatever it raises aborts the query with a
-        :class:`ScatterError` carrying *every* shard's error,
-        attributed per shard."""
+        """``run_one(shard)`` on every shard in parallel; results in
+        shard order.  The calling thread runs the first leg and the
+        router's pool the rest, each leg in its own copy of the caller's
+        context.  Whatever ``run_one`` raises aborts the query with a
+        :class:`ScatterError` carrying *every* shard's error, attributed
+        per shard."""
         results: list = [None] * len(shards)
         errors: dict[int, BaseException] = {}
 
@@ -889,21 +905,14 @@ class ShardedVideoDatabase:
             except BaseException as exc:  # propagate to the caller
                 errors[shards[position].shard_id] = exc
 
-        if len(shards) == 1:
-            run(0)
-        else:
-            threads = [
-                threading.Thread(
-                    target=run,
-                    args=(position,),
-                    name=f"shard-query-{shards[position].shard_id}",
-                )
-                for position in range(len(shards))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        legs = [
+            self._pool.submit(contextvars.copy_context().run, run, position)
+            for position in range(1, len(shards))
+        ]
+        if shards:
+            contextvars.copy_context().run(run, 0)
+        for leg in legs:
+            leg.result()
         if errors:
             raise ScatterError(errors)
         return results
@@ -1070,6 +1079,11 @@ class ShardedVideoDatabase:
                 self._shards.insert(position + 1, new_shard)
                 for index, shard in enumerate(self._shards):
                     shard.renumber(index)
+                # One more leg per query from now on.  No query is
+                # in flight (each holds this lock), so the old pool is
+                # idle and shuts down at once.
+                self._pool.shutdown()
+                self._pool = _scatter_pool(len(self._shards))
                 # Deferred writes flush against the split partitioner —
                 # an add past the boundary lands on the new shard.
                 self._close_window()
@@ -1240,7 +1254,7 @@ class ShardedVideoDatabase:
 
     def close(self) -> None:
         """Checkpoint (durable, uncrashed fleets), then release every
-        shard.  Idempotent."""
+        shard and the scatter pool.  Idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -1254,6 +1268,7 @@ class ShardedVideoDatabase:
                 self.checkpoint()
             for shard in self._shards:
                 shard.close()
+            self._pool.shutdown()
             self._closed = True
 
     def crash(self) -> None:
@@ -1264,6 +1279,7 @@ class ShardedVideoDatabase:
             self._closed = True
             for shard in self._shards:
                 shard.crash()
+            self._pool.shutdown()
 
     def __enter__(self) -> "ShardedVideoDatabase":
         return self

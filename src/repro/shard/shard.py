@@ -8,8 +8,8 @@ shard compares the engine's snapshot token against the index's current
 when the shard's content actually changed, so read-heavy fleets pay no
 per-query snapshot cost while writes can never be served stale.
 
-The shard also exposes the two pieces of routing metadata the
-scatter-gather router prunes with:
+Every sub-query first proves or refutes that it can match anything here,
+from two pieces of routing metadata:
 
 * :meth:`key_bounds` — the ``[min, max]`` key interval the shard's
   B+-tree currently covers (cached per content token);
@@ -18,8 +18,10 @@ scatter-gather router prunes with:
   same query maps to different key ranges on different shards).
 
 A query whose composed ranges miss the shard's key bounds cannot match
-any of its ViTris (the key filter is lossless), so the router skips the
-shard entirely.
+any of its ViTris (the key filter is lossless), so :meth:`Shard.knn` and
+:meth:`Shard.similarity_range` answer it with an empty ``pruned``
+result without touching the engine or its caches.  The proof rides in
+the same request as the query, so pruning costs the router no round-trip.
 """
 
 from __future__ import annotations
@@ -29,13 +31,18 @@ import os
 from repro.core.composition import query_key_ranges
 from repro.core.database import VideoDatabase
 from repro.core.engine import QueryEngine
-from repro.core.index import KNNResult, VitriIndex
+from repro.core.index import KNNResult, QueryStats, VitriIndex
 from repro.core.vitri import VideoSummary
 from repro.shard.resilience import ShardTimeout
 from repro.utils.clock import Deadline
 from repro.utils.counters import CostCounters
 
 __all__ = ["Shard"]
+
+# What a sub-query the key bounds rule out returns (frozen, so shared).
+_PRUNED = KNNResult(
+    videos=(), scores=(), stats=QueryStats(0, 0, 0, 0, 0, 0, 0.0), pruned=True
+)
 
 
 class Shard:
@@ -207,6 +214,27 @@ class Shard:
                 f"{-deadline.remaining():.6f}s ago; refusing to start"
             )
 
+    def _ruled_out(
+        self, query: VideoSummary, out_counters: CostCounters | None
+    ) -> bool:
+        """Whether the key bounds prove the query matches nothing here.
+
+        The bounds are cached per content token, like the engine's
+        snapshot.  Reading them is charged to ``out_counters`` only when
+        the proof prunes, because it is then the sub-query's whole cost.
+        Before a search, the one-off read is upkeep of that cache (as
+        the index build and the snapshot refresh are) and stays out of
+        the bundle: it goes through the copy's own buffer pool, whose
+        warmth differs between byte-identical copies that must report
+        identical costs.
+        """
+        proof = CostCounters()
+        if self.may_contain(query, counters=proof):
+            return False
+        if out_counters is not None:
+            out_counters.add(proof)
+        return True
+
     def knn(
         self,
         query: VideoSummary,
@@ -220,8 +248,15 @@ class Shard:
     ) -> KNNResult:
         """This shard's local top-``k`` for the query (engine-served);
         a single copy has nowhere else to send a retry, so the
-        contract's ``attempt`` is accepted and unused."""
+        contract's ``attempt`` is accepted and unused.
+
+        A query :meth:`may_contain` rules out returns an empty ``pruned``
+        result and leaves the engine, its caches and ``queries_served``
+        untouched.
+        """
         self._check_deadline(deadline)
+        if self._ruled_out(query, out_counters):
+            return _PRUNED
         result = self.engine().knn(
             query, k, method=method, cold=cold, out_counters=out_counters
         )
@@ -240,8 +275,10 @@ class Shard:
         attempt: int = 0,
     ) -> KNNResult:
         """This shard's videos scoring at least ``min_similarity``
-        (engine-served, like :meth:`knn`)."""
+        (engine-served and pruned like :meth:`knn`)."""
         self._check_deadline(deadline)
+        if self._ruled_out(query, out_counters):
+            return _PRUNED
         result = self.engine().similarity_range(
             query,
             min_similarity,
@@ -253,7 +290,7 @@ class Shard:
         return result
 
     # ------------------------------------------------------------------
-    # Routing metadata (what the router prunes with)
+    # Routing metadata (what every sub-query prunes with)
     # ------------------------------------------------------------------
     def key_bounds(
         self, *, counters: CostCounters | None = None
@@ -295,8 +332,8 @@ class Shard:
         """Whether any of the query's ranges overlaps this shard's keys.
 
         ``False`` is a *proof* of zero-similarity (the key filter is
-        lossless), so the router can skip the shard without changing any
-        ranking.
+        lossless), so a sub-query can skip the search without changing
+        any ranking.
         """
         bounds = self.key_bounds(counters=counters)
         if bounds is None:

@@ -16,12 +16,15 @@ Two implementations:
   :class:`repro.utils.counters.Timer`, a sanctioned wall-clock wrapper);
   ``sleep()`` really sleeps.
 * :class:`VirtualClock` — the test clock.  Time only moves when someone
-  moves it: ``sleep(s)`` advances the *calling thread's* view by ``s``
+  moves it: ``sleep(s)`` advances the *calling context's* view by ``s``
   instantly (no real waiting), and :meth:`VirtualClock.advance` moves the
-  shared base time (how tests let a breaker cooldown elapse).  Keeping
-  per-thread offsets thread-local makes latencies measured inside one
-  scatter worker independent of what every other worker sleeps, so a
-  multi-threaded fault sweep is bit-for-bit repeatable.
+  shared base time (how tests let a breaker cooldown elapse).  The offset
+  lives in a :mod:`contextvars` variable: every thread starts with its
+  own, and the router runs each scatter leg in a fresh copy of the
+  caller's context, so what one leg sleeps is invisible to its siblings
+  and to whichever later leg reuses the same pool worker.  Latencies
+  and breaker times therefore never depend on which worker ran a leg,
+  and a multi-threaded fault sweep is bit-for-bit repeatable.
 
 :class:`Deadline` sits on top of either clock: a fixed clock-time budget
 captured at construction, shared by everything resolving one request
@@ -31,7 +34,7 @@ remote shard servers).
 Process and thread boundaries
 -----------------------------
 Clock state never crosses a process boundary.  A ``VirtualClock`` (its
-base *and* its per-thread offsets) lives in the process that created it,
+base *and* its per-context offsets) lives in the process that created it,
 so a subprocess shard server cannot share the router's clock object —
 each server installs its *own* clock (``--clock virtual`` in
 ``repro.serve.shard_server``) and determinism is preserved by what goes
@@ -40,7 +43,7 @@ budgets** (seconds, not absolute times), so the two clocks never need a
 common origin, and retry jitter stays a seeded hash on the client side.
 
 Within one process, a ``VirtualClock`` deadline must be created on the
-thread that will do the work: ``now()`` includes the *calling thread's*
+thread that will do the work: ``now()`` includes the *calling context's*
 accumulated sleep offset, so a :class:`Deadline` captured on thread A
 and checked on thread B would mix two unrelated offset histories.  The
 serve layer therefore constructs its deadlines inside the executor
@@ -49,6 +52,7 @@ thread that runs the query, never on the event-loop thread.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 import time
@@ -85,30 +89,29 @@ class SystemClock(Clock):
 class VirtualClock(Clock):
     """A deterministic clock that only moves when told to.
 
-    ``now()`` returns ``base + thread-local offset``.  ``sleep(s)``
-    advances only the calling thread's offset, so latencies measured
-    inside one scatter worker (``now() - start``) see exactly that
-    worker's injected delays and backoffs, never a sibling thread's.
-    :meth:`advance` moves the shared base — the seam tests use to let
-    breaker cooldowns elapse between queries.
+    ``now()`` returns ``base + context-local offset``.  ``sleep(s)``
+    advances only the calling context's offset, so latencies measured
+    inside one scatter leg (``now() - start``) see exactly that leg's
+    injected delays and backoffs, never a sibling's.  :meth:`advance`
+    moves the shared base — the seam tests use to let breaker cooldowns
+    elapse between queries.
     """
 
     def __init__(self, start: float = 0.0) -> None:
         self._base = float(start)
         self._lock = threading.Lock()
-        self._local = threading.local()
-
-    def _offset(self) -> float:
-        return getattr(self._local, "offset", 0.0)
+        self._offset = contextvars.ContextVar(
+            f"VirtualClock.offset@{id(self):x}", default=0.0
+        )
 
     def now(self) -> float:
         with self._lock:
             base = self._base
-        return base + self._offset()
+        return base + self._offset.get()
 
     def sleep(self, seconds: float) -> None:
         if seconds > 0.0:
-            self._local.offset = self._offset() + float(seconds)
+            self._offset.set(self._offset.get() + float(seconds))
 
     def advance(self, seconds: float) -> None:
         """Move the shared base time forward (visible to every thread)."""

@@ -275,7 +275,7 @@ class TestFleetHealth:
         )
         for summary in summaries[:3]:
             fleet.knn(
-                summary, 3, prune=False, fault_policy=policy,
+                summary, 3, fault_policy=policy,
                 fail_fast=False,
             )
         # close() checkpoints, which persists health.json.

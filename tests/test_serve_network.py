@@ -36,6 +36,7 @@ from repro.shard.router import ShardedVideoDatabase
 from repro.shard.shard import Shard
 from repro.utils.clock import VirtualClock
 from tests.test_golden_rankings import EPSILON, K, SEEDS, build_corpus
+from tests.test_shard_router import toy_corpus
 
 
 def build_fleet_dir(tmp: str, summaries, num_shards: int = 3) -> str:
@@ -63,6 +64,61 @@ def test_network_rankings_bit_identical_to_in_process(seed):
                 assert got.scores == want.scores  # bitwise over TCP
                 assert got.coverage is not None
                 assert got.coverage.complete
+
+
+def test_one_request_per_populated_shard():
+    """A query costs each populated shard exactly one request: the
+    key-bounds proof rides inside the sub-query, not in a probe of its
+    own."""
+    summaries, _ = build_corpus(SEEDS[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        fleet_dir = build_fleet_dir(tmp, summaries, num_shards=4)
+        with NetworkFleet(
+            fleet_dir, mode="thread", replicas_per_shard=1
+        ) as fleet:
+
+            def served() -> int:
+                return sum(
+                    shard_server.requests_served
+                    for shard_server in fleet._servers.values()
+                )
+
+            server = FrontDoorServer(fleet.frontdoor)
+            client = RemoteShardClient(*server.run_in_thread())
+            try:
+                before = served()
+                body = client.request("knn", {"k": K}, summary=summaries[0])
+                assert len(body["scatter"]["shards_queried"]) == 4
+                assert served() - before == 4
+            finally:
+                client.close()
+                server.stop()
+                assert server.wait_closed(10.0)
+
+
+def test_far_query_is_pruned_over_the_wire():
+    """Every shard server answers a far query with its proof, the wire
+    carries ``pruned`` back, and no served shard runs a search."""
+    summaries, far = toy_corpus()
+    with tempfile.TemporaryDirectory() as tmp:
+        fleet_dir = build_fleet_dir(tmp, summaries, num_shards=3)
+        with NetworkFleet(fleet_dir, mode="thread") as fleet:
+
+            def searches() -> list[int]:
+                return [
+                    body["queries_served"]
+                    for body in fleet.status()["shards"].values()
+                ]
+
+            before = searches()
+            got = fleet.query_sync(far, K, timeout=60.0)
+            assert got.videos == ()
+            assert got.scatter.shards_pruned == (0, 1, 2)
+            assert got.scatter.shards_queried == ()
+            assert got.coverage.shards_pruned == (0, 1, 2)
+            assert got.coverage.complete
+            assert got.stats.candidates == 0
+            assert searches() == before
 
 
 def test_read_only_router_refuses_mutation():

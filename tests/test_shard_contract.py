@@ -9,6 +9,8 @@ the same logical cost signature, whichever class answers.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.replication import ReplicaSet, ReplicaShard
@@ -166,6 +168,37 @@ class TestConformance:
                 call(summaries[0], argument, out_counters=bundle, deadline=spent)
             assert bundle.page_requests == 0
             assert bundle.page_reads == 0
+
+    def test_pruned_answer_matches_the_plain_shard(self, subject, summaries):
+        """A query translated past every stored key is answered by the
+        key-bounds proof alone, identically whichever class answers."""
+        _, shard_like, reference = subject
+        first = summaries[0]
+        far = dataclasses.replace(
+            first,
+            video_id=999,
+            vitris=tuple(
+                dataclasses.replace(vitri, position=vitri.position + 5.0)
+                for vitri in first.vitris
+            ),
+        )
+        served = shard_like.status()["queries_served"]
+        for name, argument in (("knn", K), ("similarity_range", 0.1)):
+            want_bundle, got_bundle = CostCounters(), CostCounters()
+            want = getattr(reference, name)(
+                far, argument, out_counters=want_bundle
+            )
+            got = getattr(shard_like, name)(
+                far, argument, out_counters=got_bundle
+            )
+            assert want.pruned and got.pruned
+            assert (got.videos, got.scores) == (want.videos, want.scores) == ((), ())
+            # The bundle is the proof's reads: logical counts agree,
+            # physical ones depend on how warm each copy's pool is.
+            assert got_bundle.page_requests == want_bundle.page_requests
+            assert got_bundle.btree_node_visits == want_bundle.btree_node_visits
+            assert got_bundle.records_scanned == 0
+        assert shard_like.status()["queries_served"] == served
 
     def test_status_carries_the_contract_keys(self, subject, summaries):
         kind, shard_like, reference = subject

@@ -248,7 +248,7 @@ class TestScatterError:
             )
         )
         with pytest.raises(ScatterError) as excinfo:
-            fleet.knn(small_summaries[0], 5, prune=False)
+            fleet.knn(small_summaries[0], 5)
         assert sorted(excinfo.value.failures) == [0, 2]
         for exc in excinfo.value.failures.values():
             assert isinstance(exc, ShardDown)
@@ -262,7 +262,7 @@ class TestShardFaultInjector:
         fleet = make_fleet(small_summaries)
         injector = ShardFaultInjector({})
         fleet.inject_shard_faults(injector)
-        fleet.knn(small_summaries[0], 3, prune=False)
+        fleet.knn(small_summaries[0], 3)
         for shard_id in range(fleet.num_shards):
             assert injector.operations(shard_id) == 1
         # Routing metadata (len, membership) is never an operation.
@@ -278,7 +278,6 @@ class TestShardFaultInjector:
         fleet.knn(
             small_summaries[0],
             3,
-            prune=False,
             fault_policy=FaultPolicy(retry=RetryPolicy(max_attempts=4)),
         )
         assert injector.operations(1) == 3  # two failures + the success
@@ -326,7 +325,6 @@ class TestDegradedResults:
             got = fleet.knn(
                 query,
                 5,
-                prune=False,
                 fault_policy=FaultPolicy(),
                 fail_fast=False,
             )
@@ -348,7 +346,6 @@ class TestDegradedResults:
             fleet.knn(
                 small_summaries[0],
                 5,
-                prune=False,
                 fault_policy=FaultPolicy(),
                 fail_fast=True,
             )
@@ -369,7 +366,6 @@ class TestDegradedResults:
             fleet.knn(
                 small_summaries[0],
                 5,
-                prune=False,
                 fault_policy=FaultPolicy(),
                 fail_fast=False,
             )
@@ -388,7 +384,6 @@ class TestDegradedResults:
         got = fleet.similarity_range(
             query,
             0.2,
-            prune=False,
             fault_policy=FaultPolicy(),
             fail_fast=False,
         )
@@ -399,7 +394,7 @@ class TestDegradedResults:
     def test_fault_free_coverage_is_complete(self, small_summaries):
         fleet = make_fleet(small_summaries)
         got = fleet.knn(
-            small_summaries[0], 5, prune=False, fault_policy=FaultPolicy()
+            small_summaries[0], 5, fault_policy=FaultPolicy()
         )
         assert got.coverage.complete
         assert got.coverage.fraction_answered == 1.0
@@ -410,13 +405,41 @@ class TestDegradedResults:
     ):
         fleet = make_fleet(small_summaries)
         for query in small_summaries[:6]:
-            got = fleet.knn(
-                query, 5, prune=True, fault_policy=FaultPolicy()
-            )
+            got = fleet.knn(query, 5, fault_policy=FaultPolicy())
             assert got.coverage.complete
             assert set(got.coverage.shards_pruned).isdisjoint(
                 got.coverage.shards_answered
             )
+
+    def test_failed_bounds_check_degrades_instead_of_aborting(
+        self, small_summaries, monkeypatch
+    ):
+        """Regression: the key-bounds check ran in a pre-pass outside the
+        attempt loop, so a shard whose check raised aborted a degraded
+        query.  It now runs inside the shard's sub-query, which retries
+        it per policy and then reports the shard failed."""
+        fleet = ShardedVideoDatabase(
+            EPSILON,
+            partitioner="hash",
+            num_shards=3,
+            clock=VirtualClock(),
+            cache_size=0,
+        )
+        for summary in small_summaries:
+            fleet.add_summary(summary)
+        oracle = survivors_oracle(fleet, small_summaries, DOWN_SHARD)
+
+        def unreachable(*args, **kwargs):
+            raise ConnectionError("bounds check lost its connection")
+
+        monkeypatch.setattr(fleet.shards[DOWN_SHARD], "may_contain", unreachable)
+        query = small_summaries[0]
+        got = fleet.knn(query, 5, fault_policy=FaultPolicy(), fail_fast=False)
+        assert got.videos == oracle.knn(query, 5).videos
+        assert got.coverage.shards_failed == (DOWN_SHARD,)
+        assert not got.coverage.complete
+        health = fleet.fleet_health()[DOWN_SHARD]
+        assert health["failures"] == FaultPolicy().retry.max_attempts
 
 
 class TestCoverage:
@@ -444,7 +467,7 @@ class TestTransientRecovery:
     def test_retries_recover_reference_exactly(self, small_summaries):
         reference = make_fleet(small_summaries)
         expected = [
-            reference.knn(query, 5, prune=False)
+            reference.knn(query, 5)
             for query in small_summaries[:6]
         ]
 
@@ -457,7 +480,7 @@ class TestTransientRecovery:
         policy = FaultPolicy(retry=RetryPolicy(max_attempts=4))
         for query, want in zip(small_summaries[:6], expected):
             got = fleet.knn(
-                query, 5, prune=False, fault_policy=policy, fail_fast=False
+                query, 5, fault_policy=policy, fail_fast=False
             )
             assert got.videos == want.videos
             assert np.allclose(got.scores, want.scores)
@@ -481,7 +504,6 @@ class TestTransientRecovery:
         got = fleet.knn(
             small_summaries[0],
             5,
-            prune=False,
             fault_policy=FaultPolicy(retry=RetryPolicy(max_attempts=2)),
             fail_fast=False,
         )
@@ -519,7 +541,6 @@ class TestBreakerIntegration:
                 got = fleet.knn(
                     query,
                     5,
-                    prune=False,
                     fault_policy=self.POLICY,
                     fail_fast=False,
                 )
@@ -543,18 +564,18 @@ class TestBreakerIntegration:
         )
         reference = make_fleet(small_summaries)
         query = small_summaries[0]
-        expected = reference.knn(query, 5, prune=False)
+        expected = reference.knn(query, 5)
 
         # One query x two failed attempts -> the window hits min_volume
         # at failure rate 1.0 and the breaker opens.
         fleet.knn(
-            query, 5, prune=False, fault_policy=self.POLICY, fail_fast=False
+            query, 5, fault_policy=self.POLICY, fail_fast=False
         )
         assert fleet.fleet_health()[DOWN_SHARD]["breaker_state"] == "open"
 
         # Before the cooldown the shard keeps tripping.
         got = fleet.knn(
-            query, 5, prune=False, fault_policy=self.POLICY, fail_fast=False
+            query, 5, fault_policy=self.POLICY, fail_fast=False
         )
         assert got.coverage.shards_tripped == (DOWN_SHARD,)
 
@@ -564,7 +585,7 @@ class TestBreakerIntegration:
         # offsets, which shift the breaker's recorded open time.)
         clock.advance(self.POLICY.breaker.cooldown * 2)
         got = fleet.knn(
-            query, 5, prune=False, fault_policy=self.POLICY, fail_fast=False
+            query, 5, fault_policy=self.POLICY, fail_fast=False
         )
         assert got.coverage.complete
         assert got.videos == expected.videos
@@ -592,7 +613,7 @@ class TestHedgingAndDeadlines:
         )
         query = small_summaries[0]
         got = fleet.knn(
-            query, 5, prune=False, fault_policy=policy, fail_fast=False
+            query, 5, fault_policy=policy, fail_fast=False
         )
         expected = oracle.knn(query, 5)
         assert got.videos == expected.videos
@@ -628,7 +649,7 @@ class TestHedgingAndDeadlines:
         )
         query = small_summaries[0]
         got = fleet.knn(
-            query, 5, prune=False, fault_policy=policy, fail_fast=False
+            query, 5, fault_policy=policy, fail_fast=False
         )
         expected = oracle.knn(query, 5)
         assert got.videos == expected.videos
@@ -661,7 +682,7 @@ class TestDeterminism:
         rankings = []
         for query in summaries[:6]:
             got = fleet.knn(
-                query, 5, prune=False, fault_policy=policy, fail_fast=False
+                query, 5, fault_policy=policy, fail_fast=False
             )
             rankings.append((got.videos, tuple(got.scores)))
         return rankings, fleet.fleet_health()
@@ -695,7 +716,7 @@ class TestHealthPersistence:
         )
         for query in small_summaries[:3]:
             fleet.knn(
-                query, 5, prune=False, fault_policy=policy, fail_fast=False
+                query, 5, fault_policy=policy, fail_fast=False
             )
         before = fleet.fleet_health()
         assert before[DOWN_SHARD]["breaker_state"] == "open"
@@ -710,7 +731,6 @@ class TestHealthPersistence:
         got = reopened.knn(
             small_summaries[0],
             5,
-            prune=False,
             fault_policy=policy,
             fail_fast=False,
         )
@@ -743,7 +763,6 @@ class TestServingMetrics:
             fleet.knn(
                 query,
                 5,
-                prune=False,
                 fault_policy=FaultPolicy(retry=RetryPolicy(max_attempts=2)),
                 fail_fast=False,
             )

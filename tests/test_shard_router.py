@@ -2,22 +2,54 @@
 
 The load-bearing property is *exactness*: a sharded database must return
 rankings identical to an unsharded :class:`VitriIndex` over the same
-content, for every partitioner and fleet size, with and without shard
-pruning.  Everything else (durability, rebalancing, serving metrics)
-builds on that.
+content, for every partitioner and fleet size, whether shards prune or
+not.  Everything else (durability, rebalancing, serving metrics, the
+scatter pool) builds on that.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.index import VitriIndex
+from repro.core.summarize import summarize_video
+from repro.datasets import DatasetConfig, generate_dataset
 from repro.shard import (
+    FaultInjectingShard,
+    FaultPolicy,
     KeyRangePartitioner,
     Shard,
     ShardedVideoDatabase,
+    ShardFaultInjector,
 )
+from repro.shard import router as router_module
+from repro.utils.clock import VirtualClock
 
 EPSILON = 0.3
+
+
+def far_query(dataset):
+    """Video 0 translated far outside every stored key: each shard's key
+    bounds prove it matches nothing there."""
+    return summarize_video(999, dataset.frames(0) + 5.0, EPSILON)
+
+
+def toy_corpus():
+    """The small toy corpus (12-d, ten videos) and its far query."""
+    config = DatasetConfig(
+        dim=12,
+        num_families=2,
+        family_size=3,
+        num_distractors=4,
+        duration_classes=((20, 1.0),),
+    )
+    dataset = generate_dataset(config, seed=42)
+    summaries = [
+        summarize_video(i, dataset.frames(i), EPSILON, seed=i)
+        for i in range(dataset.num_videos)
+    ]
+    return summaries, far_query(dataset)
 
 
 def make_fleet(summaries, partitioner, num_shards, **kwargs):
@@ -63,13 +95,19 @@ class TestExactness:
             assert got.videos == expected.videos
             assert np.allclose(got.scores, expected.scores)
 
-    def test_pruning_is_lossless(self, small_summaries):
+    def test_pruning_is_lossless(
+        self, small_dataset, small_summaries, small_index
+    ):
+        """Near queries (the corpus's own videos) and a far one every
+        shard prunes both equal the single-index oracle."""
         fleet = make_fleet(small_summaries, "key_range", 4)
-        for query in small_summaries[:6]:
-            pruned = fleet.knn(query, 5, prune=True)
-            unpruned = fleet.knn(query, 5, prune=False)
-            assert pruned.videos == unpruned.videos
-            assert np.allclose(pruned.scores, unpruned.scores)
+        far = far_query(small_dataset)
+        for query in small_summaries[:6] + [far]:
+            expected = small_index.knn(query, 5)
+            got = fleet.knn(query, 5)
+            assert got.videos == expected.videos
+            assert np.allclose(got.scores, expected.scores)
+        assert fleet.knn(far, 5).scatter.shards_pruned
 
     def test_naive_method_matches_oracle(self, small_summaries, small_index):
         fleet = make_fleet(small_summaries, "hash", 4)
@@ -124,6 +162,185 @@ class TestScatterStats:
         # First sight of each query reads pages; the repeats are hits.
         assert requests[0] > 0 and requests[3] > 0
         assert requests[1] == requests[2] == 0
+
+
+class TestPruning:
+    """The router sends one sub-query to every populated shard, and each
+    shard proves inside it whether the query can match anything there."""
+
+    def test_far_query_is_pruned_by_every_shard(self):
+        summaries, far = toy_corpus()
+        fleet = make_fleet(summaries, "hash", 3)
+        fleet.knn(summaries[0], 5)  # every shard now has an engine
+
+        def untouched():
+            return [
+                (
+                    shard.queries_served,
+                    shard.engine().cache_hits,
+                    shard.engine().cache_misses,
+                )
+                for shard in fleet.shards
+            ]
+
+        before = untouched()
+        for result in (
+            fleet.knn(far, 5),
+            fleet.similarity_range(far, 0.01),
+            fleet.knn(far, 5, fault_policy=FaultPolicy(), fail_fast=False),
+        ):
+            assert result.videos == ()
+            assert result.scatter.shards_pruned == (0, 1, 2)
+            assert result.scatter.shards_queried == ()
+            assert result.coverage.shards_pruned == (0, 1, 2)
+            assert result.coverage.shards_answered == ()
+            assert result.coverage.complete
+            assert result.stats.candidates == 0
+            assert result.stats.similarity_computations == 0
+        assert untouched() == before
+
+    def test_router_never_probes_a_shard(self, small_summaries, monkeypatch):
+        """One sub-query per populated shard and no routing call: the
+        proof rides inside the sub-query."""
+        fleet = make_fleet(small_summaries, "key_range", 4)
+        injector = ShardFaultInjector({})
+        fleet.inject_shard_faults(injector)
+        probes = []
+
+        def counted(self, query, *, counters=None):
+            probes.append(self.shard_id)
+            return self.inner.may_contain(query, counters=counters)
+
+        monkeypatch.setattr(
+            FaultInjectingShard, "may_contain", counted, raising=False
+        )
+        for query in small_summaries[:3]:
+            fleet.knn(query, 5)
+        assert probes == []
+        assert [injector.operations(i) for i in range(4)] == [3, 3, 3, 3]
+
+
+class BarrierShard(Shard):
+    """A shard whose sub-queries wait until every leg of the scatter has
+    started: a pool too small to run all legs at once breaks the
+    barrier, and the query fails."""
+
+    barrier: threading.Barrier | None = None
+
+    def knn(self, query, k, **kwargs):
+        if self.barrier is not None:
+            self.barrier.wait(timeout=10.0)
+        return super().knn(query, k, **kwargs)
+
+
+class TestScatterPool:
+    @staticmethod
+    def barrier_fleet(summaries, num_shards, monkeypatch):
+        """A key-range fleet whose every shard, rebalance splits
+        included, is a :class:`BarrierShard`."""
+        monkeypatch.setattr(router_module, "Shard", BarrierShard)
+        monkeypatch.setattr(BarrierShard, "barrier", None)
+        return make_fleet(summaries, "key_range", num_shards)
+
+    @staticmethod
+    def spawned(before) -> list[threading.Thread]:
+        return [
+            thread
+            for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("shard-query")
+        ]
+
+    def test_legs_run_concurrently(
+        self, small_summaries, small_index, monkeypatch
+    ):
+        fleet = self.barrier_fleet(small_summaries, 4, monkeypatch)
+        BarrierShard.barrier = threading.Barrier(4)
+        for query in small_summaries[:4]:
+            got = fleet.knn(query, 5)
+            assert got.videos == small_index.knn(query, 5).videos
+            assert len(got.scatter.shards_queried + got.scatter.shards_pruned) == 4
+        fleet.close()
+
+    def test_thread_count_stays_flat(self, small_summaries, monkeypatch):
+        """200 queries of four legs run on the caller plus at most three
+        pool workers, never on a thread per leg."""
+        fleet = make_fleet(small_summaries, "hash", 4)
+        ran_on = set()
+        original = Shard.knn
+
+        def recording(self, query, k, **kwargs):
+            ran_on.add(threading.current_thread())
+            return original(self, query, k, **kwargs)
+
+        monkeypatch.setattr(Shard, "knn", recording)
+        for position in range(200):
+            fleet.knn(small_summaries[position % len(small_summaries)], 5)
+        assert threading.current_thread() in ran_on
+        assert len(ran_on) <= 4
+        fleet.close()
+
+    def test_leg_sleeps_never_leak_into_later_legs(
+        self, small_summaries, monkeypatch
+    ):
+        """Under a VirtualClock every leg starts at the caller's time,
+        whichever pool worker ran an earlier, sleeping leg."""
+        clock = VirtualClock()
+        fleet = make_fleet(small_summaries, "hash", 4, clock=clock)
+        starts = []
+        original = Shard.knn
+
+        def sleepy(self, query, k, **kwargs):
+            starts.append(clock.now())
+            clock.sleep(10.0)
+            return original(self, query, k, **kwargs)
+
+        monkeypatch.setattr(Shard, "knn", sleepy)
+        for query in small_summaries[:5]:
+            fleet.knn(query, 5)
+        assert starts == [0.0] * 20
+        assert clock.now() == 0.0
+        fleet.close()
+
+    def test_no_worker_outlives_close(self, small_summaries):
+        before = set(threading.enumerate())
+        fleet = make_fleet(small_summaries, "hash", 4)
+        fleet.knn(small_summaries[0], 5)
+        workers = self.spawned(before)
+        assert workers
+        fleet.close()
+        assert not any(thread.is_alive() for thread in workers)
+
+    def test_no_worker_outlives_crash(self, small_summaries, tmp_path):
+        before = set(threading.enumerate())
+        fleet = make_fleet(
+            small_summaries, "hash", 4, path=str(tmp_path / "fleet")
+        )
+        fleet.knn(small_summaries[0], 5)
+        workers = self.spawned(before)
+        assert workers
+        fleet.crash()
+        assert not any(thread.is_alive() for thread in workers)
+
+    def test_rebalance_keeps_every_leg_concurrent(
+        self, small_summaries, small_index, monkeypatch
+    ):
+        before = set(threading.enumerate())
+        fleet = self.barrier_fleet(small_summaries, 2, monkeypatch)
+        BarrierShard.barrier = threading.Barrier(2)
+        for query in small_summaries[:4]:
+            fleet.knn(query, 5)
+        old_workers = self.spawned(before)
+        BarrierShard.barrier = None
+        assert fleet.rebalance() is not None
+        assert fleet.num_shards == 3
+        # The smaller pool is gone, and three legs now meet at once.
+        assert not any(thread.is_alive() for thread in old_workers)
+        BarrierShard.barrier = threading.Barrier(3)
+        for query in small_summaries[:4]:
+            got = fleet.knn(query, 5)
+            assert got.videos == small_index.knn(query, 5).videos
+            assert len(got.scatter.shards_queried + got.scatter.shards_pruned) == 3
+        fleet.close()
 
 
 class TestMutation:
