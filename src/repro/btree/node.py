@@ -205,14 +205,9 @@ class InternalNode:
             raise ValueError(f"page {page.page_id} is not an internal node")
         node = cls(page)
         offset = _INTERNAL_HEADER.size
-        for _ in range(count + 1):
-            (child,) = _CHILD.unpack_from(page.data, offset)
-            node.children.append(child)
-            offset += _CHILD.size
-        for _ in range(count):
-            (key,) = _KEY.unpack_from(page.data, offset)
-            node.keys.append(key)
-            offset += _KEY.size
+        node.children = list(struct.unpack_from(f"<{count + 1}Q", page.data, offset))
+        offset += (count + 1) * _CHILD.size
+        node.keys = list(struct.unpack_from(f"<{count}d", page.data, offset))
         return node
 
     @property

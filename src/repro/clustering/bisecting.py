@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clustering.kmeans import kmeans
+from repro.clustering.kmeans import _lloyd
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_matrix, check_positive
 
@@ -62,20 +62,29 @@ class FrameCluster:
     max_distance: float
 
 
-def _describe(frames: np.ndarray, indices: np.ndarray) -> FrameCluster:
-    """Build a :class:`FrameCluster` for the given member rows."""
-    members = frames[indices]
-    center = members.mean(axis=0)
-    distances = np.linalg.norm(members - center, axis=1)
-    max_distance = float(distances.max())
-    mean_distance = float(distances.mean())
-    std_distance = float(distances.std())
+def _describe(members: np.ndarray, indices: np.ndarray) -> FrameCluster:
+    """Build a :class:`FrameCluster` for the member rows ``members``
+    (``frames[indices]``, with ``indices`` ascending).
+
+    The reductions are the ufunc calls ``mean``, ``np.linalg.norm`` and
+    ``std`` make, in their order, so the statistics keep their bits.
+    """
+    count = indices.shape[0]
+    center = np.add.reduce(members, axis=0) / count
+    diff = members - center
+    distances = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    max_distance = float(np.maximum.reduce(distances))
+    mean = np.add.reduce(distances) / count
+    deviations = distances - mean
+    variance = np.add.reduce(deviations * deviations) / count
+    mean_distance = float(mean)
+    std_distance = float(np.sqrt(variance))
     radius = min(max_distance, mean_distance + std_distance)
     return FrameCluster(
         center=center,
         radius=radius,
-        count=int(indices.shape[0]),
-        member_indices=np.sort(indices),
+        count=count,
+        member_indices=indices,
         mean_distance=mean_distance,
         std_distance=std_distance,
         max_distance=max_distance,
@@ -83,13 +92,12 @@ def _describe(frames: np.ndarray, indices: np.ndarray) -> FrameCluster:
 
 
 def _median_split(
-    frames: np.ndarray, indices: np.ndarray
+    members: np.ndarray, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Fallback split at the median of the highest-variance coordinate.
 
     Returns ``None`` when the points cannot be separated (all identical).
     """
-    members = frames[indices]
     variances = members.var(axis=0)
     axis = int(np.argmax(variances))
     if variances[axis] <= 0.0:
@@ -140,14 +148,16 @@ def generate_clusters(
     rng = ensure_rng(seed)
 
     accepted: list[FrameCluster] = []
-    # Iterative worklist instead of recursion: (indices, depth).
+    # Iterative worklist instead of recursion: (indices, depth).  Every
+    # split selects with a boolean mask, so indices stay ascending.
     stack: list[tuple[np.ndarray, int]] = [
         (np.arange(frames.shape[0], dtype=np.int64), 0)
     ]
     threshold = epsilon / 2.0
     while stack:
         indices, depth = stack.pop()
-        cluster = _describe(frames, indices)
+        members = frames[indices]
+        cluster = _describe(members, indices)
         if (
             cluster.radius <= threshold
             or cluster.count == 1
@@ -155,7 +165,7 @@ def generate_clusters(
         ):
             accepted.append(cluster)
             continue
-        split = _split_in_two(frames, indices, rng)
+        split = _split_in_two(members, indices, rng)
         if split is None:
             # All member frames identical: nothing to gain by splitting.
             accepted.append(cluster)
@@ -169,13 +179,16 @@ def generate_clusters(
 
 
 def _split_in_two(
-    frames: np.ndarray, indices: np.ndarray, rng: np.random.Generator
+    members: np.ndarray, indices: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Split the member set with 2-means, falling back to a median split."""
-    members = frames[indices]
-    result = kmeans(members, 2, seed=rng)
+    """Split the member set with 2-means, falling back to a median split.
+
+    ``members`` are rows of the frame matrix :func:`generate_clusters`
+    validated, so the Lloyd loop runs without :func:`kmeans`'s checks.
+    """
+    result = _lloyd(members, 2, rng)
     left = indices[result.labels == 0]
     right = indices[result.labels == 1]
     if left.shape[0] and right.shape[0]:
         return left, right
-    return _median_split(frames, indices)
+    return _median_split(members, indices)

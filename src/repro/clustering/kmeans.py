@@ -48,20 +48,27 @@ class KMeansResult:
         return self.centers.shape[0]
 
 
-def _squared_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, shape ``(rows, k)``."""
+def _squared_distances(
+    data: np.ndarray, centers: np.ndarray, data_sq: np.ndarray
+) -> np.ndarray:
+    """Pairwise squared Euclidean distances, shape ``(rows, k)``.
+
+    ``data_sq`` is ``np.add.reduce(data * data, axis=1)``: the row norms
+    do not change within a run, so the caller computes them once.
+    """
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, clipped against round-off.
     cross = data @ centers.T
     sq = (
-        np.sum(data * data, axis=1)[:, None]
+        data_sq[:, None]
         - 2.0 * cross
-        + np.sum(centers * centers, axis=1)[None, :]
+        + np.add.reduce(centers * centers, axis=1)[None, :]
     )
-    return np.clip(sq, 0.0, None)
+    # np.clip(sq, 0.0, None) is this very call, signed zeros included.
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def _kmeanspp_init(
-    data: np.ndarray, k: int, rng: np.random.Generator
+    data: np.ndarray, data_sq: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """k-means++ seeding: iteratively sample centres proportional to the
     squared distance from the nearest centre chosen so far."""
@@ -69,9 +76,9 @@ def _kmeanspp_init(
     centers = np.empty((k, data.shape[1]), dtype=np.float64)
     first = int(rng.integers(rows))
     centers[0] = data[first]
-    closest_sq = _squared_distances(data, centers[:1]).ravel()
+    closest_sq = _squared_distances(data, centers[:1], data_sq).ravel()
     for i in range(1, k):
-        total = closest_sq.sum()
+        total = np.add.reduce(closest_sq)
         if total <= 0.0:
             # All remaining points coincide with an existing centre; any
             # choice gives the same (degenerate) clustering.
@@ -79,7 +86,7 @@ def _kmeanspp_init(
         else:
             pick = int(rng.choice(rows, p=closest_sq / total))
         centers[i] = data[pick]
-        new_sq = _squared_distances(data, centers[i : i + 1]).ravel()
+        new_sq = _squared_distances(data, centers[i : i + 1], data_sq).ravel()
         np.minimum(closest_sq, new_sq, out=closest_sq)
     return centers
 
@@ -90,15 +97,83 @@ def _repair_empty_clusters(
     labels: np.ndarray,
     distances_sq: np.ndarray,
 ) -> None:
-    """Re-seed any empty cluster with the point farthest from its centre."""
-    k = centers.shape[0]
-    counts = np.bincount(labels, minlength=k)
+    """Re-seed every empty cluster with a point moved from another cluster.
+
+    Each empty cluster takes the point farthest from its assigned centre
+    among the points whose cluster keeps at least one other member.  A
+    moved point is then alone in its new cluster, so no point moves twice
+    and no repair empties a cluster: one pass fills every empty cluster.
+    """
+    counts = np.bincount(labels, minlength=centers.shape[0])
+    if np.minimum.reduce(counts) > 0:
+        return
+    assigned_sq = distances_sq[np.arange(labels.shape[0]), labels]
     for cluster in np.flatnonzero(counts == 0):
-        assigned_sq = distances_sq[np.arange(data.shape[0]), labels]
-        donor = int(np.argmax(assigned_sq))
+        donor = int(np.argmax(np.where(counts[labels] > 1, assigned_sq, -np.inf)))
+        counts[labels[donor]] -= 1
+        counts[cluster] = 1
         centers[cluster] = data[donor]
         labels[donor] = cluster
-        counts = np.bincount(labels, minlength=k)
+
+
+def _lloyd(
+    data: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    *,
+    max_iter: int = 100,
+    tol: float = 1e-8,
+) -> KMeansResult:
+    """Lloyd's algorithm on an already validated float64 matrix.
+
+    The body of :func:`kmeans`, which validates its arguments and calls
+    this; ``Generate_Clusters`` calls it directly on row subsets of the
+    frame matrix it validated once.
+    """
+    rows = data.shape[0]
+    data_sq = np.add.reduce(data * data, axis=1)
+    if k == 1:
+        center = np.add.reduce(data, axis=0, keepdims=True) / rows
+        sq = _squared_distances(data, center, data_sq).ravel()
+        return KMeansResult(
+            centers=center,
+            labels=np.zeros(rows, dtype=np.int64),
+            inertia=float(np.add.reduce(sq)),
+            iterations=0,
+            converged=True,
+        )
+
+    centers = _kmeanspp_init(data, data_sq, k, rng)
+    all_rows = np.arange(rows)
+    # The matrix that scores one iteration's centres is the next
+    # iteration's assignment matrix: one matrix per iteration.
+    distances_sq = _squared_distances(data, centers, data_sq)
+    labels = np.zeros(rows, dtype=np.int64)
+    previous_inertia = np.inf
+    converged = False
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        labels = np.argmin(distances_sq, axis=1).astype(np.int64, copy=False)
+        _repair_empty_clusters(data, centers, labels, distances_sq)
+        for cluster in range(k):
+            members = data[labels == cluster]
+            if members.shape[0]:
+                centers[cluster] = np.add.reduce(members, axis=0) / members.shape[0]
+        distances_sq = _squared_distances(data, centers, data_sq)
+        inertia = float(np.add.reduce(distances_sq[all_rows, labels]))
+        if previous_inertia - inertia <= tol:
+            converged = True
+            previous_inertia = inertia
+            break
+        previous_inertia = inertia
+
+    return KMeansResult(
+        centers=centers,
+        labels=labels,
+        inertia=float(previous_inertia),
+        iterations=iteration,
+        converged=converged,
+    )
 
 
 def kmeans(
@@ -138,45 +213,4 @@ def kmeans(
         )
     if not isinstance(max_iter, int) or max_iter < 1:
         raise ValueError(f"max_iter must be a positive int, got {max_iter}")
-    rng = ensure_rng(seed)
-
-    if k == 1:
-        center = data.mean(axis=0, keepdims=True)
-        sq = _squared_distances(data, center).ravel()
-        return KMeansResult(
-            centers=center,
-            labels=np.zeros(data.shape[0], dtype=np.int64),
-            inertia=float(sq.sum()),
-            iterations=0,
-            converged=True,
-        )
-
-    centers = _kmeanspp_init(data, k, rng)
-    labels = np.zeros(data.shape[0], dtype=np.int64)
-    previous_inertia = np.inf
-    converged = False
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        distances_sq = _squared_distances(data, centers)
-        labels = np.argmin(distances_sq, axis=1).astype(np.int64)
-        _repair_empty_clusters(data, centers, labels, distances_sq)
-        for cluster in range(k):
-            members = data[labels == cluster]
-            if members.shape[0]:
-                centers[cluster] = members.mean(axis=0)
-        inertia = float(
-            _squared_distances(data, centers)[np.arange(data.shape[0]), labels].sum()
-        )
-        if previous_inertia - inertia <= tol:
-            converged = True
-            previous_inertia = inertia
-            break
-        previous_inertia = inertia
-
-    return KMeansResult(
-        centers=centers,
-        labels=labels,
-        inertia=float(previous_inertia),
-        iterations=iteration,
-        converged=converged,
-    )
+    return _lloyd(data, k, ensure_rng(seed), max_iter=max_iter, tol=tol)

@@ -3,6 +3,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from repro.btree.checker import check_tree
@@ -17,6 +18,7 @@ from repro.btree.tree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.page import Page
 from repro.storage.pager import Pager
+from repro.utils.rng import ensure_rng
 
 
 def make_tree(payload_size=8, capacity=64, path=None):
@@ -47,6 +49,27 @@ class TestNodeLayouts:
         loaded = InternalNode.load(page)
         assert loaded.keys == [5.0, 9.0]
         assert loaded.children == [1, 2, 3]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_internal_round_trip_random_nodes(self, seed):
+        """save -> load keeps every child id and every key bit, from one
+        key up to a full node, signed zeros and duplicate keys included."""
+        rng = ensure_rng(seed)
+        capacity = internal_capacity()
+        for count in (0, 1, 2, int(rng.integers(3, capacity)), capacity - 1, capacity):
+            keys = sorted(rng.uniform(-1e6, 1e6, count).tolist())
+            if count >= 3:
+                keys[0] = -0.0
+                keys[1] = 0.0
+                keys[-1] = keys[-2]
+            children = rng.integers(0, 2**64, count + 1, dtype=np.uint64).tolist()
+            children[-1] = NO_LEAF
+            page = Page(7)
+            InternalNode.new(page, keys=keys, children=children)
+            loaded = InternalNode.load(page)
+            assert loaded.children == children
+            assert [key.hex() for key in loaded.keys] == [key.hex() for key in keys]
+            assert loaded.count == count
 
     def test_leaf_capacity(self):
         assert leaf_capacity(8) == (4096 - 11) // 16

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.clustering.kmeans import kmeans
+from repro.utils.rng import ensure_rng
 
 
 def blobs(rng, centers, per_blob=30, noise=0.05):
@@ -78,6 +79,21 @@ class TestKMeans:
         result = kmeans(data, 3, seed=2)
         counts = np.bincount(result.labels, minlength=3)
         assert (counts > 0).all()
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_repair_fills_every_empty_cluster(self, k):
+        """Several clusters empty at once each get their own donor, and no
+        repair empties the donor's cluster."""
+        rng = ensure_rng(k)
+        duplicates = np.repeat(rng.normal(0, 1, (3, 4)), [12, 5, 1], axis=0)
+        outlier = np.vstack([np.zeros((15, 4)), np.full((1, 4), 50.0)])
+        for data in (np.ones((10, 3)), duplicates, outlier):
+            for seed in range(6):
+                result = kmeans(data, k, seed=seed)
+                counts = np.bincount(result.labels, minlength=k)
+                assert result.labels.min() >= 0
+                assert result.labels.max() < k
+                assert (counts > 0).all(), (seed, counts)
 
     def test_labels_within_range(self):
         rng = np.random.default_rng(6)
