@@ -13,11 +13,10 @@ This rule polices the resilience paths (``shard/resilience.py`` and
 token-bucket refills, admission timing and wire deadlines must replay
 under a ``VirtualClock`` exactly like the in-process scatter), the
 replication layer (``repro/replication/``), and the ingest layer
-(``repro/ingest/`` — drift-measurement floors and idle-pump backoff
-must replay so a drift-triggered rebuild fires at the same simulated
-instant every run): any call into the ``time`` module (``sleep``
+(``repro/ingest/`` — the pump's backoff and retry schedule must replay
+identically every run): any call into the ``time`` module (``sleep``
 included — a real sleep would stall a virtual-clock test and desync
-the thread-local offsets), the ``random`` module, or ``numpy.random``
+the per-context offsets), the ``random`` module, or ``numpy.random``
 is an error there.  VIL006
 (wall-clock-discipline) already flags clock *reads* repo-wide; this
 rule is stricter on the scoped paths because in the resilience layer

@@ -340,7 +340,7 @@ class BPlusTree:
         self._persist_meta()
         return removed
 
-    def compact(self, *, fill_factor: float = 1.0) -> "BPlusTree":
+    def compact(self) -> "BPlusTree":
         """Return a freshly bulk-loaded tree with this tree's live entries.
 
         Lazy deletion leaves underflowing pages behind; compaction
@@ -354,7 +354,7 @@ class BPlusTree:
             _BufferPool(_Pager(), capacity=self._pool.capacity),
             self._payload_size,
         )
-        fresh.bulk_load(list(self.iter_entries()), fill_factor=fill_factor)
+        fresh.bulk_load(list(self.iter_entries()))
         return fresh
 
     # ------------------------------------------------------------------

@@ -312,59 +312,6 @@ def _check_fleet_health_file(path: str, num_shards: int) -> list[str]:
     return failures
 
 
-def _check_segment_log(path: str, label: str) -> list[str]:
-    """Chain-verify one replication segment log file.
-
-    Runs what a replica's apply gauntlet checks minus the apply itself:
-    per-frame CRCs, gap-free ascending sequence numbers, and the
-    base/after hash chain (see
-    :func:`repro.replication.segments.verify_segment_chain`).  A
-    truncated or corrupt log is caught *here*, offline, instead of at
-    replica apply time.  Returns failure strings.
-    """
-    from repro.replication.segments import (
-        SegmentFrameError,
-        verify_segment_chain,
-    )
-
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError as exc:
-        return [f"{label}: cannot read segment log: {exc}"]
-    try:
-        summary = verify_segment_chain(raw)
-    except SegmentFrameError as exc:
-        return [f"{label}: segment chain broken: {exc}"]
-    if summary["segments"] == 0:
-        print(f"{label}: segment log empty (valid chain of length 0)")
-    else:
-        print(
-            f"{label}: {summary['segments']} segment(s), "
-            f"seq {summary['first_seq']}..{summary['last_seq']}, "
-            "hash chain verified"
-        )
-    return []
-
-
-def _check_segment_logs(root: str) -> list[str]:
-    """Verify every ``segments.log`` under a fleet directory."""
-    failures: list[str] = []
-    candidates = [(os.path.join(root, "segments.log"), "segments")]
-    for entry in sorted(os.listdir(root)):
-        shard_log = os.path.join(root, entry, "segments.log")
-        if entry.startswith("shard-") and os.path.exists(shard_log):
-            candidates.append((shard_log, f"{entry} segments"))
-    found = False
-    for path, label in candidates:
-        if os.path.exists(path):
-            found = True
-            failures.extend(_check_segment_log(path, label))
-    if not found:
-        print("segments: no segments.log (fleet never shipped WAL segments)")
-    return failures
-
-
 def _check_sharded(args: argparse.Namespace) -> int:
     from repro.btree.checker import check_tree
     from repro.shard.router import ShardedVideoDatabase
@@ -377,49 +324,49 @@ def _check_sharded(args: argparse.Namespace) -> int:
     except (ChecksumError, ValueError, OSError) as exc:
         print(f"error: cannot open fleet: {exc}", file=sys.stderr)
         return 1
-    failures: list[str] = []
-    failures.extend(_check_fleet_health_file(args.index, fleet.num_shards))
-    failures.extend(_check_segment_logs(args.index))
-    misplaced = 0
-    for shard in fleet.shards:
-        label = f"shard {shard.shard_id}"
-        if len(shard) == 0:
-            print(f"{label}: empty")
-            continue
-        index = shard.database.index
-        try:
-            pages = index.btree.buffer_pool.pager.verify_checksums()
-            pages += index.heap.buffer_pool.pager.verify_checksums()
-        except Exception as exc:  # noqa: BLE001 - report, don't crash
-            failures.append(f"{label} checksum: {exc}")
-            continue
-        try:
-            check_tree(index.btree)
-        except AssertionError as exc:
-            failures.append(f"{label} btree: {exc}")
-        heap_violations = index.heap.verify()
-        failures.extend(f"{label} heap: {v}" for v in heap_violations)
-        for summary in shard.summaries():
-            if fleet.partitioner.shard_for(summary) != shard.shard_id:
-                misplaced += 1
+    try:
+        failures = _check_fleet_health_file(args.index, fleet.num_shards)
+        misplaced = 0
+        for shard in fleet.shards:
+            label = f"shard {shard.shard_id}"
+            if len(shard) == 0:
+                print(f"{label}: empty")
+                continue
+            index = shard.database.index
+            try:
+                pages = index.btree.buffer_pool.pager.verify_checksums()
+                pages += index.heap.buffer_pool.pager.verify_checksums()
+            except Exception as exc:  # noqa: BLE001 - report, don't crash
+                failures.append(f"{label} checksum: {exc}")
+                continue
+            try:
+                check_tree(index.btree)
+            except AssertionError as exc:
+                failures.append(f"{label} btree: {exc}")
+            heap_violations = index.heap.verify()
+            failures.extend(f"{label} heap: {v}" for v in heap_violations)
+            for summary in shard.summaries():
+                if fleet.partitioner.shard_for(summary) != shard.shard_id:
+                    misplaced += 1
+            print(
+                f"{label}: {len(shard)} video(s), {pages} page frame(s) "
+                "verified, invariants hold"
+            )
+        if misplaced:
+            # Legal after a crash mid-rebalance (placement is a performance
+            # matter, not a correctness one) — report, don't fail.
+            print(f"note: {misplaced} video(s) off their partitioned shard")
+        if failures:
+            for failure in failures:
+                print(f"error: {failure}", file=sys.stderr)
+            return 1
         print(
-            f"{label}: {len(shard)} video(s), {pages} page frame(s) "
-            "verified, invariants hold"
+            f"{args.index}: consistent ({len(fleet)} videos across "
+            f"{fleet.num_shards} shards, {fleet.partitioner.name} placement)"
         )
-    if misplaced:
-        # Legal after a crash mid-rebalance (placement is a performance
-        # matter, not a correctness one) — report, don't fail.
-        print(f"note: {misplaced} video(s) off their partitioned shard")
-    if failures:
-        for failure in failures:
-            print(f"error: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"{args.index}: consistent ({len(fleet)} videos across "
-        f"{fleet.num_shards} shards, {fleet.partitioner.name} placement)"
-    )
-    fleet.close()
-    return 0
+        return 0
+    finally:
+        fleet.close()
 
 
 def _open_index(prefix: str) -> VitriIndex | None:
@@ -442,18 +389,6 @@ def _open_index(prefix: str) -> VitriIndex | None:
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.btree.checker import check_tree
 
-    if getattr(args, "segments", None):
-        failures = _check_segment_log(args.segments, args.segments)
-        for failure in failures:
-            print(f"error: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        if args.index is None:
-            return 0
-    if args.index is None:
-        print("error: nothing to check (give an index or --segments)",
-              file=sys.stderr)
-        return 1
     if args.sharded:
         return _check_sharded(args)
     index = _open_index(args.index)
@@ -599,28 +534,18 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Verify page checksums, B+-tree invariants and heap-file "
             "accounting of an index written by 'build'.  With --sharded, "
-            "also chain-verify any replication segments.log in the fleet "
-            "directory; --segments verifies a standalone segment log."
+            "verify every shard of a fleet directory plus its health.json."
         ),
     )
     check.add_argument(
         "--index",
-        default=None,
+        required=True,
         help="index file prefix (or fleet directory with --sharded)",
     )
     check.add_argument(
         "--sharded",
         action="store_true",
         help="treat --index as a ShardedVideoDatabase fleet directory",
-    )
-    check.add_argument(
-        "--segments",
-        default=None,
-        help=(
-            "replication segment log to chain-verify (sequence "
-            "continuity + hash-chain tokens); usable with or without "
-            "--index"
-        ),
     )
     check.set_defaults(func=_cmd_check)
 

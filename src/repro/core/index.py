@@ -444,7 +444,6 @@ class VitriIndex:
         btree_path: str | None = None,
         heap_path: str | None = None,
         buffer_capacity: int = 256,
-        fill_factor: float = 1.0,
         btree_pool: BufferPool | None = None,
         heap_pool: BufferPool | None = None,
     ) -> "VitriIndex":
@@ -469,8 +468,6 @@ class VitriIndex:
             Optional backing files; in-memory when omitted.
         buffer_capacity:
             LRU buffer-pool capacity (pages) for each of the two stores.
-        fill_factor:
-            B+-tree bulk-load fill factor.
         btree_pool, heap_pool:
             Pre-built buffer pools to use instead of constructing fresh
             ones from the path arguments — the seam the crash-safe
@@ -545,7 +542,7 @@ class VitriIndex:
             payload = index._codec.encode(record)
             index._heap.append(payload)
             entries.append((float(keys[position_in_key_order]), payload))
-        index._btree.bulk_load(entries, fill_factor=fill_factor)
+        index._btree.bulk_load(entries)
 
         index._video_frames = {
             summary.video_id: summary.num_frames for summary in summaries
@@ -784,7 +781,6 @@ class VitriIndex:
         *,
         reference: ReferenceStrategy | str | None = None,
         buffer_capacity: int = 256,
-        fill_factor: float = 1.0,
     ) -> "VitriIndex":
         """Return a freshly built index over the current content.
 
@@ -797,7 +793,6 @@ class VitriIndex:
             self._epsilon,
             reference=reference if reference is not None else self._transform.strategy,
             buffer_capacity=buffer_capacity,
-            fill_factor=fill_factor,
         )
 
     def _all_positions(self) -> np.ndarray:

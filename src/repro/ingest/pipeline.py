@@ -31,13 +31,12 @@ key must survive that.
 A commit failure never silently kills ingestion: the background worker
 records the error, keeps the un-applied remainder of the batch for the
 next attempt, and retries with backoff (a concurrent maintenance window
-is the common, transient cause).  Only after
-``max_pump_failures`` consecutive failures does the pipeline transition
-to a terminal failed state, which :meth:`~IngestPipeline.submit` then
-reports as :class:`IngestFailed` instead of letting producers fill a
-queue nobody drains.
+is the common, transient cause).  Only after eight consecutive failures
+does the pipeline transition to a terminal failed state, which
+:meth:`~IngestPipeline.submit` then reports as :class:`IngestFailed`
+instead of letting producers fill a queue nobody drains.
 
-All timing (pump backoff, drift floors) reads the injected
+The worker's backoff sleeps read the injected
 :class:`~repro.utils.clock.Clock` (VIL007): a virtual-clock test replays
 the pipeline's entire schedule deterministically.
 """
@@ -51,7 +50,6 @@ from __future__ import annotations
 # the one-segment-per-batch contract rely on.  Admission (submit) never
 # takes this lock, so producers are not blocked by an in-flight commit.
 
-import collections
 import queue
 import threading
 
@@ -72,6 +70,15 @@ __all__ = [
     "IngestOverloaded",
     "IngestPipeline",
 ]
+
+# The background worker's sleep schedule: deterministic doubling from
+# _MIN_BACKOFF to _MAX_BACKOFF seconds, no jitter (reruns replay
+# identically), shared by idle polls and commit-failure retries.
+_MIN_BACKOFF = 0.005
+_MAX_BACKOFF = 0.25
+# Consecutive commit failures the worker retries before it parks the
+# pipeline in the terminal failed state.
+_MAX_PUMP_FAILURES = 8
 
 
 class IngestBackpressure(RuntimeError):
@@ -119,23 +126,6 @@ class IngestPipeline:
     drift:
         Optional :class:`DriftMonitor`; ``None`` disables drift-triggered
         rebuilds.
-    linger:
-        Group-commit window for the *background* worker: a partial batch
-        is held until its oldest summary has been queued this many
-        seconds (on the injected clock), so a paced trickle of writes
-        produces full batches — and full-batch commit cadence — instead
-        of one tiny commit (and one round of engine/cache invalidation)
-        per summary.  ``0`` (the default) commits whatever is queued
-        immediately.  A full batch never waits, and
-        :meth:`pump`/:meth:`drain` always flush regardless.
-    min_backoff / max_backoff:
-        Idle-pump sleep bounds for the background worker (deterministic
-        doubling, no jitter — reruns replay identically).  Commit
-        failures retry on the same schedule.
-    max_pump_failures:
-        Consecutive commit failures the background worker tolerates
-        (retrying with backoff) before it transitions the pipeline to
-        the terminal failed state reported by :class:`IngestFailed`.
     """
 
     def __init__(
@@ -146,10 +136,6 @@ class IngestPipeline:
         max_queue: int = 256,
         clock: Clock | None = None,
         drift: DriftMonitor | None = None,
-        linger: float = 0.0,
-        min_backoff: float = 0.005,
-        max_backoff: float = 0.25,
-        max_pump_failures: int = 8,
     ) -> None:
         if not isinstance(batch_size, int) or batch_size < 1:
             raise ValueError(f"batch_size must be a positive int, got {batch_size}")
@@ -157,18 +143,6 @@ class IngestPipeline:
             raise ValueError(f"max_queue must be a positive int, got {max_queue}")
         if drift is not None and not isinstance(drift, DriftMonitor):
             raise TypeError("drift must be a DriftMonitor")
-        if not (0 < min_backoff <= max_backoff):
-            raise ValueError(
-                f"need 0 < min_backoff <= max_backoff, got "
-                f"{min_backoff}/{max_backoff}"
-            )
-        if linger < 0:
-            raise ValueError(f"linger must be >= 0, got {linger}")
-        if not isinstance(max_pump_failures, int) or max_pump_failures < 1:
-            raise ValueError(
-                f"max_pump_failures must be a positive int, got "
-                f"{max_pump_failures}"
-            )
         self._target = target
         # The one typed decision: which shard a batch writes to.
         if isinstance(target, ShardedVideoDatabase):
@@ -190,16 +164,8 @@ class IngestPipeline:
         if not isinstance(self._clock, Clock):
             raise TypeError("clock must be a Clock")
         self._drift = drift
-        self._linger = float(linger)
-        self._min_backoff = float(min_backoff)
-        self._max_backoff = float(max_backoff)
-        self._max_pump_failures = max_pump_failures
         self._pump_lock = make_lock("IngestPipeline._pump_lock")
         self._admit_lock = make_lock("IngestPipeline._admit_lock")
-        # Enqueue time of every queued-but-uncommitted summary, oldest
-        # first: the group-commit linger gates on the *head*, so the
-        # first batch after an idle gap still coalesces.
-        self._enqueued_at: collections.deque = collections.deque()
         # Un-applied remainder of a failed commit, recommitted before
         # anything newly queued (only touched under the pump lock).
         self._carry: list[VideoSummary] = []
@@ -246,7 +212,6 @@ class IngestPipeline:
                 raise IngestOverloaded(
                     f"ingest queue full ({self._queue.maxsize}); back off"
                 ) from None
-            self._enqueued_at.append(self._clock.now())
             self.submitted += 1
 
     @property
@@ -282,10 +247,6 @@ class IngestPipeline:
                 batch.append(self._queue.get_nowait())
             except queue.Empty:
                 break
-            try:
-                self._enqueued_at.popleft()
-            except IndexError:
-                pass
         return batch
 
     def _commit_batch(self, batch: list[VideoSummary]) -> int:
@@ -413,40 +374,17 @@ class IngestPipeline:
         )
         self._thread.start()
 
-    def _ready_to_commit(self) -> bool:
-        """Group-commit gate: full batch now, partial batch after linger."""
-        if self._carry:
-            return True  # a failed commit's remainder retries first
-        depth = self._queue.qsize()
-        if depth >= self._batch_size:
-            return True
-        if depth == 0:
-            return False
-        if self._linger <= 0.0:
-            return True
-        try:
-            oldest = self._enqueued_at[0]
-        except IndexError:
-            return True
-        return self._clock.now() - oldest >= self._linger
-
     def _pump_once(self) -> int:
-        """Commit at most one batch, honouring the group-commit gate.
-
-        The worker's pump path: unlike :meth:`pump` it leaves a
-        not-yet-lingered partial batch queued, so a paced trickle of
-        writes coalesces instead of committing summary by summary.
-        """
+        """Commit at most one batch — whatever is carried or queued,
+        partial or full; the worker's pump path."""
         with self._pump_lock:
-            if not self._ready_to_commit():
-                return 0
             batch = self._take_batch()
             if not batch:
                 return 0
             return self._commit_batch(batch)
 
     def _run(self) -> None:
-        backoff = self._min_backoff
+        backoff = _MIN_BACKOFF
         failures = 0
         while not self._stop.is_set():
             try:
@@ -459,18 +397,18 @@ class IngestPipeline:
                 self.pump_errors += 1
                 failures += 1
                 self._last_error = f"{type(exc).__name__}: {exc}"
-                if failures >= self._max_pump_failures:
+                if failures >= _MAX_PUMP_FAILURES:
                     self._failed = exc
                     return
                 self._clock.sleep(backoff)
-                backoff = min(backoff * 2.0, self._max_backoff)
+                backoff = min(backoff * 2.0, _MAX_BACKOFF)
                 continue
             failures = 0
             if committed > 0:
-                backoff = self._min_backoff
+                backoff = _MIN_BACKOFF
             else:
                 self._clock.sleep(backoff)
-                backoff = min(backoff * 2.0, self._max_backoff)
+                backoff = min(backoff * 2.0, _MAX_BACKOFF)
 
     def stop(self) -> None:
         """Stop the background worker (queued work stays queued)."""

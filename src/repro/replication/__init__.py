@@ -39,8 +39,6 @@ from repro.replication.segments import (
     SegmentFrameError,
     decode_segment,
     encode_segment,
-    iter_segments,
-    verify_segment_chain,
 )
 from repro.replication.shipper import SegmentLog, Snapshot, WalShipper
 
@@ -59,6 +57,4 @@ __all__ = [
     "WalShipper",
     "decode_segment",
     "encode_segment",
-    "iter_segments",
-    "verify_segment_chain",
 ]

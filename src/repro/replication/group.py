@@ -34,10 +34,11 @@ single-worker server per copy — so in-process throughput benchmarks see
 the same scaling shape as the fleet: N copies ≈ N concurrent queries.
 
 Writes go to the primary only.  :meth:`ReplicaSet.sync` pumps sealed
-segments to every replica and re-bootstraps any copy that refused one or
-fell behind the shipper's retained log; :meth:`ReplicaSet.attach_replica`
-bootstraps a new copy from a snapshot and (by default) warms its range
-cache with the primary's current hot ranges.
+segments to every replica, re-bootstraps any copy that refused one or
+fell behind the shipper's retained log, then trims the log through the
+slowest replica's position; :meth:`ReplicaSet.attach_replica`
+bootstraps a new copy from a snapshot and warms its range cache with
+the primary's current hot ranges.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 # as they would over the network.  Distinct copies' gates are never
 # nested.
 
-from repro.replication.replica import NEEDS_BOOTSTRAP, SYNCED, ReplicaShard
+from repro.replication.replica import SYNCED, ReplicaShard
 from repro.replication.shipper import WalShipper
 from repro.shard.resilience import BreakerPolicy, CircuitBreaker
 from repro.shard.shard import Shard
@@ -85,40 +86,19 @@ class ReplicaSet:
     primary:
         The writable copy; must be durable (WAL shipping needs its log).
     clock:
-        Injected clock driving breakers and replication telemetry.
-    breaker_policy:
-        Per-copy breaker tuning (shared by all copies).
-    warm_on_attach:
-        Whether :meth:`attach_replica` / re-bootstraps replay the
-        primary's hot composed ranges into the new copy's range cache.
-    retain:
-        Shipper segment-log retention (``None`` = unbounded).
-    segment_log_path:
-        Durable mirror file for the shipped segment stream (``None`` =
-        in-memory only); what ``repro-video check`` chain-verifies.
+        Injected clock driving the per-copy breakers (default
+        :class:`BreakerPolicy`) and replication telemetry.
     """
 
-    def __init__(
-        self,
-        primary: Shard,
-        *,
-        clock: Clock,
-        breaker_policy: BreakerPolicy | None = None,
-        warm_on_attach: bool = True,
-        retain: int | None = None,
-        segment_log_path: str | None = None,
-    ) -> None:
+    def __init__(self, primary: Shard, *, clock: Clock) -> None:
         if not isinstance(primary, Shard):
             raise TypeError("primary must be a Shard")
         if not isinstance(clock, Clock):
             raise TypeError("clock must be a Clock")
         self._primary = primary
         self._clock = clock
-        self._policy = breaker_policy or BreakerPolicy()
-        self._warm_on_attach = warm_on_attach
-        self._shipper = WalShipper(
-            primary, clock=clock, retain=retain, log_path=segment_log_path
-        )
+        self._policy = BreakerPolicy()
+        self._shipper = WalShipper(primary, clock=clock)
         self._primary_copy = _Copy(
             primary, CircuitBreaker(self._policy), "primary"
         )
@@ -157,8 +137,7 @@ class ReplicaSet:
         """Bootstrap a replica from the current state and start serving it.
 
         Cuts a fresh snapshot (checkpointing the primary), restores the
-        replica from it, and — with ``warm_on_attach`` — replays the
-        primary's hot composed ranges into the new copy's cache tier so
+        replica from it, and replays the primary's hot composed ranges into the new copy's cache tier so
         its first queries hit warm instead of paying the primary's
         accumulated misses again.
         """
@@ -175,7 +154,7 @@ class ReplicaSet:
         )
 
     def _warm(self, replica: ReplicaShard) -> None:
-        if not self._warm_on_attach or len(self._primary) == 0:
+        if len(self._primary) == 0:
             return
         engine = self._primary._engine
         if engine is None:
@@ -192,8 +171,12 @@ class ReplicaSet:
 
         For each replica: replay the retained segments past its applied
         position; on any refusal (corruption, gap, token mismatch) or a
-        truncated log, re-bootstrap from a fresh snapshot.  Returns a
-        tally ``{"applied": n, "bootstrapped": n}``.
+        truncated log, re-bootstrap from a fresh snapshot.  Then trim
+        the shipper's log through the slowest replica's position (the
+        shipper's own with no replicas): every copy has applied what it
+        drops, and a copy that later needs more bootstraps from a
+        snapshot anyway.  Returns a tally
+        ``{"applied": n, "bootstrapped": n}``.
         """
         applied = 0
         bootstrapped = 0
@@ -225,6 +208,12 @@ class ReplicaSet:
                 # bridge epochs; only a fresh snapshot can.
                 self._bootstrap(replica)
                 bootstrapped += 1
+        self._shipper.log.trim(
+            min(
+                (copy.target.applied_seq for copy in self._replicas),
+                default=self._shipper.seq,
+            )
+        )
         return {"applied": applied, "bootstrapped": bootstrapped}
 
     def _bootstrap(self, replica: ReplicaShard) -> None:

@@ -36,8 +36,6 @@ __all__ = [
     "SegmentFrameError",
     "decode_segment",
     "encode_segment",
-    "iter_segments",
-    "verify_segment_chain",
 ]
 
 #: Content token of a database with no built index (tokens are 32-char
@@ -144,85 +142,3 @@ def decode_segment(raw: bytes) -> SealedSegment:
         payload=raw[_HEADER.size : end],
     )
 
-
-def iter_segments(raw: bytes):
-    """Yield every framed segment from a concatenated stream, in order.
-
-    The durable ``segments.log`` is exactly this: back-to-back encoded
-    frames.  Each frame's extent comes from its own header, so a
-    truncated tail (a crash mid-append) or any in-frame corruption
-    raises :class:`SegmentFrameError` with the byte offset — decoding
-    never silently stops at a bad frame.
-    """
-    if not isinstance(raw, (bytes, bytearray)):
-        raise TypeError("raw must be bytes")
-    raw = bytes(raw)
-    offset = 0
-    while offset < len(raw):
-        remaining = len(raw) - offset
-        if remaining < _HEADER.size + _CRC.size:
-            raise SegmentFrameError(
-                f"truncated segment log at byte {offset}: {remaining} "
-                f"trailing bytes, shorter than the minimal frame"
-            )
-        _, _, _, _, _, length = _HEADER.unpack_from(raw, offset)
-        end = offset + _HEADER.size + length + _CRC.size
-        if end > len(raw):
-            raise SegmentFrameError(
-                f"truncated segment log at byte {offset}: frame claims "
-                f"{end - offset} bytes, {remaining} remain"
-            )
-        try:
-            yield decode_segment(raw[offset:end])
-        except SegmentFrameError as exc:
-            raise SegmentFrameError(
-                f"bad segment frame at byte {offset}: {exc}"
-            ) from exc
-        offset = end
-
-
-def verify_segment_chain(raw: bytes) -> dict:
-    """Structurally verify a concatenated segment stream.
-
-    Checks what a replica's apply gauntlet checks, minus the apply:
-    every frame's CRC, strictly gap-free ascending sequence numbers, and
-    the hash chain — each segment's ``base_token`` must equal its
-    predecessor's ``after_token`` (the first segment's base is accepted
-    as the chain root).  Raises :class:`SegmentFrameError` on any
-    defect; returns a summary dict for reporting::
-
-        {"segments": n, "first_seq": s0, "last_seq": s1,
-         "base_token": root, "after_token": tip}
-
-    (zeros/``None`` tokens when the stream is empty — an empty log is a
-    valid chain of length zero).
-    """
-    count = 0
-    first_seq = 0
-    last_seq = 0
-    root: str | None = None
-    tip: str | None = None
-    for segment in iter_segments(raw):
-        if count == 0:
-            first_seq = segment.seq
-            root = segment.base_token
-        else:
-            if segment.seq != last_seq + 1:
-                raise SegmentFrameError(
-                    f"sequence gap: segment {segment.seq} follows {last_seq}"
-                )
-            if segment.base_token != tip:
-                raise SegmentFrameError(
-                    f"hash chain broken at seq {segment.seq}: base token "
-                    f"{segment.base_token} != previous after token {tip}"
-                )
-        last_seq = segment.seq
-        tip = segment.after_token
-        count += 1
-    return {
-        "segments": count,
-        "first_seq": first_seq,
-        "last_seq": last_seq,
-        "base_token": root,
-        "after_token": tip,
-    }

@@ -5,8 +5,9 @@
 record bytes are captured at the durability point — after the log's
 fsync, before the images are applied locally — framed as a
 :class:`~repro.replication.segments.SealedSegment` and retained in the
-:class:`SegmentLog`.  Shipping therefore costs the primary one in-memory
-copy per commit; no second read of the log file, no extra fsync.
+:class:`SegmentLog` until every replica has applied it.  Shipping
+therefore costs the primary one in-memory copy per commit; no second
+read of the log file, no extra fsync.
 
 Content tokens bracket every segment.  The token *before* the first
 sealed segment is read at attach time; after that each seal stamps the
@@ -70,42 +71,15 @@ class Snapshot:
 class SegmentLog:
     """Retained encoded segments, ordered by sequence number.
 
-    ``retain`` bounds how many recent segments are kept (``None`` keeps
-    everything).  :meth:`since` returns ``None`` when the requested
-    suffix reaches into truncated history — the caller must bootstrap
-    from a snapshot instead of replaying.
-
-    ``path`` additionally mirrors every retained append into a durable
-    append-only file (``segments.log``), the artefact ``repro-video
-    check`` chain-verifies offline.  The file is advisory — like the
-    fleet's ``health.json`` it is written outside the fault injector, so
-    crash-sweep op counts never depend on whether shipping is enabled —
-    and it is truncated fresh at attach and at :meth:`reset` (an online
-    cutover re-roots the token chain, so pre-cutover frames would no
-    longer verify against the new epoch).
+    :meth:`since` returns ``None`` when the requested suffix reaches
+    into trimmed history — the caller must bootstrap from a snapshot
+    instead of replaying.
     """
 
-    def __init__(
-        self, retain: int | None = None, path: str | None = None
-    ) -> None:
-        if retain is not None:
-            if not isinstance(retain, int) or isinstance(retain, bool):
-                raise TypeError("retain must be an int or None")
-            if retain < 1:
-                raise ValueError(f"retain must be >= 1, got {retain}")
-        self._retain = retain
+    def __init__(self) -> None:
         self._lock = make_lock("SegmentLog._lock")
         self._entries: list[tuple[int, bytes]] = []
         self._truncated_through = 0
-        self._path = os.fspath(path) if path is not None else None
-        self._file = None
-        if self._path is not None:
-            self._file = open(self._path, "wb")
-
-    @property
-    def path(self) -> str | None:
-        """The durable mirror file (``None`` = in-memory only)."""
-        return self._path
 
     def __len__(self) -> int:
         with self._lock:
@@ -126,19 +100,11 @@ class SegmentLog:
                     f"{self._entries[-1][0]}"
                 )
             self._entries.append((seq, bytes(encoded)))
-            if self._file is not None:
-                self._file.write(bytes(encoded))  # vilint: disable=blocking-while-locked -- the lock IS the mirror's write serialiser: appended bytes must hit the file in seq order
-                self._file.flush()  # vilint: disable=blocking-while-locked -- the lock IS the mirror's write serialiser: appended bytes must hit the file in seq order
-                os.fsync(self._file.fileno())  # vilint: disable=blocking-while-locked -- the lock IS the mirror's write serialiser: appended bytes must hit the file in seq order
-            if self._retain is not None:
-                while len(self._entries) > self._retain:
-                    popped_seq, _ = self._entries.pop(0)
-                    self._truncated_through = popped_seq
 
     def since(self, seq: int) -> list[bytes] | None:
         """Encoded segments with sequence number > ``seq``, in order.
 
-        ``None`` when part of that suffix was truncated away — replay
+        ``None`` when part of that suffix was trimmed away — replay
         cannot bridge the gap, only a snapshot can.
         """
         with self._lock:
@@ -149,30 +115,23 @@ class SegmentLog:
                 if entry_seq > seq
             ]
 
-    def reset(self, through_seq: int) -> None:
-        """Drop every retained segment and floor replay at ``through_seq``.
+    def trim(self, through_seq: int) -> None:
+        """Drop every segment with seq <= ``through_seq`` and floor
+        replay there.
 
-        The cutover epilogue: segments sealed against the old epoch can
-        never chain onto the new one, so replay across the cutover is
-        impossible by construction — :meth:`since` answers ``None`` for
-        any pre-cutover position, forcing a snapshot bootstrap.  The
-        durable mirror (if any) is truncated with the same logic.
+        Two callers.  :meth:`ReplicaSet.sync` trims through the slowest
+        replica's position once every replica has applied what it
+        needs, which is what keeps the log bounded.  A cutover trims
+        through the current seq: segments sealed against the old epoch
+        can never chain onto the new one, so :meth:`since` answers
+        ``None`` for any pre-cutover position, forcing a snapshot
+        bootstrap.
         """
         with self._lock:
-            self._entries.clear()
+            self._entries = [
+                entry for entry in self._entries if entry[0] > through_seq
+            ]
             self._truncated_through = max(self._truncated_through, through_seq)
-            if self._file is not None:
-                self._file.seek(0)  # vilint: disable=blocking-while-locked -- the lock IS the mirror's write serialiser: appended bytes must hit the file in seq order
-                self._file.truncate()  # vilint: disable=blocking-while-locked -- the lock IS the mirror's write serialiser: appended bytes must hit the file in seq order
-                self._file.flush()  # vilint: disable=blocking-while-locked -- the lock IS the mirror's write serialiser: appended bytes must hit the file in seq order
-                os.fsync(self._file.fileno())  # vilint: disable=blocking-while-locked -- the lock IS the mirror's write serialiser: appended bytes must hit the file in seq order
-
-    def close(self) -> None:
-        """Release the durable mirror's file handle (idempotent)."""
-        with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
 
 
 class WalShipper:
@@ -184,21 +143,9 @@ class WalShipper:
         The primary (:class:`repro.shard.shard.Shard`); must be durable.
     clock:
         Injected clock; stamps :attr:`last_seal_at` for lag telemetry.
-    retain:
-        Segment-log retention (``None`` = unbounded).
-    log_path:
-        Durable mirror file for the retained segments (``None`` = keep
-        the stream in memory only); see :class:`SegmentLog`.
     """
 
-    def __init__(
-        self,
-        shard,
-        *,
-        clock: Clock,
-        retain: int | None = None,
-        log_path: str | None = None,
-    ) -> None:
+    def __init__(self, shard, *, clock: Clock) -> None:
         if not isinstance(clock, Clock):
             raise TypeError("clock must be a Clock")
         db = shard.database
@@ -206,7 +153,7 @@ class WalShipper:
             raise ValueError("WAL shipping requires a durable primary shard")
         self._shard = shard
         self._clock = clock
-        self._log = SegmentLog(retain=retain, path=log_path)
+        self._log = SegmentLog()
         self._token = database_token(db)
         self._seq = 0
         self.last_seal_at: float | None = None
@@ -276,7 +223,7 @@ class WalShipper:
         a fresh object over the new generation; its WAL has no sink yet.
         Re-install the seal hook, re-read the content token (the new
         epoch's chain root — the refitted reference point changes the
-        token even though the videos are the same), and reset the
+        token even though the videos are the same), and trim the whole
         segment log so no replica can replay across the epoch boundary.
         The sequence counter keeps ascending: a replica's position
         remains comparable before and after.
@@ -286,13 +233,11 @@ class WalShipper:
             raise ValueError("WAL shipping requires a durable primary shard")
         db.wal.set_segment_sink(self._seal)
         self._token = database_token(db)
-        self._log.reset(self._seq)
+        self._log.trim(self._seq)
 
     def detach(self) -> None:
-        """Stop sealing (clears the WAL's segment sink) and release the
-        durable segment mirror, if any."""
+        """Stop sealing (clears the WAL's segment sink)."""
         self._shard.database.wal.set_segment_sink(None)
-        self._log.close()
 
     def __repr__(self) -> str:
         return (

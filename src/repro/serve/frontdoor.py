@@ -78,10 +78,11 @@ class TokenBucket:
     :meth:`try_acquire`, so there is no background thread and a
     :class:`~repro.utils.clock.VirtualClock` drives it deterministically
     in tests.  The clock is read *before* the bucket's lock is taken;
-    since a ``VirtualClock``'s offsets are thread-local, another
-    thread's sleeps can make consecutive readings non-monotonic across
-    threads — a reading older than the last refill stamp simply adds no
-    tokens (time never runs backwards inside the bucket).
+    since a ``VirtualClock``'s offsets are per context (every thread
+    starts with its own), another thread's sleeps can make consecutive
+    readings non-monotonic across threads — a reading older than the
+    last refill stamp simply adds no tokens (time never runs backwards
+    inside the bucket).
     """
 
     def __init__(
@@ -132,19 +133,11 @@ class FrontDoor:
         fans out across all relevant shards inside the router.
     rate, burst:
         Per-client token bucket (tokens/second and capacity).  ``None``
-        disables rate limiting; ``burst`` defaults to ``rate``.
-    bucket_ttl:
-        Seconds of idleness after which a client's bucket is evicted
-        (the per-client map is otherwise unbounded: every distinct
-        client name would pin a bucket forever).  Keep it at or above
-        ``burst / rate`` — an idle bucket refills to full burst within
-        that window anyway, so eviction never grants tokens a live
-        bucket would still be withholding.  ``None`` disables eviction.
-    fault_policy:
-        Forwarded to every query (``None`` means the router's default
-        :class:`~repro.shard.resilience.FaultPolicy`); queries always
-        run with ``fail_fast=False`` so a sick shard degrades coverage
-        rather than failing the query.
+        disables rate limiting; ``burst`` defaults to ``rate``.  A
+        client idle for ``burst / rate`` seconds loses its bucket: it
+        would have refilled to full burst by then anyway, so eviction
+        never grants tokens a live bucket would still be withholding,
+        and the per-client map stays bounded by active clients.
     clock:
         Drives the token buckets; tests inject a
         :class:`~repro.utils.clock.VirtualClock`.
@@ -160,24 +153,23 @@ class FrontDoor:
         workers: int = 2,
         rate: float | None = None,
         burst: float | None = None,
-        bucket_ttl: float | None = 300.0,
-        fault_policy=None,
         clock: Clock | None = None,
         drain_timeout: float = 5.0,
     ) -> None:
         check_positive_int(max_queue, "max_queue")
         check_positive_int(workers, "workers")
-        if bucket_ttl is not None:
-            check_positive(bucket_ttl, "bucket_ttl")
         self._router = router
-        self._policy = fault_policy
         self._clock = clock if clock is not None else SystemClock()
-        self._rate = float(rate) if rate is not None else None
-        if self._rate is not None:
-            self._burst = float(burst) if burst is not None else self._rate
+        if rate is not None:
+            self._rate = check_positive(rate, "rate")
+            self._burst = (
+                check_positive(burst, "burst")
+                if burst is not None
+                else self._rate
+            )
+            self._bucket_ttl = self._burst / self._rate
         else:
-            self._burst = None
-        self._bucket_ttl = bucket_ttl
+            self._rate = self._burst = self._bucket_ttl = None
         self._max_queue = max_queue
         self._drain_timeout = drain_timeout
         # Guards the admission state: the draining flag, the per-client
@@ -288,7 +280,6 @@ class FrontDoor:
                     k,
                     method=method,
                     cold=cold,
-                    fault_policy=self._policy,
                     fail_fast=False,
                 )
             except BaseException as exc:
@@ -303,16 +294,17 @@ class FrontDoor:
             self._stats[key] += 1
 
     def _sweep_buckets(self, now: float) -> None:
-        """Evict buckets idle past the TTL (caller holds ``_lock``).
+        """Evict buckets idle for ``burst / rate`` seconds (caller holds
+        ``_lock``).
 
-        Runs at most once per TTL window, so a burst of submits pays
+        Runs at most once per such window, so a burst of submits pays
         one dictionary scan per window, not per query.  Clients seen
         within the window keep their bucket (and its debt); the rest
-        are forgotten — by the TTL contract their buckets would have
-        refilled to full burst by now anyway.
+        are forgotten — their buckets would have refilled to full burst
+        by now anyway.
         """
         ttl = self._bucket_ttl
-        if ttl is None or now - self._last_sweep < ttl:
+        if now - self._last_sweep < ttl:
             return
         self._last_sweep = now
         stale = [
@@ -409,8 +401,7 @@ class NetworkFleet:
     range_cache_size:
         Range-block cache tier per served copy (see
         :class:`~repro.core.range_cache.RangeCache`; 0 disables).
-    max_queue, workers, rate, burst, bucket_ttl, fault_policy,
-    drain_timeout:
+    max_queue, workers, rate, burst, drain_timeout:
         Front-door knobs, forwarded verbatim.
     """
 
@@ -428,8 +419,6 @@ class NetworkFleet:
         workers: int = 2,
         rate: float | None = None,
         burst: float | None = None,
-        bucket_ttl: float | None = 300.0,
-        fault_policy=None,
         drain_timeout: float = 5.0,
     ) -> None:
         if mode not in ("thread", "subprocess"):
@@ -476,8 +465,6 @@ class NetworkFleet:
                 workers=workers,
                 rate=rate,
                 burst=burst,
-                bucket_ttl=bucket_ttl,
-                fault_policy=fault_policy,
                 clock=self._clock,
                 drain_timeout=drain_timeout,
             )

@@ -263,7 +263,7 @@ class ShardServer:
 
         The :class:`Deadline` is constructed *here*, on the thread that
         will execute (and under a fault schedule, sleep through) the
-        query — the thread-local-offset seam :mod:`repro.utils.clock`
+        query — the per-context offset seam :mod:`repro.utils.clock`
         documents.
         """
         shard = self._shard

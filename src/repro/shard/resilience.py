@@ -226,6 +226,18 @@ class BreakerPolicy:
         _check_count(self.probe_budget, "probe_budget")
 
 
+# The exception types a retry may fix; anything else (a ``TypeError``
+# from a malformed query, say) propagates immediately — retrying a bug
+# is not resilience.
+_RETRYABLE = (
+    ShardTimeout,
+    ShardDown,
+    InjectedShardError,
+    SimulatedCrash,
+    OSError,
+)
+
+
 @dataclass(frozen=True)
 class FaultPolicy:
     """Everything the resilient scatter path needs, in one bundle.
@@ -233,22 +245,14 @@ class FaultPolicy:
     ``deadline`` is the shard sub-query's **total** clock-time budget in
     seconds (``None`` = unbounded): every attempt and backoff sleep for
     that shard draws from the same budget, and an attempt whose budget
-    is already spent is skipped, not run.  ``retryable``
-    lists the exception types a retry may fix; anything else (a
-    ``TypeError`` from a malformed query, say) propagates immediately —
-    retrying a bug is not resilience.
+    is already spent is skipped, not run.  Only the shard-failure
+    exceptions (timeouts, down shards, injected faults, ``OSError``)
+    are retried; anything else propagates immediately.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
     deadline: float | None = None
-    retryable: tuple = (
-        ShardTimeout,
-        ShardDown,
-        InjectedShardError,
-        SimulatedCrash,
-        OSError,
-    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.retry, RetryPolicy):
@@ -609,7 +613,7 @@ def _one_attempt(
     start = clock.now()
     try:
         result = work(bundle, deadline, dispatch)
-    except policy.retryable as exc:
+    except _RETRYABLE as exc:
         return None, bundle, clock.now() - start, exc
     latency = clock.now() - start
     if deadline.expired():

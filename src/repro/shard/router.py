@@ -212,10 +212,12 @@ class ShardedVideoDatabase:
         stored configuration wins over the constructor arguments and
         every shard reopens at its last checkpoint.  ``None`` for an
         in-memory fleet.
-    reference, summarize_seed, buffer_capacity, cache_size:
-        Forwarded to every shard (identical fleet-wide, so summaries are
-        interchangeable and a sharded database stores bit-identical
-        summaries to an unsharded one).
+    buffer_capacity, cache_size:
+        Forwarded to every shard.  New fleets summarise with the
+        ``"optimal"`` reference strategy and seed 0 fleet-wide, so
+        summaries are interchangeable and a sharded database stores
+        bit-identical summaries to an unsharded one; ``shards.json``
+        records both, and a reopened fleet uses what it records.
     fault_injector:
         One :class:`~repro.storage.faults.FaultInjector` shared by every
         shard *and* the manifest write, so a crash-point sweep covers the
@@ -235,8 +237,6 @@ class ShardedVideoDatabase:
         partitioner: Partitioner | str = "hash",
         num_shards: int | None = None,
         path: str | os.PathLike | None = None,
-        reference: str = "optimal",
-        summarize_seed: int = 0,
         buffer_capacity: int = 256,
         cache_size: int = 128,
         fault_injector=None,
@@ -250,8 +250,8 @@ class ShardedVideoDatabase:
         # traffic.
         self._lock = make_lock("ShardedVideoDatabase._lock")
         self._epsilon = check_positive(epsilon, "epsilon")
-        self._reference = reference
-        self._seed = summarize_seed
+        self._reference = "optimal"
+        self._seed = 0
         self._buffer_capacity = buffer_capacity
         self._cache_size = cache_size
         self._faults = fault_injector

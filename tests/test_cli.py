@@ -235,6 +235,32 @@ class TestCheckSharded:
         assert code == 1
         assert "cannot open fleet" in capsys.readouterr().err
 
+    def test_failed_check_closes_the_fleet(
+        self, dataset_path, tmp_path, capsys, monkeypatch
+    ):
+        """Regression: a failing check returned before closing the
+        reopened fleet, leaking every shard's open files."""
+        import json
+        import os
+
+        from repro.shard import ShardedVideoDatabase
+
+        path = str(tmp_path / "fleet")
+        self._build_fleet(dataset_path, path)
+        with open(os.path.join(path, "health.json"), "w") as handle:
+            json.dump({"7": {"breaker_state": "closed"}}, handle)
+        closes = []
+        close = ShardedVideoDatabase.close
+
+        def spy(self):
+            closes.append(self)
+            close(self)
+
+        monkeypatch.setattr(ShardedVideoDatabase, "close", spy)
+        assert main(["check", "--index", path, "--sharded"]) == 1
+        assert "entry for shard 7" in capsys.readouterr().err
+        assert len(closes) == 1
+
 
 class TestFleetHealth:
     def _faulted_fleet(self, dataset_path, path):
@@ -338,49 +364,13 @@ class TestFleetHealth:
 
 
 class TestCheckSegments:
-    """`repro-video check --segments`: offline chain verification of a
-    replication segment log, with or without an index to check."""
-
-    @staticmethod
-    def write_chain(path, tokens, *, first_seq=1):
-        from repro.replication import SealedSegment, encode_segment
-
-        raw = b""
-        for offset, (base, after) in enumerate(zip(tokens, tokens[1:])):
-            raw += encode_segment(
-                SealedSegment(
-                    seq=first_seq + offset,
-                    base_token=base,
-                    after_token=after,
-                    payload=bytes([offset]),
-                )
-            )
-        with open(path, "wb") as handle:
-            handle.write(raw)
-        return raw
-
-    def test_standalone_log_verifies(self, tmp_path, capsys):
-        log = str(tmp_path / "segments.log")
-        self.write_chain(log, ["aa" * 16, "bb" * 16, "cc" * 16])
-        assert main(["check", "--segments", log]) == 0
-        out = capsys.readouterr().out
-        assert "2 segment(s), seq 1..2, hash chain verified" in out
-
-    def test_truncated_log_fails(self, tmp_path, capsys):
-        log = str(tmp_path / "segments.log")
-        raw = self.write_chain(log, ["aa" * 16, "bb" * 16, "cc" * 16])
-        with open(log, "wb") as handle:
-            handle.write(raw[:-5])
-        assert main(["check", "--segments", log]) == 1
-        assert "segment chain broken" in capsys.readouterr().err
-
-    def test_empty_log_is_a_valid_zero_chain(self, tmp_path, capsys):
-        log = str(tmp_path / "segments.log")
-        with open(log, "wb"):
-            pass
-        assert main(["check", "--segments", log]) == 0
-        assert "valid chain of length 0" in capsys.readouterr().out
+    """`repro-video check` needs an index; the offline `--segments` mode
+    is gone (no process writes a segment file to check)."""
 
     def test_check_requires_a_target(self, capsys):
-        assert main(["check"]) == 1
-        assert "nothing to check" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["check"])
+        assert exc.value.code == 2
+        assert "--index" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["check", "--segments", "segments.log"])

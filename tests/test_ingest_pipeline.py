@@ -2,9 +2,9 @@
 
 Admission must shed with *typed* errors before doing any work; commits
 must be whole batches (one WAL transaction / one shipped segment each);
-the group-commit linger must coalesce a paced trickle without ever
-delaying a full batch; and a drift-triggered rebuild must leave the
-target serving oracle-exact rankings.
+the worker must commit a partial batch on its next iteration; and a
+drift-triggered rebuild must leave the target serving oracle-exact
+rankings.
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ from repro.ingest import (
     IngestPipeline,
 )
 from repro.replication import ReplicaSet, ReplicaShard
-from repro.replication.segments import verify_segment_chain
 from repro.shard.router import ShardedVideoDatabase
 from repro.shard.shard import Shard
 from repro.utils.clock import VirtualClock
@@ -78,10 +77,6 @@ class TestValidation:
             IngestPipeline(shard, batch_size=0)
         with pytest.raises(ValueError, match="max_queue"):
             IngestPipeline(shard, max_queue=0)
-        with pytest.raises(ValueError, match="linger"):
-            IngestPipeline(shard, linger=-1.0)
-        with pytest.raises(ValueError, match="backoff"):
-            IngestPipeline(shard, min_backoff=0.5, max_backoff=0.1)
         with pytest.raises(TypeError, match="DriftMonitor"):
             IngestPipeline(shard, drift=object())
         with pytest.raises(TypeError, match="Clock"):
@@ -135,11 +130,11 @@ class TestBatching:
             primary.add_summary(summary)
         primary.checkpoint()
         clock = VirtualClock()
-        log_path = str(tmp_path / "segments.log")
-        group = ReplicaSet(primary, clock=clock, segment_log_path=log_path)
-        group.attach_replica(
-            ReplicaShard(0, tmp_path / "replica", epsilon=EPSILON, clock=clock)
+        group = ReplicaSet(primary, clock=clock)
+        replica = ReplicaShard(
+            0, tmp_path / "replica", epsilon=EPSILON, clock=clock
         )
+        group.attach_replica(replica)
         group.sync()
         seq_before = group.shipper.seq
 
@@ -148,11 +143,12 @@ class TestBatching:
             pipeline.submit(summary)
         assert pipeline.pump() == 8
 
-        # One checkpoint per batch == one sealed, chained segment each.
+        # One checkpoint per batch == one sealed, chained segment each,
+        # and the replica's apply gauntlet verified both hops.
         assert group.shipper.seq == seq_before + 2
-        with open(log_path, "rb") as handle:
-            chain = verify_segment_chain(handle.read())
-        assert chain["last_seq"] == group.shipper.seq
+        assert replica.segments_applied == 2
+        assert replica.bootstraps == 1
+        assert replica.token == group.shipper.token
 
         # _apply syncs after each commit: replicas already serve it all.
         oracle = VitriIndex.build(group.primary.summaries(), EPSILON)
@@ -161,6 +157,40 @@ class TestBatching:
             got = group.knn(probe, 5)
             assert tuple(got.videos) == tuple(expected.videos)
             assert np.allclose(got.scores, expected.scores)
+        group.close()
+
+    @pytest.mark.parametrize("replicas", [0, 1, 2])
+    def test_replicated_segment_log_stays_bounded(self, tmp_path, replicas):
+        """Regression: every batch commit used to leave one more sealed
+        segment (page images included) in the primary's log for the life
+        of the process; ``sync()`` now trims through the slowest replica."""
+        primary = Shard(0, epsilon=EPSILON, path=str(tmp_path / "primary"))
+        for summary in make_summaries(6):
+            primary.add_summary(summary)
+        primary.checkpoint()
+        clock = VirtualClock()
+        group = ReplicaSet(primary, clock=clock)
+        for index in range(replicas):
+            group.attach_replica(
+                ReplicaShard(
+                    0, tmp_path / f"replica-{index}", epsilon=EPSILON,
+                    clock=clock,
+                )
+            )
+        pipeline = IngestPipeline(group, batch_size=2)
+        stream = make_summaries(12, seed=11, first_id=100)
+        for start in range(0, len(stream), 2):
+            for summary in stream[start:start + 2]:
+                pipeline.submit(summary)
+            assert pipeline.pump() == 2
+            assert len(group.shipper.log) <= 1
+        assert pipeline.batches == len(stream) // 2
+        for probe in stream[::3]:
+            want = group.primary.knn(probe, 5)
+            for replica in group.replicas:
+                got = replica.knn(probe, 5)
+                assert got.videos == want.videos
+                assert got.scores == want.scores
         group.close()
 
     def test_invalid_summary_is_rejected_not_fatal(self):
@@ -176,51 +206,30 @@ class TestBatching:
 
 
 class TestGroupCommit:
-    def make_pipeline(self, clock, **kwargs):
-        shard = Shard(0, epsilon=EPSILON)
-        return shard, IngestPipeline(shard, clock=clock, **kwargs)
+    """The worker commits whatever is queued on its next iteration: a
+    full batch at once, a partial one without waiting for company."""
 
-    def test_partial_batch_waits_for_linger(self):
-        clock = VirtualClock()
-        _, pipeline = self.make_pipeline(clock, batch_size=4, linger=5.0)
-        for summary in make_summaries(2):
-            pipeline.submit(summary)
-        assert pipeline._pump_once() == 0  # partial and not yet lingered
-        assert pipeline.depth == 2
-        clock.advance(6.0)
-        assert pipeline._pump_once() == 2  # linger expired: commit it
-        assert pipeline.batches == 1
+    def make_pipeline(self, **kwargs):
+        shard = Shard(0, epsilon=EPSILON)
+        return shard, IngestPipeline(shard, clock=VirtualClock(), **kwargs)
 
     def test_full_batch_never_waits(self):
-        clock = VirtualClock()
-        _, pipeline = self.make_pipeline(clock, batch_size=4, linger=60.0)
+        _, pipeline = self.make_pipeline(batch_size=4)
         for summary in make_summaries(4):
             pipeline.submit(summary)
         assert pipeline._pump_once() == 4  # no clock movement needed
 
     def test_pump_flushes_partials_regardless_of_linger(self):
-        clock = VirtualClock()
-        _, pipeline = self.make_pipeline(clock, batch_size=4, linger=60.0)
+        _, pipeline = self.make_pipeline(batch_size=4)
         pipeline.submit(make_summaries(1)[0])
         assert pipeline.pump() == 1
 
     def test_zero_linger_commits_partials_immediately(self):
-        clock = VirtualClock()
-        _, pipeline = self.make_pipeline(clock, batch_size=4, linger=0.0)
+        _, pipeline = self.make_pipeline(batch_size=4)
         pipeline.submit(make_summaries(1)[0])
         assert pipeline._pump_once() == 1
-
-    def test_first_batch_after_idle_still_lingers(self):
-        clock = VirtualClock()
-        _, pipeline = self.make_pipeline(clock, batch_size=4, linger=5.0)
-        clock.advance(100.0)  # long idle gap, no commits in it
-        pipeline.submit(make_summaries(1)[0])
-        # The linger gates on the oldest *queued* summary's age, not on
-        # the time since the last commit, so the first post-idle summary
-        # coalesces instead of committing as a batch of one.
-        assert pipeline._pump_once() == 0
-        clock.advance(5.0)
-        assert pipeline._pump_once() == 1
+        assert pipeline._pump_once() == 0  # nothing left to commit
+        assert pipeline.batches == 1
 
 
 class TestWorker:
@@ -228,7 +237,7 @@ class TestWorker:
         import time
 
         shard = Shard(0, epsilon=EPSILON)
-        pipeline = IngestPipeline(shard, batch_size=2, min_backoff=0.001)
+        pipeline = IngestPipeline(shard, batch_size=2)
         pipeline.start()
         try:
             with pytest.raises(RuntimeError, match="already running"):
@@ -284,12 +293,7 @@ class TestPumpFailure:
         import time
 
         shard = FlakyShard(fail=2)
-        pipeline = IngestPipeline(
-            shard,
-            batch_size=2,
-            min_backoff=0.001,
-            max_pump_failures=10,
-        )
+        pipeline = IngestPipeline(shard, batch_size=2)
         pipeline.start()
         try:
             for summary in make_summaries(4):
@@ -310,10 +314,7 @@ class TestPumpFailure:
         import time
 
         pipeline = IngestPipeline(
-            FlakyShard(fail=10_000),
-            batch_size=2,
-            min_backoff=0.001,
-            max_pump_failures=3,
+            FlakyShard(fail=10_000), batch_size=2, clock=VirtualClock()
         )
         pipeline.start()
         try:
@@ -328,14 +329,29 @@ class TestPumpFailure:
         stats = pipeline.stats()
         assert stats["failed"] is not None
         assert "transient insert fault" in stats["failed"]
-        assert stats["pump_errors"] == 3
+        assert stats["pump_errors"] == 8  # the fixed failure budget
         # No silent dead thread: producers get a typed, non-retriable error.
         with pytest.raises(IngestFailed, match="failed terminally"):
             pipeline.submit(make_summaries(3)[2])
 
     def test_rejects_bad_max_pump_failures(self):
-        with pytest.raises(ValueError, match="max_pump_failures"):
-            IngestPipeline(Shard(0, epsilon=EPSILON), max_pump_failures=0)
+        """The failure budget and backoff are fixed, not caller knobs:
+        any ``max_pump_failures=`` is refused, and the worker parks after
+        exactly eight failures, having slept the doubling schedule from
+        5 ms, capped at 250 ms, between them."""
+        with pytest.raises(TypeError, match="max_pump_failures"):
+            IngestPipeline(Shard(0, epsilon=EPSILON), max_pump_failures=3)
+        clock = VirtualClock()
+        pipeline = IngestPipeline(
+            FlakyShard(fail=10_000), batch_size=2, clock=clock
+        )
+        for summary in make_summaries(2):
+            pipeline.submit(summary)
+        pipeline._run()  # on this thread: returns once parked
+        assert pipeline.pump_errors == 8
+        assert pipeline.stats()["failed"] is not None
+        sleeps = [min(0.005 * 2**i, 0.25) for i in range(7)]
+        assert clock.now() == pytest.approx(sum(sleeps))
 
 
 class TestDrainRace:
@@ -369,25 +385,6 @@ class TestDrainRace:
 
 
 class TestDrift:
-    def test_min_interval_floor_on_injected_clock(self):
-        clock = VirtualClock()
-        monitor = DriftMonitor(
-            max_angle_degrees=15.0,
-            check_every=2,
-            min_interval=10.0,
-            clock=clock,
-        )
-        index = VitriIndex.build(make_summaries(10), EPSILON)
-        first = monitor.observe("shard", index, inserted=2)
-        assert isinstance(first, DriftCheck)
-        # Inside the floor: due by count, suppressed by the clock.
-        assert monitor.observe("shard", index, inserted=2) is None
-        clock.advance(11.0)
-        second = monitor.observe("shard", index, inserted=2)
-        assert isinstance(second, DriftCheck)
-        assert second.at - first.at >= 10.0
-        assert monitor.checks == 2
-
     def test_drift_triggers_online_rebuild_and_stays_exact(self, tmp_path):
         initial = make_summaries(12)
         shard = Shard(0, epsilon=EPSILON, path=str(tmp_path / "shard"))
@@ -447,7 +444,7 @@ class TestDrift:
             lambda shard, **kwargs: held_during_rebuild.append(probe.held),
         )
 
-        pipeline = IngestPipeline(group, drift=DriftMonitor(clock=clock))
+        pipeline = IngestPipeline(group, drift=DriftMonitor())
         pipeline._rebuild("primary")
         assert held_during_rebuild == [1]
         assert probe.held == 0  # released after the cutover
@@ -502,7 +499,7 @@ class TestDrift:
             def observe(self, key, index, inserted=1):
                 fleet.split_front()
                 return DriftCheck(
-                    key=key, angle=1.0, threshold=0.1, rebuild=True, at=0.0
+                    key=key, angle=1.0, threshold=0.1, rebuild=True
                 )
 
         pipeline = IngestPipeline(

@@ -7,15 +7,16 @@ value a caller may or may not set — next to the non-test caller that
 sets it.  Adding an option fails this test until the table says who
 needs it; deleting one fails it until the row goes too.
 
-Three kinds of entry:
+Two kinds of entry:
 
 * a path — the ``src/``, ``benchmarks/`` or ``examples/`` call site that
   passes the option;
 * ``SEAM`` — a testing seam (injected clock, fault injector, the scalar
-  oracle): no production caller sets it, tests must be able to;
-* ``UNPROVEN`` — nothing outside ``tests/`` sets it today.  These are the
-  remaining audit candidates of ROADMAP item 8: the next prove-or-prune
-  PR either finds the workload that needs the option or deletes it.
+  oracle, the fault-policy schedule): no production caller sets it,
+  tests must be able to; the entry says which tests and why.
+
+There is no third kind.  An option nothing outside ``tests/`` sets either
+earns a caller, becomes a named seam, or goes (ROADMAP item 7).
 """
 
 import inspect
@@ -35,7 +36,10 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
 
 SEAM = "testing seam"
-UNPROVEN = "no caller outside tests/ (ROADMAP item 8 audit candidate)"
+RESILIENCE_SEAM = (
+    f"{SEAM}: resilience tests drive retries, deadlines and breaker trips "
+    "on a VirtualClock; production runs FaultPolicy()"
+)
 
 WORKLOADS = "benchmarks/e2e/workloads.py"
 DATABASE = "src/repro/core/database.py"
@@ -62,7 +66,6 @@ CENSUS = {
             "btree_path": f"{CLI} build, {WORKLOADS}",
             "heap_path": f"{CLI} build, {WORKLOADS}",
             "buffer_capacity": WORKLOADS,
-            "fill_factor": UNPROVEN,
             "btree_pool": DATABASE,
             "heap_pool": DATABASE,
         },
@@ -73,7 +76,11 @@ CENSUS = {
             "method": f"{DATABASE} query, benchmarks/bench_fig16_query_composition.py",
             "impl": f"{SEAM} (the scalar oracle)",
             "cold": "benchmarks/bench_ablation_buffer.py",
-            "out_counters": UNPROVEN,
+            "out_counters": (
+                f"{SEAM}: the scalar-oracle and golden cost-signature "
+                "comparisons (test_vectorized_equivalence.py, "
+                "test_golden_rankings.py)"
+            ),
         },
     ),
     "QueryEngine": (
@@ -114,8 +121,6 @@ CENSUS = {
             "partitioner": WORKLOADS,
             "num_shards": WORKLOADS,
             "path": f"{WORKLOADS}, {CLI} fleet-health",
-            "reference": UNPROVEN,
-            "summarize_seed": UNPROVEN,
             "buffer_capacity": WORKLOADS,
             "cache_size": WORKLOADS,
             "fault_injector": SEAM,
@@ -127,7 +132,7 @@ CENSUS = {
         {
             "method": f"{FRONTDOOR} (the wire's knn op)",
             "cold": FRONTDOOR,
-            "fault_policy": FRONTDOOR,
+            "fault_policy": RESILIENCE_SEAM,
             "fail_fast": FRONTDOOR,
         },
     ),
@@ -139,22 +144,14 @@ CENSUS = {
             "range_cache_size": FRONTDOOR,
         },
     ),
-    "ReplicaSet": (
-        ReplicaSet,
-        {
-            "breaker_policy": UNPROVEN,
-            "warm_on_attach": UNPROVEN,
-            "retain": UNPROVEN,
-            "segment_log_path": UNPROVEN,
-        },
-    ),
+    # No options left; the row stays so that adding one fails here.
+    "ReplicaSet": (ReplicaSet, {}),
     "FaultPolicy": (
         FaultPolicy,
         {
-            "retry": UNPROVEN,
-            "breaker": UNPROVEN,
-            "deadline": UNPROVEN,
-            "retryable": UNPROVEN,
+            "retry": RESILIENCE_SEAM,
+            "breaker": RESILIENCE_SEAM,
+            "deadline": RESILIENCE_SEAM,
         },
     ),
     "FrontDoor": (
@@ -164,8 +161,6 @@ CENSUS = {
             "workers": f"{FRONTDOOR} NetworkFleet <- {CLI} serve",
             "rate": f"{FRONTDOOR} NetworkFleet <- {CLI} serve",
             "burst": f"{FRONTDOOR} NetworkFleet <- {CLI} serve",
-            "bucket_ttl": UNPROVEN,
-            "fault_policy": UNPROVEN,
             "clock": SEAM,
             "drain_timeout": f"{FRONTDOOR} NetworkFleet <- {CLI} serve",
         },
@@ -183,8 +178,6 @@ CENSUS = {
             "workers": f"{CLI} serve",
             "rate": f"{CLI} serve",
             "burst": f"{CLI} serve",
-            "bucket_ttl": UNPROVEN,
-            "fault_policy": UNPROVEN,
             "drain_timeout": f"{CLI} serve",
         },
     ),
@@ -195,10 +188,6 @@ CENSUS = {
             "max_queue": WORKLOADS,
             "clock": SEAM,
             "drift": WORKLOADS,
-            "linger": UNPROVEN,
-            "min_backoff": UNPROVEN,
-            "max_backoff": UNPROVEN,
-            "max_pump_failures": UNPROVEN,
         },
     ),
     "DriftMonitor": (
@@ -206,16 +195,15 @@ CENSUS = {
         {
             "max_angle_degrees": WORKLOADS,
             "check_every": WORKLOADS,
-            "min_interval": UNPROVEN,
-            "clock": SEAM,
         },
     ),
 }
 
 #: Rows above.  The same sixteen signatures held 100 before the read-path
 #: audit and 91 after it; ``prune`` went once every sub-query proved its
-#: own pruning.
-EXPECTED_TOTAL = 90
+#: own pruning (90), and the write/serve/replication audit took the 18
+#: options nothing set (72).
+EXPECTED_TOTAL = 72
 
 
 def options(callable_) -> list[str]:

@@ -17,23 +17,18 @@ import pytest
 from repro.datasets.synthetic import DatasetConfig, generate_dataset
 from repro.core.summarize import summarize_video
 from repro.replication import (
-    EMPTY_TOKEN,
     NEEDS_BOOTSTRAP,
     SYNCED,
     ReplicaSet,
     ReplicaShard,
     ReplicaUnavailable,
     SealedSegment,
-    SegmentFrameError,
     SegmentLog,
     WalShipper,
     decode_segment,
     encode_segment,
-    iter_segments,
-    verify_segment_chain,
 )
 from repro.replication.shipper import database_token
-from repro.shard.resilience import BreakerPolicy
 from repro.shard.shard import Shard
 from repro.utils.clock import VirtualClock
 from repro.utils.counters import CostCounters
@@ -86,78 +81,81 @@ class TestSegmentFrame:
 
 
 class TestSegmentChainVerify:
-    """Structural chain verification — what `repro-video check --segments`
-    runs over a persisted segment log."""
+    """The replica's apply gauntlet is the stream's only chain verifier:
+    a gap, a broken hash chain or a torn tail is refused before it can
+    apply, and a valid chain lands exactly on its after-token."""
 
-    @staticmethod
-    def make_chain(tokens, *, first_seq=1):
-        segments = []
-        for offset, (base, after) in enumerate(zip(tokens, tokens[1:])):
-            segments.append(
-                SealedSegment(
-                    seq=first_seq + offset,
-                    base_token=base,
-                    after_token=after,
-                    payload=bytes([offset]),
-                )
+    @pytest.fixture
+    def chain(self, tmp_path):
+        """A synced replica and the next three sealed segments."""
+        summaries = make_summaries()
+        primary = make_primary(tmp_path / "primary", summaries[:8])
+        shipper = WalShipper(primary, clock=VirtualClock())
+        replica = ReplicaShard(
+            0, tmp_path / "replica", epsilon=EPSILON, clock=VirtualClock()
+        )
+        replica.bootstrap(shipper.snapshot())
+        for summary in summaries[8:11]:
+            primary.add_summary(summary)
+            primary.checkpoint()
+        segments = shipper.segments_since(replica.applied_seq)
+        assert len(segments) == 3
+        yield shipper, replica, segments
+        replica.close()
+        primary.close()
+
+    def test_valid_chain_summary(self, chain):
+        shipper, replica, segments = chain
+        first = decode_segment(segments[0])
+        assert first.base_token == replica.token
+        for encoded in segments:
+            assert replica.apply_segment(encoded)
+        assert replica.segments_applied == 3
+        assert replica.applied_seq == first.seq + 2 == shipper.seq
+        assert replica.token == decode_segment(segments[-1]).after_token
+        assert replica.token == shipper.token
+
+    def test_empty_stream_is_a_valid_zero_chain(self, tmp_path):
+        group = ReplicaSet(
+            make_primary(tmp_path / "primary", make_summaries()),
+            clock=VirtualClock(),
+        )
+        group.attach_replica(
+            ReplicaShard(
+                0, tmp_path / "replica", epsilon=EPSILON, clock=VirtualClock()
             )
-        return segments
-
-    def test_valid_chain_summary(self):
-        tokens = ["aa" * 16, "bb" * 16, "cc" * 16, "dd" * 16]
-        raw = b"".join(
-            encode_segment(s) for s in self.make_chain(tokens, first_seq=4)
         )
-        assert verify_segment_chain(raw) == {
-            "segments": 3,
-            "first_seq": 4,
-            "last_seq": 6,
-            "base_token": tokens[0],
-            "after_token": tokens[-1],
-        }
+        assert group.sync() == {"applied": 0, "bootstrapped": 0}
+        assert group.replicas[0].token == group.shipper.token
+        group.close()
 
-    def test_empty_stream_is_a_valid_zero_chain(self):
-        summary = verify_segment_chain(b"")
-        assert summary["segments"] == 0
-        assert summary["base_token"] is None
+    def test_sequence_gap_raises(self, chain):
+        _, replica, segments = chain
+        assert replica.apply_segment(segments[0])
+        assert not replica.apply_segment(segments[2])  # skips segment 2
+        assert replica.state == NEEDS_BOOTSTRAP
+        assert "sequence gap" in replica.last_error
 
-    def test_sequence_gap_raises(self):
-        tokens = ["aa" * 16, "bb" * 16, "cc" * 16]
-        first, second = self.make_chain(tokens)
-        skipped = SealedSegment(
-            seq=second.seq + 1,  # gap: 1 then 3
-            base_token=second.base_token,
-            after_token=second.after_token,
-            payload=second.payload,
-        )
-        raw = encode_segment(first) + encode_segment(skipped)
-        with pytest.raises(SegmentFrameError, match="sequence gap"):
-            verify_segment_chain(raw)
-
-    def test_broken_hash_chain_raises(self):
-        tokens = ["aa" * 16, "bb" * 16, "cc" * 16]
-        first, second = self.make_chain(tokens)
+    def test_broken_hash_chain_raises(self, chain):
+        _, replica, segments = chain
+        assert replica.apply_segment(segments[0])
+        second = decode_segment(segments[1])
         forked = SealedSegment(
             seq=second.seq,
-            base_token="ee" * 16,  # does not match first.after_token
+            base_token="ee" * 16,  # not the first segment's after token
             after_token=second.after_token,
             payload=second.payload,
         )
-        raw = encode_segment(first) + encode_segment(forked)
-        with pytest.raises(SegmentFrameError, match="hash chain broken"):
-            verify_segment_chain(raw)
+        assert not replica.apply_segment(encode_segment(forked))
+        assert "base token mismatch" in replica.last_error
 
-    def test_truncated_tail_raises(self):
-        tokens = ["aa" * 16, "bb" * 16, "cc" * 16]
-        first, second = self.make_chain(tokens)
-        raw = encode_segment(first) + encode_segment(second)[:-3]
-        with pytest.raises(SegmentFrameError, match="truncated"):
-            verify_segment_chain(raw)
-        # iter_segments reports the same defect lazily.
-        chunks = iter_segments(raw)
-        assert next(chunks).seq == first.seq
-        with pytest.raises(SegmentFrameError):
-            next(chunks)
+    def test_truncated_tail_raises(self, chain):
+        _, replica, segments = chain
+        assert replica.apply_segment(segments[0])
+        assert not replica.apply_segment(segments[1][:-3])
+        assert "bad frame" in replica.last_error
+        # The verified position stays on the last whole segment.
+        assert replica.token == decode_segment(segments[0]).after_token
 
 
 class TestSegmentLog:
@@ -171,9 +169,10 @@ class TestSegmentLog:
         assert log.latest_seq == 3
 
     def test_truncated_history_returns_none(self):
-        log = SegmentLog(retain=2)
+        log = SegmentLog()
         for seq in (1, 2, 3, 4):
             log.append(seq, bytes([seq]))
+        log.trim(2)
         assert len(log) == 2
         # A replica at seq 1 needs segment 2, which was truncated away.
         assert log.since(1) is None
@@ -283,10 +282,10 @@ class TestReplicaShard:
 
 
 class TestReplicaSet:
-    def make_group(self, tmp_path, summaries, replicas=2, **kwargs):
+    def make_group(self, tmp_path, summaries, replicas=2):
         clock = VirtualClock()
         primary = make_primary(tmp_path / "primary", summaries)
-        group = ReplicaSet(primary, clock=clock, **kwargs)
+        group = ReplicaSet(primary, clock=clock)
         for index in range(replicas):
             group.attach_replica(
                 ReplicaShard(
@@ -324,11 +323,12 @@ class TestReplicaSet:
 
     def test_truncated_log_forces_rebootstrap(self, tmp_path):
         summaries = make_summaries()
-        group, _ = self.make_group(tmp_path, summaries[:8], retain=1)
-        # Two checkpointed writes truncate the suffix the replicas need.
+        group, _ = self.make_group(tmp_path, summaries[:8])
         for summary in summaries[8:10]:
             group.add_summary(summary)
             group.checkpoint()
+        # Trim away the suffix the replicas need.
+        group.shipper.log.trim(group.shipper.seq - 1)
         tally = group.sync()
         assert tally["bootstrapped"] == 2
         for replica in group.replicas:
@@ -365,12 +365,11 @@ class TestReplicaSet:
 
     def test_all_replicas_tripped_falls_back_to_primary(self, tmp_path):
         summaries = make_summaries()
-        policy = BreakerPolicy(min_volume=1, failure_rate=0.5)
-        group, clock = self.make_group(
-            tmp_path, summaries, breaker_policy=policy
-        )
+        group, clock = self.make_group(tmp_path, summaries)
         for copy in group._replicas:
-            copy.breaker.record(False, clock.now())
+            # The default BreakerPolicy opens after min_volume=4 failures.
+            for _ in range(4):
+                copy.breaker.record(False, clock.now())
             assert not copy.breaker.allow(clock.now())
         before = group.fallbacks_to_primary
         result = group.knn(summaries[0], 3)

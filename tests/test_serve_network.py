@@ -402,68 +402,67 @@ class TestFrontDoorShedding:
 
 class TestBucketTTL:
     """Regression: the per-client token-bucket map must not grow without
-    bound — one-shot clients are evicted after ``bucket_ttl`` idle
-    seconds (their refilled-to-burst bucket holds no state worth
-    keeping)."""
+    bound — a client idle for ``burst / rate`` seconds is evicted (its
+    bucket would have refilled to full burst by then, so it holds no
+    state worth keeping)."""
 
     def make_door(self, clock, **kwargs):
         router = StubRouter()
         router.gate.set()
+        # rate 8/s, burst 8: an idle bucket is full again after 1 s
+        # (binary-exact times below keep the token arithmetic exact).
         return FrontDoor(
             router,
-            rate=100.0,
-            burst=100.0,
+            **{"rate": 8.0, "burst": 8.0, **kwargs},
             workers=1,
             max_queue=1024,
             clock=clock,
-            **kwargs,
         )
 
     def test_idle_clients_are_evicted_after_ttl(self):
         clock = VirtualClock()
-        door = self.make_door(clock, bucket_ttl=60.0)
+        door = self.make_door(clock)
         try:
-            futures = [
-                door.submit("q", 1, client=f"client-{i}") for i in range(500)
-            ]
-            for future in futures:
-                future.result(30.0)
-            assert door.stats()["rate_limit_clients"] == 500
-            clock.advance(61.0)
-            # The next submission sweeps every idle bucket.
+            door.submit("q", 1, client="gone").result(30.0)
+            clock.advance(0.125)
+            for _ in range(8):  # spends the whole burst
+                door.submit("q", 1, client="kept").result(30.0)
+            kept = door._buckets["kept"]
+            clock.advance(0.875)
+            # The next submission sweeps: "gone" has been idle 1 s (the
+            # derived TTL), "kept" only 0.875 s.
             door.submit("q", 1, client="fresh").result(30.0)
-            assert door.stats()["rate_limit_clients"] == 1
+            assert set(door._buckets) == {"kept", "fresh"}
+            assert door.stats()["rate_limit_clients"] == 2
+            # "kept" keeps its bucket and its debt: 0.875 s refilled 7
+            # of its 8 tokens, where a fresh bucket would hold all 8.
+            assert door._buckets["kept"] is kept
+            for _ in range(7):
+                door.submit("q", 1, client="kept").result(30.0)
+            with pytest.raises(RateLimited):
+                door.submit("q", 1, client="kept")
         finally:
             door.drain()
 
     def test_active_client_survives_the_sweep(self):
         clock = VirtualClock()
-        door = self.make_door(clock, bucket_ttl=60.0)
+        door = self.make_door(clock)
         try:
             door.submit("q", 1, client="steady").result(30.0)
-            clock.advance(59.0)
+            clock.advance(0.875)
             door.submit("q", 1, client="steady").result(30.0)
-            clock.advance(59.0)  # 118s since the first, 59s since the last
+            clock.advance(0.875)  # 1.75 s since the first, 0.875 s since the last
             door.submit("q", 1, client="visitor").result(30.0)
             assert set(door._buckets) == {"steady", "visitor"}
         finally:
             door.drain()
 
-    def test_ttl_none_disables_eviction(self):
-        clock = VirtualClock()
-        door = self.make_door(clock, bucket_ttl=None)
-        try:
-            for i in range(50):
-                door.submit("q", 1, client=f"client-{i}").result(30.0)
-            clock.advance(10_000.0)
-            door.submit("q", 1, client="fresh").result(30.0)
-            assert door.stats()["rate_limit_clients"] == 51
-        finally:
-            door.drain()
-
     def test_rejects_nonpositive_ttl(self):
-        with pytest.raises(ValueError):
-            self.make_door(VirtualClock(), bucket_ttl=0.0)
+        # The TTL is burst / rate, so both must be positive.
+        with pytest.raises(ValueError, match="rate"):
+            self.make_door(VirtualClock(), rate=0.0)
+        with pytest.raises(ValueError, match="burst"):
+            self.make_door(VirtualClock(), burst=0.0)
 
 
 @pytest.mark.parametrize("seed", [SEEDS[0]])

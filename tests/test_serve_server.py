@@ -210,7 +210,7 @@ class TestDrain:
 class TestVirtualClockSeam:
     def test_sequential_requests_never_falsely_expire(self, corpus):
         # The deadline is built on the worker thread against the
-        # server's own clock; a VirtualClock's thread-local offsets must
+        # server's own clock; a VirtualClock's per-context offsets must
         # therefore never leak one request's sleeps into the next
         # request's budget.
         server = ShardServer(make_shard(corpus), clock=VirtualClock())
