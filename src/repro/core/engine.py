@@ -27,15 +27,23 @@ of queries.  :class:`QueryEngine` is that serving layer:
   across :meth:`QueryEngine.refresh` can never return a ranking computed
   over different content.  A cache hit returns the memoised result,
   including its original stats.
-* **Range-block tier.**  ``range_cache_size > 0`` adds a second tier
-  below the result cache: a :class:`~repro.core.range_cache.RangeCache`
-  of raw composed-range B+-tree blocks, scoped on the same content
-  token.  Queries that miss the result cache (different selection,
-  aged-out entry) still skip the tree for any range another query
-  already pulled; the blocks are pre-decode, so logical cost signatures
-  are unchanged.  :meth:`QueryEngine.hot_ranges` exports the tier's
-  working set and :meth:`QueryEngine.warm` replays one — the
-  replica-attach warming path.
+* **Page tier.**  ``range_cache_size > 0`` gives the engine's pool a
+  spill segment of that many pages
+  (:meth:`~repro.storage.buffer_pool.BufferPool.with_spill`): leaves
+  the ``buffer_capacity`` segment evicts wait there, and a pool miss
+  looks there before it reads.  The two segments are one LRU of
+  ``buffer_capacity + range_cache_size`` pages, so the tier holds each
+  leaf once whichever composed ranges cover it, and its memory is
+  bounded by its page count.  Tier hits are memory hits: rankings and
+  logical cost signatures are unchanged, only ``page_reads`` drops.
+  :meth:`QueryEngine.hot_pages` exports the pool's working set and
+  :meth:`QueryEngine.warm` replays one — the replica-attach warming
+  path.
+* **One snapshot object.**  The served state (content token, tree,
+  pool, codec, transform, epsilon, dimension, frame counts) is one
+  immutable :class:`_Snapshot`, swapped by :meth:`QueryEngine.refresh`
+  in a single assignment and read once per query, so a query that
+  overlaps a refresh computes and caches entirely under one snapshot.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections import OrderedDict
+from typing import NamedTuple
 
 from repro.btree.tree import BPlusTree
 from repro.core.index import (
@@ -53,9 +62,10 @@ from repro.core.index import (
     _select_at_least,
     _select_top,
 )
-from repro.core.range_cache import RangeCache
+from repro.core.transform import OneDimensionalTransform
 from repro.core.vitri import VideoSummary
 from repro.storage.buffer_pool import BufferPool
+from repro.storage.serialization import ViTriRecordCodec
 from repro.utils.counters import CostCounters
 from repro.utils.locks import make_lock
 
@@ -81,6 +91,19 @@ def query_fingerprint(query: VideoSummary) -> str:
     return digest.hexdigest()
 
 
+class _Snapshot(NamedTuple):
+    """Everything one query reads of the served index, taken together."""
+
+    token: str
+    tree: BPlusTree
+    pool: BufferPool
+    codec: ViTriRecordCodec
+    transform: OneDimensionalTransform
+    epsilon: float
+    dim: int
+    video_frames: dict[int, int]
+
+
 class QueryEngine:
     """Cached KNN / threshold serving over a :class:`VitriIndex` snapshot.
 
@@ -94,8 +117,9 @@ class QueryEngine:
     cache_size:
         Maximum number of memoised results; ``0`` disables the cache.
     range_cache_size:
-        Maximum number of composed-range blocks in the second cache
-        tier; ``0`` (default) disables the tier.
+        Pages in the pool's spill segment, the second cache tier; ``0``
+        (default) disables the tier.  The engine holds at most
+        ``buffer_capacity + range_cache_size`` pages.
     """
 
     def __init__(
@@ -129,6 +153,7 @@ class QueryEngine:
 
         self._index = index
         self._buffer_capacity = buffer_capacity
+        self._range_cache_size = range_cache_size
         self._cache_size = cache_size
         self._cache: OrderedDict[
             tuple[str, str, tuple[str, float], str], KNNResult
@@ -136,29 +161,34 @@ class QueryEngine:
         self._cache_lock = make_lock("QueryEngine._cache_lock")
         self.cache_hits = 0
         self.cache_misses = 0
-        self._range_cache = (
-            RangeCache(range_cache_size) if range_cache_size > 0 else None
-        )
-        self._take_snapshot()
+        # Tier lookups of the pools retired by refresh().
+        self._retired_range_hits = 0
+        self._retired_range_misses = 0
+        self._snapshot = self._take_snapshot()
 
-    def _take_snapshot(self) -> None:
-        """(Re-)snapshot the served index: push the index's dirty pages
-        down so a fresh pool sees the committed tree (the pager itself
-        is thread-safe), and stamp the snapshot's content token into the
+    def _take_snapshot(self) -> _Snapshot:
+        """Snapshot the served index: push the index's dirty pages down
+        so a fresh pool sees the committed tree (the pager itself is
+        thread-safe), and stamp the snapshot's content token into the
         cache key space."""
         index = self._index
         index.flush_pages()
-        self._codec = index.codec
-        self._transform = index.transform
-        self._epsilon = index.epsilon
-        self._dim = index.dim
-        self._video_frames = index.video_frames
-        self._snapshot_token = index.content_token()
         # Fresh pool: a stale one could hold pre-refresh page images.
-        self._pool = BufferPool(
-            index.btree.buffer_pool.pager, capacity=self._buffer_capacity
+        pool = BufferPool.with_spill(
+            index.btree.buffer_pool.pager,
+            self._buffer_capacity,
+            self._range_cache_size,
         )
-        self._tree = BPlusTree.open(self._pool)
+        return _Snapshot(
+            token=index.content_token(),
+            tree=BPlusTree.open(pool),
+            pool=pool,
+            codec=index.codec,
+            transform=index.transform,
+            epsilon=index.epsilon,
+            dim=index.dim,
+            video_frames=index.video_frames,
+        )
 
     def refresh(self) -> None:
         """Re-snapshot after the underlying index was mutated.
@@ -166,8 +196,13 @@ class QueryEngine:
         Memoised results stay in the cache but become unreachable (their
         keys carry the old snapshot token) and age out of the LRU — a
         query can never be answered from a stale snapshot's ranking.
+        Queries already running finish on the snapshot they started on.
         """
-        self._take_snapshot()
+        snapshot = self._take_snapshot()
+        retired = self._snapshot.pool
+        self._snapshot = snapshot
+        self._retired_range_hits += retired.spill_hits
+        self._retired_range_misses += retired.spill_misses
 
     # ------------------------------------------------------------------
     # Introspection
@@ -175,12 +210,12 @@ class QueryEngine:
     @property
     def dim(self) -> int:
         """Feature-space dimensionality of the served index."""
-        return self._dim
+        return self._snapshot.dim
 
     @property
     def snapshot_token(self) -> str:
         """Content token of the snapshot currently served (cache key part)."""
-        return self._snapshot_token
+        return self._snapshot.token
 
     @property
     def cache_size(self) -> int:
@@ -200,58 +235,44 @@ class QueryEngine:
 
     @property
     def range_cache_size(self) -> int:
-        """Range-tier capacity in blocks (0 = tier disabled)."""
-        return (
-            self._range_cache.capacity if self._range_cache is not None else 0
-        )
-
-    @property
-    def range_cache_len(self) -> int:
-        """Number of range blocks currently cached."""
-        return len(self._range_cache) if self._range_cache is not None else 0
+        """Page-tier capacity in pages (0 = tier disabled)."""
+        return self._range_cache_size
 
     @property
     def range_cache_hits(self) -> int:
-        """Range-tier hits since construction."""
-        return self._range_cache.hits if self._range_cache is not None else 0
+        """Page-tier hits since construction: pool requests the
+        ``buffer_capacity`` segment missed and the tier held."""
+        return self._retired_range_hits + self._snapshot.pool.spill_hits
 
     @property
     def range_cache_misses(self) -> int:
-        """Range-tier misses since construction."""
-        return self._range_cache.misses if self._range_cache is not None else 0
+        """Page-tier misses since construction: pool requests neither
+        segment held (0 with the tier disabled)."""
+        return self._retired_range_misses + self._snapshot.pool.spill_misses
 
-    def hot_ranges(self) -> list[tuple[float, float]]:
-        """Ranges cached under the current snapshot token, LRU first.
+    def hot_pages(self) -> list[int]:
+        """Page ids the pool holds, least-recently-used first; empty when
+        the page tier is disabled.
 
         A primary exports this as the warm set handed to a freshly
         attached replica; replaying it through :meth:`warm` on the other
-        side reproduces the tier's state, because WAL-shipped copies
-        share content tokens byte-for-byte.
+        side reproduces the pool's state, because WAL-shipped copies are
+        byte-identical, page ids included.
         """
-        if self._range_cache is None:
+        if self._range_cache_size == 0:
             return []
-        return self._range_cache.hot_ranges(self._snapshot_token)
+        return self._snapshot.pool.page_ids()
 
-    def warm(self, ranges: list[tuple[float, float]]) -> int:
-        """Pre-load composed ranges into the range tier; returns the count.
+    def warm(self, page_ids: list[int]) -> int:
+        """Read pages into the pool, in order; returns the count.
 
-        The fetch runs under the current snapshot token; its I/O is
-        charged to no query.  A no-op when the tier is disabled.
+        The reads are charged to no query.  A no-op when the page tier
+        is disabled.
         """
-        if self._range_cache is None or not ranges:
+        if self._range_cache_size == 0 or not page_ids:
             return 0
-        counters = CostCounters()
-        self._range_cache.fetch(
-            self._snapshot_token,
-            [(float(low), float(high)) for low, high in ranges],
-            lambda missing: self._tree.range_search_many(
-                missing,
-                payload_dtype=self._codec.record_dtype,
-                counters=counters,
-            ),
-            counters,
-        )
-        return len(ranges)
+        self._snapshot.pool.fetch_run(page_ids)
+        return len(page_ids)
 
     # ------------------------------------------------------------------
     # Query paths
@@ -297,8 +318,9 @@ class QueryEngine:
         cold: bool,
         out_counters: CostCounters | None,
     ) -> KNNResult:
-        _check_query_args(query, method, self._dim)
-        key = (self._snapshot_token, query_fingerprint(query), selection, method)
+        snapshot = self._snapshot
+        _check_query_args(query, method, snapshot.dim)
+        key = (snapshot.token, query_fingerprint(query), selection, method)
         if self._cache_size > 0:
             with self._cache_lock:
                 cached = self._cache.get(key)
@@ -309,21 +331,17 @@ class QueryEngine:
                 self.cache_misses += 1
 
         if cold:
-            self._pool.clear()
+            snapshot.pool.clear()
         result = _run_query(
             query,
             method,
             selection,
             out_counters=out_counters,
-            btree=self._tree,
-            codec=self._codec,
-            transform=self._transform,
-            epsilon=self._epsilon,
-            video_frames=self._video_frames,
-            # Cold mode promises physical reads equal to a solo cold
-            # run, so it bypasses the range tier along with the pool.
-            range_cache=None if cold else self._range_cache,
-            cache_token=self._snapshot_token,
+            btree=snapshot.tree,
+            codec=snapshot.codec,
+            transform=snapshot.transform,
+            epsilon=snapshot.epsilon,
+            video_frames=snapshot.video_frames,
         )
 
         if self._cache_size > 0:
@@ -336,8 +354,8 @@ class QueryEngine:
 
     def __repr__(self) -> str:
         return (
-            f"QueryEngine(dim={self._dim}, "
+            f"QueryEngine(dim={self.dim}, "
             f"buffer_capacity={self._buffer_capacity}, "
             f"cache_size={self._cache_size}, "
-            f"range_cache_size={self.range_cache_size})"
+            f"range_cache_size={self._range_cache_size})"
         )

@@ -209,8 +209,6 @@ def _execute_query(
     video_frames: dict[int, int],
     counters: CostCounters,
     impl: str = "vectorized",
-    range_cache=None,
-    cache_token: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Run one KNN candidate pass and return ``(video_ids, scores,
     candidates, ranges)`` — the scored videos as id-ascending arrays,
@@ -242,15 +240,6 @@ def _execute_query(
     Per-stage wall time (I/O / deserialize / geometry / merge) is
     accumulated into ``counters.extra["stage_*_s"]`` for the latency
     benchmark's breakdown.
-
-    ``range_cache`` (a :class:`~repro.core.range_cache.RangeCache`) with
-    its epoch ``cache_token`` routes the vectorized bulk range search
-    through the composed-range block cache: ranges already cached under
-    the token skip the tree entirely, missing ranges are fetched in one
-    ``range_search_many`` call and inserted.  The cache stores raw
-    pre-decode blocks and charges ``records_scanned`` on hits, so the
-    logical cost signature stays identical either way.  The scalar
-    oracle path never consults the cache.
     """
     per_vitri_ranges, search_ranges = query_key_ranges(
         query, transform, epsilon, method
@@ -261,18 +250,12 @@ def _execute_query(
     if impl == "vectorized":
         # The leaves hold the full ViTri records (the paper's layout),
         # so the bulk range search is the only I/O a query performs.
-        def search(ranges):
-            return btree.range_search_many(
-                ranges, payload_dtype=codec.record_dtype, counters=counters
-            )
-
         with StageTimer(counters, "io"):
-            if range_cache is not None and cache_token is not None:
-                blocks = range_cache.fetch(
-                    cache_token, search_ranges, search, counters
-                )
-            else:
-                blocks = search(search_ranges)
+            blocks = btree.range_search_many(
+                search_ranges,
+                payload_dtype=codec.record_dtype,
+                counters=counters,
+            )
         with StageTimer(counters, "deserialize"):
             if method == "composed" and len(blocks) > 1:
                 # One block: every query ViTri slices the same candidates.

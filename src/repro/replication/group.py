@@ -137,9 +137,9 @@ class ReplicaSet:
         """Bootstrap a replica from the current state and start serving it.
 
         Cuts a fresh snapshot (checkpointing the primary), restores the
-        replica from it, and replays the primary's hot composed ranges into the new copy's cache tier so
-        its first queries hit warm instead of paying the primary's
-        accumulated misses again.
+        replica from it, and replays the page ids the primary's engine
+        holds into the new copy's pool, so its first queries hit warm
+        instead of paying the primary's accumulated misses again.
         """
         if not isinstance(replica, ReplicaShard):
             raise TypeError("replica must be a ReplicaShard")
@@ -159,9 +159,9 @@ class ReplicaSet:
         engine = self._primary._engine
         if engine is None:
             return
-        ranges = engine.hot_ranges()
-        if ranges:
-            replica.warm(ranges)
+        page_ids = engine.hot_pages()
+        if page_ids:
+            replica.warm(page_ids)
 
     # ------------------------------------------------------------------
     # Replication pump

@@ -320,18 +320,18 @@ class ReplicaShard:
             query, min_similarity, **kwargs
         )
 
-    def warm(self, ranges) -> int:
-        """Pre-load the primary's hot composed ranges into this copy's
-        range-cache tier; returns how many were loaded.
+    def warm(self, page_ids) -> int:
+        """Read the primary's cached pages into this copy's engine pool;
+        returns how many were read.
 
-        Tokens transfer because the copy is byte-identical, so the
-        primary's ``(token, low, high)`` working set is directly valid
-        here.  A no-op on an empty copy or a disabled tier.
+        Page ids transfer because the copy is byte-identical, so the
+        primary's working set names the same leaves here.  A no-op on an
+        empty copy or a disabled page tier.
         """
         shard = self._serving_shard()
-        if len(shard) == 0 or not ranges:
+        if len(shard) == 0 or not page_ids:
             return 0
-        return shard.engine().warm(list(ranges))
+        return shard.engine().warm(list(page_ids))
 
     def close(self) -> None:
         """Release the copy's files (checkpointing nothing new)."""

@@ -399,8 +399,8 @@ class NetworkFleet:
         sibling ``<shard-dir>-replica<i>`` directories, with reads
         load-balanced across the synced copies.
     range_cache_size:
-        Range-block cache tier per served copy (see
-        :class:`~repro.core.range_cache.RangeCache`; 0 disables).
+        Page-tier pages per served copy's engine (see
+        :class:`~repro.core.engine.QueryEngine`; 0 disables).
     max_queue, workers, rate, burst, drain_timeout:
         Front-door knobs, forwarded verbatim.
     """

@@ -62,8 +62,8 @@ class Shard:
     cache_size:
         Result-cache capacity of the shard's query engine.
     range_cache_size:
-        Composed-range block-cache capacity of the engine's second tier
-        (``0`` disables it; see :class:`~repro.core.range_cache.RangeCache`).
+        Pages in the engine pool's spill segment, its second cache tier
+        (``0`` disables it; see :class:`~repro.core.engine.QueryEngine`).
     """
 
     def __init__(

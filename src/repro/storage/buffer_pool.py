@@ -25,11 +25,21 @@ simulated disk waits; a pool shared by concurrent *mutators* of the
 same page additionally needs serialisation above this layer (the engine
 serialises structural writes, so in practice shared pools only serve
 reads).
+
+A pool built by :meth:`BufferPool.with_spill` has a second segment: the
+pages its ``capacity`` segment evicts move into a *spill* segment of
+``spill`` pages, and a miss looks there before it asks the pager.  The
+two segments together are exactly one LRU of ``capacity + spill`` pages
+(same contents, order and write-back order); the split only tells which
+hits the first segment alone would have missed (``spill_hits``).  The
+serving engine uses it as its second cache tier: each leaf is held once,
+whichever query ranges cover it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +53,13 @@ __all__ = ["BufferPool"]
 
 _PENDING = object()
 """Placeholder for a page being read; never visible outside the pool lock."""
+
+
+def _check_size(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 class BufferPool:
@@ -60,21 +77,37 @@ class BufferPool:
     Attributes
     ----------
     requests / hits / misses:
-        Cumulative logical-access counters.
+        Cumulative logical-access counters (a spill hit is a hit).
+    spill_hits / spill_misses:
+        The spill segment's own lookups: the requests the ``capacity``
+        segment missed, split by whether the spill segment held the
+        page.  Both stay 0 without a spill segment.
     """
 
     def __init__(self, pager: Pager, capacity: int = 128) -> None:
-        if not isinstance(capacity, int) or isinstance(capacity, bool):
-            raise TypeError("capacity must be an int")
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
+        _check_size("capacity", capacity)
         self._pager = pager
         self._capacity = capacity
         self._pages: OrderedDict[int, Page] = OrderedDict()
+        # Pages the capacity segment evicted, LRU first; empty unless
+        # with_spill() gave the pool a spill segment.
+        self._spill: OrderedDict[int, Page] = OrderedDict()
+        self._spill_capacity = 0
         self._lock = make_lock("BufferPool._lock")
         self.requests = 0
         self.hits = 0
         self.misses = 0
+        self.spill_hits = 0
+        self.spill_misses = 0
+
+    @classmethod
+    def with_spill(cls, pager: Pager, capacity: int, spill: int) -> "BufferPool":
+        """A pool whose ``capacity`` segment spills its evictions into a
+        second segment of ``spill`` pages (``spill=0``: a plain pool)."""
+        _check_size("spill", spill)
+        pool = cls(pager, capacity)
+        pool._spill_capacity = spill
+        return pool
 
     @property
     def pager(self) -> Pager:
@@ -83,8 +116,14 @@ class BufferPool:
 
     @property
     def capacity(self) -> int:
-        """Maximum number of cached pages."""
+        """Maximum number of pages in the first segment."""
         return self._capacity
+
+    def page_ids(self) -> list[int]:
+        """Every cached page id, least-recently-used first (spill
+        segment, then the capacity segment)."""
+        with self._lock:
+            return [*self._spill, *self._pages]
 
     # ------------------------------------------------------------------
     # Access
@@ -113,7 +152,8 @@ class BufferPool:
         if isinstance(source, Page):
             return source
         with self._lock:
-            page = self._pages.get(page_id)  # admitted by _access
+            # Admitted by _access (into the spill segment when capacity is 0).
+            page = self._pages.get(page_id) or self._spill.get(page_id)
         if page is None:
             # Nothing stays cached (capacity 0): hand out an already
             # "evicted" page, whose mark_dirty() writes through.
@@ -168,12 +208,20 @@ class BufferPool:
         loser of the re-admission race keeps the winner's cached page
         but has already paid (and counted) its own read, keeping
         ``sum(page_reads) == misses`` exact.
+
+        With a spill segment the replay runs over both segments: a
+        capacity-segment miss that the spill segment holds is a hit
+        moved back to the front, and a placeholder the capacity segment
+        evicts spills like a page, so a run longer than ``capacity``
+        still leaves exactly the summed LRU behind.
         """
         pages = self._pages
+        spill = self._spill if self._spill_capacity else None
         sources: "list[Page | int]" = []
         missed: list[int] = []
         pending: dict[int, int] = {}  # placeholder id -> its images row
         tail: list[int] = []
+        spilled = 0
         with self._lock:
             for page_id in page_ids:
                 page = pages.get(page_id)
@@ -181,31 +229,55 @@ class BufferPool:
                     pages.move_to_end(page_id)
                     sources.append(pending[page_id] if page is _PENDING else page)
                     continue
-                sources.append(len(missed))
-                missed.append(page_id)
-                if self._capacity > 0:
+                if spill is not None and page_id in spill:
+                    spilled += 1
+                    page = spill.pop(page_id)
+                    sources.append(pending[page_id] if page is _PENDING else page)
+                else:
+                    sources.append(len(missed))
+                    missed.append(page_id)
+                    if self._capacity == 0 and spill is None:
+                        continue
+                    page = _PENDING
                     pending[page_id] = sources[-1]
-                    pages[page_id] = _PENDING
-                    if len(pages) > self._capacity:
-                        self._evict_overflow(pending)  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update
+                pages[page_id] = page
+                if len(pages) > self._capacity:
+                    self._evict_overflow(pending)  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update
             self.requests += len(sources)
             self.hits += len(sources) - len(missed)
             self.misses += len(missed)
+            if spill is not None:
+                self.spill_hits += spilled
+                self.spill_misses += len(missed)
             if counters is not None:
                 counters.page_requests += len(sources)
                 counters.page_reads += len(missed)
+                if spill is not None:
+                    extra = counters.extra
+                    extra["range_cache_hits"] = extra.get("range_cache_hits", 0) + spilled
+                    extra["range_cache_misses"] = (
+                        extra.get("range_cache_misses", 0) + len(missed)
+                    )
             if pending:
                 # The LRU suffix from the oldest surviving placeholder on:
                 # replaying it after the read restores the exact order.
                 waiting = len(pending)
-                for page_id in reversed(pages):
+                newest_first = (
+                    reversed(pages)
+                    if spill is None
+                    else chain(reversed(pages), reversed(spill))
+                )
+                for page_id in newest_first:
                     tail.append(page_id)
                     if page_id in pending:
                         waiting -= 1
                         if waiting == 0:
                             break
                 for page_id in pending:
-                    del pages[page_id]
+                    if spill is None or page_id in pages:
+                        del pages[page_id]
+                    else:
+                        del spill[page_id]
         if not missed:
             return sources, None
         images = self._pager.read_run(missed)
@@ -215,8 +287,14 @@ class BufferPool:
                     # Cached all along, or admitted by a racing miss: keep
                     # that copy so every caller shares one Page per id.
                     pages.move_to_end(page_id)
+                    continue
+                if spill is not None and page_id in spill:
+                    page = spill.pop(page_id)
                 elif page_id in pending:
-                    self._admit(Page(page_id, images[pending[page_id]]))  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update
+                    page = Page(page_id, images[pending[page_id]])
+                else:
+                    continue
+                self._admit(page)  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update
         return sources, images
 
     def allocate(self) -> Page:
@@ -231,7 +309,7 @@ class BufferPool:
         # Callers hold self._lock (_access/allocate); the RLock makes the
         # invariant cheap to keep even if _admit gains other callers.
         page.owner = self
-        if self._capacity == 0:
+        if self._capacity == 0 and self._spill_capacity == 0:
             # Cache disabled: the page is immediately "evicted", so any
             # later mark_dirty() on it writes through via the owner hook.
             page.evicted = True
@@ -244,10 +322,17 @@ class BufferPool:
         self._evict_overflow()  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update
 
     def _evict_overflow(self, pending: "dict[int, int] | None" = None) -> None:
-        """Evict down to capacity (lock held).  An evicted placeholder of
-        :meth:`_access` has no page to write back: it leaves *pending*."""
+        """Evict down to capacity (lock held), through the spill segment
+        when there is one.  A placeholder of :meth:`_access` spills like
+        a page; evicted from the pool, it has no page to write back: it
+        leaves *pending*."""
         while len(self._pages) > self._capacity:
             page_id, evicted = self._pages.popitem(last=False)
+            if self._spill_capacity:
+                self._spill[page_id] = evicted
+                if len(self._spill) <= self._spill_capacity:
+                    continue
+                page_id, evicted = self._spill.popitem(last=False)
             if evicted is _PENDING:
                 del pending[page_id]
                 continue
@@ -265,16 +350,18 @@ class BufferPool:
     def flush(self) -> None:
         """Write back every dirty cached page (pages stay cached)."""
         with self._lock:
-            for page in self._pages.values():
+            for page in chain(self._spill.values(), self._pages.values()):
                 if page.dirty:
                     self._pager.write_page(page)  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update
 
     def clear(self) -> None:
-        """Flush then drop the whole cache (cold-start a benchmark run)."""
+        """Flush then drop the whole cache, both segments (cold-start a
+        benchmark run)."""
         with self._lock:
             self.flush()  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update
-            for page in self._pages.values():
+            for page in chain(self._spill.values(), self._pages.values()):
                 page.evicted = True
+            self._spill.clear()
             self._pages.clear()
 
     def reset_counters(self) -> None:
@@ -284,6 +371,8 @@ class BufferPool:
             self.requests = 0
             self.hits = 0
             self.misses = 0
+            self.spill_hits = 0
+            self.spill_misses = 0
 
     def __repr__(self) -> str:
         with self._lock:

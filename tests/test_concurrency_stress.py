@@ -212,9 +212,9 @@ def test_tree_node_visits_exact_under_concurrent_readers():
     per-query ``btree_node_visits`` bundles."""
     summaries = _summaries(11)
     index = VitriIndex.build(summaries, EPSILON, reference="optimal")
-    # No result or range cache: every query walks the shared tree.
+    # No result cache: every query walks the shared tree.
     engine = QueryEngine(index, cache_size=0)
-    tree = engine._tree
+    tree = engine._snapshot.tree
     queries = summaries * 40
     before = tree.node_visits
     interval = sys.getswitchinterval()

@@ -178,7 +178,7 @@ class TestKnnMany:
         assert all(bundle.page_requests == 0 for bundle in bundles)
         assert engine.cache_hits == engine.cache_misses == 0
         assert engine.cache_len == 0
-        assert engine.hot_ranges() == []
+        assert engine.range_cache_hits == 0
 
     def test_validates_workers(self, small_index, small_summaries):
         """Every worker count returns the serial rankings and scores."""
@@ -338,6 +338,48 @@ class TestCacheEpoch:
         engine.refresh()
         after = engine.knn(query, 5)
         assert query.video_id not in after.videos
+
+    def test_query_overlapping_refresh_caches_one_snapshot(
+        self, small_summaries, monkeypatch
+    ):
+        """A query that runs while refresh() is half done must compute
+        and cache under one snapshot.  Swapping the token before the
+        tree let it cache the old tree's ranking under the new token,
+        which every later query then hit."""
+        from repro.btree.tree import BPlusTree
+        from repro.core.vitri import VideoSummary
+
+        index = VitriIndex.build(small_summaries, EPSILON)
+        engine = QueryEngine(index, cache_size=8)
+        query = small_summaries[0]
+        engine.knn(query, 5)
+        twin = VideoSummary(video_id=10**6, vitris=query.vitris)
+        index.insert_video(twin)
+
+        opening, release = threading.Event(), threading.Event()
+        open_tree = BPlusTree.open
+
+        def blocked_open(cls, pool):
+            opening.set()
+            assert release.wait(timeout=30)
+            return open_tree(pool)
+
+        monkeypatch.setattr(BPlusTree, "open", classmethod(blocked_open))
+        refresher = threading.Thread(target=engine.refresh)
+        refresher.start()
+        try:
+            assert opening.wait(timeout=30)
+            engine.knn(query, 5)  # overlaps the refresh
+        finally:
+            release.set()
+            refresher.join(timeout=30)
+        assert not refresher.is_alive()
+        monkeypatch.undo()
+
+        got = engine.knn(query, 5)
+        want = QueryEngine(index, cache_size=0).knn(query, 5)
+        assert twin.video_id in want.videos
+        assert (got.videos, got.scores) == (want.videos, want.scores)
 
     def test_distinct_indexes_never_share_entries(self, small_summaries):
         """Two engines over different content must not collide even if

@@ -14,7 +14,6 @@ import pytest
 
 import repro.core.index as index_module
 from repro.core.composition import compose_ranges
-from repro.core.engine import QueryEngine
 from repro.core.index import VitriIndex
 from repro.core.similarity import _estimate_batch, _estimate_from_scalars
 from repro.core.summarize import summarize_video
@@ -210,17 +209,6 @@ class TestContiguousSelection:
             == scalar.stats.similarity_computations
             == mask_evaluations
         )
-
-    def test_range_cache_path(self, boundary_query):
-        index, query, mask_evaluations = boundary_query
-        scalar = index.knn(query, 50, impl="scalar")
-        engine = QueryEngine(index, cache_size=0, range_cache_size=8)
-        for _ in range(2):
-            served = engine.knn(query, 50)
-            assert served.videos == scalar.videos
-            assert served.scores == scalar.scores
-            assert served.stats.similarity_computations == mask_evaluations
-        assert engine.range_cache_hits > 0
 
     def test_slice_take_returns_views(self):
         rng = ensure_rng(1)

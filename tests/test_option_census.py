@@ -58,7 +58,13 @@ CENSUS = {
             "fault_injector": SEAM,
         },
     ),
-    "BufferPool": (BufferPool, {"capacity": f"{DATABASE}, src/repro/core/engine.py"}),
+    "BufferPool": (
+        BufferPool,
+        {"capacity": f"{DATABASE}, src/repro/core/engine.py (via with_spill)"},
+    ),
+    # The spill segment's size is required, not an option: the engine's
+    # range_cache_size is what a caller leaves out.
+    "BufferPool.with_spill": (BufferPool.with_spill, {}),
     "VitriIndex.build": (
         VitriIndex.build,
         {
@@ -88,7 +94,10 @@ CENSUS = {
         {
             "buffer_capacity": f"{SHARD}, {WORKLOADS}",
             "cache_size": f"{SHARD}, {WORKLOADS}",
-            "range_cache_size": f"{SHARD}, {WORKLOADS}",
+            "range_cache_size": (
+                f"{SHARD}, {WORKLOADS}: pages in the pool's spill segment "
+                "(BufferPool.with_spill), the L2 page tier"
+            ),
         },
     ),
     "VideoDatabase": (
@@ -110,7 +119,10 @@ CENSUS = {
             "path": ROUTER,
             "buffer_capacity": ROUTER,
             "cache_size": ROUTER,
-            "range_cache_size": f"{FRONTDOOR}, src/repro/serve/shard_server.py",
+            "range_cache_size": (
+                f"{FRONTDOOR}, src/repro/serve/shard_server.py: the engine's "
+                "page-tier size, forwarded"
+            ),
             "fault_injector": SEAM,
         },
     ),
@@ -141,7 +153,7 @@ CENSUS = {
         {
             "buffer_capacity": FRONTDOOR,
             "cache_size": FRONTDOOR,
-            "range_cache_size": FRONTDOOR,
+            "range_cache_size": f"{FRONTDOOR}: the engine's page-tier size, forwarded",
         },
     ),
     # No options left; the row stays so that adding one fails here.
@@ -173,7 +185,7 @@ CENSUS = {
             "cache_size": WORKLOADS,
             "buffer_capacity": WORKLOADS,
             "replicas_per_shard": WORKLOADS,
-            "range_cache_size": WORKLOADS,
+            "range_cache_size": f"{WORKLOADS} (256 pages per served copy on W2)",
             "max_queue": f"{CLI} serve",
             "workers": f"{CLI} serve",
             "rate": f"{CLI} serve",
@@ -202,7 +214,8 @@ CENSUS = {
 #: Rows above.  The same sixteen signatures held 100 before the read-path
 #: audit and 91 after it; ``prune`` went once every sub-query proved its
 #: own pruning (90), and the write/serve/replication audit took the 18
-#: options nothing set (72).
+#: options nothing set (72).  ``range_cache_size`` turning from blocks
+#: into pool pages added none.
 EXPECTED_TOTAL = 72
 
 

@@ -388,17 +388,17 @@ class TestReplicaSet:
                 assert got.scores == want.scores
         group.close()
 
-    def test_warm_on_attach_transfers_hot_ranges(self, tmp_path):
+    def test_warm_on_attach_transfers_hot_pages(self, tmp_path):
         summaries = make_summaries()
         clock = VirtualClock()
         primary = make_primary(
             tmp_path / "primary", summaries, range_cache_size=64
         )
-        # Heat the primary's range tier, then attach a cold copy.
+        # Heat the primary's pool, then attach a cold copy.
         engine = primary.engine()
         for query in summaries[:4]:
             primary.knn(query, 3)
-        assert engine.hot_ranges(), "primary should have cached ranges"
+        assert engine.hot_pages(), "primary should have cached pages"
 
         group = ReplicaSet(primary, clock=clock)
         replica = ReplicaShard(
@@ -409,14 +409,14 @@ class TestReplicaSet:
             range_cache_size=64,
         )
         group.attach_replica(replica)
-        # A warmed copy serves a hot query from the L2 tier: range hits,
-        # no range misses, on its very first query.
+        # A warmed copy holds the primary's pages and serves a hot query
+        # from memory on its very first query.
         counters = CostCounters()
         got = replica.knn(summaries[0], 3, out_counters=counters)
         want = primary.knn(summaries[0], 3)
         assert got.videos == want.videos
-        assert counters.extra.get("range_cache_hits", 0) > 0
-        assert counters.extra.get("range_cache_misses", 0) == 0
+        assert counters.page_requests > 0
+        assert counters.page_reads == 0
         group.close()
 
     def test_every_copy_serves_and_the_group_status_sums_them(self, tmp_path):

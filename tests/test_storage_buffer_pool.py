@@ -237,9 +237,10 @@ class TestThreadSafety:
         for bundle in bundles:
             assert bundle.page_requests == per_thread
 
-    def test_concurrent_runs_and_fetches_share_one_pool(self):
-        """Runs and single fetches racing on one small pool lose no
-        counts, leave no placeholder behind and read the right bytes."""
+    @staticmethod
+    def race_runs_and_fetches(spill: int):
+        """Six threads racing runs and single fetches on one small pool;
+        returns the pool, the per-thread bundles and every wrong read."""
         import sys
         import threading
 
@@ -250,7 +251,7 @@ class TestThreadSafety:
             page = Page(pager.allocate_page())
             page.data[0] = page_id
             pager.write_page(page)
-        pool = BufferPool(pager, capacity=5)
+        pool = BufferPool.with_spill(pager, 5, spill)
         num_threads, rounds = 6, 120
         bundles = [CostCounters() for _ in range(num_threads)]
         wrong: list = []
@@ -289,8 +290,26 @@ class TestThreadSafety:
         assert pool.hits + pool.misses == total
         assert sum(b.page_requests for b in bundles) == total
         assert sum(b.page_reads for b in bundles) == pool.misses
+        return pool, bundles
+
+    def test_concurrent_runs_and_fetches_share_one_pool(self):
+        """Runs and single fetches racing on one small pool lose no
+        counts, leave no placeholder behind and read the right bytes."""
+        pool, _ = self.race_runs_and_fetches(0)
         assert len(pool._pages) <= 5
         assert all(isinstance(page, Page) for page in pool._pages.values())
+
+    def test_concurrent_runs_share_the_spill_segment(self):
+        """The same race through a spill segment: no count lost, no
+        placeholder left in either segment, no page held twice."""
+        pool, bundles = self.race_runs_and_fetches(4)
+        assert len(pool._pages) <= 5 and len(pool._spill) <= 4
+        cached = [*pool._pages.values(), *pool._spill.values()]
+        assert all(isinstance(page, Page) for page in cached)
+        assert len(pool.page_ids()) == len(set(pool.page_ids()))
+        assert pool.spill_misses == pool.misses
+        assert sum(b.extra["range_cache_hits"] for b in bundles) == pool.spill_hits
+        assert pool.spill_hits > 0
 
 
 class TestFetchRun:
