@@ -8,13 +8,17 @@ service without changing any ranking:
 * :mod:`repro.serve.protocol` — the length-prefixed binary framing, the
   bit-exact :class:`~repro.core.vitri.VideoSummary` codec, and the typed
   error mapping every other module speaks.
-* :mod:`repro.serve.shard_server` — one asyncio TCP server per shard
-  (in-process thread or real subprocess) executing sub-queries on a
-  single worker thread with budget-aware deadlines.
+* :mod:`repro.serve.shard_server` — one TCP server per shard
+  (in-process thread or real subprocess) executing sub-queries one at a
+  time, in the order they were read (a FIFO ticket), with budget-aware
+  deadlines.
 * :mod:`repro.serve.transport` — :class:`~repro.serve.transport.RemoteShard`,
   a shard proxy speaking the protocol; it plugs straight into the
   router's scatter seam via
-  :meth:`~repro.shard.router.ShardedVideoDatabase.from_shards`.
+  :meth:`~repro.shard.router.ShardedVideoDatabase.from_shards`.  Beside
+  it, :class:`~repro.serve.transport.FrameServer`, the blocking server
+  core both servers share: one accept thread, and one thread per
+  connection that reads, executes and answers each request itself.
 * :mod:`repro.serve.frontdoor` — the serving loop: bounded admission
   queue, per-client token buckets, typed load shedding, graceful drain,
   and :class:`~repro.serve.frontdoor.NetworkFleet`, which spawns a

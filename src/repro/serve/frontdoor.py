@@ -35,7 +35,6 @@ framing the shard servers speak (``repro-video serve`` runs one).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import queue
@@ -44,24 +43,14 @@ import threading
 from concurrent.futures import Future
 
 from repro.serve.protocol import (
-    FRAME_ERROR,
-    FRAME_HEADER_BYTES,
-    FRAME_REQUEST,
-    FRAME_RESPONSE,
-    ProtocolError,
     RateLimited,
     ServiceDraining,
     ServiceOverloaded,
-    decode_frame_header,
-    decode_request,
-    encode_error,
-    encode_frame,
-    encode_response,
     stats_to_wire,
 )
 from repro.replication import ReplicaSet, ReplicaShard
 from repro.serve.shard_server import ShardServer, ShardServerHandle
-from repro.serve.transport import RemoteShard
+from repro.serve.transport import FrameServer, RemoteShard
 from repro.shard.router import ShardedKNNResult, ShardedVideoDatabase
 from repro.shard.shard import Shard
 from repro.utils.clock import Clock, SystemClock
@@ -670,24 +659,16 @@ def _result_to_wire(result: ShardedKNNResult) -> dict:
     return body
 
 
-async def _send(
-    writer: asyncio.StreamWriter, frame_type: int, payload: bytes
-) -> None:
-    try:
-        writer.write(encode_frame(frame_type, payload))
-        await writer.drain()
-    except (ConnectionError, OSError):
-        pass  # the peer vanished; nothing to report to
-
-
-class FrontDoorServer:
+class FrontDoorServer(FrameServer):
     """The front door over TCP, speaking the shard-server framing.
 
     Ops: ``ping``, ``status`` (front-door stats) and ``knn`` (params
     ``k``, ``method``, ``client``; the query summary rides
     as the request's binary blob).  Admission errors come back as the
     same typed error frames a shard server sends, so one client codec
-    serves both layers.
+    serves both layers.  Each connection's thread submits its query and
+    waits for the answer itself; :meth:`stop` lets those in flight
+    finish.
     """
 
     def __init__(
@@ -697,102 +678,10 @@ class FrontDoorServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__("frontdoor-server", "front door", host=host, port=port)
         self._frontdoor = frontdoor
-        self._host = host
-        self._port = port
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._done = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._address: tuple[str, int] | None = None
-        self._tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` actually bound; valid once ready."""
-        if self._address is None:
-            raise RuntimeError("server is not bound yet")
-        return self._address
-
-    async def serve(self, *, on_ready=None) -> None:
-        """Bind and serve until :meth:`stop` is called."""
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._stop_event = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle, self._host, self._port
-        )
-        try:
-            sockname = server.sockets[0].getsockname()
-            self._address = (sockname[0], sockname[1])
-            self._ready.set()
-            if on_ready is not None:
-                on_ready(self._address)
-            await self._stop_event.wait()
-            server.close()
-            await server.wait_closed()
-            # Closing the listener stops new connections; wake parked
-            # handlers with EOF and wait for them to exit on their own
-            # (cancelling instead would make asyncio.streams log the
-            # cancellation on 3.11).
-            for writer in list(self._writers):
-                writer.close()
-            if self._tasks:
-                await asyncio.wait(list(self._tasks), timeout=1.0)
-        finally:
-            self._done.set()
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(FRAME_HEADER_BYTES)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    return
-                try:
-                    frame_type, length = decode_frame_header(header)
-                    if frame_type != FRAME_REQUEST:
-                        raise ProtocolError(
-                            f"expected a request frame, got type "
-                            f"{frame_type:#x}"
-                        )
-                except ProtocolError as exc:
-                    await _send(writer, FRAME_ERROR, encode_error(exc))
-                    return
-                try:
-                    payload = await reader.readexactly(length)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    return
-                try:
-                    op, params, summary = decode_request(payload)
-                except ProtocolError as exc:
-                    await _send(writer, FRAME_ERROR, encode_error(exc))
-                    return
-                try:
-                    body = await self._execute(op, params, summary)
-                except Exception as exc:  # typed errors cross the wire
-                    await _send(writer, FRAME_ERROR, encode_error(exc))
-                else:
-                    await _send(writer, FRAME_RESPONSE, encode_response(body))
-        finally:
-            if task is not None:
-                self._tasks.discard(task)
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _execute(self, op: str, params: dict, summary) -> dict:
+    def _execute(self, op: str, params: dict, summary) -> dict:
         if op == "ping":
             return {"pong": True}
         if op == "status":
@@ -801,46 +690,12 @@ class FrontDoorServer:
             if summary is None:
                 raise ValueError("op 'knn' requires a query summary")
             # submit() is non-blocking (sheds synchronously, typed);
-            # only the admitted query's completion is awaited.
+            # only the admitted query's completion is waited for.
             future = self._frontdoor.submit(
                 summary,
                 int(params["k"]),
                 client=str(params.get("client", "default")),
                 method=str(params.get("method", "composed")),
             )
-            result = await asyncio.wrap_future(future)
-            return _result_to_wire(result)
+            return _result_to_wire(future.result())
         raise ValueError(f"unknown op {op!r}")
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def run_in_thread(self, *, timeout: float = 10.0) -> tuple[str, int]:
-        """Serve on a daemon thread; returns the bound ``(host, port)``."""
-        if self._thread is not None:
-            raise RuntimeError("server already running")
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self.serve()),
-            name="frontdoor-server-loop",
-            daemon=True,
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("front-door server failed to bind in time")
-        assert self._address is not None
-        return self._address
-
-    def stop(self) -> None:
-        """Stop serving (from any thread)."""
-        loop = self._loop
-        event = self._stop_event
-        if loop is None or event is None or self._done.is_set():
-            return
-        try:
-            loop.call_soon_threadsafe(event.set)
-        except RuntimeError:
-            pass  # loop already closed: stopped
-
-    def wait_closed(self, timeout: float | None = None) -> bool:
-        """Block until the serve loop has fully shut down."""
-        return self._done.wait(timeout)

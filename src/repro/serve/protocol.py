@@ -34,7 +34,7 @@ Deadlines never travel as absolute times (clocks are per-process, see
 :mod:`repro.utils.clock`): a request carries the **remaining budget in
 seconds** and the server rebuilds a
 :class:`~repro.utils.clock.Deadline` against its own clock on the
-worker thread that runs the query.
+connection thread that runs the query.
 
 Errors
 ------

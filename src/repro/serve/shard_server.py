@@ -1,23 +1,25 @@
 """One TCP server per shard: sub-queries over the wire, deadlines intact.
 
 :class:`ShardServer` wraps one :class:`~repro.shard.contract.ShardLike`
-(a shard, a fault-injecting proxy or a replica group) behind an
-asyncio TCP listener speaking :mod:`repro.serve.protocol`.  Three
-properties carry over from the in-process path:
+(a shard, a fault-injecting proxy or a replica group) behind a
+:class:`~repro.serve.transport.FrameServer` speaking
+:mod:`repro.serve.protocol`: one thread per connection reads a request,
+executes it and writes the reply.  Three properties carry over from the
+in-process path:
 
-* **Determinism** — every query executes on a *single* worker thread
-  (``ThreadPoolExecutor(max_workers=1)``), so a shard's op order is its
-  request order and fault schedules keyed by op count replay exactly.
-  The same thread is where each request's
-  :class:`~repro.utils.clock.Deadline` is constructed: under a
-  :class:`~repro.utils.clock.VirtualClock` the clock's offsets are
-  per thread (context-local), so building the deadline anywhere else
-  would race the sleeps the worker performs (this is the seam
-  :mod:`repro.utils.clock` documents).
+* **Determinism** — requests execute one at a time, in the order their
+  connection threads read them (a FIFO ticket), so a shard's op order
+  is its request order and fault schedules keyed by op count replay
+  exactly.  Each request executes on the connection thread that read
+  it, which is also where its :class:`~repro.utils.clock.Deadline` is
+  constructed: under a :class:`~repro.utils.clock.VirtualClock` the
+  clock's offsets are per thread (context-local), so building the
+  deadline anywhere else would race the sleeps the executing thread
+  performs (this is the seam :mod:`repro.utils.clock` documents).
 * **Budget awareness** — a request carries its remaining budget in
-  seconds; the worker rebuilds the deadline against the *server's*
-  clock and the shard refuses to start work whose budget is spent,
-  exactly like the in-process attempt loop.
+  seconds; the executing thread rebuilds the deadline against the
+  *server's* clock and the shard refuses to start work whose budget is
+  spent, exactly like the in-process attempt loop.
 * **Robustness** — framing is validated before any payload allocation;
   a corrupt header, oversized length prefix or mid-frame disconnect
   costs one connection, never the server.
@@ -40,40 +42,24 @@ counters starting at zero as :mod:`repro.shard.faults` documents.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
-from repro.serve.protocol import (
-    FRAME_ERROR,
-    FRAME_HEADER_BYTES,
-    FRAME_REQUEST,
-    FRAME_RESPONSE,
-    ProtocolError,
-    ServiceDraining,
-    counters_to_wire,
-    decode_frame_header,
-    decode_request,
-    encode_error,
-    encode_frame,
-    encode_response,
-    stats_to_wire,
-)
+from repro.serve.protocol import counters_to_wire, stats_to_wire
+from repro.serve.transport import FrameServer
 from repro.shard.contract import ShardLike
 from repro.shard.shard import Shard
 from repro.utils.clock import Clock, Deadline, SystemClock, VirtualClock
 from repro.utils.counters import CostCounters
+from repro.utils.locks import make_lock
 
 __all__ = ["ShardServer", "ShardServerHandle", "main"]
 
-_DRAIN_POLL_SECONDS = 0.005
 
-
-class ShardServer:
+class ShardServer(FrameServer):
     """Serve one shard's queries over TCP with the project protocol.
 
     Parameters
@@ -97,169 +83,54 @@ class ShardServer:
         port: int = 0,
         clock: Clock | None = None,
     ) -> None:
-        self._shard = shard
-        self._host = host
-        self._port = port
-        self._clock = clock if clock is not None else SystemClock()
-        self._executor = ThreadPoolExecutor(
-            max_workers=1,
-            thread_name_prefix=f"shard-server-{shard.shard_id}",
+        super().__init__(
+            f"shard-server-{shard.shard_id}",
+            f"shard {shard.shard_id}",
+            host=host,
+            port=port,
         )
-        # Event-loop-confined state (handlers run on one loop thread).
-        self._draining = False
-        self._inflight = 0
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._tasks: set[asyncio.Task] = set()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._drain_event: asyncio.Event | None = None
-        # Cross-thread signalling for run_in_thread()/wait_closed().
-        self._ready = threading.Event()
-        self._done = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._address: tuple[str, int] | None = None
-        self.requests_served = 0
-        self.protocol_errors = 0
+        self._shard = shard
+        self._clock = clock if clock is not None else SystemClock()
+        # FIFO ticket: one request executes at a time, in the order the
+        # connection threads read them.  Held only to take a ticket and
+        # to pass the turn on, never across execution or socket I/O.
+        self._turn_lock = make_lock("ShardServer._turn_lock")
+        self._turn = threading.Condition(self._turn_lock)
+        self._next_ticket = 0
+        self._now_serving = 0
 
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` actually bound; valid once ready."""
-        if self._address is None:
-            raise RuntimeError("server is not bound yet")
-        return self._address
+    def _after_close(self) -> None:
+        # Closing checkpoints a durable shard — drain never loses
+        # committed state.
+        self._shard.close()
+
+    def drain(self) -> None:
+        """Request a graceful drain from any thread."""
+        self.stop()
 
     # ------------------------------------------------------------------
-    # Serving loop
-    # ------------------------------------------------------------------
-    async def serve(self, *, on_ready=None) -> None:
-        """Bind, serve until drained, then close the shard and return."""
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._drain_event = asyncio.Event()
-        server = await asyncio.start_server(self._handle, self._host, self._port)
-        try:
-            sockname = server.sockets[0].getsockname()
-            self._address = (sockname[0], sockname[1])
-            self._ready.set()
-            if on_ready is not None:
-                on_ready(self._address)
-            await self._drain_event.wait()
-            # Stop accepting, let in-flight requests finish, then cut
-            # idle connections loose (their next request would be
-            # answered with ServiceDraining anyway).
-            server.close()
-            await server.wait_closed()
-            while self._inflight > 0:
-                await asyncio.sleep(_DRAIN_POLL_SECONDS)
-            for writer in list(self._writers):
-                writer.close()
-            # Closing the transports wakes handlers parked in
-            # readexactly() with EOF; wait for them to exit on their
-            # own (cancelling instead would make asyncio.streams log
-            # the cancellation on 3.11).
-            if self._tasks:
-                await asyncio.wait(list(self._tasks), timeout=1.0)
-        finally:
-            self._executor.shutdown(wait=True)
-            # Closing checkpoints a durable shard — drain never loses
-            # committed state.
-            self._shard.close()
-            self._done.set()
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(FRAME_HEADER_BYTES)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    return  # clean EOF or mid-frame disconnect: drop quietly
-                try:
-                    frame_type, length = decode_frame_header(header)
-                    if frame_type != FRAME_REQUEST:
-                        raise ProtocolError(
-                            f"expected a request frame, got type {frame_type:#x}"
-                        )
-                except ProtocolError as exc:
-                    # Framing is unrecoverable: report once, hang up.
-                    self.protocol_errors += 1
-                    await self._send(writer, FRAME_ERROR, encode_error(exc))
-                    return
-                try:
-                    payload = await reader.readexactly(length)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    return
-                try:
-                    op, params, summary = decode_request(payload)
-                except ProtocolError as exc:
-                    self.protocol_errors += 1
-                    await self._send(writer, FRAME_ERROR, encode_error(exc))
-                    return
-                if op == "drain":
-                    self.requests_served += 1
-                    await self._send(
-                        writer,
-                        FRAME_RESPONSE,
-                        encode_response({"draining": True}),
-                    )
-                    self._begin_drain()
-                    return
-                if self._draining:
-                    await self._send(
-                        writer,
-                        FRAME_ERROR,
-                        encode_error(
-                            ServiceDraining(
-                                f"shard {self._shard.shard_id} is draining"
-                            )
-                        ),
-                    )
-                    return
-                self._inflight += 1
-                try:
-                    body = await asyncio.get_running_loop().run_in_executor(
-                        self._executor, self._execute, op, params, summary
-                    )
-                except Exception as exc:  # typed errors cross the wire
-                    await self._send(writer, FRAME_ERROR, encode_error(exc))
-                else:
-                    self.requests_served += 1
-                    await self._send(
-                        writer, FRAME_RESPONSE, encode_response(body)
-                    )
-                finally:
-                    self._inflight -= 1
-                if self._draining:
-                    return
-        finally:
-            if task is not None:
-                self._tasks.discard(task)
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    @staticmethod
-    async def _send(
-        writer: asyncio.StreamWriter, frame_type: int, payload: bytes
-    ) -> None:
-        try:
-            writer.write(encode_frame(frame_type, payload))
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass  # the peer vanished; nothing to report to
-
-    # ------------------------------------------------------------------
-    # Request execution (single worker thread)
+    # Request execution (one at a time, in ticket order)
     # ------------------------------------------------------------------
     def _execute(self, op: str, params: dict, summary) -> dict:
-        """Run one request on the worker thread and build its response.
+        if op == "drain":
+            # Acked before the teardown it starts can close anything:
+            # the drain waits for this request like any in flight.
+            self.stop()
+            return {"draining": True}
+        with self._turn_lock:
+            ticket = self._next_ticket
+            self._next_ticket += 1
+            while ticket != self._now_serving:
+                self._turn.wait()
+        try:
+            return self._run(op, params, summary)
+        finally:
+            with self._turn_lock:
+                self._now_serving += 1
+                self._turn.notify_all()
+
+    def _run(self, op: str, params: dict, summary) -> dict:
+        """Run one request on its connection thread, holding the turn.
 
         The :class:`Deadline` is constructed *here*, on the thread that
         will execute (and under a fault schedule, sleep through) the
@@ -270,7 +141,7 @@ class ShardServer:
         if op == "ping":
             return {"pong": True, "shard_id": shard.shard_id}
         if op == "status":
-            return dict(shard.status(), draining=self._draining)
+            return dict(shard.status(), draining=self._stopping.is_set())
         if op == "video_ids":
             return {"video_ids": sorted(shard.video_ids())}
         if op == "may_contain":
@@ -316,57 +187,6 @@ class ShardServer:
     def _require_summary(op: str, summary) -> None:
         if summary is None:
             raise ValueError(f"op {op!r} requires a query summary")
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def run_in_thread(self, *, timeout: float = 10.0) -> tuple[str, int]:
-        """Serve on a daemon thread; returns the bound ``(host, port)``."""
-        if self._thread is not None:
-            raise RuntimeError("server already running")
-        self._thread = threading.Thread(
-            target=self._run,
-            name=f"shard-server-{self._shard.shard_id}-loop",
-            daemon=True,
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("shard server failed to bind in time")
-        assert self._address is not None
-        return self._address
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self.serve())
-        finally:
-            self._done.set()
-
-    def _begin_drain(self) -> None:
-        # Event-loop thread only (handlers, or call_soon_threadsafe).
-        self._draining = True
-        if self._drain_event is not None:
-            self._drain_event.set()
-
-    def drain(self) -> None:
-        """Request a graceful drain from any thread."""
-        loop = self._loop
-        if loop is None or self._done.is_set():
-            return
-        try:
-            loop.call_soon_threadsafe(self._begin_drain)
-        except RuntimeError:
-            pass  # loop already closed: drained
-
-    def wait_closed(self, timeout: float | None = None) -> bool:
-        """Block until the serve loop has fully shut down and, for a
-        server started by :meth:`run_in_thread`, its thread has exited
-        (the loop's own teardown runs after the shard is closed)."""
-        if not self._done.wait(timeout):
-            return False
-        if self._thread is not None:
-            self._thread.join(timeout)
-            return not self._thread.is_alive()
-        return True
 
 
 class ShardServerHandle:
@@ -562,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
             flush=True,
         )
 
-    asyncio.run(server.serve(on_ready=on_ready))
+    server.serve(on_ready=on_ready)
     return 0
 
 

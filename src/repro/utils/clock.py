@@ -46,8 +46,8 @@ Within one process, a ``VirtualClock`` deadline must be created on the
 thread that will do the work: ``now()`` includes the *calling context's*
 accumulated sleep offset, so a :class:`Deadline` captured on thread A
 and checked on thread B would mix two unrelated offset histories.  The
-serve layer therefore constructs its deadlines inside the executor
-thread that runs the query, never on the event-loop thread.
+serve layer therefore constructs each deadline on the connection
+thread that reads and runs the query.
 """
 
 from __future__ import annotations

@@ -151,7 +151,29 @@ class TrackedRLock:
 
     def release(self) -> None:
         self._inner.release()
+        self._pop(_stack())
+
+    # threading.Condition protocol: wait() releases every level of the
+    # lock and restores them afterwards; the held stack follows suit, and
+    # the re-acquisition records its edge like any other.
+    def _is_owned(self) -> bool:
+        return self._inner._is_owned()
+
+    def _release_save(self):
+        state = self._inner._release_save()
         stack = _stack()
+        for _ in range(state[0]):
+            self._pop(stack)
+        return state
+
+    def _acquire_restore(self, state) -> None:
+        stack = _stack()
+        if stack and self.name not in stack:
+            self._graph.record(stack[-1], self.name)
+        self._inner._acquire_restore(state)
+        stack.extend([self.name] * state[0])
+
+    def _pop(self, stack: list[str]) -> None:
         # Remove the innermost entry for this name; release order follows
         # with-block nesting, so this is normally stack.pop().
         for position in range(len(stack) - 1, -1, -1):

@@ -331,6 +331,31 @@ class StubRouter:
         return (query, k)
 
 
+def test_frontdoor_server_threads_gone_when_wait_closed_returns():
+    """Regression: ``wait_closed`` used to return once the serve
+    coroutine finished, while the thread running its event loop was
+    still tearing down."""
+    router = StubRouter()
+    router.gate.set()
+    door = FrontDoor(router, workers=1)
+    try:
+        for _ in range(30):
+            server = FrontDoorServer(door)
+            client = RemoteShardClient(*server.run_in_thread())
+            assert client.request("ping") == {"pong": True}
+            server.stop()
+            assert server.wait_closed(5.0)
+            client.close()
+            alive = [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith("frontdoor-server-")
+            ]
+            assert alive == []
+    finally:
+        door.drain()
+
+
 class TestFrontDoorShedding:
     def test_overload_sheds_typed_and_queue_recovers(self):
         router = StubRouter()

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.serve.protocol import (
     FRAME_REQUEST,
     MAGIC,
     MAX_FRAME_BYTES,
+    ServiceDraining,
     decode_error,
     decode_frame_header,
     payload_to_exception,
@@ -60,6 +63,62 @@ def served_shard(corpus):
         server.drain()
         assert server.wait_closed(10.0)
         local.close()
+
+
+class RecordingShard:
+    """A shard wrapper that records what it executes, in order.
+
+    ``knn`` on a query whose video id is in ``gates`` blocks until that
+    event is set.  ``events`` logs ``("start", id)`` / ``("end", id)``
+    per query and ``("close",)``; ``max_running`` is the most ops ever
+    executing at once.
+    """
+
+    def __init__(self, shard: Shard, gates: dict | None = None) -> None:
+        self._shard = shard
+        self._gates = gates or {}
+        self._lock = threading.Lock()
+        self.events: list[tuple] = []
+        self.running = 0
+        self.max_running = 0
+
+    def __getattr__(self, name):
+        return getattr(self._shard, name)
+
+    def knn(self, query, k, **kwargs):
+        with self._lock:
+            self.events.append(("start", query.video_id))
+            self.running += 1
+            self.max_running = max(self.max_running, self.running)
+        try:
+            gate = self._gates.get(query.video_id)
+            if gate is not None:
+                assert gate.wait(30.0)
+            return self._shard.knn(query, k, **kwargs)
+        finally:
+            with self._lock:
+                self.running -= 1
+                self.events.append(("end", query.video_id))
+
+    def close(self) -> None:
+        self.events.append(("close",))
+        self._shard.close()
+
+
+def wait_until(predicate) -> None:
+    for _ in range(10_000):  # ~10 s
+        if predicate():
+            return
+        time.sleep(0.001)
+    raise AssertionError("condition never held")
+
+
+def server_threads(shard_id: int) -> list[str]:
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith(f"shard-server-{shard_id}-")
+    ]
 
 
 def deterministic(bundle: CostCounters) -> dict:
@@ -205,6 +264,107 @@ class TestDrain:
         server.drain()
         assert server.wait_closed(10.0)
         server.drain()  # after shutdown: a no-op, not an error
+
+    def test_drain_with_a_request_in_flight_on_another_connection(
+        self, corpus
+    ):
+        gate = threading.Event()
+        shard = RecordingShard(
+            make_shard(corpus, shard_id=7), {corpus[0].video_id: gate}
+        )
+        local = make_shard(corpus, shard_id=7)
+        server = ShardServer(shard)
+        host, port = server.run_in_thread()
+        busy = RemoteShard(7, host, port)
+        idle = RemoteShardClient(host, port)
+        answers = []
+        try:
+            assert idle.request("ping")["pong"]  # opens its connection
+            asker = threading.Thread(
+                target=lambda: answers.append(busy.knn(corpus[0], K))
+            )
+            asker.start()
+            wait_until(lambda: shard.running == 1)
+            server.drain()
+            with pytest.raises(ServiceDraining, match="shard 7 is draining"):
+                idle.request("knn", {"k": K}, summary=corpus[1])
+            assert ("close",) not in shard.events
+            gate.set()
+            asker.join(30.0)
+            assert not asker.is_alive()
+            assert server.wait_closed(10.0)
+        finally:
+            gate.set()
+            busy.close()
+            idle.close()
+        want = local.knn(corpus[0], K)
+        local.close()
+        assert [(got.videos, got.scores) for got in answers] == [
+            (want.videos, want.scores)
+        ]
+        # The in-flight query finished before the shard was closed, and
+        # the refused request never reached the shard.
+        assert shard.events == [
+            ("start", corpus[0].video_id),
+            ("end", corpus[0].video_id),
+            ("close",),
+        ]
+        assert server_threads(7) == []
+
+
+class TestExecutionOrder:
+    def test_one_op_at_a_time_in_read_order_across_connections(
+        self, corpus
+    ):
+        # The first query blocks inside the shard until every later
+        # request has been read on its own connection; the rest must
+        # then run one by one, in the order they were read.
+        queries = corpus[:4]
+        gate = threading.Event()
+        shard = RecordingShard(
+            make_shard(corpus, shard_id=8), {queries[0].video_id: gate}
+        )
+        server = ShardServer(shard)
+        host, port = server.run_in_thread()
+        clients = [RemoteShardClient(host, port) for _ in queries]
+        answers: dict[int, dict] = {}
+
+        def ask(position: int) -> None:
+            answers[position] = clients[position].request(
+                "knn", {"k": K}, summary=queries[position]
+            )
+
+        askers = []
+        try:
+            for position in range(len(queries)):
+                asker = threading.Thread(target=ask, args=(position,))
+                asker.start()
+                askers.append(asker)
+                # Read (ticketed) before the next request is even sent.
+                wait_until(lambda: server._next_ticket == position + 1)
+            gate.set()
+            for asker in askers:
+                asker.join(30.0)
+                assert not asker.is_alive()
+        finally:
+            gate.set()
+            for client in clients:
+                client.close()
+            server.drain()
+            assert server.wait_closed(10.0)
+        assert [event[1] for event in shard.events[:-1:2]] == [
+            query.video_id for query in queries
+        ]
+        assert shard.max_running == 1
+        local = make_shard(corpus)
+        try:
+            for position, query in enumerate(queries):
+                want = local.knn(query, K)
+                got = answers[position]
+                assert tuple(got["videos"]) == want.videos
+                assert tuple(got["scores"]) == want.scores
+        finally:
+            local.close()
 
 
 class TestVirtualClockSeam:

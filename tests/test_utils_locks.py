@@ -126,6 +126,30 @@ class TestTrackedRLock:
         b.release()
         assert graph.edges() == {("A._lock", "B._lock")}
 
+    def test_condition_wait_releases_every_level_and_restores_them(
+        self, graph
+    ):
+        lock = TrackedRLock("Server._lock", graph)
+        inner = TrackedRLock("Inner._lock", graph)
+        condition = threading.Condition(lock)
+        notified = []
+
+        def notifier():
+            with lock:  # only acquirable because wait() let go of both levels
+                notified.append(True)
+                condition.notify_all()
+
+        thread = threading.Thread(target=notifier)
+        with lock:
+            with lock:
+                thread.start()
+                assert condition.wait_for(lambda: notified, timeout=10.0)
+                with inner:  # the restored stack still names the lock
+                    pass
+        thread.join(10.0)
+        assert graph.edges() == {("Server._lock", "Inner._lock")}
+        assert not lock._is_owned()
+
     def test_repr_names_the_lock(self):
         assert "Pager._lock" in repr(TrackedRLock("Pager._lock"))
 
