@@ -1,10 +1,12 @@
 """On-disk indexes: build once, reopen later.
 
-The index's two page stores (B+-tree and ViTri heap) live in ordinary
-files with 4 KiB pages; the non-paged metadata (epsilon, the fitted
-reference point, per-video frame counts) is a small JSON sidecar.  This
-script builds a file-backed index, closes everything, reopens it in a
-fresh process state and repeats the query.
+A durable :class:`repro.VideoDatabase` keeps its index in a directory:
+the B+-tree pages (``index.btree``) and the ViTri heap (``index.heap``)
+in ordinary files with 4 KiB pages, plus the non-paged metadata
+(epsilon, the fitted reference point, per-video frame counts) in
+``db.json``.  All three commit together through the directory's
+write-ahead log.  This script builds a database, closes it, reopens it
+from the directory alone and repeats the query.
 
 Run:  python examples/persistent_index.py
 """
@@ -32,28 +34,25 @@ def main() -> None:
     ]
 
     with tempfile.TemporaryDirectory() as directory:
-        btree_path = os.path.join(directory, "ads.btree")
-        heap_path = os.path.join(directory, "ads.heap")
-        meta_path = os.path.join(directory, "ads.meta.json")
+        path = os.path.join(directory, "ads.db")
 
-        # Build and persist.
-        index = repro.VitriIndex.build(
-            summaries, EPSILON,
-            btree_path=btree_path, heap_path=heap_path,
-        )
-        first_answer = index.knn(summaries[0], 5).videos
-        index.flush()
-        index.save_meta(meta_path)
-        btree_size = os.path.getsize(btree_path)
-        heap_size = os.path.getsize(heap_path)
-        print(f"persisted: {index.num_vitris} ViTris -> "
+        # Build and persist: close() commits everything added.
+        with repro.VideoDatabase(EPSILON, path=path) as database:
+            database.add_summaries(summaries)
+            database.build()
+            index = database.index
+            first_answer = index.knn(summaries[0], 5).videos
+            vitris = index.num_vitris
+        btree_size = os.path.getsize(os.path.join(path, "index.btree"))
+        heap_size = os.path.getsize(os.path.join(path, "index.heap"))
+        print(f"persisted: {vitris} ViTris -> "
               f"{btree_size // 1024} KiB B+-tree + {heap_size // 1024} KiB heap "
               f"({btree_size // 4096} + {heap_size // 4096} pages)")
 
-        # Reopen from the files alone and query again.
-        reopened = repro.VitriIndex.open(btree_path, heap_path, meta_path)
-        second_answer = reopened.knn(summaries[0], 5).videos
-        print(f"reopened:  {reopened}")
+        # Reopen from the directory alone and query again.
+        with repro.VideoDatabase(path=path) as reopened:
+            second_answer = reopened.index.knn(summaries[0], 5).videos
+            print(f"reopened:  {reopened.index}")
         print(f"answers identical: {first_answer == second_answer}")
         print(f"top-5 for video 0: {list(second_answer)}")
 

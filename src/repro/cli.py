@@ -9,25 +9,22 @@ Drives the full pipeline from a shell::
     repro-video query     --index ads-index --dataset ads.npz \\
                           --video-id 0 --k 10
 
-``build`` writes three files under the ``--out`` prefix: ``<out>.btree``
-(the B+-tree pages), ``<out>.heap`` (the flat ViTri file) and
-``<out>.meta.json`` (epsilon, reference point, per-video frame counts).
-``query`` reopens them, summarises the query video with the stored
-epsilon, and prints the ranked results plus the exact query cost.
+``build`` writes a durable :class:`~repro.core.database.VideoDatabase`
+directory (``index.btree``, ``index.heap`` and ``db.json``, committed as
+one transaction through its write-ahead log).  ``query`` reopens it,
+summarises the query video with the stored epsilon, and prints the
+ranked results plus the exact query cost.
 
-``repro-video check`` opens an index built by ``build`` and verifies its
-physical and structural integrity: every page frame's CRC32 checksum,
-every B+-tree invariant (via the tree checker) and the heap file's slot
-accounting.  Exit code 0 means consistent, 1 means corruption.
+``repro-video check`` verifies a directory without creating anything:
+a fleet (it holds ``shards.json``) shard by shard, plus its placement
+and its persisted ``health.json``; a single database like one shard.
+Each database gets every page frame's CRC32 checksum, every B+-tree
+invariant and the heap file's slot accounting.  Exit code 0 means
+consistent, 1 means corruption or a path holding neither.
 
 ``repro-video lint`` runs the project's own static-analysis pass
 (vilint; see ``docs/static_analysis.md``) over ``src/repro`` or any
 given paths.
-
-``check --sharded`` verifies a durable fleet directory: each shard's page
-checksums, B+-tree invariants and heap accounting, the fleet-level
-placement report, and the persisted ``health.json`` (unknown shards,
-invalid breaker states, shards that would be skipped at open time).
 
 ``repro-video fleet-health`` opens a durable fleet and prints each
 shard's health counters and breaker state.
@@ -120,8 +117,12 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from repro.core.database import VideoDatabase
     from repro.core.summary_io import load_summaries, save_summaries
 
+    if os.path.isdir(args.out) and os.listdir(args.out):
+        print(f"error: {args.out} is not empty", file=sys.stderr)
+        return 1
     dataset = VideoDataset.load(args.dataset)
     if args.summaries:
         summaries, _ = load_summaries(
@@ -131,19 +132,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
         summaries = _summaries(dataset, args.epsilon)
         if args.save_summaries:
             save_summaries(args.save_summaries, summaries, args.epsilon)
-    index = VitriIndex.build(
-        summaries,
-        args.epsilon,
-        reference=args.reference,
-        btree_path=f"{args.out}.btree",
-        heap_path=f"{args.out}.heap",
-    )
-    index.flush()
-    index.save_meta(f"{args.out}.meta.json")
-    print(
-        f"built {index.num_vitris} ViTris over {index.num_videos} videos "
-        f"-> {args.out}.btree / {args.out}.heap / {args.out}.meta.json"
-    )
+    with VideoDatabase(
+        args.epsilon, reference=args.reference, path=args.out
+    ) as database:
+        database.add_summaries(summaries)
+        database.build()
+        vitris = database.index.num_vitris
+    print(f"built {vitris} ViTris over {len(summaries)} videos -> {args.out}")
     return 0
 
 
@@ -312,74 +307,102 @@ def _check_fleet_health_file(path: str, num_shards: int) -> list[str]:
     return failures
 
 
-def _check_sharded(args: argparse.Namespace) -> int:
+def _verify_database(index: VitriIndex, label: str) -> list[str]:
+    """Check one database's index: the page checksums of both page
+    files, the B+-tree invariants and the heap's slot accounting.
+
+    Prints the label's line once its pages verify and returns the
+    failures; a checksum failure ends the check, since nothing past it
+    can be read.
+    """
     from repro.btree.checker import check_tree
+
+    try:
+        pages = index.btree.buffer_pool.pager.verify_checksums()
+        pages += index.heap.buffer_pool.pager.verify_checksums()
+    except Exception as exc:  # noqa: BLE001 - report, don't crash
+        return [f"{label} checksum: {exc}"]
+    failures: list[str] = []
+    try:
+        check_tree(index.btree)
+    except AssertionError as exc:
+        failures.append(f"{label} btree: {exc}")
+    failures.extend(f"{label} heap: {v}" for v in index.heap.verify())
+    print(
+        f"{label}: {index.num_videos} video(s), {pages} page frame(s) "
+        "verified, invariants hold"
+    )
+    return failures
+
+
+def _report(path: str, failures: list[str], summary: str) -> int:
+    if failures:
+        for failure in failures:
+            print(f"error: {failure}", file=sys.stderr)
+        return 1
+    print(f"{path}: consistent ({summary})")
+    return 0
+
+
+def _check_fleet(path: str) -> int:
     from repro.shard.router import ShardedVideoDatabase
     from repro.storage.serialization import ChecksumError
 
     try:
         # Reopening performs each shard's standard WAL recovery and the
         # fleet's reconciliation (exactly what a restart would do).
-        fleet = ShardedVideoDatabase(path=args.index)
+        fleet = ShardedVideoDatabase(path=path)
     except (ChecksumError, ValueError, OSError) as exc:
         print(f"error: cannot open fleet: {exc}", file=sys.stderr)
         return 1
     try:
-        failures = _check_fleet_health_file(args.index, fleet.num_shards)
+        failures = _check_fleet_health_file(path, fleet.num_shards)
         misplaced = 0
         for shard in fleet.shards:
             label = f"shard {shard.shard_id}"
             if len(shard) == 0:
                 print(f"{label}: empty")
                 continue
-            index = shard.database.index
-            try:
-                pages = index.btree.buffer_pool.pager.verify_checksums()
-                pages += index.heap.buffer_pool.pager.verify_checksums()
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                failures.append(f"{label} checksum: {exc}")
-                continue
-            try:
-                check_tree(index.btree)
-            except AssertionError as exc:
-                failures.append(f"{label} btree: {exc}")
-            heap_violations = index.heap.verify()
-            failures.extend(f"{label} heap: {v}" for v in heap_violations)
             for summary in shard.summaries():
                 if fleet.partitioner.shard_for(summary) != shard.shard_id:
                     misplaced += 1
-            print(
-                f"{label}: {len(shard)} video(s), {pages} page frame(s) "
-                "verified, invariants hold"
-            )
+            failures.extend(_verify_database(shard.database.index, label))
         if misplaced:
             # Legal after a crash mid-rebalance (placement is a performance
             # matter, not a correctness one) — report, don't fail.
             print(f"note: {misplaced} video(s) off their partitioned shard")
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"{args.index}: consistent ({len(fleet)} videos across "
-            f"{fleet.num_shards} shards, {fleet.partitioner.name} placement)"
+        return _report(
+            path,
+            failures,
+            f"{len(fleet)} videos across {fleet.num_shards} shards, "
+            f"{fleet.partitioner.name} placement",
         )
-        return 0
     finally:
         fleet.close()
 
 
-def _open_index(prefix: str) -> VitriIndex | None:
-    """Open the index ``build`` wrote under ``prefix``.
+def _holds(path: str, *names: str) -> bool:
+    return any(os.path.exists(os.path.join(path, name)) for name in names)
 
-    Prints the failure and returns ``None`` when it cannot be opened.
+
+def _open_database(path: str):
+    """Reopen the database directory at ``path`` for reading.
+
+    Decides from the files first, because opening creates whatever is
+    missing; prints the failure and returns ``None`` when ``path``
+    holds no database or it cannot be opened.
     """
+    from repro.core.database import _EPOCH_FILE, _META_FILE, VideoDatabase
     from repro.storage.serialization import ChecksumError
 
-    try:
-        return VitriIndex.open(
-            f"{prefix}.btree", f"{prefix}.heap", f"{prefix}.meta.json"
+    if not _holds(path, _META_FILE, _EPOCH_FILE):
+        print(
+            f"error: {path} holds no index (neither a database nor a fleet)",
+            file=sys.stderr,
         )
+        return None
+    try:
+        return VideoDatabase(path=path)
     except (ChecksumError, ValueError, OSError) as exc:
         # Opening already scans the heap, so corruption can surface here.
         print(f"error: cannot open index: {exc}", file=sys.stderr)
@@ -387,41 +410,37 @@ def _open_index(prefix: str) -> VitriIndex | None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.btree.checker import check_tree
+    from repro.shard.router import _MANIFEST_FILE
 
-    if args.sharded:
-        return _check_sharded(args)
-    index = _open_index(args.index)
-    if index is None:
+    if _holds(args.index, _MANIFEST_FILE):
+        return _check_fleet(args.index)
+    database = _open_database(args.index)
+    if database is None:
         return 1
-    failures: list[str] = []
     try:
-        pages = index.btree.buffer_pool.pager.verify_checksums()
-        pages += index.heap.buffer_pool.pager.verify_checksums()
-        print(f"checksums: {pages} page frame(s) verified")
-    except Exception as exc:  # noqa: BLE001 - report, don't crash
-        failures.append(f"checksum: {exc}")
-    try:
-        check_tree(index.btree)
-        print(f"b+tree: {index.num_vitris} entries, invariants hold")
-    except AssertionError as exc:
-        failures.append(f"btree: {exc}")
-    heap_violations = index.heap.verify()
-    if heap_violations:
-        failures.extend(f"heap: {v}" for v in heap_violations)
-    else:
-        print(f"heap: {index.heap.num_records} record(s), accounting holds")
-    if failures:
-        for failure in failures:
-            print(f"error: {failure}", file=sys.stderr)
-        return 1
-    print(f"{args.index}: consistent ({index.num_videos} videos)")
-    return 0
+        index = database.index
+        if index is None:
+            return _report(args.index, [], "0 videos")
+        failures = _verify_database(index, args.index)
+        return _report(args.index, failures, f"{index.num_videos} videos")
+    finally:
+        # Read-only: release the files without a checkpoint.
+        database.detach()
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    index = _open_index(args.index)
+    database = _open_database(args.index)
+    if database is None:
+        return 1
+    try:
+        return _run_query(database.index, args)
+    finally:
+        database.detach()
+
+
+def _run_query(index: VitriIndex | None, args: argparse.Namespace) -> int:
     if index is None:
+        print(f"error: {args.index} holds no videos", file=sys.stderr)
         return 1
     dataset = VideoDataset.load(args.dataset)
     if args.video_id < 0 or args.video_id >= dataset.num_videos:
@@ -497,9 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     summarize.add_argument("--epsilon", type=float, default=0.3)
     summarize.set_defaults(func=_cmd_summarize)
 
-    build = commands.add_parser("build", help="build a file-backed index")
+    build = commands.add_parser("build", help="build a database directory")
     build.add_argument("--dataset", required=True)
-    build.add_argument("--out", required=True, help="index file prefix")
+    build.add_argument("--out", required=True, help="database directory")
     build.add_argument("--epsilon", type=float, default=0.3)
     build.add_argument(
         "--reference",
@@ -519,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.set_defaults(func=_cmd_build)
 
     query = commands.add_parser("query", help="KNN query against an index")
-    query.add_argument("--index", required=True, help="index file prefix")
+    query.add_argument("--index", required=True, help="database directory")
     query.add_argument("--dataset", required=True)
     query.add_argument("--video-id", type=int, required=True)
     query.add_argument("--k", type=int, default=10)
@@ -530,22 +549,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser(
         "check",
-        help="verify a file-backed index's integrity",
+        help="verify a database or fleet directory's integrity",
         description=(
             "Verify page checksums, B+-tree invariants and heap-file "
-            "accounting of an index written by 'build'.  With --sharded, "
-            "verify every shard of a fleet directory plus its health.json."
+            "accounting of a database directory written by 'build', or "
+            "of every shard of a fleet directory plus its health.json."
         ),
     )
     check.add_argument(
-        "--index",
-        required=True,
-        help="index file prefix (or fleet directory with --sharded)",
-    )
-    check.add_argument(
-        "--sharded",
-        action="store_true",
-        help="treat --index as a ShardedVideoDatabase fleet directory",
+        "--index", required=True, help="database or fleet directory"
     )
     check.set_defaults(func=_cmd_check)
 

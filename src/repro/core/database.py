@@ -66,6 +66,7 @@ from repro.utils.validation import check_matrix, check_positive
 __all__ = [
     "VideoDatabase",
     "generation_name",
+    "publish_file",
     "read_epoch_pointer",
     "write_epoch_pointer",
 ]
@@ -124,9 +125,9 @@ def write_epoch_pointer(
 ) -> None:
     """Atomically point the directory at ``generation``.
 
-    Temp-write + ``os.replace``, both routed through the fault injector
-    when one is given: the replace is the online cutover's *commit
-    point*, so a crash-point sweep must be able to land exactly on it.
+    Published with :func:`publish_file`: the replace is the online
+    cutover's *commit point*, so a crash-point sweep must be able to
+    land exactly on it.
     """
     if generation != generation_name(epoch):
         raise ValueError(
@@ -135,8 +136,20 @@ def write_epoch_pointer(
     blob = json.dumps(
         {"format": _EPOCH_FORMAT, "generation": generation, "epoch": epoch}
     ).encode("utf-8")
-    final_path = os.path.join(path, _EPOCH_FILE)
-    tmp_path = final_path + ".tmp"
+    publish_file(
+        os.path.join(path, _EPOCH_FILE), blob, fault_injector=fault_injector
+    )
+
+
+def publish_file(path: str, blob: bytes, *, fault_injector=None) -> None:
+    """Atomically replace ``path`` with ``blob``: write and fsync a temp
+    file, then ``os.replace`` it over ``path``.
+
+    With a fault injector the temp write is one ``write`` and the
+    replace one ``op``, so a crash-point sweep lands on either side of
+    the replace, the commit point.
+    """
+    tmp_path = path + ".tmp"
 
     def write_blob(data: bytes) -> None:
         with open(tmp_path, "wb") as handle:
@@ -146,10 +159,10 @@ def write_epoch_pointer(
 
     if fault_injector is not None:
         fault_injector.write(write_blob, blob)
-        fault_injector.op(lambda: os.replace(tmp_path, final_path))
+        fault_injector.op(lambda: os.replace(tmp_path, path))
     else:
         write_blob(blob)
-        os.replace(tmp_path, final_path)
+        os.replace(tmp_path, path)
 
 
 class VideoDatabase:
@@ -257,10 +270,21 @@ class VideoDatabase:
             ),
             capacity=buffer_capacity,
         )
-        self._wal.recover()
+        try:
+            self._wal.recover()
+            self._load_meta()
+        except BaseException:
+            # A directory that cannot be opened (a corrupt page, say)
+            # must not keep its files open: no caller owns them yet.
+            self.crash()
+            raise
 
+    def _load_meta(self) -> None:
+        """Adopt the configuration in ``db.json`` and re-attach the index
+        it describes; a directory never checkpointed has none."""
+        meta_path = os.path.join(self._data_dir, _META_FILE)
         if not os.path.exists(meta_path):
-            return  # fresh directory: nothing was ever checkpointed
+            return
         with open(meta_path, "r", encoding="utf-8") as handle:
             meta = json.load(handle)
         if meta.get("format") != _META_FORMAT:
@@ -410,26 +434,7 @@ class VideoDatabase:
         self._btree_pool.clear()
         self._heap_pool.clear()
         self._index = None
-        meta_path = os.path.join(self._data_dir, _META_FILE)
-        if not os.path.exists(meta_path):
-            return
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-        if meta.get("format") != _META_FORMAT:
-            raise ValueError(
-                f"{meta_path} has unsupported format {meta.get('format')!r}"
-            )
-        self._epsilon = float(meta["epsilon"])
-        self._reference = str(meta["reference"])
-        self._seed = int(meta["summarize_seed"])
-        self._next_video_id = int(meta["next_video_id"])
-        if meta["index"] is not None:
-            self._index = VitriIndex.from_storage(
-                self._btree_pool,
-                self._heap_pool,
-                meta["index"],
-                reference=self._reference,
-            )
+        self._load_meta()
 
     def __len__(self) -> int:
         pending = len(self._pending)

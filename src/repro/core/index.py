@@ -39,7 +39,6 @@ silently corrupted both queries' stats whenever two queries interleaved
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from collections import defaultdict
 from dataclasses import dataclass
@@ -448,7 +447,9 @@ class VitriIndex:
             Reference-point strategy (instance or name) for the 1-D
             transform.
         btree_path, heap_path:
-            Optional backing files; in-memory when omitted.
+            Optional backing files, for measuring file I/O; in-memory
+            when omitted.  Nothing reopens them: storage that survives
+            a restart is :class:`~repro.core.database.VideoDatabase`.
         buffer_capacity:
             LRU buffer-pool capacity (pages) for each of the two stores.
         btree_pool, heap_pool:
@@ -921,12 +922,6 @@ class VitriIndex:
             "next_vitri_id": self._next_vitri_id,
         }
 
-    def save_meta(self, path: str) -> None:
-        """Write the index's non-paged metadata (epsilon, reference point,
-        video frame counts) as JSON, for re-opening file-backed indexes."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.meta_dict(), handle)
-
     @classmethod
     def from_storage(
         cls,
@@ -965,30 +960,6 @@ class VitriIndex:
         if positions.shape[0] > 0:
             index._moments.update(positions)
         return index
-
-    @classmethod
-    def open(
-        cls,
-        btree_path: str,
-        heap_path: str,
-        meta_path: str,
-        *,
-        reference: ReferenceStrategy | str = "optimal",
-        buffer_capacity: int = 256,
-    ) -> "VitriIndex":
-        """Re-open a file-backed index written earlier.
-
-        The stored reference point is restored verbatim (the strategy
-        object is only needed for future rebuilds).
-        """
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-        return cls.from_storage(
-            BufferPool(Pager(btree_path), capacity=buffer_capacity),
-            BufferPool(Pager(heap_path), capacity=buffer_capacity),
-            meta,
-            reference=reference,
-        )
 
     def __repr__(self) -> str:
         return (

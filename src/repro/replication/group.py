@@ -46,8 +46,8 @@ from __future__ import annotations
 # vilint: disable-file=blocking-while-locked -- each copy's serving gate
 # is *meant* to be held across a whole query: it models the copy's
 # single-worker server, so closed-loop clients contend per copy exactly
-# as they would over the network.  Distinct copies' gates are never
-# nested.
+# as they would over the network.  A read holds one gate; the one
+# nesting is sync() under the write gate: primary gate -> replica gate.
 
 from repro.replication.replica import SYNCED, ReplicaShard
 from repro.replication.shipper import WalShipper
@@ -181,33 +181,13 @@ class ReplicaSet:
         applied = 0
         bootstrapped = 0
         for copy in self._replicas:
-            replica = copy.target
-            if replica.state != SYNCED:
-                self._bootstrap(replica)
-                bootstrapped += 1
-                continue
-            pending = self._shipper.segments_since(replica.applied_seq)
-            if pending is None:
-                # The suffix this replica needs was truncated away.
-                self._bootstrap(replica)
-                bootstrapped += 1
-                continue
-            refused = False
-            for encoded in pending:
-                if replica.apply_segment(encoded):
-                    applied += 1
-                else:
-                    self._bootstrap(replica)
-                    bootstrapped += 1
-                    refused = True
-                    break
-            if not refused and replica.token != self._shipper.token:
-                # Caught up by position yet on a different content token:
-                # an online-rebuild cutover re-rooted the chain (same
-                # videos, new reference point, new token).  Replay cannot
-                # bridge epochs; only a fresh snapshot can.
-                self._bootstrap(replica)
-                bootstrapped += 1
+            # Under the copy's serving gate: a read routed here must not
+            # run on the old engine over pages a segment or a bootstrap
+            # is rewriting.
+            with copy.gate:
+                segments, bootstraps = self._catch_up(copy.target)
+            applied += segments
+            bootstrapped += bootstraps
         self._shipper.log.trim(
             min(
                 (copy.target.applied_seq for copy in self._replicas),
@@ -215,6 +195,32 @@ class ReplicaSet:
             )
         )
         return {"applied": applied, "bootstrapped": bootstrapped}
+
+    def _catch_up(self, replica: ReplicaShard) -> tuple[int, int]:
+        """Bring one replica to the shipper's position; returns
+        ``(segments applied, bootstraps)``."""
+        if replica.state != SYNCED:
+            self._bootstrap(replica)
+            return 0, 1
+        pending = self._shipper.segments_since(replica.applied_seq)
+        if pending is None:
+            # The suffix this replica needs was truncated away.
+            self._bootstrap(replica)
+            return 0, 1
+        applied = 0
+        for encoded in pending:
+            if not replica.apply_segment(encoded):
+                self._bootstrap(replica)
+                return applied, 1
+            applied += 1
+        if replica.token != self._shipper.token:
+            # Caught up by position yet on a different content token: an
+            # online-rebuild cutover re-rooted the chain (same videos,
+            # new reference point, new token).  Replay cannot bridge
+            # epochs; only a fresh snapshot can.
+            self._bootstrap(replica)
+            return applied, 1
+        return applied, 0
 
     def _bootstrap(self, replica: ReplicaShard) -> None:
         # snapshot() checkpoints, so the image is at the latest seq and

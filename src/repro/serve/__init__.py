@@ -40,7 +40,6 @@ from repro.serve.frontdoor import (
 )
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
-    FrameDecoder,
     ProtocolError,
     RateLimited,
     RemoteShardError,
@@ -52,7 +51,6 @@ from repro.serve.transport import RemoteShard, RemoteShardClient
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "FrameDecoder",
     "FrontDoor",
     "FrontDoorServer",
     "NetworkFleet",

@@ -193,15 +193,7 @@ class FrontDoor:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        query,
-        k: int,
-        *,
-        client: str = "default",
-        method: str = "composed",
-        cold: bool = False,
-    ) -> Future:
+    def submit(self, query, k: int, *, client: str = "default") -> Future:
         """Admit one query (or shed it, typed) and return its future.
 
         The returned :class:`~concurrent.futures.Future` resolves to the
@@ -235,7 +227,7 @@ class FrontDoor:
             )
         future: Future = Future()
         try:
-            self._queue.put_nowait((future, query, k, method, cold))
+            self._queue.put_nowait((future, query, k))
         except queue.Full:
             with self._lock:
                 self._stats["shed_overload"] += 1
@@ -260,17 +252,11 @@ class FrontDoor:
             item = self._queue.get()
             if item is None:
                 return
-            future, query, k, method, cold = item
+            future, query, k = item
             if not future.set_running_or_notify_cancel():
                 continue
             try:
-                result = self._router.knn(
-                    query,
-                    k,
-                    method=method,
-                    cold=cold,
-                    fail_fast=False,
-                )
+                result = self._router.knn(query, k, fail_fast=False)
             except BaseException as exc:
                 future.set_exception(exc)
                 self._bump("failed")
@@ -663,10 +649,10 @@ class FrontDoorServer(FrameServer):
     """The front door over TCP, speaking the shard-server framing.
 
     Ops: ``ping``, ``status`` (front-door stats) and ``knn`` (params
-    ``k``, ``method``, ``client``; the query summary rides
-    as the request's binary blob).  Admission errors come back as the
-    same typed error frames a shard server sends, so one client codec
-    serves both layers.  Each connection's thread submits its query and
+    ``k`` and ``client``; the query summary rides as the request's
+    binary blob).  Admission errors come back as the same typed error
+    frames a shard server sends, so one client codec serves both
+    layers.  Each connection's thread submits its query and
     waits for the answer itself; :meth:`stop` lets those in flight
     finish.
     """
@@ -695,7 +681,6 @@ class FrontDoorServer(FrameServer):
                 summary,
                 int(params["k"]),
                 client=str(params.get("client", "default")),
-                method=str(params.get("method", "composed")),
             )
             return _result_to_wire(future.result())
         raise ValueError(f"unknown op {op!r}")

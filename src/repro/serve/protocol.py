@@ -67,7 +67,6 @@ __all__ = [
     "FRAME_RESPONSE",
     "MAGIC",
     "MAX_FRAME_BYTES",
-    "FrameDecoder",
     "ProtocolError",
     "RateLimited",
     "RemoteShardError",
@@ -175,54 +174,6 @@ def decode_frame_header(header: bytes) -> tuple[int, int]:
             f"{MAX_FRAME_BYTES}-byte cap"
         )
     return frame_type, length
-
-
-class FrameDecoder:
-    """Incremental frame parser over an untrusted byte stream.
-
-    Synchronous and transport-agnostic: feed it whatever chunks arrive
-    and it yields complete ``(frame_type, payload)`` pairs.  Header
-    validation (magic, type, length cap) happens the moment seven bytes
-    are buffered, so at most ``FRAME_HEADER_BYTES + MAX_FRAME_BYTES``
-    bytes are ever held.  A :class:`ProtocolError` poisons the decoder —
-    framing cannot be re-synchronised after corruption.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._pending: tuple[int, int] | None = None  # validated header
-        self._poisoned = False
-
-    def feed(self, data: bytes) -> list[tuple[int, bytes]]:
-        """Buffer ``data``; return every frame it completed."""
-        if self._poisoned:
-            raise ProtocolError("decoder poisoned by an earlier framing error")
-        self._buffer.extend(data)
-        frames: list[tuple[int, bytes]] = []
-        while True:
-            if self._pending is None:
-                if len(self._buffer) < FRAME_HEADER_BYTES:
-                    break
-                header = bytes(self._buffer[:FRAME_HEADER_BYTES])
-                try:
-                    self._pending = decode_frame_header(header)
-                except ProtocolError:
-                    self._poisoned = True
-                    raise
-                del self._buffer[:FRAME_HEADER_BYTES]
-            frame_type, length = self._pending
-            if len(self._buffer) < length:
-                break
-            payload = bytes(self._buffer[:length])
-            del self._buffer[:length]
-            self._pending = None
-            frames.append((frame_type, payload))
-        return frames
-
-    @property
-    def buffered(self) -> int:
-        """Bytes currently held for an incomplete frame."""
-        return len(self._buffer)
 
 
 # ---------------------------------------------------------------------------

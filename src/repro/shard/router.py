@@ -102,6 +102,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+from repro.core.database import publish_file
 from repro.core.index import QueryStats, _rank
 from repro.core.summarize import summarize_video
 from repro.core.vitri import VideoSummary
@@ -649,7 +650,6 @@ class ShardedVideoDatabase:
         k: int = 10,
         *,
         method: str = "composed",
-        cold: bool = False,
         fault_policy: FaultPolicy | None = None,
         fail_fast: bool = True,
     ) -> ShardedKNNResult:
@@ -662,7 +662,6 @@ class ShardedVideoDatabase:
             summary,
             k,
             method=method,
-            cold=cold,
             fault_policy=fault_policy,
             fail_fast=fail_fast,
         )
@@ -673,7 +672,6 @@ class ShardedVideoDatabase:
         k: int,
         *,
         method: str = "composed",
-        cold: bool = False,
         fault_policy: FaultPolicy | None = None,
         fail_fast: bool = True,
     ) -> ShardedKNNResult:
@@ -687,8 +685,6 @@ class ShardedVideoDatabase:
             Number of results.
         method:
             ``"composed"`` or ``"naive"`` (per-shard execution strategy).
-        cold:
-            Clear each queried shard's serving pool first.
         fault_policy:
             Retry/deadline/breaker configuration for each shard's
             sub-query (see :class:`~repro.shard.resilience.FaultPolicy`).
@@ -708,7 +704,6 @@ class ShardedVideoDatabase:
                     query,
                     k,
                     method=method,
-                    cold=cold,
                     out_counters=bundle,
                     deadline=deadline,
                     attempt=attempt,
@@ -724,7 +719,6 @@ class ShardedVideoDatabase:
         min_similarity: float,
         *,
         method: str = "composed",
-        cold: bool = False,
         fault_policy: FaultPolicy | None = None,
         fail_fast: bool = True,
     ) -> ShardedKNNResult:
@@ -741,7 +735,6 @@ class ShardedVideoDatabase:
                     query,
                     min_similarity,
                     method=method,
-                    cold=cold,
                     out_counters=bundle,
                     deadline=deadline,
                     attempt=attempt,
@@ -1194,22 +1187,11 @@ class ShardedVideoDatabase:
                 os.path.basename(shard.path) for shard in self._shards
             ],
         }
-        blob = json.dumps(manifest).encode("utf-8")
-        final_path = os.path.join(self._path, _MANIFEST_FILE)
-        tmp_path = final_path + ".tmp"
-
-        def write_blob(data: bytes) -> None:
-            with open(tmp_path, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-
-        if self._faults is not None:
-            self._faults.write(write_blob, blob)
-            self._faults.op(lambda: os.replace(tmp_path, final_path))
-        else:
-            write_blob(blob)
-            os.replace(tmp_path, final_path)
+        publish_file(
+            os.path.join(self._path, _MANIFEST_FILE),
+            json.dumps(manifest).encode("utf-8"),
+            fault_injector=self._faults,
+        )
 
     def _write_health(self) -> None:
         """Persist the fleet-health report beside the manifest.

@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
+
+
+def flip_byte(file_path, offset):
+    with open(file_path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)
+        handle.seek(offset)
+        handle.write(bytes([byte[0] ^ 0xFF]))
 
 
 @pytest.fixture()
@@ -58,12 +68,12 @@ class TestSummarize:
 
 class TestBuildAndQuery:
     def test_round_trip(self, dataset_path, tmp_path, capsys):
-        prefix = str(tmp_path / "idx")
+        path = str(tmp_path / "idx")
         assert main(
             [
                 "build",
                 "--dataset", dataset_path,
-                "--out", prefix,
+                "--out", path,
                 "--epsilon", "0.3",
             ]
         ) == 0
@@ -73,7 +83,7 @@ class TestBuildAndQuery:
         assert main(
             [
                 "query",
-                "--index", prefix,
+                "--index", path,
                 "--dataset", dataset_path,
                 "--video-id", "0",
                 "--k", "5",
@@ -89,13 +99,13 @@ class TestBuildAndQuery:
         assert " 0 " in f" {first_row} "
 
     def test_query_naive_method(self, dataset_path, tmp_path, capsys):
-        prefix = str(tmp_path / "idx")
-        main(["build", "--dataset", dataset_path, "--out", prefix])
+        path = str(tmp_path / "idx")
+        main(["build", "--dataset", dataset_path, "--out", path])
         capsys.readouterr()
         assert main(
             [
                 "query",
-                "--index", prefix,
+                "--index", path,
                 "--dataset", dataset_path,
                 "--video-id", "1",
                 "--method", "naive",
@@ -104,13 +114,13 @@ class TestBuildAndQuery:
         assert "naive method" in capsys.readouterr().out
 
     def test_query_bad_video_id(self, dataset_path, tmp_path, capsys):
-        prefix = str(tmp_path / "idx")
-        main(["build", "--dataset", dataset_path, "--out", prefix])
+        path = str(tmp_path / "idx")
+        main(["build", "--dataset", dataset_path, "--out", path])
         capsys.readouterr()
         assert main(
             [
                 "query",
-                "--index", prefix,
+                "--index", path,
                 "--dataset", dataset_path,
                 "--video-id", "999",
             ]
@@ -120,36 +130,127 @@ class TestBuildAndQuery:
     def test_query_missing_or_corrupt_index(
         self, dataset_path, tmp_path, capsys
     ):
-        prefix = str(tmp_path / "idx")
+        path = str(tmp_path / "idx")
         query = ["query", "--dataset", dataset_path, "--video-id", "0"]
-        assert main(query + ["--index", str(tmp_path / "nowhere")]) == 1
-        assert "cannot open index" in capsys.readouterr().err
+        nowhere = str(tmp_path / "nowhere")
+        assert main(query + ["--index", nowhere]) == 1
+        assert "holds no index" in capsys.readouterr().err
+        assert not os.path.exists(nowhere)
 
-        main(["build", "--dataset", dataset_path, "--out", prefix])
-        with open(f"{prefix}.heap", "r+b") as handle:
-            handle.seek(100)
-            byte = handle.read(1)
-            handle.seek(100)
-            handle.write(bytes([byte[0] ^ 0xFF]))
+        main(["build", "--dataset", dataset_path, "--out", path])
+        flip_byte(os.path.join(path, "index.heap"), 100)
         capsys.readouterr()
-        assert main(query + ["--index", prefix]) == 1
+        assert main(query + ["--index", path]) == 1
         err = capsys.readouterr().err
         assert "cannot open index" in err and "checksum" in err
 
     def test_query_rejects_nonpositive_k(self, dataset_path, tmp_path, capsys):
-        prefix = str(tmp_path / "idx")
-        main(["build", "--dataset", dataset_path, "--out", prefix])
+        path = str(tmp_path / "idx")
+        main(["build", "--dataset", dataset_path, "--out", path])
         capsys.readouterr()
         assert main(
             [
                 "query",
-                "--index", prefix,
+                "--index", path,
                 "--dataset", dataset_path,
                 "--video-id", "0",
                 "--k", "0",
             ]
         ) == 1
         assert "k must be a positive int" in capsys.readouterr().err
+
+
+class TestSameAnswers:
+    """A built-then-reopened database directory answers exactly like an
+    in-memory index over the same summaries: ranking and cost line."""
+
+    @pytest.mark.parametrize("reference", ["optimal", "space_center"])
+    def test_matches_in_memory_index(
+        self, dataset_path, tmp_path, capsys, reference
+    ):
+        from repro.core.index import VitriIndex
+        from repro.core.summarize import summarize_video
+        from repro.datasets.loader import VideoDataset
+
+        path = str(tmp_path / "idx")
+        assert main(
+            [
+                "build", "--dataset", dataset_path, "--out", path,
+                "--reference", reference,
+            ]
+        ) == 0
+        dataset = VideoDataset.load(dataset_path)
+        summaries = [
+            summarize_video(i, dataset.frames(i), 0.3, seed=i)
+            for i in range(dataset.num_videos)
+        ]
+        oracle = VitriIndex.build(summaries, 0.3, reference=reference)
+        for method in ("composed", "naive"):
+            for video_id in (0, 4, 12):
+                capsys.readouterr()
+                assert main(
+                    [
+                        "query", "--index", path, "--dataset", dataset_path,
+                        "--video-id", str(video_id), "--k", "5",
+                        "--method", method,
+                    ]
+                ) == 0
+                out = capsys.readouterr().out
+                want = oracle.knn(
+                    summaries[video_id], 5, method=method, cold=True
+                )
+                rows = [
+                    line.split("|")
+                    for line in out.splitlines()
+                    if line[:1].isdigit()
+                ]
+                assert [
+                    (int(rank), int(video), score.strip())
+                    for rank, video, score in rows
+                ] == [
+                    (rank, video, f"{score:.4f}")
+                    for rank, (video, score) in enumerate(
+                        zip(want.videos, want.scores), 1
+                    )
+                ]
+                stats = want.stats
+                assert (
+                    f"cost: {stats.page_requests} page accesses, "
+                    f"{stats.similarity_computations} similarity "
+                    f"computations, {stats.ranges} range search(es)"
+                ) in out
+
+
+class TestCheck:
+    def test_consistent_database(self, dataset_path, tmp_path, capsys):
+        path = str(tmp_path / "idx")
+        main(["build", "--dataset", dataset_path, "--out", path])
+        before = sorted(os.listdir(path))
+        capsys.readouterr()
+        assert main(["check", "--index", path]) == 0
+        out = capsys.readouterr().out
+        assert "page frame(s) verified, invariants hold" in out
+        assert f"{path}: consistent (13 videos)" in out
+        # Read-only: no checkpoint, no new files.
+        assert sorted(os.listdir(path)) == before
+
+    def test_flipped_byte_names_the_page(self, dataset_path, tmp_path, capsys):
+        path = str(tmp_path / "idx")
+        main(["build", "--dataset", dataset_path, "--out", path])
+        flip_byte(os.path.join(path, "index.btree"), 2 * 4096 + 50)
+        capsys.readouterr()
+        assert main(["check", "--index", path]) == 1
+        err = capsys.readouterr().err
+        assert f"{path} checksum: page 2: checksum mismatch" in err
+
+    def test_build_refuses_a_non_empty_directory(
+        self, dataset_path, tmp_path, capsys
+    ):
+        path = str(tmp_path / "idx")
+        main(["build", "--dataset", dataset_path, "--out", path])
+        capsys.readouterr()
+        assert main(["build", "--dataset", dataset_path, "--out", path]) == 1
+        assert "is not empty" in capsys.readouterr().err
 
 
 class TestParser:
@@ -171,26 +272,26 @@ class TestParser:
 class TestSummaryCache:
     def test_build_with_cached_summaries(self, dataset_path, tmp_path, capsys):
         cache = str(tmp_path / "cache.npz")
-        prefix1 = str(tmp_path / "idx1")
-        prefix2 = str(tmp_path / "idx2")
+        path1 = str(tmp_path / "idx1")
+        path2 = str(tmp_path / "idx2")
         assert main(
             [
-                "build", "--dataset", dataset_path, "--out", prefix1,
+                "build", "--dataset", dataset_path, "--out", path1,
                 "--save-summaries", cache,
             ]
         ) == 0
         assert main(
             [
-                "build", "--dataset", dataset_path, "--out", prefix2,
+                "build", "--dataset", dataset_path, "--out", path2,
                 "--summaries", cache,
             ]
         ) == 0
         capsys.readouterr()
         # Both indexes answer identically.
-        main(["query", "--index", prefix1, "--dataset", dataset_path,
+        main(["query", "--index", path1, "--dataset", dataset_path,
               "--video-id", "0", "--k", "3"])
         first = capsys.readouterr().out
-        main(["query", "--index", prefix2, "--dataset", dataset_path,
+        main(["query", "--index", path2, "--dataset", dataset_path,
               "--video-id", "0", "--k", "3"])
         second = capsys.readouterr().out
         assert first.splitlines()[:5] == second.splitlines()[:5]
@@ -222,18 +323,28 @@ class TestCheckSharded:
     def test_reports_consistent_fleet(self, dataset_path, tmp_path, capsys):
         path = str(tmp_path / "fleet")
         self._build_fleet(dataset_path, path)
-        assert main(["check", "--index", path, "--sharded"]) == 0
+        assert main(["check", "--index", path]) == 0
         out = capsys.readouterr().out
         assert "consistent" in out
         assert "3 shards" in out
         assert "hash placement" in out
 
     def test_missing_fleet_errors(self, tmp_path, capsys):
-        code = main(
-            ["check", "--index", str(tmp_path / "nowhere"), "--sharded"]
-        )
-        assert code == 1
-        assert "cannot open fleet" in capsys.readouterr().err
+        # Neither a fleet nor a database: refused, and nothing created.
+        nowhere = str(tmp_path / "nowhere")
+        assert main(["check", "--index", nowhere]) == 1
+        assert "holds no index" in capsys.readouterr().err
+        assert not os.path.exists(nowhere)
+
+    def test_flipped_byte_in_a_shard_names_the_page(
+        self, dataset_path, tmp_path, capsys
+    ):
+        path = str(tmp_path / "fleet")
+        self._build_fleet(dataset_path, path)
+        flip_byte(os.path.join(path, "shard-0000", "index.btree"), 4096 + 50)
+        assert main(["check", "--index", path]) == 1
+        err = capsys.readouterr().err
+        assert "shard 0 checksum: page 1: checksum mismatch" in err
 
     def test_failed_check_closes_the_fleet(
         self, dataset_path, tmp_path, capsys, monkeypatch
@@ -257,7 +368,7 @@ class TestCheckSharded:
             close(self)
 
         monkeypatch.setattr(ShardedVideoDatabase, "close", spy)
-        assert main(["check", "--index", path, "--sharded"]) == 1
+        assert main(["check", "--index", path]) == 1
         assert "entry for shard 7" in capsys.readouterr().err
         assert len(closes) == 1
 
@@ -345,7 +456,7 @@ class TestFleetHealth:
     ):
         path = str(tmp_path / "fleet")
         self._faulted_fleet(dataset_path, path)
-        assert main(["check", "--index", path, "--sharded"]) == 0
+        assert main(["check", "--index", path]) == 0
         out = capsys.readouterr().out
         assert "persisted non-closed breakers" in out
         assert "consistent" in out
@@ -359,7 +470,7 @@ class TestFleetHealth:
         self._faulted_fleet(dataset_path, path)
         with open(os.path.join(path, "health.json"), "w") as handle:
             handle.write("{not json")
-        assert main(["check", "--index", path, "--sharded"]) == 1
+        assert main(["check", "--index", path]) == 1
         assert "cannot parse health.json" in capsys.readouterr().err
 
 

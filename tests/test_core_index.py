@@ -251,27 +251,6 @@ class TestContentToken:
         assert index.content_token() == token == self.hashed_from_scratch(index)
 
 
-class TestPersistence:
-    def test_file_backed_round_trip(self, small_summaries, tmp_path):
-        btree_path = str(tmp_path / "index.btree")
-        heap_path = str(tmp_path / "index.heap")
-        meta_path = str(tmp_path / "index.meta.json")
-
-        index = VitriIndex.build(
-            small_summaries, EPSILON,
-            btree_path=btree_path, heap_path=heap_path,
-        )
-        expected = index.knn(small_summaries[0], 5).videos
-        index.flush()
-        index.save_meta(meta_path)
-
-        reopened = VitriIndex.open(btree_path, heap_path, meta_path)
-        assert reopened.num_videos == index.num_videos
-        assert reopened.num_vitris == index.num_vitris
-        assert reopened.epsilon == EPSILON
-        assert reopened.knn(small_summaries[0], 5).videos == expected
-
-
 class TestSimilarityRange:
     def test_threshold_filtering(self, small_index, small_summaries):
         query = small_summaries[0]

@@ -12,6 +12,8 @@ answers every query bit-identically to the primary.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.datasets.synthetic import DatasetConfig, generate_dataset
@@ -319,6 +321,62 @@ class TestReplicaSet:
             assert replica.state == SYNCED
             assert replica.token == group.shipper.token
             assert replica.video_ids() == group.primary.video_ids()
+        group.close()
+
+    def test_read_waits_while_sync_applies_a_segment(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: sync() applied segments without the replica's
+        serving gate, so a read routed to the replica ran on the old
+        engine over pages the segment had just rewritten."""
+        summaries = make_summaries()
+        group, _ = self.make_group(tmp_path, summaries[:9], replicas=1)
+        replica = group.replicas[0]
+        query = summaries[9]
+        attempt = next(
+            a for a in (0, 1) if group._admitted(a, query.video_id).target
+            is replica
+        )
+        group.add_summary(query)
+        group.checkpoint()
+
+        database = replica._shard.database
+        reload = database.reload
+        paused, release = threading.Event(), threading.Event()
+
+        def paused_reload():
+            # The segment's page images are on disk; the replica's
+            # in-memory view is not rebuilt yet.
+            paused.set()
+            assert release.wait(10.0)
+            reload()
+
+        monkeypatch.setattr(database, "reload", paused_reload)
+        syncer = threading.Thread(target=group.sync)
+        syncer.start()
+        assert paused.wait(10.0)
+        answers, done = [], threading.Event()
+
+        def read():
+            try:
+                answers.append(group.knn(query, 4, attempt=attempt))
+            finally:
+                done.set()
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            assert not done.wait(0.5), "read ran on a half-applied segment"
+        finally:
+            release.set()
+            syncer.join(10.0)
+            reader.join(10.0)
+        assert not syncer.is_alive() and not reader.is_alive()
+        assert replica.state == SYNCED
+        want = group.primary.knn(query, 4)
+        assert want.videos[0] == query.video_id
+        assert answers[0].videos == want.videos
+        assert answers[0].scores == want.scores
         group.close()
 
     def test_truncated_log_forces_rebootstrap(self, tmp_path):

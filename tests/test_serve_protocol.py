@@ -5,13 +5,16 @@ bytes, so it gets the adversarial treatment: truncated frames, hostile
 length prefixes, garbage magic, mid-stream corruption.  The invariant
 under attack is simple — a malformed length field must never cause an
 allocation beyond :data:`~repro.serve.protocol.MAX_FRAME_BYTES`, and a
-framing error must poison the stream rather than resynchronise on
+framing error must end the connection rather than resynchronise on
 garbage.
 """
 
 from __future__ import annotations
 
+import socket
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +27,6 @@ from repro.serve.protocol import (
     FRAME_RESPONSE,
     MAGIC,
     MAX_FRAME_BYTES,
-    FrameDecoder,
     ProtocolError,
     RateLimited,
     RemoteShardError,
@@ -44,6 +46,7 @@ from repro.serve.protocol import (
     encode_summary,
     payload_to_exception,
 )
+from repro.serve.transport import read_frame
 from repro.shard.resilience import InjectedShardError, ShardDown, ShardTimeout
 from repro.utils.counters import CostCounters
 from repro.utils.rng import ensure_rng
@@ -63,51 +66,92 @@ def make_summary(seed: int = 7, vitris: int = 3, dim: int = 5) -> VideoSummary:
     return VideoSummary(int(rng.integers(0, 1000)), parts, num_frames=frames)
 
 
+@pytest.fixture()
+def pipe():
+    """A connected socket pair: bytes sent on ``writer`` reach ``reader``."""
+    reader, writer = socket.socketpair()
+    reader.settimeout(5.0)
+    yield reader, writer
+    reader.close()
+    writer.close()
+
+
 class TestFraming:
-    def test_round_trip_each_type(self):
+    """:func:`~repro.serve.transport.read_frame`, the one frame reader,
+    over a socket pair.  The server-level cases (garbage, oversized
+    prefix and disconnects against a live server) are in
+    ``test_serve_server.py``."""
+
+    def test_round_trip_each_type(self, pipe):
+        reader, writer = pipe
         for frame_type in (FRAME_REQUEST, FRAME_RESPONSE, FRAME_ERROR):
-            frame = encode_frame(frame_type, b"payload")
-            decoder = FrameDecoder()
-            frames = decoder.feed(frame)
-            assert frames == [(frame_type, b"payload")]
-            assert decoder.buffered == 0
+            writer.sendall(encode_frame(frame_type, b"payload"))
+            assert read_frame(reader) == (frame_type, b"payload")
 
-    def test_byte_by_byte_feed(self):
+    def test_byte_by_byte_feed(self, pipe):
+        reader, writer = pipe
         frame = encode_frame(FRAME_REQUEST, b"drip-fed payload")
-        decoder = FrameDecoder()
-        collected = []
-        for position in range(len(frame)):
-            collected += decoder.feed(frame[position : position + 1])
-        assert collected == [(FRAME_REQUEST, b"drip-fed payload")]
 
-    def test_two_frames_in_one_feed(self):
-        blob = encode_frame(FRAME_REQUEST, b"one") + encode_frame(
-            FRAME_RESPONSE, b"two"
+        def drip():
+            for position in range(len(frame)):
+                writer.sendall(frame[position : position + 1])
+                time.sleep(0.001)
+
+        feeder = threading.Thread(target=drip)
+        feeder.start()
+        try:
+            assert read_frame(reader) == (FRAME_REQUEST, b"drip-fed payload")
+        finally:
+            feeder.join(5.0)
+        assert not feeder.is_alive()
+
+    def test_two_frames_in_one_feed(self, pipe):
+        reader, writer = pipe
+        writer.sendall(
+            encode_frame(FRAME_REQUEST, b"one")
+            + encode_frame(FRAME_RESPONSE, b"two")
         )
-        assert FrameDecoder().feed(blob) == [
-            (FRAME_REQUEST, b"one"),
-            (FRAME_RESPONSE, b"two"),
-        ]
+        assert read_frame(reader) == (FRAME_REQUEST, b"one")
+        assert read_frame(reader) == (FRAME_RESPONSE, b"two")
 
-    def test_truncated_frame_stays_pending(self):
-        frame = encode_frame(FRAME_REQUEST, b"x" * 100)
-        decoder = FrameDecoder()
-        assert decoder.feed(frame[:-1]) == []
-        assert decoder.buffered == 99  # header consumed, payload partial
-        assert decoder.feed(frame[-1:]) == [(FRAME_REQUEST, b"x" * 100)]
-
-    def test_oversized_length_prefix_rejected_before_allocation(self):
+    def test_oversized_length_prefix_rejected_before_allocation(
+        self, pipe, monkeypatch
+    ):
         # A header claiming a 4 GiB payload must die at header-parse
-        # time; the decoder may never wait for (or buffer towards) it.
-        header = struct.pack("!2sBI", MAGIC, FRAME_REQUEST, 2**32 - 1)
+        # time: read_frame may never allocate (or wait for) the payload.
+        import repro.serve.transport as transport
+
+        allocations = []
+        real_bytearray = bytearray
+
+        def counting_bytearray(size=0):
+            allocations.append(size)
+            return real_bytearray(size)
+
+        monkeypatch.setattr(
+            transport, "bytearray", counting_bytearray, raising=False
+        )
+        reader, writer = pipe
+        writer.sendall(struct.pack("!2sBI", MAGIC, FRAME_REQUEST, 2**32 - 1))
         with pytest.raises(ProtocolError, match="cap"):
-            decode_frame_header(header)
-        decoder = FrameDecoder()
-        with pytest.raises(ProtocolError, match="cap"):
-            decoder.feed(header)
-        # Poisoned: no amount of follow-up bytes yields frames.
-        with pytest.raises(ProtocolError, match="poisoned"):
-            decoder.feed(b"more")
+            read_frame(reader)
+        assert allocations == [FRAME_HEADER_BYTES]
+
+    def test_truncated_frame_stays_pending(self, pipe):
+        reader, writer = pipe
+        frame = encode_frame(FRAME_REQUEST, b"x" * 100)
+        frames = []
+        waiter = threading.Thread(
+            target=lambda: frames.append(read_frame(reader))
+        )
+        waiter.start()
+        writer.sendall(frame[:-1])
+        waiter.join(0.2)
+        assert waiter.is_alive() and frames == []  # one byte short
+        writer.sendall(frame[-1:])
+        waiter.join(5.0)
+        assert not waiter.is_alive()
+        assert frames == [(FRAME_REQUEST, b"x" * 100)]
 
     def test_just_over_cap_rejected_just_under_accepted(self):
         over = struct.pack("!2sBI", MAGIC, FRAME_REQUEST, MAX_FRAME_BYTES + 1)
@@ -134,15 +178,14 @@ class TestFraming:
         rng = np.random.default_rng(1234)
         for _ in range(50):
             blob = rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()
-            decoder = FrameDecoder()
-            try:
-                frames = decoder.feed(blob)
-            except ProtocolError:
-                continue  # rejected at a header boundary: fine
-            # Garbage that happens to parse as a valid header just waits
-            # for its (bounded) payload; it can never conjure one.
-            assert frames == []
-            assert decoder.buffered <= len(blob)
+            reader, writer = socket.socketpair()
+            with reader, writer:
+                writer.sendall(blob)
+                writer.close()
+                # Rejected at the header, or a (bounded) payload that
+                # never arrives: garbage can never conjure a frame.
+                with pytest.raises((ProtocolError, ConnectionError)):
+                    read_frame(reader)
 
 
 class TestSummaryCodec:
