@@ -8,8 +8,8 @@ of queries.  :class:`QueryEngine` is that serving layer:
   :class:`~repro.storage.buffer_pool.BufferPool` view.  Index mutations
   made after the engine is built are not visible to it until
   :meth:`QueryEngine.refresh`.
-* **One executor.**  Both query forms — top-``k`` and score threshold —
-  go through :func:`repro.core.index._run_query`, the function
+* **One executor.**  Every query goes through
+  :func:`repro.core.index._run_query`, the function
   :class:`~repro.core.index.VitriIndex` itself answers with, so each
   query threads its own :class:`~repro.utils.counters.CostCounters`
   bundle and its :class:`~repro.core.index.QueryStats` are exact under
@@ -17,15 +17,13 @@ of queries.  :class:`QueryEngine` is that serving layer:
   the tree's read path keeps no per-call state and the pool is
   lock-guarded.
 * **Result cache.**  A size-bounded LRU keyed on
-  ``(snapshot token, query fingerprint, selection, method)`` memoises
-  whole results.  The fingerprint hashes the query's *content*
-  (dimension, frame count and every ViTri's position/radius/count), so
-  equal queries hit regardless of object identity; the selection is the
-  tagged ``k`` or ``min_similarity``, so the two forms never share an
-  entry; the snapshot token is the index's
-  :meth:`~repro.core.index.VitriIndex.content_token`, so a cache carried
-  across :meth:`QueryEngine.refresh` can never return a ranking computed
-  over different content.  A cache hit returns the memoised result,
+  ``(snapshot token, query fingerprint, k, method)`` memoises whole
+  results.  The fingerprint hashes the query's *content* (dimension,
+  frame count and every ViTri's position/radius/count), so equal
+  queries hit regardless of object identity; the snapshot token is the
+  index's :meth:`~repro.core.index.VitriIndex.content_token`, so a cache
+  carried across :meth:`QueryEngine.refresh` can never return a ranking
+  computed over different content.  A cache hit returns the memoised result,
   including its original stats.
 * **Page tier.**  ``range_cache_size > 0`` gives the engine's pool a
   spill segment of that many pages
@@ -59,8 +57,6 @@ from repro.core.index import (
     VitriIndex,
     _check_query_args,
     _run_query,
-    _select_at_least,
-    _select_top,
 )
 from repro.core.transform import OneDimensionalTransform
 from repro.core.vitri import VideoSummary
@@ -105,7 +101,7 @@ class _Snapshot(NamedTuple):
 
 
 class QueryEngine:
-    """Cached KNN / threshold serving over a :class:`VitriIndex` snapshot.
+    """Cached KNN serving over a :class:`VitriIndex` snapshot.
 
     Parameters
     ----------
@@ -156,7 +152,7 @@ class QueryEngine:
         self._range_cache_size = range_cache_size
         self._cache_size = cache_size
         self._cache: OrderedDict[
-            tuple[str, str, tuple[str, float], str], KNNResult
+            tuple[str, str, int, str], KNNResult
         ] = OrderedDict()
         self._cache_lock = make_lock("QueryEngine._cache_lock")
         self.cache_hits = 0
@@ -294,33 +290,9 @@ class QueryEngine:
         receives the query's event bundle (a cache hit contributes
         nothing: no work was done) — the shard router's aggregation seam.
         """
-        return self._serve(query, _select_top(k), method, cold, out_counters)
-
-    def similarity_range(
-        self,
-        query: VideoSummary,
-        min_similarity: float,
-        *,
-        method: str = "composed",
-        cold: bool = False,
-        out_counters: CostCounters | None = None,
-    ) -> KNNResult:
-        """Serve one threshold query: :meth:`knn`'s snapshot, caches and
-        accounting, :meth:`VitriIndex.similarity_range`'s answer."""
-        selection = _select_at_least(min_similarity)
-        return self._serve(query, selection, method, cold, out_counters)
-
-    def _serve(
-        self,
-        query: VideoSummary,
-        selection: tuple[str, float],
-        method: str,
-        cold: bool,
-        out_counters: CostCounters | None,
-    ) -> KNNResult:
         snapshot = self._snapshot
-        _check_query_args(query, method, snapshot.dim)
-        key = (snapshot.token, query_fingerprint(query), selection, method)
+        _check_query_args(query, k, method, snapshot.dim)
+        key = (snapshot.token, query_fingerprint(query), k, method)
         if self._cache_size > 0:
             with self._cache_lock:
                 cached = self._cache.get(key)
@@ -335,7 +307,7 @@ class QueryEngine:
         result = _run_query(
             query,
             method,
-            selection,
+            k,
             out_counters=out_counters,
             btree=snapshot.tree,
             codec=snapshot.codec,

@@ -136,37 +136,19 @@ class KNNResult:
         return len(self.videos)
 
 
-def _check_query_args(query: VideoSummary, method: str, dim: int) -> None:
+def _check_query_args(
+    query: VideoSummary, k: int, method: str, dim: int
+) -> None:
     """Shared argument validation for query entry points (index and engine)."""
     if not isinstance(query, VideoSummary):
         raise TypeError("query must be a VideoSummary")
+    check_positive_int(k, "k")
     if query.dim != dim:
         raise ValueError(
             f"query dimension {query.dim} != index dimension {dim}"
         )
     if method not in ("composed", "naive"):
         raise ValueError(f"method must be 'composed' or 'naive', got {method!r}")
-
-
-# A *selection* says which scored videos a query returns.  It is a tagged
-# pair so that it can sit in a result-cache key: ``k=1`` and
-# ``min_similarity=1.0`` compare (and hash) equal as bare numbers.
-def _select_top(k: int) -> tuple[str, int]:
-    """Selection of the ``k`` best-scoring videos (validates ``k``)."""
-    return ("k", check_positive_int(k, "k"))
-
-
-def _select_at_least(min_similarity: float) -> tuple[str, float]:
-    """Selection of every video scoring at least the threshold."""
-    if not isinstance(min_similarity, (int, float)) or isinstance(
-        min_similarity, bool
-    ):
-        raise TypeError("min_similarity must be a number")
-    if not 0.0 < min_similarity <= 1.0:
-        raise ValueError(
-            f"min_similarity must be in (0, 1], got {min_similarity}"
-        )
-    return ("min_similarity", float(min_similarity))
 
 
 def _check_impl(impl: str) -> None:
@@ -188,11 +170,10 @@ def _rank(
 
 
 def _top_k(
-    video_ids: np.ndarray, scores: np.ndarray, k: int | None
+    video_ids: np.ndarray, scores: np.ndarray, k: int
 ) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """:func:`_rank` over score arrays (``k=None`` ranks them all):
-    *video_ids* must be ascending, so a stable sort on the negated
-    scores breaks ties by video id."""
+    """:func:`_rank` over score arrays: *video_ids* must be ascending,
+    so a stable sort on the negated scores breaks ties by video id."""
     order = np.argsort(-scores, kind="stable")[:k]
     return tuple(video_ids[order].tolist()), tuple(scores[order].tolist())
 
@@ -230,10 +211,12 @@ def _execute_query(
 
     Both produce bit-identical scores and identical logical cost
     signatures (``similarity_computations``, ``records_scanned``,
-    ``records_decoded``, ``candidates``, ``ranges``); the vectorized
-    path reads the same leaves but may report *fewer*
-    ``page_requests``/``node_visits`` where it skips a redundant
-    root-to-leaf descent, or one more per level-1 node a range runs on
+    ``records_decoded``, ``candidates``, ``ranges``).  The naive method
+    makes one ``range_search_many`` call per range, so every range pays
+    its own root-to-leaf descent, exactly as the scalar path does.  For
+    the composed method the vectorized path reads the same leaves but
+    may report *fewer* ``page_requests``/``node_visits`` where it skips
+    a redundant descent, or one more per level-1 node a range runs on
     into.  The equivalence suite asserts both properties.
 
     Per-stage wall time (I/O / deserialize / geometry / merge) is
@@ -250,11 +233,22 @@ def _execute_query(
         # The leaves hold the full ViTri records (the paper's layout),
         # so the bulk range search is the only I/O a query performs.
         with StageTimer(counters, "io"):
-            blocks = btree.range_search_many(
-                search_ranges,
-                payload_dtype=codec.record_dtype,
-                counters=counters,
-            )
+            # Naive searches each range on its own: one bulk call would
+            # skip the descent of a range that starts inside the last
+            # one's run, which is composition's saving, not naive's.
+            if method == "naive":
+                batches = [[search_range] for search_range in search_ranges]
+            else:
+                batches = [search_ranges]
+            blocks = []
+            for batch in batches:
+                blocks.extend(
+                    btree.range_search_many(
+                        batch,
+                        payload_dtype=codec.record_dtype,
+                        counters=counters,
+                    )
+                )
         with StageTimer(counters, "deserialize"):
             if method == "composed" and len(blocks) > 1:
                 # One block: every query ViTri slices the same candidates.
@@ -339,39 +333,30 @@ def _execute_query(
 def _run_query(
     query: VideoSummary,
     method: str,
-    selection: tuple[str, float],
+    k: int,
     *,
     out_counters: CostCounters | None = None,
     **read_path,
 ) -> KNNResult:
-    """The one query executor: candidate pass, selection, stats.
+    """The one query executor: candidate pass, top-``k``, stats.
 
-    Everything that answers a query — :meth:`VitriIndex.knn`,
-    :meth:`VitriIndex.similarity_range` and the serving
-    :class:`~repro.core.engine.QueryEngine` — ends here.  ``selection``
-    comes from :func:`_select_top` or :func:`_select_at_least`;
+    Everything that answers a query — :meth:`VitriIndex.knn` and the
+    serving :class:`~repro.core.engine.QueryEngine` — ends here.
     ``read_path`` is :func:`_execute_query`'s keyword set (which tree,
     codec, transform, ... to read through).
 
     Cost accounting is strictly per query: the pass runs against a fresh
     :class:`CostCounters` bundle, the returned :class:`QueryStats` is
     built from that bundle and a wall timer covering the pass *and* the
-    selection, and the bundle is folded into ``out_counters`` (the shard
+    ranking, and the bundle is folded into ``out_counters`` (the shard
     router's aggregation seam) when one is given.
     """
-    kind, bound = selection
     counters = CostCounters()
     with Timer() as timer:
         video_ids, scores, candidates, ranges = _execute_query(
             query, method, counters=counters, **read_path
         )
-        if kind == "k":
-            videos, kept_scores = _top_k(video_ids, scores, bound)
-        else:
-            # The key filter already pruned every zero-similarity pair,
-            # so thresholding happens on the final scores.
-            kept = scores >= bound
-            videos, kept_scores = _top_k(video_ids[kept], scores[kept], None)
+        videos, kept_scores = _top_k(video_ids, scores, k)
     stats = QueryStats(
         page_requests=counters.page_requests,
         physical_reads=counters.page_reads,
@@ -859,45 +844,14 @@ class VitriIndex:
             into (in addition to the returned stats) — the seam the
             shard router uses to aggregate per-shard costs.
         """
-        return self._query(query, _select_top(k), method, impl, cold, out_counters)
-
-    def similarity_range(
-        self,
-        query: VideoSummary,
-        min_similarity: float,
-        *,
-        method: str = "composed",
-        impl: str = "vectorized",
-        cold: bool = False,
-        out_counters: CostCounters | None = None,
-    ) -> KNNResult:
-        """All videos whose similarity to the query is at least the
-        threshold, ranked (an epsilon-range query at video level).
-
-        :meth:`knn` with a score threshold in place of ``k``: one
-        candidate pass, and stats that cover the whole operation
-        including the threshold filtering.
-        """
-        selection = _select_at_least(min_similarity)
-        return self._query(query, selection, method, impl, cold, out_counters)
-
-    def _query(
-        self,
-        query: VideoSummary,
-        selection: tuple[str, float],
-        method: str,
-        impl: str,
-        cold: bool,
-        out_counters: CostCounters | None,
-    ) -> KNNResult:
-        _check_query_args(query, method, self._dim)
+        _check_query_args(query, k, method, self._dim)
         _check_impl(impl)
         if cold:
             self.clear_caches()
         return _run_query(
             query,
             method,
-            selection,
+            k,
             out_counters=out_counters,
             btree=self._btree,
             codec=self._codec,

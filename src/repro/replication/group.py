@@ -37,8 +37,8 @@ Writes go to the primary only.  :meth:`ReplicaSet.sync` pumps sealed
 segments to every replica, re-bootstraps any copy that refused one or
 fell behind the shipper's retained log, then trims the log through the
 slowest replica's position; :meth:`ReplicaSet.attach_replica`
-bootstraps a new copy from a snapshot and warms its range cache with
-the primary's current hot ranges.
+bootstraps a new copy from a snapshot and warms its page tier with the
+pages the primary's pool currently holds.
 """
 
 from __future__ import annotations
@@ -253,39 +253,24 @@ class ReplicaSet:
             pool.append(self._primary_copy)
         return pool[(_affinity(key) + attempt) % len(pool)]
 
-    def _serve(self, attempt, key, method_name, args, kwargs):
-        copy = self._admitted(attempt, key)
-        with copy.gate:
-            try:
-                result = getattr(copy.target, method_name)(*args, **kwargs)
-            except Exception:
-                copy.breaker.record(False, self._clock.now())
-                raise
-        copy.breaker.record(True, self._clock.now())
-        return result
-
     def knn(self, query, k, *, attempt: int = 0, **kwargs):
         """Top-``k`` from the query's affine copy (bit-identical on all).
 
         Affinity keys on the video id alone, *not* ``(video id, k)``:
         the result cache would tolerate spreading ``k`` variants over
-        different copies, but the range tier's locality is per query —
-        one copy that has fetched a video's composed ranges serves
-        every ``k`` over them from memory.
+        different copies, but the page tier's locality is per query —
+        one copy whose pool holds a video's leaf pages serves every
+        ``k`` over them from memory.
         """
-        return self._serve(attempt, query.video_id, "knn", (query, k), kwargs)
-
-    def similarity_range(
-        self, query, min_similarity, *, attempt: int = 0, **kwargs
-    ):
-        """Threshold query from the query's affine copy."""
-        return self._serve(
-            attempt,
-            query.video_id,
-            "similarity_range",
-            (query, min_similarity),
-            kwargs,
-        )
+        copy = self._admitted(attempt, query.video_id)
+        with copy.gate:
+            try:
+                result = copy.target.knn(query, k, **kwargs)
+            except Exception:
+                copy.breaker.record(False, self._clock.now())
+                raise
+        copy.breaker.record(True, self._clock.now())
+        return result
 
     # ------------------------------------------------------------------
     # Shard-interface delegation (metadata + writes go to the primary)

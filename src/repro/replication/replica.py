@@ -314,12 +314,6 @@ class ReplicaShard:
         """Serve one KNN query from the verified copy."""
         return self._serving_shard().knn(query, k, **kwargs)
 
-    def similarity_range(self, query, min_similarity, **kwargs):
-        """Serve one threshold query from the verified copy."""
-        return self._serving_shard().similarity_range(
-            query, min_similarity, **kwargs
-        )
-
     def warm(self, page_ids) -> int:
         """Read the primary's cached pages into this copy's engine pool;
         returns how many were read.

@@ -152,7 +152,7 @@ class ShardServer(FrameServer):
                 "result": bool(result),
                 "counters": counters_to_wire(bundle),
             }
-        if op in ("knn", "similarity_range"):
+        if op == "knn":
             self._require_summary(op, summary)
             budget = params.get("budget")
             deadline = (
@@ -161,19 +161,15 @@ class ShardServer(FrameServer):
                 else None
             )
             bundle = CostCounters()
-            seams = {
-                "method": str(params.get("method", "composed")),
-                "cold": bool(params.get("cold", False)),
-                "out_counters": bundle,
-                "deadline": deadline,
-                "attempt": int(params.get("attempt", 0)),
-            }
-            if op == "knn":
-                result = shard.knn(summary, int(params["k"]), **seams)
-            else:
-                result = shard.similarity_range(
-                    summary, float(params["min_similarity"]), **seams
-                )
+            result = shard.knn(
+                summary,
+                int(params["k"]),
+                method=str(params.get("method", "composed")),
+                cold=bool(params.get("cold", False)),
+                out_counters=bundle,
+                deadline=deadline,
+                attempt=int(params.get("attempt", 0)),
+            )
             return {
                 "videos": list(result.videos),
                 "scores": list(result.scores),

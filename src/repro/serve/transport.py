@@ -475,8 +475,8 @@ class RemoteShard:
         ``counters`` exactly as a local shard's would.
 
         The router never calls this: the served shard runs the same
-        proof inside every ``knn`` / ``similarity_range`` request and
-        says ``pruned`` in the response.  An unreachable server
+        proof inside every ``knn`` request and says ``pruned`` in the
+        response.  An unreachable server
         (mid-restart, draining) answers ``True``, because only a shard
         that *answered* can prove itself empty of matches; the failure
         belongs to the query itself, which retries or degrades.
@@ -509,31 +509,6 @@ class RemoteShard:
             "knn",
             {
                 "k": k,
-                "method": method,
-                "cold": cold,
-                "budget": _budget_of(deadline),
-                "attempt": attempt,
-            },
-            summary=query,
-        )
-        return self._result(body, out_counters)
-
-    def similarity_range(
-        self,
-        query: VideoSummary,
-        min_similarity: float,
-        *,
-        method: str = "composed",
-        cold: bool = False,
-        out_counters: CostCounters | None = None,
-        deadline: Deadline | None = None,
-        attempt: int = 0,
-    ) -> KNNResult:
-        """The remote shard's videos scoring at least ``min_similarity``."""
-        body = self._client.request(
-            "similarity_range",
-            {
-                "min_similarity": min_similarity,
                 "method": method,
                 "cold": cold,
                 "budget": _budget_of(deadline),

@@ -74,19 +74,6 @@ class ShardLike(Protocol):
         copy selection so each dispatch reaches a different copy.
         """
 
-    def similarity_range(
-        self,
-        query: VideoSummary,
-        min_similarity: float,
-        *,
-        method: str = "composed",
-        cold: bool = False,
-        out_counters: CostCounters | None = None,
-        deadline: Deadline | None = None,
-        attempt: int = 0,
-    ) -> KNNResult:
-        """Videos scoring at least ``min_similarity``; seams as :meth:`knn`."""
-
     def status(self) -> dict:
         """``shard_id``, ``videos``, ``queries_served`` and
         ``replication``: ``None`` for an unreplicated shard, a group's

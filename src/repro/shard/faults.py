@@ -16,8 +16,8 @@ interleaving.
   (``down``).
 * :class:`ShardFaultInjector` — the per-fleet schedule: a map from shard
   id to a list of fault windows, with a thread-safe per-shard operation
-  counter.  Only *serving* operations (``knn`` / ``similarity_range``)
-  tick the counter; routing metadata called on its own (``key_bounds``,
+  counter.  Only *serving* operations (``knn`` attempts) tick the
+  counter; routing metadata called on its own (``key_bounds``,
   ``may_contain``) stays fault-free.  The key-bounds proof a sub-query
   runs comes after the fault, so a faulted attempt never proves a shard
   pruned: it fails like any other attempt.
@@ -169,8 +169,8 @@ class ShardFault:
 class ShardFaultInjector:
     """A deterministic per-fleet fault schedule, keyed by shard id.
 
-    Each shard's *serving* operations (knn / similarity_range attempts,
-    including retries — every attempt is one op) tick a
+    Each shard's *serving* operations (knn attempts, including
+    retries — every attempt is one op) tick a
     thread-safe counter; the first scheduled fault window covering the
     current count fires.  Shards without an entry serve normally.
     """
@@ -267,8 +267,8 @@ class ShardFaultInjector:
 class FaultInjectingShard:
     """A :class:`Shard` proxy that runs the fault schedule before serving.
 
-    Only ``knn`` and ``similarity_range`` are intercepted; the rest of
-    the :class:`~repro.shard.contract.WritableShard` contract (routing
+    Only ``knn`` is intercepted; the rest of the
+    :class:`~repro.shard.contract.WritableShard` contract (routing
     metadata, status, mutation, durability) delegates untouched via
     ``__getattr__``, so the router never needs to know whether a fleet
     is faulted.
@@ -297,12 +297,6 @@ class FaultInjectingShard:
             self._shard.shard_id, self._clock, deadline=kwargs.get("deadline")
         )
         return self._shard.knn(query, k, **kwargs)
-
-    def similarity_range(self, query, min_similarity, **kwargs):
-        self._injector.on_query(
-            self._shard.shard_id, self._clock, deadline=kwargs.get("deadline")
-        )
-        return self._shard.similarity_range(query, min_similarity, **kwargs)
 
     # ``len(proxy)`` must work (dunders bypass __getattr__).
     def __len__(self) -> int:

@@ -532,7 +532,7 @@ class ShardedVideoDatabase:
         """Wrap every current shard in a :class:`FaultInjectingShard`.
 
         Testing seam: the injector's schedule fires on serving operations
-        (every knn / similarity_range attempt, retries included);
+        (every knn attempt, retries included);
         routing metadata stays fault-free.  Shards created later
         (rebalance splits) are not wrapped.
         """
@@ -713,37 +713,6 @@ class ShardedVideoDatabase:
                 fail_fast,
             )
 
-    def similarity_range(
-        self,
-        query: VideoSummary,
-        min_similarity: float,
-        *,
-        method: str = "composed",
-        fault_policy: FaultPolicy | None = None,
-        fail_fast: bool = True,
-    ) -> ShardedKNNResult:
-        """All videos scoring at least ``min_similarity``, ranked globally.
-
-        Thresholding happens shard-locally (scores are shard-independent)
-        and the survivors merge exactly like :meth:`knn`; the
-        ``fault_policy`` / ``fail_fast`` knobs behave as there.
-        """
-        with self._lock:
-            self._check_query_args(query, 1, method)
-            return self._scatter_gather(
-                lambda shard, bundle, deadline, attempt: shard.similarity_range(
-                    query,
-                    min_similarity,
-                    method=method,
-                    out_counters=bundle,
-                    deadline=deadline,
-                    attempt=attempt,
-                ),
-                None,
-                fault_policy,
-                fail_fast,
-            )
-
     # ------------------------------------------------------------------
     # Query internals
     # ------------------------------------------------------------------
@@ -767,14 +736,13 @@ class ShardedVideoDatabase:
         # static lock-order model (VIL008-VIL010) can follow a sub-query
         # from the router lock into the shard's engine.
         sub_query: Callable[[Shard, CostCounters, Deadline | None, int], object],
-        limit: int | None,
+        k: int,
         fault_policy: FaultPolicy | None,
         fail_fast: bool,
     ) -> ShardedKNNResult:
-        """Scatter ``sub_query`` to every populated shard and merge
-        exactly (caller holds the lock).  ``limit`` is the global
-        top-``k``; ``None`` keeps every video a shard returned (a
-        threshold query)."""
+        """Scatter ``sub_query`` to every populated shard and merge the
+        per-shard lists into the exact global top-``k`` (caller holds
+        the lock)."""
         total_counters = CostCounters()
         with Timer() as timer:
             populated = [shard for shard in self._shards if len(shard) > 0]
@@ -785,9 +753,7 @@ class ShardedVideoDatabase:
             for result in per_shard:
                 for video, score in zip(result.videos, result.scores):
                     merged[video] = score
-            videos, scores = _rank(
-                merged, limit if limit is not None else len(merged)
-            )
+            videos, scores = _rank(merged, k)
         return ShardedKNNResult(
             videos=videos,
             scores=scores,

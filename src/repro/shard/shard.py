@@ -18,9 +18,9 @@ from two pieces of routing metadata:
   same query maps to different key ranges on different shards).
 
 A query whose composed ranges miss the shard's key bounds cannot match
-any of its ViTris (the key filter is lossless), so :meth:`Shard.knn` and
-:meth:`Shard.similarity_range` answer it with an empty ``pruned``
-result without touching the engine or its caches.  The proof rides in
+any of its ViTris (the key filter is lossless), so :meth:`Shard.knn`
+answers it with an empty ``pruned`` result without touching the engine
+or its caches.  The proof rides in
 the same request as the query, so pruning costs the router no round-trip.
 """
 
@@ -259,32 +259,6 @@ class Shard:
             return _PRUNED
         result = self.engine().knn(
             query, k, method=method, cold=cold, out_counters=out_counters
-        )
-        self.queries_served += 1
-        return result
-
-    def similarity_range(
-        self,
-        query: VideoSummary,
-        min_similarity: float,
-        *,
-        method: str = "composed",
-        cold: bool = False,
-        out_counters: CostCounters | None = None,
-        deadline: Deadline | None = None,
-        attempt: int = 0,
-    ) -> KNNResult:
-        """This shard's videos scoring at least ``min_similarity``
-        (engine-served and pruned like :meth:`knn`)."""
-        self._check_deadline(deadline)
-        if self._ruled_out(query, out_counters):
-            return _PRUNED
-        result = self.engine().similarity_range(
-            query,
-            min_similarity,
-            method=method,
-            cold=cold,
-            out_counters=out_counters,
         )
         self.queries_served += 1
         return result

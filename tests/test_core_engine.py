@@ -8,6 +8,7 @@ from repro.core.engine import QueryEngine, query_fingerprint
 from repro.core.index import VitriIndex
 from repro.utils.counters import CostCounters
 from tests.test_golden_rankings import SEEDS, build_corpus
+from tests.threshold_recipe import at_least
 
 EPSILON = 0.3
 
@@ -281,7 +282,6 @@ class TestDegenerate:
         engine = QueryEngine(index)
         result = engine.knn(small_summaries[0], 5)
         assert result.videos == ()
-        assert engine.similarity_range(small_summaries[0], 0.5).videos == ()
 
     def test_snapshot_reflects_build_time_state(self, small_summaries):
         """The engine serves the index as of construction (snapshot)."""
@@ -394,8 +394,9 @@ class TestCacheEpoch:
 
 
 class TestSimilarityRange:
-    """The threshold form goes through the same executor, snapshot and
-    caches as ``knn``."""
+    """The threshold recipe (a full ranking cut at the threshold, see
+    :mod:`tests.threshold_recipe`) goes through the same executor,
+    snapshot and caches as any other ``knn``."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("method", ["composed", "naive"])
@@ -404,55 +405,26 @@ class TestSimilarityRange:
     ):
         summaries, index = build_corpus(seed)
         engine = QueryEngine(index, buffer_capacity=64, cache_size=0)
+        every = index.num_videos
         for query in summaries:
+            served = engine.knn(query, every, method=method, cold=True)
+            direct = index.knn(query, every, method=method, cold=True)
             for threshold in (0.05, 0.5):
-                served = engine.similarity_range(
-                    query, threshold, method=method, cold=True
+                assert at_least(served, threshold) == at_least(
+                    direct, threshold
                 )
-                direct = index.similarity_range(
-                    query, threshold, method=method, cold=True
-                )
-                assert served.videos == direct.videos
-                assert served.scores == direct.scores
-                assert logical_fields(served.stats) == logical_fields(
-                    direct.stats
-                )
+            assert logical_fields(served.stats) == logical_fields(
+                direct.stats
+            )
 
     def test_repeats_are_l1_hits_that_read_nothing(
         self, small_index, small_summaries
     ):
         engine = QueryEngine(small_index, cache_size=8)
-        first = engine.similarity_range(small_summaries[0], 0.2)
+        every = small_index.num_videos
+        first = engine.knn(small_summaries[0], every)
         counters = CostCounters()
-        again = engine.similarity_range(
-            small_summaries[0], 0.2, out_counters=counters
-        )
+        again = engine.knn(small_summaries[0], every, out_counters=counters)
         assert again is first
         assert (engine.cache_hits, engine.cache_misses) == (1, 1)
         assert counters.page_requests == 0
-
-    def test_k_and_threshold_never_share_an_entry(
-        self, small_index, small_summaries
-    ):
-        """``k=1`` and ``min_similarity=1.0`` are equal *numbers*; the
-        selection in the key is tagged, so they are different entries."""
-        engine = QueryEngine(small_index, cache_size=8)
-        query = small_summaries[0]
-        top = engine.knn(query, 1)
-        ranged = engine.similarity_range(query, 1.0)
-        assert engine.cache_hits == 0
-        assert engine.cache_len == 2
-        assert ranged is not top
-        assert engine.similarity_range(query, 1) is ranged
-        assert engine.knn(query, 1) is top
-
-    def test_validates_arguments(self, small_index, small_summaries):
-        engine = QueryEngine(small_index)
-        with pytest.raises(TypeError):
-            engine.similarity_range(small_summaries[0], "high")
-        with pytest.raises(ValueError):
-            engine.similarity_range(small_summaries[0], 0.0)
-        with pytest.raises(ValueError):
-            engine.similarity_range(small_summaries[0], 0.5, method="magic")
-        with pytest.raises(TypeError):
-            engine.similarity_range("nope", 0.5)

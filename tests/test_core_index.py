@@ -10,6 +10,7 @@ from repro.core.index import VitriIndex
 from repro.core.similarity import video_similarity
 from repro.core.summarize import summarize_video
 from repro.core.vitri import VideoSummary, ViTri
+from tests.threshold_recipe import at_least
 
 EPSILON = 0.3
 
@@ -252,33 +253,33 @@ class TestContentToken:
 
 
 class TestSimilarityRange:
+    """Every video scoring at least a threshold: a full ``knn`` ranking
+    cut at the threshold (:func:`tests.threshold_recipe.at_least`)."""
+
     def test_threshold_filtering(self, small_index, small_summaries):
+        """The full ranking holds every video a brute-force score of all
+        stored summaries puts at or above the threshold."""
         query = small_summaries[0]
         everything = small_index.knn(query, small_index.num_videos)
+        brute = {
+            summary.video_id: video_similarity(query, summary)
+            for summary in small_summaries
+        }
         for threshold in (0.05, 0.3, 0.9):
-            result = small_index.similarity_range(query, threshold)
-            expected = [
-                v for v, s in zip(everything.videos, everything.scores)
-                if s >= threshold
-            ]
-            assert list(result.videos) == expected
-            assert all(s >= threshold for s in result.scores)
+            videos, scores = at_least(everything, threshold)
+            assert set(videos) == {
+                video for video, score in brute.items() if score >= threshold
+            }
+            assert all(s >= threshold for s in scores)
 
     def test_self_always_included_at_one(self, small_index, small_summaries):
-        result = small_index.similarity_range(small_summaries[5], 1.0)
-        assert 5 in result.videos
+        result = small_index.knn(small_summaries[5], small_index.num_videos)
+        assert 5 in at_least(result, 1.0)[0]
 
     def test_sorted_descending(self, small_index, small_summaries):
-        result = small_index.similarity_range(small_summaries[0], 0.01)
-        assert list(result.scores) == sorted(result.scores, reverse=True)
-
-    def test_invalid_threshold(self, small_index, small_summaries):
-        with pytest.raises(ValueError):
-            small_index.similarity_range(small_summaries[0], 0.0)
-        with pytest.raises(ValueError):
-            small_index.similarity_range(small_summaries[0], 1.5)
-        with pytest.raises(TypeError):
-            small_index.similarity_range(small_summaries[0], "high")
+        result = small_index.knn(small_summaries[0], small_index.num_videos)
+        scores = at_least(result, 0.01)[1]
+        assert list(scores) == sorted(scores, reverse=True)
 
 
 class TestRadiusValidation:
@@ -316,33 +317,29 @@ class TestRadiusValidation:
 class TestSimilarityRangeBoundaries:
     def test_threshold_exactly_one(self, small_index, small_summaries):
         query = small_summaries[3]
-        result = small_index.similarity_range(query, 1.0)
+        result = small_index.knn(query, small_index.num_videos)
+        videos, scores = at_least(result, 1.0)
         # The video itself always scores 1.0, so the boundary keeps it.
-        assert query.video_id in result.videos
-        assert all(score >= 1.0 - 1e-12 for score in result.scores)
+        assert query.video_id in videos
+        assert all(score >= 1.0 - 1e-12 for score in scores)
 
     def test_threshold_just_above_zero(self, small_index, small_summaries):
+        """The full ranking is every candidate video: none scores zero,
+        so a threshold just above zero keeps them all."""
         query = small_summaries[0]
-        result = small_index.similarity_range(query, 1e-12)
         full = small_index.knn(query, small_index.num_videos)
-        kept = {
-            video
-            for video, score in zip(full.videos, full.scores)
-            if score >= 1e-12
-        }
-        assert set(result.videos) == kept
+        assert at_least(full, 1e-12)[0] == full.videos
 
     def test_reports_own_stats(self, small_index, small_summaries):
-        """The range query's stats cover its own candidate pass (they are
-        not a reused knn stats object)."""
+        """A full ranking costs the candidate pass of any ``k``: the cut
+        happens after the pass, so every logical cost field agrees over
+        the same warm pools (only wall_time may differ)."""
         query = small_summaries[2]
-        result = small_index.similarity_range(query, 0.5)
+        result = small_index.knn(query, small_index.num_videos)
         knn_stats = small_index.knn(query, 1).stats
         assert result.stats.ranges > 0
         assert result.stats.candidates > 0
         assert result.stats.page_requests > 0
-        # Same candidate pass as a knn over the same warm pools: every
-        # logical cost field agrees (only wall_time may differ).
         assert result.stats.page_requests == knn_stats.page_requests
         assert result.stats.node_visits == knn_stats.node_visits
         assert (

@@ -120,11 +120,6 @@ class TestRemoveEverything:
         assert result.stats.ranges > 0
         assert result.stats.candidates == 0
 
-    def test_similarity_range_returns_empty(self, small_summaries):
-        index = self.emptied_index(small_summaries)
-        result = index.similarity_range(small_summaries[0], 0.5)
-        assert result.videos == ()
-
     def test_reinsert_revives_queries(self, small_summaries):
         index = self.emptied_index(small_summaries)
         index.insert_video(small_summaries[3])

@@ -525,11 +525,6 @@ class TestRouterOverReplicaSet:
             resilient = router.knn(query, 4, fault_policy=FaultPolicy())
             assert strict.videos == resilient.videos
             assert strict.scores == resilient.scores
-            strict_range = router.similarity_range(query, 0.5)
-            resilient_range = router.similarity_range(
-                query, 0.5, fault_policy=FaultPolicy()
-            )
-            assert strict_range.videos == resilient_range.videos
 
     def test_router_telemetry_sees_every_copy(self, routed):
         router, group, summaries = routed

@@ -122,8 +122,6 @@ class TestSegmentDefects:
         assert not replica.apply_segment(pending[0][:-1])
         with pytest.raises(ReplicaUnavailable, match="needs_bootstrap"):
             replica.knn(summaries[0], 3)
-        with pytest.raises(ReplicaUnavailable):
-            replica.similarity_range(summaries[0], 0.5)
 
 
 class TestRecovery:

@@ -34,6 +34,7 @@ from repro.shard.shard import Shard
 from repro.utils.clock import Deadline, SystemClock, VirtualClock
 from repro.utils.counters import CostCounters
 from tests.test_golden_rankings import EPSILON, K, build_corpus
+from tests.threshold_recipe import at_least
 
 
 def make_shard(summaries, shard_id: int = 0) -> Shard:
@@ -156,12 +157,13 @@ class TestCorrectness:
         assert deterministic(remote_bundle) == deterministic(local_bundle)
 
     def test_similarity_range_bit_identical(self, served_shard):
+        """The threshold recipe over the wire: a full ranking cut at the
+        threshold matches the local shard's bit for bit."""
         _, remote, local = served_shard
         query = local.summaries()[1]
-        want = local.similarity_range(query, 0.1)
-        got = remote.similarity_range(query, 0.1)
-        assert got.videos == want.videos
-        assert got.scores == want.scores
+        want = local.knn(query, len(local))
+        got = remote.knn(query, len(remote))
+        assert at_least(got, 0.1) == at_least(want, 0.1)
 
     def test_may_contain_matches_and_counts_io(self, served_shard):
         _, remote, local = served_shard
@@ -190,9 +192,16 @@ class TestCorrectness:
             remote.knn(local.summaries()[0], K, deadline=spent)
 
     def test_unknown_op_is_typed_value_error(self, served_shard):
-        _, remote, _ = served_shard
+        _, remote, local = served_shard
         with pytest.raises(ValueError, match="unknown op"):
             remote._client.request("frobnicate")
+        # The threshold op is gone from the wire; knn is the only query.
+        with pytest.raises(ValueError, match="unknown op"):
+            remote._client.request(
+                "similarity_range",
+                {"min_similarity": 0.1},
+                summary=local.summaries()[0],
+            )
 
     def test_query_op_without_summary_rejected(self, served_shard):
         _, remote, _ = served_shard

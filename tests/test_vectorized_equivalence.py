@@ -14,10 +14,11 @@ Three layers are pinned, mirroring the three layers of the rewrite:
 2. storage — ``decode_columns`` / ``decode_batch`` against per-record
    ``decode``, and ``range_search_many`` against per-range
    ``range_search`` (keys, payload bytes *and* cost counters);
-3. end-to-end — ``knn`` / ``similarity_range`` with ``impl="scalar"``
-   against ``impl="vectorized"``: identical rankings, identical score
-   floats, identical logical counter signatures, and the vectorized
-   side never touching *more* pages than the scalar one.
+3. end-to-end — ``knn`` with ``impl="scalar"`` against
+   ``impl="vectorized"``: identical rankings, identical score floats,
+   identical logical counter signatures, and the vectorized side
+   touching exactly as many pages as the scalar one for the naive
+   method and never *more* for the composed one.
 """
 
 import os
@@ -41,8 +42,9 @@ from repro.utils.rng import ensure_rng
 
 # Counter fields that must match *exactly* between implementations: the
 # logical work is identical even though the physical access pattern is
-# batched.  page_requests / node visits are asserted separately as <=
-# (the bulk path may skip redundant root-to-leaf descents).
+# batched.  page_requests / node visits are asserted separately: ==
+# for naive (one descent per range on both paths), <= for composed (the
+# bulk path may skip redundant root-to-leaf descents).
 LOGICAL_COUNTERS = (
     "similarity_computations",
     "distance_computations",
@@ -603,11 +605,18 @@ def assert_query_equivalent(index, query, k, method):
     assert logical_signature(scalar_counters) == logical_signature(
         vector_counters
     )
-    assert vector_counters.page_requests <= scalar_counters.page_requests
-    assert (
-        vector_counters.btree_node_visits
-        <= scalar_counters.btree_node_visits
-    )
+    if method == "naive":
+        assert vector_counters.page_requests == scalar_counters.page_requests
+        assert (
+            vector_counters.btree_node_visits
+            == scalar_counters.btree_node_visits
+        )
+    else:
+        assert vector_counters.page_requests <= scalar_counters.page_requests
+        assert (
+            vector_counters.btree_node_visits
+            <= scalar_counters.btree_node_visits
+        )
     return vector
 
 
@@ -618,19 +627,6 @@ class TestEndToEndEquivalence:
         summaries, index = build_corpus(seed)
         for query in summaries[:5]:
             assert_query_equivalent(index, query, 5, method)
-
-    def test_similarity_range_equivalent(self):
-        summaries, index = build_corpus(77)
-        for query in summaries[:4]:
-            for threshold in (0.05, 0.5, 0.99):
-                scalar = index.similarity_range(
-                    query, threshold, impl="scalar"
-                )
-                vector = index.similarity_range(
-                    query, threshold, impl="vectorized"
-                )
-                assert scalar.videos == vector.videos
-                assert scalar.scores == vector.scores
 
     def test_equivalent_after_inserts_and_tombstones(self):
         """Splits from inserts and tombstones from deletes keep identity."""
@@ -721,7 +717,7 @@ class TestEndToEndEquivalence:
     def test_engine_impl_selection(self):
         """The serving engine has no impl knob: it serves the vectorized
         path, whose answers equal the scalar oracle's (reachable from
-        ``VitriIndex`` only) for both query forms."""
+        ``VitriIndex`` only)."""
         summaries, index = build_corpus(31)
         engine = repro.QueryEngine(index)
         for query in summaries[:3]:
@@ -729,17 +725,11 @@ class TestEndToEndEquivalence:
             b = engine.knn(query, 4)
             assert a.videos == b.videos
             assert a.scores == b.scores
-            a = index.similarity_range(query, 0.2, impl="scalar")
-            b = engine.similarity_range(query, 0.2)
-            assert a.videos == b.videos
-            assert a.scores == b.scores
 
     def test_unknown_impl_rejected(self):
         summaries, index = build_corpus(41)
         with pytest.raises(ValueError, match="impl"):
             index.knn(summaries[0], 3, impl="simd")
-        with pytest.raises(ValueError, match="impl"):
-            index.similarity_range(summaries[0], 0.5, impl="")
 
     def test_seqscan_agrees_with_both_impls(self):
         """The brute-force baseline stays bit-identical to the index."""
