@@ -49,6 +49,8 @@ from __future__ import annotations
 # as they would over the network.  A read holds one gate; the one
 # nesting is sync() under the write gate: primary gate -> replica gate.
 
+import hashlib
+
 from repro.replication.replica import SYNCED, ReplicaShard
 from repro.replication.shipper import WalShipper
 from repro.shard.resilience import BreakerPolicy, CircuitBreaker
@@ -213,7 +215,7 @@ class ReplicaSet:
                 self._bootstrap(replica)
                 return applied, 1
             applied += 1
-        if replica.token != self._shipper.token:
+        if replica.content_token() != self._shipper.token:
             # Caught up by position yet on a different content token: an
             # online-rebuild cutover re-rooted the chain (same videos,
             # new reference point, new token).  Replay cannot bridge
@@ -285,6 +287,24 @@ class ReplicaSet:
         self._primary.renumber(shard_id)
         for copy in self._replicas:
             copy.target.renumber(shard_id)
+
+    def content_token(self) -> str | None:
+        """One token over every copy: the primary's and each replica's,
+        in order.
+
+        A read may land on any synced copy, and a replica lags the
+        primary until :meth:`sync`, so an answer depends on every
+        copy's content; the token moves when any of them does (a
+        primary write, an applied segment, a bootstrap, an attach).
+        ``None`` while the primary's index is unbuilt.
+        """
+        primary = self._primary.content_token()
+        if primary is None:
+            return None
+        digest = hashlib.blake2b(primary.encode("ascii"), digest_size=16)
+        for copy in self._replicas:
+            digest.update(copy.target.content_token().encode("ascii"))
+        return digest.hexdigest()
 
     def __len__(self) -> int:
         return len(self._primary)

@@ -144,9 +144,9 @@ class ReplicaShard:
         """Stream position of the last verified state (-1 = never)."""
         return self._seq
 
-    @property
-    def token(self) -> str:
-        """Content token of the last verified state."""
+    def content_token(self) -> str:
+        """Content token of the last verified state; moves on every
+        applied segment and bootstrap."""
         return self._token
 
     def status(self) -> dict:

@@ -24,6 +24,11 @@ in-process path:
   a corrupt header, oversized length prefix or mid-frame disconnect
   costs one connection, never the server.
 
+Every ``status`` and ``knn`` reply carries the served shard's
+``content_token``, so the :class:`~repro.serve.transport.RemoteShard`
+on the other side always holds the token of the content it last heard
+from (the read-only router's memo keys its validity on it).
+
 Draining (the ``drain`` op, :meth:`ShardServer.drain`, or
 :meth:`ShardServerHandle.drain` over the network) stops the listener,
 lets in-flight requests finish, answers later requests on open
@@ -141,7 +146,11 @@ class ShardServer(FrameServer):
         if op == "ping":
             return {"pong": True, "shard_id": shard.shard_id}
         if op == "status":
-            return dict(shard.status(), draining=self._stopping.is_set())
+            return dict(
+                shard.status(),
+                draining=self._stopping.is_set(),
+                content_token=shard.content_token(),
+            )
         if op == "video_ids":
             return {"video_ids": sorted(shard.video_ids())}
         if op == "may_contain":
@@ -176,6 +185,7 @@ class ShardServer(FrameServer):
                 "stats": stats_to_wire(result.stats),
                 "counters": counters_to_wire(bundle),
                 "pruned": result.pruned,
+                "content_token": shard.content_token(),
             }
         raise ValueError(f"unknown op {op!r}")
 

@@ -74,6 +74,17 @@ class ShardLike(Protocol):
         copy selection so each dispatch reaches a different copy.
         """
 
+    def content_token(self) -> str | None:
+        """The content a fresh answer would come from right now.
+
+        Two equal tokens promise equal answers to every query, so a
+        result cache above the shard (the read-only router's memo) may
+        reuse an answer only while the token it was computed under
+        still reads the same.  ``None`` means "unknown" and never
+        matches anything.  Reading it builds no index, reads no page
+        and takes no write gate.
+        """
+
     def status(self) -> dict:
         """``shard_id``, ``videos``, ``queries_served`` and
         ``replication``: ``None`` for an unreplicated shard, a group's

@@ -269,9 +269,9 @@ class FaultInjectingShard:
 
     Only ``knn`` is intercepted; the rest of the
     :class:`~repro.shard.contract.WritableShard` contract (routing
-    metadata, status, mutation, durability) delegates untouched via
-    ``__getattr__``, so the router never needs to know whether a fleet
-    is faulted.
+    metadata, content token, status, mutation, durability) delegates
+    untouched via ``__getattr__``, so the router never needs to know
+    whether a fleet is faulted.
     """
 
     def __init__(

@@ -136,6 +136,13 @@ class Shard:
         """Summaries of the videos this shard owns (heap scan)."""
         return self._db.summaries()
 
+    def content_token(self) -> str | None:
+        """The index's :meth:`~repro.core.index.VitriIndex.content_token`;
+        ``None`` while the index is unbuilt (the first query builds it,
+        and nothing computed before that can match what it serves)."""
+        index = self._db.index
+        return index.content_token() if index is not None else None
+
     def status(self) -> dict:
         """The contract's status report; a plain shard has no replicas."""
         return {

@@ -148,7 +148,7 @@ class TestBatching:
         assert group.shipper.seq == seq_before + 2
         assert replica.segments_applied == 2
         assert replica.bootstraps == 1
-        assert replica.token == group.shipper.token
+        assert replica.content_token() == group.shipper.token
 
         # _apply syncs after each commit: replicas already serve it all.
         oracle = VitriIndex.build(group.primary.summaries(), EPSILON)

@@ -109,13 +109,13 @@ class TestSegmentChainVerify:
     def test_valid_chain_summary(self, chain):
         shipper, replica, segments = chain
         first = decode_segment(segments[0])
-        assert first.base_token == replica.token
+        assert first.base_token == replica.content_token()
         for encoded in segments:
             assert replica.apply_segment(encoded)
         assert replica.segments_applied == 3
         assert replica.applied_seq == first.seq + 2 == shipper.seq
-        assert replica.token == decode_segment(segments[-1]).after_token
-        assert replica.token == shipper.token
+        assert replica.content_token() == decode_segment(segments[-1]).after_token
+        assert replica.content_token() == shipper.token
 
     def test_empty_stream_is_a_valid_zero_chain(self, tmp_path):
         group = ReplicaSet(
@@ -128,7 +128,7 @@ class TestSegmentChainVerify:
             )
         )
         assert group.sync() == {"applied": 0, "bootstrapped": 0}
-        assert group.replicas[0].token == group.shipper.token
+        assert group.replicas[0].content_token() == group.shipper.token
         group.close()
 
     def test_sequence_gap_raises(self, chain):
@@ -157,7 +157,7 @@ class TestSegmentChainVerify:
         assert not replica.apply_segment(segments[1][:-3])
         assert "bad frame" in replica.last_error
         # The verified position stays on the last whole segment.
-        assert replica.token == decode_segment(segments[0]).after_token
+        assert replica.content_token() == decode_segment(segments[0]).after_token
 
 
 class TestSegmentLog:
@@ -247,7 +247,7 @@ class TestReplicaShard:
         replica.bootstrap(shipper.snapshot())
         assert replica.state == SYNCED
         assert replica.applied_seq == shipper.seq
-        assert replica.token == shipper.token
+        assert replica.content_token() == shipper.token
         assert replica.video_ids() == primary.video_ids()
 
         want = primary.knn(summaries[0], 3)
@@ -275,8 +275,8 @@ class TestReplicaShard:
             assert replica.apply_segment(encoded)
         assert replica.state == SYNCED
         assert replica.applied_seq == shipper.seq
-        assert replica.token == shipper.token
-        assert replica.token == database_token(primary.database)
+        assert replica.content_token() == shipper.token
+        assert replica.content_token() == database_token(primary.database)
         assert replica.video_ids() == primary.video_ids()
         assert replica.segments_applied == len(pending)
         primary.close()
@@ -319,7 +319,7 @@ class TestReplicaSet:
         assert tally["bootstrapped"] == 0
         for replica in group.replicas:
             assert replica.state == SYNCED
-            assert replica.token == group.shipper.token
+            assert replica.content_token() == group.shipper.token
             assert replica.video_ids() == group.primary.video_ids()
         group.close()
 
@@ -391,7 +391,7 @@ class TestReplicaSet:
         assert tally["bootstrapped"] == 2
         for replica in group.replicas:
             assert replica.state == SYNCED
-            assert replica.token == group.shipper.token
+            assert replica.content_token() == group.shipper.token
         group.close()
 
     def test_affinity_keeps_a_video_on_one_copy(self, tmp_path):

@@ -55,13 +55,13 @@ def shipping(tmp_path):
 
 def assert_refused_and_demoted(replica, encoded, match):
     refused_before = replica.segments_refused
-    token_before = replica.token
+    token_before = replica.content_token()
     assert not replica.apply_segment(encoded)
     assert replica.state == NEEDS_BOOTSTRAP
     assert replica.segments_refused == refused_before + 1
     assert match in (replica.last_error or "")
     # The verified position never advances on a refusal.
-    assert replica.token == token_before
+    assert replica.content_token() == token_before
 
 
 class TestSegmentDefects:
@@ -134,8 +134,8 @@ class TestRecovery:
 
         replica.bootstrap(shipper.snapshot())
         assert replica.state == SYNCED
-        assert replica.token == shipper.token
-        assert replica.token == database_token(primary.database)
+        assert replica.content_token() == shipper.token
+        assert replica.content_token() == database_token(primary.database)
         for query in summaries[:3]:
             want = primary.knn(query, 4)
             got = replica.knn(query, 4)

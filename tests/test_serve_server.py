@@ -180,7 +180,9 @@ class TestCorrectness:
         assert len(remote) == len(local)
         assert remote.video_ids() == local.video_ids()
         status = remote.status()
-        assert status == dict(local.status(), draining=False)
+        assert status == dict(
+            local.status(), draining=False, content_token=local.content_token()
+        )
         remote.knn(local.summaries()[0], K)
         assert remote.status()["queries_served"] >= status["queries_served"]
         assert server.requests_served > 0

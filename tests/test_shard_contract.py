@@ -13,6 +13,8 @@ import dataclasses
 
 import pytest
 
+from repro.core.database import VideoDatabase
+from repro.core.index import VitriIndex
 from repro.replication import ReplicaSet, ReplicaShard
 from repro.serve.shard_server import ShardServer
 from repro.serve.transport import RemoteShard
@@ -25,6 +27,9 @@ from repro.shard.resilience import (
     ShardTimeout,
 )
 from repro.shard.router import ShardedVideoDatabase
+from repro.shard.shard import Shard
+from repro.storage.buffer_pool import BufferPool
+from repro.storage.pager import Pager
 from repro.utils.clock import Deadline, VirtualClock
 from repro.utils.counters import CostCounters
 from tests.test_golden_replication import logical_signature
@@ -198,6 +203,94 @@ class TestConformance:
         assert (before["replication"] is None) == (kind in UNREPLICATED)
         shard_like.knn(summaries[0], K)
         assert shard_like.status()["queries_served"] == before["queries_served"] + 1
+
+
+@pytest.fixture
+def no_page_reads_or_builds(monkeypatch):
+    """Make any page read or index build during the test fail loudly."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reading a content token read a page or built")
+
+    for owner, name in (
+        (BufferPool, "fetch"),
+        (BufferPool, "fetch_run"),
+        (Pager, "read_page"),
+        (Pager, "read_run"),
+        (VideoDatabase, "build"),
+        (VitriIndex, "build"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+
+
+class TestContentToken:
+    """``content_token()``: what a result cache above a shard keys its
+    validity on."""
+
+    def test_stable_across_queries(self, subject, summaries):
+        _, shard_like, _ = subject
+        before = shard_like.content_token()
+        assert before is not None
+        for query in summaries[:4]:
+            shard_like.knn(query, K)
+            shard_like.knn(query, K, method="naive", attempt=1)
+        assert shard_like.content_token() == before
+
+    def test_single_copies_report_the_index_token(self, subject):
+        kind, shard_like, reference = subject
+        # Byte-identical content, so the same token; a group's token
+        # folds in every copy's.
+        if kind == "replica_set":
+            assert shard_like.content_token() != reference.content_token()
+        else:
+            assert shard_like.content_token() == reference.content_token()
+
+    def test_moves_on_every_accepted_write(self, subject, summaries):
+        kind, shard_like, _ = subject
+        if kind not in WRITABLE:
+            pytest.skip(f"{kind} accepts no writes")
+        seen = {shard_like.content_token()}
+        extra = dataclasses.replace(summaries[0], video_id=500)
+        shard_like.add_summary(extra)
+        seen.add(shard_like.content_token())
+        shard_like.remove(summaries[1].video_id)
+        seen.add(shard_like.content_token())
+        assert len(seen) == 3
+        if kind == "replica_set":
+            # The replica catching up moves the group's token too.
+            shard_like.checkpoint()
+            shard_like.sync()
+            seen.add(shard_like.content_token())
+            assert len(seen) == 4
+
+    def test_reading_it_reads_no_page(self, subject, no_page_reads_or_builds):
+        _, shard_like, _ = subject
+        assert shard_like.content_token() is not None
+
+    def test_reading_it_builds_no_unbuilt_shard(self, tmp_path, summaries):
+        clock = VirtualClock()
+        pending = Shard(0, epsilon=EPSILON)
+        for summary in summaries:
+            pending.add_summary(summary)
+        empty = Shard(0, epsilon=EPSILON, path=str(tmp_path / "primary"))
+        group = ReplicaSet(empty, clock=clock)
+        group.attach_replica(make_replica(tmp_path / "replica", clock))
+        group.add_summary(summaries[0])
+        server, remote = serve(pending, clock)
+        try:
+            for shard_like in (
+                pending,
+                FaultInjectingShard(pending, ShardFaultInjector({}), clock=clock),
+                remote,
+                group,
+            ):
+                assert shard_like.content_token() is None
+            assert group.replicas[0].content_token() is not None
+            assert pending.database.index is None
+            assert group.primary.database.index is None
+        finally:
+            stop(server, remote)
+            group.close()
 
 
 class TestThresholdServedByTheEngine:
