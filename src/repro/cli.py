@@ -349,8 +349,9 @@ def _check_fleet(path: str) -> int:
     from repro.storage.serialization import ChecksumError
 
     try:
-        # Reopening performs each shard's standard WAL recovery and the
-        # fleet's reconciliation (exactly what a restart would do).
+        # Reopening performs each shard's standard WAL recovery and
+        # rebuilds membership (exactly what a restart would do); a video
+        # on two shards fails it.
         fleet = ShardedVideoDatabase(path=path)
     except (ChecksumError, ValueError, OSError) as exc:
         print(f"error: cannot open fleet: {exc}", file=sys.stderr)
@@ -368,9 +369,11 @@ def _check_fleet(path: str) -> int:
                     misplaced += 1
             failures.extend(_verify_database(shard.database.index, label))
         if misplaced:
-            # Legal after a crash mid-rebalance (placement is a performance
-            # matter, not a correctness one) — report, don't fail.
-            print(f"note: {misplaced} video(s) off their partitioned shard")
+            # Every add is routed by the partitioner, so no operation
+            # leaves a video elsewhere.
+            failures.append(
+                f"placement: {misplaced} video(s) off their partitioned shard"
+            )
         return _report(
             path,
             failures,
@@ -621,30 +624,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_health.set_defaults(func=_cmd_fleet_health)
 
+    from repro.analysis.cli import build_parser as build_lint_parser
+
+    lint_parser = build_lint_parser()
     lint = commands.add_parser(
         "lint",
+        # The -h of vilint's own parser comes with its other options.
+        parents=[lint_parser],
+        add_help=False,
         help="run vilint, the project's static-analysis pass",
-        description=(
-            "Check determinism, validation and cost-accounting invariants "
-            "(see docs/static_analysis.md)."
-        ),
+        description=lint_parser.description,
     )
-    lint.add_argument(
-        "paths", nargs="*", default=["src/repro"], help="files or directories"
-    )
-    lint.add_argument("--baseline", default=None, metavar="FILE")
-    lint.add_argument("--no-baseline", action="store_true")
-    lint.add_argument("--update-baseline", action="store_true")
-    lint.add_argument("--select", default=None, metavar="RULES")
-    lint.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="run only the concurrency rules (VIL008-VIL010)",
-    )
-    lint.add_argument("--lock-graph-dot", default=None, metavar="FILE")
-    lint.add_argument("--jobs", type=int, default=None, metavar="N")
-    lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument("--list-rules", action="store_true")
     lint.set_defaults(func=_cmd_lint)
 
     return parser

@@ -544,7 +544,8 @@ class VideoDatabase:
         """Every stored video's summary (pending first, then indexed).
 
         Indexed summaries are reconstructed from the heap — a full scan,
-        meant for shard rebalancing and migration, not the query path.
+        meant for rebuilds, re-growing a fleet and migration, not the query
+        path.
         """
         self._check_open()
         stored = list(self._pending.values())

@@ -780,7 +780,7 @@ class VitriIndex:
     def summaries(self) -> list[VideoSummary]:
         """Reconstruct every indexed video's summary from the heap
         (video-id ascending).  Full heap scan — intended for rebuilds,
-        shard rebalancing and manifest reconciliation, not queries."""
+        re-growing a fleet and ``check``, not queries."""
         return self._reconstruct_summaries()
 
     def _reconstruct_summaries(self) -> list[VideoSummary]:

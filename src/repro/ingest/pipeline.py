@@ -24,9 +24,8 @@ the principal angle drifted past the threshold, the pipeline launches
 the online rebuild (:mod:`repro.ingest.cutover`) on the affected shard
 — through the router's maintenance window for fleets, under the
 primary's ``write_gate`` for a replica set — while queries keep being
-served.  Fleet drift state is keyed by shard *identity*, not fleet
-position: a concurrent ``rebalance()`` renumbers positions, and the
-key must survive that.
+served.  Fleet drift state is keyed by shard position, which is fixed
+for a fleet's life.
 
 A commit failure never silently kills ingestion: the background worker
 records the error, keeps the un-applied remainder of the batch for the
@@ -57,7 +56,6 @@ from repro.core.vitri import VideoSummary
 from repro.ingest.cutover import rebuild_online
 from repro.ingest.drift import DriftMonitor
 from repro.replication.group import ReplicaSet
-from repro.shard.faults import FaultInjectingShard
 from repro.shard.router import ShardedVideoDatabase
 from repro.shard.shard import Shard
 from repro.utils.clock import Clock, SystemClock
@@ -287,9 +285,8 @@ class IngestPipeline:
             batch.pop(0)
             applied += 1
             self.ingested += 1
-            key = self._shard_key(video_id) if self._is_fleet else "primary"
-            if key is not None:
-                landed[key] = landed.get(key, 0) + 1
+            key = self._target.shard_of(video_id) if self._is_fleet else "primary"
+            landed[key] = landed.get(key, 0) + 1
         if applied and self._durable():
             # One checkpoint per batch: the whole batch becomes one WAL
             # transaction (and one shipped segment on a replica set).
@@ -304,28 +301,6 @@ class IngestPipeline:
         # durable by contract.
         return (self._target if self._is_fleet else self._shard).path is not None
 
-    def _shard_key(self, video_id):
-        """Stable drift key for a fleet insert: the shard *object*.
-
-        ``rebalance()`` renumbers fleet positions when it inserts a
-        shard, so a position captured here could charge drift (or aim a
-        rebuild) at the wrong shard by the time it is used.  The shard
-        object survives renumbering; :meth:`_position_of` resolves it
-        back to a position at rebuild time.
-        """
-        position = self._target.shard_of(video_id)
-        shards = self._target.shards
-        return shards[position] if position < len(shards) else None
-
-    def _position_of(self, key):
-        """Current fleet position of a drift key, or ``None`` if gone."""
-        for position, shard in enumerate(self._target.shards):
-            if isinstance(shard, FaultInjectingShard):
-                shard = shard.inner
-            if shard is key:
-                return position
-        return None
-
     def _after_commit(self, landed: dict) -> None:
         if self._drift is None or not landed:
             return
@@ -338,17 +313,12 @@ class IngestPipeline:
                 self._rebuild(key)
 
     def _index_of(self, key):
-        return (key if self._is_fleet else self._shard).database.index
+        shard = self._target.shards[key] if self._is_fleet else self._shard
+        return shard.database.index
 
     def _rebuild(self, key) -> None:
         if self._is_fleet:
-            position = self._position_of(key)
-            if position is None:
-                # The shard left the fleet between the commit and this
-                # rebuild (rebalance/removal); drop its stale counters.
-                self._drift.forget(key)
-                return
-            self._target.rebuild_shard(position)
+            self._target.rebuild_shard(key)
         elif self._is_replica_set:
             # Same discipline as _commit_batch: the cutover detaches the
             # primary's database and resets engine state, so in-flight

@@ -282,12 +282,6 @@ class ReplicaSet:
         """Fleet position of the shard this group serves."""
         return self._primary.shard_id
 
-    def renumber(self, shard_id: int) -> None:
-        """Reassign the group's fleet position on every copy."""
-        self._primary.renumber(shard_id)
-        for copy in self._replicas:
-            copy.target.renumber(shard_id)
-
     def content_token(self) -> str | None:
         """One token over every copy: the primary's and each replica's,
         in order.

@@ -128,12 +128,6 @@ class ReplicaShard:
         """The replica's backing directory."""
         return self._path
 
-    def renumber(self, shard_id: int) -> None:
-        """Reassign this copy's fleet position (mirrors the primary's)."""
-        self._shard_id = shard_id
-        if self._shard is not None:
-            self._shard.renumber(shard_id)
-
     @property
     def state(self) -> str:
         """``SYNCED`` or ``NEEDS_BOOTSTRAP``."""

@@ -10,8 +10,8 @@ every query, *whether it runs at all* before any work is spent on it:
    :class:`~repro.serve.protocol.ServiceDraining`.
 2. **Rate limit.**  Each client name owns a :class:`TokenBucket`; an
    empty bucket sheds with :class:`~repro.serve.protocol.RateLimited`.
-3. **Queue depth.**  Admission is a ``put_nowait`` into a bounded
-   queue; a full queue sheds with
+3. **Queue depth.**  A query is admitted only while fewer than
+   ``max_queue`` wait in the queue; a full queue sheds with
    :class:`~repro.serve.protocol.ServiceOverloaded`.
 
 Shedding is *cheap by construction*: all three checks happen before the
@@ -164,11 +164,13 @@ class FrontDoor:
         self._max_queue = max_queue
         self._drain_timeout = drain_timeout
         # Guards the admission state: the draining flag, the per-client
-        # buckets, and the stats tallies.  Never held across any
-        # blocking call — admission is put_nowait, shedding is a
-        # counter bump.
+        # buckets, the queue bound and the stats tallies.  Never held
+        # across any blocking call — admission is put_nowait, shedding
+        # is a counter bump.
         self._lock = make_lock("FrontDoor._lock")
-        self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
+        # Unbounded, so drain() hands every worker its stop sentinel
+        # without waiting; submit() enforces max_queue under _lock.
+        self._queue: queue.Queue = queue.Queue()
         self._buckets: dict[str, TokenBucket] = {}
         self._bucket_seen: dict[str, float] = {}
         self._last_sweep = self._clock.now()
@@ -228,15 +230,13 @@ class FrontDoor:
                 f"client {client!r} exceeded {self._rate} queries/second"
             )
         future: Future = Future()
-        try:
-            self._queue.put_nowait((future, query, k))
-        except queue.Full:
-            with self._lock:
-                self._stats["shed_overload"] += 1
-            raise ServiceOverloaded(
-                f"admission queue is full ({self._max_queue} deep)"
-            ) from None
         with self._lock:
+            if self._queue.qsize() >= self._max_queue:
+                self._stats["shed_overload"] += 1
+                raise ServiceOverloaded(
+                    f"admission queue is full ({self._max_queue} deep)"
+                )
+            self._queue.put_nowait((future, query, k))
             self._stats["admitted"] += 1
         return future
 
@@ -309,15 +309,16 @@ class FrontDoor:
 
         Queued-but-unserved work left behind by a worker that missed its
         join budget gets :class:`ServiceDraining` set on its future, so
-        no caller ever blocks on a future nobody will complete.
-        Idempotent.
+        no caller ever blocks on a future nobody will complete.  A
+        worker still stuck in a query gets a fresh stop sentinel, so it
+        exits once that query returns.  Idempotent.
         """
         with self._lock:
             if self._draining:
                 return
             self._draining = True
         for _ in self._threads:
-            self._queue.put(None)
+            self._queue.put_nowait(None)
         for thread in self._threads:
             thread.join(self._drain_timeout)
         while True:
@@ -331,6 +332,9 @@ class FrontDoor:
                         "front door drained before this query ran"
                     )
                 )
+        for thread in self._threads:
+            if thread.is_alive():
+                self._queue.put_nowait(None)
 
     def __enter__(self) -> "FrontDoor":
         return self
@@ -572,20 +576,10 @@ class NetworkFleet:
         :class:`ServiceDraining` / connection errors — both retryable —
         so front-door traffic degrades instead of failing.
         """
-        wait = timeout if timeout is not None else self._drain_timeout
-        server = self._servers[shard_id]
-        if self._mode == "thread":
-            server.drain()
-            server.wait_closed(wait)
-        else:
-            try:
-                server.drain(timeout=wait)
-            except (OSError, ConnectionError):
-                pass  # already gone; respawn regardless
-            try:
-                server.wait(wait)
-            except subprocess.TimeoutExpired:
-                server.kill()
+        self._stop_server(
+            self._servers[shard_id],
+            timeout if timeout is not None else self._drain_timeout,
+        )
         host, port = self._start_server(shard_id, self._shard_dirs[shard_id])
         self._remotes[shard_id].reconnect(host, port)
         return host, port
@@ -603,18 +597,23 @@ class NetworkFleet:
         """Drain every shard server started so far (each drain
         checkpoints and closes the shard it serves)."""
         for server in self._servers.values():
-            if self._mode == "thread":
-                server.drain()
-                server.wait_closed(self._drain_timeout)
-            else:
-                try:
-                    server.drain(timeout=self._drain_timeout)
-                except (OSError, ConnectionError):
-                    pass
-                try:
-                    server.wait(self._drain_timeout)
-                except subprocess.TimeoutExpired:
-                    server.kill()
+            self._stop_server(server, self._drain_timeout)
+
+    def _stop_server(self, server, wait: float) -> None:
+        """Drain one shard server and wait up to ``wait`` seconds for it
+        to exit; a child process that outlives the wait is killed."""
+        if self._mode == "thread":
+            server.drain()
+            server.wait_closed(wait)
+            return
+        try:
+            server.drain(timeout=wait)
+        except (OSError, ConnectionError):
+            pass  # already gone; nothing left to drain
+        try:
+            server.wait(wait)
+        except subprocess.TimeoutExpired:
+            server.kill()
 
     def __enter__(self) -> "NetworkFleet":
         return self

@@ -95,7 +95,7 @@ class ShardLike(Protocol):
 
 @runtime_checkable
 class WritableShard(ShardLike, Protocol):
-    """What a router that owns its shards (placement, rebalance,
+    """What a router that owns its shards (placement, rebuild,
     checkpoint) drives on top of the read surface."""
 
     def add_summary(self, summary: VideoSummary) -> int: ...
@@ -105,9 +105,6 @@ class WritableShard(ShardLike, Protocol):
     def summaries(self) -> list[VideoSummary]: ...
 
     def checkpoint(self) -> None: ...
-
-    def renumber(self, shard_id: int) -> None:
-        """Reassign the fleet position (a rebalance inserts mid-list)."""
 
     def key_bounds(
         self, *, counters: CostCounters | None = None

@@ -213,35 +213,6 @@ class KeyRangePartitioner(Partitioner):
     def shard_for(self, summary: VideoSummary) -> int:
         return bisect_right(self._boundaries, self.routing_key(summary))
 
-    def split(self, shard_index: int, at: float) -> "KeyRangePartitioner":
-        """Return a new partitioner with shard ``shard_index`` split at
-        key ``at`` — the new shard takes the keys *above* ``at`` and is
-        numbered ``shard_index + 1`` (higher shards shift up by one)."""
-        if not 0 <= shard_index < self.num_shards:
-            raise ValueError(
-                f"shard_index must be in [0, {self.num_shards}), "
-                f"got {shard_index}"
-            )
-        at = float(at)
-        if not np.isfinite(at):
-            raise ValueError(f"split point must be finite, got {at}")
-        low = -np.inf if shard_index == 0 else self._boundaries[shard_index - 1]
-        high = (
-            np.inf
-            if shard_index == self.num_shards - 1
-            else self._boundaries[shard_index]
-        )
-        if not low <= at <= high:
-            raise ValueError(
-                f"split point {at} outside shard {shard_index}'s key range "
-                f"({low}, {high}]"
-            )
-        boundaries = list(self._boundaries)
-        boundaries.insert(shard_index, at)
-        return KeyRangePartitioner(
-            boundaries, reference_point=self._reference_point
-        )
-
     def to_dict(self) -> dict:
         return {
             "kind": "key_range",

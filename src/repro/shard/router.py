@@ -35,12 +35,12 @@ Scatter
 -------
 The legs of one query run in parallel: the calling thread runs the first
 leg itself and hands the rest to a thread pool the router owns for its
-whole life.  The pool never has fewer workers than shards - 1, so no leg
-waits for another; :meth:`ShardedVideoDatabase.rebalance`, the one
-operation that adds a shard, swaps in a larger pool.  Each leg runs in
-its own copy of the caller's :mod:`contextvars` context, so per-leg
-state (a :class:`~repro.utils.clock.VirtualClock`'s sleeps) starts from
-the caller's and never leaks into a later leg that reuses the worker.
+whole life.  A fleet keeps the shards it was built with, so the pool is
+built once with shards - 1 workers and no leg waits for another.  Each
+leg runs in its own copy of the caller's :mod:`contextvars` context, so
+per-leg state (a :class:`~repro.utils.clock.VirtualClock`'s sleeps)
+starts from the caller's and never leaks into a later leg that reuses
+the worker.
 
 Cost accounting
 ---------------
@@ -106,18 +106,21 @@ A durable fleet is a directory of shard directories plus a
 ``shards.json`` manifest (partitioner, shard list, id counter).
 :meth:`ShardedVideoDatabase.checkpoint` checkpoints every shard through
 its own write-ahead log — each one individually atomic — then replaces
-the manifest atomically.  Reopening reconciles the fleet: each shard
-recovers to its own last checkpoint, the id counter is the max of the
-manifest's and every shard's content, and any video found on two shards
-(a crash between the two shard checkpoints of a rebalance) is kept only
-on the shard the partitioner routes it to.
+the manifest atomically.  Reopening rebuilds the fleet's membership:
+each shard recovers to its own last checkpoint and the id counter is
+the max of the manifest's and every shard's content.  No operation places a video on
+two shards, so a reopened fleet that finds one there raises.
+
+A fleet's shard list is fixed when it is built.  To grow one, build a
+new fleet with ``KeyRangePartitioner.fit(summaries, n + 1)`` over every
+shard's ``summaries()`` and ``add_summary`` each of them.
 """
 
 from __future__ import annotations
 
 # vilint: disable-file=blocking-while-locked -- the router lock is
-# deliberately coarse: it serialises fleet-topology mutations
-# (rebalance, checkpoint, close) against whole queries, so scatters,
+# deliberately coarse: it serialises fleet mutations (checkpoint,
+# close, a rebuild's cutover) against whole queries, so scatters,
 # shard sub-queries and manifest writes all run under it by design.
 # Per-shard parallelism is preserved: no scatter leg takes this lock (the
 # legs on pool workers never hold it; the one on the calling thread runs
@@ -126,7 +129,6 @@ from __future__ import annotations
 import contextvars
 import json
 import os
-import shutil
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -141,7 +143,6 @@ from repro.core.vitri import VideoSummary
 from repro.shard.contract import ShardLike
 from repro.shard.faults import FaultInjectingShard, ShardFaultInjector
 from repro.shard.partitioner import (
-    KeyRangePartitioner,
     Partitioner,
     make_partitioner,
     partitioner_from_dict,
@@ -292,10 +293,10 @@ class ShardedVideoDatabase:
         clock: Clock | None = None,
     ) -> None:
         # Guards every mutable routing structure (_shards, _membership,
-        # _partitioner, _next_video_id, _created_shards, _closed,
-        # _pool).  Held for the full duration of every public operation:
-        # queries and topology changes are mutually exclusive, which is
-        # what makes rebalance()/checkpoint() safe to call under live
+        # _next_video_id, _closed, the maintenance window).  Held for
+        # the full duration of every public operation: queries and
+        # mutations are mutually exclusive, which is what makes
+        # checkpoint() and a rebuild's cutover safe to call under live
         # traffic.  The one exception is a read-only router's memo hit,
         # which reads only _memo (under _memo_lock) and immutable state.
         self._lock = make_lock("ShardedVideoDatabase._lock")
@@ -311,13 +312,12 @@ class ShardedVideoDatabase:
         self._closed = False
         self._writable = True
         self._next_video_id = 0
-        self._created_shards = 0
         self._shards: list[Shard] = []
         self._membership: dict[int, int] = {}
-        # Maintenance window (concurrent rebalance / online rebuild):
-        # while set, writes targeting that shard are deferred instead of
-        # applied, so the copy phase can run outside the router lock
-        # against a frozen source.  Flushed when the window closes.
+        # Maintenance window (online rebuild): while set, writes
+        # targeting that shard are deferred instead of applied, so the
+        # side build can run outside the router lock against a frozen
+        # source.  Flushed when the window closes.
         self._maintenance_shard: int | None = None
         self._deferred_adds: list[VideoSummary] = []
         self._deferred_removes: list[int] = []
@@ -335,9 +335,15 @@ class ShardedVideoDatabase:
         )
         if manifest_path is not None and os.path.exists(manifest_path):
             self._reopen(manifest_path)
-            self._pool = _scatter_pool(len(self._shards))
-            return
+        else:
+            self._create(partitioner, num_shards)
+        self._pool = _scatter_pool(len(self._shards))
 
+    def _create(
+        self, partitioner: Partitioner | str, num_shards: int | None
+    ) -> None:
+        """A new fleet: one empty shard per partition, in directories
+        named by position."""
         if isinstance(partitioner, str):
             self._partitioner = make_partitioner(partitioner, num_shards)
         elif isinstance(partitioner, Partitioner):
@@ -356,9 +362,10 @@ class ShardedVideoDatabase:
             )
         if self._path is not None:
             os.makedirs(self._path, exist_ok=True)
-        for _ in range(self._partitioner.num_shards):
-            self._shards.append(self._new_shard())
-        self._pool = _scatter_pool(len(self._shards))
+        for position in range(self._partitioner.num_shards):
+            self._shards.append(
+                self._open_shard(position, f"shard-{position:04d}")
+            )
 
     @classmethod
     def from_shards(
@@ -405,44 +412,32 @@ class ShardedVideoDatabase:
         with self._lock:
             self._closed = False
             self._writable = False
-            self._created_shards = len(shards)
             self._shards = list(shards)
             self._membership = {}
             self._next_video_id = 0
             self._maintenance_shard = None
             self._deferred_adds = []
             self._deferred_removes = []
-            for shard in self._shards:
-                for video_id in shard.video_ids():
-                    self._membership[video_id] = shard.shard_id
-                    self._next_video_id = max(
-                        self._next_video_id, video_id + 1
-                    )
+            self._reconcile()
             # Placement is owned by whoever built the shards; this
             # partitioner exists only so introspection keeps working.
             self._partitioner = make_partitioner("hash", len(shards))
             self._pool = _scatter_pool(len(shards))
         return self
 
-    def _new_shard(self) -> Shard:
-        """Construct the next shard (fresh directory for durable fleets)."""
-        shard_dir = None
-        if self._path is not None:
-            shard_dir = os.path.join(
-                self._path, f"shard-{self._created_shards:04d}"
-            )
-        shard = Shard(
-            len(self._shards),
+    def _open_shard(self, position: int, name: str) -> Shard:
+        """The shard at ``position``, in directory ``name`` of a durable
+        fleet (created or reopened)."""
+        return Shard(
+            position,
             epsilon=self._epsilon,
             reference=self._reference,
             summarize_seed=self._seed,
-            path=shard_dir,
+            path=None if self._path is None else os.path.join(self._path, name),
             buffer_capacity=self._buffer_capacity,
             cache_size=self._cache_size,
             fault_injector=self._faults,
         )
-        self._created_shards += 1
-        return shard
 
     # ------------------------------------------------------------------
     # Reopening / reconciliation
@@ -459,7 +454,6 @@ class ShardedVideoDatabase:
         self._reference = str(manifest["reference"])
         self._seed = int(manifest["summarize_seed"])
         self._next_video_id = int(manifest["next_video_id"])
-        self._created_shards = int(manifest["created_shards"])
         self._partitioner = partitioner_from_dict(manifest["partitioner"])
         shard_dirs = list(manifest["shards"])
         if len(shard_dirs) != self._partitioner.num_shards:
@@ -467,55 +461,36 @@ class ShardedVideoDatabase:
                 f"manifest lists {len(shard_dirs)} shards but the "
                 f"partitioner routes across {self._partitioner.num_shards}"
             )
+        # The manifest's names are authoritative: an older fleet may name
+        # its directories out of position order, and keys this version
+        # does not read are ignored.
         for position, name in enumerate(shard_dirs):
-            self._shards.append(
-                Shard(
-                    position,
-                    epsilon=self._epsilon,
-                    reference=self._reference,
-                    summarize_seed=self._seed,
-                    path=os.path.join(self._path, name),
-                    buffer_capacity=self._buffer_capacity,
-                    cache_size=self._cache_size,
-                    fault_injector=self._faults,
-                )
-            )
-        self._reconcile()
+            self._shards.append(self._open_shard(position, name))
+        try:
+            self._reconcile()
+        except ValueError:
+            for shard in self._shards:
+                shard.database.detach()
+            raise
         self._restore_health()
 
     def _reconcile(self) -> None:
-        """Rebuild membership from actual shard content, resolving any
-        cross-shard duplicates a mid-rebalance crash left behind.
+        """Rebuild membership from the shards' own content.
 
-        Each shard individually recovered to its last checkpoint; the
-        only cross-shard inconsistency possible is a video present on
-        two shards (moved and committed on the destination before the
-        crash, but still committed on the source).  The partitioner is
-        the tie-breaker: the copy on the shard it routes to survives,
-        every other copy is removed.  A video sitting on a shard the
-        partitioner would *not* choose (manifest committed before the
-        move did) is left in place — placement is a performance matter,
-        scatter-gather correctness never depends on it.
+        No operation places one video on two shards, so one found there
+        means the fleet directory was damaged: raise, naming the video
+        and both shards, rather than guess which copy is current.
         """
-        owners: dict[int, list[int]] = {}
         for shard in self._shards:
             for video_id in shard.video_ids():
-                owners.setdefault(video_id, []).append(shard.shard_id)
-        for video_id, places in owners.items():
-            keep = places[0]
-            if len(places) > 1:
-                summary = next(
-                    s
-                    for s in self._shards[places[0]].summaries()
-                    if s.video_id == video_id
-                )
-                routed = self._partitioner.shard_for(summary)
-                keep = routed if routed in places else places[0]
-                for place in places:
-                    if place != keep:
-                        self._shards[place].remove(video_id)
-            self._membership[video_id] = keep
-            self._next_video_id = max(self._next_video_id, video_id + 1)
+                if video_id in self._membership:
+                    raise ValueError(
+                        f"video {video_id} is on shard "
+                        f"{self._membership[video_id]} and on shard "
+                        f"{shard.shard_id}"
+                    )
+                self._membership[video_id] = shard.shard_id
+                self._next_video_id = max(self._next_video_id, video_id + 1)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -595,8 +570,7 @@ class ShardedVideoDatabase:
 
         Testing seam: the injector's schedule fires on serving operations
         (every knn attempt, retries included);
-        routing metadata stays fault-free.  Shards created later
-        (rebalance splits) are not wrapped.
+        routing metadata stays fault-free.
         """
         with self._lock:
             self._shards = [
@@ -654,7 +628,7 @@ class ShardedVideoDatabase:
                 )
             target = self._partitioner.shard_for(summary)
             if target == self._maintenance_shard:
-                # The owning shard is mid-rebalance/rebuild: admit the
+                # The owning shard is mid-rebuild: admit the
                 # summary (its id is claimed fleet-wide) but defer the
                 # physical insert to the window's close, so the copy
                 # phase sees a frozen source.  The durability contract
@@ -1021,7 +995,7 @@ class ShardedVideoDatabase:
             return statuses
 
     # ------------------------------------------------------------------
-    # Maintenance windows (rebalance / online rebuild)
+    # Maintenance window (online rebuild)
     # ------------------------------------------------------------------
     def _open_window(self, position: int) -> None:
         """Start deferring writes aimed at shard ``position`` (caller
@@ -1034,153 +1008,22 @@ class ShardedVideoDatabase:
         self._maintenance_shard = position
 
     def _close_window(self) -> None:
-        """End the maintenance window and apply the deferred writes
-        (caller must hold the lock).  After a simulated crash the
-        deferral queues are abandoned — the crashed fleet can absorb
-        nothing, and reopening recovers from disk alone."""
+        """End the maintenance window and apply the deferred writes to
+        its shard (caller must hold the lock): removes first, since an
+        id removed inside the window may have been added again.  After a
+        simulated crash the deferral queues are abandoned — the crashed
+        fleet can absorb nothing, and reopening recovers from disk
+        alone."""
+        shard = self._shards[self._maintenance_shard]
         self._maintenance_shard = None
-        if self._faults is not None and self._faults.crashed:
-            self._deferred_adds = []
-            self._deferred_removes = []
-            return
-        self._flush_deferred()
-
-    def _flush_deferred(self) -> None:
         adds, self._deferred_adds = self._deferred_adds, []
         removes, self._deferred_removes = self._deferred_removes, []
-        for summary in adds:
-            # Routed by the *current* partitioner: a rebalance that
-            # split the maintained shard sends the add to the right
-            # side of the new boundary.
-            target = self._partitioner.shard_for(summary)
-            self._shards[target].add_summary(summary)
-            self._membership[summary.video_id] = target
+        if self._faults is not None and self._faults.crashed:
+            return
         for video_id in removes:
-            # A deferred-removed mover can sit on source and copy both;
-            # scan physically so every copy goes.
-            for shard in self._shards:
-                if video_id in shard.video_ids():
-                    shard.remove(video_id)
-            self._membership.pop(video_id, None)
-
-    # ------------------------------------------------------------------
-    # Rebalancing
-    # ------------------------------------------------------------------
-    def rebalance(self) -> int | None:
-        """Split the hottest shard at its median routing key.
-
-        The hottest shard is the one that served the most queries (ties
-        break towards more videos).  Its videos above the median routing
-        key move to a new shard inserted right after it; the partitioner
-        gains the corresponding boundary.  Returns the new shard's index,
-        or ``None`` when no shard can be split (fewer than two distinct
-        routing keys on the hottest shard).
-
-        Concurrency: the bulk of the work — scanning the source and
-        copying the movers into the new shard — runs *outside* the
-        router lock, so queries keep being served from the source
-        throughout (the source stays authoritative until the commit
-        point).  A maintenance window defers writes aimed at the source
-        for the duration; everything else proceeds normally.  Only the
-        brief cutover (partitioner split, manifest, source trim) holds
-        the lock.
-
-        Durable fleets commit in an order that keeps every crash point
-        recoverable: the destination's content first (an orphan
-        directory the old manifest ignores), then the manifest (new
-        partitioner + shard list), then the source shard's removals.  A
-        crash between the last two leaves the moved videos on both
-        shards; reopening keeps only the partitioner-routed copy (see
-        :meth:`_reconcile`).
-        """
-        with self._lock:
-            self._check_writable()
-            if not isinstance(self._partitioner, KeyRangePartitioner):
-                raise ValueError(
-                    "rebalance() requires a KeyRangePartitioner (hash placement "
-                    "has no key ranges to split)"
-                )
-            populated = [s for s in self._shards if len(s) > 0]
-            if not populated:
-                return None
-            hottest = max(
-                populated, key=lambda s: (s.queries_served, len(s))
-            )
-            partitioner = self._partitioner
-            self._open_window(hottest.shard_id)
-        try:
-            # -- copy phase: no router lock held ------------------------
-            # The window freezes the source's content (writes to it are
-            # deferred), so the scan and the partitioner snapshot are
-            # consistent; concurrent queries read the same frozen pages.
-            summaries = hottest.summaries()
-            keyed = [
-                (partitioner.routing_key(summary), summary)
-                for summary in summaries
-            ]
-            keyed.sort(key=lambda pair: pair[0])
-            keys = [key for key, _ in keyed]
-            at = keys[(len(keys) - 1) // 2]
-            movers = [summary for key, summary in keyed if key > at]
-            if not movers:
-                return None  # all routing keys equal: nothing separates
-
-            with self._lock:
-                if self._path is not None:
-                    # A crashed earlier rebalance can leave an orphan
-                    # directory under the name we are about to reuse
-                    # (``created_shards`` reloads from the pre-crash
-                    # manifest); it was never in a manifest, so wipe it.
-                    orphan = os.path.join(
-                        self._path, f"shard-{self._created_shards:04d}"
-                    )
-                    if os.path.exists(orphan):
-                        shutil.rmtree(orphan)
-                new_shard = self._new_shard()
-            for summary in movers:
-                new_shard.add_summary(summary)
-            if self._path is not None:
-                # Commit point 1: the destination's content is durable
-                # *before* any membership changes.  Until the manifest
-                # lands this directory is an ignorable orphan.
-                new_shard.checkpoint()
-
-            # -- cutover: brief critical section ------------------------
-            with self._lock:
-                position = hottest.shard_id
-                self._partitioner = self._partitioner.split(position, at)
-                self._shards.insert(position + 1, new_shard)
-                for index, shard in enumerate(self._shards):
-                    shard.renumber(index)
-                # One more leg per query from now on.  No query is
-                # in flight (each holds this lock), so the old pool is
-                # idle and shuts down at once.
-                self._pool.shutdown()
-                self._pool = _scatter_pool(len(self._shards))
-                # Deferred writes flush against the split partitioner —
-                # an add past the boundary lands on the new shard.
-                self._close_window()
-                if self._path is not None:
-                    # Commit point 2: the fleet's new shape.  The movers
-                    # are now briefly on both shards; reconciliation
-                    # keeps the partitioner-routed (new) copy.
-                    self._write_manifest()
-                for summary in movers:
-                    # A deferred remove may have already taken a mover.
-                    if summary.video_id in hottest.video_ids():
-                        hottest.remove(summary.video_id)
-                if self._path is not None:
-                    # Commit point 3: source lets go.
-                    hottest.checkpoint()
-                self._membership = {}
-                for shard in self._shards:
-                    for video_id in shard.video_ids():
-                        self._membership[video_id] = shard.shard_id
-                return new_shard.shard_id
-        finally:
-            with self._lock:
-                if self._maintenance_shard is not None:
-                    self._close_window()
+            shard.remove(video_id)
+        for summary in adds:
+            shard.add_summary(summary)
 
     def rebuild_shard(self, position: int, *, reference: str | None = None):
         """Online reference-point rebuild of one shard (paper Sec 6.3.3).
@@ -1261,7 +1104,6 @@ class ShardedVideoDatabase:
             "reference": self._reference,
             "summarize_seed": self._seed,
             "next_video_id": self._next_video_id,
-            "created_shards": self._created_shards,
             "partitioner": self._partitioner.to_dict(),
             "shards": [
                 os.path.basename(shard.path) for shard in self._shards

@@ -105,11 +105,6 @@ class Shard:
         """Position of this shard in the fleet's shard list."""
         return self._shard_id
 
-    def renumber(self, shard_id: int) -> None:
-        """Reassign this shard's fleet position (rebalancing inserts a
-        shard mid-list, shifting the ones above the split)."""
-        self._shard_id = shard_id
-
     @property
     def database(self) -> VideoDatabase:
         """The underlying database (exposed for tests and tooling)."""

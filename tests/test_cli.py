@@ -329,6 +329,44 @@ class TestCheckSharded:
         assert "3 shards" in out
         assert "hash placement" in out
 
+    def _stray(self, path, video_id, *, move):
+        """Copy (``move=False``) or move a video onto the next shard,
+        writing the shard directory behind the router's back."""
+        from repro.shard import Shard, ShardedVideoDatabase
+
+        fleet = ShardedVideoDatabase(path=path)
+        owner = fleet.shard_of(video_id)
+        summary = next(
+            s for s in fleet.shards[owner].summaries() if s.video_id == video_id
+        )
+        if move:
+            fleet.remove(video_id)
+        fleet.close()
+        target = (owner + 1) % 3
+        shard = Shard(
+            target, epsilon=0.3, path=os.path.join(path, f"shard-{target:04d}")
+        )
+        shard.add_summary(summary)
+        shard.close()
+
+    def test_video_on_two_shards_fails(self, dataset_path, tmp_path, capsys):
+        path = str(tmp_path / "fleet")
+        self._build_fleet(dataset_path, path)
+        self._stray(path, 0, move=False)
+        assert main(["check", "--index", path]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot open fleet: video 0 is on shard" in err
+
+    def test_video_off_its_partitioned_shard_fails(
+        self, dataset_path, tmp_path, capsys
+    ):
+        path = str(tmp_path / "fleet")
+        self._build_fleet(dataset_path, path)
+        self._stray(path, 0, move=True)
+        assert main(["check", "--index", path]) == 1
+        err = capsys.readouterr().err
+        assert "error: placement: 1 video(s) off their partitioned shard" in err
+
     def test_missing_fleet_errors(self, tmp_path, capsys):
         # Neither a fleet nor a database: refused, and nothing created.
         nowhere = str(tmp_path / "nowhere")

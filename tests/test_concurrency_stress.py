@@ -91,7 +91,9 @@ def _run_threads(targets):
 def test_fleet_stress_runtime_graph_within_static(
     tracked, static_edges, tmp_path, seed
 ):
-    """Concurrent knn / checkpoint / rebalance on a durable fleet."""
+    """Concurrent knn / checkpoint / rebuild_shard on a durable fleet:
+    the rebuild opens and closes a maintenance window next to live
+    queries."""
     summaries = _summaries(seed)
     fleet = ShardedVideoDatabase(
         EPSILON,
@@ -114,10 +116,12 @@ def test_fleet_stress_runtime_graph_within_static(
         return run
 
     def maintain():
-        for _ in range(3):
-            fleet.checkpoint()
-        fleet.rebalance()
-        stop.set()
+        try:
+            for _ in range(3):
+                fleet.checkpoint()
+            fleet.rebuild_shard(0)
+        finally:
+            stop.set()
 
     errors = _run_threads([query(0), query(5), query(9), maintain])
     stop.set()

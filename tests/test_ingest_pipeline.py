@@ -14,7 +14,6 @@ from repro.core.index import VitriIndex
 from repro.core.summarize import summarize_video
 from repro.datasets.synthetic import DatasetConfig, generate_dataset
 from repro.ingest import (
-    DriftCheck,
     DriftMonitor,
     IngestBackpressure,
     IngestDraining,
@@ -451,67 +450,41 @@ class TestDrift:
         assert pipeline.rebuilds == 1
         group.close()
 
-    def test_fleet_drift_key_survives_renumbering(self):
-        """A rebalance between commit and rebuild must not retarget it.
-
-        Drift is keyed by shard *identity*; the position is resolved
-        only at rebuild time, so a concurrent split that renumbers the
-        fleet cannot aim the rebuild at the wrong shard.
-        """
-        home = Shard(0, epsilon=EPSILON)
-        for summary in make_summaries(6):
-            home.add_summary(summary)
-        home.database.build()
-
-        class FakeFleet(ShardedVideoDatabase):
-            """Only the surface the pipeline drives; no real fleet."""
-
-            path = None
-
-            def __init__(self, home):
-                self.home = home
-                self._shards = [home]
-                self.rebuilt = []
-
-            @property
-            def shards(self):
-                return tuple(self._shards)
-
-            def add_summary(self, summary):
-                return self.home.add_summary(summary)
-
-            def shard_of(self, video_id):
-                return self._shards.index(self.home)
-
-            def rebuild_shard(self, position):
-                self.rebuilt.append(self._shards[position])
-
-            def split_front(self):
-                # A rebalance-shaped renumbering: every existing
-                # position shifts by one.
-                self._shards.insert(0, Shard(0, epsilon=EPSILON))
-
-        fleet = FakeFleet(home)
-
-        class RenumberingMonitor(DriftMonitor):
-            """Forces a rebuild verdict, renumbering the fleet first."""
-
-            def observe(self, key, index, inserted=1):
-                fleet.split_front()
-                return DriftCheck(
-                    key=key, angle=1.0, threshold=0.1, rebuild=True
-                )
-
-        pipeline = IngestPipeline(
-            fleet, batch_size=4, drift=RenumberingMonitor()
+    def test_fleet_drift_rebuilds_the_owning_position(
+        self, tmp_path, monkeypatch
+    ):
+        """Fleet drift is keyed by shard position: each rebuild lands on
+        the position that drifted, and rankings stay oracle-exact."""
+        initial = make_summaries(12)
+        fleet = ShardedVideoDatabase(
+            EPSILON, num_shards=2, path=str(tmp_path / "fleet")
         )
-        pipeline.submit(make_summaries(7, seed=11, first_id=100)[6])
-        assert pipeline.pump() == 1
-        # The rebuild landed on the shard that drifted, at its *new*
-        # position — a positional key would have rebuilt the new shard
-        # sitting at the old position instead.
-        assert fleet.rebuilt == [home]
-        assert pipeline.rebuilds == 1
+        for summary in initial:
+            fleet.add_summary(summary)
+        fleet.checkpoint()
+        rebuilt = []
+        original = ShardedVideoDatabase.rebuild_shard
+
+        def recording(self, position, **kwargs):
+            rebuilt.append(position)
+            return original(self, position, **kwargs)
+
+        monkeypatch.setattr(ShardedVideoDatabase, "rebuild_shard", recording)
+        monitor = DriftMonitor(max_angle_degrees=2.0, check_every=4)
+        pipeline = IngestPipeline(fleet, batch_size=8, drift=monitor)
+        stream = rotated_summaries(16, seed=11, first_id=len(initial))
+        for summary in stream:
+            pipeline.submit(summary)
+        pipeline.drain()
+
+        assert rebuilt and set(rebuilt) <= {0, 1}
+        assert pipeline.rebuilds == len(rebuilt)
+        for position in set(rebuilt):
+            assert fleet.shards[position].database.epoch >= 1
+        oracle = VitriIndex.build(initial + stream, EPSILON)
+        for probe in (initial + stream)[::7]:
+            assert fleet.knn(probe, 5).videos == oracle.knn(probe, 5).videos
+        fleet.close()
 
     def test_stats_counters(self):
         pipeline = IngestPipeline(Shard(0, epsilon=EPSILON), batch_size=2)

@@ -424,6 +424,30 @@ class TestFrontDoorShedding:
         with pytest.raises(ServiceDraining, match="drained before"):
             queued.result(30.0)
 
+    def test_drain_keeps_its_budget_when_the_queue_is_full(self):
+        """Regression: with the queue full and the worker stuck, handing
+        out the stop signal waited for the stuck query to return."""
+        router = StubRouter()  # gate never set: worker blocks
+        door = FrontDoor(router, max_queue=1, workers=1, drain_timeout=0.2)
+        blocked = door.submit("blocked", 1)
+        assert router.started.wait(10.0)
+        queued = door.submit("queued", 1)  # the queue is now full
+        drainer = threading.Thread(target=door.drain)
+        drainer.start()
+        try:
+            drainer.join(5.0)
+            assert not drainer.is_alive()
+        finally:
+            router.gate.set()
+            drainer.join(30.0)
+        with pytest.raises(ServiceDraining, match="drained before"):
+            queued.result(30.0)
+        assert blocked.result(30.0) is not None
+        # The stuck worker exits once its query returns.
+        for thread in door._threads:
+            thread.join(10.0)
+            assert not thread.is_alive()
+
 
 class TestBucketTTL:
     """Regression: the per-client token-bucket map must not grow without

@@ -130,28 +130,6 @@ class TestKeyRangePartitioner:
         with pytest.raises(ValueError):
             KeyRangePartitioner([0.1] * MAX_SHARDS)  # too many shards
 
-    def test_split_inserts_boundary(self):
-        part = KeyRangePartitioner([0.4, 0.8])
-        split = part.split(1, 0.6)
-        assert split.boundaries == (0.4, 0.6, 0.8)
-        assert split.num_shards == 4
-        # Original is untouched (partitioners are immutable).
-        assert part.boundaries == (0.4, 0.8)
-
-    def test_split_validates(self):
-        part = KeyRangePartitioner([0.4, 0.8])
-        with pytest.raises(ValueError, match="shard_index"):
-            part.split(3, 0.5)
-        with pytest.raises(ValueError, match="outside"):
-            part.split(1, 0.9)  # 0.9 not in shard 1's range (0.4, 0.8]
-        with pytest.raises(ValueError, match="finite"):
-            part.split(0, float("nan"))
-
-    def test_split_edge_shards(self):
-        part = KeyRangePartitioner([0.5])
-        assert part.split(0, 0.2).boundaries == (0.2, 0.5)
-        assert part.split(1, 0.7).boundaries == (0.5, 0.7)
-
     def test_dict_round_trip(self, small_summaries):
         part = KeyRangePartitioner(
             [0.3, 0.6], reference_point=np.full(16, 0.1)

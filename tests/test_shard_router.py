@@ -3,10 +3,12 @@
 The load-bearing property is *exactness*: a sharded database must return
 rankings identical to an unsharded :class:`VitriIndex` over the same
 content, for every partitioner and fleet size, whether shards prune or
-not.  Everything else (durability, rebalancing, serving metrics, the
-scatter pool) builds on that.
+not.  Everything else (durability, the rebuild window, serving metrics,
+the scatter pool) builds on that.
 """
 
+import json
+import os
 import threading
 
 import numpy as np
@@ -240,8 +242,8 @@ class BarrierShard(Shard):
 class TestScatterPool:
     @staticmethod
     def barrier_fleet(summaries, num_shards, monkeypatch):
-        """A key-range fleet whose every shard, rebalance splits
-        included, is a :class:`BarrierShard`."""
+        """A key-range fleet whose every shard is a
+        :class:`BarrierShard`."""
         monkeypatch.setattr(router_module, "Shard", BarrierShard)
         monkeypatch.setattr(BarrierShard, "barrier", None)
         return make_fleet(summaries, "key_range", num_shards)
@@ -324,27 +326,6 @@ class TestScatterPool:
         assert workers
         fleet.crash()
         assert not any(thread.is_alive() for thread in workers)
-
-    def test_rebalance_keeps_every_leg_concurrent(
-        self, small_summaries, small_index, monkeypatch
-    ):
-        before = set(threading.enumerate())
-        fleet = self.barrier_fleet(small_summaries, 2, monkeypatch)
-        BarrierShard.barrier = threading.Barrier(2)
-        for query in small_summaries[:4]:
-            fleet.knn(query, 5)
-        old_workers = self.spawned(before)
-        BarrierShard.barrier = None
-        assert fleet.rebalance() is not None
-        assert fleet.num_shards == 3
-        # The smaller pool is gone, and three legs now meet at once.
-        assert not any(thread.is_alive() for thread in old_workers)
-        BarrierShard.barrier = threading.Barrier(3)
-        for query in small_summaries[:4]:
-            got = fleet.knn(query, 5)
-            assert got.videos == small_index.knn(query, 5).videos
-            assert len(got.scatter.shards_queried + got.scatter.shards_pruned) == 3
-        fleet.close()
 
 
 class TestMutation:
@@ -494,102 +475,143 @@ class TestDurability:
         reopened.close()
 
 
-class TestRebalance:
-    def test_requires_key_range(self, small_summaries):
-        fleet = make_fleet(small_summaries, "hash", 2)
-        with pytest.raises(ValueError, match="KeyRangePartitioner"):
-            fleet.rebalance()
+def put_on_shard(path, position, summary):
+    """Write ``summary`` straight into shard ``position``'s directory of
+    the fleet at ``path``, bypassing the router."""
+    stray = Shard(
+        position,
+        epsilon=EPSILON,
+        path=os.path.join(path, f"shard-{position:04d}"),
+    )
+    stray.add_summary(summary)
+    stray.checkpoint()
+    stray.close()
 
-    def test_splits_hottest_shard(self, small_summaries, small_index):
-        fleet = make_fleet(small_summaries, "key_range", 2)
-        for query in small_summaries[:4]:
-            fleet.knn(query, 5)
-        before = len(fleet)
-        new_shard = fleet.rebalance()
-        assert new_shard is not None
-        assert fleet.num_shards == 3
-        assert fleet.partitioner.num_shards == 3
-        assert len(fleet) == before  # nothing lost, nothing duplicated
-        assert [s.shard_id for s in fleet.shards] == [0, 1, 2]
-        # Exactness survives the split.
-        for query in small_summaries[:4]:
-            got = fleet.knn(query, 5)
-            expected = small_index.knn(query, 5)
-            assert got.videos == expected.videos
 
-    def test_durable_rebalance_survives_reopen(
-        self, small_summaries, small_index, tmp_path
+class TestFixedShards:
+    def test_reopen_raises_on_a_video_on_two_shards(
+        self, small_summaries, tmp_path
     ):
         path = str(tmp_path / "fleet")
-        fleet = make_fleet(small_summaries, "key_range", 2, path=path)
-        fleet.knn(small_summaries[0], 5)
-        assert fleet.rebalance() is not None
+        fleet = make_fleet(small_summaries[:1], "hash", 2, path=path)
+        other = 1 - fleet.shard_of(0)
         fleet.close()
+        put_on_shard(path, other, small_summaries[0])
+        with pytest.raises(
+            ValueError, match="video 0 is on shard 0 and on shard 1"
+        ):
+            ShardedVideoDatabase(path=path)
+
+    def test_read_only_router_raises_on_a_video_on_two_shards(
+        self, small_summaries
+    ):
+        shards = [Shard(i, epsilon=EPSILON) for i in range(2)]
+        for shard in shards:
+            shard.add_summary(small_summaries[3])
+        with pytest.raises(ValueError, match="video 3 is on shard 0"):
+            ShardedVideoDatabase.from_shards(shards, epsilon=EPSILON)
+
+    def test_directories_are_named_by_position(
+        self, small_summaries, tmp_path
+    ):
+        path = str(tmp_path / "fleet")
+        make_fleet(small_summaries, "hash", 3, path=path).close()
+        with open(os.path.join(path, "shards.json")) as handle:
+            manifest = json.load(handle)
+        assert manifest["shards"] == ["shard-0000", "shard-0001", "shard-0002"]
+        assert "created_shards" not in manifest
+
+    def test_reopens_an_older_manifest(
+        self, small_summaries, small_index, tmp_path
+    ):
+        """A manifest with ``created_shards`` and directories out of
+        position order still opens, from the names it lists."""
+        path = str(tmp_path / "fleet")
+        make_fleet(small_summaries, "key_range", 2, path=path).close()
+        manifest_path = os.path.join(path, "shards.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        os.rename(
+            os.path.join(path, "shard-0000"), os.path.join(path, "shard-0002")
+        )
+        manifest["shards"] = ["shard-0002", "shard-0001"]
+        manifest["created_shards"] = 3
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
         reopened = ShardedVideoDatabase(path=path)
-        assert reopened.num_shards == 3
+        assert [s.shard_id for s in reopened.shards] == [0, 1]
         assert len(reopened) == len(small_summaries)
-        got = reopened.knn(small_summaries[0], 5)
-        assert got.videos == small_index.knn(small_summaries[0], 5).videos
+        for query in small_summaries[:4]:
+            got = reopened.knn(query, 5)
+            assert got.videos == small_index.knn(query, 5).videos
         reopened.close()
 
-    def test_unsplittable_shard_returns_none(self, small_summaries):
-        # One video per populated shard: a single routing key never splits.
-        fleet = make_fleet(small_summaries[:1], "key_range", 2)
-        assert fleet.rebalance() is None
-        assert fleet.num_shards == 2
 
-    def test_queries_are_served_during_the_copy_phase(
-        self, small_summaries, small_index
-    ):
-        """Regression: rebalance must not hold the router lock while it
-        scans and copies the hottest shard.
-
-        The copy phase (``hottest.summaries()`` onward) is blocked on an
-        event while the main thread runs a query; if the router lock
-        were held across the copy — the old coarse-grained behaviour —
-        the query would deadlock against the blocked rebalance.
-        """
-        import threading
-
+    def test_regrow_recipe(self, small_summaries, small_index):
+        """A fleet grows by rebuilding: fit n + 1 key ranges over every
+        shard's summaries and add each one to a new fleet."""
         fleet = make_fleet(small_summaries, "key_range", 2)
+        summaries = [s for shard in fleet.shards for s in shard.summaries()]
+        grown = ShardedVideoDatabase(
+            EPSILON, partitioner=KeyRangePartitioner.fit(summaries, 3)
+        )
+        for summary in summaries:
+            grown.add_summary(summary)
+        assert grown.num_shards == 3
         for query in small_summaries[:4]:
-            fleet.knn(query, 5)
+            assert grown.knn(query, 5).videos == small_index.knn(query, 5).videos
 
-        copy_started = threading.Event()
-        release_copy = threading.Event()
-        for shard in fleet.shards:
-            original = shard.summaries
 
-            def blocking(original=original):
-                copy_started.set()
-                assert release_copy.wait(timeout=30.0)
-                return original()
+class TestRebuildWindow:
+    def test_queries_run_and_writes_defer_during_the_side_build(
+        self, small_summaries, tmp_path, monkeypatch
+    ):
+        """``rebuild_shard`` builds outside the router lock: queries are
+        served meanwhile, and writes aimed at the shard land when the
+        window closes — a remove and a re-add of one id in that order."""
+        import repro.ingest.cutover as cutover
 
-            shard.summaries = blocking
+        path = str(tmp_path / "fleet")
+        fleet = make_fleet(small_summaries, "key_range", 2, path=path)
+        fleet.checkpoint()
+        on_zero = [
+            s.video_id for s in small_summaries if fleet.shard_of(s.video_id) == 0
+        ]
+        readded, removed = on_zero[0], on_zero[1]
+        started, release = threading.Event(), threading.Event()
+        original = cutover.side_build
 
-        result: dict = {}
+        def blocking(database, **kwargs):
+            started.set()
+            assert release.wait(timeout=30.0)
+            return original(database, **kwargs)
 
-        def run_rebalance():
-            result["new_shard"] = fleet.rebalance()
-
-        rebalancer = threading.Thread(target=run_rebalance)
-        rebalancer.start()
+        monkeypatch.setattr(cutover, "side_build", blocking)
+        rebuilder = threading.Thread(target=fleet.rebuild_shard, args=(0,))
+        rebuilder.start()
         try:
-            assert copy_started.wait(timeout=30.0)
-            # The copy phase is parked; reads must still complete.
-            for query in small_summaries[:4]:
-                got = fleet.knn(query, 5)
-                expected = small_index.knn(query, 5)
-                assert got.videos == expected.videos
+            assert started.wait(timeout=30.0)
+            before = fleet.knn(small_summaries[0], 5).videos
+            assert before == VitriIndex.build(small_summaries, EPSILON).knn(
+                small_summaries[0], 5
+            ).videos
+            fleet.remove(readded)
+            fleet.remove(removed)
+            fleet.add_summary(small_summaries[readded])
+            # Deferred: shard 0 still holds both until the window closes.
+            assert {readded, removed} <= fleet.shards[0].video_ids()
         finally:
-            release_copy.set()
-            rebalancer.join(timeout=30.0)
-        assert not rebalancer.is_alive()
-        assert result["new_shard"] is not None
-        assert fleet.num_shards == 3
+            release.set()
+            rebuilder.join(timeout=30.0)
+        assert not rebuilder.is_alive()
+        assert fleet.shards[0].database.epoch >= 1
+        assert readded in fleet.shards[0].video_ids()
+        assert removed not in fleet.shards[0].video_ids()
+        remaining = [s for s in small_summaries if s.video_id != removed]
+        oracle = VitriIndex.build(remaining, EPSILON)
         for query in small_summaries[:4]:
-            got = fleet.knn(query, 5)
-            assert got.videos == small_index.knn(query, 5).videos
+            assert fleet.knn(query, 5).videos == oracle.knn(query, 5).videos
+        fleet.close()
 
 
 class TestShardUnit:
