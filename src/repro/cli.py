@@ -205,7 +205,8 @@ def _cmd_fleet_health(args: argparse.Namespace) -> int:
             f"{fleet.num_shards} shards"
         )
     finally:
-        fleet.close()
+        # Read-only: release the fleet without a checkpoint.
+        fleet.detach()
     rows = [
         (
             shard_id,
@@ -381,7 +382,8 @@ def _check_fleet(path: str) -> int:
             f"{fleet.partitioner.name} placement",
         )
     finally:
-        fleet.close()
+        # Read-only: release the fleet without a checkpoint.
+        fleet.detach()
 
 
 def _holds(path: str, *names: str) -> bool:

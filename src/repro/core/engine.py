@@ -17,14 +17,20 @@ of queries.  :class:`QueryEngine` is that serving layer:
   the tree's read path keeps no per-call state and the pool is
   lock-guarded.
 * **Result cache.**  A size-bounded LRU keyed on
-  ``(snapshot token, query fingerprint, k, method)`` memoises whole
-  results.  The fingerprint hashes the query's *content* (dimension,
-  frame count and every ViTri's position/radius/count), so equal
-  queries hit regardless of object identity; the snapshot token is the
-  index's :meth:`~repro.core.index.VitriIndex.content_token`, so a cache
-  carried across :meth:`QueryEngine.refresh` can never return a ranking
-  computed over different content.  A cache hit returns the memoised result,
-  including its original stats.
+  ``(snapshot token, query fingerprint, method)`` memoises each query's
+  ranking of *every* video it scored, as two numpy arrays (ids and
+  scores, 16 bytes a video).  ``k`` is not in the key: it only cuts the
+  ranking, which is a total order (score-descending, video-id
+  tie-break), so a hit for any ``k`` returns the ranking's first ``k``
+  entries — bit for bit the answer a fresh run at that ``k`` computes,
+  with the entry's stats, which no ``k`` changes.  A hit at the ``k``
+  the entry was computed for returns the memoised result object itself.
+  The fingerprint hashes the query's *content* (dimension, frame count
+  and every ViTri's position/radius/count), so equal queries hit
+  regardless of object identity; the snapshot token is the index's
+  :meth:`~repro.core.index.VitriIndex.content_token`, so a cache carried
+  across :meth:`QueryEngine.refresh` can never return a ranking computed
+  over different content.
 * **Page tier.**  ``range_cache_size > 0`` gives the engine's pool a
   spill segment of that many pages
   (:meth:`~repro.storage.buffer_pool.BufferPool.with_spill`): leaves
@@ -56,6 +62,7 @@ from repro.core.index import (
     KNNResult,
     VitriIndex,
     _check_query_args,
+    _Ranking,
     _run_query,
 )
 from repro.core.transform import OneDimensionalTransform
@@ -111,7 +118,8 @@ class QueryEngine:
     buffer_capacity:
         LRU capacity of the engine's private buffer pool.
     cache_size:
-        Maximum number of memoised results; ``0`` disables the cache.
+        Maximum number of memoised rankings, one per query and method
+        whatever ``k`` it is asked at; ``0`` disables the cache.
     range_cache_size:
         Pages in the pool's spill segment, the second cache tier; ``0``
         (default) disables the tier.  The engine holds at most
@@ -151,8 +159,9 @@ class QueryEngine:
         self._buffer_capacity = buffer_capacity
         self._range_cache_size = range_cache_size
         self._cache_size = cache_size
+        # (token, fingerprint, method) -> (ranking, k, result at that k).
         self._cache: OrderedDict[
-            tuple[str, str, int, str], KNNResult
+            tuple[str, str, str], tuple[_Ranking, int, KNNResult]
         ] = OrderedDict()
         self._cache_lock = make_lock("QueryEngine._cache_lock")
         self.cache_hits = 0
@@ -189,7 +198,7 @@ class QueryEngine:
     def refresh(self) -> None:
         """Re-snapshot after the underlying index was mutated.
 
-        Memoised results stay in the cache but become unreachable (their
+        Memoised rankings stay in the cache but become unreachable (their
         keys carry the old snapshot token) and age out of the LRU — a
         query can never be answered from a stale snapshot's ranking.
         Queries already running finish on the snapshot they started on.
@@ -215,17 +224,17 @@ class QueryEngine:
 
     @property
     def cache_size(self) -> int:
-        """Maximum number of memoised results (0 = caching disabled)."""
+        """Maximum number of memoised rankings (0 = caching disabled)."""
         return self._cache_size
 
     @property
     def cache_len(self) -> int:
-        """Number of results currently memoised."""
+        """Number of rankings currently memoised."""
         with self._cache_lock:
             return len(self._cache)
 
     def clear_cache(self) -> None:
-        """Drop every memoised result (hit/miss tallies are kept)."""
+        """Drop every memoised ranking (hit/miss tallies are kept)."""
         with self._cache_lock:
             self._cache.clear()
 
@@ -292,22 +301,24 @@ class QueryEngine:
         """
         snapshot = self._snapshot
         _check_query_args(query, k, method, snapshot.dim)
-        key = (snapshot.token, query_fingerprint(query), k, method)
+        key = (snapshot.token, query_fingerprint(query), method)
         if self._cache_size > 0:
             with self._cache_lock:
-                cached = self._cache.get(key)
-                if cached is not None:
+                entry = self._cache.get(key)
+                if entry is not None:
                     self._cache.move_to_end(key)
                     self.cache_hits += 1
-                    return cached
-                self.cache_misses += 1
+                else:
+                    self.cache_misses += 1
+            if entry is not None:
+                ranking, cached_k, cached = entry
+                return cached if k == cached_k else ranking.top(k)
 
         if cold:
             snapshot.pool.clear()
-        result = _run_query(
+        ranking = _run_query(
             query,
             method,
-            k,
             out_counters=out_counters,
             btree=snapshot.tree,
             codec=snapshot.codec,
@@ -315,10 +326,11 @@ class QueryEngine:
             epsilon=snapshot.epsilon,
             video_frames=snapshot.video_frames,
         )
+        result = ranking.top(k)
 
         if self._cache_size > 0:
             with self._cache_lock:
-                self._cache[key] = result
+                self._cache[key] = (ranking, k, result)
                 self._cache.move_to_end(key)
                 while len(self._cache) > self._cache_size:
                     self._cache.popitem(last=False)

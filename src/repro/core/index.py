@@ -42,6 +42,7 @@ import hashlib
 import struct
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,13 +170,27 @@ def _rank(
     )
 
 
-def _top_k(
-    video_ids: np.ndarray, scores: np.ndarray, k: int
-) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """:func:`_rank` over score arrays: *video_ids* must be ascending,
-    so a stable sort on the negated scores breaks ties by video id."""
-    order = np.argsort(-scores, kind="stable")[:k]
-    return tuple(video_ids[order].tolist()), tuple(scores[order].tolist())
+class _Ranking(NamedTuple):
+    """One query's ranking of every scored video, with its stats.
+
+    The arrays are in :func:`_rank` order (score-descending, video-id
+    tie-break), a total order, so the top-``k`` answer for any ``k`` is
+    their first ``k`` entries.  Nothing a query computes depends on
+    ``k``: its range searches, candidates and similarity evaluations,
+    hence its stats, are the same for every cut.
+    """
+
+    video_ids: np.ndarray
+    scores: np.ndarray
+    stats: QueryStats
+
+    def top(self, k: int) -> KNNResult:
+        """The top-``k`` answer: the ranking's first ``k`` entries."""
+        return KNNResult(
+            videos=tuple(self.video_ids[:k].tolist()),
+            scores=tuple(self.scores[:k].tolist()),
+            stats=self.stats,
+        )
 
 
 def _execute_query(
@@ -192,7 +207,7 @@ def _execute_query(
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Run one KNN candidate pass and return ``(video_ids, scores,
     candidates, ranges)`` — the scored videos as id-ascending arrays,
-    ready for :func:`_top_k`.
+    ready for :func:`_run_query`'s stable sort.
 
     This is the candidate pass under :func:`_run_query`: every page
     access, node visit and similarity evaluation it performs is recorded
@@ -333,15 +348,15 @@ def _execute_query(
 def _run_query(
     query: VideoSummary,
     method: str,
-    k: int,
     *,
     out_counters: CostCounters | None = None,
     **read_path,
-) -> KNNResult:
-    """The one query executor: candidate pass, top-``k``, stats.
+) -> _Ranking:
+    """The one query executor: candidate pass, ranking, stats.
 
     Everything that answers a query — :meth:`VitriIndex.knn` and the
-    serving :class:`~repro.core.engine.QueryEngine` — ends here.
+    serving :class:`~repro.core.engine.QueryEngine` — ends here and cuts
+    the returned :class:`_Ranking` with :meth:`_Ranking.top`.
     ``read_path`` is :func:`_execute_query`'s keyword set (which tree,
     codec, transform, ... to read through).
 
@@ -356,7 +371,9 @@ def _run_query(
         video_ids, scores, candidates, ranges = _execute_query(
             query, method, counters=counters, **read_path
         )
-        videos, kept_scores = _top_k(video_ids, scores, k)
+        # `_rank` over arrays: the ids are ascending, so a stable
+        # sort on the negated scores breaks ties by video id.
+        order = np.argsort(-scores, kind="stable")
     stats = QueryStats(
         page_requests=counters.page_requests,
         physical_reads=counters.page_reads,
@@ -368,7 +385,7 @@ def _run_query(
     )
     if out_counters is not None:
         out_counters.add(counters)
-    return KNNResult(videos=videos, scores=kept_scores, stats=stats)
+    return _Ranking(video_ids[order], scores[order], stats)
 
 
 class VitriIndex:
@@ -851,7 +868,6 @@ class VitriIndex:
         return _run_query(
             query,
             method,
-            k,
             out_counters=out_counters,
             btree=self._btree,
             codec=self._codec,
@@ -859,7 +875,7 @@ class VitriIndex:
             epsilon=self._epsilon,
             video_frames=self._video_frames,
             impl=impl,
-        )
+        ).top(k)
 
     # ------------------------------------------------------------------
     # Metadata persistence

@@ -259,10 +259,9 @@ class ReplicaSet:
         """Top-``k`` from the query's affine copy (bit-identical on all).
 
         Affinity keys on the video id alone, *not* ``(video id, k)``:
-        the result cache would tolerate spreading ``k`` variants over
-        different copies, but the page tier's locality is per query —
-        one copy whose pool holds a video's leaf pages serves every
-        ``k`` over them from memory.
+        the locality of both engine caches is per query — one copy's
+        result cache holds the query's whole ranking and answers every
+        ``k`` from it, and its pool holds the video's leaf pages.
         """
         copy = self._admitted(attempt, query.video_id)
         with copy.gate:

@@ -57,9 +57,18 @@ Answer memo
 -----------
 A read-only router (:meth:`ShardedVideoDatabase.from_shards`) keeps one
 LRU of up to :data:`MEMO_SIZE` complete answers keyed on
-``(query fingerprint, k, method)``, so a repeated query is answered
+``(query fingerprint, method)``, so a repeated query is answered
 before the router lock is taken and before any leg is sent.  Writable
 routers do not memoise.
+
+* **k.**  Each entry records the ``k`` it was computed for, and a
+  lookup at any ``k`` up to that one hits with the stored answer's
+  first ``k`` entries.  That is exact: the ranking is a total order
+  (score-descending, video-id tie-break), so a top-``k`` is a prefix of
+  every wider top-``k'``, and the merge of the shards' top-``k`` lists
+  is the top-``k`` of their union.  A wider ``k`` misses, and its
+  answer replaces the entry; a narrower answer replaces it only when
+  computed under other tokens.
 
 * **Admission.**  An answer is stored only if its scatter did no work:
   every leg came from its engine's result cache (all-zero stats but
@@ -73,9 +82,9 @@ routers do not memoise.
   *before* its scatter, and a lookup hits only while every shard still
   reports the same token; a ``None`` token (unknown content) is never
   stored, so it never matches.
-* **Cost.**  A hit returns the stored videos, scores and coverage
-  unchanged, with all-zero stats except its own ``wall_time`` and an
-  empty ``scatter.shards_queried``: it did no work.
+* **Cost.**  A hit returns the stored videos and scores (cut at its
+  ``k``) and coverage unchanged, with all-zero stats except its own
+  ``wall_time`` and an empty ``scatter.shards_queried``: it did no work.
 * **Faults.**  A hit sends no leg, so it neither consults nor updates
   the breakers or the fleet health, and ``fault_policy``/``fail_fast``
   do not apply to it.  A stored answer is served, complete, even while
@@ -743,14 +752,16 @@ class ShardedVideoDatabase:
         if self._memo_size:
             with Timer() as timer:
                 _check_query_shape(query, k, method)
-                key = (query_fingerprint(query), k, method)
+                key = (query_fingerprint(query), method)
                 tokens = tuple(
                     shard.content_token() for shard in self._memo_shards
                 )
-                stored = self._memo_lookup(key, tokens)
+                stored = self._memo_lookup(key, tokens, k)
             if stored is not None:
                 return replace(
                     stored,
+                    videos=stored.videos[:k],
+                    scores=stored.scores[:k],
                     stats=replace(_NO_WORK, wall_time=timer.elapsed),
                     scatter=ScatterStats(stored.scatter.shards_total, (), ()),
                 )
@@ -775,34 +786,40 @@ class ShardedVideoDatabase:
                 and None not in tokens
                 and replace(result.stats, wall_time=0.0) == _NO_WORK
             ):
-                self._memo_store(key, tokens, result)
+                self._memo_store(key, tokens, k, result)
             return result
 
     # ------------------------------------------------------------------
     # Answer memo (read-only routers)
     # ------------------------------------------------------------------
     def _memo_lookup(
-        self, key: tuple[str, int, str], tokens: tuple[str | None, ...]
+        self, key: tuple[str, str], tokens: tuple[str | None, ...], k: int
     ) -> ShardedKNNResult | None:
         """The stored answer for ``key`` if every shard still reports
-        the tokens it was computed under.  A closed router's memo is
+        the tokens it was computed under and it was computed for ``k``
+        or more; the caller cuts it at ``k``.  A closed router's memo is
         empty, so a closed router never hits: the query falls through
         to the locked path, which raises."""
         with self._memo_lock:
             entry = self._memo.get(key)
-            if entry is None or entry[0] != tokens:
+            if entry is None or entry[0] != tokens or entry[1] < k:
                 return None
             self._memo.move_to_end(key)
-            return entry[1]
+            return entry[2]
 
     def _memo_store(
         self,
-        key: tuple[str, int, str],
+        key: tuple[str, str],
         tokens: tuple[str | None, ...],
+        k: int,
         result: ShardedKNNResult,
     ) -> None:
+        """Store ``result``, computed for ``k`` under ``tokens``, unless
+        the entry already holds a wider answer under the same tokens."""
         with self._memo_lock:
-            self._memo[key] = (tokens, result)
+            entry = self._memo.get(key)
+            if entry is None or entry[0] != tokens or entry[1] < k:
+                self._memo[key] = (tokens, k, result)
             self._memo.move_to_end(key)
             while len(self._memo) > self._memo_size:
                 self._memo.popitem(last=False)
@@ -1176,6 +1193,19 @@ class ShardedVideoDatabase:
             self._closed = True
             with self._memo_lock:
                 self._memo.clear()
+
+    def detach(self) -> None:
+        """Release every shard and the scatter pool without a checkpoint.
+
+        The read-only exit: a fleet opened only to be inspected (the
+        ``check`` and ``fleet-health`` commands) leaves its manifest,
+        ``health.json`` and every shard's files as it found them, as
+        :meth:`~repro.core.database.VideoDatabase.detach` does for one
+        database.  Idempotent; durable fleets only.
+        """
+        with self._lock:
+            if not self._closed:
+                self.crash()
 
     def crash(self) -> None:
         """Testing seam: drop every shard's file handles, no checkpoints."""

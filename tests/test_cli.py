@@ -387,8 +387,9 @@ class TestCheckSharded:
     def test_failed_check_closes_the_fleet(
         self, dataset_path, tmp_path, capsys, monkeypatch
     ):
-        """Regression: a failing check returned before closing the
-        reopened fleet, leaking every shard's open files."""
+        """Regression: a failing check returned before releasing the
+        reopened fleet, leaking every shard's open files.  The release
+        is ``detach()``, which writes nothing."""
         import json
         import os
 
@@ -398,17 +399,61 @@ class TestCheckSharded:
         self._build_fleet(dataset_path, path)
         with open(os.path.join(path, "health.json"), "w") as handle:
             json.dump({"7": {"breaker_state": "closed"}}, handle)
-        closes = []
-        close = ShardedVideoDatabase.close
+        detaches = []
+        detach = ShardedVideoDatabase.detach
 
         def spy(self):
-            closes.append(self)
-            close(self)
+            detaches.append(self)
+            detach(self)
 
-        monkeypatch.setattr(ShardedVideoDatabase, "close", spy)
+        monkeypatch.setattr(ShardedVideoDatabase, "detach", spy)
         assert main(["check", "--index", path]) == 1
         assert "entry for shard 7" in capsys.readouterr().err
-        assert len(closes) == 1
+        assert len(detaches) == 1
+
+
+class TestInspectingWritesNothing:
+    """``check`` and ``fleet-health`` only read the fleet they open."""
+
+    def test_check_and_fleet_health_leave_every_file_as_it_was(
+        self, dataset_path, tmp_path, capsys
+    ):
+        path = str(tmp_path / "fleet")
+        TestCheckSharded()._build_fleet(dataset_path, path)
+        # Backdate every file, so any rewrite moves its mtime whatever
+        # the filesystem's timestamp resolution.
+        past = 1_000_000_000 * 10**9
+        files = sorted(
+            os.path.join(root, name)
+            for root, _, names in os.walk(path)
+            for name in names
+        )
+        assert os.path.join(path, "health.json") in files
+        for name in files:
+            os.utime(name, ns=(past, past))
+
+        def state():
+            contents = {}
+            for root, _, names in os.walk(path):
+                for name in names:
+                    full = os.path.join(root, name)
+                    with open(full, "rb") as handle:
+                        contents[full] = (handle.read(), os.stat(full).st_mtime_ns)
+            return contents
+
+        before = state()
+        assert main(["check", "--index", path]) == 0
+        assert main(["fleet-health", "--index", path]) == 0
+        capsys.readouterr()
+        after = state()
+        assert sorted(after) == files
+        for name in files:
+            assert after[name][0] == before[name][0], name
+            # Opening a database recovers its write-ahead log, which
+            # reopens (and so touches) db.wal with the same bytes; a
+            # read-only open that skips recovery is separate work.
+            if os.path.basename(name) != "db.wal":
+                assert after[name][1] == past, name
 
 
 class TestFleetHealth:

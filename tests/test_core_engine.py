@@ -212,13 +212,16 @@ class TestResultCache:
         assert logical_fields(cached.stats) == logical_fields(cold.stats)
         assert cached.stats.physical_reads > 0  # the cold run's reads
 
-    def test_key_includes_k_and_method(self, small_index, small_summaries):
+    def test_key_includes_method_not_k(self, small_index, small_summaries):
+        """``k`` only cuts the cached ranking, so asking again at another
+        ``k`` is a hit; the method still separates entries."""
         engine = QueryEngine(small_index, cache_size=8)
         engine.knn(small_summaries[0], 5)
         engine.knn(small_summaries[0], 6)
         engine.knn(small_summaries[0], 5, method="naive")
-        assert engine.cache_hits == 0
-        assert engine.cache_misses == 3
+        assert engine.cache_hits == 1
+        assert engine.cache_misses == 2
+        assert engine.cache_len == 2
 
     def test_lru_eviction(self, small_index, small_summaries):
         engine = QueryEngine(small_index, cache_size=1)
@@ -294,7 +297,7 @@ class TestDegenerate:
 class TestCacheEpoch:
     """Regression: the result-cache key must include a content token.
 
-    A fingerprint of only (query, k, method) would keep serving rankings
+    A fingerprint of only (query, method) would keep serving rankings
     computed over *old* content after the index mutates and the engine
     refreshes — the sharded router relies on this invalidation every time
     a shard's content changes between queries.
@@ -383,7 +386,7 @@ class TestCacheEpoch:
 
     def test_distinct_indexes_never_share_entries(self, small_summaries):
         """Two engines over different content must not collide even if
-        they see the same (query, k, method) triple."""
+        they see the same (query, method) pair."""
         left = VitriIndex.build(small_summaries[:10], EPSILON)
         right = VitriIndex.build(small_summaries[10:], EPSILON)
         assert left.content_token() != right.content_token()
@@ -428,3 +431,59 @@ class TestSimilarityRange:
         assert again is first
         assert (engine.cache_hits, engine.cache_misses) == (1, 1)
         assert counters.page_requests == 0
+
+
+def score_bits(result):
+    return tuple(score.hex() for score in result.scores)
+
+
+class TestKOnlyCutsTheRanking:
+    """One cached ranking answers every ``k``, bit for bit as an
+    uncached index run at that ``k``."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("method", ["composed", "naive"])
+    def test_hit_at_any_k_equals_a_fresh_run(self, seed, method):
+        summaries, index = build_corpus(seed)
+        every = index.num_videos
+        for query in summaries:
+            # The miss is at the smallest k, then at the largest: every
+            # later k is served from a narrower or a wider computation.
+            for first_k in (1, every):
+                engine = QueryEngine(index, buffer_capacity=64, cache_size=4)
+                engine.knn(query, first_k, method=method, cold=True)
+                for k in range(1, every + 1):
+                    counters = CostCounters()
+                    hit = engine.knn(
+                        query, k, method=method, cold=True, out_counters=counters
+                    )
+                    fresh = index.knn(query, k, method=method, cold=True)
+                    assert hit.videos == fresh.videos
+                    assert score_bits(hit) == score_bits(fresh)
+                    assert logical_fields(hit.stats) == logical_fields(
+                        fresh.stats
+                    )
+                    # A hit did no work, so it folds nothing.
+                    assert counters.snapshot() == CostCounters().snapshot()
+                assert engine.cache_misses == 1
+                assert engine.cache_hits == every
+
+    def test_refresh_hides_a_stale_ranking_at_every_k(self, small_summaries):
+        index = VitriIndex.build(small_summaries[:-1], EPSILON)
+        engine = QueryEngine(index, cache_size=8)
+        query = small_summaries[-1]
+        every = len(small_summaries)
+        stale = engine.knn(query, every)  # every video, cached
+        assert query.video_id not in stale.videos
+
+        index.insert_video(query)
+        engine.refresh()
+        for k in range(1, every + 1):
+            got = engine.knn(query, k)
+            want = index.knn(query, k)
+            assert got.videos == want.videos
+            assert score_bits(got) == score_bits(want)
+            assert got.videos[0] == query.video_id
+        # One miss under the new token; every other k was its hit.
+        assert engine.cache_misses == 2
+        assert engine.cache_hits == every - 1

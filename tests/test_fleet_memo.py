@@ -34,6 +34,7 @@ from repro.shard.resilience import FaultPolicy, RetryPolicy, ScatterError
 from repro.shard.router import ShardedVideoDatabase
 from repro.shard.shard import Shard
 from repro.utils.clock import VirtualClock
+from tests.test_golden_rankings import SEEDS, build_corpus
 from tests.test_replication import EPSILON, make_primary, make_summaries
 from tests.test_serve_network import build_fleet_dir
 
@@ -238,6 +239,115 @@ class TestMemo:
             assert not errors, errors
             assert len(hits) == 8 * 12
             assert any(hits)
+
+
+def uncached(summaries, count: int = 2) -> ShardedVideoDatabase:
+    """A router over shards that keep no result cache, so its memo
+    stays empty and every answer is computed afresh."""
+    return ShardedVideoDatabase.from_shards(
+        built_shards(summaries, count, cache_size=0), epsilon=EPSILON
+    )
+
+
+def assert_bits(got, want) -> None:
+    """Same videos, same score bits, same coverage."""
+    assert got.videos == want.videos
+    assert [score.hex() for score in got.scores] == [
+        score.hex() for score in want.scores
+    ]
+    assert got.coverage == want.coverage
+
+
+class TestMemoAcrossK:
+    """One entry per query and method: a smaller ``k`` is a prefix hit,
+    a larger one widens the entry."""
+
+    def test_a_smaller_k_is_a_prefix_hit(self, summaries):
+        with routers(built_shards(summaries)) as (memo, fresh), contextlib.closing(
+            uncached(summaries)
+        ) as oracle:
+            query = summaries[0]
+            stored = check_repeat(memo, fresh, query)  # stored at K
+            for k in range(1, K + 1):
+                got = memo.knn(query, k)
+                assert_hit(got)
+                assert got.videos == stored.videos[:k]
+                assert_bits(got, oracle.knn(query, k))
+
+    def test_a_larger_k_misses_and_widens_the_entry(self, summaries):
+        with routers(built_shards(summaries)) as (memo, _), contextlib.closing(
+            uncached(summaries)
+        ) as oracle:
+            query = summaries[0]
+            memo.knn(query, K)
+            memo.knn(query, K)  # stored at K
+            wide = 2 * K
+            widened = memo.knn(query, wide)
+            assert_miss(widened)
+            # Every engine serves the wider k from the ranking it cached.
+            assert widened.stats.similarity_computations == 0
+            assert_bits(widened, oracle.knn(query, wide))
+            for k in (wide, K, 1):
+                got = memo.knn(query, k)
+                assert_hit(got)
+                assert_bits(got, oracle.knn(query, k))
+
+    def test_a_narrower_answer_keeps_the_wider_entry(self, summaries):
+        """Two clients race: the wider answer is stored first, the
+        narrower one computed under the same tokens must not replace
+        it."""
+        with routers(built_shards(summaries)) as (memo, _):
+            query = summaries[0]
+            for _ in range(2):
+                narrow = memo.knn(query, K)
+            memo.knn(query, 2 * K)
+            wide = memo.knn(query, 2 * K)
+            assert_hit(wide)
+            key = (router_module.query_fingerprint(query), "composed")
+            tokens = tuple(shard.content_token() for shard in memo.shards)
+            memo._memo_store(key, tokens, K, narrow)
+            again = memo.knn(query, 2 * K)
+            assert_hit(again)
+            assert again.videos == wide.videos
+
+    @pytest.mark.parametrize("k", range(1, K + 1))
+    def test_a_moved_token_misses_at_every_k(self, summaries, k):
+        base, newcomer = summaries[:-1], summaries[-1]
+        shards = built_shards(base)
+        with routers(shards) as (memo, fresh), contextlib.closing(
+            uncached(summaries)
+        ) as oracle:
+            check_repeat(memo, fresh, newcomer)  # stored at K
+            shards[0].add_summary(newcomer)
+            moved = memo.knn(newcomer, k)
+            assert_miss(moved)
+            assert_bits(moved, oracle.knn(newcomer, k))
+            assert moved.videos[0] == newcomer.video_id
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_golden_corpora_over_tcp_equal_an_uncached_fleet(seed):
+    """k alternating 10/5, as the served benchmark asks it: every
+    answer, memo hits and prefix hits included, equals an uncached
+    fleet's bit for bit."""
+    golden, _ = build_corpus(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        fleet_dir = build_fleet_dir(tmp, golden)
+        with ShardedVideoDatabase(EPSILON, path=fleet_dir, cache_size=0) as db:
+            want = {
+                (query.video_id, k): db.knn(query, k)
+                for query in golden
+                for k in (10, 5)
+            }
+        hits = 0
+        with NetworkFleet(fleet_dir, mode="thread") as fleet:
+            for round_ in range(4):
+                for position, query in enumerate(golden):
+                    k = 10 if (round_ + position) % 2 == 0 else 5
+                    got = fleet.query_sync(query, k, timeout=60.0)
+                    assert_bits(got, want[query.video_id, k])
+                    hits += got.scatter.shards_queried == ()
+        assert hits > 0
 
 
 class TestContentMoves:
