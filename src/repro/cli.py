@@ -16,8 +16,8 @@ summarises the query video with the stored epsilon, and prints the
 ranked results plus the exact query cost.
 
 ``repro-video check`` verifies a directory without creating anything:
-a fleet (it holds ``shards.json``) shard by shard, plus its placement
-and its persisted ``health.json``; a single database like one shard.
+a fleet (it holds ``shards.json``) shard by shard, plus its placement;
+a single database like one shard.
 Each database gets every page frame's CRC32 checksum, every B+-tree
 invariant and the heap file's slot accounting.  Exit code 0 means
 consistent, 1 means corruption or a path holding neither.
@@ -25,9 +25,6 @@ consistent, 1 means corruption or a path holding neither.
 ``repro-video lint`` runs the project's own static-analysis pass
 (vilint; see ``docs/static_analysis.md``) over ``src/repro`` or any
 given paths.
-
-``repro-video fleet-health`` opens a durable fleet and prints each
-shard's health counters and breaker state.
 
 ``repro-video serve`` stands a durable fleet directory up as a network
 service: one shard server per shard (in-process threads or spawned
@@ -185,127 +182,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-
-def _cmd_fleet_health(args: argparse.Namespace) -> int:
-    from repro.shard.resilience import CircuitBreaker
-    from repro.shard.router import ShardedVideoDatabase
-    from repro.storage.serialization import ChecksumError
-
-    try:
-        # Reopening restores health.json (when present) into the
-        # registry, including reopening any persisted open breakers.
-        fleet = ShardedVideoDatabase(path=args.index)
-    except (ChecksumError, ValueError, OSError) as exc:
-        print(f"error: cannot open fleet: {exc}", file=sys.stderr)
-        return 1
-    try:
-        report = fleet.fleet_health()
-        title = (
-            f"fleet health: {len(fleet)} videos across "
-            f"{fleet.num_shards} shards"
-        )
-    finally:
-        # Read-only: release the fleet without a checkpoint.
-        fleet.detach()
-    rows = [
-        (
-            shard_id,
-            entry["breaker_state"],
-            entry["successes"],
-            entry["failures"],
-            entry["retries"],
-            entry["timeouts"],
-            entry["trips"],
-            f"{entry['p95_latency'] * 1e3:.1f}",
-        )
-        for shard_id, entry in report.items()
-    ]
-    print(
-        format_table(
-            [
-                "shard",
-                "breaker",
-                "ok",
-                "fail",
-                "retries",
-                "timeouts",
-                "trips",
-                "p95 ms",
-            ],
-            rows,
-            title=title,
-        )
-    )
-    skipped = [
-        shard_id
-        for shard_id, entry in report.items()
-        if entry["breaker_state"] != CircuitBreaker.CLOSED
-    ]
-    if skipped:
-        print(
-            f"\nwarning: shard(s) {skipped} have non-closed breakers and "
-            "would be skipped by degraded queries until a probe succeeds"
-        )
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.cli import run_lint
 
     return run_lint(args)
-
-
-def _check_fleet_health_file(path: str, num_shards: int) -> list[str]:
-    """Verify ``health.json`` (if present) against the fleet manifest.
-
-    Returns failure strings; prints the shards whose persisted breaker
-    state would make degraded queries skip them at open time.
-    """
-    import json
-
-    from repro.shard.resilience import CircuitBreaker
-
-    health_path = os.path.join(path, "health.json")
-    if not os.path.exists(health_path):
-        print("health: no health.json (fleet never served resilient queries)")
-        return []
-    try:
-        with open(health_path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        entries = {int(key): dict(value) for key, value in payload.items()}
-    except (ValueError, OSError) as exc:
-        return [f"health: cannot parse health.json: {exc}"]
-    failures: list[str] = []
-    valid_states = (
-        CircuitBreaker.CLOSED,
-        CircuitBreaker.OPEN,
-        CircuitBreaker.HALF_OPEN,
-    )
-    skipped: list[int] = []
-    for shard_id, entry in sorted(entries.items()):
-        if not 0 <= shard_id < num_shards:
-            failures.append(
-                f"health: entry for shard {shard_id} but the manifest "
-                f"lists only shards 0..{num_shards - 1}"
-            )
-            continue
-        state = entry.get("breaker_state", CircuitBreaker.CLOSED)
-        if state not in valid_states:
-            failures.append(
-                f"health: shard {shard_id} has unknown breaker state "
-                f"{state!r}"
-            )
-            continue
-        if state != CircuitBreaker.CLOSED:
-            skipped.append(shard_id)
-    if skipped:
-        print(
-            f"health: shard(s) {skipped} persisted non-closed breakers — "
-            "degraded queries will skip them at open until a probe succeeds"
-        )
-    else:
-        print(f"health: {len(entries)} shard record(s), all breakers closed")
-    return failures
 
 
 def _verify_database(index: VitriIndex, label: str) -> list[str]:
@@ -358,7 +238,7 @@ def _check_fleet(path: str) -> int:
         print(f"error: cannot open fleet: {exc}", file=sys.stderr)
         return 1
     try:
-        failures = _check_fleet_health_file(path, fleet.num_shards)
+        failures: list[str] = []
         misplaced = 0
         for shard in fleet.shards:
             label = f"shard {shard.shard_id}"
@@ -558,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Verify page checksums, B+-tree invariants and heap-file "
             "accounting of a database directory written by 'build', or "
-            "of every shard of a fleet directory plus its health.json."
+            "of every shard of a fleet directory plus its placement."
         ),
     )
     check.add_argument(
@@ -611,20 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds to wait for in-flight queries at shutdown",
     )
     serve.set_defaults(func=_cmd_serve)
-
-    fleet_health = commands.add_parser(
-        "fleet-health",
-        help="per-shard health and breaker state of a durable fleet",
-        description=(
-            "Open a ShardedVideoDatabase fleet directory (restoring "
-            "health.json) and print each shard's health counters, "
-            "breaker state and which shards degraded queries would skip."
-        ),
-    )
-    fleet_health.add_argument(
-        "--index", required=True, help="fleet directory"
-    )
-    fleet_health.set_defaults(func=_cmd_fleet_health)
 
     from repro.analysis.cli import build_parser as build_lint_parser
 

@@ -308,12 +308,6 @@ class CircuitBreaker:
         self._probes_succeeded = 0
         self.opens += 1
 
-    def force_open(self, now: float) -> None:
-        """Restore an OPEN state (reopening a persisted fleet)."""
-        with self._lock:
-            if self._state != self.OPEN:
-                self._open(now)
-
     def allow(self, now: float) -> bool:
         """Whether a request may be dispatched to the shard right now."""
         with self._lock:
@@ -409,8 +403,7 @@ class FleetHealth:
     breaker mid-flight would reset its window).
     """
 
-    def __init__(self, clock: Clock) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self._lock = make_lock("FleetHealth._lock")
         self._stats: dict[int, HealthStats] = {}
         self._breakers: dict[int, CircuitBreaker] = {}
@@ -472,31 +465,6 @@ class FleetHealth:
             entry["breaker_opens"] = breaker.opens if breaker is not None else 0
             report[shard_id] = entry
         return report
-
-    def restore(self, entries: dict[int, dict], policy: BreakerPolicy) -> None:
-        """Load persisted health (``health.json``) into the registry.
-
-        Counters are restored verbatim; a persisted ``open`` (or
-        ``half_open``) breaker reopens as OPEN with its cooldown starting
-        now — the shard stays skipped until a probe proves it healthy.
-        """
-        now = self._clock.now()
-        for shard_id, payload in entries.items():
-            stats = self.stats(shard_id)
-            with self._lock:
-                for key in (
-                    "successes",
-                    "failures",
-                    "consecutive_failures",
-                    "retries",
-                    "timeouts",
-                    "trips",
-                    "wasted_page_reads",
-                ):
-                    setattr(stats, key, int(payload.get(key, 0)))
-            state = payload.get("breaker_state", CircuitBreaker.CLOSED)
-            if state in (CircuitBreaker.OPEN, CircuitBreaker.HALF_OPEN):
-                self.breaker(shard_id, policy).force_open(now)
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,9 @@ a degraded query returns whatever the surviving shards answered plus a
 :class:`~repro.shard.resilience.Coverage` report saying exactly which
 shards are missing and whether the merged top-k is provably complete.
 Per-shard health lives in the router's
-:class:`~repro.shard.resilience.FleetHealth` registry and is persisted
-to ``health.json`` beside the manifest (advisory state: written with a
-plain atomic replace, never routed through the fault injector, so
-crash-point sweeps see identical op counts with or without it).
+:class:`~repro.shard.resilience.FleetHealth` registry, read through
+:meth:`ShardedVideoDatabase.fleet_health`.  It is runtime state: a
+reopened fleet starts with every breaker closed and every counter zero.
 
 Durability
 ----------
@@ -162,7 +161,6 @@ from repro.shard.resilience import (
     TIMED_OUT,
     TRIPPED,
     AttemptOutcome,
-    BreakerPolicy,
     CircuitBreaker,
     Coverage,
     FaultPolicy,
@@ -181,7 +179,6 @@ __all__ = ["ScatterStats", "ShardedKNNResult", "ShardedVideoDatabase"]
 
 _MANIFEST_FILE = "shards.json"
 _MANIFEST_FORMAT = 1
-_HEALTH_FILE = "health.json"
 
 #: Answers a read-only router memoises (see "Answer memo" above).
 MEMO_SIZE = 128
@@ -316,7 +313,7 @@ class ShardedVideoDatabase:
         self._cache_size = cache_size
         self._faults = fault_injector
         self._clock = clock if clock is not None else SystemClock()
-        self._health = FleetHealth(self._clock)
+        self._health = FleetHealth()
         self._path = os.fspath(path) if path is not None else None
         self._closed = False
         self._writable = True
@@ -410,7 +407,7 @@ class ShardedVideoDatabase:
         self._cache_size = 0
         self._faults = None
         self._clock = clock if clock is not None else SystemClock()
-        self._health = FleetHealth(self._clock)
+        self._health = FleetHealth()
         self._path = None
         # The shard list is fixed for a read-only router, so the memo's
         # copy of it is read without the router lock.
@@ -481,7 +478,6 @@ class ShardedVideoDatabase:
             for shard in self._shards:
                 shard.database.detach()
             raise
-        self._restore_health()
 
     def _reconcile(self) -> None:
         """Rebuild membership from the shards' own content.
@@ -549,11 +545,6 @@ class ShardedVideoDatabase:
                     f"video id {video_id} is not in the database"
                 )
             return self._membership[video_id]
-
-    @property
-    def health(self) -> FleetHealth:
-        """The live per-shard health + breaker registry."""
-        return self._health
 
     def fleet_health(self) -> dict[int, dict]:
         """Per-shard health report covering *every* shard in the fleet.
@@ -1112,7 +1103,6 @@ class ShardedVideoDatabase:
                 if len(shard) > 0 or shard.database.index is not None:
                     shard.checkpoint()
             self._write_manifest()
-            self._write_health()
 
     def _write_manifest(self) -> None:
         manifest = {
@@ -1131,47 +1121,6 @@ class ShardedVideoDatabase:
             json.dumps(manifest).encode("utf-8"),
             fault_injector=self._faults,
         )
-
-    def _write_health(self) -> None:
-        """Persist the fleet-health report beside the manifest.
-
-        Advisory observability state, not data: written with a plain
-        atomic replace and deliberately *not* routed through the fault
-        injector, so adding health persistence does not shift the op
-        counts of any crash-point sweep.
-        """
-        if self._path is None:
-            return
-        payload = {
-            str(shard_id): entry
-            for shard_id, entry in self.fleet_health().items()
-        }
-        final_path = os.path.join(self._path, _HEALTH_FILE)
-        tmp_path = final_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp_path, final_path)
-
-    def _restore_health(self) -> None:
-        """Load ``health.json`` (if present) into the health registry.
-
-        A persisted open (or half-open) breaker reopens as OPEN with its
-        cooldown restarting now, so a shard that was being skipped when
-        the fleet went down stays skipped until a probe clears it.  A
-        missing or corrupt file is ignored — health is advisory.
-        """
-        if self._path is None:
-            return
-        health_path = os.path.join(self._path, _HEALTH_FILE)
-        if not os.path.exists(health_path):
-            return
-        try:
-            with open(health_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            entries = {int(key): dict(value) for key, value in payload.items()}
-        except (ValueError, OSError):
-            return
-        self._health.restore(entries, BreakerPolicy())
 
     def close(self) -> None:
         """Checkpoint (durable, uncrashed fleets), then release every
@@ -1198,12 +1147,13 @@ class ShardedVideoDatabase:
         """Release every shard and the scatter pool without a checkpoint.
 
         The read-only exit: a fleet opened only to be inspected (the
-        ``check`` and ``fleet-health`` commands) leaves its manifest,
-        ``health.json`` and every shard's files as it found them, as
-        :meth:`~repro.core.database.VideoDatabase.detach` does for one
-        database.  Idempotent; durable fleets only.
+        ``check`` command) leaves its manifest and every shard's files as
+        it found them, as :meth:`~repro.core.database.VideoDatabase.detach`
+        does for one database.  Idempotent; durable fleets only.
         """
         with self._lock:
+            if self._path is None:
+                raise RuntimeError("detach() requires a durable fleet")
             if not self._closed:
                 self.crash()
 

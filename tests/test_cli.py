@@ -259,12 +259,12 @@ class TestParser:
             main([])
 
     def test_unknown_command(self):
-        # The retired legacy bench subcommands are unknown like any other.
+        # Retired subcommands are unknown like any other.
         retired = [
             f"bench-{name}"
             for name in ("serve", "shard", "faults", "service", "replication")
         ]
-        for command in ["frobnicate", *retired]:
+        for command in ["frobnicate", *retired, "fleet-health"]:
             with pytest.raises(SystemExit):
                 main([command])
 
@@ -390,15 +390,11 @@ class TestCheckSharded:
         """Regression: a failing check returned before releasing the
         reopened fleet, leaking every shard's open files.  The release
         is ``detach()``, which writes nothing."""
-        import json
-        import os
-
         from repro.shard import ShardedVideoDatabase
 
         path = str(tmp_path / "fleet")
         self._build_fleet(dataset_path, path)
-        with open(os.path.join(path, "health.json"), "w") as handle:
-            json.dump({"7": {"breaker_state": "closed"}}, handle)
+        flip_byte(os.path.join(path, "shard-0000", "index.btree"), 4096 + 50)
         detaches = []
         detach = ShardedVideoDatabase.detach
 
@@ -408,12 +404,12 @@ class TestCheckSharded:
 
         monkeypatch.setattr(ShardedVideoDatabase, "detach", spy)
         assert main(["check", "--index", path]) == 1
-        assert "entry for shard 7" in capsys.readouterr().err
+        assert "shard 0 checksum" in capsys.readouterr().err
         assert len(detaches) == 1
 
 
 class TestInspectingWritesNothing:
-    """``check`` and ``fleet-health`` only read the fleet they open."""
+    """``check`` only reads the fleet it opens."""
 
     def test_check_and_fleet_health_leave_every_file_as_it_was(
         self, dataset_path, tmp_path, capsys
@@ -428,7 +424,6 @@ class TestInspectingWritesNothing:
             for root, _, names in os.walk(path)
             for name in names
         )
-        assert os.path.join(path, "health.json") in files
         for name in files:
             os.utime(name, ns=(past, past))
 
@@ -443,7 +438,6 @@ class TestInspectingWritesNothing:
 
         before = state()
         assert main(["check", "--index", path]) == 0
-        assert main(["fleet-health", "--index", path]) == 0
         capsys.readouterr()
         after = state()
         assert sorted(after) == files
@@ -454,107 +448,6 @@ class TestInspectingWritesNothing:
             # read-only open that skips recovery is separate work.
             if os.path.basename(name) != "db.wal":
                 assert after[name][1] == past, name
-
-
-class TestFleetHealth:
-    def _faulted_fleet(self, dataset_path, path):
-        from repro.datasets.loader import VideoDataset
-        from repro.shard import (
-            BreakerPolicy,
-            FaultPolicy,
-            KeyRangePartitioner,
-            RetryPolicy,
-            ShardFault,
-            ShardFaultInjector,
-            ShardedVideoDatabase,
-        )
-        from repro.core.summarize import summarize_video
-        from repro.utils.clock import VirtualClock
-
-        dataset = VideoDataset.load(dataset_path)
-        summaries = [
-            summarize_video(i, dataset.frames(i), 0.3, seed=i)
-            for i in range(dataset.num_videos)
-        ]
-        fleet = ShardedVideoDatabase(
-            0.3,
-            partitioner=KeyRangePartitioner.fit(summaries, 3),
-            path=path,
-            clock=VirtualClock(),
-        )
-        for summary in summaries:
-            fleet.add_summary(summary)
-        fleet.inject_shard_faults(
-            ShardFaultInjector({1: [ShardFault.hard_down()]})
-        )
-        policy = FaultPolicy(
-            retry=RetryPolicy(max_attempts=2),
-            breaker=BreakerPolicy(
-                failure_rate=0.5, window=4, min_volume=2, cooldown=100.0
-            ),
-        )
-        for summary in summaries[:3]:
-            fleet.knn(
-                summary, 3, fault_policy=policy,
-                fail_fast=False,
-            )
-        # close() checkpoints, which persists health.json.
-        fleet.close()
-
-    def test_reports_persisted_breakers(self, dataset_path, tmp_path, capsys):
-        path = str(tmp_path / "fleet")
-        self._faulted_fleet(dataset_path, path)
-        assert main(["fleet-health", "--index", path]) == 0
-        out = capsys.readouterr().out
-        assert "fleet health" in out
-        assert "open" in out
-        assert "would be skipped" in out
-
-    def test_healthy_fleet_has_no_warning(self, dataset_path, tmp_path, capsys):
-        from repro.datasets.loader import VideoDataset
-        from repro.shard import ShardedVideoDatabase
-
-        path = str(tmp_path / "fleet")
-        dataset = VideoDataset.load(dataset_path)
-        fleet = ShardedVideoDatabase(
-            0.3, partitioner="hash", num_shards=2, path=path
-        )
-        for i in range(dataset.num_videos):
-            fleet.add(dataset.frames(i))
-        fleet.close()
-        assert main(["fleet-health", "--index", path]) == 0
-        out = capsys.readouterr().out
-        assert "fleet health" in out
-        assert "would be skipped" not in out
-
-    def test_missing_fleet_errors(self, tmp_path, capsys):
-        code = main(
-            ["fleet-health", "--index", str(tmp_path / "nowhere")]
-        )
-        assert code == 1
-        assert "cannot open fleet" in capsys.readouterr().err
-
-    def test_check_sharded_reports_skipped_shards(
-        self, dataset_path, tmp_path, capsys
-    ):
-        path = str(tmp_path / "fleet")
-        self._faulted_fleet(dataset_path, path)
-        assert main(["check", "--index", path]) == 0
-        out = capsys.readouterr().out
-        assert "persisted non-closed breakers" in out
-        assert "consistent" in out
-
-    def test_check_sharded_rejects_corrupt_health_file(
-        self, dataset_path, tmp_path, capsys
-    ):
-        import os
-
-        path = str(tmp_path / "fleet")
-        self._faulted_fleet(dataset_path, path)
-        with open(os.path.join(path, "health.json"), "w") as handle:
-            handle.write("{not json")
-        assert main(["check", "--index", path]) == 1
-        assert "cannot parse health.json" in capsys.readouterr().err
 
 
 class TestCheckSegments:

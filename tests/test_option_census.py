@@ -132,7 +132,7 @@ CENSUS = {
             "epsilon": WORKLOADS,
             "partitioner": WORKLOADS,
             "num_shards": WORKLOADS,
-            "path": f"{WORKLOADS}, {CLI} fleet-health",
+            "path": f"{WORKLOADS}, {CLI} check",
             "buffer_capacity": WORKLOADS,
             "cache_size": WORKLOADS,
             "fault_injector": SEAM,

@@ -13,6 +13,9 @@ Three load-bearing properties:
   :class:`CostCounters` bundle is ever double-counted.
 """
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,6 @@ from repro.shard import (
     Coverage,
     FaultInjectingShard,
     FaultPolicy,
-    FleetHealth,
     KeyRangePartitioner,
     RetryPolicy,
     ScatterError,
@@ -132,17 +134,9 @@ class TestRetryPolicy:
 # ---------------------------------------------------------------------------
 class TestHedgePolicy:
     def test_validation(self):
-        """The option is gone, and health files written while it existed
-        (extra ``hedges_fired`` / ``hedge_wins`` keys) still load."""
+        """The option is gone."""
         with pytest.raises(TypeError):
             FaultPolicy(hedge=object())
-        health = FleetHealth(VirtualClock())
-        health.restore(
-            {3: {"successes": 7, "hedges_fired": 2, "hedge_wins": 1}},
-            BreakerPolicy(),
-        )
-        assert health.snapshot()[3]["successes"] == 7
-        assert "hedges_fired" not in health.snapshot()[3]
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +190,6 @@ class TestCircuitBreaker:
         assert breaker.state == CircuitBreaker.OPEN
         assert breaker.opens == 2
         assert not breaker.allow(1.5)  # cooldown restarted at 1.0
-
-    def test_force_open(self):
-        breaker = CircuitBreaker(self.POLICY)
-        breaker.force_open(0.0)
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow(0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -701,55 +689,84 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Health persistence (health.json)
+# Health is runtime state: nothing on disk carries it across a reopen
 # ---------------------------------------------------------------------------
-class TestHealthPersistence:
-    def test_open_breaker_survives_reopen(self, small_summaries, tmp_path):
-        path = str(tmp_path / "fleet")
-        fleet = make_fleet(small_summaries, path=path)
-        fleet.inject_shard_faults(
-            ShardFaultInjector({DOWN_SHARD: [ShardFault.hard_down()]})
-        )
-        policy = FaultPolicy(
-            retry=RetryPolicy(max_attempts=2),
-            breaker=BreakerPolicy(
-                failure_rate=0.5, window=4, min_volume=2, cooldown=100.0
-            ),
-        )
-        for query in small_summaries[:3]:
-            fleet.knn(
-                query, 5, fault_policy=policy, fail_fast=False
-            )
-        before = fleet.fleet_health()
-        assert before[DOWN_SHARD]["breaker_state"] == "open"
-        fleet.close()
+OLD_HEALTH_FILES = {
+    "open_breaker": json.dumps(
+        {
+            "0": {
+                "breaker_state": "open",
+                "breaker_opens": 3,
+                "successes": 4,
+                "failures": 9,
+                "consecutive_failures": 5,
+                "retries": 6,
+                "timeouts": 2,
+                "trips": 7,
+            }
+        }
+    ),
+    "out_of_range_shard": json.dumps({"7": {"breaker_state": "closed"}}),
+    "unparseable": "{not json",
+}
 
-        reopened = ShardedVideoDatabase(path=path, clock=VirtualClock())
-        after = reopened.fleet_health()
-        assert after[DOWN_SHARD]["breaker_state"] == "open"
-        assert after[DOWN_SHARD]["failures"] == before[DOWN_SHARD]["failures"]
-        assert after[DOWN_SHARD]["retries"] == before[DOWN_SHARD]["retries"]
-        # The restored breaker keeps failing fast until its cooldown.
-        got = reopened.knn(
-            small_summaries[0],
-            5,
-            fault_policy=policy,
-            fail_fast=False,
-        )
-        assert got.coverage.shards_tripped == (DOWN_SHARD,)
-        reopened.close()
 
-    def test_healthy_fleet_reopens_closed(self, small_summaries, tmp_path):
+class TestHealthIsNotPersisted:
+    def test_checkpoint_writes_only_the_manifest_and_shards(
+        self, small_summaries, tmp_path
+    ):
         path = str(tmp_path / "fleet")
-        fleet = make_fleet(small_summaries, path=path)
+        fleet = make_fleet(small_summaries, num_shards=2, path=path)
         fleet.knn(small_summaries[0], 5, fault_policy=FaultPolicy())
+        fleet.checkpoint()
+        assert sorted(os.listdir(path)) == [
+            "shard-0000",
+            "shard-0001",
+            "shards.json",
+        ]
         fleet.close()
-        reopened = ShardedVideoDatabase(path=path, clock=VirtualClock())
-        health = reopened.fleet_health()
-        assert all(
-            entry["breaker_state"] == "closed" for entry in health.values()
+
+    @pytest.mark.parametrize("variant", sorted(OLD_HEALTH_FILES))
+    def test_old_health_file_is_ignored(
+        self, small_summaries, tmp_path, capsys, variant
+    ):
+        """A ``health.json`` left by an older version neither trips a
+        shard nor fails ``check``, and is left as it was."""
+        from repro.cli import main
+
+        path = str(tmp_path / "fleet")
+        make_fleet(small_summaries, num_shards=2, path=path).close()
+        health_path = os.path.join(path, "health.json")
+        payload = OLD_HEALTH_FILES[variant].encode("utf-8")
+        with open(health_path, "wb") as handle:
+            handle.write(payload)
+
+        fleet = ShardedVideoDatabase(path=path, clock=VirtualClock())
+        health = fleet.fleet_health()
+        assert sorted(health) == [0, 1]
+        for entry in health.values():
+            assert entry["breaker_state"] == CircuitBreaker.CLOSED
+            assert entry["breaker_opens"] == 0
+            for key in (
+                "successes",
+                "failures",
+                "consecutive_failures",
+                "retries",
+                "timeouts",
+                "trips",
+                "wasted_page_reads",
+            ):
+                assert entry[key] == 0, key
+        got = fleet.knn(
+            small_summaries[0], 5, fault_policy=FaultPolicy(), fail_fast=False
         )
-        reopened.close()
+        assert got.coverage.complete
+        fleet.close()
+
+        assert main(["check", "--index", path]) == 0
+        assert "health:" not in capsys.readouterr().out
+        with open(health_path, "rb") as handle:
+            assert handle.read() == payload
 
 
 # ---------------------------------------------------------------------------

@@ -465,6 +465,8 @@ class TestDurability:
             fleet.checkpoint()
         with pytest.raises(RuntimeError, match="durable"):
             fleet.crash()
+        with pytest.raises(RuntimeError, match=r"^detach\(\) requires a"):
+            fleet.detach()
 
     def test_context_manager_closes(self, small_summaries, tmp_path):
         path = str(tmp_path / "fleet")
