@@ -27,20 +27,19 @@ answers an empty result marked ``pruned``, which the router counts as
 pruned rather than queried.  The proof travels in the query's own
 request, so over the wire pruning costs no extra round-trip.  A shard
 that cannot be reached never proved anything, so it counts as failed,
-never as pruned.  Under a
-:class:`~repro.shard.partitioner.KeyRangePartitioner` nearby videos
-share shards, so selective queries typically search one or two shards.
+never as pruned.  Measured, no shard prunes: traced ``router.pruned_frac``
+is 0 on every e2e workload, the key-range fleet included (ROADMAP item 11).
 
 Scatter
 -------
-The legs of one query run in parallel: the calling thread runs the first
-leg itself and hands the rest to a thread pool the router owns for its
-whole life.  A fleet keeps the shards it was built with, so the pool is
-built once with shards - 1 workers and no leg waits for another.  Each
-leg runs in its own copy of the caller's :mod:`contextvars` context, so
-per-leg state (a :class:`~repro.utils.clock.VirtualClock`'s sleeps)
-starts from the caller's and never leaks into a later leg that reuses
-the worker.
+A fleet built by :class:`ShardedVideoDatabase` owns in-process shards,
+whose legs are Python and numpy under one interpreter lock, so the
+calling thread runs them one after another in shard order.  A read-only
+router (:meth:`ShardedVideoDatabase.from_shards`), whose legs typically
+wait on sockets, runs the first leg on the calling thread and the rest
+on a pool of shards - 1 workers it owns for life.  Each leg runs in its
+own copy of the caller's :mod:`contextvars` context, so per-leg state (a
+:class:`~repro.utils.clock.VirtualClock`'s sleeps) never leaks.
 
 Cost accounting
 ---------------
@@ -50,8 +49,7 @@ bundle (the ``out_counters`` seam); the router sums the bundles into one
 bundle and builds the global :class:`~repro.core.index.QueryStats` from
 that bundle alone, never by re-aggregating per-shard ``QueryStats``
 objects (enforced by the ``counter-discipline`` lint rule).  Wall time
-is the router's own scatter-to-merge span, so overlap across shards is
-visible as ``wall_time`` < sum of per-shard times.
+is the router's own scatter-to-merge span.
 
 Answer memo
 -----------
@@ -130,9 +128,8 @@ from __future__ import annotations
 # deliberately coarse: it serialises fleet mutations (checkpoint,
 # close, a rebuild's cutover) against whole queries, so scatters,
 # shard sub-queries and manifest writes all run under it by design.
-# Per-shard parallelism is preserved: no scatter leg takes this lock (the
-# legs on pool workers never hold it; the one on the calling thread runs
-# under the caller's hold).
+# Every in-process leg runs on the calling thread under the caller's
+# hold; only a read-only router's pool legs run without it.
 
 import contextvars
 import json
@@ -195,15 +192,6 @@ def _check_query_shape(query: VideoSummary, k: int, method: str) -> None:
         raise ValueError(
             f"method must be 'composed' or 'naive', got {method!r}"
         )
-
-
-def _scatter_pool(num_shards: int) -> ThreadPoolExecutor:
-    """A scatter pool for a fleet of ``num_shards``: the calling thread
-    runs one leg, so ``num_shards - 1`` workers start every other leg at
-    once.  Workers spawn on first use, so an idle router costs none."""
-    return ThreadPoolExecutor(
-        max_workers=max(1, num_shards - 1), thread_name_prefix="shard-query"
-    )
 
 
 @dataclass(frozen=True)
@@ -333,6 +321,7 @@ class ShardedVideoDatabase:
         self._memo_size = 0
         self._memo_shards: tuple[ShardLike, ...] = ()
         self._memo: OrderedDict[tuple, tuple] = OrderedDict()
+        self._pool: ThreadPoolExecutor | None = None  # legs run inline
 
         manifest_path = (
             os.path.join(self._path, _MANIFEST_FILE)
@@ -343,7 +332,6 @@ class ShardedVideoDatabase:
             self._reopen(manifest_path)
         else:
             self._create(partitioner, num_shards)
-        self._pool = _scatter_pool(len(self._shards))
 
     def _create(
         self, partitioner: Partitioner | str, num_shards: int | None
@@ -391,7 +379,8 @@ class ShardedVideoDatabase:
         shard's own content; every mutating or durability operation
         raises, because the shards' files belong to whichever process
         serves them.  The router memoises complete answers (see "Answer
-        memo" in the module docstring).
+        memo" in the module docstring) and overlaps the legs of a query
+        on a pool it owns (see "Scatter").
         """
         if not shards:
             raise ValueError("from_shards needs at least one shard")
@@ -428,7 +417,9 @@ class ShardedVideoDatabase:
             # Placement is owned by whoever built the shards; this
             # partitioner exists only so introspection keeps working.
             self._partitioner = make_partitioner("hash", len(shards))
-            self._pool = _scatter_pool(len(shards))
+            self._pool = ThreadPoolExecutor(
+                max(1, len(shards) - 1), thread_name_prefix="shard-query"
+            )
         return self
 
     def _open_shard(self, position: int, name: str) -> Shard:
@@ -945,27 +936,29 @@ class ShardedVideoDatabase:
     def _fan_out(
         self, shards: list[ShardLike], run_one: Callable[[ShardLike], object]
     ) -> list:
-        """``run_one(shard)`` on every shard in parallel; results in
-        shard order.  The calling thread runs the first leg and the
-        router's pool the rest, each leg in its own copy of the caller's
-        context.  Whatever ``run_one`` raises aborts the query with a
-        :class:`ScatterError` carrying *every* shard's error, attributed
-        per shard."""
+        """``run_one(shard)`` on every shard; results in shard order.
+        Each leg runs in its own copy of the caller's context: all of
+        them on the calling thread in shard order, or, with a pool, the
+        first there and the rest on the pool.  An ``Exception`` from
+        ``run_one`` aborts the query with a :class:`ScatterError`
+        carrying *every* shard's error, attributed per shard; anything
+        else (``KeyboardInterrupt``, ``SystemExit``) propagates at once."""
         results: list = [None] * len(shards)
-        errors: dict[int, BaseException] = {}
+        errors: dict[int, Exception] = {}
 
         def run(position: int) -> None:
             try:
                 results[position] = run_one(shards[position])
-            except BaseException as exc:  # propagate to the caller
+            except Exception as exc:  # raised below, with its siblings'
                 errors[shards[position].shard_id] = exc
 
+        inline = len(shards) if self._pool is None else min(1, len(shards))
         legs = [
             self._pool.submit(contextvars.copy_context().run, run, position)
-            for position in range(1, len(shards))
+            for position in range(inline, len(shards))
         ]
-        if shards:
-            contextvars.copy_context().run(run, 0)
+        for position in range(inline):
+            contextvars.copy_context().run(run, position)
         for leg in legs:
             leg.result()
         if errors:
@@ -1124,7 +1117,7 @@ class ShardedVideoDatabase:
 
     def close(self) -> None:
         """Checkpoint (durable, uncrashed fleets), then release every
-        shard and the scatter pool.  Idempotent."""
+        shard.  Idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -1138,13 +1131,14 @@ class ShardedVideoDatabase:
                 self.checkpoint()
             for shard in self._shards:
                 shard.close()
-            self._pool.shutdown()
+            if self._pool is not None:
+                self._pool.shutdown()
             self._closed = True
             with self._memo_lock:
                 self._memo.clear()
 
     def detach(self) -> None:
-        """Release every shard and the scatter pool without a checkpoint.
+        """Release every shard without a checkpoint.
 
         The read-only exit: a fleet opened only to be inspected (the
         ``check`` command) leaves its manifest and every shard's files as
@@ -1165,7 +1159,6 @@ class ShardedVideoDatabase:
             self._closed = True
             for shard in self._shards:
                 shard.crash()
-            self._pool.shutdown()
 
     def __enter__(self) -> "ShardedVideoDatabase":
         return self

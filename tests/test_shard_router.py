@@ -4,7 +4,7 @@ The load-bearing property is *exactness*: a sharded database must return
 rankings identical to an unsharded :class:`VitriIndex` over the same
 content, for every partitioner and fleet size, whether shards prune or
 not.  Everything else (durability, the rebuild window, serving metrics,
-the scatter pool) builds on that.
+where the legs run) builds on that.
 """
 
 import json
@@ -23,10 +23,10 @@ from repro.shard import (
     KeyRangePartitioner,
     Shard,
     ShardedVideoDatabase,
+    ShardFault,
     ShardFaultInjector,
 )
-from repro.shard import router as router_module
-from repro.utils.clock import VirtualClock
+from repro.utils.clock import Clock, VirtualClock
 from tests.threshold_recipe import at_least
 
 EPSILON = 0.3
@@ -239,14 +239,36 @@ class BarrierShard(Shard):
         return super().knn(query, k, **kwargs)
 
 
+class SharedClock(Clock):
+    """Virtual time with one reading for every thread and context, so a
+    query's clock adds up the sleeps of all its legs."""
+
+    def __init__(self) -> None:
+        self.time = 0.0
+
+    def now(self) -> float:
+        return self.time
+
+    def sleep(self, seconds: float) -> None:
+        self.time += max(0.0, seconds)
+
+
 class TestScatterPool:
+    """A fleet that owns in-process shards runs every leg on the calling
+    thread; only a read-only router (``from_shards``) has a pool."""
+
     @staticmethod
-    def barrier_fleet(summaries, num_shards, monkeypatch):
-        """A key-range fleet whose every shard is a
-        :class:`BarrierShard`."""
-        monkeypatch.setattr(router_module, "Shard", BarrierShard)
-        monkeypatch.setattr(BarrierShard, "barrier", None)
-        return make_fleet(summaries, "key_range", num_shards)
+    def read_only_router(summaries, num_shards, **shard_kwargs):
+        """A read-only router over a key-range split of ``summaries``
+        into :class:`BarrierShard` instances."""
+        partitioner = KeyRangePartitioner.fit(list(summaries), num_shards)
+        shards = [
+            BarrierShard(position, epsilon=EPSILON, **shard_kwargs)
+            for position in range(num_shards)
+        ]
+        for summary in summaries:
+            shards[partitioner.shard_for(summary)].add_summary(summary)
+        return ShardedVideoDatabase.from_shards(shards, epsilon=EPSILON)
 
     @staticmethod
     def spawned(before) -> list[threading.Thread]:
@@ -256,33 +278,70 @@ class TestScatterPool:
             if thread not in before and thread.name.startswith("shard-query")
         ]
 
-    def test_legs_run_concurrently(
-        self, small_summaries, small_index, monkeypatch
+    def test_writable_fleet_runs_every_leg_on_the_caller(
+        self, small_summaries, monkeypatch
     ):
-        fleet = self.barrier_fleet(small_summaries, 4, monkeypatch)
-        BarrierShard.barrier = threading.Barrier(4)
-        for query in small_summaries[:4]:
-            got = fleet.knn(query, 5)
-            assert got.videos == small_index.knn(query, 5).videos
-            assert len(got.scatter.shards_queried + got.scatter.shards_pruned) == 4
-        fleet.close()
-
-    def test_thread_count_stays_flat(self, small_summaries, monkeypatch):
-        """200 queries of four legs run on the caller plus at most three
-        pool workers, never on a thread per leg."""
+        """Legs run inline, one after another in shard order, and no
+        scatter worker is ever started."""
+        before = set(threading.enumerate())
         fleet = make_fleet(small_summaries, "hash", 4)
-        ran_on = set()
+        populated = [shard.shard_id for shard in fleet.shards if len(shard)]
+        legs = []
         original = Shard.knn
 
         def recording(self, query, k, **kwargs):
-            ran_on.add(threading.current_thread())
+            legs.append((threading.current_thread(), self.shard_id))
             return original(self, query, k, **kwargs)
 
         monkeypatch.setattr(Shard, "knn", recording)
-        for position in range(200):
-            fleet.knn(small_summaries[position % len(small_summaries)], 5)
-        assert threading.current_thread() in ran_on
-        assert len(ran_on) <= 4
+        for query in small_summaries[:5]:
+            fleet.knn(query, 5)
+        caller = threading.current_thread()
+        assert legs == [(caller, shard_id) for shard_id in populated] * 5
+        assert self.spawned(before) == []
+        fleet.close()
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_leaves_the_query_at_once(
+        self, small_summaries, monkeypatch, interrupt
+    ):
+        """An interrupt in a leg is not a shard fault: it propagates as
+        itself, not as a ScatterError, and no later leg runs."""
+        fleet = make_fleet(small_summaries, "hash", 4)
+        ran = []
+        original = Shard.knn
+
+        def interrupted(self, query, k, **kwargs):
+            ran.append(self.shard_id)
+            if len(ran) == 1:
+                raise interrupt
+            return original(self, query, k, **kwargs)
+
+        monkeypatch.setattr(Shard, "knn", interrupted)
+        with pytest.raises(interrupt):
+            fleet.knn(small_summaries[0], 5)
+        assert len(ran) == 1
+        fleet.close()
+
+    def test_a_deadline_bounds_each_inline_leg_not_the_query(
+        self, small_summaries, small_index
+    ):
+        """Each leg's budget starts when the leg does, so an in-process
+        query is bounded by the sum of its legs' budgets: legs that each
+        fit the budget all answer, though together they overrun it."""
+        clock = SharedClock()
+        fleet = make_fleet(small_summaries, "hash", 4, clock=clock)
+        populated = [shard.shard_id for shard in fleet.shards if len(shard)]
+        fleet.inject_shard_faults(
+            ShardFaultInjector(
+                {shard_id: [ShardFault.slow(0.75)] for shard_id in populated}
+            )
+        )
+        query = small_summaries[0]
+        got = fleet.knn(query, 5, fault_policy=FaultPolicy(deadline=1.0))
+        assert got.coverage.shards_answered == tuple(populated)
+        assert got.videos == small_index.knn(query, 5).videos
+        assert clock.now() == 0.75 * len(populated) > 1.0
         fleet.close()
 
     def test_leg_sleeps_never_leak_into_later_legs(
@@ -307,24 +366,46 @@ class TestScatterPool:
         assert clock.now() == 0.0
         fleet.close()
 
+    def test_legs_run_concurrently(
+        self, small_summaries, small_index, monkeypatch
+    ):
+        """A read-only router's four legs all wait at one barrier: the
+        caller runs one, three pool workers the rest."""
+        router = self.read_only_router(small_summaries, 4)
+        monkeypatch.setattr(BarrierShard, "barrier", threading.Barrier(4))
+        for query in small_summaries[:4]:
+            got = router.knn(query, 5)
+            assert got.videos == small_index.knn(query, 5).videos
+            assert len(got.scatter.shards_queried + got.scatter.shards_pruned) == 4
+        router.close()
+
+    def test_thread_count_stays_flat(self, small_summaries, monkeypatch):
+        """200 queries of four legs on a read-only router run on the
+        caller plus at most three pool workers, never on a thread per
+        leg.  Shards without a result cache keep the memo empty, so
+        every query scatters."""
+        router = self.read_only_router(small_summaries, 4, cache_size=0)
+        ran_on = set()
+        original = Shard.knn
+
+        def recording(self, query, k, **kwargs):
+            ran_on.add(threading.current_thread())
+            return original(self, query, k, **kwargs)
+
+        monkeypatch.setattr(Shard, "knn", recording)
+        for position in range(200):
+            router.knn(small_summaries[position % len(small_summaries)], 5)
+        assert threading.current_thread() in ran_on
+        assert 1 < len(ran_on) <= 4
+        router.close()
+
     def test_no_worker_outlives_close(self, small_summaries):
         before = set(threading.enumerate())
-        fleet = make_fleet(small_summaries, "hash", 4)
-        fleet.knn(small_summaries[0], 5)
+        router = self.read_only_router(small_summaries, 4)
+        router.knn(small_summaries[0], 5)
         workers = self.spawned(before)
         assert workers
-        fleet.close()
-        assert not any(thread.is_alive() for thread in workers)
-
-    def test_no_worker_outlives_crash(self, small_summaries, tmp_path):
-        before = set(threading.enumerate())
-        fleet = make_fleet(
-            small_summaries, "hash", 4, path=str(tmp_path / "fleet")
-        )
-        fleet.knn(small_summaries[0], 5)
-        workers = self.spawned(before)
-        assert workers
-        fleet.crash()
+        router.close()
         assert not any(thread.is_alive() for thread in workers)
 
 
