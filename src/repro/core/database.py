@@ -491,10 +491,10 @@ class VideoDatabase:
 
         Every summary is type- and id-checked (against the database and
         against the rest of the batch) before the first one is admitted,
-        so a bad element cannot leave a half-applied batch behind.  This
-        is the ingest pipeline's commit unit: one call, then one
-        :meth:`checkpoint`, becomes one WAL transaction and therefore
-        one shipped replication segment.
+        so a bad element cannot leave a half-applied batch behind.  The
+        ``build`` command and ``examples/persistent_index.py`` load a
+        corpus this way.  (The ingest pipeline does not: it adds one
+        summary at a time and then checkpoints once per batch.)
         """
         self._check_open()
         batch = list(summaries)

@@ -95,7 +95,7 @@ def side_build(db: VideoDatabase, *, reference: str | None = None) -> SideBuildR
     leaves a stale sibling the next open sweeps away.
 
     The caller must hold writes off the database for the duration (the
-    router's maintenance window does this); concurrent *reads* are safe
+    router's write barrier does this); concurrent *reads* are safe
     — the checkpoint changes no page's visible content, and the side
     build only reads.
     """

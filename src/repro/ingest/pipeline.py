@@ -22,16 +22,18 @@ With a :class:`~repro.ingest.drift.DriftMonitor` attached, every
 committed batch feeds per-shard insert counts; when a measurement says
 the principal angle drifted past the threshold, the pipeline launches
 the online rebuild (:mod:`repro.ingest.cutover`) on the affected shard
-— through the router's maintenance window for fleets, under the
-primary's ``write_gate`` for a replica set — while queries keep being
-served.  Fleet drift state is keyed by shard position, which is fixed
-for a fleet's life.
+— through the router's
+:meth:`~repro.shard.router.ShardedVideoDatabase.rebuild_shard` for
+fleets, under the primary's ``write_gate`` for a replica set — while
+queries keep being served.  Fleet drift state is keyed by shard
+position, which is fixed for a fleet's life.
 
 A commit failure never silently kills ingestion: the background worker
 records the error, keeps the un-applied remainder of the batch for the
-next attempt, and retries with backoff (a concurrent maintenance window
-is the common, transient cause).  Only after eight consecutive failures
-does the pipeline transition to a terminal failed state, which
+next attempt, and retries with backoff.  A fleet rebuild in flight is
+not such a failure: a fleet write waits on the rebuild's write barrier
+and then lands.  Only after eight consecutive failures does the
+pipeline transition to a terminal failed state, which
 :meth:`~IngestPipeline.submit` then reports as :class:`IngestFailed`
 instead of letting producers fill a queue nobody drains.
 
@@ -110,7 +112,7 @@ class IngestPipeline:
 
         * a :class:`~repro.shard.router.ShardedVideoDatabase` — inserts
           route through the partitioner, drift is tracked per shard and
-          rebuilds go through the router's maintenance window;
+          rebuilds go through the router's ``rebuild_shard``;
         * a :class:`~repro.replication.group.ReplicaSet` — inserts hit
           the primary under its ``write_gate``, each batch commit seals
           one segment, then ``sync()`` pumps the replicas;
@@ -361,9 +363,9 @@ class IngestPipeline:
                 committed = self._pump_once()
             except Exception as exc:
                 # A dead pump thread must never be silent: record every
-                # failure, retry with backoff (a concurrent maintenance
-                # window is transient), and past the consecutive-failure
-                # budget park the pipeline in a state submit() reports.
+                # failure, retry with backoff, and past the
+                # consecutive-failure budget park the pipeline in a
+                # state submit() reports.
                 self.pump_errors += 1
                 failures += 1
                 self._last_error = f"{type(exc).__name__}: {exc}"

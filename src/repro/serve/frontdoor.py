@@ -86,8 +86,8 @@ class TokenBucket:
         self._tokens = float(burst)
         self._stamp = self._clock.now()
 
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        """Take ``tokens`` if available; never blocks."""
+    def try_acquire(self) -> bool:
+        """Take one token if one is available; never blocks."""
         now = self._clock.now()
         with self._lock:
             if now > self._stamp:
@@ -96,8 +96,8 @@ class TokenBucket:
                     self._tokens + (now - self._stamp) * self._rate,
                 )
                 self._stamp = now
-            if self._tokens >= tokens:
-                self._tokens -= tokens
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
                 return True
             return False
 

@@ -39,10 +39,9 @@ of the front door's restart-under-traffic path.
 Run as a module (``python -m repro.serve.shard_server --shard-dir ...``)
 this serves one durable shard directory as a subprocess and prints a
 single JSON ready-line with the bound port; :class:`ShardServerHandle`
-wraps that contract.  Clock and fault-injection state never cross the
-process boundary: the subprocess builds its *own* clock (``--clock``)
-and rebuilds any fault schedule from JSON (``--faults``), with op
-counters starting at zero as :mod:`repro.shard.faults` documents.
+wraps that contract.  The subprocess always runs on the real
+:class:`~repro.utils.clock.SystemClock` and serves its shard unfaulted:
+a virtual clock or a fault schedule is an in-process testing seam.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from repro.serve.protocol import counters_to_wire, stats_to_wire
 from repro.serve.transport import FrameServer
 from repro.shard.contract import ShardLike
 from repro.shard.shard import Shard
-from repro.utils.clock import Clock, Deadline, SystemClock, VirtualClock
+from repro.utils.clock import Clock, Deadline, SystemClock
 from repro.utils.counters import CostCounters
 from repro.utils.locks import make_lock
 
@@ -229,8 +228,6 @@ class ShardServerHandle:
         cache_size: int = 128,
         buffer_capacity: int = 256,
         range_cache_size: int = 0,
-        clock: str = "system",
-        faults: dict | None = None,
     ) -> "ShardServerHandle":
         """Launch a subprocess server and wait for its ready-line."""
         import repro
@@ -262,11 +259,7 @@ class ShardServerHandle:
             str(buffer_capacity),
             "--range-cache-size",
             str(range_cache_size),
-            "--clock",
-            clock,
         ]
-        if faults is not None:
-            command += ["--faults", json.dumps(faults)]
         process = subprocess.Popen(
             command,
             stdout=subprocess.PIPE,
@@ -344,22 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache-size", type=int, default=128)
     parser.add_argument("--buffer-capacity", type=int, default=256)
     parser.add_argument("--range-cache-size", type=int, default=0)
-    parser.add_argument(
-        "--clock",
-        choices=("system", "virtual"),
-        default="system",
-        help="virtual: deterministic clock for replayed fault schedules",
-    )
-    parser.add_argument(
-        "--faults",
-        default=None,
-        help="JSON ShardFaultInjector schedule (op counters start at 0 "
-        "in this process; see repro.shard.faults)",
-    )
     args = parser.parse_args(argv)
 
-    clock: Clock = VirtualClock() if args.clock == "virtual" else SystemClock()
-    shard: ShardLike = Shard(
+    shard = Shard(
         args.shard_id,
         epsilon=args.epsilon,
         path=args.shard_dir,
@@ -367,13 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         cache_size=args.cache_size,
         range_cache_size=args.range_cache_size,
     )
-    if args.faults:
-        from repro.shard.faults import FaultInjectingShard, ShardFaultInjector
-
-        injector = ShardFaultInjector.from_dict(json.loads(args.faults))
-        shard = FaultInjectingShard(shard, injector, clock=clock)
-
-    server = ShardServer(shard, host=args.host, port=args.port, clock=clock)
+    server = ShardServer(shard, host=args.host, port=args.port)
 
     def on_ready(address: tuple[str, int]) -> None:
         print(

@@ -68,6 +68,9 @@ from repro.utils.locks import make_lock
 
 __all__ = ["FrameServer", "RemoteShard", "RemoteShardClient", "read_frame"]
 
+#: Idle sockets a :class:`RemoteShardClient` keeps per server address.
+_POOL_SIZE = 2
+
 
 def read_frame(sock: socket.socket) -> tuple[int, bytearray]:
     """One whole frame from ``sock`` as ``(frame_type, payload)``.
@@ -366,12 +369,10 @@ class RemoteShardClient:
         port: int,
         *,
         timeout: float = 10.0,
-        pool_size: int = 2,
     ) -> None:
         self.host = host
         self.port = port
         self._timeout = timeout
-        self._pool_size = pool_size
         self._lock = make_lock("RemoteShardClient._lock")
         self._pool: list[socket.socket] = []
         self._closed = False
@@ -418,7 +419,7 @@ class RemoteShardClient:
     def _checkin(self, sock: socket.socket) -> None:
         keep = False
         with self._lock:
-            if not self._closed and len(self._pool) < self._pool_size:
+            if not self._closed and len(self._pool) < _POOL_SIZE:
                 self._pool.append(sock)
                 keep = True
         if not keep:

@@ -33,19 +33,6 @@ sleeping its injected delay it re-checks the attempt's
 :class:`~repro.shard.resilience.ShardTimeout` if the budget is now
 spent, so a doomed attempt never reaches the real shard — exactly the
 behaviour of a remote shard server whose client stopped waiting.
-
-Process boundaries
-------------------
-All injector state — the fault schedule *and* the per-shard op counters
-— lives in whichever process constructed it; nothing here survives a
-``fork``/``spawn`` implicitly.  To fault a subprocess shard server, ship
-the schedule over the seam instead: :meth:`ShardFault.to_dict` /
-:meth:`ShardFault.from_dict` round-trip a schedule through JSON, the
-server rebuilds its own :class:`ShardFaultInjector` (op counters start
-at zero *in that process* — by design, since the server's op stream is
-what the schedule scripts) and installs it with its own clock
-(``repro.serve.shard_server --clock virtual``).  The router-side
-injector and a server-side injector never share counters.
 """
 
 from __future__ import annotations
@@ -137,29 +124,6 @@ class ShardFault:
             return False
         return self.last_op is None or op <= self.last_op
 
-    def to_dict(self) -> dict:
-        """JSON-friendly form (the subprocess shard-server seam)."""
-        return {
-            "kind": self.kind,
-            "first_op": self.first_op,
-            "last_op": self.last_op,
-            "delay": self.delay,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShardFault":
-        """Rebuild a fault shipped through :meth:`to_dict` (validated)."""
-        return cls(
-            str(payload["kind"]),
-            first_op=int(payload.get("first_op", 1)),
-            last_op=(
-                None
-                if payload.get("last_op") is None
-                else int(payload["last_op"])
-            ),
-            delay=float(payload.get("delay", 0.0)),
-        )
-
     def __repr__(self) -> str:
         window = f"{self.first_op}..{self.last_op if self.last_op is not None else 'inf'}"
         extra = f", delay={self.delay}" if self.kind == "slow" else ""
@@ -234,31 +198,6 @@ class ShardFaultInjector:
             raise ShardDown(
                 f"injected hard-down on shard {shard_id} (op {op})"
             )
-
-    def to_dict(self) -> dict:
-        """The schedule in JSON-friendly form (op counters excluded:
-        they are per-process runtime state, not configuration)."""
-        return {
-            str(shard_id): [fault.to_dict() for fault in faults]
-            for shard_id, faults in sorted(self._schedule.items())
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShardFaultInjector":
-        """Rebuild a schedule shipped through :meth:`to_dict`.
-
-        The new injector's op counters start at zero — the receiving
-        process (typically a subprocess shard server) counts its *own*
-        serving operations, which is what the schedule scripts.
-        """
-        return cls(
-            {
-                int(shard_id): [
-                    ShardFault.from_dict(entry) for entry in faults
-                ]
-                for shard_id, faults in payload.items()
-            }
-        )
 
     def __repr__(self) -> str:
         return f"ShardFaultInjector(shards={sorted(self._schedule)})"

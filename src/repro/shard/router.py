@@ -120,6 +120,16 @@ two shards, so a reopened fleet that finds one there raises.
 A fleet's shard list is fixed when it is built.  To grow one, build a
 new fleet with ``KeyRangePartitioner.fit(summaries, n + 1)`` over every
 shard's ``summaries()`` and ``add_summary`` each of them.
+
+Online rebuild
+--------------
+:meth:`ShardedVideoDatabase.rebuild_shard` builds a shard's refitted
+index outside the router lock, so queries keep being answered from the
+old generation meanwhile.  For that span a write barrier holds every
+fleet write back: writes, ``build``, ``checkpoint``, ``close`` and a
+second rebuild wait until the cutover has committed (or the side build
+has failed), then run against the new generation.  Nothing is queued,
+so the fleet's size, membership and placement always agree.
 """
 
 from __future__ import annotations
@@ -134,6 +144,7 @@ from __future__ import annotations
 import contextvars
 import json
 import os
+import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -287,7 +298,7 @@ class ShardedVideoDatabase:
         clock: Clock | None = None,
     ) -> None:
         # Guards every mutable routing structure (_shards, _membership,
-        # _next_video_id, _closed, the maintenance window).  Held for
+        # _next_video_id, _closed, _rebuilding).  Held for
         # the full duration of every public operation: queries and
         # mutations are mutually exclusive, which is what makes
         # checkpoint() and a rebuild's cutover safe to call under live
@@ -308,13 +319,11 @@ class ShardedVideoDatabase:
         self._next_video_id = 0
         self._shards: list[Shard] = []
         self._membership: dict[int, int] = {}
-        # Maintenance window (online rebuild): while set, writes
-        # targeting that shard are deferred instead of applied, so the
-        # side build can run outside the router lock against a frozen
-        # source.  Flushed when the window closes.
-        self._maintenance_shard: int | None = None
-        self._deferred_adds: list[VideoSummary] = []
-        self._deferred_removes: list[int] = []
+        # The write barrier: the position of the shard whose side build
+        # runs outside the lock, or None.  Writes wait on _rebuilt while
+        # it is set.
+        self._rebuilding: int | None = None
+        self._rebuilt = threading.Condition(self._lock)
         # The answer memo (read-only routers only; off here).  A leaf
         # lock: guards _memo, held for dict operations only.
         self._memo_lock = make_lock("ShardedVideoDatabase._memo_lock")
@@ -404,15 +413,14 @@ class ShardedVideoDatabase:
         self._memo_size = MEMO_SIZE
         self._memo_shards = tuple(shards)
         self._memo = OrderedDict()
+        self._rebuilt = threading.Condition(self._lock)
         with self._lock:
             self._closed = False
             self._writable = False
             self._shards = list(shards)
             self._membership = {}
             self._next_video_id = 0
-            self._maintenance_shard = None
-            self._deferred_adds = []
-            self._deferred_removes = []
+            self._rebuilding = None
             self._reconcile()
             # Placement is owned by whoever built the shards; this
             # partitioner exists only so introspection keeps working.
@@ -575,7 +583,16 @@ class ShardedVideoDatabase:
         if self._closed:
             raise RuntimeError("database is closed")
 
+    def _await_rebuild(self) -> None:
+        """Wait while a rebuild's side build runs (caller holds the
+        lock, which the wait releases)."""
+        while self._rebuilding is not None:
+            self._rebuilt.wait()
+
     def _check_writable(self) -> None:
+        """Wait out a rebuild, then refuse a closed or read-only router:
+        the wait comes first because either may change during it."""
+        self._await_rebuild()
         self._check_open()
         if not self._writable:
             raise RuntimeError(
@@ -618,16 +635,7 @@ class ShardedVideoDatabase:
                     f"video id {summary.video_id} already present"
                 )
             target = self._partitioner.shard_for(summary)
-            if target == self._maintenance_shard:
-                # The owning shard is mid-rebuild: admit the
-                # summary (its id is claimed fleet-wide) but defer the
-                # physical insert to the window's close, so the copy
-                # phase sees a frozen source.  The durability contract
-                # is unchanged — like any add, it is crash-durable only
-                # after the next checkpoint.
-                self._deferred_adds.append(summary)
-            else:
-                self._shards[target].add_summary(summary)
+            self._shards[target].add_summary(summary)
             self._membership[summary.video_id] = target
             self._next_video_id = max(
                 self._next_video_id, summary.video_id + 1
@@ -642,20 +650,7 @@ class ShardedVideoDatabase:
         """Remove a video from whichever shard holds it."""
         with self._lock:
             self._check_writable()
-            owner = self.shard_of(video_id)
-            if owner == self._maintenance_shard:
-                # The owner is mid-maintenance.  A deferred (never
-                # physically inserted) add just un-defers; anything
-                # already on the shard is queued for removal at the
-                # window's close.
-                for position, summary in enumerate(self._deferred_adds):
-                    if summary.video_id == video_id:
-                        del self._deferred_adds[position]
-                        break
-                else:
-                    self._deferred_removes.append(video_id)
-            else:
-                self._shards[owner].remove(video_id)
+            self._shards[self.shard_of(video_id)].remove(video_id)
             del self._membership[video_id]
 
     def build(self) -> None:
@@ -996,46 +991,21 @@ class ShardedVideoDatabase:
             return statuses
 
     # ------------------------------------------------------------------
-    # Maintenance window (online rebuild)
+    # Online rebuild
     # ------------------------------------------------------------------
-    def _open_window(self, position: int) -> None:
-        """Start deferring writes aimed at shard ``position`` (caller
-        must hold the lock)."""
-        if self._maintenance_shard is not None:
-            raise RuntimeError(
-                f"shard {self._maintenance_shard} is already under "
-                "maintenance; one window at a time"
-            )
-        self._maintenance_shard = position
-
-    def _close_window(self) -> None:
-        """End the maintenance window and apply the deferred writes to
-        its shard (caller must hold the lock): removes first, since an
-        id removed inside the window may have been added again.  After a
-        simulated crash the deferral queues are abandoned — the crashed
-        fleet can absorb nothing, and reopening recovers from disk
-        alone."""
-        shard = self._shards[self._maintenance_shard]
-        self._maintenance_shard = None
-        adds, self._deferred_adds = self._deferred_adds, []
-        removes, self._deferred_removes = self._deferred_removes, []
-        if self._faults is not None and self._faults.crashed:
-            return
-        for video_id in removes:
-            shard.remove(video_id)
-        for summary in adds:
-            shard.add_summary(summary)
-
-    def rebuild_shard(self, position: int, *, reference: str | None = None):
+    def rebuild_shard(self, position: int):
         """Online reference-point rebuild of one shard (paper Sec 6.3.3).
 
         Runs :func:`repro.ingest.cutover.side_build` on the shard's
         database *outside* the router lock — queries keep being served
         from the old generation while the refitted index is built in a
-        sibling directory — then takes the lock only for the atomic
-        cutover (``epoch.json`` pointer swap + engine/cache drop).  A
-        maintenance window defers writes aimed at the shard for the
-        duration.  Returns the :class:`~repro.ingest.cutover.CutoverReport`.
+        sibling directory with the shard's stored reference strategy —
+        then takes the lock for the atomic cutover (``epoch.json``
+        pointer swap + engine/cache drop).  For the whole span the write
+        barrier holds every fleet write back (see "Online rebuild" in
+        the module docstring); it lifts when the cutover commits or the
+        side build raises.  Returns the
+        :class:`~repro.ingest.cutover.CutoverReport`.
         """
         # Imported lazily: the ingest package sits above the routing
         # layer (its pipeline drives this router), so a module-level
@@ -1059,17 +1029,15 @@ class ShardedVideoDatabase:
             shard = self._shards[position]
             if len(shard) == 0:
                 raise ValueError("cannot rebuild an empty shard")
-            self._open_window(position)
+            self._rebuilding = position
         try:
-            result = side_build(
-                shard.database,
-                reference=reference if reference is not None else self._reference,
-            )
+            result = side_build(shard.database)
             with self._lock:
                 return commit_cutover(shard, result)
         finally:
             with self._lock:
-                self._close_window()
+                self._rebuilding = None
+                self._rebuilt.notify_all()
 
     # ------------------------------------------------------------------
     # Durability
@@ -1087,11 +1055,6 @@ class ShardedVideoDatabase:
             self._check_writable()
             if self._path is None:
                 raise RuntimeError("checkpoint() requires a durable database")
-            if self._maintenance_shard is not None:
-                raise RuntimeError(
-                    f"shard {self._maintenance_shard} is under maintenance; "
-                    "checkpoint after the window closes"
-                )
             for shard in self._shards:
                 if len(shard) > 0 or shard.database.index is not None:
                     shard.checkpoint()
@@ -1119,13 +1082,9 @@ class ShardedVideoDatabase:
         """Checkpoint (durable, uncrashed fleets), then release every
         shard.  Idempotent."""
         with self._lock:
+            self._await_rebuild()
             if self._closed:
                 return
-            if self._maintenance_shard is not None:
-                raise RuntimeError(
-                    f"shard {self._maintenance_shard} is under maintenance; "
-                    "close after the window closes"
-                )
             crashed = self._faults is not None and self._faults.crashed
             if self._path is not None and not crashed and self._membership:
                 self.checkpoint()

@@ -36,9 +36,8 @@ Process and thread boundaries
 Clock state never crosses a process boundary.  A ``VirtualClock`` (its
 base *and* its per-context offsets) lives in the process that created it,
 so a subprocess shard server cannot share the router's clock object —
-each server installs its *own* clock (``--clock virtual`` in
-``repro.serve.shard_server``) and determinism is preserved by what goes
-over the wire instead: deadlines travel as **relative remaining
+it runs its own :class:`SystemClock`, and the two agree through what
+goes over the wire instead: deadlines travel as **relative remaining
 budgets** (seconds, not absolute times), so the two clocks never need a
 common origin, and retry jitter stays a seeded hash on the client side.
 

@@ -91,9 +91,9 @@ def _run_threads(targets):
 def test_fleet_stress_runtime_graph_within_static(
     tracked, static_edges, tmp_path, seed
 ):
-    """Concurrent knn / checkpoint / rebuild_shard on a durable fleet:
-    the rebuild opens and closes a maintenance window next to live
-    queries."""
+    """Concurrent knn / add / remove / checkpoint / rebuild_shard on a
+    durable fleet: the writer waits on the rebuild's write barrier while
+    the queries run on."""
     summaries = _summaries(seed)
     fleet = ShardedVideoDatabase(
         EPSILON,
@@ -115,6 +115,16 @@ def test_fleet_stress_runtime_graph_within_static(
 
         return run
 
+    def write():
+        # Re-adds each video it removes, so the fleet's content is whole
+        # again whenever the loop stops.
+        position = 0
+        while not stop.is_set():
+            summary = summaries[position % len(summaries)]
+            fleet.remove(summary.video_id)
+            fleet.add_summary(summary)
+            position += 1
+
     def maintain():
         try:
             for _ in range(3):
@@ -123,7 +133,7 @@ def test_fleet_stress_runtime_graph_within_static(
         finally:
             stop.set()
 
-    errors = _run_threads([query(0), query(5), query(9), maintain])
+    errors = _run_threads([query(0), query(5), query(9), write, maintain])
     stop.set()
     assert errors == []
 

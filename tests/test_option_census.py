@@ -145,6 +145,11 @@ CENSUS = {
             "clock": f"{FRONTDOOR} NetworkFleet (the fleet's shared clock)",
         },
     ),
+    # No options; the row stays so that adding one fails here.
+    "ShardedVideoDatabase.rebuild_shard": (
+        ShardedVideoDatabase.rebuild_shard,
+        {},
+    ),
     "ShardedVideoDatabase.knn": (
         ShardedVideoDatabase.knn,
         {

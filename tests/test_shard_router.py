@@ -645,56 +645,187 @@ class TestFixedShards:
             assert grown.knn(query, 5).videos == small_index.knn(query, 5).videos
 
 
+def in_thread(fn, *args):
+    """Start ``fn(*args)`` on a daemon thread; the returned list receives
+    its return value or the exception it raised."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(fn(*args))
+        except BaseException as exc:  # noqa: BLE001 - checked by the test
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+def finish(*threads):
+    for thread in threads:
+        thread.join(timeout=30.0)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 class TestRebuildWindow:
-    def test_queries_run_and_writes_defer_during_the_side_build(
-        self, small_summaries, tmp_path, monkeypatch
-    ):
-        """``rebuild_shard`` builds outside the router lock: queries are
-        served meanwhile, and writes aimed at the shard land when the
-        window closes — a remove and a re-add of one id in that order."""
+    """``rebuild_shard`` side-builds outside the router lock behind a write
+    barrier: queries are answered meanwhile, writes wait for the cutover."""
+
+    #: How long a write is given to get past the barrier before the test
+    #: calls it blocked; an unblocked write finishes in milliseconds.
+    BLOCKED = 0.2
+
+    @pytest.fixture()
+    def held(self, small_summaries, tmp_path, monkeypatch):
+        """A durable 2-shard fleet whose ``side_build`` waits for
+        ``release`` (``started`` is set when one is under way); ``fail``
+        makes the held build raise instead of building."""
         import repro.ingest.cutover as cutover
 
-        path = str(tmp_path / "fleet")
-        fleet = make_fleet(small_summaries, "key_range", 2, path=path)
+        fleet = make_fleet(
+            small_summaries, "key_range", 2, path=str(tmp_path / "fleet")
+        )
         fleet.checkpoint()
-        on_zero = [
-            s.video_id for s in small_summaries if fleet.shard_of(s.video_id) == 0
-        ]
-        readded, removed = on_zero[0], on_zero[1]
-        started, release = threading.Event(), threading.Event()
+        started, release, fail = (threading.Event() for _ in range(3))
         original = cutover.side_build
 
-        def blocking(database, **kwargs):
+        def holding(database, **kwargs):
             started.set()
             assert release.wait(timeout=30.0)
+            if fail.is_set():
+                raise RuntimeError("side build failed")
             return original(database, **kwargs)
 
-        monkeypatch.setattr(cutover, "side_build", blocking)
-        rebuilder = threading.Thread(target=fleet.rebuild_shard, args=(0,))
-        rebuilder.start()
-        try:
-            assert started.wait(timeout=30.0)
-            before = fleet.knn(small_summaries[0], 5).videos
-            assert before == VitriIndex.build(small_summaries, EPSILON).knn(
-                small_summaries[0], 5
-            ).videos
-            fleet.remove(readded)
-            fleet.remove(removed)
-            fleet.add_summary(small_summaries[readded])
-            # Deferred: shard 0 still holds both until the window closes.
-            assert {readded, removed} <= fleet.shards[0].video_ids()
-        finally:
-            release.set()
-            rebuilder.join(timeout=30.0)
-        assert not rebuilder.is_alive()
-        assert fleet.shards[0].database.epoch >= 1
-        assert readded in fleet.shards[0].video_ids()
-        assert removed not in fleet.shards[0].video_ids()
-        remaining = [s for s in small_summaries if s.video_id != removed]
-        oracle = VitriIndex.build(remaining, EPSILON)
+        monkeypatch.setattr(cutover, "side_build", holding)
+        yield fleet, started, release, fail
+        release.set()
+        fleet.close()
+
+    @staticmethod
+    def on_shard_zero(fleet, summaries):
+        return [
+            s.video_id for s in summaries if fleet.shard_of(s.video_id) == 0
+        ]
+
+    def test_queries_are_answered_during_the_side_build(
+        self, held, small_summaries, small_index
+    ):
+        fleet, started, release, _ = held
+        rebuilder, outcome = in_thread(fleet.rebuild_shard, 0)
+        assert started.wait(timeout=30.0)
+        for query in small_summaries[:4]:
+            assert fleet.knn(query, 5).videos == small_index.knn(query, 5).videos
+        assert rebuilder.is_alive()
+        release.set()
+        finish(rebuilder)
+        assert outcome[0].new_epoch == 1
+
+    def test_writes_wait_and_land_on_the_new_generation(
+        self, held, small_summaries
+    ):
+        fleet, started, release, _ = held
+        x, y = self.on_shard_zero(fleet, small_summaries)[:2]
+
+        def write():
+            fleet.remove(x)
+            fleet.remove(y)
+            fleet.add_summary(small_summaries[x])
+
+        rebuilder, _ = in_thread(fleet.rebuild_shard, 0)
+        assert started.wait(timeout=30.0)
+        writer, written = in_thread(write)
+        writer.join(timeout=self.BLOCKED)
+        assert writer.is_alive() and written == []
+        assert {x, y} <= fleet.shards[0].video_ids()
+        release.set()
+        finish(rebuilder, writer)
+        assert written == [None]
+        # y was copied into the new generation, so its absence there
+        # shows the writes ran after the cutover.
+        database = fleet.shards[0].database
+        assert database.epoch == 1
+        assert x in database.video_ids() and y not in database.video_ids()
+        oracle = VitriIndex.build(
+            [s for s in small_summaries if s.video_id != y], EPSILON
+        )
         for query in small_summaries[:4]:
             assert fleet.knn(query, 5).videos == oracle.knn(query, 5).videos
-        fleet.close()
+
+    def test_size_and_membership_agree_throughout(self, held, small_summaries):
+        """``len(fleet)`` counts what the shards hold and ``video_ids()``
+        what the router admitted; ``shard_of`` names a shard holding the
+        video.  All three agree before, during and after the window."""
+        fleet, started, release, _ = held
+        x, y = self.on_shard_zero(fleet, small_summaries)[:2]
+
+        def agree():
+            with fleet._lock:  # one view: no write lands between reads
+                ids = fleet.video_ids()
+                return len(fleet) == len(ids) and all(
+                    v in fleet.shards[fleet.shard_of(v)].video_ids()
+                    for v in ids
+                )
+
+        def write():
+            fleet.remove(x)
+            fleet.remove(y)
+            fleet.add_summary(small_summaries[x])
+
+        samples = [agree()]
+        rebuilder, _ = in_thread(fleet.rebuild_shard, 0)
+        assert started.wait(timeout=30.0)
+        writer, _ = in_thread(write)
+        for _ in range(20):
+            writer.join(timeout=self.BLOCKED / 20)
+            samples.append(agree())
+        assert writer.is_alive()
+        release.set()
+        finish(rebuilder, writer)
+        samples.append(agree())
+        assert all(samples)
+        assert len(fleet) == len(small_summaries) - 1
+
+    def test_checkpoint_and_a_second_rebuild_wait_then_run(self, held):
+        fleet, started, release, _ = held
+        first, _ = in_thread(fleet.rebuild_shard, 0)
+        assert started.wait(timeout=30.0)
+        started.clear()
+        checkpointer, checkpointed = in_thread(fleet.checkpoint)
+        second, rebuilt = in_thread(fleet.rebuild_shard, 0)
+        checkpointer.join(timeout=self.BLOCKED)
+        second.join(timeout=self.BLOCKED)
+        assert checkpointer.is_alive() and second.is_alive()
+        assert not started.is_set()  # the second side build has not begun
+        release.set()
+        finish(first, checkpointer, second)
+        assert checkpointed == [None]
+        assert rebuilt[0].new_epoch == 2
+        assert fleet.shards[0].database.epoch == 2
+
+    def test_a_failed_side_build_releases_every_waiter(
+        self, held, small_summaries
+    ):
+        fleet, started, release, fail = held
+        x = self.on_shard_zero(fleet, small_summaries)[0]
+        rebuilder, outcome = in_thread(fleet.rebuild_shard, 0)
+        assert started.wait(timeout=30.0)
+        waiters = [
+            in_thread(fleet.remove, x),
+            in_thread(fleet.checkpoint),
+            in_thread(fleet.build),
+        ]
+        for thread, _ in waiters:
+            thread.join(timeout=self.BLOCKED)
+            assert thread.is_alive()
+        fail.set()
+        release.set()
+        finish(rebuilder, *(thread for thread, _ in waiters))
+        assert isinstance(outcome[0], RuntimeError)
+        assert str(outcome[0]) == "side build failed"
+        assert [result for _, result in waiters] == [[None]] * 3
+        assert fleet.shards[0].database.epoch == 0
+        assert x not in fleet.video_ids()
+        assert len(fleet) == len(fleet.video_ids())
 
 
 class TestShardUnit:
