@@ -476,13 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate",
         type=float,
         default=None,
-        help="per-client token-bucket refill (queries/s; default: unlimited)",
+        help="front-door token-bucket refill (queries/s; default: unlimited)",
     )
     serve.add_argument(
         "--burst",
         type=float,
         default=None,
-        help="per-client token-bucket capacity (default: --rate)",
+        help="front-door token-bucket capacity (default: --rate)",
     )
     serve.add_argument(
         "--drain-timeout",

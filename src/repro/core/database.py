@@ -666,9 +666,7 @@ class VideoDatabase:
     # ------------------------------------------------------------------
     # Query
     # ------------------------------------------------------------------
-    def query(
-        self, frames, k: int = 10, *, method: str = "composed"
-    ) -> KNNResult:
+    def query(self, frames, k: int) -> KNNResult:
         """Top-``k`` most similar stored videos for a raw frame matrix."""
         self._check_open()
         frames = check_matrix(frames, "frames", min_rows=1)
@@ -678,7 +676,7 @@ class VideoDatabase:
             # A negative-free throwaway id: query summaries are never stored.
             0, frames, self._epsilon, seed=self._seed
         )
-        return self._index.knn(summary, k, method=method)
+        return self._index.knn(summary, k)
 
     def drift_angle(self) -> float:
         """Current principal-component drift (radians)."""

@@ -17,7 +17,7 @@ of queries.  :class:`QueryEngine` is that serving layer:
   the tree's read path keeps no per-call state and the pool is
   lock-guarded.
 * **Result cache.**  A size-bounded LRU keyed on
-  ``(snapshot token, query fingerprint, method)`` memoises each query's
+  ``(snapshot token, query fingerprint)`` memoises each query's composed
   ranking of *every* video it scored, as two numpy arrays (ids and
   scores, 16 bytes a video).  ``k`` is not in the key: it only cuts the
   ranking, which is a total order (score-descending, video-id
@@ -118,8 +118,8 @@ class QueryEngine:
     buffer_capacity:
         LRU capacity of the engine's private buffer pool.
     cache_size:
-        Maximum number of memoised rankings, one per query and method
-        whatever ``k`` it is asked at; ``0`` disables the cache.
+        Maximum number of memoised rankings, one per query whatever
+        ``k`` it is asked at; ``0`` disables the cache.
     range_cache_size:
         Pages in the pool's spill segment, the second cache tier; ``0``
         (default) disables the tier.  The engine holds at most
@@ -159,9 +159,9 @@ class QueryEngine:
         self._buffer_capacity = buffer_capacity
         self._range_cache_size = range_cache_size
         self._cache_size = cache_size
-        # (token, fingerprint, method) -> (ranking, k, result at that k).
+        # (token, fingerprint) -> (ranking, k, result at that k).
         self._cache: OrderedDict[
-            tuple[str, str, str], tuple[_Ranking, int, KNNResult]
+            tuple[str, str], tuple[_Ranking, int, KNNResult]
         ] = OrderedDict()
         self._cache_lock = make_lock("QueryEngine._cache_lock")
         self.cache_hits = 0
@@ -287,21 +287,20 @@ class QueryEngine:
         query: VideoSummary,
         k: int,
         *,
-        method: str = "composed",
-        cold: bool = False,
         out_counters: CostCounters | None = None,
     ) -> KNNResult:
         """Serve one KNN query.
 
-        Identical semantics to :meth:`VitriIndex.knn`, but over the
-        engine's snapshot, with its result cache, and with ``cold``
-        clearing only the engine's private pool.  ``out_counters``
-        receives the query's event bundle (a cache hit contributes
-        nothing: no work was done) — the shard router's aggregation seam.
+        The answer of :meth:`VitriIndex.knn` by the composed method, but
+        over the engine's snapshot and pool, with its result cache.  A
+        cold run is a fresh pool: :meth:`refresh`, or a new engine.
+        ``out_counters`` receives the query's event bundle (a cache hit
+        contributes nothing: no work was done) — the shard router's
+        aggregation seam.
         """
         snapshot = self._snapshot
-        _check_query_args(query, k, method, snapshot.dim)
-        key = (snapshot.token, query_fingerprint(query), method)
+        _check_query_args(query, k, snapshot.dim)
+        key = (snapshot.token, query_fingerprint(query))
         if self._cache_size > 0:
             with self._cache_lock:
                 entry = self._cache.get(key)
@@ -314,11 +313,9 @@ class QueryEngine:
                 ranking, cached_k, cached = entry
                 return cached if k == cached_k else ranking.top(k)
 
-        if cold:
-            snapshot.pool.clear()
         ranking = _run_query(
             query,
-            method,
+            "composed",
             out_counters=out_counters,
             btree=snapshot.tree,
             codec=snapshot.codec,

@@ -137,9 +137,7 @@ class KNNResult:
         return len(self.videos)
 
 
-def _check_query_args(
-    query: VideoSummary, k: int, method: str, dim: int
-) -> None:
+def _check_query_args(query: VideoSummary, k: int, dim: int) -> None:
     """Shared argument validation for query entry points (index and engine)."""
     if not isinstance(query, VideoSummary):
         raise TypeError("query must be a VideoSummary")
@@ -148,11 +146,11 @@ def _check_query_args(
         raise ValueError(
             f"query dimension {query.dim} != index dimension {dim}"
         )
+
+
+def _check_options(method: str, impl: str) -> None:
     if method not in ("composed", "naive"):
         raise ValueError(f"method must be 'composed' or 'naive', got {method!r}")
-
-
-def _check_impl(impl: str) -> None:
     if impl not in ("vectorized", "scalar"):
         raise ValueError(
             f"impl must be 'vectorized' or 'scalar', got {impl!r}"
@@ -861,8 +859,8 @@ class VitriIndex:
             into (in addition to the returned stats) — the seam the
             shard router uses to aggregate per-shard costs.
         """
-        _check_query_args(query, k, method, self._dim)
-        _check_impl(impl)
+        _check_query_args(query, k, self._dim)
+        _check_options(method, impl)
         if cold:
             self.clear_caches()
         return _run_query(

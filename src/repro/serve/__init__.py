@@ -23,7 +23,7 @@ service without changing any ranking:
   core both servers share: one accept thread, and one thread per
   connection that reads, executes and answers each request itself.
 * :mod:`repro.serve.frontdoor` — the serving loop: bounded admission
-  queue, per-client token buckets, typed load shedding, graceful drain,
+  queue, one token bucket, typed load shedding, graceful drain,
   and :class:`~repro.serve.frontdoor.NetworkFleet`, which spawns a
   server per shard, builds the memoising read-only router over their
   proxies and restarts one server under live traffic.

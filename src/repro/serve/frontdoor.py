@@ -8,7 +8,7 @@ every query, *whether it runs at all* before any work is spent on it:
 
 1. **Draining?**  A front door that has begun shutting down sheds with
    :class:`~repro.serve.protocol.ServiceDraining`.
-2. **Rate limit.**  Each client name owns a :class:`TokenBucket`; an
+2. **Rate limit.**  One :class:`TokenBucket` meters every query; an
    empty bucket sheds with :class:`~repro.serve.protocol.RateLimited`.
 3. **Queue depth.**  A query is admitted only while fewer than
    ``max_queue`` wait in the queue; a full queue sheds with
@@ -123,14 +123,11 @@ class FrontDoor:
         Serving threads draining the queue.  Each admitted query still
         fans out across all relevant shards inside the router.
     rate, burst:
-        Per-client token bucket (tokens/second and capacity).  ``None``
-        disables rate limiting; ``burst`` defaults to ``rate``.  A
-        client idle for ``burst / rate`` seconds loses its bucket: it
-        would have refilled to full burst by then anyway, so eviction
-        never grants tokens a live bucket would still be withholding,
-        and the per-client map stays bounded by active clients.
+        The front door's one token bucket (tokens/second and capacity),
+        shared by every query.  ``None`` disables rate limiting;
+        ``burst`` defaults to ``rate``.
     clock:
-        Drives the token buckets; tests inject a
+        Drives the token bucket; tests inject a
         :class:`~repro.utils.clock.VirtualClock`.
     drain_timeout:
         Per-thread join budget during :meth:`drain`.
@@ -150,30 +147,21 @@ class FrontDoor:
         check_positive_int(max_queue, "max_queue")
         check_positive_int(workers, "workers")
         self._router = router
-        self._clock = clock if clock is not None else SystemClock()
-        if rate is not None:
-            self._rate = check_positive(rate, "rate")
-            self._burst = (
-                check_positive(burst, "burst")
-                if burst is not None
-                else self._rate
-            )
-            self._bucket_ttl = self._burst / self._rate
-        else:
-            self._rate = self._burst = self._bucket_ttl = None
+        self._bucket = (
+            TokenBucket(rate, burst if burst is not None else rate, clock=clock)
+            if rate is not None
+            else None
+        )
+        self._rate = rate
         self._max_queue = max_queue
         self._drain_timeout = drain_timeout
-        # Guards the admission state: the draining flag, the per-client
-        # buckets, the queue bound and the stats tallies.  Never held
-        # across any blocking call — admission is put_nowait, shedding
-        # is a counter bump.
+        # Guards the admission state: the draining flag, the queue bound
+        # and the stats tallies.  Never held across any blocking call —
+        # admission is put_nowait, shedding is a counter bump.
         self._lock = make_lock("FrontDoor._lock")
         # Unbounded, so drain() hands every worker its stop sentinel
         # without waiting; submit() enforces max_queue under _lock.
         self._queue: queue.Queue = queue.Queue()
-        self._buckets: dict[str, TokenBucket] = {}
-        self._bucket_seen: dict[str, float] = {}
-        self._last_sweep = self._clock.now()
         self._draining = False
         self._stats = {
             "admitted": 0,
@@ -197,7 +185,7 @@ class FrontDoor:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def submit(self, query, k: int, *, client: str = "default") -> Future:
+    def submit(self, query, k: int) -> Future:
         """Admit one query (or shed it, typed) and return its future.
 
         The returned :class:`~concurrent.futures.Future` resolves to the
@@ -212,23 +200,10 @@ class FrontDoor:
                 raise ServiceDraining(
                     "front door is draining; not admitting queries"
                 )
-            bucket = None
-            if self._rate is not None:
-                now = self._clock.now()
-                self._sweep_buckets(now)
-                bucket = self._buckets.get(client)
-                if bucket is None:
-                    bucket = TokenBucket(
-                        self._rate, self._burst, clock=self._clock
-                    )
-                    self._buckets[client] = bucket
-                self._bucket_seen[client] = now
-        if bucket is not None and not bucket.try_acquire():
+        if self._bucket is not None and not self._bucket.try_acquire():
             with self._lock:
                 self._stats["shed_rate_limited"] += 1
-            raise RateLimited(
-                f"client {client!r} exceeded {self._rate} queries/second"
-            )
+            raise RateLimited(f"exceeded {self._rate} queries/second")
         future: Future = Future()
         with self._lock:
             if self._queue.qsize() >= self._max_queue:
@@ -241,10 +216,10 @@ class FrontDoor:
         return future
 
     def query_sync(
-        self, query, k: int, *, timeout: float | None = None, **kwargs
+        self, query, k: int, *, timeout: float | None = None
     ) -> ShardedKNNResult:
         """Admit and wait: :meth:`submit` plus ``Future.result()``."""
-        return self.submit(query, k, **kwargs).result(timeout)
+        return self.submit(query, k).result(timeout)
 
     # ------------------------------------------------------------------
     # Serving
@@ -270,29 +245,6 @@ class FrontDoor:
         with self._lock:
             self._stats[key] += 1
 
-    def _sweep_buckets(self, now: float) -> None:
-        """Evict buckets idle for ``burst / rate`` seconds (caller holds
-        ``_lock``).
-
-        Runs at most once per such window, so a burst of submits pays
-        one dictionary scan per window, not per query.  Clients seen
-        within the window keep their bucket (and its debt); the rest
-        are forgotten — their buckets would have refilled to full burst
-        by now anyway.
-        """
-        ttl = self._bucket_ttl
-        if now - self._last_sweep < ttl:
-            return
-        self._last_sweep = now
-        stale = [
-            client
-            for client, seen in self._bucket_seen.items()
-            if now - seen >= ttl
-        ]
-        for client in stale:
-            del self._buckets[client]
-            del self._bucket_seen[client]
-
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
@@ -300,7 +252,6 @@ class FrontDoor:
         """Admission and outcome tallies plus the live queue depth."""
         with self._lock:
             snapshot = dict(self._stats)
-            snapshot["rate_limit_clients"] = len(self._buckets)
         snapshot["queue_depth"] = self._queue.qsize()
         return snapshot
 
@@ -556,13 +507,15 @@ class NetworkFleet:
     # ------------------------------------------------------------------
     # Serving / lifecycle
     # ------------------------------------------------------------------
-    def submit(self, query, k: int, **kwargs) -> Future:
+    def submit(self, query, k: int) -> Future:
         """Admit one query through the front door."""
-        return self._frontdoor.submit(query, k, **kwargs)
+        return self._frontdoor.submit(query, k)
 
-    def query_sync(self, query, k: int, **kwargs) -> ShardedKNNResult:
+    def query_sync(
+        self, query, k: int, *, timeout: float | None = None
+    ) -> ShardedKNNResult:
         """Admit one query and wait for its result."""
-        return self._frontdoor.query_sync(query, k, **kwargs)
+        return self._frontdoor.query_sync(query, k, timeout=timeout)
 
     def restart_shard(
         self, shard_id: int, *, timeout: float | None = None
@@ -655,13 +608,12 @@ def _result_to_wire(result: ShardedKNNResult) -> dict:
 class FrontDoorServer(FrameServer):
     """The front door over TCP, speaking the shard-server framing.
 
-    Ops: ``ping``, ``status`` (front-door stats) and ``knn`` (params
-    ``k`` and ``client``; the query summary rides as the request's
-    binary blob).  Admission errors come back as the same typed error
-    frames a shard server sends, so one client codec serves both
-    layers.  Each connection's thread submits its query and
-    waits for the answer itself; :meth:`stop` lets those in flight
-    finish.
+    Ops: ``status`` (front-door stats) and ``knn`` (param ``k``; the
+    query summary rides as the request's binary blob).  Admission
+    errors come back as the same typed error frames a shard server
+    sends, so one client codec serves both layers.  Each connection's
+    thread submits its query and waits for the answer itself;
+    :meth:`stop` lets those in flight finish.
     """
 
     def __init__(
@@ -675,8 +627,6 @@ class FrontDoorServer(FrameServer):
         self._frontdoor = frontdoor
 
     def _execute(self, op: str, params: dict, summary) -> dict:
-        if op == "ping":
-            return {"pong": True}
         if op == "status":
             return {"stats": self._frontdoor.stats()}
         if op == "knn":
@@ -684,10 +634,6 @@ class FrontDoorServer(FrameServer):
                 raise ValueError("op 'knn' requires a query summary")
             # submit() is non-blocking (sheds synchronously, typed);
             # only the admitted query's completion is waited for.
-            future = self._frontdoor.submit(
-                summary,
-                int(params["k"]),
-                client=str(params.get("client", "default")),
-            )
+            future = self._frontdoor.submit(summary, int(params["k"]))
             return _result_to_wire(future.result())
         raise ValueError(f"unknown op {op!r}")

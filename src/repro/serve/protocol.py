@@ -122,7 +122,7 @@ class ServiceOverloaded(RuntimeError):
 
 
 class RateLimited(RuntimeError):
-    """The client's token bucket is empty; slow down."""
+    """The front door's token bucket is empty; slow down."""
 
 
 class ServiceDraining(ConnectionError):

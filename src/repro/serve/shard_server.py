@@ -142,8 +142,6 @@ class ShardServer(FrameServer):
         documents.
         """
         shard = self._shard
-        if op == "ping":
-            return {"pong": True, "shard_id": shard.shard_id}
         if op == "status":
             return dict(
                 shard.status(),
@@ -172,8 +170,6 @@ class ShardServer(FrameServer):
             result = shard.knn(
                 summary,
                 int(params["k"]),
-                method=str(params.get("method", "composed")),
-                cold=bool(params.get("cold", False)),
                 out_counters=bundle,
                 deadline=deadline,
                 attempt=int(params.get("attempt", 0)),

@@ -512,8 +512,6 @@ class RemoteShard:
         query: VideoSummary,
         k: int,
         *,
-        method: str = "composed",
-        cold: bool = False,
         out_counters: CostCounters | None = None,
         deadline: Deadline | None = None,
         attempt: int = 0,
@@ -526,13 +524,7 @@ class RemoteShard:
         client = self._client
         body = client.request(
             "knn",
-            {
-                "k": k,
-                "method": method,
-                "cold": cold,
-                "budget": _budget_of(deadline),
-                "attempt": attempt,
-            },
+            {"k": k, "budget": _budget_of(deadline), "attempt": attempt},
             summary=query,
         )
         client.token = body.get("content_token")

@@ -18,8 +18,9 @@ says what that thing is.
 Callers use the declared surface and never probe for it (vilint's
 ``duck-sniffing`` rule): an implementer with nothing to say accepts the
 argument (a single copy's ``attempt``) or reports ``None`` (an
-unreplicated shard's ``replication``).  ``tests/test_shard_contract.py``
-runs one conformance suite over all five.
+unreplicated shard's ``replication``).  A sub-query is composed and warm:
+the naive method and cold runs are ``VitriIndex.knn``'s alone.
+``tests/test_shard_contract.py`` runs one conformance suite over all five.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ class ShardLike(Protocol):
         query: VideoSummary,
         k: int,
         *,
-        method: str = "composed",
-        cold: bool = False,
         out_counters: CostCounters | None = None,
         deadline: Deadline | None = None,
         attempt: int = 0,

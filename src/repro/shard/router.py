@@ -54,10 +54,9 @@ is the router's own scatter-to-merge span.
 Answer memo
 -----------
 A read-only router (:meth:`ShardedVideoDatabase.from_shards`) keeps one
-LRU of up to :data:`MEMO_SIZE` complete answers keyed on
-``(query fingerprint, method)``, so a repeated query is answered
-before the router lock is taken and before any leg is sent.  Writable
-routers do not memoise.
+LRU of up to :data:`MEMO_SIZE` complete answers keyed on the query's
+fingerprint, so a repeated query is answered before the router lock is
+taken and before any leg is sent.  Writable routers do not memoise.
 
 * **k.**  Each entry records the ``k`` it was computed for, and a
   lookup at any ``k`` up to that one hits with the stored answer's
@@ -94,9 +93,10 @@ Fault tolerance
 ---------------
 By default the scatter is strict: any worker failure aborts the query
 with a :class:`~repro.shard.resilience.ScatterError` aggregating *every*
-shard's error.  Passing ``fault_policy=``/``fail_fast=False`` to the
-query methods switches to the resilient path: each shard's sub-query
-runs under :func:`~repro.shard.resilience.run_attempts` (deadline,
+shard's error.  Passing ``fault_policy=``/``fail_fast=False`` to
+:meth:`ShardedVideoDatabase.knn` switches to the resilient path: each
+shard's sub-query runs under
+:func:`~repro.shard.resilience.run_attempts` (deadline,
 deterministic retries, per-shard circuit breaker) and
 a degraded query returns whatever the surviving shards answered plus a
 :class:`~repro.shard.resilience.Coverage` report saying exactly which
@@ -194,15 +194,11 @@ MEMO_SIZE = 128
 _NO_WORK = QueryStats(0, 0, 0, 0, 0, 0, 0.0)
 
 
-def _check_query_shape(query: VideoSummary, k: int, method: str) -> None:
+def _check_query_shape(query: VideoSummary, k: int) -> None:
     """The query checks that read no router state."""
     if not isinstance(query, VideoSummary):
         raise TypeError("query must be a VideoSummary")
     check_positive_int(k, "k")
-    if method not in ("composed", "naive"):
-        raise ValueError(
-            f"method must be 'composed' or 'naive', got {method!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -329,7 +325,7 @@ class ShardedVideoDatabase:
         self._memo_lock = make_lock("ShardedVideoDatabase._memo_lock")
         self._memo_size = 0
         self._memo_shards: tuple[ShardLike, ...] = ()
-        self._memo: OrderedDict[tuple, tuple] = OrderedDict()
+        self._memo: OrderedDict[str, tuple] = OrderedDict()
         self._pool: ThreadPoolExecutor | None = None  # legs run inline
 
         manifest_path = (
@@ -666,34 +662,19 @@ class ShardedVideoDatabase:
     # ------------------------------------------------------------------
     # Query
     # ------------------------------------------------------------------
-    def query(
-        self,
-        frames,
-        k: int = 10,
-        *,
-        method: str = "composed",
-        fault_policy: FaultPolicy | None = None,
-        fail_fast: bool = True,
-    ) -> ShardedKNNResult:
+    def query(self, frames, k: int) -> ShardedKNNResult:
         """Top-``k`` most similar stored videos for a raw frame matrix."""
         with self._lock:
             self._check_open()
         frames = check_matrix(frames, "frames", min_rows=1)
         summary = summarize_video(0, frames, self._epsilon, seed=self._seed)
-        return self.knn(
-            summary,
-            k,
-            method=method,
-            fault_policy=fault_policy,
-            fail_fast=fail_fast,
-        )
+        return self.knn(summary, k)
 
     def knn(
         self,
         query: VideoSummary,
         k: int,
         *,
-        method: str = "composed",
         fault_policy: FaultPolicy | None = None,
         fail_fast: bool = True,
     ) -> ShardedKNNResult:
@@ -705,8 +686,6 @@ class ShardedVideoDatabase:
             Query summary (summarised with the fleet's epsilon).
         k:
             Number of results.
-        method:
-            ``"composed"`` or ``"naive"`` (per-shard execution strategy).
         fault_policy:
             Retry/deadline/breaker configuration for each shard's
             sub-query (see :class:`~repro.shard.resilience.FaultPolicy`).
@@ -728,8 +707,8 @@ class ShardedVideoDatabase:
         key, tokens = None, ()
         if self._memo_size:
             with Timer() as timer:
-                _check_query_shape(query, k, method)
-                key = (query_fingerprint(query), method)
+                _check_query_shape(query, k)
+                key = query_fingerprint(query)
                 tokens = tuple(
                     shard.content_token() for shard in self._memo_shards
                 )
@@ -743,12 +722,11 @@ class ShardedVideoDatabase:
                     scatter=ScatterStats(stored.scatter.shards_total, (), ()),
                 )
         with self._lock:
-            self._check_query_args(query, k, method)
+            self._check_query_args(query, k)
             result = self._scatter_gather(
                 lambda shard, bundle, deadline, attempt: shard.knn(
                     query,
                     k,
-                    method=method,
                     out_counters=bundle,
                     deadline=deadline,
                     attempt=attempt,
@@ -770,7 +748,7 @@ class ShardedVideoDatabase:
     # Answer memo (read-only routers)
     # ------------------------------------------------------------------
     def _memo_lookup(
-        self, key: tuple[str, str], tokens: tuple[str | None, ...], k: int
+        self, key: str, tokens: tuple[str | None, ...], k: int
     ) -> ShardedKNNResult | None:
         """The stored answer for ``key`` if every shard still reports
         the tokens it was computed under and it was computed for ``k``
@@ -786,7 +764,7 @@ class ShardedVideoDatabase:
 
     def _memo_store(
         self,
-        key: tuple[str, str],
+        key: str,
         tokens: tuple[str | None, ...],
         k: int,
         result: ShardedKNNResult,
@@ -804,11 +782,9 @@ class ShardedVideoDatabase:
     # ------------------------------------------------------------------
     # Query internals
     # ------------------------------------------------------------------
-    def _check_query_args(
-        self, query: VideoSummary, k: int, method: str
-    ) -> None:
+    def _check_query_args(self, query: VideoSummary, k: int) -> None:
         self._check_open()
-        _check_query_shape(query, k, method)
+        _check_query_shape(query, k)
         if not self._membership:
             raise ValueError("cannot query an empty database")
 

@@ -242,8 +242,6 @@ class Shard:
         query: VideoSummary,
         k: int,
         *,
-        method: str = "composed",
-        cold: bool = False,
         out_counters: CostCounters | None = None,
         deadline: Deadline | None = None,
         attempt: int = 0,
@@ -259,9 +257,7 @@ class Shard:
         self._check_deadline(deadline)
         if self._ruled_out(query, out_counters):
             return _PRUNED
-        result = self.engine().knn(
-            query, k, method=method, cold=cold, out_counters=out_counters
-        )
+        result = self.engine().knn(query, k, out_counters=out_counters)
         self.queries_served += 1
         return result
 

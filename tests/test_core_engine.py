@@ -91,8 +91,6 @@ class TestSingleQuery:
             engine.knn("nope", 5)
         with pytest.raises(ValueError):
             engine.knn(small_summaries[0], 0)
-        with pytest.raises(ValueError):
-            engine.knn(small_summaries[0], 5, method="magic")
 
     def test_k_larger_than_num_videos(self, small_index, small_summaries):
         engine = QueryEngine(small_index, cache_size=0)
@@ -207,18 +205,18 @@ class TestResultCache:
         """A cache hit must replay the cold run's stats verbatim — the
         memoised QueryStats, not a recomputed (warm) one."""
         engine = QueryEngine(small_index, buffer_capacity=64, cache_size=8)
-        cold = engine.knn(small_summaries[1], 5, cold=True)
-        cached = engine.knn(small_summaries[1], 5, cold=True)
+        cold = engine.knn(small_summaries[1], 5)  # a fresh pool
+        cached = engine.knn(small_summaries[1], 5)  # a warm one
         assert logical_fields(cached.stats) == logical_fields(cold.stats)
         assert cached.stats.physical_reads > 0  # the cold run's reads
 
-    def test_key_includes_method_not_k(self, small_index, small_summaries):
+    def test_key_excludes_k(self, small_index, small_summaries):
         """``k`` only cuts the cached ranking, so asking again at another
-        ``k`` is a hit; the method still separates entries."""
+        ``k`` is a hit; another query is a second entry."""
         engine = QueryEngine(small_index, cache_size=8)
         engine.knn(small_summaries[0], 5)
         engine.knn(small_summaries[0], 6)
-        engine.knn(small_summaries[0], 5, method="naive")
+        engine.knn(small_summaries[1], 5)
         assert engine.cache_hits == 1
         assert engine.cache_misses == 2
         assert engine.cache_len == 2
@@ -297,7 +295,7 @@ class TestDegenerate:
 class TestCacheEpoch:
     """Regression: the result-cache key must include a content token.
 
-    A fingerprint of only (query, method) would keep serving rankings
+    A fingerprint of only the query would keep serving rankings
     computed over *old* content after the index mutates and the engine
     refreshes — the sharded router relies on this invalidation every time
     a shard's content changes between queries.
@@ -386,7 +384,7 @@ class TestCacheEpoch:
 
     def test_distinct_indexes_never_share_entries(self, small_summaries):
         """Two engines over different content must not collide even if
-        they see the same (query, method) pair."""
+        they see the same query."""
         left = VitriIndex.build(small_summaries[:10], EPSILON)
         right = VitriIndex.build(small_summaries[10:], EPSILON)
         assert left.content_token() != right.content_token()
@@ -406,18 +404,21 @@ class TestSimilarityRange:
     def test_bit_identical_to_the_index_on_the_golden_corpora(
         self, seed, method
     ):
+        """The engine composes; ``method`` is the index oracle's, and
+        both methods cut the same answers on the golden corpora."""
         summaries, index = build_corpus(seed)
         engine = QueryEngine(index, buffer_capacity=64, cache_size=0)
         every = index.num_videos
         for query in summaries:
-            served = engine.knn(query, every, method=method, cold=True)
+            engine.refresh()  # a fresh pool: the cold run
+            served = engine.knn(query, every)
             direct = index.knn(query, every, method=method, cold=True)
             for threshold in (0.05, 0.5):
                 assert at_least(served, threshold) == at_least(
                     direct, threshold
                 )
             assert logical_fields(served.stats) == logical_fields(
-                direct.stats
+                index.knn(query, every, cold=True).stats
             )
 
     def test_repeats_are_l1_hits_that_read_nothing(
@@ -444,25 +445,25 @@ class TestKOnlyCutsTheRanking:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("method", ["composed", "naive"])
     def test_hit_at_any_k_equals_a_fresh_run(self, seed, method):
+        """The engine composes; ``method`` is the fresh index run's, and
+        both methods rank bit for bit alike on the golden corpora."""
         summaries, index = build_corpus(seed)
         every = index.num_videos
         for query in summaries:
+            # No k changes a composed run's stats.
+            stats = logical_fields(index.knn(query, 1, cold=True).stats)
             # The miss is at the smallest k, then at the largest: every
             # later k is served from a narrower or a wider computation.
             for first_k in (1, every):
                 engine = QueryEngine(index, buffer_capacity=64, cache_size=4)
-                engine.knn(query, first_k, method=method, cold=True)
+                engine.knn(query, first_k)
                 for k in range(1, every + 1):
                     counters = CostCounters()
-                    hit = engine.knn(
-                        query, k, method=method, cold=True, out_counters=counters
-                    )
+                    hit = engine.knn(query, k, out_counters=counters)
                     fresh = index.knn(query, k, method=method, cold=True)
                     assert hit.videos == fresh.videos
                     assert score_bits(hit) == score_bits(fresh)
-                    assert logical_fields(hit.stats) == logical_fields(
-                        fresh.stats
-                    )
+                    assert logical_fields(hit.stats) == stats
                     # A hit did no work, so it folds nothing.
                     assert counters.snapshot() == CostCounters().snapshot()
                 assert engine.cache_misses == 1

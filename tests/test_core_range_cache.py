@@ -121,7 +121,8 @@ class TestRangeCacheUnit:
         engine.knn(summaries[3], 3)
         warm, cold = CostCounters(), CostCounters()
         engine.knn(summaries[3], 3, out_counters=warm)
-        engine.knn(summaries[3], 3, cold=True, out_counters=cold)
+        engine.refresh()  # a fresh pool: the cold scan
+        engine.knn(summaries[3], 3, out_counters=cold)
         # Tier hits hand the query the same leaves a cold scan reads.
         assert warm.extra["range_cache_hits"] > 0
         assert warm.page_reads == 0 < cold.page_reads
@@ -202,7 +203,7 @@ class TestEngineRangeTier:
         cached_counters = CostCounters()
         bare_counters = CostCounters()
         engine.knn(query, 3, out_counters=cached_counters)
-        bare.knn(query, 3, cold=True, out_counters=bare_counters)
+        bare.knn(query, 3, out_counters=bare_counters)  # a fresh pool
         for field in (
             "similarity_computations",
             "distance_computations",
@@ -267,21 +268,3 @@ class TestEngineRangeTier:
             engine.knn(query, 3)
         assert held_bytes(engine) <= (capacity + tier) * PAGE_CONTENT_SIZE
         assert len(engine.hot_pages()) == capacity + tier  # the bound is met
-
-    def test_cold_query_on_a_warm_tier_reads_like_a_fresh_engine(self):
-        summaries, index = build_index()
-        warm = QueryEngine(
-            index, buffer_capacity=1, cache_size=0, range_cache_size=32
-        )
-        for query in summaries[:4]:
-            warm.knn(query, 3)
-        assert len(warm.hot_pages()) > 1
-        for query in summaries[:4]:
-            fresh = QueryEngine(
-                index, buffer_capacity=1, cache_size=0, range_cache_size=32
-            )
-            want = fresh.knn(query, 3)
-            got = warm.knn(query, 3, cold=True)
-            assert got.stats.physical_reads == want.stats.physical_reads
-            assert got.stats.page_requests == want.stats.page_requests
-            assert got.videos == want.videos

@@ -122,12 +122,11 @@ class TestMemo:
             for query in summaries[:4]:
                 check_repeat(memo, fresh, query)
 
-    def test_key_is_query_k_and_method(self, summaries):
+    def test_key_is_the_query_and_a_wider_k_misses(self, summaries):
         with routers(built_shards(summaries)) as (memo, fresh):
             query = summaries[0]
             check_repeat(memo, fresh, query)
             assert_miss(memo.knn(query, K + 1))
-            assert_miss(memo.knn(query, K, method="naive"))
             assert_miss(memo.knn(summaries[1], K))
 
     def test_lru_keeps_memo_size_answers(self, monkeypatch, summaries):
@@ -163,8 +162,6 @@ class TestMemo:
             check_repeat(memo, fresh, summaries[0])
             with pytest.raises(ValueError, match="k"):
                 memo.knn(summaries[0], 0)
-            with pytest.raises(ValueError, match="method"):
-                memo.knn(summaries[0], K, method="exact")
             with pytest.raises(TypeError, match="VideoSummary"):
                 memo.knn("not a summary", K)
 
@@ -259,7 +256,7 @@ def assert_bits(got, want) -> None:
 
 
 class TestMemoAcrossK:
-    """One entry per query and method: a smaller ``k`` is a prefix hit,
+    """One entry per query: a smaller ``k`` is a prefix hit,
     a larger one widens the entry."""
 
     def test_a_smaller_k_is_a_prefix_hit(self, summaries):

@@ -33,16 +33,26 @@ def logical_signature(counters: CostCounters) -> dict:
     }
 
 
+def fresh_pool(*copies) -> None:
+    """Start each copy's engine on a fresh buffer pool, the cold baseline
+    of a cost signature (a shard contract ``knn`` has no ``cold=``)."""
+    for copy in copies:
+        shard = copy._serving_shard() if isinstance(copy, ReplicaShard) else copy
+        shard.engine().refresh()
+
+
 def assert_copies_agree(group, queries):
     """Every copy answers every query bit-identically to the primary."""
     for query in queries:
         reference_counters = CostCounters()
+        fresh_pool(group.primary)
         reference = group.primary.knn(
-            query, K, cold=True, out_counters=reference_counters
+            query, K, out_counters=reference_counters
         )
         for replica in group.replicas:
             counters = CostCounters()
-            result = replica.knn(query, K, cold=True, out_counters=counters)
+            fresh_pool(replica)
+            result = replica.knn(query, K, out_counters=counters)
             assert result.videos == reference.videos
             # repr pins every bit of the float64 scores.
             assert [repr(s) for s in result.scores] == [

@@ -290,7 +290,8 @@ class TestDrain:
         idle = RemoteShardClient(host, port)
         answers = []
         try:
-            assert idle.request("ping")["pong"]  # opens its connection
+            # Opens its connection.
+            assert idle.request("status")["shard_id"] == 7
             asker = threading.Thread(
                 target=lambda: answers.append(busy.knn(corpus[0], K))
             )

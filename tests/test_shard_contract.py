@@ -32,7 +32,7 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
 from repro.utils.clock import Deadline, VirtualClock
 from repro.utils.counters import CostCounters
-from tests.test_golden_replication import logical_signature
+from tests.test_golden_replication import fresh_pool, logical_signature
 from tests.test_replication import EPSILON, make_primary, make_summaries
 from tests.threshold_recipe import at_least
 
@@ -66,13 +66,16 @@ def summaries():
 
 
 @pytest.fixture(params=KINDS)
-def subject(request, tmp_path, summaries):
-    """``(kind, shard-like, reference)`` over identical durable content."""
+def served(request, tmp_path, summaries):
+    """``(kind, shard-like, reference, copies)`` over identical durable
+    content; ``copies`` are the engine-backed copies that answer, the
+    reference first."""
     kind = request.param
     clock = VirtualClock()
     reference = make_primary(tmp_path / "reference", summaries)
     primary = make_primary(tmp_path / "primary", summaries)
     server = None
+    copies = [primary]
     if kind == "shard":
         shard_like = primary
     elif kind == "fault_injecting":
@@ -86,8 +89,9 @@ def subject(request, tmp_path, summaries):
         replica = make_replica(tmp_path / "replica", clock)
         group.attach_replica(replica)
         shard_like = group if kind == "replica_set" else replica
+        copies = [primary, replica] if kind == "replica_set" else [replica]
     try:
-        yield kind, shard_like, reference
+        yield kind, shard_like, reference, [reference, *copies]
     finally:
         if server is not None:
             stop(server, shard_like)
@@ -96,6 +100,12 @@ def subject(request, tmp_path, summaries):
         else:
             shard_like.close()
         reference.close()
+
+
+@pytest.fixture
+def subject(served):
+    """``(kind, shard-like, reference)``."""
+    return served[:3]
 
 
 class TestConformance:
@@ -118,33 +128,30 @@ class TestConformance:
             assert got_bundle.page_requests == want_bundle.page_requests
             assert got_bundle.btree_node_visits == want_bundle.btree_node_visits
 
-    def test_knn_matches_the_plain_shard(self, subject, summaries):
-        _, shard_like, reference = subject
+    def test_knn_matches_the_plain_shard(self, served, summaries):
+        _, shard_like, reference, copies = served
         for query in summaries[:4]:
-            for method in ("composed", "naive"):
-                want_bundle, got_bundle = CostCounters(), CostCounters()
-                want = reference.knn(
-                    query, K, method=method, cold=True, out_counters=want_bundle
-                )
-                got = shard_like.knn(
-                    query, K, method=method, cold=True, out_counters=got_bundle
-                )
-                assert got.videos == want.videos
-                assert got.scores == want.scores
-                assert logical_signature(got_bundle) == logical_signature(
-                    want_bundle
-                )
+            fresh_pool(*copies)  # each query's cost signature is cold
+            want_bundle, got_bundle = CostCounters(), CostCounters()
+            want = reference.knn(query, K, out_counters=want_bundle)
+            got = shard_like.knn(query, K, out_counters=got_bundle)
+            assert got.videos == want.videos
+            assert got.scores == want.scores
+            assert logical_signature(got_bundle) == logical_signature(
+                want_bundle
+            )
 
-    def test_similarity_range_matches_the_plain_shard(self, subject, summaries):
+    def test_similarity_range_matches_the_plain_shard(self, served, summaries):
         """The threshold recipe: a full ranking cut at the threshold."""
-        _, shard_like, reference = subject
+        _, shard_like, reference, copies = served
         for query in summaries[:4]:
+            fresh_pool(*copies)  # each query's cost signature is cold
             want_bundle, got_bundle = CostCounters(), CostCounters()
             want = reference.knn(
-                query, len(reference), cold=True, out_counters=want_bundle
+                query, len(reference), out_counters=want_bundle
             )
             got = shard_like.knn(
-                query, len(shard_like), cold=True, out_counters=got_bundle
+                query, len(shard_like), out_counters=got_bundle
             )
             assert at_least(got, 0.1) == at_least(want, 0.1)
             assert logical_signature(got_bundle) == logical_signature(want_bundle)
@@ -233,7 +240,7 @@ class TestContentToken:
         assert before is not None
         for query in summaries[:4]:
             shard_like.knn(query, K)
-            shard_like.knn(query, K, method="naive", attempt=1)
+            shard_like.knn(query, K + 1, attempt=1)
         assert shard_like.content_token() == before
 
     def test_single_copies_report_the_index_token(self, subject):

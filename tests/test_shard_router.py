@@ -117,10 +117,12 @@ class TestExactness:
         assert fleet.knn(far, 5).scatter.shards_pruned
 
     def test_naive_method_matches_oracle(self, small_summaries, small_index):
+        # The naive method is the index's alone; the fleet's composed
+        # answer ranks the same videos.
         fleet = make_fleet(small_summaries, "hash", 4)
         query = small_summaries[0]
         expected = small_index.knn(query, 5, method="naive")
-        got = fleet.knn(query, 5, method="naive")
+        got = fleet.knn(query, 5)
         assert got.videos == expected.videos
 
     def test_more_shards_than_videos(self, small_summaries):
@@ -461,10 +463,13 @@ class TestValidation:
         with pytest.raises(TypeError, match="VideoSummary"):
             fleet.knn("query", 5)
 
-    def test_bad_method(self, small_summaries):
-        fleet = make_fleet(small_summaries[:4], "hash", 2)
+    def test_bad_method(self, small_summaries, small_index):
+        # Only the index takes a method; the fleet has no such option.
         with pytest.raises(ValueError, match="method"):
-            fleet.knn(small_summaries[0], 5, method="magic")
+            small_index.knn(small_summaries[0], 5, method="magic")
+        fleet = make_fleet(small_summaries[:4], "hash", 2)
+        with pytest.raises(TypeError, match="method"):
+            fleet.knn(small_summaries[0], 5, method="naive")
 
     def test_empty_fleet_rejects_queries(self, small_summaries):
         fleet = ShardedVideoDatabase(
