@@ -164,12 +164,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         videos = sum(
             entry["videos"] for entry in status["shards"].values()
         )
-        print(
-            f"serving {videos} videos across {fleet.num_shards} "
-            f"{args.mode}-mode shard server(s) on {host}:{port}"
-        )
-        print("Ctrl-C drains the front door and shard servers, then exits")
         try:
+            # Flushed, and inside the try: a supervisor reading a pipe
+            # learns a --port 0 address from the first line and may
+            # interrupt as soon as it has.
+            print(
+                f"serving {videos} videos across {fleet.num_shards} "
+                f"{args.mode}-mode shard server(s) on {host}:{port}",
+                flush=True,
+            )
+            print(
+                "Ctrl-C drains the front door and shard servers, then exits",
+                flush=True,
+            )
             while not server.wait_closed(1.0):
                 pass
         except KeyboardInterrupt:

@@ -8,9 +8,9 @@ The write-heavy half of serving a video database.  Three pieces:
   discipline.
 * :mod:`repro.ingest.drift` — :class:`DriftMonitor`, the paper's
   Section 6.3.3 principal-angle drift policy re-cast for streaming:
-  per-shard insert counts, a wall-clock floor between measurements (on
-  the injected clock), and an explicit ``DriftCheck`` verdict the
-  pipeline turns into an online rebuild.
+  per-shard insert counts, a measurement every ``check_every`` inserts
+  to a shard, and an explicit ``DriftCheck`` verdict the pipeline turns
+  into the fleet's online rebuild of that shard.
 * :mod:`repro.ingest.cutover` — the online side-build: construct the
   refitted index in a sibling generation directory while the old one
   serves, then cut over atomically through the ``epoch.json`` pointer
@@ -23,7 +23,6 @@ from repro.ingest.cutover import (
     CutoverReport,
     SideBuildResult,
     commit_cutover,
-    rebuild_online,
     side_build,
 )
 from repro.ingest.drift import DriftCheck, DriftMonitor
@@ -46,6 +45,5 @@ __all__ = [
     "IngestPipeline",
     "SideBuildResult",
     "commit_cutover",
-    "rebuild_online",
     "side_build",
 ]

@@ -15,9 +15,12 @@ duration.  This module runs the same rebuild *beside* the live index:
    commit point), swaps the shard onto a freshly reopened database, and
    lets every epoch-scoped artefact invalidate itself: the serving
    engine (and its L1 result / L2 range caches) rebuilds against the
-   new content token, and a WAL shipper re-roots its hash chain so
-   replicas re-bootstrap from a new-epoch snapshot instead of replaying
-   across the boundary.
+   new content token.
+
+The one caller is
+:meth:`~repro.shard.router.ShardedVideoDatabase.rebuild_shard`, which
+holds the fleet's writes off for the duration; a replica group's
+primary is never cut over.
 
 Crash safety is inherited, not bolted on: every write of the side build
 and the pointer swap routes through the database's fault injector, so a
@@ -49,7 +52,6 @@ __all__ = [
     "CutoverReport",
     "SideBuildResult",
     "commit_cutover",
-    "rebuild_online",
     "side_build",
 ]
 
@@ -139,7 +141,7 @@ def side_build(db: VideoDatabase, *, reference: str | None = None) -> SideBuildR
     )
 
 
-def commit_cutover(shard, result: SideBuildResult, *, shipper=None) -> CutoverReport:
+def commit_cutover(shard, result: SideBuildResult) -> CutoverReport:
     """Atomically switch a shard onto a completed side build.
 
     The commit point is one ``os.replace`` of ``epoch.json``; before it
@@ -147,9 +149,6 @@ def commit_cutover(shard, result: SideBuildResult, *, shipper=None) -> CutoverRe
     between.  Then the shard adopts a freshly reopened database (whose
     open sweeps the old generation's files), dropping its engine and
     caches so the next query rebuilds them under the new content token.
-    With a ``shipper``, the segment chain is re-rooted so replicas
-    re-bootstrap from a new-epoch snapshot (see
-    :meth:`~repro.replication.shipper.WalShipper.rehook`).
 
     ``shard`` is duck-typed (``database`` + ``adopt_database``) so this
     module stays importable from the routing layer without a cycle.
@@ -175,8 +174,6 @@ def commit_cutover(shard, result: SideBuildResult, *, shipper=None) -> CutoverRe
         fault_injector=db.fault_injector,
     )
     shard.adopt_database(new_db)
-    if shipper is not None:
-        shipper.rehook()
     return CutoverReport(
         old_token=old_token,
         new_token=result.token,
@@ -187,9 +184,3 @@ def commit_cutover(shard, result: SideBuildResult, *, shipper=None) -> CutoverRe
         drift_before=result.drift_before,
         drift_after=new_db.drift_angle(),
     )
-
-
-def rebuild_online(shard, *, reference: str | None = None, shipper=None) -> CutoverReport:
-    """Side-build then cut over, in one call (writes must be held off)."""
-    result = side_build(shard.database, reference=reference)
-    return commit_cutover(shard, result, shipper=shipper)

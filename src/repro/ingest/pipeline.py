@@ -1,12 +1,12 @@
 """Streaming ingest: bounded admission, WAL-batched commits, typed sheds.
 
-:class:`IngestPipeline` is the write-side front door.  Producers
-:meth:`~IngestPipeline.submit` summaries into a bounded queue; a pump
-(inline or a background thread) drains them in batches into the target
-— a sharded fleet, a replica set, or a bare shard — and commits each
-batch as **one** WAL transaction, so a replica set ships it as one
-chained segment and a crash can only lose whole batches, never split
-one.
+:class:`IngestPipeline` is the write-side front door, and a sharded
+fleet (:class:`~repro.shard.router.ShardedVideoDatabase`) is the only
+target it takes.  Producers :meth:`~IngestPipeline.submit` summaries
+into a bounded queue; a pump (inline or a background thread) drains
+them in batches into the fleet, which routes each insert through its
+partitioner, and a durable fleet commits each batch with **one**
+checkpoint, so a crash can only lose whole batches, never split one.
 
 The admission discipline mirrors :class:`repro.serve.FrontDoor`: a full
 queue or a draining pipeline sheds with a *typed* error before any work
@@ -19,14 +19,12 @@ flush: everything counted ``submitted`` is either committed by the
 drain or was shed with a typed error.
 
 With a :class:`~repro.ingest.drift.DriftMonitor` attached, every
-committed batch feeds per-shard insert counts; when a measurement says
-the principal angle drifted past the threshold, the pipeline launches
-the online rebuild (:mod:`repro.ingest.cutover`) on the affected shard
-— through the router's
-:meth:`~repro.shard.router.ShardedVideoDatabase.rebuild_shard` for
-fleets, under the primary's ``write_gate`` for a replica set — while
-queries keep being served.  Fleet drift state is keyed by shard
-position, which is fixed for a fleet's life.
+committed batch feeds per-shard insert counts, keyed by shard position
+(fixed for a fleet's life); when a measurement says the principal angle
+drifted past the threshold, the pipeline calls the router's
+:meth:`~repro.shard.router.ShardedVideoDatabase.rebuild_shard` on that
+position, which runs the online rebuild (:mod:`repro.ingest.cutover`)
+while queries keep being served.
 
 A commit failure never silently kills ingestion: the background worker
 records the error, keeps the un-applied remainder of the batch for the
@@ -48,18 +46,15 @@ from __future__ import annotations
 # precisely to serialise committers: a commit IS durable I/O (batch
 # checkpoint, online rebuild's side build + pointer swap), and holding
 # the lock across it is the invariant the oracle-checkpoint quiesce and
-# the one-segment-per-batch contract rely on.  Admission (submit) never
+# the one-checkpoint-per-batch contract rely on.  Admission (submit) never
 # takes this lock, so producers are not blocked by an in-flight commit.
 
 import queue
 import threading
 
 from repro.core.vitri import VideoSummary
-from repro.ingest.cutover import rebuild_online
 from repro.ingest.drift import DriftMonitor
-from repro.replication.group import ReplicaSet
 from repro.shard.router import ShardedVideoDatabase
-from repro.shard.shard import Shard
 from repro.utils.clock import Clock, SystemClock
 from repro.utils.locks import make_lock
 
@@ -103,22 +98,15 @@ class IngestFailed(RuntimeError):
 
 
 class IngestPipeline:
-    """Bounded, batching ingest into a live serving target.
+    """Bounded, batching ingest into a live serving fleet.
 
     Parameters
     ----------
     target:
-        Where summaries land, decided once by type:
-
-        * a :class:`~repro.shard.router.ShardedVideoDatabase` — inserts
-          route through the partitioner, drift is tracked per shard and
-          rebuilds go through the router's ``rebuild_shard``;
-        * a :class:`~repro.replication.group.ReplicaSet` — inserts hit
-          the primary under its ``write_gate``, each batch commit seals
-          one segment, then ``sync()`` pumps the replicas;
-        * a :class:`~repro.shard.shard.Shard` — the single-index case.
+        The :class:`~repro.shard.router.ShardedVideoDatabase` summaries
+        land in; anything else raises :class:`TypeError`.
     batch_size:
-        Summaries per commit (one WAL transaction / shipped segment).
+        Summaries per commit (one fleet checkpoint when durable).
     max_queue:
         Admission bound; a full queue sheds :class:`IngestOverloaded`.
     clock:
@@ -143,21 +131,9 @@ class IngestPipeline:
             raise ValueError(f"max_queue must be a positive int, got {max_queue}")
         if drift is not None and not isinstance(drift, DriftMonitor):
             raise TypeError("drift must be a DriftMonitor")
-        self._target = target
-        # The one typed decision: which shard a batch writes to.
-        if isinstance(target, ShardedVideoDatabase):
-            self._shard = None  # the partitioner picks, per insert
-        elif isinstance(target, ReplicaSet):
-            self._shard = target.primary
-        elif isinstance(target, Shard):
-            self._shard = target
-        else:
-            raise TypeError(
-                "target must expose add_summary as a ShardedVideoDatabase, "
-                "a ReplicaSet or a Shard"
-            )
-        self._is_fleet = self._shard is None
-        self._is_replica_set = isinstance(target, ReplicaSet)
+        if not isinstance(target, ShardedVideoDatabase):
+            raise TypeError("target must be a ShardedVideoDatabase")
+        self._fleet = target
         self._batch_size = batch_size
         self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
         self._clock = clock if clock is not None else SystemClock()
@@ -251,13 +227,7 @@ class IngestPipeline:
 
     def _commit_batch(self, batch: list[VideoSummary]) -> int:
         try:
-            if self._is_replica_set:
-                # No primary-routed read may interleave with the
-                # mutation; replicas keep serving throughout.
-                with self._target.write_gate:
-                    applied, landed = self._apply(batch)
-            else:
-                applied, landed = self._apply(batch)
+            applied, landed = self._apply(batch)
         except Exception:
             # ``_apply`` consumes ``batch`` destructively, so whatever
             # it did not reach is still in it: keep that remainder for
@@ -267,19 +237,19 @@ class IngestPipeline:
         self._after_commit(landed)
         return applied
 
-    def _apply(self, batch: list[VideoSummary]) -> tuple[int, dict]:
+    def _apply(self, batch: list[VideoSummary]) -> tuple[int, dict[int, int]]:
         """Insert a batch and commit it durably.
 
         Returns ``(applied, landed)``: how many summaries landed, and
-        per-shard-key counts for drift accounting.  The batch list is
-        consumed front-to-back, so on failure it holds exactly the
+        per-shard-position counts for drift accounting.  The batch list
+        is consumed front-to-back, so on failure it holds exactly the
         un-applied remainder.
         """
         applied = 0
-        landed: dict = {}
+        landed: dict[int, int] = {}
         while batch:
             try:
-                video_id = self._target.add_summary(batch[0])
+                video_id = self._fleet.add_summary(batch[0])
             except (TypeError, ValueError):
                 self.rejected += 1
                 batch.pop(0)
@@ -287,51 +257,27 @@ class IngestPipeline:
             batch.pop(0)
             applied += 1
             self.ingested += 1
-            key = self._target.shard_of(video_id) if self._is_fleet else "primary"
-            landed[key] = landed.get(key, 0) + 1
-        if applied and self._durable():
+            position = self._fleet.shard_of(video_id)
+            landed[position] = landed.get(position, 0) + 1
+        if applied and self._fleet.path is not None:
             # One checkpoint per batch: the whole batch becomes one WAL
-            # transaction (and one shipped segment on a replica set).
-            self._target.checkpoint()
-        if self._is_replica_set:
-            self._target.sync()
+            # transaction on each shard it touched.
+            self._fleet.checkpoint()
         self.batches += 1
         return applied, landed
 
-    def _durable(self) -> bool:
-        # ``Shard.path`` is its database's; a replica set's primary is
-        # durable by contract.
-        return (self._target if self._is_fleet else self._shard).path is not None
-
-    def _after_commit(self, landed: dict) -> None:
-        if self._drift is None or not landed:
+    def _after_commit(self, landed: dict[int, int]) -> None:
+        if self._drift is None:
             return
-        for key, count in landed.items():
-            index = self._index_of(key)
+        for position, count in landed.items():
+            index = self._fleet.shards[position].database.index
             if index is None:
                 continue
-            check = self._drift.observe(key, index, inserted=count)
+            check = self._drift.observe(position, index, inserted=count)
             if check is not None and check.rebuild:
-                self._rebuild(key)
-
-    def _index_of(self, key):
-        shard = self._target.shards[key] if self._is_fleet else self._shard
-        return shard.database.index
-
-    def _rebuild(self, key) -> None:
-        if self._is_fleet:
-            self._target.rebuild_shard(key)
-        elif self._is_replica_set:
-            # Same discipline as _commit_batch: the cutover detaches the
-            # primary's database and resets engine state, so in-flight
-            # primary-routed reads must be excluded for its duration.
-            with self._target.write_gate:
-                rebuild_online(self._shard, shipper=self._target.shipper)
-                self._target.sync()
-        else:
-            rebuild_online(self._shard)
-        self._drift.forget(key)
-        self.rebuilds += 1
+                self._fleet.rebuild_shard(position)
+                self._drift.forget(position)
+                self.rebuilds += 1
 
     # ------------------------------------------------------------------
     # Background worker

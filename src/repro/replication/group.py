@@ -2,12 +2,16 @@
 
 :class:`ReplicaSet` groups a durable primary :class:`Shard` with N
 :class:`ReplicaShard` copies and presents the whole group as one
-:class:`~repro.shard.contract.WritableShard`: reads route to a copy,
-writes and routing metadata go to the primary.  Two members of the
-contract carry the group's extra meaning.  ``attempt`` — the dispatch
-ordinal the attempt loop hands every sub-query (0 first, +1 per retry)
-— is folded into copy selection, which is what sends a retried attempt
-to a *different* copy instead of re-hitting the one that failed.  ``status()["replication"]`` is :meth:`ReplicaSet.replication_status`
+:class:`~repro.shard.contract.ShardLike`: queries route to a copy, and
+the shard's metadata (ids, length, the key-bounds proof) is the
+primary's.  A group is read-only: it is not a
+:class:`~repro.shard.contract.WritableShard`, and no ``src/`` path
+writes to or cuts over a group's primary.  Two members of the contract
+carry the group's extra meaning.  ``attempt`` — the dispatch ordinal
+the attempt loop hands every sub-query (0 first, +1 per retry) — is
+folded into copy selection, which is what sends a retried attempt to a
+*different* copy instead of re-hitting the one that failed.
+``status()["replication"]`` is :meth:`ReplicaSet.replication_status`
 (shipper position plus per-replica state), where a plain shard reports
 ``None``.
 
@@ -33,10 +37,12 @@ query) modelling what the network layer makes physical — one
 single-worker server per copy — so in-process throughput benchmarks see
 the same scaling shape as the fleet: N copies ≈ N concurrent queries.
 
-Writes go to the primary only.  :meth:`ReplicaSet.sync` pumps sealed
-segments to every replica, re-bootstraps any copy that refused one or
-fell behind the shipper's retained log, then trims the log through the
-slowest replica's position; :meth:`ReplicaSet.attach_replica`
+Whoever owns the primary writes to ``group.primary`` directly and
+checkpoints it (each commit seals one segment), then calls
+:meth:`ReplicaSet.sync`, which pumps sealed segments to every replica,
+re-bootstraps any copy that refused one or fell behind the shipper's
+retained log, then trims the log through the slowest replica's
+position; :meth:`ReplicaSet.attach_replica`
 bootstraps a new copy from a snapshot and warms its page tier with the
 pages the primary's pool currently holds.
 """
@@ -46,8 +52,8 @@ from __future__ import annotations
 # vilint: disable-file=blocking-while-locked -- each copy's serving gate
 # is *meant* to be held across a whole query: it models the copy's
 # single-worker server, so closed-loop clients contend per copy exactly
-# as they would over the network.  A read holds one gate; the one
-# nesting is sync() under the write gate: primary gate -> replica gate.
+# as they would over the network.  A read holds one gate; sync() holds
+# one replica's gate at a time.
 
 import hashlib
 
@@ -112,23 +118,14 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     @property
     def primary(self) -> Shard:
-        """The writable copy."""
+        """The copy whose WAL feeds the replicas (write to it, then
+        :meth:`sync`)."""
         return self._primary
 
     @property
     def shipper(self) -> WalShipper:
         """The primary's segment shipper."""
         return self._shipper
-
-    @property
-    def write_gate(self):
-        """The primary copy's serving gate.
-
-        Writers (the ingest pipeline) hold it across a batch commit so
-        an in-flight read on the primary copy never interleaves with an
-        index mutation; replicas keep serving throughout.
-        """
-        return self._primary_copy.gate
 
     @property
     def replicas(self) -> list[ReplicaShard]:
@@ -216,10 +213,9 @@ class ReplicaSet:
                 return applied, 1
             applied += 1
         if replica.content_token() != self._shipper.token:
-            # Caught up by position yet on a different content token: an
-            # online-rebuild cutover re-rooted the chain (same videos,
-            # new reference point, new token).  Replay cannot bridge
-            # epochs; only a fresh snapshot can.
+            # Caught up by position yet on a different content token:
+            # nothing is left to replay, so only a fresh snapshot can
+            # make this copy match the primary.
             self._bootstrap(replica)
             return applied, 1
         return applied, 0
@@ -274,7 +270,7 @@ class ReplicaSet:
         return result
 
     # ------------------------------------------------------------------
-    # Shard-interface delegation (metadata + writes go to the primary)
+    # Read-surface delegation (the primary's view; copies are identical)
     # ------------------------------------------------------------------
     @property
     def shard_id(self) -> int:
@@ -306,36 +302,11 @@ class ReplicaSet:
         """Ids of the videos this shard owns (primary's view)."""
         return self._primary.video_ids()
 
-    def summaries(self):
-        """Summaries of the shard's videos (primary's view)."""
-        return self._primary.summaries()
-
-    def key_bounds(self, *, counters: CostCounters | None = None):
-        """Key bounds of the shard's tree (identical on every copy)."""
-        return self._primary.key_bounds(counters=counters)
-
-    def composed_ranges(self, query):
-        """The query's composed ranges in this shard's key space."""
-        return self._primary.composed_ranges(query)
-
     def may_contain(
         self, query, *, counters: CostCounters | None = None
     ) -> bool:
         """Lossless overlap filter (primary's view; copies are identical)."""
         return self._primary.may_contain(query, counters=counters)
-
-    def add_summary(self, summary) -> int:
-        """Store one routed summary (primary only; replicas follow on
-        the next checkpoint + :meth:`sync`)."""
-        return self._primary.add_summary(summary)
-
-    def remove(self, video_id: int) -> None:
-        """Remove one video (primary only)."""
-        self._primary.remove(video_id)
-
-    def checkpoint(self) -> None:
-        """Checkpoint the primary (sealing the changes into a segment)."""
-        self._primary.checkpoint()
 
     def status(self) -> dict:
         """The contract's status report: the primary's, plus the reads

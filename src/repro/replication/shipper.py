@@ -119,13 +119,10 @@ class SegmentLog:
         """Drop every segment with seq <= ``through_seq`` and floor
         replay there.
 
-        Two callers.  :meth:`ReplicaSet.sync` trims through the slowest
-        replica's position once every replica has applied what it
-        needs, which is what keeps the log bounded.  A cutover trims
-        through the current seq: segments sealed against the old epoch
-        can never chain onto the new one, so :meth:`since` answers
-        ``None`` for any pre-cutover position, forcing a snapshot
-        bootstrap.
+        :meth:`ReplicaSet.sync` trims through the slowest replica's
+        position once every replica has applied what it needs, which is
+        what keeps the log bounded; :meth:`since` then answers ``None``
+        for any position below the floor, forcing a snapshot bootstrap.
         """
         with self._lock:
             self._entries = [
@@ -215,25 +212,6 @@ class WalShipper:
             else:
                 files[name] = b""
         return Snapshot(seq=self._seq, token=self._token, files=files)
-
-    def rehook(self) -> None:
-        """Re-attach to the shard's current database after a cutover.
-
-        The online rebuild swaps the shard's :class:`VideoDatabase` for
-        a fresh object over the new generation; its WAL has no sink yet.
-        Re-install the seal hook, re-read the content token (the new
-        epoch's chain root — the refitted reference point changes the
-        token even though the videos are the same), and trim the whole
-        segment log so no replica can replay across the epoch boundary.
-        The sequence counter keeps ascending: a replica's position
-        remains comparable before and after.
-        """
-        db = self._shard.database
-        if db.path is None:
-            raise ValueError("WAL shipping requires a durable primary shard")
-        db.wal.set_segment_sink(self._seal)
-        self._token = database_token(db)
-        self._log.trim(self._seq)
 
     def detach(self) -> None:
         """Stop sealing (clears the WAL's segment sink)."""

@@ -12,8 +12,10 @@ says what that thing is.
   :class:`~repro.replication.group.ReplicaSet`,
   :class:`~repro.replication.replica.ReplicaShard` and
   :class:`~repro.serve.transport.RemoteShard`.
-* :class:`WritableShard` (writes and routing metadata on top) by the
-  first three; a replica and a remote proxy are read-only.
+* :class:`WritableShard` (writes and routing metadata on top) by
+  :class:`~repro.shard.shard.Shard` and
+  :class:`~repro.shard.faults.FaultInjectingShard` only; a replica
+  group, a replica and a remote proxy are read-only.
 
 Callers use the declared surface and never probe for it (vilint's
 ``duck-sniffing`` rule): an implementer with nothing to say accepts the
@@ -81,7 +83,7 @@ class ShardLike(Protocol):
         reuse an answer only while the token it was computed under
         still reads the same.  ``None`` means "unknown" and never
         matches anything.  Reading it builds no index, reads no page
-        and takes no write gate.
+        and takes no serving gate.
         """
 
     def status(self) -> dict:

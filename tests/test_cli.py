@@ -1,9 +1,16 @@
 """Tests for the command-line interface."""
 
 import os
+import queue
+import re
+import signal
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -411,7 +418,7 @@ class TestCheckSharded:
 class TestInspectingWritesNothing:
     """``check`` only reads the fleet it opens."""
 
-    def test_check_and_fleet_health_leave_every_file_as_it_was(
+    def test_check_leaves_every_file_as_it_was(
         self, dataset_path, tmp_path, capsys
     ):
         path = str(tmp_path / "fleet")
@@ -448,6 +455,58 @@ class TestInspectingWritesNothing:
             # read-only open that skips recovery is separate work.
             if os.path.basename(name) != "db.wal":
                 assert after[name][1] == past, name
+
+
+class TestServe:
+    """``repro-video serve`` as a supervisor runs it: stdout is a pipe."""
+
+    WAIT = 60.0
+
+    def test_prints_its_address_through_a_pipe(self, dataset_path, tmp_path):
+        """Regression: the serving line was printed without a flush, so
+        under a pipe (block-buffered, no ``PYTHONUNBUFFERED``) a
+        ``--port 0`` address stayed unread until the server exited."""
+        path = str(tmp_path / "fleet")
+        TestCheckSharded()._build_fleet(dataset_path, path)
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--index", path,
+             "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        lines: queue.Queue = queue.Queue()
+
+        def pump():
+            for line in server.stdout:
+                lines.put(line)
+            lines.put(None)
+
+        reader = threading.Thread(target=pump, daemon=True)
+        reader.start()
+        try:
+            address = None
+            while address is None:
+                line = lines.get(timeout=self.WAIT)
+                assert line is not None, "serve exited before serving"
+                address = re.match(r"serving 13 videos .* on (.+):(\d+)$", line)
+            # Interrupted as soon as the address is known.
+            server.send_signal(signal.SIGINT)
+            code = server.wait(timeout=self.WAIT)
+            reader.join(self.WAIT)
+            output = []
+            while (line := lines.get_nowait()) is not None:
+                output.append(line)
+            assert code == 0, "".join(output)
+            assert "drained; all shard servers stopped\n" in output
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
 
 
 class TestCheckSegments:

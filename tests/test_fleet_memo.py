@@ -381,8 +381,8 @@ class TestContentMoves:
             before = group.content_token()
 
             # The primary moves; the replica lags until sync().
-            group.add_summary(newcomer)
-            group.checkpoint()
+            group.primary.add_summary(newcomer)
+            group.primary.checkpoint()
             lagging = group.content_token()
             assert lagging != before
             unsynced = memo.knn(newcomer, K)

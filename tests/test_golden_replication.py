@@ -94,8 +94,8 @@ def test_replica_rankings_bit_identical_through_rebootstrap(seed, tmp_path):
 
         # Stage 2: a live write ships as segments; one replica receives
         # a torn copy mid-stream and demotes itself.
-        group.add_summary(summaries[-2])
-        group.checkpoint()
+        group.primary.add_summary(summaries[-2])
+        group.primary.checkpoint()
         victim = group.replicas[0]
         torn = group.shipper.segments_since(victim.applied_seq)[0][:-3]
         assert not victim.apply_segment(torn)
@@ -109,8 +109,8 @@ def test_replica_rankings_bit_identical_through_rebootstrap(seed, tmp_path):
 
         # Stage 3: one more shipped write after the re-bootstrap, caught
         # up by replay on both replicas.
-        group.add_summary(summaries[-1])
-        group.checkpoint()
+        group.primary.add_summary(summaries[-1])
+        group.primary.checkpoint()
         tally = group.sync()
         assert tally["bootstrapped"] == 0
         assert tally["applied"] >= 2

@@ -19,12 +19,10 @@ from repro.core.index import VitriIndex
 from repro.core.summarize import summarize_video
 from repro.core.vitri import VideoSummary
 from repro.datasets.synthetic import DatasetConfig, generate_dataset
-from repro.ingest import commit_cutover, rebuild_online, side_build
-from repro.replication import ReplicaSet, ReplicaShard
+from repro.ingest import commit_cutover, side_build
 from repro.replication.shipper import database_token
 from repro.shard.shard import Shard
 from repro.storage.faults import FaultInjector, SimulatedCrash
-from repro.utils.clock import VirtualClock
 
 EPSILON = 0.3
 _SWEEP_MODES = ("drop", "torn", "duplicate")
@@ -50,6 +48,12 @@ def make_shard(path, summaries) -> Shard:
         shard.add_summary(summary)
     shard.checkpoint()
     return shard
+
+
+def rebuild(shard, *, reference: str | None = None):
+    """Side-build, then cut over: ``ShardedVideoDatabase.rebuild_shard``
+    without the fleet's write barrier (nothing else writes here)."""
+    return commit_cutover(shard, side_build(shard.database, reference=reference))
 
 
 def rankings(server, probes, k=5):
@@ -90,7 +94,7 @@ class TestOnlineRebuild:
         probes = summaries[:5]
         before = rankings(shard, probes)
 
-        report = rebuild_online(shard)
+        report = rebuild(shard)
 
         assert report.old_epoch == 0
         assert report.new_epoch == 1
@@ -117,7 +121,7 @@ class TestOnlineRebuild:
         path = tmp_path / "shard"
         summaries = make_summaries(10)
         shard = make_shard(path, summaries)
-        report = rebuild_online(shard)
+        report = rebuild(shard)
         shard.checkpoint()
         shard.close()
 
@@ -137,7 +141,7 @@ class TestOnlineRebuild:
         engine_before = shard.engine()
         token_before = engine_before.snapshot_token
 
-        report = rebuild_online(shard)
+        report = rebuild(shard)
 
         engine_after = shard.engine()
         assert engine_after is not engine_before
@@ -146,36 +150,11 @@ class TestOnlineRebuild:
 
     def test_successive_rebuilds_advance_epochs(self, tmp_path):
         shard = make_shard(tmp_path / "shard", make_summaries(10))
-        first = rebuild_online(shard)
-        second = rebuild_online(shard)
+        first = rebuild(shard)
+        second = rebuild(shard)
         assert (first.new_epoch, second.new_epoch) == (1, 2)
         assert second.generation == "gen-0002"
         assert shard.database.epoch == 2
-
-    def test_replicas_rebootstrap_after_cutover(self, tmp_path):
-        summaries = make_summaries(12)
-        primary = make_shard(tmp_path / "primary", summaries)
-        clock = VirtualClock()
-        group = ReplicaSet(primary, clock=clock)
-        group.attach_replica(
-            ReplicaShard(0, tmp_path / "replica", epsilon=EPSILON, clock=clock)
-        )
-        group.sync()
-
-        report = rebuild_online(group.primary, shipper=group.shipper)
-        group.sync()
-
-        # The replica re-bootstrapped from a new-epoch snapshot: it now
-        # serves the new token's content, bit-identical to the oracle.
-        oracle = VitriIndex.build(summaries, EPSILON)
-        for probe in summaries[:4]:
-            expected = oracle.knn(probe, 5)
-            got = group.knn(probe, 5)
-            assert tuple(got.videos) == tuple(expected.videos)
-            assert np.allclose(got.scores, expected.scores)
-        status = group.replication_status()
-        assert report.new_token in str(status)
-        group.close()
 
 
 def run_cutover_crash_sweep(
@@ -192,7 +171,7 @@ def run_cutover_crash_sweep(
 
     Builds one golden durable shard over ``summaries``, records its
     probe rankings, counts the disk operations of a full
-    :func:`~repro.ingest.cutover.rebuild_online` (open included — the
+    side build and cutover (open included — the
     open-time WAL recovery and stale-generation sweep are part of the
     workload), then replays the rebuild once per operation index with a
     terminal fault scripted there, damage mode cycling
@@ -245,7 +224,7 @@ def run_cutover_crash_sweep(
                 buffer_capacity=buffer_capacity,
                 fault_injector=injector,
             )
-            report = rebuild_online(shard, reference=reference)
+            report = rebuild(shard, reference=reference)
             shard.close()
             return report
         except SimulatedCrash:

@@ -1,10 +1,10 @@
 """Tests for the streaming ingest pipeline (repro.ingest).
 
-Admission must shed with *typed* errors before doing any work; commits
-must be whole batches (one WAL transaction / one shipped segment each);
-the worker must commit a partial batch on its next iteration; and a
-drift-triggered rebuild must leave the target serving oracle-exact
-rankings.
+The pipeline writes to a sharded fleet and nothing else.  Admission
+must shed with *typed* errors before doing any work; commits must be
+whole batches (one fleet checkpoint each); the worker must commit a
+partial batch on its next iteration; and a drift-triggered rebuild must
+leave the fleet serving oracle-exact rankings.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro.ingest import (
     IngestOverloaded,
     IngestPipeline,
 )
-from repro.replication import ReplicaSet, ReplicaShard
+from repro.replication import ReplicaSet
 from repro.shard.router import ShardedVideoDatabase
 from repro.shard.shard import Shard
 from repro.utils.clock import VirtualClock
@@ -42,6 +42,15 @@ def make_summaries(count: int = 12, *, seed: int = 7, first_id: int = 0):
         summarize_video(first_id + i, dataset.frames(i), EPSILON, seed=first_id + i)
         for i in range(min(count, dataset.num_videos))
     ]
+
+
+def make_fleet(path=None, *, num_shards: int = 1) -> ShardedVideoDatabase:
+    """An empty fleet (in memory unless ``path`` is given)."""
+    return ShardedVideoDatabase(
+        EPSILON,
+        num_shards=num_shards,
+        path=None if path is None else str(path),
+    )
 
 
 def rotated_summaries(count: int, *, seed: int, first_id: int):
@@ -67,24 +76,34 @@ def rotated_summaries(count: int, *, seed: int, first_id: int):
 
 class TestValidation:
     def test_rejects_target_without_add_summary(self):
-        with pytest.raises(TypeError, match="add_summary"):
+        with pytest.raises(TypeError, match="ShardedVideoDatabase"):
             IngestPipeline(object())
 
+    def test_rejects_a_shard_or_a_replica_set(self, tmp_path):
+        """Writes enter through the fleet only: a bare shard or a replica
+        group is refused, however writable it looks."""
+        primary = Shard(0, epsilon=EPSILON, path=str(tmp_path / "primary"))
+        group = ReplicaSet(primary, clock=VirtualClock())
+        for target in (Shard(0, epsilon=EPSILON), primary, group):
+            with pytest.raises(TypeError, match="ShardedVideoDatabase"):
+                IngestPipeline(target)
+        group.close()
+
     def test_rejects_bad_knobs(self):
-        shard = Shard(0, epsilon=EPSILON)
+        fleet = make_fleet()
         with pytest.raises(ValueError, match="batch_size"):
-            IngestPipeline(shard, batch_size=0)
+            IngestPipeline(fleet, batch_size=0)
         with pytest.raises(ValueError, match="max_queue"):
-            IngestPipeline(shard, max_queue=0)
+            IngestPipeline(fleet, max_queue=0)
         with pytest.raises(TypeError, match="DriftMonitor"):
-            IngestPipeline(shard, drift=object())
+            IngestPipeline(fleet, drift=object())
         with pytest.raises(TypeError, match="Clock"):
-            IngestPipeline(shard, clock=object())
+            IngestPipeline(fleet, clock=object())
 
 
 class TestAdmission:
     def test_full_queue_sheds_typed_overload(self):
-        pipeline = IngestPipeline(Shard(0, epsilon=EPSILON), max_queue=2)
+        pipeline = IngestPipeline(make_fleet(), max_queue=2)
         summaries = make_summaries(3)
         pipeline.submit(summaries[0])
         pipeline.submit(summaries[1])
@@ -97,13 +116,13 @@ class TestAdmission:
         assert pipeline.shed == 1
 
     def test_rejects_non_summary_before_queueing(self):
-        pipeline = IngestPipeline(Shard(0, epsilon=EPSILON))
+        pipeline = IngestPipeline(make_fleet())
         with pytest.raises(TypeError, match="VideoSummary"):
             pipeline.submit("not a summary")
         assert pipeline.depth == 0
 
     def test_draining_pipeline_sheds_typed_refusal(self):
-        pipeline = IngestPipeline(Shard(0, epsilon=EPSILON))
+        pipeline = IngestPipeline(make_fleet())
         pipeline.drain()
         with pytest.raises(IngestDraining, match="draining"):
             pipeline.submit(make_summaries(1)[0])
@@ -112,96 +131,48 @@ class TestAdmission:
 
 class TestBatching:
     def test_pump_commits_in_batches(self):
-        shard = Shard(0, epsilon=EPSILON)
-        pipeline = IngestPipeline(shard, batch_size=4)
+        fleet = make_fleet(num_shards=2)
+        pipeline = IngestPipeline(fleet, batch_size=4)
         for summary in make_summaries(10):
             pipeline.submit(summary)
         assert pipeline.pump() == 10
         assert pipeline.batches == 3  # 4 + 4 + 2
         assert pipeline.ingested == 10
         assert pipeline.depth == 0
-        assert len(shard) == 10
+        assert len(fleet) == 10
 
-    def test_each_batch_ships_as_one_segment(self, tmp_path):
-        initial = make_summaries(8)
-        primary = Shard(0, epsilon=EPSILON, path=str(tmp_path / "primary"))
-        for summary in initial:
-            primary.add_summary(summary)
-        primary.checkpoint()
-        clock = VirtualClock()
-        group = ReplicaSet(primary, clock=clock)
-        replica = ReplicaShard(
-            0, tmp_path / "replica", epsilon=EPSILON, clock=clock
-        )
-        group.attach_replica(replica)
-        group.sync()
-        seq_before = group.shipper.seq
+    def test_durable_fleet_checkpoints_once_per_batch(
+        self, tmp_path, monkeypatch
+    ):
+        fleet = make_fleet(tmp_path / "fleet", num_shards=2)
+        checkpoints = []
+        checkpoint = ShardedVideoDatabase.checkpoint
 
-        pipeline = IngestPipeline(group, batch_size=4)
-        for summary in make_summaries(8, seed=11, first_id=len(initial)):
+        def counting(self):
+            checkpoints.append(len(self))
+            checkpoint(self)
+
+        monkeypatch.setattr(ShardedVideoDatabase, "checkpoint", counting)
+        pipeline = IngestPipeline(fleet, batch_size=4)
+        for summary in make_summaries(10):
             pipeline.submit(summary)
-        assert pipeline.pump() == 8
-
-        # One checkpoint per batch == one sealed, chained segment each,
-        # and the replica's apply gauntlet verified both hops.
-        assert group.shipper.seq == seq_before + 2
-        assert replica.segments_applied == 2
-        assert replica.bootstraps == 1
-        assert replica.content_token() == group.shipper.token
-
-        # _apply syncs after each commit: replicas already serve it all.
-        oracle = VitriIndex.build(group.primary.summaries(), EPSILON)
-        for probe in initial[:3]:
-            expected = oracle.knn(probe, 5)
-            got = group.knn(probe, 5)
-            assert tuple(got.videos) == tuple(expected.videos)
-            assert np.allclose(got.scores, expected.scores)
-        group.close()
-
-    @pytest.mark.parametrize("replicas", [0, 1, 2])
-    def test_replicated_segment_log_stays_bounded(self, tmp_path, replicas):
-        """Regression: every batch commit used to leave one more sealed
-        segment (page images included) in the primary's log for the life
-        of the process; ``sync()`` now trims through the slowest replica."""
-        primary = Shard(0, epsilon=EPSILON, path=str(tmp_path / "primary"))
-        for summary in make_summaries(6):
-            primary.add_summary(summary)
-        primary.checkpoint()
-        clock = VirtualClock()
-        group = ReplicaSet(primary, clock=clock)
-        for index in range(replicas):
-            group.attach_replica(
-                ReplicaShard(
-                    0, tmp_path / f"replica-{index}", epsilon=EPSILON,
-                    clock=clock,
-                )
-            )
-        pipeline = IngestPipeline(group, batch_size=2)
-        stream = make_summaries(12, seed=11, first_id=100)
-        for start in range(0, len(stream), 2):
-            for summary in stream[start:start + 2]:
-                pipeline.submit(summary)
-            assert pipeline.pump() == 2
-            assert len(group.shipper.log) <= 1
-        assert pipeline.batches == len(stream) // 2
-        for probe in stream[::3]:
-            want = group.primary.knn(probe, 5)
-            for replica in group.replicas:
-                got = replica.knn(probe, 5)
-                assert got.videos == want.videos
-                assert got.scores == want.scores
-        group.close()
+        assert pipeline.pump() == 10
+        assert checkpoints == [4, 8, 10]
+        fleet.crash()  # no checkpoint of its own: the batches are on disk
+        reopened = ShardedVideoDatabase(path=str(tmp_path / "fleet"))
+        assert reopened.video_ids() == set(range(10))
+        reopened.close()
 
     def test_invalid_summary_is_rejected_not_fatal(self):
-        shard = Shard(0, epsilon=EPSILON)
-        pipeline = IngestPipeline(shard, batch_size=4)
+        fleet = make_fleet()
+        pipeline = IngestPipeline(fleet, batch_size=4)
         summaries = make_summaries(4)
         for summary in summaries:
             pipeline.submit(summary)
         pipeline.submit(summaries[0])  # duplicate id: rejected at insert
         assert pipeline.pump() == 4
         assert pipeline.rejected == 1
-        assert len(shard) == 4
+        assert len(fleet) == 4
 
 
 class TestGroupCommit:
@@ -209,8 +180,8 @@ class TestGroupCommit:
     full batch at once, a partial one without waiting for company."""
 
     def make_pipeline(self, **kwargs):
-        shard = Shard(0, epsilon=EPSILON)
-        return shard, IngestPipeline(shard, clock=VirtualClock(), **kwargs)
+        fleet = make_fleet()
+        return fleet, IngestPipeline(fleet, clock=VirtualClock(), **kwargs)
 
     def test_full_batch_never_waits(self):
         _, pipeline = self.make_pipeline(batch_size=4)
@@ -235,8 +206,8 @@ class TestWorker:
     def test_background_worker_drains_the_queue(self):
         import time
 
-        shard = Shard(0, epsilon=EPSILON)
-        pipeline = IngestPipeline(shard, batch_size=2)
+        fleet = make_fleet()
+        pipeline = IngestPipeline(fleet, batch_size=2)
         pipeline.start()
         try:
             with pytest.raises(RuntimeError, match="already running"):
@@ -250,35 +221,38 @@ class TestWorker:
         finally:
             pipeline.stop()
         assert pipeline.ingested == 6
-        assert len(shard) == 6
+        assert len(fleet) == 6
 
     def test_context_manager_drains_on_exit(self):
-        shard = Shard(0, epsilon=EPSILON)
-        with IngestPipeline(shard, batch_size=4) as pipeline:
+        with IngestPipeline(make_fleet(), batch_size=4) as pipeline:
             for summary in make_summaries(3):
                 pipeline.submit(summary)
         assert pipeline.ingested == 3
         assert pipeline.stats()["draining"] is True
 
 
-class FlakyShard(Shard):
-    """A shard whose first ``fail`` inserts raise transiently."""
+def flaky_fleet(fail: int) -> ShardedVideoDatabase:
+    """A one-shard fleet whose shard's first ``fail`` inserts raise
+    transiently (the fleet routes the insert, then the shard fails)."""
+    fleet = make_fleet()
+    shard = fleet.shards[0]
+    add_summary = shard.add_summary
 
-    def __init__(self, fail: int) -> None:
-        super().__init__(0, epsilon=EPSILON)
-        self.remaining = fail
-
-    def add_summary(self, summary):
-        if self.remaining > 0:
-            self.remaining -= 1
+    def flaky(summary):
+        nonlocal fail
+        if fail > 0:
+            fail -= 1
             raise RuntimeError("transient insert fault")
-        return super().add_summary(summary)
+        return add_summary(summary)
+
+    shard.add_summary = flaky
+    return fleet
 
 
 class TestPumpFailure:
     def test_failed_commit_keeps_unapplied_batch(self):
-        shard = FlakyShard(fail=1)
-        pipeline = IngestPipeline(shard, batch_size=4)
+        fleet = flaky_fleet(fail=1)
+        pipeline = IngestPipeline(fleet, batch_size=4)
         for summary in make_summaries(4):
             pipeline.submit(summary)
         with pytest.raises(RuntimeError, match="transient"):
@@ -286,13 +260,13 @@ class TestPumpFailure:
         # The dequeued batch is carried, not lost: a retry commits it all.
         assert pipeline.depth == 4
         assert pipeline.pump() == 4
-        assert len(shard) == 4
+        assert len(fleet) == 4
 
     def test_worker_survives_transient_failures(self):
         import time
 
-        shard = FlakyShard(fail=2)
-        pipeline = IngestPipeline(shard, batch_size=2)
+        fleet = flaky_fleet(fail=2)
+        pipeline = IngestPipeline(fleet, batch_size=2)
         pipeline.start()
         try:
             for summary in make_summaries(4):
@@ -304,7 +278,7 @@ class TestPumpFailure:
         finally:
             pipeline.stop()
         assert pipeline.ingested == 4
-        assert len(shard) == 4
+        assert len(fleet) == 4
         stats = pipeline.stats()
         assert stats["pump_errors"] >= 1
         assert stats["failed"] is None
@@ -313,7 +287,7 @@ class TestPumpFailure:
         import time
 
         pipeline = IngestPipeline(
-            FlakyShard(fail=10_000), batch_size=2, clock=VirtualClock()
+            flaky_fleet(fail=10_000), batch_size=2, clock=VirtualClock()
         )
         pipeline.start()
         try:
@@ -339,10 +313,10 @@ class TestPumpFailure:
         exactly eight failures, having slept the doubling schedule from
         5 ms, capped at 250 ms, between them."""
         with pytest.raises(TypeError, match="max_pump_failures"):
-            IngestPipeline(Shard(0, epsilon=EPSILON), max_pump_failures=3)
+            IngestPipeline(make_fleet(), max_pump_failures=3)
         clock = VirtualClock()
         pipeline = IngestPipeline(
-            FlakyShard(fail=10_000), batch_size=2, clock=clock
+            flaky_fleet(fail=10_000), batch_size=2, clock=clock
         )
         for summary in make_summaries(2):
             pipeline.submit(summary)
@@ -357,8 +331,8 @@ class TestDrainRace:
     def test_drain_commits_everything_admitted(self):
         import threading
 
-        shard = Shard(0, epsilon=EPSILON)
-        pipeline = IngestPipeline(shard, batch_size=4)
+        fleet = make_fleet(num_shards=2)
+        pipeline = IngestPipeline(fleet, batch_size=4)
         chunks = [make_summaries(6, seed=s, first_id=s * 100) for s in (1, 2, 3)]
 
         def producer(chunk):
@@ -380,25 +354,26 @@ class TestDrainRace:
         # successfully was committed (or rejected at insert) by the drain.
         assert pipeline.stats()["depth"] == 0
         assert pipeline.submitted == pipeline.ingested + pipeline.rejected
-        assert len(shard) == pipeline.ingested
+        assert len(fleet) == pipeline.ingested
 
 
 class TestDrift:
     def test_drift_triggers_online_rebuild_and_stays_exact(self, tmp_path):
         initial = make_summaries(12)
-        shard = Shard(0, epsilon=EPSILON, path=str(tmp_path / "shard"))
+        fleet = make_fleet(tmp_path / "fleet")
         for summary in initial:
-            shard.add_summary(summary)
-        shard.checkpoint()
+            fleet.add_summary(summary)
+        fleet.checkpoint()
 
         monitor = DriftMonitor(max_angle_degrees=2.0, check_every=8)
-        pipeline = IngestPipeline(shard, batch_size=8, drift=monitor)
+        pipeline = IngestPipeline(fleet, batch_size=8, drift=monitor)
         stream = rotated_summaries(16, seed=11, first_id=len(initial))
         for summary in stream:
             pipeline.submit(summary)
         pipeline.drain()
 
         assert pipeline.rebuilds >= 1
+        shard = fleet.shards[0]
         assert shard.database.epoch >= 1
         oracle = VitriIndex.build(initial + stream, EPSILON)
         for probe in (initial + stream)[::7]:
@@ -406,49 +381,7 @@ class TestDrift:
             got = shard.knn(probe, 5)
             assert tuple(got.videos) == tuple(expected.videos)
             assert np.allclose(got.scores, expected.scores)
-
-    def test_replica_set_rebuild_holds_write_gate(self, tmp_path, monkeypatch):
-        """The online cutover must exclude in-flight primary reads.
-
-        ``commit_cutover`` detaches the primary's database mid-swap, so
-        a drift-triggered rebuild has to hold the primary copy's serving
-        gate exactly like a batch commit does.
-        """
-        primary = Shard(0, epsilon=EPSILON, path=str(tmp_path / "primary"))
-        for summary in make_summaries(8):
-            primary.add_summary(summary)
-        primary.checkpoint()
-        clock = VirtualClock()
-        group = ReplicaSet(primary, clock=clock)
-
-        class GateProbe:
-            def __init__(self, inner):
-                self._inner = inner
-                self.held = 0
-
-            def __enter__(self):
-                self._inner.__enter__()
-                self.held += 1
-                return self
-
-            def __exit__(self, *exc):
-                self.held -= 1
-                return self._inner.__exit__(*exc)
-
-        probe = GateProbe(group.write_gate)
-        group._primary_copy.gate = probe
-        held_during_rebuild = []
-        monkeypatch.setattr(
-            "repro.ingest.pipeline.rebuild_online",
-            lambda shard, **kwargs: held_during_rebuild.append(probe.held),
-        )
-
-        pipeline = IngestPipeline(group, drift=DriftMonitor())
-        pipeline._rebuild("primary")
-        assert held_during_rebuild == [1]
-        assert probe.held == 0  # released after the cutover
-        assert pipeline.rebuilds == 1
-        group.close()
+        fleet.close()
 
     def test_fleet_drift_rebuilds_the_owning_position(
         self, tmp_path, monkeypatch
@@ -487,7 +420,7 @@ class TestDrift:
         fleet.close()
 
     def test_stats_counters(self):
-        pipeline = IngestPipeline(Shard(0, epsilon=EPSILON), batch_size=2)
+        pipeline = IngestPipeline(make_fleet(), batch_size=2)
         for summary in make_summaries(3):
             pipeline.submit(summary)
         pipeline.pump()

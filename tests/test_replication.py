@@ -312,8 +312,8 @@ class TestReplicaSet:
     def test_write_then_sync_catches_replicas_up(self, tmp_path):
         summaries = make_summaries()
         group, _ = self.make_group(tmp_path, summaries[:9])
-        group.add_summary(summaries[9])
-        group.checkpoint()
+        group.primary.add_summary(summaries[9])
+        group.primary.checkpoint()
         tally = group.sync()
         assert tally["applied"] > 0
         assert tally["bootstrapped"] == 0
@@ -337,8 +337,8 @@ class TestReplicaSet:
             a for a in (0, 1) if group._admitted(a, query.video_id).target
             is replica
         )
-        group.add_summary(query)
-        group.checkpoint()
+        group.primary.add_summary(query)
+        group.primary.checkpoint()
 
         database = replica._shard.database
         reload = database.reload
@@ -383,8 +383,8 @@ class TestReplicaSet:
         summaries = make_summaries()
         group, _ = self.make_group(tmp_path, summaries[:8])
         for summary in summaries[8:10]:
-            group.add_summary(summary)
-            group.checkpoint()
+            group.primary.add_summary(summary)
+            group.primary.checkpoint()
         # Trim away the suffix the replicas need.
         group.shipper.log.trim(group.shipper.seq - 1)
         tally = group.sync()
@@ -392,6 +392,28 @@ class TestReplicaSet:
         for replica in group.replicas:
             assert replica.state == SYNCED
             assert replica.content_token() == group.shipper.token
+        group.close()
+
+    @pytest.mark.parametrize("replicas", [0, 1, 2])
+    def test_segment_log_stays_bounded(self, tmp_path, replicas):
+        """Regression: every commit used to leave one more sealed
+        segment (page images included) in the primary's log for the life
+        of the process; ``sync()`` trims through the slowest replica."""
+        summaries = make_summaries(18)
+        group, _ = self.make_group(tmp_path, summaries[:6], replicas=replicas)
+        stream = summaries[6:]
+        for start in range(0, len(stream), 2):
+            for summary in stream[start:start + 2]:
+                group.primary.add_summary(summary)
+            group.primary.checkpoint()
+            group.sync()
+            assert len(group.shipper.log) == 0
+        for probe in stream[::3]:
+            want = group.primary.knn(probe, 5)
+            for replica in group.replicas:
+                got = replica.knn(probe, 5)
+                assert got.videos == want.videos
+                assert got.scores == want.scores
         group.close()
 
     def test_affinity_keeps_a_video_on_one_copy(self, tmp_path):

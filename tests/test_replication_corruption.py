@@ -156,8 +156,8 @@ class TestRecovery:
                     clock=clock,
                 )
             )
-        group.add_summary(summaries[8])
-        group.checkpoint()
+        group.primary.add_summary(summaries[8])
+        group.primary.checkpoint()
 
         # Poison one replica with a torn copy of its next segment.
         victim = group.replicas[0]

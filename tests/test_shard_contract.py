@@ -40,7 +40,7 @@ K = 4
 STATUS_KEYS = {"shard_id", "videos", "queries_served", "replication"}
 KINDS = ("shard", "remote", "replica", "replica_set", "fault_injecting")
 UNREPLICATED = {"shard", "remote", "fault_injecting"}
-WRITABLE = {"shard", "replica_set", "fault_injecting"}
+WRITABLE = {"shard", "fault_injecting"}
 
 
 def make_replica(path, clock) -> ReplicaShard:
@@ -254,18 +254,24 @@ class TestContentToken:
 
     def test_moves_on_every_accepted_write(self, subject, summaries):
         kind, shard_like, _ = subject
-        if kind not in WRITABLE:
+        if kind == "replica_set":
+            # A group is read-only; its primary takes the writes.
+            assert not isinstance(shard_like, WritableShard)
+            writer = shard_like.primary
+        elif kind in WRITABLE:
+            writer = shard_like
+        else:
             pytest.skip(f"{kind} accepts no writes")
         seen = {shard_like.content_token()}
         extra = dataclasses.replace(summaries[0], video_id=500)
-        shard_like.add_summary(extra)
+        writer.add_summary(extra)
         seen.add(shard_like.content_token())
-        shard_like.remove(summaries[1].video_id)
+        writer.remove(summaries[1].video_id)
         seen.add(shard_like.content_token())
         assert len(seen) == 3
         if kind == "replica_set":
             # The replica catching up moves the group's token too.
-            shard_like.checkpoint()
+            writer.checkpoint()
             shard_like.sync()
             seen.add(shard_like.content_token())
             assert len(seen) == 4
@@ -282,7 +288,7 @@ class TestContentToken:
         empty = Shard(0, epsilon=EPSILON, path=str(tmp_path / "primary"))
         group = ReplicaSet(empty, clock=clock)
         group.attach_replica(make_replica(tmp_path / "replica", clock))
-        group.add_summary(summaries[0])
+        group.primary.add_summary(summaries[0])
         server, remote = serve(pending, clock)
         try:
             for shard_like in (
