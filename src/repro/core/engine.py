@@ -302,16 +302,11 @@ class QueryEngine:
         _check_query_args(query, k, snapshot.dim)
         key = (snapshot.token, query_fingerprint(query))
         if self._cache_size > 0:
+            hit = self._lookup(key, k)
+            if hit is not None:
+                return hit
             with self._cache_lock:
-                entry = self._cache.get(key)
-                if entry is not None:
-                    self._cache.move_to_end(key)
-                    self.cache_hits += 1
-                else:
-                    self.cache_misses += 1
-            if entry is not None:
-                ranking, cached_k, cached = entry
-                return cached if k == cached_k else ranking.top(k)
+                self.cache_misses += 1
 
         ranking = _run_query(
             query,
@@ -332,6 +327,29 @@ class QueryEngine:
                 while len(self._cache) > self._cache_size:
                     self._cache.popitem(last=False)
         return result
+
+    def cached(self, query: VideoSummary, k: int) -> KNNResult | None:
+        """The cached answer :meth:`knn` would return for ``query`` at
+        ``k`` over the current snapshot, counted as a hit, or ``None``.
+
+        A miss is not counted: a :meth:`knn` that follows counts it.
+        """
+        snapshot = self._snapshot
+        _check_query_args(query, k, snapshot.dim)
+        if self._cache_size == 0:
+            return None
+        return self._lookup((snapshot.token, query_fingerprint(query)), k)
+
+    def _lookup(self, key: tuple[str, str], k: int) -> KNNResult | None:
+        """The entry under ``key`` cut at ``k``, counting the hit."""
+        with self._cache_lock:
+            entry = self._cache.get(key)
+            if entry is None:
+                return None
+            self._cache.move_to_end(key)
+            self.cache_hits += 1
+        ranking, cached_k, cached = entry
+        return cached if k == cached_k else ranking.top(k)
 
     def __repr__(self) -> str:
         return (

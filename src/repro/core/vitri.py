@@ -128,6 +128,64 @@ class VideoSummary:
             )
         object.__setattr__(self, "num_frames", num_frames)
 
+    @classmethod
+    def from_arrays(
+        cls, video_id: int, positions, radii, counts, num_frames: int
+    ) -> "VideoSummary":
+        """A summary from its ViTris' fields as arrays: the inverse of
+        :meth:`positions`, :meth:`radii` and :meth:`counts`.
+
+        Accepts and rejects what building each :class:`ViTri` and then
+        the summary would, with the same exception types, but runs each
+        check once over the arrays instead of once per ViTri.  Each
+        ViTri's position is a row of one private copy of ``positions``.
+        """
+        positions = np.array(positions, dtype=np.float64)
+        radii = np.asarray(radii, dtype=np.float64)
+        counts = np.asarray(counts)
+        if positions.ndim != 2 or not (
+            radii.shape == counts.shape == positions.shape[:1]
+        ):
+            raise ValueError(
+                f"positions {positions.shape}, radii {radii.shape} and "
+                f"counts {counts.shape} do not describe one ViTri per row"
+            )
+        if not len(positions):
+            raise ValueError("a summary must contain at least one ViTri")
+        if not np.isfinite(positions).all():
+            raise ValueError("position must contain only finite values")
+        radius_list = radii.tolist()
+        for radius in radius_list:
+            if not 0.0 <= radius < math.inf:  # NaN fails both sides
+                raise ValueError(
+                    f"radius must be a finite non-negative number, got {radius}"
+                )
+        if counts.dtype.kind not in "iu":
+            raise TypeError("count must be an int")
+        count_list = counts.tolist()
+        for count in count_list:
+            if count < 1:
+                raise ValueError(f"count must be >= 1, got {count}")
+        if not isinstance(video_id, (int, np.integer)) or isinstance(
+            video_id, bool
+        ):
+            raise TypeError("video_id must be an int")
+        total = sum(count_list)
+        num_frames = num_frames or total
+        if num_frames != total:
+            raise ValueError(
+                f"num_frames={num_frames} but cluster counts sum to {total}"
+            )
+        vitris = tuple(
+            _checked(ViTri, position=position, radius=radius, count=count)
+            for position, radius, count in zip(
+                positions, radius_list, count_list
+            )
+        )
+        return _checked(
+            cls, video_id=int(video_id), vitris=vitris, num_frames=num_frames
+        )
+
     @property
     def dim(self) -> int:
         """Dimensionality of the feature space."""
@@ -153,3 +211,11 @@ class VideoSummary:
             f"VideoSummary(video_id={self.video_id}, vitris={len(self.vitris)}, "
             f"frames={self.num_frames})"
         )
+
+
+def _checked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` whose fields the
+    caller has already checked (``__post_init__`` does not run)."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance

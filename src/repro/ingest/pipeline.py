@@ -103,8 +103,10 @@ class IngestPipeline:
     Parameters
     ----------
     target:
-        The :class:`~repro.shard.router.ShardedVideoDatabase` summaries
-        land in; anything else raises :class:`TypeError`.
+        The writable :class:`~repro.shard.router.ShardedVideoDatabase`
+        summaries land in; anything else, a read-only
+        :meth:`~repro.shard.router.ShardedVideoDatabase.from_shards`
+        router included, raises :class:`TypeError`.
     batch_size:
         Summaries per commit (one fleet checkpoint when durable).
     max_queue:
@@ -131,8 +133,11 @@ class IngestPipeline:
             raise ValueError(f"max_queue must be a positive int, got {max_queue}")
         if drift is not None and not isinstance(drift, DriftMonitor):
             raise TypeError("drift must be a DriftMonitor")
-        if not isinstance(target, ShardedVideoDatabase):
-            raise TypeError("target must be a ShardedVideoDatabase")
+        if not isinstance(target, ShardedVideoDatabase) or not target.writable:
+            raise TypeError(
+                "target must be a writable ShardedVideoDatabase (not a "
+                "read-only from_shards router)"
+            )
         self._fleet = target
         self._batch_size = batch_size
         self._queue: queue.Queue = queue.Queue(maxsize=max_queue)

@@ -23,15 +23,14 @@ service without changing any ranking:
   core both servers share: one accept thread, and one thread per
   connection that reads, executes and answers each request itself.
 * :mod:`repro.serve.frontdoor` — the serving loop: bounded admission
-  queue, one token bucket, typed load shedding, graceful drain,
-  and :class:`~repro.serve.frontdoor.NetworkFleet`, which spawns a
+  queue, one token bucket, typed load shedding, memo hits answered at
+  admission, graceful drain, and :class:`~repro.serve.frontdoor.NetworkFleet`, which spawns a
   server per shard, builds the memoising read-only router over their
   proxies and restarts one server under live traffic.
 
 Because every shard computes its sub-query with the same engine code and
-scores travel as JSON floats (Python's ``repr`` shortest round-trip is
-exact), rankings through the network path are bit-identical to the
-in-process router's.
+scores travel as their float64 bytes in the binary knn reply, rankings
+through the network path are bit-identical to the in-process router's.
 """
 
 from __future__ import annotations

@@ -16,10 +16,13 @@ every query, *whether it runs at all* before any work is spent on it:
 
 Shedding is *cheap by construction*: all three checks happen before the
 query touches the router, so an overload burst costs the service a few
-dictionary operations per rejected query instead of a scatter.  Admitted
-queries are served by a small worker pool through the router's
-*resilient* path (``fail_fast=False``), so a shard mid-restart degrades
-the answer instead of erroring it.
+dictionary operations per rejected query instead of a scatter.  An
+admitted query is first looked up in a read-only router's answer memo
+(outside the front door's lock); a hit is answered right there, on the
+submitting thread, without a queue or a worker hop.  The rest are served
+by a small worker pool through the router's *resilient* path
+(``fail_fast=False``), so a shard mid-restart degrades the answer
+instead of erroring it.
 
 :class:`NetworkFleet` is the composition root: it reads a durable
 fleet's ``shards.json`` manifest, stands up one
@@ -28,8 +31,8 @@ threads or real subprocesses), wires :class:`RemoteShard` proxies into a
 read-only router, and mounts a :class:`FrontDoor` on top.  Its
 :meth:`~NetworkFleet.restart_shard` drains one shard server under live
 traffic and reconnects its proxy to the replacement.  The router
-memoises complete answers, so a repeated query is answered before any
-leg is sent.
+memoises complete answers, so a repeated query is answered at admission,
+before any leg is sent.
 
 :class:`FrontDoorServer` exposes a front door over TCP with the same
 framing the shard servers speak (``repro-video serve`` runs one).
@@ -192,7 +195,11 @@ class FrontDoor:
         router's :class:`~repro.shard.router.ShardedKNNResult`.  Shed
         queries never enter the queue: this method raises
         :class:`ServiceDraining`, :class:`RateLimited` or
-        :class:`ServiceOverloaded` *synchronously*.
+        :class:`ServiceOverloaded` *synchronously*.  An admitted query
+        the router's memo answers (see
+        :meth:`~repro.shard.router.ShardedVideoDatabase.cached_answer`)
+        never enters it either: its future is resolved here, on the
+        calling thread, and it counts as admitted and completed.
         """
         with self._lock:
             if self._draining:
@@ -204,16 +211,33 @@ class FrontDoor:
             with self._lock:
                 self._stats["shed_rate_limited"] += 1
             raise RateLimited(f"exceeded {self._rate} queries/second")
-        future: Future = Future()
         with self._lock:
-            if self._queue.qsize() >= self._max_queue:
-                self._stats["shed_overload"] += 1
-                raise ServiceOverloaded(
-                    f"admission queue is full ({self._max_queue} deep)"
-                )
-            self._queue.put_nowait((future, query, k))
+            self._shed_if_full()
+        future: Future = Future()
+        # Outside _lock: the probe takes the router's leaf memo lock.
+        try:
+            answer = self._router.cached_answer(query, k)
+        except (TypeError, ValueError):
+            answer = None  # malformed: the worker's knn raises it, as before
+        with self._lock:
+            if answer is None:
+                self._shed_if_full()  # the queue may have filled meanwhile
+                self._queue.put_nowait((future, query, k))
+            else:
+                self._stats["completed"] += 1
             self._stats["admitted"] += 1
+        if answer is not None:
+            future.set_result(answer)
         return future
+
+    def _shed_if_full(self) -> None:
+        """Shed with :class:`ServiceOverloaded` while ``max_queue``
+        queries wait (caller holds ``_lock``)."""
+        if self._queue.qsize() >= self._max_queue:
+            self._stats["shed_overload"] += 1
+            raise ServiceOverloaded(
+                f"admission queue is full ({self._max_queue} deep)"
+            )
 
     def query_sync(
         self, query, k: int, *, timeout: float | None = None
@@ -609,11 +633,12 @@ class FrontDoorServer(FrameServer):
     """The front door over TCP, speaking the shard-server framing.
 
     Ops: ``status`` (front-door stats) and ``knn`` (param ``k``; the
-    query summary rides as the request's binary blob).  Admission
-    errors come back as the same typed error frames a shard server
-    sends, so one client codec serves both layers.  Each connection's
-    thread submits its query and waits for the answer itself;
-    :meth:`stop` lets those in flight finish.
+    query summary rides as the request's binary blob, the answer comes
+    back as a binary knn reply, see :mod:`repro.serve.protocol`).
+    Admission errors come back as the same typed error frames a shard
+    server sends, so one client codec serves both layers.  Each
+    connection's thread submits its query and waits for the answer
+    itself; :meth:`stop` lets those in flight finish.
     """
 
     def __init__(

@@ -26,9 +26,20 @@ A request payload is a 4-byte JSON-header length, the JSON header
 :class:`~repro.core.vitri.VideoSummary` blob.  Summaries travel in a
 fixed binary layout (:func:`encode_summary` / :func:`decode_summary`)
 whose positions, radii and counts round-trip bit-exactly — the network
-path must produce the same similarity scores as an in-process call.
-Response and error payloads are plain JSON; scores survive JSON because
-Python serialises floats as their shortest exact ``repr``.
+path must produce the same similarity scores as an in-process call.  The
+decoder reads a blob's ViTris as one block and checks each invariant
+once over its columns.
+
+Both knn replies — a shard server's leg reply and the front door's
+answer — travel in a fixed binary layout: a zero tag byte (a JSON
+payload starts with ``{``), a section-flag byte, the result count and
+the query stats at fixed width, the ranking as int64 ids and float64
+score bytes (bit-exact), then fixed-width sections for a leg's counters
+(with its content token and the counters' ``extra`` map as a short JSON
+trailer, empty on a cache hit) or for the front door's scatter and
+coverage.  :func:`decode_response` returns the same dict, with the same
+Python types, that the reply's JSON would.  Every other response
+(``status``, ``video_ids``, ...) and every error payload is plain JSON.
 
 Deadlines never travel as absolute times (clocks are per-process, see
 :mod:`repro.utils.clock`): a request carries the **remaining budget in
@@ -56,7 +67,7 @@ import struct
 import numpy as np
 
 from repro.core.index import QueryStats
-from repro.core.vitri import ViTri, VideoSummary
+from repro.core.vitri import VideoSummary
 from repro.shard.resilience import InjectedShardError, ShardDown, ShardTimeout
 from repro.utils.counters import CostCounters
 
@@ -199,7 +210,13 @@ def encode_summary(summary: VideoSummary) -> bytes:
 
 
 def decode_summary(blob: bytes) -> VideoSummary:
-    """Rebuild a summary encoded by :func:`encode_summary`."""
+    """Rebuild a summary encoded by :func:`encode_summary`.
+
+    The ViTris are read as one ``(ViTris, dim + 2)`` block of 8-byte
+    words (position, radius, count per row) and checked once over its
+    columns (:meth:`~repro.core.vitri.VideoSummary.from_arrays`): a blob
+    the per-ViTri constructors would reject is rejected the same way.
+    """
     if len(blob) < _SUMMARY_HEADER.size:
         raise ProtocolError(
             f"summary blob of {len(blob)} bytes is shorter than its "
@@ -213,15 +230,16 @@ def decode_summary(blob: bytes) -> VideoSummary:
             f"summary blob of {len(blob)} bytes does not match its header "
             f"({num_vitris} ViTris of dim {dim} need {expected} bytes)"
         )
-    vitris = []
-    offset = _SUMMARY_HEADER.size
-    for _ in range(num_vitris):
-        position = np.frombuffer(blob, dtype="<f8", count=dim, offset=offset)
-        offset += dim * 8
-        radius, count = _VITRI_TAIL.unpack_from(blob, offset)
-        offset += _VITRI_TAIL.size
-        vitris.append(ViTri(position.copy(), radius, count))
-    return VideoSummary(video_id, tuple(vitris), num_frames)
+    block = np.frombuffer(
+        blob, dtype="<f8", offset=_SUMMARY_HEADER.size
+    ).reshape(num_vitris, dim + 2)
+    return VideoSummary.from_arrays(
+        video_id,
+        block[:, :dim],
+        block[:, dim],
+        block[:, dim + 1].view("<i8"),
+        num_frames,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +278,18 @@ def decode_request(payload: bytes) -> tuple[str, dict, VideoSummary | None]:
 
 
 def encode_response(body: dict) -> bytes:
-    """Response payload (plain JSON)."""
-    return json.dumps(body).encode("utf-8")
+    """Response payload: a knn reply in its fixed binary layout (see
+    :data:`_KNN_SHAPES`), anything else as plain JSON."""
+    sections = _KNN_SHAPES.get(frozenset(body))
+    if sections is None:
+        return json.dumps(body).encode("utf-8")
+    return _encode_knn(body, sections)
 
 
 def decode_response(payload: bytes) -> dict:
-    """Parse a response payload."""
+    """Parse a response payload (either form) into the reply's dict."""
+    if payload[:1] == _KNN_TAG:
+        return _decode_knn(payload)
     try:
         body = json.loads(payload.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
@@ -386,3 +410,182 @@ def stats_from_wire(body: dict) -> QueryStats:
         ranges=int(body["ranges"]),
         wall_time=float(body["wall_time"]),
     )
+
+
+# ---------------------------------------------------------------------------
+# Knn replies (fixed binary layout)
+# ---------------------------------------------------------------------------
+#: First byte of a binary knn reply (a JSON payload starts with ``{``).
+_KNN_TAG = b"\x00"
+
+# Bits of the head's second byte: which sections follow the ranking,
+# and two boolean fields.
+_LEG = 0x01  # counters, pruned, content_token: a shard server's reply
+_SCATTERED = 0x02  # scatter: the front door's reply
+_COVERED = 0x04  # coverage
+_PRUNED = 0x08  # the leg's pruned flag
+_COMPLETE = 0x10  # coverage["complete"]
+
+#: The knn replies' key sets, each with the sections it carries.
+_KNN_SHAPES = {
+    frozenset(
+        ("videos", "scores", "stats", "counters", "pruned", "content_token")
+    ): _LEG,
+    frozenset(("videos", "scores", "stats", "scatter")): _SCATTERED,
+    frozenset(
+        ("videos", "scores", "stats", "scatter", "coverage")
+    ): _SCATTERED | _COVERED,
+}
+
+_STATS_FIELDS = (
+    "page_requests",
+    "physical_reads",
+    "node_visits",
+    "similarity_computations",
+    "candidates",
+    "ranges",
+    "wall_time",
+)
+_COVERAGE_LISTS = (
+    "shards_answered",
+    "shards_pruned",
+    "shards_failed",
+    "shards_timed_out",
+    "shards_tripped",
+)
+
+# tag, sections, result count, stats (six counts, then wall_time); the
+# int64 ids and float64 scores of the ranking follow.
+_KNN_HEAD = struct.Struct("<cBI6qd")
+# The named counter fields, the content token's byte length (-1: None)
+# and the JSON trailer's byte length (the counters' extras; 0: none).
+_LEG_HEAD = struct.Struct("<8qiI")
+_SCATTER_HEAD = struct.Struct("<qII")  # shards_total, queried, pruned
+_COVERAGE_HEAD = struct.Struct("<5I")  # list lengths, _COVERAGE_LISTS order
+
+
+def _encode_knn(body: dict, sections: int) -> bytes:
+    """One knn reply in the binary layout; scores travel as their
+    float64 bytes, so they round-trip bit for bit."""
+    videos = body["videos"]
+    count = len(videos)
+    stats = body["stats"]
+    parts = [
+        b"",  # the head, once every section flag is known
+        struct.pack(f"<{count}q{count}d", *videos, *body["scores"]),
+    ]
+    if sections & _LEG:
+        if body["pruned"]:
+            sections |= _PRUNED
+        counters = body["counters"]
+        token = body["content_token"]
+        token_bytes = b"" if token is None else token.encode("utf-8")
+        extra = {
+            key: value
+            for key, value in counters.items()
+            if key not in _COUNTER_FIELDS
+        }
+        trailer = json.dumps(extra).encode("utf-8") if extra else b""
+        parts += (
+            _LEG_HEAD.pack(
+                *[counters[name] for name in _COUNTER_FIELDS],
+                -1 if token is None else len(token_bytes),
+                len(trailer),
+            ),
+            token_bytes,
+            trailer,
+        )
+    if sections & _SCATTERED:
+        scatter = body["scatter"]
+        queried = scatter["shards_queried"]
+        pruned = scatter["shards_pruned"]
+        parts += (
+            _SCATTER_HEAD.pack(scatter["shards_total"], len(queried), len(pruned)),
+            _pack_ids(queried, pruned),
+        )
+    if sections & _COVERED:
+        coverage = body["coverage"]
+        if coverage["complete"]:
+            sections |= _COMPLETE
+        lists = [coverage[name] for name in _COVERAGE_LISTS]
+        parts += (
+            _COVERAGE_HEAD.pack(*[len(ids) for ids in lists]),
+            _pack_ids(*lists),
+        )
+    parts[0] = _KNN_HEAD.pack(
+        _KNN_TAG, sections, count, *[stats[name] for name in _STATS_FIELDS]
+    )
+    return b"".join(parts)
+
+
+def _pack_ids(*lists) -> bytes:
+    ids = [shard for shards in lists for shard in shards]
+    return struct.pack(f"<{len(ids)}q", *ids)
+
+
+def _decode_knn(payload: bytes) -> dict:
+    """The dict :func:`_encode_knn` was given, with the same types."""
+    try:
+        _, sections, count, *stats = _KNN_HEAD.unpack_from(payload)
+        offset = _KNN_HEAD.size
+        ranking = struct.unpack_from(f"<{count}q{count}d", payload, offset)
+        offset += 16 * count
+        body = {
+            "videos": list(ranking[:count]),
+            "scores": list(ranking[count:]),
+            "stats": dict(zip(_STATS_FIELDS, stats)),
+        }
+        if sections & _LEG:
+            *named, token_length, trailer_length = _LEG_HEAD.unpack_from(
+                payload, offset
+            )
+            offset += _LEG_HEAD.size
+            counters = dict(zip(_COUNTER_FIELDS, named))
+            token = None
+            if token_length >= 0:
+                token = payload[offset : offset + token_length].decode("utf-8")
+                offset += token_length
+            if trailer_length:
+                counters.update(
+                    json.loads(payload[offset : offset + trailer_length])
+                )
+                offset += trailer_length
+            body["counters"] = counters
+            body["pruned"] = bool(sections & _PRUNED)
+            body["content_token"] = token
+        if sections & _SCATTERED:
+            total, queried, pruned = _SCATTER_HEAD.unpack_from(payload, offset)
+            offset += _SCATTER_HEAD.size
+            ids, offset = _unpack_ids(payload, offset, (queried, pruned))
+            body["scatter"] = {
+                "shards_total": total,
+                "shards_queried": ids[0],
+                "shards_pruned": ids[1],
+            }
+        if sections & _COVERED:
+            lengths = _COVERAGE_HEAD.unpack_from(payload, offset)
+            offset += _COVERAGE_HEAD.size
+            ids, offset = _unpack_ids(payload, offset, lengths)
+            body["coverage"] = {
+                "complete": bool(sections & _COMPLETE),
+                **dict(zip(_COVERAGE_LISTS, ids)),
+            }
+    except (struct.error, ValueError, TypeError) as exc:
+        raise ProtocolError(f"malformed knn reply: {exc}") from exc
+    if offset != len(payload):
+        raise ProtocolError(
+            f"knn reply of {len(payload)} bytes has {len(payload) - offset} "
+            "bytes its layout does not account for"
+        )
+    return body
+
+
+def _unpack_ids(payload: bytes, offset: int, lengths) -> tuple[list, int]:
+    """``lengths`` consecutive id lists of int64 at ``offset``, and the
+    offset after them."""
+    ids = struct.unpack_from(f"<{sum(lengths)}q", payload, offset)
+    lists, start = [], 0
+    for length in lengths:
+        lists.append(list(ids[start : start + length]))
+        start += length
+    return lists, offset + 8 * start

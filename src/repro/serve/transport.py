@@ -8,9 +8,10 @@ unchanged scatter/merge machinery (in-shard pruning, per-shard counter
 bundles, resilient attempts, exact ``_rank`` merge) runs over the
 network:
 
-* Scores come back as JSON floats (exact round-trip), counters come
-  back as a wire bundle folded into the caller's ``out_counters``, so
-  rankings and cost accounting are identical to the in-process path.
+* Scores come back as their float64 bytes in the binary knn reply
+  (exact round-trip), counters come back as a wire bundle folded into
+  the caller's ``out_counters``, so rankings and cost accounting are
+  identical to the in-process path.
 * A :class:`~repro.utils.clock.Deadline` is forwarded as its remaining
   budget in seconds; the server enforces it before and during the work.
   A spent budget is clamped to ``0.0`` so the server refuses to start —

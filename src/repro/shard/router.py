@@ -523,6 +523,13 @@ class ShardedVideoDatabase:
         """Fleet directory; ``None`` for an in-memory fleet."""
         return self._path
 
+    @property
+    def writable(self) -> bool:
+        """Whether this router accepts writes (``False`` for a
+        :meth:`from_shards` router, whose shards another process owns)."""
+        with self._lock:
+            return self._writable
+
     def __len__(self) -> int:
         with self._lock:
             return sum(len(shard) for shard in self._shards)
@@ -704,23 +711,9 @@ class ShardedVideoDatabase:
         complete, even while a shard is down (see "Answer memo" in the
         module docstring).
         """
-        key, tokens = None, ()
-        if self._memo_size:
-            with Timer() as timer:
-                _check_query_shape(query, k)
-                key = query_fingerprint(query)
-                tokens = tuple(
-                    shard.content_token() for shard in self._memo_shards
-                )
-                stored = self._memo_lookup(key, tokens, k)
-            if stored is not None:
-                return replace(
-                    stored,
-                    videos=stored.videos[:k],
-                    scores=stored.scores[:k],
-                    stats=replace(_NO_WORK, wall_time=timer.elapsed),
-                    scatter=ScatterStats(stored.scatter.shards_total, (), ()),
-                )
+        stored, key, tokens = self._recall(query, k)
+        if stored is not None:
+            return stored
         with self._lock:
             self._check_query_args(query, k)
             result = self._scatter_gather(
@@ -747,6 +740,41 @@ class ShardedVideoDatabase:
     # ------------------------------------------------------------------
     # Answer memo (read-only routers)
     # ------------------------------------------------------------------
+    def cached_answer(self, query: VideoSummary, k: int) -> ShardedKNNResult | None:
+        """The answer :meth:`knn` would give from the memo, or ``None``
+        (a miss, or a writable router, which keeps no memo).
+
+        Takes only the memo's leaf lock, so a caller may probe before it
+        queues a query (the front door does).  Raises what :meth:`knn`
+        raises for a malformed query or ``k``.
+        """
+        return self._recall(query, k)[0]
+
+    def _recall(
+        self, query: VideoSummary, k: int
+    ) -> tuple[ShardedKNNResult | None, str | None, tuple[str | None, ...]]:
+        """``(hit, key, tokens)``: the memo's answer to ``query`` at
+        ``k`` (cut at ``k``, all-zero stats but its own wall time, no
+        legs) or ``None``, plus the key and shard tokens a miss's answer
+        is stored under (``None, ()`` without a memo)."""
+        if not self._memo_size:
+            return None, None, ()
+        with Timer() as timer:
+            _check_query_shape(query, k)
+            key = query_fingerprint(query)
+            tokens = tuple(shard.content_token() for shard in self._memo_shards)
+            stored = self._memo_lookup(key, tokens, k)
+        if stored is None:
+            return None, key, tokens
+        hit = ShardedKNNResult(
+            videos=stored.videos[:k],
+            scores=stored.scores[:k],
+            stats=QueryStats(0, 0, 0, 0, 0, 0, timer.elapsed),
+            scatter=ScatterStats(stored.scatter.shards_total, (), ()),
+            coverage=stored.coverage,
+        )
+        return hit, key, tokens
+
     def _memo_lookup(
         self, key: str, tokens: tuple[str | None, ...], k: int
     ) -> ShardedKNNResult | None:

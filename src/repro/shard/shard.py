@@ -251,13 +251,19 @@ class Shard:
         contract's ``attempt`` is accepted and unused.
 
         A query :meth:`may_contain` rules out returns an empty ``pruned``
-        result and leaves the engine, its caches and ``queries_served``
-        untouched.
+        result and leaves the engine's caches, their hit/miss tallies
+        and ``queries_served`` untouched.  The engine's result cache is
+        looked in before that proof runs: an entry under the current
+        snapshot's token exists only because the proof passed under that
+        token, so a hit's answer, ``pruned`` flag and (empty) cost bundle
+        are the ones the proof-first order gives.
         """
         self._check_deadline(deadline)
-        if self._ruled_out(query, out_counters):
-            return _PRUNED
-        result = self.engine().knn(query, k, out_counters=out_counters)
+        result = self.engine().cached(query, k) if len(self._db) else None
+        if result is None:
+            if self._ruled_out(query, out_counters):
+                return _PRUNED
+            result = self.engine().knn(query, k, out_counters=out_counters)
         self.queries_served += 1
         return result
 

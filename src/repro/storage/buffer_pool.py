@@ -177,7 +177,13 @@ class BufferPool:
         when the run ends are materialised as :class:`Page` objects.
         """
         sources, images = self._access(page_ids, counters)
-        if images is not None and len(images) == len(sources):
+        if images is None:
+            # Every request hit: one copy of the pages' joined bytes.
+            joined = bytearray().join([page.data for page in sources])
+            return np.frombuffer(joined, dtype=np.uint8).reshape(
+                len(sources), PAGE_CONTENT_SIZE
+            )
+        if len(images) == len(sources):
             return images  # every request missed: the rows are in order
         out = np.empty((len(sources), PAGE_CONTENT_SIZE), dtype=np.uint8)
         for position, source in enumerate(sources):

@@ -8,6 +8,7 @@ inside an algorithm.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -49,9 +50,9 @@ def check_vector(value, name: str, *, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} must have dimension {dim}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must contain only finite values")
-    return np.ascontiguousarray(arr)
+    return arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
 
 
 def check_matrix(
@@ -108,7 +109,7 @@ def check_non_negative(value, name: str) -> float:
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     value = float(value)
-    if not np.isfinite(value) or value < 0.0:
+    if not math.isfinite(value) or value < 0.0:
         raise ValueError(f"{name} must be a finite non-negative number, got {value}")
     return value
 

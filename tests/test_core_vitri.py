@@ -107,3 +107,84 @@ class TestVideoSummary:
     def test_accepts_list_of_vitris(self):
         summary = VideoSummary(video_id=1, vitris=[vitri()])
         assert isinstance(summary.vitris, tuple)
+
+
+class TestFromArrays:
+    """``VideoSummary.from_arrays`` checks each invariant once over the
+    arrays and must accept and reject what the per-ViTri constructors
+    do, with the same exception types."""
+
+    def summary(self):
+        return VideoSummary(
+            3, (vitri(offset=0.5, count=4), vitri(radius=0.0, count=6)), 10
+        )
+
+    def per_vitri(self, video_id, positions, radii, counts, num_frames):
+        return VideoSummary(
+            video_id,
+            tuple(ViTri(p, r, c) for p, r, c in zip(positions, radii, counts)),
+            num_frames,
+        )
+
+    def test_inverse_of_the_array_accessors(self):
+        s = self.summary()
+        rebuilt = VideoSummary.from_arrays(
+            s.video_id, s.positions(), s.radii(), s.counts(), s.num_frames
+        )
+        assert rebuilt.video_id == s.video_id
+        assert rebuilt.num_frames == s.num_frames
+        for mine, theirs in zip(rebuilt.vitris, s.vitris):
+            assert mine.position.tobytes() == theirs.position.tobytes()
+            assert (mine.radius, mine.count) == (theirs.radius, theirs.count)
+            assert type(mine.radius) is float and type(mine.count) is int
+
+    def test_positions_are_a_private_copy(self):
+        s = self.summary()
+        positions = s.positions()
+        rebuilt = VideoSummary.from_arrays(
+            s.video_id, positions, s.radii(), s.counts(), 0
+        )
+        positions[:] = 99.0
+        assert rebuilt.vitris[0].position[0] == 0.5
+        assert rebuilt.num_frames == 10  # 0 stands for the counts' sum
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"positions": np.array([[np.nan] * 4, [0.0] * 4])},
+            {"positions": np.array([[0.0] * 4, [np.inf] * 4])},
+            {"radii": np.array([0.5, -0.1])},
+            {"radii": np.array([np.nan, 0.5])},
+            {"radii": np.array([0.5, np.inf])},
+            {"counts": np.array([0, 10])},
+            {"counts": np.array([4.0, 6.0])},
+            {"counts": np.array([True, True])},
+            {"num_frames": 11},
+            {"video_id": True},
+            {"video_id": 1.5},
+        ],
+    )
+    def test_rejects_what_the_constructors_reject(self, change):
+        s = self.summary()
+        fields = {
+            "video_id": s.video_id,
+            "positions": s.positions(),
+            "radii": s.radii(),
+            "counts": s.counts(),
+            "num_frames": s.num_frames,
+        }
+        fields.update(change)
+        with pytest.raises((TypeError, ValueError)) as before:
+            self.per_vitri(**fields)
+        with pytest.raises((TypeError, ValueError)) as now:
+            VideoSummary.from_arrays(**fields)
+        assert type(now.value) is type(before.value)
+
+    def test_rejects_misshapen_arrays(self):
+        s = self.summary()
+        with pytest.raises(ValueError, match="one ViTri per row"):
+            VideoSummary.from_arrays(0, s.positions()[0], s.radii(), s.counts(), 0)
+        with pytest.raises(ValueError, match="one ViTri per row"):
+            VideoSummary.from_arrays(0, s.positions(), s.radii()[:1], s.counts(), 0)
+        with pytest.raises(ValueError, match="at least one"):
+            VideoSummary.from_arrays(0, np.zeros((0, 4)), [], np.zeros(0, int), 0)

@@ -25,7 +25,7 @@ from repro.analysis.concurrency import build_model_from_paths
 from repro.core.index import QueryStats
 from repro.ingest.cutover import commit_cutover, side_build
 from repro.replication import ReplicaSet, ReplicaShard
-from repro.serve.frontdoor import FrontDoorServer, NetworkFleet
+from repro.serve.frontdoor import FrontDoor, FrontDoorServer, NetworkFleet
 from repro.serve.shard_server import ShardServer
 from repro.serve.transport import RemoteShard, RemoteShardClient
 from repro.shard.faults import FaultInjectingShard, ShardFault, ShardFaultInjector
@@ -518,6 +518,63 @@ def test_hit_over_tcp_costs_no_shard_request(summaries):
                 client.close()
                 server.stop()
                 assert server.wait_closed(10.0)
+
+
+def routed(monkeypatch, router) -> list:
+    """Record each query the front door's workers hand ``router.knn``."""
+    calls = []
+    knn = router.knn
+
+    def spy(query, k, **kwargs):
+        calls.append(query)
+        return knn(query, k, **kwargs)
+
+    monkeypatch.setattr(router, "knn", spy)
+    return calls
+
+
+def test_front_door_answers_a_memo_hit_at_admission(monkeypatch, summaries):
+    """The third ask of a query is a memo hit: its future is resolved
+    inside ``submit``, no worker runs it, and it counts as admitted and
+    completed."""
+    with routers(built_shards(summaries)) as (memo, fresh):
+        calls = routed(monkeypatch, memo)
+        with FrontDoor(memo, workers=1) as door:
+            first = door.submit(summaries[0], K).result(30.0)
+            second = door.submit(summaries[0], K).result(30.0)
+            future = door.submit(summaries[0], K)
+            assert future.done()
+            third = future.result(0)
+            stats = door.stats()
+        assert calls == [summaries[0], summaries[0]]
+        assert (stats["admitted"], stats["completed"]) == (3, 3)
+        assert_miss(first)
+        assert_hit(third)
+        assert_same(second, first)
+        assert_same(third, scatter(fresh, summaries[0]))
+
+
+def test_front_door_over_a_writable_router_queues_every_query(
+    monkeypatch, summaries
+):
+    """A writable router keeps no memo: the admission probe answers
+    ``None`` and every query runs on a worker, as before."""
+    fleet = ShardedVideoDatabase(EPSILON, num_shards=2)
+    for summary in summaries:
+        fleet.add_summary(summary)
+    try:
+        want = fleet.knn(summaries[0], K)
+        calls = routed(monkeypatch, fleet)
+        with FrontDoor(fleet, workers=1) as door:
+            answers = [door.submit(summaries[0], K).result(30.0) for _ in range(3)]
+            stats = door.stats()
+        assert fleet.cached_answer(summaries[0], K) is None
+        assert calls == [summaries[0]] * 3
+        assert (stats["admitted"], stats["completed"]) == (3, 3)
+        for answer in answers:
+            assert_same(answer, want)
+    finally:
+        fleet.close()
 
 
 def test_memo_lock_is_a_leaf_of_the_static_lock_graph():

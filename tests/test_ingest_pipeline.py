@@ -89,6 +89,19 @@ class TestValidation:
                 IngestPipeline(target)
         group.close()
 
+    def test_rejects_a_read_only_router(self):
+        """A ``from_shards`` router passes the type check but refuses
+        every write, so it is refused here, not at the first pump."""
+        shard = Shard(0, epsilon=EPSILON)
+        shard.add_summary(make_summaries(1)[0])
+        router = ShardedVideoDatabase.from_shards([shard], epsilon=EPSILON)
+        try:
+            assert not router.writable
+            with pytest.raises(TypeError, match="writable ShardedVideoDatabase"):
+                IngestPipeline(router)
+        finally:
+            router.close()
+
     def test_rejects_bad_knobs(self):
         fleet = make_fleet()
         with pytest.raises(ValueError, match="batch_size"):

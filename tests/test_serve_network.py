@@ -322,6 +322,9 @@ class StubRouter:
         self.served = 0
         self._lock = threading.Lock()
 
+    def cached_answer(self, query, k):
+        return None  # no memo: every admitted query is queued
+
     def knn(self, query, k, **kwargs):
         self.started.set()
         self.gate.wait(30.0)
@@ -454,6 +457,86 @@ class TestFrontDoorShedding:
         for thread in door._threads:
             thread.join(10.0)
             assert not thread.is_alive()
+
+
+class MemoStubRouter(StubRouter):
+    """A :class:`StubRouter` whose memo answers the query ``"hot"``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.probes = 0
+
+    def cached_answer(self, query, k):
+        self.probes += 1
+        return ("memo", query, k) if query == "hot" else None
+
+
+class TestAdmissionMemo:
+    """A memo hit is answered at admission: after the three shedding
+    checks, before the queue, on the submitting thread."""
+
+    def test_hit_resolves_on_the_submitting_thread(self):
+        router = MemoStubRouter()  # gate closed: a queued query would block
+        door = FrontDoor(router, max_queue=4, workers=1)
+        try:
+            future = door.submit("hot", 3)
+            assert future.done()
+            assert future.result(0) == ("memo", "hot", 3)
+            assert router.served == 0 and not router.started.is_set()
+            stats = door.stats()
+            assert (stats["admitted"], stats["completed"]) == (1, 1)
+            assert stats["queue_depth"] == 0
+        finally:
+            router.gate.set()
+            door.drain()
+
+    def test_hit_is_shed_for_draining_rate_and_overload_in_order(self):
+        clock = VirtualClock()
+        router = MemoStubRouter()
+        door = FrontDoor(
+            router,
+            max_queue=1,
+            workers=1,
+            rate=1.0,
+            burst=2.0,
+            clock=clock,
+            drain_timeout=0.2,
+        )
+        try:
+            blocked = door.submit("q0", 1)
+            assert router.started.wait(10.0)
+            queued = door.submit("q1", 1)  # queue full, bucket empty
+            probes = router.probes
+            with pytest.raises(RateLimited):
+                door.submit("hot", 1)
+            clock.advance(1.0)  # one token back; the queue is still full
+            with pytest.raises(ServiceOverloaded):
+                door.submit("hot", 1)
+            clock.advance(1.0)
+            door.drain()
+            with pytest.raises(ServiceDraining):
+                door.submit("hot", 1)
+            assert router.probes == probes  # no shed query was probed
+            stats = door.stats()
+            assert stats["shed_rate_limited"] == 1
+            assert stats["shed_overload"] == 1
+            assert stats["shed_draining"] == 1
+            assert (stats["admitted"], stats["completed"]) == (2, 0)
+        finally:
+            router.gate.set()
+        assert blocked.result(30.0) == ("q0", 1)
+        with pytest.raises(ServiceDraining):
+            queued.result(30.0)
+
+    def test_a_miss_still_queues(self):
+        router = MemoStubRouter()
+        router.gate.set()
+        door = FrontDoor(router, max_queue=4, workers=1)
+        try:
+            assert door.submit("cold", 2).result(30.0) == ("cold", 2)
+            assert router.probes == 1 and router.served == 1
+        finally:
+            door.drain()
 
 
 @pytest.mark.parametrize("seed", [SEEDS[0]])

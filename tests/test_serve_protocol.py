@@ -11,6 +11,7 @@ garbage.
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
@@ -220,6 +221,236 @@ class TestSummaryCodec:
         )
         with pytest.raises(ProtocolError):
             decode_summary(bytes(blob))
+
+
+def per_vitri_decode(blob: bytes) -> VideoSummary:
+    """The decoder before the one-pass block decode: one ViTri (and
+    its constructor's checks) at a time.  The table below holds the
+    block decoder to the same verdicts."""
+    header = struct.Struct("<qqII")
+    tail = struct.Struct("<dq")
+    if len(blob) < header.size:
+        raise ProtocolError("short")
+    video_id, num_frames, num_vitris, dim = header.unpack_from(blob)
+    if num_vitris < 1 or dim < 1 or len(blob) != (
+        header.size + num_vitris * (dim * 8 + tail.size)
+    ):
+        raise ProtocolError("mismatch")
+    vitris, offset = [], header.size
+    for _ in range(num_vitris):
+        position = np.frombuffer(blob, dtype="<f8", count=dim, offset=offset)
+        radius, count = tail.unpack_from(blob, offset + dim * 8)
+        offset += dim * 8 + tail.size
+        vitris.append(ViTri(position.copy(), radius, count))
+    return VideoSummary(video_id, tuple(vitris), num_frames)
+
+
+def _patched(at: int, fmt: str, value):
+    """A two-ViTri, dim-5 summary blob with one field overwritten;
+    ``at`` is ``(vitri, field)`` encoded as an offset into the blob."""
+    blob = bytearray(encode_summary(make_summary(vitris=2, dim=5)))
+    struct.pack_into(fmt, blob, at, value)
+    return bytes(blob)
+
+
+# Field offsets in a two-ViTri, dim-5 blob: a 24-byte header, then per
+# ViTri 5 position doubles, the radius double and the count int64.
+_POSITION = [24 + 56 * i for i in range(2)]
+_RADIUS = [24 + 56 * i + 40 for i in range(2)]
+_COUNT = [24 + 56 * i + 48 for i in range(2)]
+_GOOD = encode_summary(make_summary(vitris=2, dim=5))
+
+MALFORMED_SUMMARIES = {
+    "nan position": _patched(_POSITION[0] + 16, "<d", float("nan")),
+    "inf position": _patched(_POSITION[1], "<d", float("inf")),
+    "-inf position": _patched(_POSITION[1] + 32, "<d", -float("inf")),
+    "negative radius": _patched(_RADIUS[1], "<d", -0.5),
+    "nan radius": _patched(_RADIUS[0], "<d", float("nan")),
+    "inf radius": _patched(_RADIUS[0], "<d", float("inf")),
+    "count 0": _patched(_COUNT[0], "<q", 0),
+    "negative count": _patched(_COUNT[1], "<q", -3),
+    "counts do not sum to num_frames": _patched(8, "<q", 10**6),
+    "negative num_frames": _patched(8, "<q", -1),
+    "counts that wrap int64": b"".join(
+        [
+            struct.pack("<qqII", 1, 5, 4, 1),
+            *(
+                struct.pack("<ddq", 0.0, 0.5, count)
+                for count in (2**62, 2**62, 2**62, 2**62 + 5)
+            ),
+        ]
+    ),
+    "truncated blob": _GOOD[:-1],
+    "trailing bytes": _GOOD + b"\x00",
+    "header only": _GOOD[:24],
+}
+
+
+class TestSummaryBlockDecode:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SUMMARIES))
+    def test_malformed_blob_rejected_as_before(self, case):
+        blob = MALFORMED_SUMMARIES[case]
+        with pytest.raises(Exception) as before:
+            per_vitri_decode(blob)
+        with pytest.raises(Exception) as now:
+            decode_summary(blob)
+        assert type(now.value) is type(before.value)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            _GOOD,
+            _patched(8, "<q", 0),  # num_frames 0: the counts' sum stands in
+            _patched(_RADIUS[0], "<d", -0.0),
+            _patched(_RADIUS[1], "<d", 0.0),
+            _patched(_POSITION[0], "<d", 5e-324),
+        ],
+    )
+    def test_valid_blob_decodes_as_before(self, blob):
+        want, got = per_vitri_decode(blob), decode_summary(blob)
+        assert (got.video_id, got.num_frames) == (want.video_id, want.num_frames)
+        for mine, theirs in zip(got.vitris, want.vitris):
+            assert mine.position.tobytes() == theirs.position.tobytes()
+            assert mine.position.dtype == theirs.position.dtype
+            assert struct.pack("<d", mine.radius) == struct.pack(
+                "<d", theirs.radius
+            )
+            assert type(mine.radius) is type(theirs.radius) is float
+            assert type(mine.count) is type(theirs.count) is int
+            assert mine.count == theirs.count
+        assert encode_summary(got) == encode_summary(want)
+
+
+def _stats(wall_time: float = 1.5e-05) -> dict:
+    return {
+        "page_requests": 7,
+        "physical_reads": 1,
+        "node_visits": 9,
+        "similarity_computations": 40,
+        "candidates": 12,
+        "ranges": 3,
+        "wall_time": wall_time,
+    }
+
+
+# -0.0, a subnormal, 1.0 and a tie: the scores a JSON or text path
+# could bend.
+EDGE_SCORES = [1.0, 1.0, 5e-324, -0.0]
+
+
+def leg_reply(**changes) -> dict:
+    body = {
+        "videos": [4, 9, 2, 7],
+        "scores": list(EDGE_SCORES),
+        "stats": _stats(),
+        "counters": dict(
+            CostCounters(page_requests=7, page_reads=1).snapshot(),
+            stage_io_s=2.5e-05,
+            range_cache_hits=3,
+        ),
+        "pruned": False,
+        "content_token": "0f" * 16,
+    }
+    body.update(changes)
+    return body
+
+
+def front_door_reply(**changes) -> dict:
+    body = {
+        "videos": [4, 9, 2, 7],
+        "scores": list(EDGE_SCORES),
+        "stats": _stats(),
+        "scatter": {"shards_total": 3, "shards_queried": [0, 2], "shards_pruned": [1]},
+        "coverage": {
+            "complete": False,
+            "shards_answered": [0],
+            "shards_pruned": [1],
+            "shards_failed": [2],
+            "shards_timed_out": [],
+            "shards_tripped": [],
+        },
+    }
+    body.update(changes)
+    return body
+
+
+KNN_REPLIES = {
+    "leg": leg_reply(),
+    "pruned leg, no token, no extras": leg_reply(
+        videos=[],
+        scores=[],
+        pruned=True,
+        content_token=None,
+        counters=CostCounters().snapshot(),
+    ),
+    "front door": front_door_reply(),
+    "front door, memo hit": front_door_reply(
+        stats=dict(_stats(), **{name: 0 for name in list(_stats())[:6]}),
+        scatter={"shards_total": 3, "shards_queried": [], "shards_pruned": []},
+    ),
+    "front door without coverage": {
+        key: value for key, value in front_door_reply().items() if key != "coverage"
+    },
+}
+
+
+def _types(value):
+    """The Python type tree of a decoded body."""
+    if isinstance(value, dict):
+        return {key: _types(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_types(item) for item in value]
+    return type(value)
+
+
+class TestBinaryKnnReply:
+    @pytest.mark.parametrize("case", sorted(KNN_REPLIES))
+    def test_round_trip_is_the_json_dict(self, case):
+        body = KNN_REPLIES[case]
+        payload = encode_response(body)
+        assert payload[:1] == b"\x00"  # binary, not JSON
+        got = decode_response(payload)
+        want = json.loads(json.dumps(body))  # what the JSON reply gave
+        assert got == want
+        assert list(got) == list(want)
+        assert _types(got) == _types(want)
+
+    @pytest.mark.parametrize("case", sorted(KNN_REPLIES))
+    def test_scores_round_trip_bit_for_bit(self, case):
+        body = KNN_REPLIES[case]
+        got = decode_response(encode_response(body))
+        assert [struct.pack("<d", s) for s in got["scores"]] == [
+            struct.pack("<d", s) for s in body["scores"]
+        ]
+
+    def test_leg_reply_rebuilds_the_same_result(self):
+        from repro.serve.transport import RemoteShard
+
+        body = leg_reply()
+        want, got = CostCounters(), CostCounters()
+        expected = RemoteShard._result(json.loads(json.dumps(body)), want)
+        result = RemoteShard._result(decode_response(encode_response(body)), got)
+        assert result == expected
+        assert got.snapshot() == want.snapshot()
+
+    def test_other_replies_stay_json(self):
+        for body in ({"scores": [1.0]}, {"stats": {"admitted": 1}}, {}):
+            payload = encode_response(body)
+            assert payload[:1] == b"{"
+            assert decode_response(payload) == body
+
+    @pytest.mark.parametrize("case", sorted(KNN_REPLIES))
+    def test_truncated_or_padded_reply_rejected(self, case):
+        payload = encode_response(KNN_REPLIES[case])
+        for bad in (payload[:-1], payload + b"\x00", payload[:5]):
+            with pytest.raises(ProtocolError, match="knn reply"):
+                decode_response(bad)
+
+    def test_hostile_result_count_rejected_without_allocation(self):
+        payload = bytearray(encode_response(leg_reply()))
+        struct.pack_into("<I", payload, 2, 2**32 - 1)
+        with pytest.raises(ProtocolError, match="knn reply"):
+            decode_response(bytes(payload))
 
 
 class TestRequestResponseCodec:

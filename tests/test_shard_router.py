@@ -27,6 +27,7 @@ from repro.shard import (
     ShardFaultInjector,
 )
 from repro.utils.clock import Clock, VirtualClock
+from repro.utils.counters import CostCounters
 from tests.threshold_recipe import at_least
 
 EPSILON = 0.3
@@ -176,6 +177,41 @@ class TestScatterStats:
 class TestPruning:
     """The router sends one sub-query to every populated shard, and each
     shard proves inside it whether the query can match anything there."""
+
+    def test_a_cached_repeat_skips_the_proof(self, monkeypatch):
+        """A shard looks in its engine's result cache before it runs the
+        key-bounds proof; a ruled-out query still answers ``pruned``."""
+        summaries, far = toy_corpus()
+        shard = Shard(0, epsilon=EPSILON)
+        for summary in summaries:
+            shard.add_summary(summary)
+        first = shard.knn(summaries[0], 5)
+        proofs = []
+        real = shard.may_contain
+
+        def spy(query, **kwargs):
+            proofs.append(query)
+            return real(query, **kwargs)
+
+        monkeypatch.setattr(shard, "may_contain", spy)
+        engine = shard.engine()
+        hits, misses = engine.cache_hits, engine.cache_misses
+        bundle = CostCounters()
+        assert shard.knn(summaries[0], 5, out_counters=bundle) is first
+        narrower = shard.knn(summaries[0], 3, out_counters=bundle)
+        assert (narrower.videos, narrower.scores) == (
+            first.videos[:3],
+            first.scores[:3],
+        )
+        assert not narrower.pruned
+        assert proofs == []
+        assert bundle.snapshot() == CostCounters().snapshot()
+        # Each hit counted once, and no miss for the looks.
+        assert (engine.cache_hits, engine.cache_misses) == (hits + 2, misses)
+        for _ in range(2):
+            assert shard.knn(far, 5).pruned
+        assert proofs == [far, far]
+        assert (engine.cache_hits, engine.cache_misses) == (hits + 2, misses)
 
     def test_far_query_is_pruned_by_every_shard(self):
         summaries, far = toy_corpus()

@@ -366,6 +366,18 @@ class TestFetchRun:
         images[0, 0] = 99
         assert pool.fetch(2).data[0] == 2
 
+    def test_an_all_hit_run_is_one_private_image(self):
+        _, pool = self.twin(4)
+        pool.fetch_run([2, 3, 4])
+        hits = pool.hits
+        images = pool.fetch_run([4, 2, 3, 2])  # every request hits
+        assert pool.hits == hits + 4
+        assert images[:, 0].tolist() == [4, 2, 3, 2]
+        assert images.flags.writeable and images.flags.c_contiguous
+        images[1, 0] = 99
+        assert images[3, 0] == 2  # rows are copies, not views of one page
+        assert pool.fetch(2).data[0] == 2
+
     def test_survivors_are_shared_pages(self):
         """A page admitted by a run is the object later fetches share."""
         _, pool = self.twin(2)
