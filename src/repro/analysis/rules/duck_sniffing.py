@@ -10,9 +10,8 @@ objects that lack the attribute, and nothing says which objects those
 are.  Put the member in the contract (an implementer with nothing to say
 accepts the argument or reports ``None``) or branch on the class.
 
-Delegation by a *computed* name — ``FaultInjectingShard.__getattr__``,
-``ReplicaSet._serve`` — forwards a call rather than testing for one and
-is not flagged; neither is two-argument ``getattr``, which raises on a
+Delegation by a *computed* name — ``FaultInjectingShard.__getattr__``
+— forwards a call rather than testing for one and is not flagged; neither is two-argument ``getattr``, which raises on a
 missing attribute instead of hiding it.
 """
 

@@ -119,7 +119,7 @@ class BPlusTree:
         )
         # Only dirty page 0 when the metadata actually moved: a flush of
         # an unmodified tree must stay a no-op, or every read-only
-        # snapshot (query engines, WAL-shipping replicas) would buffer a
+        # snapshot (query engines, restored replicas) would buffer a
         # phantom page-0 write it can never commit.
         if bytes(meta.data[: _META.size]) == packed:
             return

@@ -402,40 +402,6 @@ class VideoDatabase:
         """The injector routed to disk operations (``None`` if absent)."""
         return self._faults
 
-    @property
-    def wal(self) -> WriteAheadLog | None:
-        """The directory's shared write-ahead log (``None`` in-memory).
-
-        Exposed for the replication layer: the primary installs a
-        sealed-segment sink here, the replica applies shipped segments
-        through :meth:`~repro.storage.wal.WriteAheadLog.apply_external`.
-        """
-        return self._wal
-
-    def reload(self) -> None:
-        """Re-attach to the directory's *current* on-disk state.
-
-        The replica side of WAL shipping: after a shipped transaction
-        was applied through the WAL targets (new page images, new
-        ``db.json``), the in-memory view — buffer pools, the
-        :class:`VitriIndex` object, the id counter — is stale.  This
-        drops both pools and rebuilds the index from the fresh metadata
-        blob, exactly as reopening the directory would, without touching
-        the write-ahead log (the shipped transaction was already
-        committed by the primary; there is nothing to recover).
-        """
-        self._check_open()
-        if self._path is None:
-            raise RuntimeError("reload() requires a durable database")
-        if self._pending or self._wal.has_pending:
-            raise RuntimeError(
-                "reload() would discard uncommitted local changes"
-            )
-        self._btree_pool.clear()
-        self._heap_pool.clear()
-        self._index = None
-        self._load_meta()
-
     def __len__(self) -> int:
         pending = len(self._pending)
         indexed = self._index.num_videos if self._index is not None else 0

@@ -261,7 +261,7 @@ class QueryEngine:
 
         A primary exports this as the warm set handed to a freshly
         attached replica; replaying it through :meth:`warm` on the other
-        side reproduces the pool's state, because WAL-shipped copies are
+        side reproduces the pool's state, because restored copies are
         byte-identical, page ids included.
         """
         if self._range_cache_size == 0:

@@ -1,25 +1,18 @@
-"""Read replication: WAL shipping, replica catch-up, replica routing.
+"""Read replication: checkpoint copies behind one shard-like face.
 
-The write path (PR 2's redo-only WAL) already funnels every committed
-mutation through one choke point; this package turns that choke point
-into a replication stream:
+A replica is a verified copy of one checkpoint of its primary:
 
-* :mod:`repro.replication.segments` — the sealed-segment wire format: a
-  committed transaction's raw WAL record bytes framed with a sequence
-  number and the content tokens of the states it connects.
-* :mod:`repro.replication.shipper` — the primary side: a
-  :class:`~repro.replication.shipper.WalShipper` seals every commit into
-  the retained :class:`~repro.replication.shipper.SegmentLog` and cuts
-  checkpoint :class:`~repro.replication.shipper.Snapshot` images for
-  bootstrap.
-* :mod:`repro.replication.replica` — the replica side: a read-only
-  :class:`~repro.replication.replica.ReplicaShard` applying shipped
-  segments through idempotent full-page redo, verifying the content
-  token after every apply, and demoting itself to ``NEEDS_BOOTSTRAP``
-  rather than ever serving a state the primary never had.
+* :mod:`repro.replication.shipper` —
+  :func:`~repro.replication.shipper.checkpoint_copy` checkpoints a durable primary and reads its data
+  artefacts plus its content token into a
+  :class:`~repro.replication.shipper.Snapshot`.
+* :mod:`repro.replication.replica` — a read-only
+  :class:`~repro.replication.replica.ReplicaShard` restored once from
+  such a snapshot, serving only if its reopened content token matches
+  the primary's.
 * :mod:`repro.replication.group` — the serving side: a
   :class:`~repro.replication.group.ReplicaSet` that load-balances reads
-  across the synced copies, sends retried attempts to *different* copies,
+  across the copies, sends retried attempts to *different* copies,
   trips per-copy breakers, and falls back to the primary.
 """
 
@@ -33,14 +26,7 @@ from repro.replication.replica import (
     ReplicaUnavailable,
     ReplicationError,
 )
-from repro.replication.segments import (
-    EMPTY_TOKEN,
-    SealedSegment,
-    SegmentFrameError,
-    decode_segment,
-    encode_segment,
-)
-from repro.replication.shipper import SegmentLog, Snapshot, WalShipper
+from repro.replication.shipper import EMPTY_TOKEN, Snapshot, checkpoint_copy
 
 __all__ = [
     "EMPTY_TOKEN",
@@ -50,11 +36,6 @@ __all__ = [
     "ReplicaUnavailable",
     "ReplicationError",
     "SYNCED",
-    "SealedSegment",
-    "SegmentFrameError",
-    "SegmentLog",
     "Snapshot",
-    "WalShipper",
-    "decode_segment",
-    "encode_segment",
+    "checkpoint_copy",
 ]

@@ -12,13 +12,13 @@ the attempt loop hands every sub-query (0 first, +1 per retry) — is
 folded into copy selection, which is what sends a retried attempt to a
 *different* copy instead of re-hitting the one that failed.
 ``status()["replication"]`` is :meth:`ReplicaSet.replication_status`
-(shipper position plus per-replica state), where a plain shard reports
+(per-copy restore state and breakers), where a plain shard reports
 ``None``.
 
 Routing rules, in order:
 
 1. Reads route by *query affinity*: the query's video id hashes to a
-   home copy among the admitted ones (primary + synced replicas whose
+   home copy among the admitted ones (primary + replicas whose
    per-copy breaker allows).  Affinity is what makes the cache tiers
    pay under replication — a hot key's repeats keep landing on the
    copy whose caches already hold it, so N copies partition the
@@ -26,8 +26,8 @@ Routing rules, in order:
    ordinal offsets from the home copy, sending a retry to a *different*
    copy than the one that failed.
 2. A copy whose breaker is open is skipped at admission; when every
-   replica is tripped or unsynced, the primary serves (it is always
-   admitted as the last resort).
+   replica is tripped, the primary serves (it is always admitted as
+   the last resort).
 3. Per-copy outcomes feed per-copy breakers, so a copy that keeps
    failing stops receiving traffic after ``BreakerPolicy.min_volume``
    failures and is probed again after its cooldown.
@@ -37,14 +37,10 @@ query) modelling what the network layer makes physical — one
 single-worker server per copy — so in-process throughput benchmarks see
 the same scaling shape as the fleet: N copies ≈ N concurrent queries.
 
-Whoever owns the primary writes to ``group.primary`` directly and
-checkpoints it (each commit seals one segment), then calls
-:meth:`ReplicaSet.sync`, which pumps sealed segments to every replica,
-re-bootstraps any copy that refused one or fell behind the shipper's
-retained log, then trims the log through the slowest replica's
-position; :meth:`ReplicaSet.attach_replica`
-bootstraps a new copy from a snapshot and warms its page tier with the
-pages the primary's pool currently holds.
+:meth:`ReplicaSet.attach_replica` checkpoints the primary, restores the
+new copy from that checkpoint (checked by content token), and warms its
+page tier with the pages the primary's pool currently holds.  A copy is
+never moved after that.
 """
 
 from __future__ import annotations
@@ -52,13 +48,12 @@ from __future__ import annotations
 # vilint: disable-file=blocking-while-locked -- each copy's serving gate
 # is *meant* to be held across a whole query: it models the copy's
 # single-worker server, so closed-loop clients contend per copy exactly
-# as they would over the network.  A read holds one gate; sync() holds
-# one replica's gate at a time.
+# as they would over the network.  A read holds exactly one gate.
 
 import hashlib
 
-from repro.replication.replica import SYNCED, ReplicaShard
-from repro.replication.shipper import WalShipper
+from repro.replication.replica import ReplicaShard
+from repro.replication.shipper import checkpoint_copy
 from repro.shard.resilience import BreakerPolicy, CircuitBreaker
 from repro.shard.shard import Shard
 from repro.utils.clock import Clock
@@ -92,10 +87,11 @@ class ReplicaSet:
     Parameters
     ----------
     primary:
-        The writable copy; must be durable (WAL shipping needs its log).
+        The copy the replicas are restored from; must be durable to
+        attach one (a replica restores its checkpoint files).
     clock:
         Injected clock driving the per-copy breakers (default
-        :class:`BreakerPolicy`) and replication telemetry.
+        :class:`BreakerPolicy`).
     """
 
     def __init__(self, primary: Shard, *, clock: Clock) -> None:
@@ -106,7 +102,6 @@ class ReplicaSet:
         self._primary = primary
         self._clock = clock
         self._policy = BreakerPolicy()
-        self._shipper = WalShipper(primary, clock=clock)
         self._primary_copy = _Copy(
             primary, CircuitBreaker(self._policy), "primary"
         )
@@ -117,32 +112,23 @@ class ReplicaSet:
     # Membership
     # ------------------------------------------------------------------
     @property
-    def primary(self) -> Shard:
-        """The copy whose WAL feeds the replicas (write to it, then
-        :meth:`sync`)."""
-        return self._primary
-
-    @property
-    def shipper(self) -> WalShipper:
-        """The primary's segment shipper."""
-        return self._shipper
-
-    @property
     def replicas(self) -> list[ReplicaShard]:
-        """The attached replicas (synced or not)."""
+        """The attached (restored) replicas."""
         return [copy.target for copy in self._replicas]
 
     def attach_replica(self, replica: ReplicaShard) -> None:
-        """Bootstrap a replica from the current state and start serving it.
+        """Restore a replica from the primary's checkpoint and serve it.
 
-        Cuts a fresh snapshot (checkpointing the primary), restores the
-        replica from it, and replays the page ids the primary's engine
-        holds into the new copy's pool, so its first queries hit warm
-        instead of paying the primary's accumulated misses again.
+        Checkpoints the primary, restores the replica from a copy of
+        that checkpoint (a token mismatch raises
+        :class:`~repro.replication.replica.ReplicationError` and the
+        copy is not added), and replays the page ids the primary's
+        engine holds into the new copy's pool, so its first queries hit
+        warm instead of paying the primary's accumulated misses again.
         """
         if not isinstance(replica, ReplicaShard):
             raise TypeError("replica must be a ReplicaShard")
-        replica.bootstrap(self._shipper.snapshot())
+        replica.bootstrap(checkpoint_copy(self._primary))
         self._warm(replica)
         self._replicas.append(
             _Copy(
@@ -163,70 +149,6 @@ class ReplicaSet:
             replica.warm(page_ids)
 
     # ------------------------------------------------------------------
-    # Replication pump
-    # ------------------------------------------------------------------
-    def sync(self) -> dict:
-        """Bring every replica to the shipper's current position.
-
-        For each replica: replay the retained segments past its applied
-        position; on any refusal (corruption, gap, token mismatch) or a
-        truncated log, re-bootstrap from a fresh snapshot.  Then trim
-        the shipper's log through the slowest replica's position (the
-        shipper's own with no replicas): every copy has applied what it
-        drops, and a copy that later needs more bootstraps from a
-        snapshot anyway.  Returns a tally
-        ``{"applied": n, "bootstrapped": n}``.
-        """
-        applied = 0
-        bootstrapped = 0
-        for copy in self._replicas:
-            # Under the copy's serving gate: a read routed here must not
-            # run on the old engine over pages a segment or a bootstrap
-            # is rewriting.
-            with copy.gate:
-                segments, bootstraps = self._catch_up(copy.target)
-            applied += segments
-            bootstrapped += bootstraps
-        self._shipper.log.trim(
-            min(
-                (copy.target.applied_seq for copy in self._replicas),
-                default=self._shipper.seq,
-            )
-        )
-        return {"applied": applied, "bootstrapped": bootstrapped}
-
-    def _catch_up(self, replica: ReplicaShard) -> tuple[int, int]:
-        """Bring one replica to the shipper's position; returns
-        ``(segments applied, bootstraps)``."""
-        if replica.state != SYNCED:
-            self._bootstrap(replica)
-            return 0, 1
-        pending = self._shipper.segments_since(replica.applied_seq)
-        if pending is None:
-            # The suffix this replica needs was truncated away.
-            self._bootstrap(replica)
-            return 0, 1
-        applied = 0
-        for encoded in pending:
-            if not replica.apply_segment(encoded):
-                self._bootstrap(replica)
-                return applied, 1
-            applied += 1
-        if replica.content_token() != self._shipper.token:
-            # Caught up by position yet on a different content token:
-            # nothing is left to replay, so only a fresh snapshot can
-            # make this copy match the primary.
-            self._bootstrap(replica)
-            return applied, 1
-        return applied, 0
-
-    def _bootstrap(self, replica: ReplicaShard) -> None:
-        # snapshot() checkpoints, so the image is at the latest seq and
-        # the replica lands fully caught up in one step.
-        replica.bootstrap(self._shipper.snapshot())
-        self._warm(replica)
-
-    # ------------------------------------------------------------------
     # Read routing
     # ------------------------------------------------------------------
     def _admitted(self, attempt: int, key: int) -> _Copy:
@@ -239,11 +161,7 @@ class ReplicaSet:
         breaker flips in the gap make distinctness best-effort).
         """
         now = self._clock.now()
-        pool = [
-            copy
-            for copy in self._replicas
-            if copy.target.state == SYNCED and copy.breaker.allow(now)
-        ]
+        pool = [copy for copy in self._replicas if copy.breaker.allow(now)]
         if self._primary_copy.breaker.allow(now) or not pool:
             # The primary is always the last resort, even mid-cooldown.
             if not pool and self._replicas:
@@ -281,11 +199,10 @@ class ReplicaSet:
         """One token over every copy: the primary's and each replica's,
         in order.
 
-        A read may land on any synced copy, and a replica lags the
-        primary until :meth:`sync`, so an answer depends on every
-        copy's content; the token moves when any of them does (a
-        primary write, an applied segment, a bootstrap, an attach).
-        ``None`` while the primary's index is unbuilt.
+        A read may land on any copy, so an answer depends on every
+        copy's content; the token moves when any of them does (a write
+        to the primary's own handle, an attach).  ``None`` while the
+        primary's index is unbuilt.
         """
         primary = self._primary.content_token()
         if primary is None:
@@ -318,12 +235,10 @@ class ReplicaSet:
         return status
 
     def replication_status(self) -> dict:
-        """Telemetry: shipper position plus per-replica status."""
+        """Telemetry: primary fallbacks and breakers, plus per-replica
+        status."""
         return {
             "shard_id": self.shard_id,
-            "shipper_seq": self._shipper.seq,
-            "shipper_token": self._shipper.token,
-            "retained_segments": len(self._shipper.log),
             "fallbacks_to_primary": self.fallbacks_to_primary,
             "primary_breaker": self._primary_copy.breaker.state,
             "replicas": [
@@ -336,19 +251,14 @@ class ReplicaSet:
         }
 
     def close(self) -> None:
-        """Detach the shipper and release every copy's files."""
-        self._shipper.detach()
+        """Release every copy's files."""
         for copy in self._replicas:
             copy.target.close()
         self._replicas.clear()
         self._primary.close()
 
     def __repr__(self) -> str:
-        synced = sum(
-            1 for copy in self._replicas if copy.target.state == SYNCED
-        )
         return (
             f"ReplicaSet(shard_id={self.shard_id}, "
-            f"replicas={len(self._replicas)}, synced={synced}, "
-            f"seq={self._shipper.seq})"
+            f"replicas={len(self._replicas)})"
         )

@@ -355,9 +355,9 @@ class NetworkFleet:
         Each shard server then fronts a
         :class:`~repro.replication.group.ReplicaSet`: the primary plus
         ``N`` :class:`~repro.replication.replica.ReplicaShard` copies
-        bootstrapped from the primary's checkpoint snapshot into
-        sibling ``<shard-dir>-replica<i>`` directories, with reads
-        load-balanced across the synced copies.
+        restored from the primary's checkpoint into sibling
+        ``<shard-dir>-replica<i>`` directories, with reads
+        load-balanced across the copies.
     range_cache_size:
         Page-tier pages per served copy's engine (see
         :class:`~repro.core.engine.QueryEngine`; 0 disables).
@@ -473,11 +473,11 @@ class NetworkFleet:
         return handle.host, handle.port
 
     def _replicate(self, primary: Shard, shard_dir: str) -> ReplicaSet:
-        """Wrap one primary in a replica group with bootstrapped copies.
+        """Wrap one primary in a replica group with restored copies.
 
         Replica directories sit next to the shard's
         (``<shard-dir>-replica<i>``), so the manifest's directories stay
-        byte-owned by their primaries and a re-bootstrap can wipe a
+        byte-owned by their primaries and a restore can overwrite a
         replica's directory without touching durable state.
         """
         group = ReplicaSet(primary, clock=self._clock)
@@ -487,7 +487,6 @@ class NetworkFleet:
                     primary.shard_id,
                     f"{shard_dir}-replica{index}",
                     epsilon=self._epsilon,
-                    clock=self._clock,
                     buffer_capacity=self._buffer_capacity,
                     cache_size=self._cache_size,
                     range_cache_size=self._range_cache_size,

@@ -89,7 +89,7 @@ class ShardLike(Protocol):
     def status(self) -> dict:
         """``shard_id``, ``videos``, ``queries_served`` and
         ``replication``: ``None`` for an unreplicated shard, a group's
-        ``replication_status()``, or one replica's catch-up state."""
+        ``replication_status()``, or one replica's restore state."""
 
     def close(self) -> None: ...
 

@@ -39,22 +39,6 @@ where ``crc`` is the CRC32 of everything from ``kind`` through
 ``payload``.  Record kinds: PAGE (payload = page content), META (payload
 = opaque metadata blob), COMMIT (payload = ``count u8`` then ``file_id
 u8, num_pages u64`` per attached file).
-
-Segment sealing
----------------
-The log itself is reset to its header after every commit, so committed
-transactions normally leave no trace.  A ``segment_sink`` callable (see
-:meth:`WriteAheadLog.set_segment_sink`) changes that: right after the
-commit's fsync — the moment the transaction becomes durable — the sink
-receives the transaction's raw record bytes (every PAGE/META record plus
-the trailing COMMIT, exactly as they sit in the log).  That byte string
-is a *sealed redo-only segment*: replaying it against another directory
-with the same pre-transaction state reproduces the commit bit-for-bit.
-:func:`scan_transaction` parses such a segment strictly (any torn,
-reordered or trailing byte raises :class:`WalSegmentError` — shipping,
-unlike crash recovery, must never silently drop a suffix), and
-:meth:`WriteAheadLog.apply_external` applies the parsed images to the
-registered targets — the replica side of WAL shipping.
 """
 
 from __future__ import annotations
@@ -65,7 +49,7 @@ import zlib
 
 from repro.storage.page import PAGE_CONTENT_SIZE
 
-__all__ = ["WalSegmentError", "WriteAheadLog", "scan_transaction"]
+__all__ = ["WriteAheadLog"]
 
 _WAL_MAGIC = 0x5669574C  # "ViWL"
 _WAL_VERSION = 1
@@ -84,66 +68,6 @@ _MAX_PAYLOAD = 16 * 1024 * 1024  # sanity bound while scanning a dirty log
 def _encode_record(kind: int, file_id: int, page_id: int, payload: bytes) -> bytes:
     body = _RECORD.pack(kind, file_id, page_id, len(payload)) + payload
     return body + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
-
-
-class WalSegmentError(ValueError):
-    """A shipped transaction's record bytes failed strict validation."""
-
-
-def scan_transaction(
-    raw: bytes,
-) -> tuple[dict[tuple[int, int], bytes], dict[int, int], bytes | None]:
-    """Strictly parse one sealed transaction's record bytes.
-
-    The input is what a commit's segment sink received: zero or more
-    PAGE/META records followed by exactly one COMMIT record, with
-    nothing after it.  Returns ``(images, sizes, meta)``.
-
-    Unlike :meth:`WriteAheadLog._scan` — which *tolerates* a torn tail
-    because a crash legitimately produces one — every defect here raises
-    :class:`WalSegmentError`: a shipped segment was sealed after its
-    fsync, so corruption means the transport (or an attacker) mangled
-    it, and applying a prefix would silently fork the replica's state.
-    """
-    images: dict[tuple[int, int], bytes] = {}
-    sizes: dict[int, int] | None = None
-    meta: bytes | None = None
-    offset = 0
-    while offset < len(raw):
-        if sizes is not None:
-            raise WalSegmentError("bytes after the COMMIT record")
-        if offset + _RECORD.size + _CRC.size > len(raw):
-            raise WalSegmentError("truncated record header")
-        kind, file_id, page_id, length = _RECORD.unpack_from(raw, offset)
-        if length > _MAX_PAYLOAD:
-            raise WalSegmentError(f"record payload length {length} too large")
-        end = offset + _RECORD.size + length
-        if end + _CRC.size > len(raw):
-            raise WalSegmentError("truncated record payload")
-        body = raw[offset:end]
-        (stored,) = _CRC.unpack_from(raw, end)
-        if stored != (zlib.crc32(body) & 0xFFFFFFFF):
-            raise WalSegmentError("record checksum mismatch")
-        payload = raw[offset + _RECORD.size : end]
-        if kind == _KIND_PAGE:
-            if len(payload) != PAGE_CONTENT_SIZE:
-                raise WalSegmentError(
-                    f"page image is {len(payload)} bytes, "
-                    f"expected {PAGE_CONTENT_SIZE}"
-                )
-            images[(file_id, page_id)] = payload
-        elif kind == _KIND_META:
-            meta = payload
-        elif kind == _KIND_COMMIT:
-            sizes = WriteAheadLog._parse_commit(payload)
-            if sizes is None:
-                raise WalSegmentError("malformed COMMIT payload")
-        else:
-            raise WalSegmentError(f"unknown record kind {kind}")
-        offset = end + _CRC.size
-    if sizes is None:
-        raise WalSegmentError("transaction has no COMMIT record")
-    return images, sizes, meta
 
 
 class WriteAheadLog:
@@ -175,7 +99,6 @@ class WriteAheadLog:
         self._targets: dict[int, object] = {}
         self._pending: dict[tuple[int, int], bytes] = {}
         self._pending_meta: bytes | None = None
-        self._segment_sink = None
         self._closed = False
 
         if not os.path.exists(self._path):
@@ -232,22 +155,6 @@ class WriteAheadLog:
             raise ValueError(f"file id {file_id} is already registered")
         self._targets[file_id] = target
 
-    def set_segment_sink(self, sink) -> None:
-        """Install (or clear, with ``None``) the sealed-segment sink.
-
-        ``sink(raw)`` is called once per committing transaction, right
-        after the log's fsync made the transaction durable and before
-        its images are applied and the log resets.  ``raw`` is the
-        transaction's record bytes — PAGE/META records plus the trailing
-        COMMIT — i.e. exactly what :func:`scan_transaction` parses.  The
-        sink must not raise: an exception propagates out of
-        :meth:`commit` after durability but before apply (recovery would
-        still finish the commit, but the caller sees an error).
-        """
-        if sink is not None and not callable(sink):
-            raise TypeError("segment sink must be callable (or None)")
-        self._segment_sink = sink
-
     # ------------------------------------------------------------------
     # Journaling
     # ------------------------------------------------------------------
@@ -285,27 +192,20 @@ class WriteAheadLog:
             file_id: self._targets[file_id].wal_num_pages()
             for file_id in sorted(self._targets)
         }
-        records: list[bytes] = []
         for (file_id, page_id) in sorted(self._pending):
-            records.append(
+            self._append(
                 _encode_record(
                     _KIND_PAGE, file_id, page_id, self._pending[(file_id, page_id)]
                 )
             )
         if self._pending_meta is not None:
-            records.append(_encode_record(_KIND_META, 0, 0, self._pending_meta))
+            self._append(_encode_record(_KIND_META, 0, 0, self._pending_meta))
         payload = _SIZE_COUNT.pack(len(sizes)) + b"".join(
             _SIZE_ENTRY.pack(file_id, sizes[file_id])
             for file_id in sorted(sizes)
         )
-        records.append(_encode_record(_KIND_COMMIT, 0, 0, payload))
-        for record in records:
-            self._append(record)
+        self._append(_encode_record(_KIND_COMMIT, 0, 0, payload))
         self._fsync()
-        if self._segment_sink is not None:
-            # The transaction is durable from here on; the sealed bytes
-            # are what recovery would replay, handed to the shipper.
-            self._segment_sink(b"".join(records))
 
         self._apply(dict(self._pending), sizes, self._pending_meta)
         self._reset()
@@ -408,37 +308,6 @@ class WriteAheadLog:
             )
             sizes[file_id] = num_pages
         return sizes
-
-    def apply_external(
-        self,
-        images: dict[tuple[int, int], bytes],
-        sizes: dict[int, int],
-        meta: bytes | None,
-    ) -> None:
-        """Apply an externally-committed transaction to this log's targets.
-
-        The replica side of WAL shipping: ``images``/``sizes``/``meta``
-        come from :func:`scan_transaction` over a sealed segment the
-        *primary* committed.  The apply is the same idempotent full-page
-        redo recovery performs — pages written through the targets, file
-        sizes set, files fsynced, the metadata blob atomically replaced.
-        Requires an empty local transaction (a replica never journals its
-        own writes) and registered targets for every referenced file id.
-        """
-        self._require_open()
-        if self.has_pending:
-            raise RuntimeError(
-                "cannot apply an external transaction over pending local "
-                "changes"
-            )
-        unknown = {fid for fid, _ in images} | set(sizes)
-        unknown -= set(self._targets)
-        if unknown:
-            raise ValueError(
-                f"external transaction references unregistered file ids "
-                f"{sorted(unknown)}"
-            )
-        self._apply(dict(images), dict(sizes), meta)
 
     # ------------------------------------------------------------------
     # Apply / reset

@@ -1,11 +1,10 @@
-"""Shared utilities: argument validation, RNG handling, running statistics,
-and cost/time accounting used across the ViTri reproduction."""
+"""Shared utilities: argument validation, RNG handling and cost/time
+accounting used across the ViTri reproduction."""
 
 from __future__ import annotations
 
 from repro.utils.counters import CostCounters, Timer
 from repro.utils.rng import ensure_rng
-from repro.utils.stats import RunningStats
 from repro.utils.validation import (
     check_finite,
     check_matrix,
@@ -19,7 +18,6 @@ __all__ = [
     "CostCounters",
     "Timer",
     "ensure_rng",
-    "RunningStats",
     "check_finite",
     "check_matrix",
     "check_non_negative",

@@ -7,7 +7,11 @@ through the rules' observable findings and through
 :func:`build_model_from_paths` on the real package.
 """
 
+import re
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.analysis import lint_source
 from repro.analysis.concurrency import build_model_from_paths
@@ -246,10 +250,18 @@ class TestBlockingWhileLocked:
         assert findings(suppressed, "blocking-while-locked") == []
 
 
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="class")
+def package_model():
+    """The concurrency model of the whole library (about 3 s to build)."""
+    return build_model_from_paths([str(_ROOT / "src" / "repro")])
+
+
 class TestRealPackageModel:
-    def test_library_graph_contains_storage_stack(self):
-        model = build_model_from_paths(["src/repro"])
-        edges = model.edge_set()
+    def test_library_graph_contains_storage_stack(self, package_model):
+        edges = package_model.edge_set()
         assert ("BufferPool._lock", "Pager._lock") in edges
         assert ("ShardedVideoDatabase._lock", "Pager._lock") in edges
         assert ("ShardedVideoDatabase._lock", "BufferPool._lock") in edges
@@ -258,9 +270,16 @@ class TestRealPackageModel:
             "QueryEngine._cache_lock",
         ) in edges
 
-    def test_dot_render_is_stable_and_parseable(self):
-        model = build_model_from_paths(["src/repro"])
-        dot = model.to_dot()
-        assert dot == model.to_dot()
+    def test_dot_render_is_stable_and_parseable(self, package_model):
+        dot = package_model.to_dot()
+        assert dot == package_model.to_dot()
         assert dot.startswith("digraph static_lock_order {")
         assert '"BufferPool._lock" -> "Pager._lock"' in dot
+
+    def test_documented_graph_is_the_analysers_graph(self, package_model):
+        """The ``dot`` block in docs/static_analysis.md lists exactly the
+        edges the analyser derives from the library."""
+        doc = (_ROOT / "docs" / "static_analysis.md").read_text()
+        block = re.search(r"```dot\n(.*?)```", doc, re.S).group(1)
+        documented = set(re.findall(r'"([^"]+)" -> "([^"]+)"', block))
+        assert documented == package_model.edge_set()

@@ -6,8 +6,8 @@ answer once every leg served it from its engine's result cache, so the
 third time a query is asked is the first memo hit.  An entry is valid
 only while every shard reports the content token the answer was
 computed under.  Each test below moves a fleet's content one way (a
-direct shard write, a replica catching up, an online-rebuild cutover, a
-restarted server over a changed directory) and asserts that the next
+direct shard write, an online-rebuild cutover, a restarted server over
+a changed directory) and asserts that the next
 answer equals a *fresh scatter* — the first query of that content on a
 second router over the same shards — bit for bit.
 """
@@ -24,7 +24,6 @@ import pytest
 from repro.analysis.concurrency import build_model_from_paths
 from repro.core.index import QueryStats
 from repro.ingest.cutover import commit_cutover, side_build
-from repro.replication import ReplicaSet, ReplicaShard
 from repro.serve.frontdoor import FrontDoor, FrontDoorServer, NetworkFleet
 from repro.serve.shard_server import ShardServer
 from repro.serve.transport import RemoteShard, RemoteShardClient
@@ -368,33 +367,6 @@ class TestContentMoves:
             assert_miss(removed)
             assert_same(removed, scatter(fresh, newcomer))
             assert newcomer.video_id not in removed.videos
-
-    def test_replica_set_primary_write_then_sync(self, tmp_path, summaries):
-        base, newcomer = summaries[:-1], summaries[-1]
-        clock = VirtualClock()
-        group = ReplicaSet(make_primary(tmp_path / "primary", base), clock=clock)
-        group.attach_replica(
-            ReplicaShard(0, tmp_path / "replica", epsilon=EPSILON, clock=clock)
-        )
-        with routers([group], clock=clock) as (memo, fresh):
-            check_repeat(memo, fresh, newcomer)
-            before = group.content_token()
-
-            # The primary moves; the replica lags until sync().
-            group.primary.add_summary(newcomer)
-            group.primary.checkpoint()
-            lagging = group.content_token()
-            assert lagging != before
-            unsynced = memo.knn(newcomer, K)
-            assert_miss(unsynced)
-            assert_same(unsynced, scatter(fresh, newcomer))
-
-            assert group.sync()["applied"] == 1
-            assert group.content_token() != lagging
-            synced = memo.knn(newcomer, K)
-            assert_miss(synced)
-            assert_same(synced, scatter(fresh, newcomer))
-            assert synced.videos[0] == newcomer.video_id
 
     def test_online_rebuild_cutover(self, tmp_path, summaries):
         shard = make_primary(tmp_path / "shard", summaries)

@@ -238,9 +238,14 @@ class TestThreadSafety:
             assert bundle.page_requests == per_thread
 
     @staticmethod
-    def race_runs_and_fetches(spill: int):
-        """Six threads racing runs and single fetches on one small pool;
-        returns the pool, the per-thread bundles and every wrong read."""
+    def race_runs_and_fetches(spill: int, num_threads: int = 6):
+        """Threads (six by default) racing runs and single fetches on one
+        small pool; returns the pool and the per-thread bundles.
+
+        Each thread's 6-id window steps forward one id per round and,
+        every fourth round, back three: that round re-reads pages the
+        5-page main segment has already evicted, so a spill segment is
+        hit even by a thread running alone."""
         import sys
         import threading
 
@@ -252,7 +257,7 @@ class TestThreadSafety:
             page.data[0] = page_id
             pager.write_page(page)
         pool = BufferPool.with_spill(pager, 5, spill)
-        num_threads, rounds = 6, 120
+        rounds = 120
         bundles = [CostCounters() for _ in range(num_threads)]
         wrong: list = []
         barrier = threading.Barrier(num_threads)
@@ -260,7 +265,7 @@ class TestThreadSafety:
         def run(slot: int) -> None:
             barrier.wait()
             for i in range(rounds):
-                first = (slot * 3 + i) % 18
+                first = (slot * 3 + i - 3 * (i % 4 == 3)) % 18
                 ids = list(range(first, first + 6))
                 if i % 2:
                     rows = pool.fetch_run(ids, bundles[slot])[:, 0].tolist()
@@ -310,6 +315,13 @@ class TestThreadSafety:
         assert pool.spill_misses == pool.misses
         assert sum(b.extra["range_cache_hits"] for b in bundles) == pool.spill_hits
         assert pool.spill_hits > 0
+
+    def test_one_thread_alone_hits_the_spill_segment(self):
+        """The id sequence alone reaches the spill segment, so the race
+        above does not need a lucky interleaving to hit it."""
+        pool, bundles = self.race_runs_and_fetches(4, num_threads=1)
+        assert pool.spill_hits > 0
+        assert bundles[0].extra["range_cache_hits"] == pool.spill_hits
 
 
 class TestFetchRun:

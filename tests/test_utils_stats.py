@@ -1,10 +1,9 @@
-"""Tests for repro.utils.stats (Welford running statistics, percentile)."""
+"""Tests for repro.utils.stats (percentile)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.utils.stats import RunningStats, percentile
+from repro.utils.stats import percentile
 
 
 class TestPercentile:
@@ -46,83 +45,3 @@ class TestPercentile:
         # Argument validation happens before the emptiness check.
         with pytest.raises(ValueError, match="fraction"):
             percentile([], 1.5, default=0.0)
-
-
-class TestRunningStats:
-    def test_empty(self):
-        rs = RunningStats()
-        assert rs.count == 0
-        assert rs.mean == 0.0
-        assert rs.variance == 0.0
-        assert rs.std == 0.0
-
-    def test_single_value(self):
-        rs = RunningStats()
-        rs.add(5.0)
-        assert rs.mean == 5.0
-        assert rs.variance == 0.0
-        assert rs.min == 5.0
-        assert rs.max == 5.0
-
-    def test_known_values(self):
-        rs = RunningStats()
-        rs.add_many([1.0, 2.0, 3.0, 4.0])
-        assert rs.mean == pytest.approx(2.5)
-        # Population variance.
-        assert rs.variance == pytest.approx(1.25)
-        assert rs.min == 1.0
-        assert rs.max == 4.0
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(3.0, 2.0, 500)
-        rs = RunningStats()
-        rs.add_many(data)
-        assert rs.mean == pytest.approx(float(data.mean()), rel=1e-12)
-        assert rs.std == pytest.approx(float(data.std()), rel=1e-10)
-
-    def test_merge_equals_concatenation(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(0, 1, 100)
-        b = rng.normal(5, 3, 50)
-        ra, rb, rall = RunningStats(), RunningStats(), RunningStats()
-        ra.add_many(a)
-        rb.add_many(b)
-        rall.add_many(np.concatenate([a, b]))
-        merged = ra.merge(rb)
-        assert merged.count == rall.count
-        assert merged.mean == pytest.approx(rall.mean, rel=1e-12)
-        assert merged.variance == pytest.approx(rall.variance, rel=1e-10)
-        assert merged.min == rall.min
-        assert merged.max == rall.max
-
-    def test_merge_with_empty(self):
-        ra = RunningStats()
-        ra.add_many([1.0, 2.0])
-        merged = ra.merge(RunningStats())
-        assert merged.count == 2
-        assert merged.mean == pytest.approx(1.5)
-
-    def test_merge_two_empty(self):
-        merged = RunningStats().merge(RunningStats())
-        assert merged.count == 0
-
-    def test_merge_type_error(self):
-        with pytest.raises(TypeError):
-            RunningStats().merge([1, 2, 3])
-
-    def test_repr(self):
-        rs = RunningStats()
-        rs.add(1.0)
-        assert "count=1" in repr(rs)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
-    def test_property_matches_numpy(self, values):
-        rs = RunningStats()
-        rs.add_many(values)
-        arr = np.asarray(values)
-        assert rs.count == len(values)
-        assert rs.mean == pytest.approx(float(arr.mean()), rel=1e-8, abs=1e-8)
-        assert rs.variance == pytest.approx(
-            float(arr.var()), rel=1e-6, abs=1e-6
-        )
