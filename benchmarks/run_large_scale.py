@@ -56,10 +56,7 @@ def main(num_videos: int = 2000, epsilon: float = 0.25) -> None:
     with Timer() as build_timer:
         index = repro.VitriIndex.build(summaries, epsilon)
     built = build_timer.elapsed
-    pages = (
-        index.btree.buffer_pool.pager.num_pages
-        + index.heap.buffer_pool.pager.num_pages
-    )
+    pages = index.btree.buffer_pool.pager.num_pages
     print(
         f"built index in {built:.1f}s: height {index.btree.height}, "
         f"{pages} pages ({pages * 4096 // 1024} KiB)"

@@ -1,11 +1,10 @@
 """On-disk indexes: build once, reopen later.
 
 A durable :class:`repro.VideoDatabase` keeps its index in a directory:
-the B+-tree pages (``index.btree``) and the ViTri heap (``index.heap``)
-in ordinary files with 4 KiB pages, plus the non-paged metadata
-(epsilon, the fitted reference point, per-video frame counts) in
-``db.json``.  All three commit together through the directory's
-write-ahead log.  This script builds a database, closes it, reopens it
+the B+-tree pages (``index.btree``, 4 KiB each, whose leaves hold every
+ViTri record once) plus the non-paged metadata (epsilon, the fitted
+reference point, per-video frame counts) in ``db.json``.  Both commit
+together through the directory's write-ahead log.  This script builds a database, closes it, reopens it
 from the directory alone and repeats the query.
 
 Run:  python examples/persistent_index.py
@@ -44,10 +43,9 @@ def main() -> None:
             first_answer = index.knn(summaries[0], 5).videos
             vitris = index.num_vitris
         btree_size = os.path.getsize(os.path.join(path, "index.btree"))
-        heap_size = os.path.getsize(os.path.join(path, "index.heap"))
-        print(f"persisted: {vitris} ViTris -> "
-              f"{btree_size // 1024} KiB B+-tree + {heap_size // 1024} KiB heap "
-              f"({btree_size // 4096} + {heap_size // 4096} pages)")
+        print(f"persisted: {vitris} ViTris -> one B+-tree file, "
+              f"{btree_size // 1024} KiB ({btree_size // 4096} pages); "
+              f"files: {sorted(os.listdir(path))}")
 
         # Reopen from the directory alone and query again.
         with repro.VideoDatabase(path=path) as reopened:

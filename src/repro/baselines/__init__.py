@@ -6,9 +6,10 @@
 * :mod:`repro.baselines.visig` — the video-signature method of Cheung &
   Zakhor [reference 6]: shared random seed vectors, each video represented
   by its closest frame to every seed.
-* :mod:`repro.baselines.seqscan` — sequential scan over the ViTri heap:
-  the same similarity model as the index, with every data page read and
-  every pair evaluated (the I/O / CPU upper bound in Figures 17-19).
+* :mod:`repro.baselines.seqscan` — sequential scan over a flat heap of
+  the index's ViTris: the same similarity model as the index, with every
+  data page read and every pair evaluated (the I/O / CPU upper bound in
+  Figures 17-19).
 * :mod:`repro.baselines.pyramid` — the Pyramid technique [Berchtold et
   al., reference 2]: the other classic high-dimensional-to-1-D mapping,
   over the same B+-tree substrate.

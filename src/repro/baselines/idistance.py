@@ -77,12 +77,10 @@ class MultiRefIndex:
         self._dim = source.dim
         self._video_frames = source.video_frames
 
-        records = [
-            self._codec.decode(payload) for _, payload in source.heap.scan()
-        ]
-        if not records:
+        _, records = source.records()
+        if not records.size:
             raise ValueError("the source index holds no records")
-        positions = np.stack([record.position for record in records])
+        positions = self._codec.columns_from_struct(records).positions
         num_partitions = min(num_partitions, positions.shape[0])
         clustering = kmeans(positions, num_partitions, seed=seed)
         self._references = clustering.centers
@@ -103,7 +101,7 @@ class MultiRefIndex:
         entries = []
         for record, partition, distance in zip(records, assignments, distances):
             key = partition * self._separation + float(distance)
-            entries.append((key, self._codec.encode(record)))
+            entries.append((key, record.tobytes()))
         entries.sort(key=lambda item: item[0])
         self._btree = BPlusTree.create(
             BufferPool(Pager(), capacity=buffer_capacity),

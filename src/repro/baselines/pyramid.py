@@ -112,7 +112,7 @@ def query_ranges(
 class PyramidIndex:
     """Pyramid-technique index over the ViTris of a :class:`VitriIndex`.
 
-    Reuses the source index's summaries (via its heap) and epsilon; builds
+    Reuses the source index's records and epsilon; builds
     its own B+-tree keyed by pyramid values.  Query results are identical
     to the source index's — only the I/O profile differs.
 
@@ -133,10 +133,12 @@ class PyramidIndex:
         self._dim = source.dim
         self._video_frames = source.video_frames
 
-        entries: list[tuple[float, bytes]] = []
-        for _, payload in source.heap.scan():
-            record = self._codec.decode(payload)
-            entries.append((pyramid_value(record.position), payload))
+        _, records = source.records()
+        positions = self._codec.columns_from_struct(records).positions
+        entries = [
+            (pyramid_value(position), record.tobytes())
+            for position, record in zip(positions, records)
+        ]
         entries.sort(key=lambda item: item[0])
         self._btree = BPlusTree.create(
             BufferPool(Pager(), capacity=buffer_capacity),

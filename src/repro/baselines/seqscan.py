@@ -1,4 +1,4 @@
-"""Sequential scan over the ViTri heap.
+"""Sequential scan over a flat heap of the index's ViTris.
 
 The brute-force comparator of Figures 17-19: every heap data page is read
 and every (query ViTri, database ViTri) pair is evaluated.  Because the
@@ -6,18 +6,21 @@ B+-tree's key filter is lossless (pruned pairs provably share zero
 frames), the sequential scan returns *exactly* the same KNN results as
 :class:`~repro.core.index.VitriIndex` — only the cost differs, which the
 tests assert and the benchmarks plot.
+
+The index keeps each record once, in its B+-tree leaves, so the scan
+writes its own in-memory heap file from them (``vitri_id`` order, the
+order records were added in) and rewrites it whenever the index's
+content token moves.
 """
 
 from __future__ import annotations
 
-from repro.core.index import (
-    KNNResult,
-    QueryStats,
-    TOMBSTONE_VIDEO_ID,
-    VitriIndex,
-)
+from repro.core.index import KNNResult, QueryStats, VitriIndex, _check_query_args
 from repro.core.scoring import ScoreAccumulator
 from repro.core.vitri import VideoSummary
+from repro.storage.buffer_pool import BufferPool
+from repro.storage.heap_file import HeapFile
+from repro.storage.pager import Pager
 from repro.storage.serialization import ViTriColumns
 from repro.utils.counters import CostCounters, Timer
 
@@ -25,16 +28,35 @@ __all__ = ["SequentialScan"]
 
 
 class SequentialScan:
-    """Brute-force KNN over an index's heap file.
+    """Brute-force KNN over a flat heap of an index's live records.
 
-    Shares the heap (and its counted buffer pool) with the
-    :class:`VitriIndex` it scans, so I/O numbers are directly comparable.
+    The heap's buffer pool has the index's pool capacity, so I/O numbers
+    are directly comparable.
     """
 
     def __init__(self, index: VitriIndex) -> None:
         if not isinstance(index, VitriIndex):
             raise TypeError("index must be a VitriIndex")
         self._index = index
+        self._heap: HeapFile | None = None
+        self._heap_token: str | None = None
+
+    @property
+    def heap(self) -> HeapFile:
+        """The scanned heap, current with the index's content."""
+        token = self._index.content_token()
+        if self._heap is None or token != self._heap_token:
+            _, records = self._index.records()
+            heap = HeapFile.create(
+                BufferPool(
+                    Pager(), capacity=self._index.btree.buffer_pool.capacity
+                ),
+                self._index.codec.record_size,
+            )
+            for record in records:
+                heap.append(record.tobytes())
+            self._heap, self._heap_token = heap, token
+        return self._heap
 
     def knn(self, query: VideoSummary, k: int, *, cold: bool = True) -> KNNResult:
         """Top-``k`` most similar videos by scanning every ViTri record.
@@ -49,17 +71,9 @@ class SequentialScan:
             Clear the heap's buffer pool first (default: a sequential scan
             is always cold in the paper's model).
         """
-        if not isinstance(query, VideoSummary):
-            raise TypeError("query must be a VideoSummary")
-        if query.dim != self._index.dim:
-            raise ValueError(
-                f"query dimension {query.dim} != index dimension "
-                f"{self._index.dim}"
-            )
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"k must be a positive int, got {k}")
+        _check_query_args(query, k, self._index.dim)
 
-        heap = self._index.heap
+        heap = self.heap
         codec = self._index.codec
         video_frames = self._index.video_frames
         if cold:
@@ -79,7 +93,6 @@ class SequentialScan:
                 for _, used, block in heap.scan_batches(counters=counters)
             ]
             columns = ViTriColumns.concat(pages, codec.dim)
-            columns = columns.take(columns.video_ids != TOMBSTONE_VIDEO_ID)
             candidates = len(columns)
             if candidates:
                 for i in range(len(query.vitris)):

@@ -10,17 +10,17 @@ Drives the full pipeline from a shell::
                           --video-id 0 --k 10
 
 ``build`` writes a durable :class:`~repro.core.database.VideoDatabase`
-directory (``index.btree``, ``index.heap`` and ``db.json``, committed as
-one transaction through its write-ahead log).  ``query`` reopens it,
+directory (``index.btree``, whose leaves hold every ViTri record, and
+``db.json``, committed as one transaction through its write-ahead log).  ``query`` reopens it,
 summarises the query video with the stored epsilon, and prints the
 ranked results plus the exact query cost.
 
 ``repro-video check`` verifies a directory without creating anything:
 a fleet (it holds ``shards.json``) shard by shard, plus its placement;
 a single database like one shard.
-Each database gets every page frame's CRC32 checksum, every B+-tree
-invariant and the heap file's slot accounting.  Exit code 0 means
-consistent, 1 means corruption or a path holding neither.
+Each database gets every page frame's CRC32 checksum and every B+-tree
+invariant.  Exit code 0 means consistent, 1 means corruption, a path
+holding neither, or a directory in a format this version does not read.
 
 ``repro-video lint`` runs the project's own static-analysis pass
 (vilint; see ``docs/static_analysis.md``) over ``src/repro`` or any
@@ -196,8 +196,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _verify_database(index: VitriIndex, label: str) -> list[str]:
-    """Check one database's index: the page checksums of both page
-    files, the B+-tree invariants and the heap's slot accounting.
+    """Check one database's index: the page checksums of its B+-tree
+    file and the tree's invariants.
 
     Prints the label's line once its pages verify and returns the
     failures; a checksum failure ends the check, since nothing past it
@@ -207,7 +207,6 @@ def _verify_database(index: VitriIndex, label: str) -> list[str]:
 
     try:
         pages = index.btree.buffer_pool.pager.verify_checksums()
-        pages += index.heap.buffer_pool.pager.verify_checksums()
     except Exception as exc:  # noqa: BLE001 - report, don't crash
         return [f"{label} checksum: {exc}"]
     failures: list[str] = []
@@ -215,7 +214,6 @@ def _verify_database(index: VitriIndex, label: str) -> list[str]:
         check_tree(index.btree)
     except AssertionError as exc:
         failures.append(f"{label} btree: {exc}")
-    failures.extend(f"{label} heap: {v}" for v in index.heap.verify())
     print(
         f"{label}: {index.num_videos} video(s), {pages} page frame(s) "
         "verified, invariants hold"
@@ -252,10 +250,13 @@ def _check_fleet(path: str) -> int:
             if len(shard) == 0:
                 print(f"{label}: empty")
                 continue
+            shard_failures = _verify_database(shard.database.index, label)
+            failures.extend(shard_failures)
+            if shard_failures:
+                continue  # placement reads every leaf: verified ones only
             for summary in shard.summaries():
                 if fleet.partitioner.shard_for(summary) != shard.shard_id:
                     misplaced += 1
-            failures.extend(_verify_database(shard.database.index, label))
         if misplaced:
             # Every add is routed by the partitioner, so no operation
             # leaves a video elsewhere.
@@ -296,7 +297,8 @@ def _open_database(path: str):
     try:
         return VideoDatabase(path=path)
     except (ChecksumError, ValueError, OSError) as exc:
-        # Opening already scans the heap, so corruption can surface here.
+        # Opening reads the tree's metadata page, so corruption can
+        # surface here.
         print(f"error: cannot open index: {exc}", file=sys.stderr)
         return None
 
@@ -443,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="verify a database or fleet directory's integrity",
         description=(
-            "Verify page checksums, B+-tree invariants and heap-file "
-            "accounting of a database directory written by 'build', or "
-            "of every shard of a fleet directory plus its placement."
+            "Verify page checksums and B+-tree invariants of a database "
+            "directory written by 'build', or of every shard of a fleet "
+            "directory plus its placement."
         ),
     )
     check.add_argument(

@@ -27,12 +27,15 @@ Pass ``path=`` to persist the database in a directory::
 
     db = VideoDatabase(path="videos.db")   # reopens at last checkpoint
 
-The directory holds the B+-tree file (``index.btree``), the ViTri heap
-(``index.heap``), a JSON metadata blob (``db.json``) and a shared
-write-ahead log (``db.wal``).  All three data artefacts commit as one
-atomic unit through the WAL, so a crash at *any* point — mid-insert,
-mid-commit, mid-recovery — leaves a directory that reopens at its last
-completed checkpoint (see :mod:`repro.storage.wal`).
+The directory holds the B+-tree file (``index.btree``), whose leaves
+are the only copy of every ViTri record, a JSON metadata blob
+(``db.json``) and a write-ahead log (``db.wal``).  The tree's pages and
+the metadata commit as one atomic unit through the WAL, so a crash at
+*any* point — mid-insert, mid-commit, mid-recovery — leaves a directory
+that reopens at its last completed checkpoint (see
+:mod:`repro.storage.wal`).  A directory written in the older two-file
+layout (format 1, which also kept an ``index.heap`` copy of every
+record) is refused with :class:`DatabaseFormatError`.
 
 Generations
 -----------
@@ -64,7 +67,10 @@ from repro.storage.wal import WriteAheadLog
 from repro.utils.validation import check_matrix, check_positive
 
 __all__ = [
+    "DatabaseFormatError",
+    "EMPTY_TOKEN",
     "VideoDatabase",
+    "database_token",
     "generation_name",
     "publish_file",
     "read_epoch_pointer",
@@ -72,19 +78,59 @@ __all__ = [
 ]
 
 _BTREE_FILE = "index.btree"
-_HEAP_FILE = "index.heap"
 _META_FILE = "db.json"
 _WAL_FILE = "db.wal"
 _BTREE_FILE_ID = 0
-_HEAP_FILE_ID = 1
-_META_FORMAT = 1
+#: Format 2 keeps each record once, in the B+-tree leaves; format 1 also
+#: kept a flat copy in ``index.heap``.
+_META_FORMAT = 2
+_FORMAT_1_HEAP_FILE = "index.heap"
 
 _EPOCH_FILE = "epoch.json"
 _EPOCH_FORMAT = 1
 _GENERATION_PREFIX = "gen-"
 #: The flat (epoch-0) data artefacts an old generation leaves behind
 #: after the first cutover; swept by the next open.
-_DATA_FILES = (_BTREE_FILE, _HEAP_FILE, _META_FILE, _WAL_FILE)
+_DATA_FILES = (_BTREE_FILE, _META_FILE, _WAL_FILE)
+
+#: Content token of a database with no built index (tokens are 32-char
+#: blake2b-16 hex digests; the zero digest is unreachable in practice).
+EMPTY_TOKEN = "0" * 32
+
+
+class DatabaseFormatError(ValueError):
+    """A database directory written in a layout this version cannot read."""
+
+
+def database_token(db: "VideoDatabase") -> str:
+    """The database's current index content token.
+
+    ``EMPTY_TOKEN`` when no index has been built yet — the fingerprint
+    of the "nothing indexed" state, so even a copy of an empty database
+    has a token to check.
+    """
+    index = db.index
+    return index.content_token() if index is not None else EMPTY_TOKEN
+
+
+def _check_format(data_dir: str, meta: dict | None) -> None:
+    """Refuse a directory that is not format :data:`_META_FORMAT`.
+
+    A format-1 directory is known by its ``db.json`` or, before its
+    first checkpoint was applied, by the ``index.heap`` file it opened.
+    """
+    if meta is not None:
+        found = meta.get("format")
+    elif os.path.exists(os.path.join(data_dir, _FORMAT_1_HEAP_FILE)):
+        found = 1
+    else:
+        return  # never checkpointed, never opened by format 1
+    if found != _META_FORMAT:
+        raise DatabaseFormatError(
+            f"{data_dir} has unsupported format {found!r}: this version "
+            f"reads format {_META_FORMAT}, which keeps each record once, in "
+            f"index.btree (format 1 also kept {_FORMAT_1_HEAP_FILE})"
+        )
 
 
 def generation_name(epoch: int) -> str:
@@ -165,6 +211,14 @@ def publish_file(path: str, blob: bytes, *, fault_injector=None) -> None:
         os.replace(tmp_path, path)
 
 
+def _read_meta(meta_path: str) -> dict | None:
+    """The parsed ``db.json``; ``None`` for a directory never checkpointed."""
+    if not os.path.exists(meta_path):
+        return None
+    with open(meta_path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 class VideoDatabase:
     """Self-managing ViTri video database.
 
@@ -216,7 +270,6 @@ class VideoDatabase:
         self._faults = fault_injector
         self._wal: WriteAheadLog | None = None
         self._btree_pool: BufferPool | None = None
-        self._heap_pool: BufferPool | None = None
         self._closed = False
         if self._path is None:
             if fault_injector is not None:
@@ -247,6 +300,8 @@ class VideoDatabase:
             self._data_dir = self._path
         self._sweep_stale_generations()
         meta_path = os.path.join(self._data_dir, _META_FILE)
+        # Before the log opens: a format-1 log also holds heap pages.
+        _check_format(self._data_dir, _read_meta(meta_path))
         self._wal = WriteAheadLog(
             os.path.join(self._data_dir, _WAL_FILE),
             meta_path=meta_path,
@@ -257,15 +312,6 @@ class VideoDatabase:
                 os.path.join(self._data_dir, _BTREE_FILE),
                 wal=self._wal,
                 wal_file_id=_BTREE_FILE_ID,
-                fault_injector=self._faults,
-            ),
-            capacity=buffer_capacity,
-        )
-        self._heap_pool = BufferPool(
-            Pager(
-                os.path.join(self._data_dir, _HEAP_FILE),
-                wal=self._wal,
-                wal_file_id=_HEAP_FILE_ID,
                 fault_injector=self._faults,
             ),
             capacity=buffer_capacity,
@@ -282,15 +328,10 @@ class VideoDatabase:
     def _load_meta(self) -> None:
         """Adopt the configuration in ``db.json`` and re-attach the index
         it describes; a directory never checkpointed has none."""
-        meta_path = os.path.join(self._data_dir, _META_FILE)
-        if not os.path.exists(meta_path):
+        meta = _read_meta(os.path.join(self._data_dir, _META_FILE))
+        if meta is None:
             return
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-        if meta.get("format") != _META_FORMAT:
-            raise ValueError(
-                f"{meta_path} has unsupported format {meta.get('format')!r}"
-            )
+        _check_format(self._data_dir, meta)
         self._epsilon = float(meta["epsilon"])
         self._reference = str(meta["reference"])
         self._seed = int(meta["summarize_seed"])
@@ -298,7 +339,6 @@ class VideoDatabase:
         if meta["index"] is not None:
             self._index = VitriIndex.from_storage(
                 self._btree_pool,
-                self._heap_pool,
                 meta["index"],
                 reference=self._reference,
             )
@@ -509,8 +549,8 @@ class VideoDatabase:
     def summaries(self) -> list[VideoSummary]:
         """Every stored video's summary (pending first, then indexed).
 
-        Indexed summaries are reconstructed from the heap — a full scan,
-        meant for rebuilds, re-growing a fleet and migration, not the query
+        Indexed summaries are reconstructed from the leaf chain — a full
+        walk, meant for rebuilds, re-growing a fleet and migration, not the query
         path.
         """
         self._check_open()
@@ -538,14 +578,13 @@ class VideoDatabase:
         if self._index is None:
             if not self._pending:
                 raise ValueError("cannot build an empty database")
-            # A durable database's pools route both stores through the
-            # directory's shared WAL; None means fresh in-memory pagers.
+            # A durable database's pool writes through the directory's
+            # WAL; None means a fresh in-memory pager.
             self._index = VitriIndex.build(
                 list(self._pending.values()),
                 self._epsilon,
                 reference=self._reference,
                 btree_pool=self._btree_pool,
-                heap_pool=self._heap_pool,
             )
             self._pending = {}
             return
@@ -598,7 +637,6 @@ class VideoDatabase:
             if not self._wal.closed:
                 self._wal.close()
             self._btree_pool.pager.close()
-            self._heap_pool.pager.close()
         self._closed = True
 
     def crash(self) -> None:
@@ -610,7 +648,6 @@ class VideoDatabase:
         self._closed = True
         self._wal.crash()
         self._btree_pool.pager.crash()
-        self._heap_pool.pager.crash()
 
     def detach(self) -> None:
         """Release file handles without checkpointing.

@@ -3,15 +3,14 @@ ViTri positions, with KNN query processing and dynamic insertion.
 
 Architecture
 ------------
-Two page stores back the index:
-
-* a **B+-tree** whose leaves hold ``(key, full ViTri record)`` entries,
-  where ``key = d(position, O')`` is the 1-D transform of the ViTri
-  position — the paper's design ("inserting the key into the B+-tree and
-  ViTri into leaf node"), which keeps records key-clustered even under
-  dynamic insertion;
-* an append-only **heap file** holding the same records as a flat file,
-  which is what the sequential-scan baseline reads.
+One page store backs the index: a **B+-tree** whose leaves hold
+``(key, full ViTri record)`` entries, where ``key = d(position, O')`` is
+the 1-D transform of the ViTri position — the paper's design ("inserting
+the key into the B+-tree and ViTri into leaf node"), which keeps records
+key-clustered even under dynamic insertion.  The leaf chain is the only
+copy of a record: queries read it by key range, and everything that
+needs every record (reopening, rebuilds, removal, the baselines) reads
+it in one walk (:meth:`VitriIndex.records`).
 
 A KNN query summarises the query video into ``M`` query ViTris.  Each
 query ViTri ``(O^Q, R^Q, ...)`` can only share frames with database ViTris
@@ -39,6 +38,7 @@ silently corrupted both queries' stats whenever two queries interleaved
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from collections import defaultdict
 from dataclasses import dataclass
@@ -64,7 +64,7 @@ from repro.utils.validation import check_positive, check_positive_int
 __all__ = ["KNNResult", "QueryStats", "TOMBSTONE_VIDEO_ID", "VitriIndex"]
 
 TOMBSTONE_VIDEO_ID = 0xFFFFFFFF
-"""Video-id sentinel marking a removed record in the heap file."""
+"""Reserved video id (the unsigned 32-bit maximum): no video may use it."""
 
 
 
@@ -92,9 +92,8 @@ class QueryStats:
     Attributes
     ----------
     page_requests:
-        Logical page accesses — B+-tree nodes only: the leaves hold the
-        full ViTri records, so a query never touches the heap file; the
-        paper's I/O-cost unit.
+        Logical page accesses — B+-tree nodes: the leaves hold the full
+        ViTri records; the paper's I/O-cost unit.
     physical_reads:
         Buffer-pool misses that reached the pager.
     node_visits:
@@ -406,7 +405,6 @@ class VitriIndex:
         self._next_vitri_id = 0
         self._built_component: np.ndarray | None = None
         self._moments: IncrementalMoments | None = None
-        self._summaries_seen = 0
         # Memoised content_token().  insert_video / remove_video, the only
         # mutators of the state it hashes, reset it before their first
         # change and again after their last, so a token computed by a
@@ -427,14 +425,12 @@ class VitriIndex:
         heap_path: str | None = None,
         buffer_capacity: int = 256,
         btree_pool: BufferPool | None = None,
-        heap_pool: BufferPool | None = None,
     ) -> "VitriIndex":
         """Bulk-build an index from video summaries.
 
         The B+-tree is bulk-loaded with packed leaves holding the full
-        ViTri records in key order (the paper's layout); the parallel
-        heap file — the sequential-scan baseline's flat input — is
-        written in the same order.
+        ViTri records in key order (the paper's layout), numbered
+        ``vitri_id`` 0, 1, ... in that order.
 
         Parameters
         ----------
@@ -446,18 +442,20 @@ class VitriIndex:
         reference:
             Reference-point strategy (instance or name) for the 1-D
             transform.
-        btree_path, heap_path:
-            Optional backing files, for measuring file I/O; in-memory
-            when omitted.  Nothing reopens them: storage that survives
-            a restart is :class:`~repro.core.database.VideoDatabase`.
+        btree_path:
+            Optional backing file, for measuring file I/O; in-memory
+            when omitted.  Nothing reopens it: storage that survives a
+            restart is :class:`~repro.core.database.VideoDatabase`.
+        heap_path:
+            Optional file to write a flat copy of the records to, once,
+            at build (:attr:`heap`).  Nothing reads it; it keeps the
+            file-backed cold-scan benchmark's directory as it was.
         buffer_capacity:
-            LRU buffer-pool capacity (pages) for each of the two stores.
-        btree_pool, heap_pool:
-            Pre-built buffer pools to use instead of constructing fresh
-            ones from the path arguments — the seam the crash-safe
-            database directory uses to route both stores through one
-            shared write-ahead log.  Mutually exclusive with the
-            corresponding path argument.
+            LRU buffer-pool capacity (pages) of each file's pool.
+        btree_pool:
+            A pre-built buffer pool to use instead of one over
+            ``btree_path`` — the seam the crash-safe database directory
+            uses to route the tree through its write-ahead log.
         """
         if not summaries:
             raise ValueError("cannot build an index from zero summaries")
@@ -495,8 +493,6 @@ class VitriIndex:
 
         if btree_pool is not None and btree_path is not None:
             raise ValueError("pass btree_path or btree_pool, not both")
-        if heap_pool is not None and heap_path is not None:
-            raise ValueError("pass heap_path or heap_pool, not both")
 
         order = np.argsort(keys, kind="stable")
         index._btree = BPlusTree.create(
@@ -504,12 +500,6 @@ class VitriIndex:
             if btree_pool is not None
             else BufferPool(Pager(btree_path), capacity=buffer_capacity),
             payload_size=index._codec.record_size,
-        )
-        index._heap = HeapFile.create(
-            heap_pool
-            if heap_pool is not None
-            else BufferPool(Pager(heap_path), capacity=buffer_capacity),
-            index._codec.record_size,
         )
 
         entries: list[tuple[float, bytes]] = []
@@ -524,14 +514,21 @@ class VitriIndex:
             )
             index._next_vitri_id += 1
             payload = index._codec.encode(record)
-            index._heap.append(payload)
             entries.append((float(keys[position_in_key_order]), payload))
         index._btree.bulk_load(entries)
+        if heap_path is not None:
+            index._heap = HeapFile.create(
+                BufferPool(Pager(heap_path), capacity=buffer_capacity),
+                index._codec.record_size,
+            )
+            for _, payload in entries:
+                index._heap.append(payload)
+            index._heap.flush()
+            index._heap.buffer_pool.pager.sync()
 
         index._video_frames = {
             summary.video_id: summary.num_frames for summary in summaries
         }
-        index._summaries_seen = len(summaries)
         return index
 
     # ------------------------------------------------------------------
@@ -573,8 +570,9 @@ class VitriIndex:
         return self._btree
 
     @property
-    def heap(self) -> HeapFile:
-        """The underlying ViTri heap (exposed for tests and benchmarks)."""
+    def heap(self) -> HeapFile | None:
+        """The flat copy :meth:`build` wrote to ``heap_path``; ``None``
+        without one.  Written once and never read or updated."""
         return self._heap
 
     @property
@@ -616,17 +614,14 @@ class VitriIndex:
         return self._content_token
 
     def clear_caches(self) -> None:
-        """Flush and drop both buffer pools (cold-start a measurement)."""
+        """Flush and drop the buffer pool (cold-start a measurement)."""
         self._btree.buffer_pool.clear()
-        self._heap.buffer_pool.clear()
 
     def flush(self) -> None:
-        """Write all dirty pages and sync both backing files (no-op for
-        in-memory pagers)."""
+        """Write all dirty pages and sync the backing file (no-op for an
+        in-memory pager)."""
         self._btree.flush()
-        self._heap.flush()
         self._btree.buffer_pool.pager.sync()
-        self._heap.buffer_pool.pager.sync()
 
     def flush_pages(self) -> None:
         """Push dirty pages down to the pagers *without* syncing.
@@ -637,7 +632,6 @@ class VitriIndex:
         with its metadata in one atomic step.
         """
         self._btree.flush()
-        self._heap.flush()
 
     # ------------------------------------------------------------------
     # Dynamic maintenance
@@ -663,6 +657,7 @@ class VitriIndex:
                 f"video ids must be below {TOMBSTONE_VIDEO_ID} (reserved)"
             )
         _check_radii(summary, self._epsilon)
+        moments = self._streaming_moments()
         self._content_token = None
         for vitri in summary.vitris:
             record = ViTriRecord(
@@ -674,12 +669,10 @@ class VitriIndex:
             )
             self._next_vitri_id += 1
             payload = self._codec.encode(record)
-            self._heap.append(payload)
             key = self._transform.key(vitri.position)
             self._btree.insert(key, payload)
-        self._moments.update(summary.positions())
+        moments.update(summary.positions())
         self._video_frames[summary.video_id] = summary.num_frames
-        self._summaries_seen += 1
         self._content_token = None
 
     def insert_many(self, summaries) -> int:
@@ -718,34 +711,19 @@ class VitriIndex:
         """Remove a video's ViTris from the index; returns how many.
 
         B+-tree entries are removed with lazy deletion (underflowing
-        leaves remain until a rebuild); the heap records are overwritten
-        with tombstones so the sequential-scan baseline skips them.
+        leaves remain until a rebuild).
         """
         if video_id not in self._video_frames:
             raise ValueError(f"video id {video_id} is not indexed")
         self._content_token = None
+        keys, records = self.records()
+        moments = self._streaming_moments(records)
+        mine = np.flatnonzero(records["video_id"] == video_id)
+        positions = self._codec.columns_from_struct(records[mine]).positions
         removed = 0
-        for record_id, payload in list(self._heap.scan()):
-            record = self._codec.decode(payload)
-            if record.video_id != video_id:
-                continue
-            key = self._transform.key(record.position)
-            deleted = self._btree.delete(key, payload)
-            if deleted == 0:
-                raise RuntimeError(
-                    f"index out of sync: ViTri {record.vitri_id} of video "
-                    f"{video_id} is in the heap but not in the B+-tree"
-                )
-            removed += deleted
-            tombstone = ViTriRecord(
-                video_id=TOMBSTONE_VIDEO_ID,
-                vitri_id=record.vitri_id,
-                count=record.count,
-                radius=record.radius,
-                position=record.position,
-            )
-            self._heap.overwrite(record_id, self._codec.encode(tombstone))
-            self._moments.downdate(record.position[None, :])
+        for row, position in zip(mine, positions):
+            removed += self._btree.delete(float(keys[row]), records[row].tobytes())
+            moments.downdate(position[None, :])
         del self._video_frames[video_id]
         self._content_token = None
         return removed
@@ -755,10 +733,32 @@ class VitriIndex:
         and the current one (Section 6.3.3's rebuild trigger).
 
         Computed from exact streaming moments maintained across inserts
-        and removals, so the check performs **no page I/O**.
+        and removals, so the check performs **no page I/O** — except
+        the first one on a reopened index, which folds the moments from
+        one leaf-chain walk.
         """
-        current = self._moments.first_component()
+        current = self._streaming_moments().first_component()
         return principal_angle(self._built_component, current)
+
+    def _streaming_moments(self, records: np.ndarray | None = None):
+        """The exact streaming moments of every indexed position.
+
+        A reopened index folds them on first use from the leaf chain's
+        records (``records``, or a fresh :meth:`records` walk), in
+        ``vitri_id`` order: the order a live index folded them in, so
+        they carry the same bits.  Mutators call this before their first
+        change, so the walk never sees a half-applied one; opening the
+        index reads no leaf.
+        """
+        if self._moments is None:
+            if records is None:
+                records = self.records()[1]
+            moments = IncrementalMoments(self._dim)
+            positions = self._codec.columns_from_struct(records).positions
+            if positions.shape[0] > 0:
+                moments.update(positions)
+            self._moments = moments
+        return self._moments
 
     def rebuild(
         self,
@@ -771,45 +771,45 @@ class VitriIndex:
         Re-fits the reference point on all present ViTri positions; used
         when :meth:`drift_angle` exceeds the allowed degree.
         """
-        summaries = self._reconstruct_summaries()
         return VitriIndex.build(
-            summaries,
+            self.summaries(),
             self._epsilon,
             reference=reference if reference is not None else self._transform.strategy,
             buffer_capacity=buffer_capacity,
         )
 
-    def _all_positions(self) -> np.ndarray:
-        positions = [
-            record.position
-            for record in (
-                self._codec.decode(payload) for _, payload in self._heap.scan()
-            )
-            if record.video_id != TOMBSTONE_VIDEO_ID
-        ]
-        if not positions:
-            # Every record tombstoned: a legal state for a reopened index.
-            return np.zeros((0, self._dim))
-        return np.stack(positions)
+    def records(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, records)`` of every indexed ViTri, ``vitri_id``
+        ascending: one walk of the leaf chain, the records' only copy.
+
+        ``records`` is a :attr:`ViTriRecordCodec.record_dtype` array.
+        The ids grow in the order the records were added (key order at
+        :meth:`build`, then one per inserted ViTri), so this is the
+        order everything derived from the full record set is folded in.
+        Meant for the streaming moments of a reopened index, rebuilds,
+        removal and the baselines, not queries.
+        """
+        ((keys, records),) = self._btree.range_search_many(
+            [(-math.inf, math.inf)], payload_dtype=self._codec.record_dtype
+        )
+        order = np.argsort(records["vitri_id"], kind="stable")
+        return keys[order], records[order]
 
     def summaries(self) -> list[VideoSummary]:
-        """Reconstruct every indexed video's summary from the heap
-        (video-id ascending).  Full heap scan — intended for rebuilds,
-        re-growing a fleet and ``check``, not queries."""
-        return self._reconstruct_summaries()
-
-    def _reconstruct_summaries(self) -> list[VideoSummary]:
+        """Reconstruct every indexed video's summary from the leaf chain
+        (video-id ascending, each video's ViTris in ``vitri_id`` order).
+        A full walk — intended for rebuilds, re-growing a fleet and
+        ``check``, not queries."""
+        columns = self._codec.columns_from_struct(self.records()[1])
         by_video: dict[int, list[ViTri]] = defaultdict(list)
-        for _, payload in self._heap.scan():
-            record = self._codec.decode(payload)
-            if record.video_id == TOMBSTONE_VIDEO_ID:
-                continue
-            by_video[record.video_id].append(
-                ViTri(
-                    position=record.position,
-                    radius=record.radius,
-                    count=record.count,
-                )
+        for video_id, position, radius, count in zip(
+            columns.video_ids.tolist(),
+            columns.positions,
+            columns.radii.tolist(),
+            columns.counts.tolist(),
+        ):
+            by_video[video_id].append(
+                ViTri(position=position, radius=radius, count=count)
             )
         return [
             VideoSummary(
@@ -894,7 +894,6 @@ class VitriIndex:
     def from_storage(
         cls,
         btree_pool: BufferPool,
-        heap_pool: BufferPool,
         meta: dict,
         *,
         reference: ReferenceStrategy | str = "optimal",
@@ -903,7 +902,9 @@ class VitriIndex:
 
         The inverse of :meth:`meta_dict` over pools the caller controls —
         this is how the crash-safe database reopens a recovered directory
-        whose pagers share one write-ahead log.
+        whose pager writes through its write-ahead log.  Reads only the
+        tree's metadata page: the streaming moments are folded from the
+        leaves when first needed (:meth:`_streaming_moments`).
         """
         index = cls(_opened=True)
         index._dim = int(meta["dim"])
@@ -920,13 +921,7 @@ class VitriIndex:
             int(k): int(v) for k, v in meta["video_frames"].items()
         }
         index._next_vitri_id = int(meta["next_vitri_id"])
-        index._summaries_seen = len(index._video_frames)
         index._btree = BPlusTree.open(btree_pool)
-        index._heap = HeapFile.open(heap_pool)
-        index._moments = IncrementalMoments(index._dim)
-        positions = index._all_positions()
-        if positions.shape[0] > 0:
-            index._moments.update(positions)
         return index
 
     def __repr__(self) -> str:

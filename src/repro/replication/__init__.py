@@ -2,10 +2,11 @@
 
 A replica is a verified copy of one checkpoint of its primary:
 
-* :mod:`repro.replication.shipper` —
-  :func:`~repro.replication.shipper.checkpoint_copy` checkpoints a durable primary and reads its data
-  artefacts plus its content token into a
-  :class:`~repro.replication.shipper.Snapshot`.
+* :mod:`repro.replication.snapshot` —
+  :func:`~repro.replication.snapshot.checkpoint_copy` checkpoints a
+  durable primary and reads its two data artefacts (``index.btree``,
+  ``db.json``) plus its content token into a
+  :class:`~repro.replication.snapshot.Snapshot`.
 * :mod:`repro.replication.replica` — a read-only
   :class:`~repro.replication.replica.ReplicaShard` restored once from
   such a snapshot, serving only if its reopened content token matches
@@ -26,7 +27,8 @@ from repro.replication.replica import (
     ReplicaUnavailable,
     ReplicationError,
 )
-from repro.replication.shipper import EMPTY_TOKEN, Snapshot, checkpoint_copy
+from repro.core.database import EMPTY_TOKEN
+from repro.replication.snapshot import Snapshot, checkpoint_copy
 
 __all__ = [
     "EMPTY_TOKEN",

@@ -53,7 +53,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.replication.replica import ReplicaShard
-from repro.replication.shipper import checkpoint_copy
+from repro.replication.snapshot import checkpoint_copy
 from repro.shard.resilience import BreakerPolicy, CircuitBreaker
 from repro.shard.shard import Shard
 from repro.utils.clock import Clock

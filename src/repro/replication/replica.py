@@ -19,12 +19,8 @@ from __future__ import annotations
 
 import os
 
-from repro.replication.shipper import (
-    EMPTY_TOKEN,
-    SNAPSHOT_FILES,
-    Snapshot,
-    database_token,
-)
+from repro.core.database import EMPTY_TOKEN, database_token
+from repro.replication.snapshot import SNAPSHOT_FILES, Snapshot
 from repro.shard.resilience import ShardDown
 from repro.shard.shard import Shard
 from repro.utils.counters import CostCounters

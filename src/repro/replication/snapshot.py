@@ -1,10 +1,10 @@
 """Checkpoint copies: the one image a replica is restored from.
 
 :func:`checkpoint_copy` checkpoints a durable primary shard and reads its
-three data artefacts — ``index.btree``, ``index.heap``, ``db.json`` —
-together with the primary's content token at that checkpoint.  A replica
-writes those bytes plus a fresh (empty) WAL into its own directory,
-reopens, and serves only if the reopened index carries the same token.
+two data artefacts — ``index.btree`` and ``db.json`` — together with the
+primary's content token at that checkpoint.  A replica writes those
+bytes plus a fresh (empty) WAL into its own directory, reopens, and
+serves only if the reopened index carries the same token.
 """
 
 from __future__ import annotations
@@ -12,29 +12,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.core.database import VideoDatabase
+from repro.core.database import database_token
 from repro.shard.shard import Shard
 
-__all__ = ["EMPTY_TOKEN", "Snapshot", "checkpoint_copy", "database_token"]
+__all__ = ["SNAPSHOT_FILES", "Snapshot", "checkpoint_copy"]
 
 #: The artefacts a checkpoint copy carries (everything but the WAL; a
 #: replica starts with a fresh, empty log).
-SNAPSHOT_FILES = ("index.btree", "index.heap", "db.json")
-
-#: Content token of a database with no built index (tokens are 32-char
-#: blake2b-16 hex digests; the zero digest is unreachable in practice).
-EMPTY_TOKEN = "0" * 32
-
-
-def database_token(db: VideoDatabase) -> str:
-    """The database's current index content token.
-
-    ``EMPTY_TOKEN`` when no index has been built yet — the fingerprint
-    of the "nothing indexed" state, so even a copy of an empty primary
-    has a token to check.
-    """
-    index = db.index
-    return index.content_token() if index is not None else EMPTY_TOKEN
+SNAPSHOT_FILES = ("index.btree", "db.json")
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,7 @@ class Shard:
         return self._db.video_ids()
 
     def summaries(self) -> list[VideoSummary]:
-        """Summaries of the videos this shard owns (heap scan)."""
+        """Summaries of the videos this shard owns (leaf-chain walk)."""
         return self._db.summaries()
 
     def content_token(self) -> str | None:

@@ -1,6 +1,6 @@
 """Paged storage substrate.
 
-Everything the B+-tree and the ViTri heap sit on:
+Everything the B+-tree (and the scan baseline's flat heap) sits on:
 
 * :mod:`repro.storage.page` — the 4 KiB page unit (matching the paper's
   experimental setup); :data:`~repro.storage.page.PAGE_CONTENT_SIZE` of
@@ -12,9 +12,8 @@ Everything the B+-tree and the ViTri heap sit on:
   page writes (possibly across several files) atomic and replayable;
 * :mod:`repro.storage.buffer_pool` — an LRU cache of pages with logical
   request / hit / miss counters;
-* :mod:`repro.storage.heap_file` — a fixed-size-record heap file used to
-  store full ViTri payloads (position vectors) referenced from B+-tree
-  leaves;
+* :mod:`repro.storage.heap_file` — a fixed-size-record heap file, the
+  sequential-scan baseline's flat input;
 * :mod:`repro.storage.serialization` — struct codecs for the on-page
   record formats, including the checksummed page-frame codec;
 * :mod:`repro.storage.faults` — deterministic disk-fault injection used

@@ -1,10 +1,9 @@
 """Fixed-size-record heap file.
 
-Stores the full ViTri payloads.  B+-tree leaves keep only the 1-D key plus
-a :class:`RecordId`; similarity evaluation follows the RecordId into this
-heap, and each data page it touches is a counted page access — exactly the
-I/O model of the paper's experiments.  The sequential-scan baseline is a
-:meth:`HeapFile.scan` over every data page.
+A flat file of full ViTri payloads, in append order.  The index keeps
+its records in the B+-tree leaves; the sequential-scan baseline writes
+them into a heap and scans every data page, each a counted page access —
+the I/O model of the paper's experiments.
 
 Layout
 ------
@@ -164,18 +163,6 @@ class HeapFile:
         offset = _SLOT_COUNT.size + record_id.slot * self._record_size
         return bytes(page.data[offset : offset + self._record_size])
 
-    def overwrite(self, record_id: RecordId, payload: bytes) -> None:
-        """Replace one record in place (e.g. with a tombstone marker)."""
-        self._check_record_id(record_id)
-        if len(payload) != self._record_size:
-            raise ValueError(
-                f"payload must be {self._record_size} bytes, got {len(payload)}"
-            )
-        page = self._pool.fetch(record_id.page_id)
-        offset = _SLOT_COUNT.size + record_id.slot * self._record_size
-        page.data[offset : offset + self._record_size] = payload
-        page.mark_dirty()
-
     def read_batch(
         self,
         record_ids: list[RecordId],
@@ -253,56 +240,6 @@ class HeapFile:
     def flush(self) -> None:
         """Flush dirty pages down to the pager."""
         self._pool.flush()
-
-    def verify(self) -> list[str]:
-        """Check the heap's structural invariants; return violations.
-
-        Validates the metadata page (magic, record size, page count implied
-        by ``num_records``) and every data page's slot-count header: each
-        full page must hold exactly ``slots_per_page`` records, the last
-        page exactly the remainder.  Returns a list of human-readable
-        violation strings, empty when the heap is consistent.
-        """
-        violations: list[str] = []
-        meta = self._pool.fetch(0)
-        magic, record_size, num_records = _META.unpack_from(meta.data, 0)
-        if magic != _MAGIC:
-            violations.append(f"meta page magic {magic:#010x} != {_MAGIC:#010x}")
-        if record_size != self._record_size:
-            violations.append(
-                f"meta record_size {record_size} != expected {self._record_size}"
-            )
-        if num_records != self._num_records:
-            violations.append(
-                f"meta num_records {num_records} != in-memory {self._num_records}"
-            )
-        expected_pages = 1 + self.num_data_pages
-        if self._pool.pager.num_pages < expected_pages:
-            violations.append(
-                f"pager holds {self._pool.pager.num_pages} pages, "
-                f"{self._num_records} records need {expected_pages}"
-            )
-            return violations
-        total = 0
-        for page_index in range(self.num_data_pages):
-            page_id = 1 + page_index
-            (used,) = _SLOT_COUNT.unpack_from(self._pool.fetch(page_id).data, 0)
-            is_last = page_index == self.num_data_pages - 1
-            expected = (
-                self._num_records - page_index * self._slots_per_page
-                if is_last
-                else self._slots_per_page
-            )
-            if used != expected:
-                violations.append(
-                    f"data page {page_id} slot count {used} != expected {expected}"
-                )
-            total += used
-        if total != self._num_records:
-            violations.append(
-                f"slot counts sum to {total}, meta says {self._num_records}"
-            )
-        return violations
 
     # ------------------------------------------------------------------
     # Internals

@@ -13,8 +13,7 @@ Two codecs live here:
   content, not the checksum.
 * the ViTri record codec — the only fixed record the reproduction
   persists is the full ViTri payload (the position vector plus its scalar
-  attributes); B+-tree leaves store the 1-D key and a
-  :class:`~repro.storage.heap_file.RecordId` pointing here.
+  attributes), stored whole in the B+-tree leaves next to its 1-D key.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ deliberately simple (full-page physical redo, one transaction in flight):
 The invariant this buys: a data file only ever contains committed data,
 so *any* crash point leaves the directory reopenable at its last
 committed state.  Several pagers may share one WAL (each registered under
-a ``file_id``), which makes a multi-file commit — B+-tree pages, heap
-pages and the JSON metadata blob of a :class:`~repro.core.database.
-VideoDatabase` directory — atomic as a unit.
+a ``file_id``), which makes a multi-file commit atomic as a unit; a
+:class:`~repro.core.database.VideoDatabase` directory commits its
+B+-tree pages and its JSON metadata blob this way.
 
 Durability model: a byte written to the OS is considered durable (the
 fault injector in :mod:`repro.storage.faults` simulates crashes at the

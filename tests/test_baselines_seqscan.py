@@ -19,7 +19,7 @@ class TestSequentialScan:
     def test_reads_every_data_page(self, small_index, small_summaries):
         scan = SequentialScan(small_index)
         result = scan.knn(small_summaries[0], 5, cold=True)
-        assert result.stats.page_requests == small_index.heap.num_data_pages
+        assert result.stats.page_requests == scan.heap.num_data_pages
 
     def test_evaluates_every_pair(self, small_index, small_summaries):
         scan = SequentialScan(small_index)

@@ -145,7 +145,8 @@ class TestBuildAndQuery:
         assert not os.path.exists(nowhere)
 
         main(["build", "--dataset", dataset_path, "--out", path])
-        flip_byte(os.path.join(path, "index.heap"), 100)
+        # The tree's metadata page, which opening reads.
+        flip_byte(os.path.join(path, "index.btree"), 100)
         capsys.readouterr()
         assert main(query + ["--index", path]) == 1
         err = capsys.readouterr().err

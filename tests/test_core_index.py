@@ -56,11 +56,11 @@ class TestBuild:
             VitriIndex()
 
     def test_heap_clustered_by_key(self, small_index):
-        """Bulk build stores ViTri records in key order so range scans
-        touch contiguous heap pages."""
+        """Bulk build numbers ViTri records in key order, so the
+        sequential scan's heap (vitri_id order) is key-clustered too."""
         keys = []
         codec = small_index._codec
-        for _, payload in small_index.heap.scan():
+        for _, payload in SequentialScan(small_index).heap.scan():
             record = codec.decode(payload)
             keys.append(small_index.transform.key(record.position))
         assert keys == sorted(keys)

@@ -14,13 +14,12 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.core.database import read_epoch_pointer
+from repro.core.database import database_token, read_epoch_pointer
 from repro.core.index import VitriIndex
 from repro.core.summarize import summarize_video
 from repro.core.vitri import VideoSummary
 from repro.datasets.synthetic import DatasetConfig, generate_dataset
 from repro.ingest import commit_cutover, side_build
-from repro.replication.shipper import database_token
 from repro.shard.shard import Shard
 from repro.storage.faults import FaultInjector, SimulatedCrash
 

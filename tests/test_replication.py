@@ -17,6 +17,7 @@ import pytest
 
 from repro.datasets.synthetic import DatasetConfig, generate_dataset
 from repro.core.summarize import summarize_video
+from repro.core.database import database_token
 from repro.replication import (
     NEEDS_BOOTSTRAP,
     SYNCED,
@@ -26,7 +27,7 @@ from repro.replication import (
     ReplicationError,
 )
 from repro.replication import group as group_module
-from repro.replication.shipper import checkpoint_copy, database_token
+from repro.replication.snapshot import checkpoint_copy
 from repro.shard.shard import Shard
 from repro.utils.clock import VirtualClock
 from repro.utils.counters import CostCounters
