@@ -241,6 +241,37 @@ class HeapFile:
         """Flush dirty pages down to the pager."""
         self._pool.flush()
 
+    def verify(self) -> list[str]:
+        """List violations of the meta page and each page's slot count."""
+        violations: list[str] = []
+        meta = self._pool.fetch(0).data
+        magic, record_size, num_records = _META.unpack_from(meta, 0)
+        for name, found, expected in (
+            ("magic", magic, _MAGIC),
+            ("record_size", record_size, self._record_size),
+            ("num_records", num_records, self._num_records),
+        ):
+            if found != expected:
+                violations.append(f"meta {name} {found} != expected {expected}")
+        if self._pool.pager.num_pages < 1 + self.num_data_pages:
+            return violations + [
+                f"pager holds {self._pool.pager.num_pages} pages, "
+                f"{self._num_records} records need {1 + self.num_data_pages}"
+            ]
+        for page_index in range(self.num_data_pages):
+            page = self._pool.fetch(1 + page_index)
+            (used,) = _SLOT_COUNT.unpack_from(page.data, 0)
+            expected = min(
+                self._slots_per_page,
+                self._num_records - page_index * self._slots_per_page,
+            )
+            if used != expected:
+                violations.append(
+                    f"data page {page.page_id} slot count {used} "
+                    f"!= expected {expected}"
+                )
+        return violations
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -137,3 +137,39 @@ class TestHeapFile:
         pool = BufferPool(Pager(), capacity=4)
         with pytest.raises(ValueError):
             HeapFile.open(pool)
+
+
+class TestHeapVerify:
+    def test_clean_heap_verifies(self):
+        heap = make_heap()
+        for i in range(100):
+            heap.append(record(i))
+        assert heap.verify() == []
+
+    def test_empty_heap_verifies(self):
+        assert make_heap().verify() == []
+
+    def test_bad_magic_reported(self):
+        heap = make_heap()
+        heap.append(record(0))
+        meta = heap.buffer_pool.fetch(0)
+        meta.data[0] ^= 0xFF
+        meta.mark_dirty()
+        assert any("magic" in v for v in heap.verify())
+
+    def test_bad_slot_count_reported(self):
+        heap = make_heap()
+        for i in range(5):
+            heap.append(record(i))
+        page = heap.buffer_pool.fetch(1)
+        page.data[0:2] = (99).to_bytes(2, "little")
+        page.mark_dirty()
+        violations = heap.verify()
+        assert any("slot count" in v for v in violations)
+
+    def test_record_count_mismatch_reported(self):
+        heap = make_heap()
+        for i in range(5):
+            heap.append(record(i))
+        heap._num_records = 4  # simulate lost meta update
+        assert any("slot count" in v or "num_records" in v for v in heap.verify())
