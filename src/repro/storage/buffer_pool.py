@@ -17,9 +17,9 @@ bundle is what
 queries can never misattribute each other's page accesses.
 
 All cache and counter mutations are guarded by an internal lock, so a
-pool may be shared by concurrent readers (the query engine additionally
-gives each worker its own pool to avoid cache-interference between
-queries; the lock makes even the shared-pool case lose no updates).
+pool may be shared by concurrent readers (the query engine builds one
+pool per snapshot, shared by every thread that queries it; the lock
+makes it lose no updates).
 Miss reads happen outside the lock so concurrent misses overlap their
 simulated disk waits; a pool shared by concurrent *mutators* of the
 same page additionally needs serialisation above this layer (the engine
@@ -169,30 +169,34 @@ class BufferPool:
         PAGE_CONTENT_SIZE)`` uint8, row ``i`` a private image of page
         ``page_ids[i]`` (not the pool's shared :class:`Page` objects).
 
-        Requests, hits, misses, the per-query ``counters`` and the final
-        LRU order are exactly those of :meth:`fetch` per id in order,
-        but the misses reach the pager as one
+        The run is served *held first*: the requests for pages either
+        segment held when the run began, in request order, then the
+        rest, in request order.  Requests, hits, misses, spill hits, the
+        per-query ``counters``, write-backs and the final LRU order are
+        exactly those of :meth:`fetch` per id in that order.  The first
+        part evicts nothing, so no miss of the run evicts a held page the
+        run asks for: a scan repeated over a pool smaller than it
+        re-reads only the pages the pool did not hold, where
+        request-order LRU would re-read them all (sequential flooding).
+        The misses reach the pager as one
         :meth:`~repro.storage.pager.Pager.read_run` — one file read per
         run of consecutive ids — and only the missed pages still cached
         when the run ends are materialised as :class:`Page` objects.
         """
         sources, images = self._access(page_ids, counters)
-        if images is None:
-            # Every request hit: one copy of the pages' joined bytes.
-            joined = bytearray().join([page.data for page in sources])
-            return np.frombuffer(joined, dtype=np.uint8).reshape(
-                len(sources), PAGE_CONTENT_SIZE
-            )
-        if len(images) == len(sources):
-            return images  # every request missed: the rows are in order
-        out = np.empty((len(sources), PAGE_CONTENT_SIZE), dtype=np.uint8)
-        for position, source in enumerate(sources):
-            out[position] = (
-                np.frombuffer(source.data, dtype=np.uint8)
-                if isinstance(source, Page)
-                else images[source]
-            )
-        return out
+        if images is not None and len(images) == len(sources):
+            return images  # nothing was held: the rows are in order
+        # One copy of every row's bytes, in request order: a hit's page
+        # content or a missed page's freshly read row.
+        joined = bytearray().join(
+            [
+                source.data if isinstance(source, Page) else images[source]
+                for source in sources
+            ]
+        )
+        return np.frombuffer(joined, dtype=np.uint8).reshape(
+            len(sources), PAGE_CONTENT_SIZE
+        )
 
     def _access(
         self, page_ids: Sequence[int], counters: CostCounters | None
@@ -209,8 +213,10 @@ class BufferPool:
         pages back, exactly when a per-id loop would); the surviving
         placeholders are taken out before the lock is released, and
         after the read their pages are admitted at the replayed LRU
-        positions.  Each miss performs and accounts exactly one physical
-        read even when two threads miss the same page at once — the
+        positions.  The replay takes the held ids first (see
+        :meth:`fetch_run`); ``sources`` stays in request order.  Each
+        miss performs and accounts exactly one physical read even when
+        two threads miss the same page at once — the
         loser of the re-admission race keeps the winner's cached page
         but has already paid (and counted) its own read, keeping
         ``sum(page_reads) == misses`` exact.
@@ -223,29 +229,48 @@ class BufferPool:
         """
         pages = self._pages
         spill = self._spill if self._spill_capacity else None
-        sources: "list[Page | int]" = []
+        sources: "list[Page | int]" = [0] * len(page_ids)
         missed: list[int] = []
         pending: dict[int, int] = {}  # placeholder id -> its images row
         tail: list[int] = []
         spilled = 0
         with self._lock:
-            for page_id in page_ids:
+            # Held first: touch every page either segment holds before
+            # replaying any miss.  A spill hit only trades places with
+            # the capacity segment's LRU page, so nothing leaves the pool
+            # and no miss of the run evicts a held page it asks for.
+            rest: list[int] = []
+            for position, page_id in enumerate(page_ids):
                 page = pages.get(page_id)
                 if page is not None:
                     pages.move_to_end(page_id)
-                    sources.append(pending[page_id] if page is _PENDING else page)
+                elif spill is not None and page_id in spill:
+                    spilled += 1
+                    page = pages[page_id] = spill.pop(page_id)
+                    if len(pages) > self._capacity:
+                        self._evict_overflow()  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update
+                else:
+                    rest.append(position)
+                    continue
+                sources[position] = page
+            for position in rest:
+                page_id = page_ids[position]
+                page = pages.get(page_id)
+                if page is not None:
+                    pages.move_to_end(page_id)
+                    sources[position] = pending[page_id] if page is _PENDING else page
                     continue
                 if spill is not None and page_id in spill:
                     spilled += 1
                     page = spill.pop(page_id)
-                    sources.append(pending[page_id] if page is _PENDING else page)
+                    sources[position] = pending[page_id] if page is _PENDING else page
                 else:
-                    sources.append(len(missed))
+                    sources[position] = len(missed)
                     missed.append(page_id)
                     if self._capacity == 0 and spill is None:
                         continue
                     page = _PENDING
-                    pending[page_id] = sources[-1]
+                    pending[page_id] = sources[position]
                 pages[page_id] = page
                 if len(pages) > self._capacity:
                     self._evict_overflow(pending)  # vilint: disable=blocking-while-locked -- eviction write-back journals to the WAL (or memory); bounded work that must stay atomic with the LRU update

@@ -7,6 +7,7 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.page import PAGE_CONTENT_SIZE, Page
 from repro.storage.pager import Pager
 from repro.utils.counters import CostCounters
+from tests.test_storage_buffer_pool_reference import held_first
 
 
 def make_pool(capacity=4):
@@ -325,7 +326,8 @@ class TestThreadSafety:
 
 
 class TestFetchRun:
-    """``fetch_run`` is ``fetch`` per id: same counts, same LRU, same bytes."""
+    """``fetch_run`` is ``fetch`` per id over the ids the pool held
+    first, then the rest: same counts, same LRU, same bytes."""
 
     @staticmethod
     def twin(capacity):
@@ -353,11 +355,13 @@ class TestFetchRun:
                 page.mark_dirty()
         for ids in runs:
             run_bundle, one_bundle = CostCounters(), CostCounters()
+            order = held_first(ids, one_pool.page_ids())
             images = run_pool.fetch_run(ids, run_bundle)
-            pages = [one_pool.fetch(page_id, one_bundle) for page_id in ids]
+            pages = [one_pool.fetch(page_id, one_bundle) for page_id in order]
+            by_id = dict(zip(order, pages))
             assert images.shape == (len(ids), PAGE_CONTENT_SIZE)
             assert [row.tobytes() for row in images] == [
-                bytes(page.data) for page in pages
+                bytes(by_id[page_id].data) for page_id in ids
             ]
             assert run_bundle.page_requests == one_bundle.page_requests
             assert run_bundle.page_reads == one_bundle.page_reads
@@ -397,3 +401,104 @@ class TestFetchRun:
         assert list(pool._pages) == [6, 7]
         assert pool.fetch(7) is pool.fetch(7)
         assert pool.hits == 2
+
+
+class TestHeldFirst:
+    """A run touches the pages the pool held before it reads any other,
+    so a scan longer than the pool never evicts a page it is about to
+    read (LRU's sequential flooding)."""
+
+    @staticmethod
+    def numbered_pager(num_pages):
+        pager = Pager()
+        for page_id in range(num_pages):
+            page = Page(pager.allocate_page())
+            page.data[0] = page_id % 256
+            pager.write_page(page)
+        return pager
+
+    def test_a_repeated_scan_reads_only_what_the_pool_lost(self):
+        pool = BufferPool(self.numbered_pager(100), capacity=64)
+        first, second = CostCounters(), CostCounters()
+        pool.fetch_run(range(100), first)
+        assert pool.page_ids() == list(range(36, 100))
+        images = pool.fetch_run(range(100), second)
+        assert first.page_reads == 100
+        # Per-id LRU would evict page 36 for page 0, and so on: 100 reads.
+        assert second.page_reads == 36
+        assert images[:, 0].tolist() == list(range(100))
+        assert pool.page_ids() == [*range(36, 100), *range(36)][-64:]
+
+    def test_a_repeated_leaf_scan_reads_only_what_the_pool_lost(self):
+        from repro.btree.tree import BPlusTree
+
+        pager = Pager()
+        tree = BPlusTree.create(BufferPool(pager, capacity=256), 1300)
+        # 1300-byte payloads: three entries a leaf, 100 leaves under the root.
+        tree.bulk_load(
+            [(float(i), i.to_bytes(4, "little") * 325) for i in range(300)]
+        )
+        tree.flush()
+        assert tree.height == 2
+        pool = BufferPool(pager, capacity=64)
+        reader = BPlusTree.open(pool)
+        ranges = [(0.0, 299.0)]
+        first, second = CostCounters(), CostCounters()
+        want = reader.range_search_many(ranges, counters=first)
+        got = reader.range_search_many(ranges, counters=second)
+        for (want_keys, want_payloads), (keys, payloads) in zip(want, got):
+            assert keys.tobytes() == want_keys.tobytes()
+            assert payloads.tobytes() == want_payloads.tobytes()
+        assert second.page_requests == first.page_requests
+        assert first.page_reads == 1 + 100  # the root, then every leaf
+        # The pool ends the first pass holding the last 64 leaves; the
+        # root's miss evicts the oldest, and the leaf run finds the other
+        # 63 held.  Per-id LRU would re-read the root and all 100 leaves.
+        assert second.page_reads == 1 + 100 - 63
+
+    @pytest.mark.parametrize("spill", [0, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(0, 6),
+        warm=st.lists(st.integers(0, 11), max_size=12),
+        ids=st.lists(st.integers(0, 11), max_size=30),
+    )
+    def test_a_run_reads_the_distinct_ids_not_held(self, spill, capacity, warm, ids):
+        pool = BufferPool.with_spill(self.numbered_pager(12), capacity, spill)
+        pool.fetch_run(warm)
+        held = set(pool.page_ids())
+        counters = CostCounters()
+        images = pool.fetch_run(ids, counters)
+        assert images[:, 0].tolist() == ids
+        distinct = set(ids)
+        if len(distinct) == len(ids) or len(distinct) <= capacity + spill:
+            assert counters.page_reads == len(distinct - held)
+        else:
+            # A repeat of a miss may find it evicted by the run's later
+            # misses; a held page is never re-read either way.
+            assert counters.page_reads >= len(distinct - held)
+
+    def test_a_mixed_run_with_repeats_returns_private_rows_in_order(self):
+        pager = self.numbered_pager(12)
+        pool = BufferPool(pager, capacity=4)
+        pool.fetch(7)
+        read = []
+        read_run = pager.read_run
+
+        def logged(page_ids):
+            read.append(read_run(page_ids))
+            return read[-1]
+
+        pager.read_run = logged
+        counters = CostCounters()
+        images = pool.fetch_run([5, 7, 5], counters)
+        assert (counters.page_requests, counters.page_reads) == (3, 1)
+        assert images[:, 0].tolist() == [5, 7, 5]
+        assert images is not read[-1]
+        assert images.flags.writeable and images.flags.c_contiguous
+        images[0, 0] = 99
+        assert images[2, 0] == 5
+        assert pool.fetch(5).data[0] == 5 and pool.fetch(7).data[0] == 7
+        # Nothing held: the rows the pager read are the run, handed out as is.
+        images = pool.fetch_run([1, 2])
+        assert images is read[-1]

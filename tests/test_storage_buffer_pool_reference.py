@@ -9,6 +9,11 @@
   segment existed (:class:`FrozenBufferPool` below): the plain pool must
   stay that pool, request for request.
 
+Both references take a run one id at a time in request order, while the
+pool takes first the ids it held when the run began (:func:`held_first`):
+each reference is fed that order, and the rows are compared in request
+order.
+
 Random operation sequences mix single fetches, runs (repeated ids, runs
 longer than the pool, runs of consecutive ids that the pager reads in one
 go), writes and ``clear()``.
@@ -202,6 +207,16 @@ class ReferenceLRU:
         self.order.clear()
 
 
+def held_first(ids, cached_ids) -> list[int]:
+    """The order in which a pool serves the run *ids*: first the
+    requests for pages it held (*cached_ids*) when the run began, then
+    the rest, each part in request order."""
+    cached = set(cached_ids)
+    return [page_id for page_id in ids if page_id in cached] + [
+        page_id for page_id in ids if page_id not in cached
+    ]
+
+
 def make_pager() -> tuple[Pager, list[int]]:
     """A pager of ``NUM_PAGES`` pages (byte 0 = version 0) whose
     ``write_page`` calls are logged by page id."""
@@ -284,7 +299,7 @@ def test_segments_are_one_lru_of_the_summed_capacity(capacity, spill, ops):
             reference.clear()
         else:
             reads = spilled = 0
-            for page_id in expand(operation):
+            for page_id in held_first(expand(operation), reference.order):
                 read, hit = reference.access(page_id)
                 reads += read
                 spilled += hit
@@ -327,9 +342,14 @@ def test_plain_pool_is_the_frozen_pool(capacity, ops):
     versions = dict.fromkeys(range(NUM_PAGES), 0)
     frozen_versions = dict(versions)
     for operation in ops:
+        ids = expand(operation)
+        frozen_operation = operation
+        if operation[0] in ("run", "consecutive"):
+            frozen_operation = ("run", held_first(ids, frozen.page_ids()))
         bundle, seen = apply(pool, operation, versions)
-        frozen_bundle, frozen_seen = apply(frozen, operation, frozen_versions)
-        assert seen == frozen_seen
+        frozen_bundle, frozen_seen = apply(frozen, frozen_operation, frozen_versions)
+        frozen_by_id = dict(zip(expand(frozen_operation), frozen_seen))
+        assert seen == [frozen_by_id[page_id] for page_id in ids]
         assert bundle.snapshot() == frozen_bundle.snapshot()
         assert pool.page_ids() == frozen.page_ids()
         assert (pool.requests, pool.hits, pool.misses) == (
